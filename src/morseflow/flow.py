@@ -1,8 +1,11 @@
 """Negative gradient flow on an implicit manifold.
 
-Integration is project-then-retract: an embedded Cash-Karp 5(4) pair
-steps the ambient ODE  dx/dt = -+ P(x) grad f(x), and every accepted
-point is retracted back onto M. Constraint drift before retraction is
+One embedded Cash-Karp 5(4) stepper steps the ambient ODE
+dx/dt = -+ P(x) grad f(x) over an augmented state: the point, then the
+pushforward vectors of the linearized flow (none for the plain flow).
+Every accepted point is retracted back onto M and the vectors are
+re-projected by `GradientField.project`, the one tangent projection,
+which also builds the field. Constraint drift before retraction is
 monitored and must stay within an order of magnitude of the manifold
 tolerance.
 
@@ -15,10 +18,13 @@ as Stalled (an unregistered critical point upstream).
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .errors import FlowError, NotConvergedError, RetractionError
+from .errors import (
+    FlowError, NotConvergedError, RankDeficiencyError, RetractionError,
+)
 from .symbolics import compile_expression
 
 # Cash-Karp tableau: 5th order propagated, 4th order for the error gap.
@@ -118,11 +124,13 @@ class Trajectory:
 
 
 class GradientField:
-    """Fast evaluation of the projected gradient field of f on M.
+    """Tangent projection on M and the projected gradient field of f.
 
-    Works on plain float lists; the one- and two-constraint cases (the
-    whole catalog) avoid numpy dispatch entirely, which matters at a few
-    million field evaluations per basin sweep.
+    Works on plain float lists; `projected_gradient` is `project` applied
+    to grad f. The one- and two-constraint cases (the whole catalog)
+    avoid numpy dispatch entirely, which matters at a few million field
+    evaluations per basin sweep. A rank-deficient Jacobian raises
+    RankDeficiencyError.
     """
 
     def __init__(self, m, f):
@@ -140,60 +148,38 @@ class GradientField:
 
     def projected_gradient(self, xs):
         """P(x) grad f(x) as a list of floats."""
-        _, g = self._f.value_and_grad(xs)
-        if self.k == 1:
-            _, j = self._constraints[0].value_and_grad(xs)
-            jj = 0.0
-            jg = 0.0
-            for a, b in zip(j, g):
-                jj += a * a
-                jg += a * b
-            w = jg / jj
-            return [b - w * a for a, b in zip(j, g)]
-        if self.k == 2:
-            _, j1 = self._constraints[0].value_and_grad(xs)
-            _, j2 = self._constraints[1].value_and_grad(xs)
-            a11 = a12 = a22 = r1 = r2 = 0.0
-            for u, v, b in zip(j1, j2, g):
-                a11 += u * u
-                a12 += u * v
-                a22 += v * v
-                r1 += u * b
-                r2 += v * b
-            det = a11 * a22 - a12 * a12
-            w1 = (a22 * r1 - a12 * r2) / det
-            w2 = (a11 * r2 - a12 * r1) / det
-            return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, g)]
-        jac = np.array([c.gradient(xs) for c in self._constraints])
-        g = np.asarray(g)
-        w = np.linalg.solve(jac @ jac.T, jac @ g)
-        return list(g - jac.T @ w)
+        return self.project(xs, self._f.value_and_grad(xs)[1])
 
     def project(self, xs, vec):
         """Tangential part of `vec` at the point xs (float-list based)."""
-        if self.k == 1:
-            _, j = self._constraints[0].value_and_grad(xs)
-            jj = 0.0
-            jv = 0.0
-            for a, b in zip(j, vec):
-                jj += a * a
-                jv += a * b
-            w = jv / jj
-            return [b - w * a for a, b in zip(j, vec)]
-        if self.k == 2:
-            _, j1 = self._constraints[0].value_and_grad(xs)
-            _, j2 = self._constraints[1].value_and_grad(xs)
-            a11 = a12 = a22 = r1 = r2 = 0.0
-            for u, v, b in zip(j1, j2, vec):
-                a11 += u * u
-                a12 += u * v
-                a22 += v * v
-                r1 += u * b
-                r2 += v * b
-            det = a11 * a22 - a12 * a12
-            w1 = (a22 * r1 - a12 * r2) / det
-            w2 = (a11 * r2 - a12 * r1) / det
-            return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, vec)]
+        try:
+            if self.k == 1:
+                _, j = self._constraints[0].value_and_grad(xs)
+                jj = 0.0
+                jv = 0.0
+                for a, b in zip(j, vec):
+                    jj += a * a
+                    jv += a * b
+                w = jv / jj
+                return [b - w * a for a, b in zip(j, vec)]
+            if self.k == 2:
+                _, j1 = self._constraints[0].value_and_grad(xs)
+                _, j2 = self._constraints[1].value_and_grad(xs)
+                a11 = a12 = a22 = r1 = r2 = 0.0
+                for u, v, b in zip(j1, j2, vec):
+                    a11 += u * u
+                    a12 += u * v
+                    a22 += v * v
+                    r1 += u * b
+                    r2 += v * b
+                det = a11 * a22 - a12 * a12
+                w1 = (a22 * r1 - a12 * r2) / det
+                w2 = (a11 * r2 - a12 * r1) / det
+                return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, vec)]
+        except ZeroDivisionError:
+            raise RankDeficiencyError(
+                f"constraint Jacobian is rank deficient at {list(xs)}"
+            ) from None
         return list(self.manifold.project_tangent(np.asarray(xs), np.asarray(vec)))
 
 
@@ -201,49 +187,48 @@ def _norm(vec):
     return math.sqrt(sum(v * v for v in vec))
 
 
-def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
-                   record=True):
-    """Flow from x0 until capture, stall, or t_max (hit exactly).
-
-    `crits` supplies the registered critical points used for capture;
-    with crits=None any capture-level gradient is reported as Stalled.
-    Backward direction flips the sign of the field (f then increases
-    along the trajectory).
-    """
+def _sign(direction):
+    """Sign of the field: -1 descends f (forward), +1 ascends (backward)."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    cfg = cfg or FlowConfig()
-    sign = -1.0 if direction == "forward" else 1.0
-    field = GradientField(m, f)
-    crit_list = list(crits) if crits is not None else []
-    crit_locs = [np.asarray(p.location, dtype=float) for p in crit_list]
+    return -1.0 if direction == "forward" else 1.0
 
+
+def _start_point(m, x0):
     x = np.asarray(x0, dtype=float)
-    if not m.is_on_manifold(x):
-        x = m.retract(x)
+    return x if m.is_on_manifold(x) else m.retract(x)
+
+
+def _cash_karp(field, rhs, state, x_norm, cfg, crits=None, capture=True):
+    """Step the flat state [x, v_1, ..., v_j] until its terminal.
+
+    `rhs(state)` is the state's derivative; its first n entries are the
+    signed field, whose norm at each accepted point decides capture. An
+    accepted point is retracted onto M and the vectors re-projected there.
+    `x_norm` (|x0|) sets the first step. Returns (terminal, stats, times,
+    states, grad_norms) over the start and every accepted step.
+    """
+    m = field.manifold
+    n = field.n
+    size = len(state)
+    crit_list = list(crits) if crits is not None else []
     stats = FlowStats()
 
-    times = [0.0]
-    xs = x.tolist()
-    pg = field.projected_gradient(xs)
-    gnorm = _norm(pg)
-    f_vals = [field.f_value(xs)]
-    points = [np.array(xs)]
-    gnorms = [gnorm]
-
     def _capture(point, norm):
-        if norm >= cfg.capture_grad_tol:
+        if not capture or norm >= cfg.capture_grad_tol:
             return None
         for crit in crit_list:
             if np.linalg.norm(point - crit.location) < cfg.capture_radius:
                 return Terminal("converged", crit.id)
         return Terminal("stalled")
 
-    terminal = _capture(points[0], gnorm)
+    k1 = rhs(state)
+    gnorm = _norm(k1[:n])
+    times, states, gnorms = [0.0], [state], [gnorm]
+    terminal = _capture(np.array(state[:n]), gnorm)
     t = 0.0
-    k1 = [sign * v for v in pg]
     h = min(cfg.max_step, cfg.t_max,
-            0.01 * (1.0 + _norm(xs)) / max(_norm(k1), 1e-10))
+            0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
     halvings = 0
 
     while terminal is None:
@@ -254,29 +239,31 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
         if h < 1e-13 * max(1.0, t):
             raise FlowError(f"step size underflow at t={t}")
 
+        # Stage sums take component i of every stage, in stage order.
         ks = [k1]
         for row in _CK_A:
             stage = [
-                x + h * sum(a * k[i] for a, k in zip(row, ks))
-                for i, x in enumerate(xs)
+                y + h * sum(map(mul, row, col))
+                for y, col in zip(state, zip(*ks))
             ]
-            ks.append([sign * v for v in field.projected_gradient(stage)])
-        x_new = [
-            x + h * sum(b * k[i] for b, k in zip(_CK_B5, ks))
-            for i, x in enumerate(xs)
+            ks.append(rhs(stage))
+        cols = list(zip(*ks))
+        y_new = [
+            y + h * sum(map(mul, _CK_B5, col)) for y, col in zip(state, cols)
         ]
         err_scaled = 0.0
-        for i in range(field.n):
-            err = h * sum(e * k[i] for e, k in zip(_CK_ERR, ks))
-            scale = cfg.abs_tol + cfg.rel_tol * max(abs(xs[i]), abs(x_new[i]))
+        for y, y5, col in zip(state, y_new, cols):
+            err = h * sum(map(mul, _CK_ERR, col))
+            scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
             err_scaled += (err / scale) ** 2
-        err_scaled = math.sqrt(err_scaled / field.n)
+        err_scaled = math.sqrt(err_scaled / size)
 
         if err_scaled > 1.0:
             stats.rejected += 1
             h *= max(cfg.min_scale, cfg.safety * err_scaled ** -0.2)
             continue
 
+        x_new = y_new[:n]
         try:
             retracted = m.retract(np.array(x_new), guard=None)
         except RetractionError:
@@ -294,31 +281,49 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
         stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
 
         t += h
-        xs = retracted.tolist()
-        pg = field.projected_gradient(xs)
-        gnorm = _norm(pg)
-        f_new = field.f_value(xs)
+        point = retracted.tolist()
+        state = point + [
+            c for lo in range(n, size, n)
+            for c in field.project(point, y_new[lo:lo + n])
+        ]
         stats.steps += 1
-        if sign * (f_new - f_vals[-1]) < -1e-12:
-            stats.monotone = False
-        if record:
-            times.append(t)
-            points.append(retracted)
-            f_vals.append(f_new)
-            gnorms.append(gnorm)
-        else:
-            times[1:] = [t]
-            points[1:] = [retracted]
-            f_vals[1:] = [f_new]
-            gnorms[1:] = [gnorm]
-        k1 = [sign * v for v in pg]
+        k1 = rhs(state)
+        gnorm = _norm(k1[:n])
+        times.append(t)
+        states.append(state)
+        gnorms.append(gnorm)
         terminal = _capture(retracted, gnorm)
         if terminal is None and err_scaled > 0.0:
             h *= min(cfg.max_scale,
                      max(cfg.min_scale, cfg.safety * err_scaled ** -0.2))
         elif terminal is None:
             h *= cfg.max_scale
+    return terminal, stats, times, states, gnorms
 
+
+def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
+                   record=True):
+    """Flow from x0 until capture, stall, or t_max (hit exactly).
+
+    `crits` supplies the registered critical points used for capture;
+    with crits=None any capture-level gradient is reported as Stalled.
+    Backward direction flips the sign of the field (f then increases
+    along the trajectory). With record=False only the first and the
+    last sample are returned.
+    """
+    sign = _sign(direction)
+    field = GradientField(m, f)
+    xs = _start_point(m, x0).tolist()
+    terminal, stats, times, points, gnorms = _cash_karp(
+        field, lambda ys: [sign * v for v in field.projected_gradient(ys)],
+        xs, _norm(xs), cfg or FlowConfig(), crits,
+    )
+    f_vals = [field.f_value(p) for p in points]
+    stats.monotone = not any(
+        sign * (b - a) < -1e-12 for a, b in zip(f_vals, f_vals[1:])
+    )
+    if not record:
+        del times[1:-1], points[1:-1], f_vals[1:-1], gnorms[1:-1]
     return Trajectory(
         times=np.array(times),
         points=np.array(points),

@@ -120,7 +120,12 @@ class ImplicitManifold:
     def project_tangent(self, x, v):
         """P(x) @ v without forming the projector."""
         jac = self.constraint_jacobian(x)
-        w = np.linalg.solve(jac @ jac.T, jac @ v)
+        try:
+            w = np.linalg.solve(jac @ jac.T, jac @ v)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(
+                f"constraint Jacobian is rank deficient at {np.asarray(x)}"
+            ) from exc
         return v - jac.T @ w
 
     def riemannian_gradient(self, f, x):

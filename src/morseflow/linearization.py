@@ -8,6 +8,10 @@ projected back to the tangent space; this avoids third derivatives of
 the defining expressions, and the Richardson consistency test in the
 suite validates the step choice.
 
+The joint state [x, V_1, ..., V_j] runs through the flow's own stepper:
+one adaptive step and error norm over the point and every vector, with
+the vectors re-projected by `GradientField.project` at each accepted point.
+
 The energy E(t) = |V|^2 / 2 satisfies dE/dt = -Hess(V, V) with the
 multiplier-corrected Hessian; `check_energy_ode` measures the residual
 of that identity on a computed series, and `fit_decay_rate` compares the
@@ -20,8 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowError, NotConvergedError, RetractionError
-from .flow import _CK_A, _CK_B5, _CK_ERR, FlowConfig, GradientField, Terminal, FlowStats
+from .errors import FlowError, NotConvergedError
+from .flow import (
+    FlowConfig, FlowStats, GradientField, Terminal, _cash_karp, _norm,
+    _sign, _start_point,
+)
 from .morse import hessian_quadratic_form
 
 # Step caps giving dense enough sampling for rate fits and for the
@@ -54,10 +61,10 @@ class VariationalSeries:
 
 def _field_derivative(field, xs, vec, sign):
     """sign * A(x) vec for the list-based field, finite differenced."""
-    norm = math.sqrt(sum(v * v for v in vec))
+    norm = _norm(vec)
     if norm == 0.0:
         return [0.0] * len(vec)
-    h = _FD_STEP * max(1.0, math.sqrt(sum(x * x for x in xs)))
+    h = _FD_STEP * max(1.0, _norm(xs))
     unit = [v / norm for v in vec]
     plus = field.projected_gradient([x + h * u for x, u in zip(xs, unit)])
     minus = field.projected_gradient([x - h * u for x, u in zip(xs, unit)])
@@ -76,18 +83,13 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
     With capture=False the run always lasts exactly t_max (used for
     fixed-horizon pushes, where a stationary start is legitimate).
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
+    sign = _sign(direction)
     cfg = cfg or FlowConfig()
-    sign = -1.0 if direction == "forward" else 1.0
     field = GradientField(m, f)
     n = field.n
-    crit_list = list(crits) if crits is not None else []
 
-    x = np.asarray(x0, dtype=float)
-    if not m.is_on_manifold(x):
-        x = m.retract(x)
-    vecs = []
+    x = _start_point(m, x0)
+    state = x.tolist()
     for v0 in initial_vectors:
         vec = np.asarray(getattr(v0, "vec", v0), dtype=float)
         if vec.shape != (n,):
@@ -95,131 +97,27 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         tangency = np.max(np.abs(m.constraint_jacobian(x) @ vec))
         if tangency > 1e-6 * max(1.0, np.linalg.norm(vec)):
             raise ValueError("v0 is not tangent at x0")
-        vecs.append(vec.tolist())
-    n_vecs = len(vecs)
+        state += vec.tolist()
 
-    xs = x.tolist()
-    stats = FlowStats()
-
-    def rhs(point, vectors):
+    def rhs(ys):
         # The raw directional derivative of the field carries the normal
         # component that rotates V with the tangent planes; projecting it
         # here would bleed energy at every re-projection. Tangency is
         # enforced on accepted samples instead.
-        base = field.projected_gradient(point)
-        dx = [sign * b for b in base]
-        dvs = [_field_derivative(field, point, vec, sign) for vec in vectors]
-        return dx, dvs
+        point = ys[:n]
+        dys = [sign * b for b in field.projected_gradient(point)]
+        for lo in range(n, len(ys), n):
+            dys += _field_derivative(field, point, ys[lo:lo + n], sign)
+        return dys
 
-    pg = field.projected_gradient(xs)
-    gnorm = math.sqrt(sum(v * v for v in pg))
-
-    times = [0.0]
-    points = [np.array(xs)]
-    blocks = [[np.array(v)] for v in vecs]
-
-    def _capture(point, norm):
-        if not capture or norm >= cfg.capture_grad_tol:
-            return None
-        for crit in crit_list:
-            if np.linalg.norm(point - crit.location) < cfg.capture_radius:
-                return Terminal("converged", crit.id)
-        return Terminal("stalled")
-
-    terminal = _capture(points[0], gnorm)
-    t = 0.0
-    k1 = rhs(xs, vecs)
-    speed = math.sqrt(sum(v * v for v in k1[0]))
-    h = min(cfg.max_step, cfg.t_max, 0.01 * (1.0 + np.linalg.norm(x)) /
-            max(speed, 1e-10))
-    halvings = 0
-
-    while terminal is None:
-        if t >= cfg.t_max - 1e-13:
-            terminal = Terminal("max_time")
-            break
-        h = min(h, cfg.t_max - t, cfg.max_step)
-        if h < 1e-13 * max(1.0, t):
-            raise FlowError(f"step size underflow at t={t}")
-
-        ks = [k1]
-        for row in _CK_A:
-            stage_x = [
-                x_i + h * sum(a * k[0][i] for a, k in zip(row, ks))
-                for i, x_i in enumerate(xs)
-            ]
-            stage_v = [
-                [
-                    v_i + h * sum(a * k[1][w][i] for a, k in zip(row, ks))
-                    for i, v_i in enumerate(vecs[w])
-                ]
-                for w in range(n_vecs)
-            ]
-            ks.append(rhs(stage_x, stage_v))
-        x_new = [
-            x_i + h * sum(b * k[0][i] for b, k in zip(_CK_B5, ks))
-            for i, x_i in enumerate(xs)
-        ]
-        v_new = [
-            [
-                v_i + h * sum(b * k[1][w][i] for b, k in zip(_CK_B5, ks))
-                for i, v_i in enumerate(vecs[w])
-            ]
-            for w in range(n_vecs)
-        ]
-        err_scaled = 0.0
-        for i in range(n):
-            err = h * sum(e * k[0][i] for e, k in zip(_CK_ERR, ks))
-            scale = cfg.abs_tol + cfg.rel_tol * max(abs(xs[i]), abs(x_new[i]))
-            err_scaled += (err / scale) ** 2
-        for w in range(n_vecs):
-            for i in range(n):
-                err = h * sum(e * k[1][w][i] for e, k in zip(_CK_ERR, ks))
-                scale = cfg.abs_tol + cfg.rel_tol * max(
-                    abs(vecs[w][i]), abs(v_new[w][i]))
-                err_scaled += (err / scale) ** 2
-        err_scaled = math.sqrt(err_scaled / (n * (1 + n_vecs)))
-
-        if err_scaled > 1.0:
-            stats.rejected += 1
-            h *= max(cfg.min_scale, cfg.safety * err_scaled ** -0.2)
-            continue
-
-        try:
-            retracted = m.retract(np.array(x_new), guard=None)
-        except RetractionError:
-            halvings += 1
-            stats.retraction_halvings += 1
-            if halvings > 40:
-                raise FlowError(
-                    "retraction kept failing after 40 step halvings"
-                ) from None
-            h *= 0.5
-            continue
-        halvings = 0
-        drift = max(abs(c.value(x_new)) for c in field._constraints)
-        stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
-
-        t += h
-        xs = retracted.tolist()
-        vecs = [field.project(xs, v) for v in v_new]
-        stats.steps += 1
-        times.append(t)
-        points.append(retracted)
-        for w in range(n_vecs):
-            blocks[w].append(np.array(vecs[w]))
-        pg = field.projected_gradient(xs)
-        gnorm = math.sqrt(sum(v * v for v in pg))
-        k1 = rhs(xs, vecs)
-        terminal = _capture(retracted, gnorm)
-        if terminal is None:
-            h *= min(cfg.max_scale,
-                     max(cfg.min_scale, cfg.safety * err_scaled ** -0.2))
-
+    terminal, stats, times, states, _ = _cash_karp(
+        field, rhs, state, np.linalg.norm(x), cfg, crits, capture
+    )
+    samples = np.array(states)
     return (
         np.array(times),
-        np.array(points),
-        [np.array(b) for b in blocks],
+        samples[:, :n].copy(),
+        [samples[:, lo:lo + n].copy() for lo in range(n, len(state), n)],
         terminal,
         stats,
     )

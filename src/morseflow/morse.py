@@ -71,14 +71,6 @@ class CriticalPointSet(Sequence):
         return int(sum((-1) ** p.index for p in self.points))
 
 
-def multiplier_estimate(m, f, x):
-    """Least-squares lam with J(x)^T lam ~ grad f(x)."""
-    grad = compile_expression(f, m.ambient_dim).gradient(x)
-    jac = m.constraint_jacobian(x)
-    lam, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
-    return lam
-
-
 def corrected_hessian(m, f, x):
     """Ambient matrix of the second derivative of f along M at x.
 

@@ -1,8 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morseflow import ImplicitManifold, parse
+from morseflow import (
+    ImplicitManifold,
+    integrate_flow,
+    integrate_variational,
+    load_scenario,
+    parse,
+)
 from morseflow.errors import RankDeficiencyError, RetractionError
+from morseflow.flow import GradientField
 
 
 def test_projector_north_pole(sphere):
@@ -32,6 +43,51 @@ def test_projector_idempotent_symmetric(name, request):
         proj = m.tangent_projector(x)
         assert np.max(np.abs(proj - proj.T)) < 1e-10
         assert np.max(np.abs(proj @ proj - proj)) < 1e-10
+
+
+def test_field_projection_three_constraints():
+    # S^2 inside R^5 needs three constraints, the numpy branch of project
+    m = ImplicitManifold(5, [
+        parse(e, 5) for e in ("x1^2 + x2^2 + x3^2 - 1", "x4", "x5")
+    ])
+    field = GradientField(m, parse("x3", 5))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = np.zeros(5)
+        x[:3] = rng.standard_normal(3)
+        x /= np.linalg.norm(x)
+        v = rng.standard_normal(5)
+        proj = m.tangent_projector(x)
+        assert np.allclose(field.project(x.tolist(), v.tolist()), proj @ v,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(field.projected_gradient(x.tolist()),
+                           proj @ np.eye(5)[2], rtol=0.0, atol=1e-12)
+    with pytest.raises(RankDeficiencyError):
+        field.project([0.0] * 5, [1.0] * 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_field(name):
+    scenario = load_scenario(name)
+    return GradientField(scenario.build_manifold(), scenario.build_function())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["sphere2", "sphereM", "torus_upright", "clifford"]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    coords=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+)
+def test_field_projection_tangent_and_idempotent(name, seed, coords):
+    # one and two constraints: the hand-solved branches of project
+    field = _catalog_field(name)
+    m = field.manifold
+    x = m.sample_points(1, seed=seed)[0]
+    v = coords[:m.ambient_dim]
+    tol = 1e-12 * max(1.0, np.linalg.norm(v))
+    p = field.project(x.tolist(), v)
+    assert np.max(np.abs(m.constraint_jacobian(x) @ p)) <= tol
+    assert np.allclose(field.project(x.tolist(), p), p, rtol=0.0, atol=tol)
 
 
 def test_riemannian_gradient_poles(sphere):
@@ -85,6 +141,16 @@ def test_rank_deficiency_detected():
     degenerate = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2", 3)])
     with pytest.raises(RankDeficiencyError):
         degenerate.tangent_projector([0.0, 0.0, 0.0])
+    with pytest.raises(RankDeficiencyError):
+        degenerate.project_tangent([0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0]))
+    # the apex of a cone lies on it, and the field there has no projection
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    height = parse("x3", 3)
+    with pytest.raises(RankDeficiencyError):
+        integrate_flow(cone, height, [0.0, 0.0, 0.0])
+    with pytest.raises(RankDeficiencyError):
+        integrate_variational(cone, height, [0.0, 0.0, 0.0],
+                              np.array([1.0, 0.0, 0.0]))
 
 
 def test_tangent_basis_north_pole(sphere):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from morseflow import (
+    FlowConfig,
     check_energy_ode,
     fit_decay_rate,
     integrate_flow,
@@ -12,7 +13,11 @@ from morseflow import (
     unstable_seeds,
 )
 from morseflow.errors import FlowError, NotConvergedError
-from morseflow.linearization import ENERGY_MAX_STEP, slow_component
+from morseflow.linearization import (
+    ENERGY_MAX_STEP,
+    integrate_variational_multi,
+    slow_component,
+)
 
 
 def test_zero_vector_stays_zero(sphere):
@@ -23,6 +28,20 @@ def test_zero_vector_stays_zero(sphere):
     assert np.max(np.abs(series.vectors)) == 0.0
     assert np.max(series.energies) == 0.0
     assert check_energy_ode(series, sphere.manifold, sphere.function) == 0.0
+
+
+def test_zero_error_estimate_grows_the_step(sphere):
+    # at the minimum with a zero vector every stage derivative vanishes,
+    # so the error estimate is exactly 0.0 on every step
+    times, points, blocks, terminal, stats = integrate_variational_multi(
+        sphere.manifold, sphere.function, [0.0, 0.0, -1.0], [np.zeros(3)],
+        FlowConfig(t_max=1.0), capture=False,
+    )
+    assert terminal.kind == "max_time"
+    assert times[-1] == pytest.approx(1.0, abs=1e-13)
+    assert np.array_equal(points[-1], [0.0, 0.0, -1.0])
+    assert np.max(np.abs(blocks[0])) == 0.0
+    assert stats.rejected == 0
 
 
 def test_pushforward_identity_at_zero_time(sphere):
