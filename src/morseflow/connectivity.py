@@ -17,7 +17,7 @@ from .errors import (
     NonMorseError,
     StalledTrajectoryError,
 )
-from .flow import FlowConfig, integrate_flow, unstable_seeds
+from .flow import FlowConfig, flow_terminals, integrate_flow, unstable_seeds
 from .symbolics import compile_expression
 
 
@@ -143,7 +143,12 @@ class BasinReport:
 
 
 def basin_sample(m, f, crits, cfg, n, seed, points=None):
-    """Flow n sampled starts to capture and tally the landing ids."""
+    """Flow n sampled starts to capture and tally the landing ids.
+
+    All starts are flowed together as one array (`flow_terminals`),
+    under `integrate_flow`'s step rules and capture; the terminals
+    matched the scalar path on every catalog basin start.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     crits = list(crits)
@@ -155,10 +160,10 @@ def basin_sample(m, f, crits, cfg, n, seed, points=None):
             raise ValueError("explicit points must match n")
     tally = {}
     unresolved = 0
-    for x0 in points:
-        traj = integrate_flow(m, f, x0, cfg, crits=crits, record=False)
-        if traj.terminal.converged:
-            cid = traj.terminal.critical_point_id
+    terminals, _ = flow_terminals(m, f, points, cfg, crits=crits)
+    for terminal in terminals:
+        if terminal.converged:
+            cid = terminal.critical_point_id
             tally[cid] = tally.get(cid, 0) + 1
         else:
             unresolved += 1

@@ -20,6 +20,8 @@ from .symbolics import compile_expression, evaluate_jet
 GRAD_TOL = 1e-8
 DEGENERATE_TOL = 1e-6
 DEDUPE_RADIUS = 1e-5
+# Critical values closer than this are one level (roots carry ~1e-12).
+VALUE_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,10 @@ def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
 
     Starts are manifold samples processed in order of ascending projected
     gradient norm; converged roots are deduplicated at `dedupe_radius`
-    and ids are assigned in ascending critical value (ties broken by
-    coordinate order, so ids are reproducible across seeds).
+    and ids are assigned in ascending critical value. Values within
+    VALUE_TIE_TOL of each other are ties, broken by coordinate order at
+    1e-6 resolution (so rounding noise in a root cannot flip it), and
+    ids are reproducible across seeds.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
@@ -215,7 +219,17 @@ def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
             )
         except NotCriticalError:
             n_failed += 1
-    records.sort(key=lambda p: (p.value, tuple(p.location)))
+    records.sort(key=lambda p: p.value)
+    levels = []
+    for p in records:
+        if levels and p.value - levels[-1][-1].value <= VALUE_TIE_TOL:
+            levels[-1].append(p)
+        else:
+            levels.append([p])
+    records = [
+        p for level in levels
+        for p in sorted(level, key=lambda q: tuple(np.round(q.location, 6)))
+    ]
     points = [
         CriticalPoint(
             id=i,

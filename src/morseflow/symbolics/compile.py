@@ -6,6 +6,12 @@ order of magnitude too slow for that. Instead each expression is
 flattened once into generated source that propagates the value and the
 (sparse) first-order derivatives as scalar locals.
 
+The value-and-gradient source is compiled once and executed twice: once
+with the `math` functions for one point given as floats, once with their
+numpy ufuncs for many points given as coordinate columns. The arithmetic
+is the same elementwise, so both give the same bits where `math` and
+numpy agree.
+
 Second derivatives stay in `jets.evaluate_jet`; only value and gradient
 are compiled.
 """
@@ -19,6 +25,11 @@ from ..errors import EvaluationError
 from .expr import Binary, Const, Power, Unary, Var, max_variable_index, to_string
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
+_ARRAY_NAMESPACE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+# What `math` raises for one point and numpy, under np.errstate, for columns.
+_FAILURES = (
+    ValueError, ZeroDivisionError, OverflowError, FloatingPointError,
+)
 
 
 class _Emitter:
@@ -154,15 +165,23 @@ def _build(expr, n, with_grad, name):
     else:
         ret = f"    return {val}"
     src = "\n".join([f"def {name}({args}):", *emitter.lines, ret, ""])
-    scope = dict(_NAMESPACE)
-    exec(compile(src, f"<compiled:{name}>", "exec"), scope)
-    return scope[name], src
+    return compile(src, f"<compiled:{name}>", "exec")
+
+
+def _define(code, name, namespace):
+    """Run compiled source in a fresh scope of `namespace`; its function."""
+    scope = dict(namespace)
+    exec(code, scope)
+    return scope[name]
 
 
 class CompiledExpression:
     """Fast value / value-and-gradient evaluation of one expression."""
 
-    __slots__ = ("expression", "ambient_dim", "_value", "_value_grad", "_text")
+    __slots__ = (
+        "expression", "ambient_dim", "_value", "_value_grad",
+        "_value_grad_columns", "_text",
+    )
 
     def __init__(self, expression, ambient_dim):
         needed = max_variable_index(expression)
@@ -174,20 +193,37 @@ class CompiledExpression:
         self.expression = expression
         self.ambient_dim = ambient_dim
         self._text = to_string(expression)
-        self._value, _ = _build(expression, ambient_dim, False, "_val")
-        self._value_grad, _ = _build(expression, ambient_dim, True, "_vg")
+        self._value = _define(
+            _build(expression, ambient_dim, False, "_val"), "_val", _NAMESPACE
+        )
+        code = _build(expression, ambient_dim, True, "_vg")
+        self._value_grad = _define(code, "_vg", _NAMESPACE)
+        self._value_grad_columns = _define(code, "_vg", _ARRAY_NAMESPACE)
 
     def value(self, x):
         try:
             return self._value(*_as_floats(x))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _FAILURES as exc:
             raise EvaluationError(str(exc), self._text) from exc
 
     def value_and_grad(self, x):
-        """Returns (value, gradient tuple of length ambient_dim)."""
+        """Returns (value, gradient tuple of length ambient_dim).
+
+        `x` is one point, or an (ambient_dim, N) array whose columns are
+        N points. For columns the value and the gradient entries are
+        length-N arrays, or floats where they do not depend on x; numpy
+        division by zero, invalid operations and overflow raise
+        EvaluationError, as `math` does for one point.
+        """
         try:
-            return self._value_grad(*_as_floats(x))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            if isinstance(x, np.ndarray):
+                if x.ndim == 2:
+                    with np.errstate(divide="raise", invalid="raise",
+                                     over="raise"):
+                        return self._value_grad_columns(*x)
+                x = x.tolist()
+            return self._value_grad(*x)
+        except _FAILURES as exc:
             raise EvaluationError(str(exc), self._text) from exc
 
     def gradient(self, x):

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from morseflow import (
+    FlowConfig,
+    ImplicitManifold,
     basin_sample,
     build_connection_graph,
     check_connected,
     find_critical_points,
+    integrate_flow,
     parse,
     propagate_constancy,
 )
 from morseflow.connectivity import ConnectionGraph
-from morseflow.errors import DisconnectedGraphError, NonMorseError, StalledTrajectoryError
+from morseflow.errors import (
+    DisconnectedGraphError,
+    NonMorseError,
+    RankDeficiencyError,
+    StalledTrajectoryError,
+)
 
 
 def test_sphere_graph(sphere):
@@ -108,6 +116,39 @@ def test_basin_single_point_at_maximum(sphere):
                           points=[sphere.crits[1].location])
     assert report.tally == {1: 1}
     assert report.minima_fraction == 0.0
+
+
+def test_basin_wrong_dimension_points(sphere):
+    with pytest.raises(ValueError, match="3 coordinates"):
+        basin_sample(sphere.manifold, sphere.function, sphere.crits,
+                     sphere.cfg, 1, seed=0, points=[[1.0, 0.0]])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        basin_sample(sphere.manifold, sphere.function, sphere.crits,
+                     sphere.cfg, 2, seed=0, points=[1.0, 0.0])
+
+
+def test_basin_matches_scalar_flows(torus):
+    # every start is tallied where integrate_flow alone ends it
+    m, f = torus.manifold, torus.function
+    points = m.sample_points(20, seed=17)
+    report = basin_sample(m, f, torus.crits, torus.cfg, 20, seed=0,
+                          points=points)
+    tally = {}
+    for x0 in points:
+        terminal = integrate_flow(m, f, x0, torus.cfg, crits=torus.crits,
+                                  record=False).terminal
+        tally[terminal.critical_point_id] = (
+            tally.get(terminal.critical_point_id, 0) + 1
+        )
+    assert report.tally == tally
+    assert report.unresolved == 0
+
+
+def test_basin_rank_deficient_start():
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    with pytest.raises(RankDeficiencyError):
+        basin_sample(cone, parse("x3", 3), [], FlowConfig(), 1, seed=0,
+                     points=[[0.0, 0.0, 0.0]])
 
 
 def test_constancy_constant_field(sphere):

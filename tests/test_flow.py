@@ -5,12 +5,18 @@ import pytest
 
 from morseflow import (
     FlowConfig,
+    ImplicitManifold,
     check_length_bound,
+    find_critical_points,
     integrate_flow,
     limit_point,
+    parse,
     unstable_seeds,
 )
-from morseflow.errors import FlowError, NotConvergedError
+from morseflow.errors import (
+    EvaluationError, FlowError, NotConvergedError, RankDeficiencyError,
+)
+from morseflow.flow import flow_terminals
 
 
 def test_closed_form_height_coordinate(sphere):
@@ -182,3 +188,82 @@ def test_direction_validation(sphere):
     with pytest.raises(ValueError):
         integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
                        sphere.cfg, direction="sideways")
+
+
+def test_wrong_dimension_start_is_a_value_error(sphere):
+    with pytest.raises(ValueError, match="3 coordinates"):
+        integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0],
+                       sphere.cfg, crits=sphere.crits)
+
+
+# The batched stepper against the scalar one, start by start: same
+# terminal, and the same end point up to the last bits.
+def _assert_batch_matches_scalar(m, f, starts, cfg, crits, tol=1e-12):
+    terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
+    assert len(terminals) == len(ends) == len(starts)
+    for x0, terminal, end in zip(starts, terminals, ends):
+        ref = integrate_flow(m, f, x0, cfg, crits=crits, record=False)
+        assert terminal == ref.terminal
+        if tol is not None:
+            assert np.max(np.abs(end - ref.end)) <= tol
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
+def test_batched_flow_matches_scalar(name, request):
+    setup = request.getfixturevalue(name)
+    m = setup.manifold
+    # sampled starts plus an off-manifold one that needs a retraction
+    starts = list(m.sample_points(12, seed=31))
+    starts.append(1.001 * starts[0])
+    _assert_batch_matches_scalar(m, setup.function, starts, setup.cfg,
+                                 setup.crits)
+
+
+def test_batched_flow_three_constraints():
+    # S^2 inside R^5: the stacked-solve branch of project
+    m = ImplicitManifold(5, [
+        parse(e, 5) for e in ("x1^2 + x2^2 + x3^2 - 1", "x4", "x5")
+    ])
+    f = parse("x3 + 0.3 * x1", 5)
+    crits = find_critical_points(m, f, 20, seed=0)
+    rng = np.random.default_rng(8)
+    starts = np.zeros((8, 5))
+    starts[:, :3] = rng.standard_normal((8, 3))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    _assert_batch_matches_scalar(m, f, starts, FlowConfig(), crits)
+
+
+def test_batched_flow_non_polynomial(sphere):
+    # np.sin is not math.sin to the last bit, so only the terminals agree
+    m = sphere.manifold
+    f = parse("sin(x3) + 0.1*x1", 3)
+    crits = find_critical_points(m, f, 50, seed=0)
+    _assert_batch_matches_scalar(m, f, m.sample_points(10, seed=4),
+                                 sphere.cfg, crits, tol=None)
+
+
+def test_batched_flow_unresolved_terminals(sphere):
+    m, f = sphere.manifold, sphere.function
+    starts = m.sample_points(6, seed=12)
+    short = sphere.cfg.replace(t_max=0.05)
+    terminals, _ = flow_terminals(m, f, starts, short, crits=sphere.crits)
+    assert {t.kind for t in terminals} == {"max_time"}
+    _assert_batch_matches_scalar(m, f, starts, short, sphere.crits)
+    no_minimum = [p for p in sphere.crits if p.index > 0]
+    terminals, _ = flow_terminals(m, f, starts, sphere.cfg,
+                                  crits=no_minimum)
+    assert {t.kind for t in terminals} == {"stalled"}
+    _assert_batch_matches_scalar(m, f, starts, sphere.cfg, no_minimum)
+
+
+def test_batched_flow_errors_match_scalar(sphere):
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    with pytest.raises(RankDeficiencyError):
+        flow_terminals(cone, parse("x3", 3), [[0.6, 0.8, 1.0], [0.0] * 3])
+    low = parse("sqrt(x3 - 2)", 3)
+    with pytest.raises(EvaluationError):
+        integrate_flow(sphere.manifold, low, [1.0, 0.0, 0.0])
+    with pytest.raises(EvaluationError):
+        flow_terminals(sphere.manifold, low, [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        flow_terminals(sphere.manifold, sphere.function, [[1.0, 0.0]])

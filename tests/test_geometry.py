@@ -151,6 +151,52 @@ def test_rank_deficiency_detected():
     with pytest.raises(RankDeficiencyError):
         integrate_variational(cone, height, [0.0, 0.0, 0.0],
                               np.array([1.0, 0.0, 0.0]))
+    # columns raise too, without the caller setting numpy's error state
+    with pytest.raises(RankDeficiencyError):
+        GradientField(cone, height).projected_gradient(
+            np.array([[0.6, 0.0], [0.8, 0.0], [1.0, 0.0]])
+        )
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus", "clifford"])
+def test_retract_columns_matches_retract(name, request):
+    setup = request.getfixturevalue(name)
+    m = setup.manifold
+    rng = np.random.default_rng(6)
+    near = m.sample_points(40, seed=13)
+    near += 1e-3 * rng.standard_normal(near.shape)
+    points, ok = m.retract_columns(near.T)
+    assert ok.all()
+    for x, y in zip(near, points.T):
+        assert np.array_equal(m.retract(x, guard=None), y)
+
+
+def test_retract_columns_flags_failures(sphere):
+    # the centre has a zero Jacobian, so its Gram matrix is singular
+    cols = np.array([[0.6, 0.0, 0.0], [0.0, 0.0, 0.0], [0.9, 0.0, 1.1]])
+    with np.errstate(divide="raise", invalid="raise"):  # as in the stepper
+        points, ok = sphere.manifold.retract_columns(cols)
+    assert ok.tolist() == [True, False, True]
+    assert np.allclose(np.linalg.norm(points[:, ok], axis=0), 1.0)
+    with pytest.raises(RetractionError):
+        sphere.manifold.retract([0.0, 0.0, 0.0], guard=None)
+
+
+def test_sampling_box_missing_the_manifold_fails_fast():
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)],
+                         bounding_box=(2.0, 3.0))
+    draws = 0
+    values = m.constraint_values
+
+    def counted(x):
+        nonlocal draws
+        draws += 1
+        return values(x)
+
+    m.constraint_values = counted
+    with pytest.raises(RetractionError):
+        m.sample_points(2000, seed=0)
+    assert draws <= 30001
 
 
 def test_tangent_basis_north_pole(sphere):

@@ -104,6 +104,17 @@ def test_seed_independence(torus):
         assert np.max(np.abs(a.location - b.location)) < 1e-6
 
 
+def test_tied_critical_values_ordered_by_location(clifford):
+    # the two clifford saddles share the value 0 up to ~3e-12
+    m, f = clifford.manifold, clifford.function
+    orders = set()
+    for seed in range(8):
+        crits = find_critical_points(m, f, 60, seed=seed)
+        assert len(crits) == 4
+        orders.add(tuple(tuple(np.round(p.location, 6)) for p in crits))
+    assert len(orders) == 1
+
+
 def test_sweep_stats(sphere):
     stats = sphere.crits.stats
     assert stats.n_starts == 200

@@ -201,3 +201,46 @@ def test_jet_matches_fd_well_conditioned():
 def test_compiled_caching():
     expr = parse("x1 + x2", 2)
     assert compile_expression(expr, 2) is compile_expression(expr, 2)
+
+
+def test_compiled_columns_match_points():
+    # the numpy twin of the generated code, on (n, N) coordinate columns
+    rng = np.random.default_rng(4)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(1, 4))
+        compiled = compile_expression(_random_expression(rng, n, depth=4), n)
+        cols = rng.uniform(-1.2, 1.2, (n, 8))
+        try:
+            points = [compiled.value_and_grad(x) for x in cols.T.tolist()]
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                compiled.value_and_grad(cols)
+            continue
+        checked += 1
+        value, grad = compiled.value_and_grad(cols)
+        want = np.array([[v, *g] for v, g in points])
+        got = np.column_stack(np.broadcast_arrays(value, *grad))
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_compiled_columns_polynomial_bit_equal():
+    torus = "(x1^2 + x2^2 + x3^2 + 3)^2 - 16 * (x1^2 + x2^2)"
+    compiled = compile_expression(parse(torus, 3), 3)
+    cols = np.random.default_rng(2).uniform(-3.0, 3.0, (3, 50))
+    value, grad = compiled.value_and_grad(cols)
+    for j, x in enumerate(cols.T.tolist()):
+        v, g = compiled.value_and_grad(x)
+        assert value[j] == v
+        assert [c[j] for c in grad] == list(g)
+
+
+def test_compiled_columns_domain_errors():
+    cols = np.array([[0.5, -1.0], [1.0, 1.0]])
+    with pytest.raises(EvaluationError):
+        compile_expression(parse("sqrt(x1)", 2), 2).value_and_grad(cols)
+    with pytest.raises(EvaluationError):
+        compile_expression(parse("x2 / (x1 + 1)", 2), 2).value_and_grad(cols)
+    with pytest.raises(EvaluationError):
+        compile_expression(parse("exp(1000 * x2)", 2), 2).value_and_grad(cols)
