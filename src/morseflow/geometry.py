@@ -18,6 +18,11 @@ DEFAULT_CONSTRAINT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
 TANGENCY_TOL = 1e-8
 RETRACT_MAX_ITER = 25
+# Draws per pass of the rejection sampler; the points do not depend on
+# it. One or two points take under 1 ms with blocks of 64 to 4096 draws,
+# while 2000 torus_upright points (one draw in 40 kept) took 3x as long
+# with 256 and 10x with 64.
+SAMPLE_BLOCK = 1024
 
 
 def normal_part(jac, r):
@@ -263,30 +268,99 @@ class ImplicitManifold:
         """`count` points on M, roughly uniform for acceptance purposes.
 
         Rejection sampling: ambient draws in the bounding box are kept
-        when every |F_i| < keep_tol, then retracted; draws whose
-        retraction fails are discarded. Deterministic given the seed.
-        The draws allowed grow with the points found, 20000 per point
-        plus 10000, so a box that misses M fails after 30000 draws
-        whatever the count.
+        when every |F_i| < keep_tol, then retracted (`retract` with
+        guard=None) and rank-checked as in `_checked_jacobian`; draws
+        whose evaluation, retraction or rank check fails are discarded.
+        Deterministic given the seed.
+
+        The draws are made in blocks of SAMPLE_BLOCK with one
+        `rng.random` call, the same stream as one call per draw. Each
+        block is filtered as coordinate columns; its kept draws are
+        retracted together, in draw order and only as many as are still
+        needed, and rank-checked with one stacked SVD. Where a constraint
+        raises for some draw, that filter or retraction runs one draw at
+        a time, so only those draws are lost. The points are those of
+        drawing, filtering and retracting one draw at a time, bit for
+        bit where numpy's ufuncs agree with `math` (always for + - * /
+        and sqrt).
+
+        Draw i (counting from 1) raises RetractionError when
+        i > 20000 * (points found before it + 1) + 10000, so a box that
+        misses M fails at draw 30001 whatever the count.
         """
         rng = np.random.default_rng(seed)
         lo = self.bounding_box[:, 0]
         span = self.bounding_box[:, 1] - self.bounding_box[:, 0]
         points = []
-        attempts = 0
+        drawn = 0
         while len(points) < count:
-            attempts += 1
-            if attempts > 20000 * (len(points) + 1) + 10000:
+            block = lo + span * rng.random((SAMPLE_BLOCK, self.ambient_dim))
+            ok, retracted = self._sample_block(
+                block, count - len(points), keep_tol
+            )
+            # ok is False past the last point needed, but no draw there
+            # can trip the limit: it grew by 20000 with that point.
+            number = drawn + np.arange(1, SAMPLE_BLOCK + 1)
+            before = len(points) + np.cumsum(ok) - ok
+            over = np.flatnonzero(number > 20000 * (before + 1) + 10000)
+            if len(over):
                 raise RetractionError(
-                    "rejection sampling failed; check the bounding box"
+                    f"rejection sampling failed at draw {number[over[0]]} "
+                    f"with {before[over[0]]} points found; check the "
+                    "bounding box"
                 )
-            cand = lo + span * rng.random(self.ambient_dim)
+            points.extend(retracted[ok])
+            drawn += SAMPLE_BLOCK
+        return np.array(points)
+
+    def _sample_block(self, block, need, keep_tol):
+        """(ok, points) for the draws in the rows of `block`.
+
+        Kept draws are retracted in draw order until `need` of them
+        survive, so ok is exact up to its last True; points holds the
+        retracted rows where ok is True.
+        """
+        try:
+            vals = self.values_and_jacobian_columns(block.T)[0]
+        except EvaluationError:
+            # Some draw is outside a constraint's domain: judge each alone.
+            vals = np.full((self.n_constraints, len(block)), np.inf)
+            for j, cand in enumerate(block):
+                try:
+                    vals[:, j] = self.constraint_values(cand)
+                except EvaluationError:
+                    pass
+        kept = np.flatnonzero(np.all(np.abs(vals) < keep_tol, axis=0))
+        ok = np.zeros(len(block), dtype=bool)
+        points = block.copy()
+        while need and len(kept):
+            take, kept = kept[:need], kept[need:]
+            points[take], ok[take] = self._retract_checked(block[take])
+            need -= np.count_nonzero(ok[take])
+        return ok, points
+
+    def _retract_checked(self, rows):
+        """Rows retracted with guard=None, and where they pass the rank check.
+
+        Returns (points, ok) like `retract_columns`, in rows. Where a
+        constraint raises for some row, each row is retracted alone.
+        """
+        try:
+            cols, ok = self.retract_columns(rows.T)
+            if ok.any():
+                jac = self.values_and_jacobian_columns(cols[:, ok])[1]
+                smallest = np.linalg.svd(jac, compute_uv=False)[:, -1]
+                ok[ok] = smallest > self.rank_tol
+            return cols.T, ok
+        except EvaluationError:
+            pass
+        points = rows.copy()
+        ok = np.zeros(len(rows), dtype=bool)
+        for j, cand in enumerate(rows):
             try:
-                if np.max(np.abs(self.constraint_values(cand))) >= keep_tol:
-                    continue
-                y = self.retract(cand, guard=None)
-                self._checked_jacobian(y)
+                points[j] = self.retract(cand, guard=None)
+                self._checked_jacobian(points[j])
             except (RetractionError, RankDeficiencyError, EvaluationError):
                 continue
-            points.append(y)
-        return np.array(points)
+            ok[j] = True
+        return points, ok

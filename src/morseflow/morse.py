@@ -184,23 +184,19 @@ def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
                          dedupe_radius=DEDUPE_RADIUS):
     """Multi-start Newton sweep for all critical points of f on M.
 
-    Starts are manifold samples processed in order of ascending projected
-    gradient norm; converged roots are deduplicated at `dedupe_radius`
-    and ids are assigned in ascending critical value. Values within
+    Starts are manifold samples; converged roots are sorted by
+    coordinates, deduplicated at `dedupe_radius` in that order, and ids
+    are assigned in ascending critical value. Values within
     VALUE_TIE_TOL of each other are ties, broken by coordinate order at
     1e-6 resolution (so rounding noise in a root cannot flip it), and
     ids are reproducible across seeds.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    starts = m.sample_points(n_starts, seed)
-    order = np.argsort(
-        [m.riemannian_gradient(f, x).norm() for x in starts], kind="stable"
-    )
     converged = []
     n_failed = 0
-    for i in order:
-        root = _newton_solve(m, f, starts[i])
+    for start in m.sample_points(n_starts, seed):
+        root = _newton_solve(m, f, start)
         if root is None:
             n_failed += 1
             continue

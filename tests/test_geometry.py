@@ -12,8 +12,13 @@ from morseflow import (
     load_scenario,
     parse,
 )
-from morseflow.errors import RankDeficiencyError, RetractionError
+from morseflow.errors import (
+    EvaluationError,
+    RankDeficiencyError,
+    RetractionError,
+)
 from morseflow.flow import GradientField
+from morseflow.geometry import SAMPLE_BLOCK
 
 
 def test_projector_north_pole(sphere):
@@ -182,21 +187,94 @@ def test_retract_columns_flags_failures(sphere):
         sphere.manifold.retract([0.0, 0.0, 0.0], guard=None)
 
 
+def _sample_points_per_draw(m, count, seed, keep_tol=0.5):
+    """`sample_points` one draw at a time: the reference for its blocks."""
+    rng = np.random.default_rng(seed)
+    lo = m.bounding_box[:, 0]
+    span = m.bounding_box[:, 1] - m.bounding_box[:, 0]
+    points = []
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 20000 * (len(points) + 1) + 10000:
+            raise RetractionError(
+                f"rejection sampling failed at draw {attempts} with "
+                f"{len(points)} points found; check the bounding box"
+            )
+        cand = lo + span * rng.random(m.ambient_dim)
+        try:
+            if np.max(np.abs(m.constraint_values(cand))) >= keep_tol:
+                continue
+            y = m.retract(cand, guard=None)
+            m._checked_jacobian(y)
+        except (RetractionError, RankDeficiencyError, EvaluationError):
+            continue
+        points.append(y)
+    return np.array(points)
+
+
+def _assert_sampler_parity(m, count, seed):
+    try:
+        expected = _sample_points_per_draw(m, count, seed)
+    except RetractionError as exc:
+        with pytest.raises(RetractionError) as raised:
+            m.sample_points(count, seed)
+        assert str(raised.value) == str(exc)
+        return
+    points = m.sample_points(count, seed)
+    assert points.shape == expected.shape
+    assert np.array_equal(points, expected)
+
+
+@pytest.mark.parametrize("name",
+                         ["sphere2", "sphereM", "torus_upright", "clifford"])
+def test_sampling_matches_per_draw(name):
+    m = load_scenario(name).build_manifold()
+    for count in (1, 2, 60, 600, 2000):
+        _assert_sampler_parity(m, count, seed=count)
+
+
+@pytest.mark.parametrize("n, constraints, rank_tol", [
+    # three constraints: the stacked solve of retract_columns
+    (5, ["x1^2 + x2^2 + x3^2 - 1", "x4", "x5"], 1e-6),
+    # sqrt(x1 + 1) raises for x1 < -1, a twelfth of the box: only those
+    # draws are lost, the rest of their block is used
+    (3, ["x1^2 + x2^2 + x3^2 - 1 + 1e-4*sqrt(x1 + 1)"], 1e-6),
+    # a double root: retraction stops with |grad F| near 1e-4, so about
+    # two thirds of the retracted draws fail the rank check
+    (3, ["(x1^2 + x2^2 + x3^2 - 1)^2"], 1e-4),
+], ids=["three_constraints", "domain_error", "rank_check"])
+def test_sampling_matches_per_draw_off_catalog(n, constraints, rank_tol):
+    m = ImplicitManifold(n, [parse(c, n) for c in constraints],
+                         rank_tol=rank_tol, bounding_box=(-1.2, 1.2))
+    for count in (1, 2, 60, 600, 2000):
+        _assert_sampler_parity(m, count, seed=count)
+
+
 def test_sampling_box_missing_the_manifold_fails_fast():
+    # no draw is kept, so the limit trips at draw 30001, and the sampler
+    # evaluates no block past the one that holds it
     m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)],
                          bounding_box=(2.0, 3.0))
-    draws = 0
-    values = m.constraint_values
+    columns = 0
+    evaluate = m.values_and_jacobian_columns
 
-    def counted(x):
-        nonlocal draws
-        draws += 1
-        return values(x)
+    def counted(cols):
+        nonlocal columns
+        columns += cols.shape[1]
+        return evaluate(cols)
 
-    m.constraint_values = counted
-    with pytest.raises(RetractionError):
-        m.sample_points(2000, seed=0)
-    assert draws <= 30001
+    m.values_and_jacobian_columns = counted
+    _assert_sampler_parity(m, 2000, seed=0)
+    assert 30001 <= columns <= 30000 + SAMPLE_BLOCK
+    # the box meets M only near (0.645, 0.645, 0.645), one draw in 13000
+    # is kept, and the limit trips after 5 points are found
+    corner = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)],
+                              bounding_box=(0.645, 3.0))
+    with pytest.raises(RetractionError, match="at draw 130001 with 5 "):
+        corner.sample_points(8, seed=0)
+    for seed in (0, 3):
+        _assert_sampler_parity(corner, 8, seed)
 
 
 def test_tangent_basis_north_pole(sphere):
