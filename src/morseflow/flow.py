@@ -22,11 +22,18 @@ Single flows stay on the scalar stepper: a batch of one runs 8-10x
 slower than it (numpy dispatch on every stage), measured on the sphere2,
 torus_upright and clifford scenarios.
 
-Every accepted point is retracted back onto M and the vectors are
-re-projected by `GradientField.project`, the one tangent projection,
-which also builds the field. The scalar stepper records the constraint
-drift before retraction, which must stay within an order of magnitude
-of the manifold tolerance.
+For one or two constraints the field is one generated kernel per (M, f)
+(`symbolics.compile`): one call gives P grad f from a single pass over f
+and the constraints, with the projection written out in a fixed term
+order, for floats and, exec'd with numpy, for columns. Vectors are
+re-projected by the constraint map's generated `project`, which writes
+the same projection. Three or more constraints project through numpy.
+
+Every accepted point is retracted back onto M (`retract`, a Gauss-Newton
+loop on floats; `retract_columns` for the batch) and the vectors are
+re-projected there. The scalar stepper records the constraint drift
+before retraction, which must stay within an order of magnitude of the
+manifold tolerance.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -148,69 +155,43 @@ class GradientField:
 
     A point is a plain float list, or an (n, N) array whose columns are
     N points; vectors are then lists of n length-N arrays (or floats).
-    `projected_gradient` is `project` applied to grad f. The one- and
-    two-constraint branches are written once, elementwise, so they serve
-    both forms and avoid numpy dispatch for one point; three or more
-    constraints go through numpy (a stacked solve for columns). A
-    rank-deficient Jacobian raises RankDeficiencyError in both forms.
+    With one or two constraints both are generated code: the field
+    kernel of (M, f) gives P grad f from one pass over f and the
+    constraints, and the constraint map's `project` the tangential part
+    of any vector, with the projection written out in one term order
+    (see `symbolics.compile`), so the two agree bit for bit and serve
+    both forms without numpy dispatch for one point. Three or more
+    constraints project grad f through numpy (`normal_part`, a stacked
+    solve for columns). A rank-deficient Jacobian raises
+    RankDeficiencyError in both forms.
     """
 
     def __init__(self, m, f):
         self.manifold = m
         self.function = f
-        self._f = compile_expression(f, m.ambient_dim)
-        self._constraints = [
-            compile_expression(c, m.ambient_dim) for c in m.constraints
-        ]
         self.n = m.ambient_dim
-        self.k = len(self._constraints)
+        self.k = m.n_constraints
+        self._f = compile_expression(f, self.n)
+        self._map = compile_expression(m.constraints, self.n)
+        self._kernel = (
+            compile_expression(f, self.n, m.constraints) if self.k <= 2
+            else None
+        )
 
     def f_value(self, xs):
         return self._f.value(xs)
 
     def projected_gradient(self, xs):
-        """P(x) grad f(x) as a list of floats."""
+        """P(x) grad f(x): n floats, or n columns."""
+        if self._kernel is not None:
+            return self._kernel.value_and_grad(xs)[1]
         return self.project(xs, self._f.value_and_grad(xs)[1])
 
     def project(self, xs, vec):
         """Tangential part of `vec` at the point (or the columns) xs."""
-        if isinstance(xs, np.ndarray) and xs.ndim == 2:
-            # numpy's zero division and invalid results raise for columns,
-            # as float arithmetic does for one point.
-            with np.errstate(divide="raise", invalid="raise"):
-                return self._project(xs, vec, columns=True)
-        return self._project(xs, vec, columns=False)
-
-    def _project(self, xs, vec, columns):
-        try:
-            if self.k == 1:
-                _, j = self._constraints[0].value_and_grad(xs)
-                jj = 0.0
-                jv = 0.0
-                for a, b in zip(j, vec):
-                    jj += a * a
-                    jv += a * b
-                w = jv / jj
-                return [b - w * a for a, b in zip(j, vec)]
-            if self.k == 2:
-                _, j1 = self._constraints[0].value_and_grad(xs)
-                _, j2 = self._constraints[1].value_and_grad(xs)
-                a11 = a12 = a22 = r1 = r2 = 0.0
-                for u, v, b in zip(j1, j2, vec):
-                    a11 += u * u
-                    a12 += u * v
-                    a22 += v * v
-                    r1 += u * b
-                    r2 += v * b
-                det = a11 * a22 - a12 * a12
-                w1 = (a22 * r1 - a12 * r2) / det
-                w2 = (a11 * r2 - a12 * r1) / det
-                return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, vec)]
-        except (ZeroDivisionError, FloatingPointError):
-            raise RankDeficiencyError(
-                f"constraint Jacobian is rank deficient at {_where(xs)}"
-            ) from None
-        if not columns:
+        if self.k <= 2:
+            return self._map.project(xs, vec)
+        if not (isinstance(xs, np.ndarray) and xs.ndim == 2):
             return list(
                 self.manifold.project_tangent(np.asarray(xs), np.asarray(vec))
             )
@@ -222,15 +203,9 @@ class GradientField:
             return list((v - normal_part(jac, (jac @ v[..., None])[..., 0])).T)
         except np.linalg.LinAlgError:
             raise RankDeficiencyError(
-                f"constraint Jacobian is rank deficient at {_where(xs)}"
+                f"constraint Jacobian is rank deficient at one of "
+                f"{xs.shape[1]} points"
             ) from None
-
-
-def _where(xs):
-    """One point, or how many columns, for an error message."""
-    if isinstance(xs, np.ndarray) and xs.ndim == 2:
-        return f"one of {xs.shape[1]} points"
-    return str(np.asarray(xs).tolist())
 
 
 def _norm(vec):
@@ -358,7 +333,7 @@ def _cash_karp(field, rhs, state, x_norm, cfg, crits=None, capture=True):
             continue
         halvings = 0
 
-        drift = max(abs(c.value(x_new)) for c in field._constraints)
+        drift = max(abs(v) for v in field._map.value(x_new))
         stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
 
         t += h

@@ -7,6 +7,7 @@ geodesic distances up to constants, and tolerances are calibrated for
 the chordal convention.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,70 @@ def normal_part(jac, r):
         return jac.T @ np.linalg.solve(jac @ jac.T, r)
     jac_t = jac.transpose(0, 2, 1)
     return (jac_t @ np.linalg.solve(jac @ jac_t, r[..., None]))[..., 0]
+
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _fused_dot(u, v):
+    """sum_i u_i v_i, each term after the first added by a fused multiply-add.
+
+    That is how the OpenBLAS dot kernels behind numpy's `@` accumulate on
+    x86-64 with FMA (one rounding per term). u and v are sequences of
+    floats, or (n, N) arrays holding N columns. The fused step is
+    emulated with Dekker's exact product and Knuth's exact sum, the same
+    float operations for both forms; it differs from a true fused
+    multiply-add only where a sum of two error terms rounds onto a tie,
+    which needs a product error below 2^-53 of its rounding unit.
+    """
+    if isinstance(u, np.ndarray):
+        # Columns, u and v (n, N): the exact products of all terms at once.
+        terms = zip(*_exact_product(u, v))
+        s = next(terms)[0]
+    else:
+        s = u[0] * v[0]
+        terms = map(_exact_product, u[1:], v[1:])
+    for p, e in terms:
+        q = p + s
+        z = q - p
+        s = q + (((p - (q - z)) + (s - z)) + e)  # q + t == p + s
+    return s
+
+
+def _exact_product(a, b):
+    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker)."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _normal_step(r, rows):
+    """J^T (J J^T)^{-1} r for one or two Jacobian rows, elementwise.
+
+    `r` and `rows` hold floats for one point, or length-N arrays (or
+    floats) for columns. The Gram entries are fused dot products and the
+    solve is LAPACK's LU without row exchange, scaling by the reciprocal
+    pivot; so one row, and two rows with disjoint support (clifford),
+    give `normal_part`'s bits. A singular Gram matrix divides by zero:
+    ZeroDivisionError for floats, a non-finite step for columns.
+    """
+    if len(rows) == 1:
+        (a,), (r1,) = rows, r
+        w = r1 / _fused_dot(a, a)
+        return [ai * w for ai in a]
+    a, b = rows
+    r1, r2 = r
+    g11 = _fused_dot(a, a)
+    g12 = _fused_dot(a, b)
+    lower = g12 * (1.0 / g11)
+    x2 = (r2 - lower * r1) / (_fused_dot(b, b) - g12 * lower)
+    x1 = (r1 - g12 * x2) / g11
+    return [ai * x1 + bi * x2 for ai, bi in zip(a, b)]
 
 
 @dataclass(frozen=True)
@@ -72,7 +137,7 @@ class ImplicitManifold:
         self.constraints = constraints
         self.constraint_tol = float(constraint_tol)
         self.rank_tol = float(rank_tol)
-        self._compiled = [compile_expression(c, ambient_dim) for c in constraints]
+        self._map = compile_expression(constraints, ambient_dim)
         if bounding_box is None:
             bounding_box = [(-3.0, 3.0)] * ambient_dim
         box = np.asarray(bounding_box, dtype=float)
@@ -93,29 +158,25 @@ class ImplicitManifold:
     # -- constraint map -------------------------------------------------
 
     def constraint_values(self, x):
-        return np.array([c.value(x) for c in self._compiled])
+        return np.array(self._map.value(x))
 
     def constraint_jacobian(self, x):
-        return np.array([c.gradient(x) for c in self._compiled])
+        return self._map.gradient(x)
 
     def values_and_jacobian(self, x):
-        vals, rows = [], []
-        for c in self._compiled:
-            v, g = c.value_and_grad(x)
-            vals.append(v)
-            rows.append(g)
+        vals, rows = self._map.value_and_grad(x)
         return np.array(vals), np.array(rows)
 
     def values_and_jacobian_columns(self, cols):
         """Values (k, N) and Jacobians (N, k, n) at the columns of (n, N)."""
-        count = cols.shape[1]
-        vals = np.empty((self.n_constraints, count))
-        jac = np.empty((count, self.n_constraints, self.ambient_dim))
-        for c, comp in enumerate(self._compiled):
-            vals[c], grad = comp.value_and_grad(cols)
-            for i, g in enumerate(grad):
-                jac[:, c, i] = g
-        return vals, jac
+        vals, rows = self._map.value_and_grad(cols)
+        entries = [*vals, *(g for row in rows for g in row)]
+        out = np.empty((len(entries), cols.shape[1]))
+        for i, e in enumerate(entries):
+            out[i] = e  # a float where an entry does not depend on x
+        k, n = self.n_constraints, self.ambient_dim
+        jac = out[k:].reshape(k, n, -1).transpose(2, 0, 1)
+        return out[:k], np.ascontiguousarray(jac)
 
     def constraint_hessians(self, x):
         """Ambient Hessian of each constraint (second-order jets)."""
@@ -149,11 +210,22 @@ class ImplicitManifold:
         return 0.5 * (proj + proj.T)
 
     def project_tangent(self, x, v):
-        """P(x) @ v without forming the projector."""
-        jac = self.constraint_jacobian(x)
+        """P(x) @ v without forming the projector.
+
+        One constraint runs `_normal_step` on floats, with J v a fused
+        dot; that gives `normal_part`'s bits. Two or more stay on numpy,
+        whose product J v accumulates two rows in an order that depends
+        on n.
+        """
         try:
+            if self.n_constraints == 1:
+                (row,) = self._map.value_and_grad(x)[1]
+                v = np.asarray(v, dtype=float).tolist()
+                step = _normal_step([_fused_dot(row, v)], [row])
+                return np.array([a - b for a, b in zip(v, step)])
+            jac = self.constraint_jacobian(x)
             return v - normal_part(jac, jac @ v)
-        except np.linalg.LinAlgError as exc:
+        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
             raise RankDeficiencyError(
                 f"constraint Jacobian is rank deficient at {np.asarray(x)}"
             ) from exc
@@ -206,27 +278,43 @@ class ImplicitManifold:
         bounds the first correction step by guard * (1 + |x|); pass
         guard=None to disable it (used by the rejection sampler, which
         filters on |F| < 0.5 and simply discards failures).
+
+        The iteration runs on Python floats over the constraint map, one
+        call per iteration. Up to two constraints take the closed-form
+        step `_normal_step`, which `retract_columns` shares; it gives
+        numpy's bits for one constraint and for clifford's two, and
+        agrees with them to rounding otherwise. Three or more
+        constraints solve with `normal_part`. Raises RetractionError on
+        a singular Gram matrix, a non-finite iterate, the guard, or
+        max_iter iterations.
         """
-        y = np.asarray(x, dtype=float).copy()
-        scale = 1.0 + np.linalg.norm(y)
+        y = np.asarray(x, dtype=float).tolist()
+        if guard is not None:
+            bound = guard * (1.0 + math.sqrt(_fused_dot(y, y)))
+        tol = self.constraint_tol
         for it in range(max_iter):
-            vals, jac = self.values_and_jacobian(y)
-            if np.max(np.abs(vals)) <= self.constraint_tol:
-                return y
+            vals, rows = self._map.value_and_grad(y)
+            if all(abs(v) <= tol for v in vals):
+                return np.array(y)
             try:
-                step = normal_part(jac, vals)
-            except np.linalg.LinAlgError as exc:
+                if len(rows) <= 2:
+                    step = _normal_step(vals, rows)
+                else:
+                    step = normal_part(np.array(rows), np.array(vals)).tolist()
+            except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
                 raise RetractionError(
-                    f"constraint Jacobian singular while retracting {y}"
+                    "constraint Jacobian singular while retracting "
+                    f"{np.array(y)}"
                 ) from exc
             if it == 0 and guard is not None:
-                if np.linalg.norm(step) > guard * scale:
+                size = math.sqrt(_fused_dot(step, step))
+                if size > bound:
                     raise RetractionError(
                         "point outside the documented retraction basin "
-                        f"(initial correction {np.linalg.norm(step):.3e})"
+                        f"(initial correction {size:.3e})"
                     )
-            y -= step
-            if not np.all(np.isfinite(y)):
+            y = [a - b for a, b in zip(y, step)]
+            if not all(map(math.isfinite, y)):
                 raise RetractionError("retraction diverged to non-finite values")
         raise RetractionError(
             f"no convergence within {max_iter} retraction iterations"
@@ -236,9 +324,11 @@ class ImplicitManifold:
         """`retract(x, guard=None)` of every column of an (n, N) array.
 
         Each column follows the same Gauss-Newton iteration as alone, with
-        the same arithmetic. Returns (points, ok); ok[j] is False where
-        retracting column j alone would raise RetractionError (singular
-        Gram matrix, non-finite iterate, or RETRACT_MAX_ITER iterations).
+        the same arithmetic: `_normal_step` on the columns for up to two
+        constraints, a stacked `normal_part` for more. Returns (points,
+        ok); ok[j] is False where retracting column j alone would raise
+        RetractionError (singular Gram matrix, non-finite iterate, or
+        RETRACT_MAX_ITER iterations).
         """
         y = np.array(cols, dtype=float)
         ok = np.zeros(y.shape[1], dtype=bool)
@@ -250,19 +340,30 @@ class ImplicitManifold:
             live, vals, jac = live[~done], vals[:, ~done], jac[~done]
             if not len(live):
                 break
-            try:
-                steps = normal_part(jac, vals.T)
-            except np.linalg.LinAlgError:
-                # Some Gram matrix is singular: those columns fail.
-                steps = np.full((len(live), self.ambient_dim), np.nan)
-                for j in range(len(live)):
-                    try:
-                        steps[j] = normal_part(jac[j:j + 1], vals.T[j:j + 1])
-                    except np.linalg.LinAlgError:
-                        pass
-            y[:, live] -= steps.T
+            y[:, live] -= self._column_steps(vals, jac)
             live = live[np.all(np.isfinite(y[:, live]), axis=0)]
         return y, ok
+
+    def _column_steps(self, vals, jac):
+        """Gauss-Newton steps (n, N) for values (k, N) and Jacobians (N, k, n).
+
+        A column with a singular Gram matrix gets a non-finite step.
+        """
+        if self.n_constraints <= 2:
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                return np.array(_normal_step(vals, jac.transpose(1, 2, 0)))
+        try:
+            return normal_part(jac, vals.T).T
+        except np.linalg.LinAlgError:
+            # Some Gram matrix is singular: those columns fail.
+            steps = np.full((len(jac), self.ambient_dim), np.nan)
+            for j in range(len(jac)):
+                try:
+                    steps[j] = normal_part(jac[j:j + 1], vals.T[j:j + 1])
+                except np.linalg.LinAlgError:
+                    pass
+            return steps.T
 
     def sample_points(self, count, seed, keep_tol=0.5):
         """`count` points on M, roughly uniform for acceptance purposes.

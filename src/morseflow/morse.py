@@ -38,9 +38,6 @@ class CriticalPoint:
     degenerate: bool
     grad_norm: float
 
-    def is_minimum(self):
-        return self.index == 0
-
 
 @dataclass(frozen=True)
 class SweepStats:

@@ -6,14 +6,29 @@ order of magnitude too slow for that. Instead each expression is
 flattened once into generated source that propagates the value and the
 (sparse) first-order derivatives as scalar locals.
 
-The value-and-gradient source is compiled once and executed twice: once
-with the `math` functions for one point given as floats, once with their
-numpy ufuncs for many points given as coordinate columns. The arithmetic
-is the same elementwise, so both give the same bits where `math` and
-numpy agree.
+Three kinds of object are generated, all through `compile_expression`
+and its one cache:
 
-Second derivatives stay in `jets.evaluate_jet`; only value and gradient
-are compiled.
+- one expression: its value, or its value and gradient;
+- a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
+  of a manifold: all values, or all values and the Jacobian rows, from
+  one call; for k <= 2 also `project`, the tangential part of a vector;
+- a field kernel, f together with at most two constraints: the value of
+  f and P grad f, P the orthogonal projection onto ker dF, from one pass
+  over f and the constraints.
+
+The projection of `project` and of the field kernel is written out
+inline, with the Gram sums accumulated in coordinate order and Cramer's
+rule for k = 2, so both give the bits of the same arithmetic done term
+by term on floats. Three or more constraints are left to numpy's solve
+(`geometry.normal_part`).
+
+Each source is compiled once and executed twice: once with the `math`
+functions for one point given as floats, once with their numpy ufuncs
+for many points given as coordinate columns. The arithmetic is the same
+elementwise, so both give the same bits where `math` and numpy agree.
+
+Second derivatives stay in `jets.evaluate_jet`.
 """
 
 import functools
@@ -21,7 +36,7 @@ import math
 
 import numpy as np
 
-from ..errors import EvaluationError
+from ..errors import EvaluationError, RankDeficiencyError
 from .expr import Binary, Const, Power, Unary, Var, max_variable_index, to_string
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
@@ -154,18 +169,91 @@ class _Emitter:
                 grads[j] = self.local("g", f"-{v} * {gb[j]} * {winv}")
         return v, grads
 
+    def project(self, rows, vec):
+        """Tokens of the tangential part of `vec` against one or two rows.
 
-def _build(expr, n, with_grad, name):
-    emitter = _Emitter(with_grad)
-    val, grads = emitter.walk(expr)
-    args = ", ".join(f"x{i}" for i in range(1, n + 1))
-    if with_grad:
-        out = ", ".join(grads.get(j, "0.0") for j in range(1, n + 1))
-        ret = f"    return {val}, ({out}{',' if n == 1 else ''})"
-    else:
-        ret = f"    return {val}"
-    src = "\n".join([f"def {name}({args}):", *emitter.lines, ret, ""])
+        The Gram and right-hand sums run over the coordinates in order,
+        starting from 0.0, and k = 2 solves by Cramer's rule.
+        """
+        def dot(u, v):
+            return " + ".join(["0.0", *(f"{a} * {b}" for a, b in zip(u, v))])
+
+        if len(rows) == 1:
+            (j,) = rows
+            jj = self.local("p", dot(j, j))
+            jv = self.local("p", dot(j, vec))
+            w = self.local("p", f"{jv} / {jj}")
+            return [f"{b} - {w} * {a}" for a, b in zip(j, vec)]
+        j1, j2 = rows
+        a11 = self.local("p", dot(j1, j1))
+        a12 = self.local("p", dot(j1, j2))
+        a22 = self.local("p", dot(j2, j2))
+        r1 = self.local("p", dot(j1, vec))
+        r2 = self.local("p", dot(j2, vec))
+        det = self.local("p", f"{a11} * {a22} - {a12} * {a12}")
+        w1 = self.local("p", f"({a22} * {r1} - {a12} * {r2}) / {det}")
+        w2 = self.local("p", f"({a11} * {r2} - {a12} * {r1}) / {det}")
+        return [
+            f"{b} - {w1} * {u} - {w2} * {v}" for u, v, b in zip(j1, j2, vec)
+        ]
+
+
+def _tuple(tokens):
+    return f"({', '.join(tokens)}{',' if len(tokens) == 1 else ''})"
+
+
+def _dense(grad, n):
+    """Gradient tokens of all n coordinates from the sparse walk result."""
+    return [grad.get(j, "0.0") for j in range(1, n + 1)]
+
+
+def _build(name, n, emitter, ret, vector=False):
+    """Compile `def name(x1, ..., xn[, b1, ..., bn])`: the emitter's lines,
+    then `return ret`; `vector` adds the coordinates of a vector b."""
+    params = [f"x{i}" for i in range(1, n + 1)]
+    if vector:
+        params += [f"b{i}" for i in range(1, n + 1)]
+    src = "\n".join([
+        f"def {name}({', '.join(params)}):", *emitter.lines,
+        f"    return {ret}", "",
+    ])
     return compile(src, f"<compiled:{name}>", "exec")
+
+
+def _value_code(exprs, n, single):
+    emitter = _Emitter(with_grad=False)
+    vals = [emitter.walk(e)[0] for e in exprs]
+    return _build("_val", n, emitter, vals[0] if single else _tuple(vals))
+
+
+def _value_grad_code(exprs, n, single):
+    emitter = _Emitter(with_grad=True)
+    vals, grads = [], []
+    for e in exprs:
+        val, grad = emitter.walk(e)
+        vals.append(val)
+        grads.append(_tuple(_dense(grad, n)))
+    if single:
+        return _build("_vg", n, emitter, f"{vals[0]}, {grads[0]}")
+    return _build("_vg", n, emitter, f"{_tuple(vals)}, {_tuple(grads)}")
+
+
+def _rows(emitter, constraints, n):
+    return [_dense(emitter.walk(c)[1], n) for c in constraints]
+
+
+def _field_code(f, constraints, n):
+    emitter = _Emitter(with_grad=True)
+    val, grad = emitter.walk(f)
+    out = emitter.project(_rows(emitter, constraints, n), _dense(grad, n))
+    return _build("_vg", n, emitter, f"{val}, {_tuple(out)}")
+
+
+def _project_code(constraints, n):
+    emitter = _Emitter(with_grad=True)
+    vec = [f"b{i}" for i in range(1, n + 1)]
+    out = emitter.project(_rows(emitter, constraints, n), vec)
+    return _build("_proj", n, emitter, _tuple(out), vector=True)
 
 
 def _define(code, name, namespace):
@@ -175,46 +263,82 @@ def _define(code, name, namespace):
     return scope[name]
 
 
+def _pair(code, name):
+    """The function for one point (math) and its twin for columns (numpy)."""
+    return (_define(code, name, _NAMESPACE),
+            _define(code, name, _ARRAY_NAMESPACE))
+
+
 class CompiledExpression:
-    """Fast value / value-and-gradient evaluation of one expression."""
+    """Generated evaluators for one expression, a map, or a field kernel.
+
+    - `expression` one expression: `value` gives a float and
+      `value_and_grad` (value, gradient tuple of length ambient_dim).
+    - `expression` a tuple of expressions (a map such as the constraints
+      of a manifold): `value` gives the tuple of values and
+      `value_and_grad` (values, Jacobian rows). With at most two entries,
+      `project(x, vec)` gives the tangential part of vec at x.
+    - `expression` f with `constraints` (one or two): the field kernel.
+      `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x)).
+
+    `value` takes one point; `value_and_grad` and `project` also take an
+    (ambient_dim, N) array whose columns are N points, and then each
+    number above is a length-N array, or a float where it does not
+    depend on x. A domain error raises EvaluationError naming the first
+    expression, in the order f, F_1, ..., F_k, that fails at x; a zero
+    Gram determinant in the projection raises RankDeficiencyError.
+    """
 
     __slots__ = (
-        "expression", "ambient_dim", "_value", "_value_grad",
-        "_value_grad_columns", "_text",
+        "expression", "ambient_dim", "constraints", "_text", "_parts",
+        "_value", "_value_grad", "_value_grad_columns", "_project",
+        "_project_columns",
     )
 
-    def __init__(self, expression, ambient_dim):
-        needed = max_variable_index(expression)
+    def __init__(self, expression, ambient_dim, constraints=()):
+        single = not isinstance(expression, tuple)
+        exprs = ((expression,) if single else expression) + constraints
+        needed = max(max_variable_index(e) for e in exprs)
         if needed > ambient_dim:
             raise ValueError(
                 f"expression references x{needed}, ambient dimension is "
                 f"{ambient_dim}"
             )
+        if constraints and (not single or len(constraints) > 2):
+            raise ValueError("a field kernel takes one function and at "
+                             "most two constraints")
         self.expression = expression
         self.ambient_dim = ambient_dim
-        self._text = to_string(expression)
-        self._value = _define(
-            _build(expression, ambient_dim, False, "_val"), "_val", _NAMESPACE
-        )
-        code = _build(expression, ambient_dim, True, "_vg")
-        self._value_grad = _define(code, "_vg", _NAMESPACE)
-        self._value_grad_columns = _define(code, "_vg", _ARRAY_NAMESPACE)
+        self.constraints = constraints
+        self._text = ", ".join(to_string(e) for e in exprs)
+        # Re-evaluated alone to name a failure; a plain expression is its
+        # own only part.
+        self._parts = exprs if constraints or not single else ()
+        n = ambient_dim
+        evaluated = exprs[:1] if constraints else exprs
+        self._value = _define(_value_code(evaluated, n, single), "_val",
+                              _NAMESPACE)
+        if constraints:
+            code = _field_code(expression, constraints, n)
+        else:
+            code = _value_grad_code(exprs, n, single)
+        self._value_grad, self._value_grad_columns = _pair(code, "_vg")
+        self._project = self._project_columns = None
+        if not single and len(exprs) <= 2:
+            self._project, self._project_columns = _pair(
+                _project_code(exprs, n), "_proj")
 
     def value(self, x):
+        """The value(s) at one point."""
         try:
             return self._value(*_as_floats(x))
         except _FAILURES as exc:
-            raise EvaluationError(str(exc), self._text) from exc
+            raise self._failure("value", x, exc, False) from exc
 
     def value_and_grad(self, x):
-        """Returns (value, gradient tuple of length ambient_dim).
-
-        `x` is one point, or an (ambient_dim, N) array whose columns are
-        N points. For columns the value and the gradient entries are
-        length-N arrays, or floats where they do not depend on x; numpy
-        division by zero, invalid operations and overflow raise
-        EvaluationError, as `math` does for one point.
-        """
+        """See the class docstring. For columns, numpy division by zero,
+        invalid operations and overflow raise as `math` does for one
+        point."""
         try:
             if isinstance(x, np.ndarray):
                 if x.ndim == 2:
@@ -224,10 +348,48 @@ class CompiledExpression:
                 x = x.tolist()
             return self._value_grad(*x)
         except _FAILURES as exc:
-            raise EvaluationError(str(exc), self._text) from exc
+            raise self._failure("value_and_grad", x, exc,
+                                bool(self.constraints)) from exc
+
+    def project(self, x, vec):
+        """Tangential part of `vec` (n floats, or n columns) at x."""
+        if isinstance(vec, np.ndarray) and vec.ndim == 1:
+            vec = vec.tolist()
+        try:
+            if isinstance(x, np.ndarray):
+                if x.ndim == 2:
+                    with np.errstate(divide="raise", invalid="raise",
+                                     over="raise"):
+                        return self._project_columns(*x, *vec)
+                x = x.tolist()
+            return self._project(*x, *vec)
+        except _FAILURES as exc:
+            raise self._failure("value_and_grad", x, exc, True) from exc
 
     def gradient(self, x):
         return np.asarray(self.value_and_grad(x)[1])
+
+    def _failure(self, method, x, exc, projected):
+        """The error for a failed call at x.
+
+        Each part is re-run alone first, so the first one that fails
+        raises its own EvaluationError. If all of them evaluate, a
+        projection divided by a zero Gram determinant.
+        """
+        for part in self._parts:
+            getattr(compile_expression(part, self.ambient_dim), method)(x)
+        if projected:
+            return RankDeficiencyError(
+                f"constraint Jacobian is rank deficient at {_where(x)}"
+            )
+        return EvaluationError(str(exc), self._text)
+
+
+def _where(x):
+    """One point, or how many columns, for an error message."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return f"one of {x.shape[1]} points"
+    return str(np.asarray(x).tolist())
 
 
 def _as_floats(x):
@@ -237,6 +399,11 @@ def _as_floats(x):
 
 
 @functools.lru_cache(maxsize=512)
-def compile_expression(expression, ambient_dim):
-    """Cached compilation; expressions are immutable so reuse is safe."""
-    return CompiledExpression(expression, ambient_dim)
+def compile_expression(expression, ambient_dim, constraints=()):
+    """Cached compilation; expressions are immutable so reuse is safe.
+
+    `expression` is one expression or a tuple of them (a map); with
+    `constraints` the result is the field kernel of f = `expression` on
+    {constraints = 0}. See CompiledExpression.
+    """
+    return CompiledExpression(expression, ambient_dim, tuple(constraints))

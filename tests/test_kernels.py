@@ -1,0 +1,402 @@
+"""The generated field kernel and the float retraction against the code
+they replaced.
+
+The oracles are the hand-written projection GradientField used before
+the field kernel, and the numpy Gauss-Newton retraction and tangent
+projection, each kept as it was and evaluating one compiled object per
+constraint. The kernel writes the projection in the oracle's term order,
+so the field must be bit-equal everywhere. The retraction's closed-form
+step must be bit-equal on the catalog, on S^2 in R^5 (three constraints,
+still numpy) and on a manifold whose constraint has a domain error.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morseflow import ImplicitManifold, load_scenario, parse
+from morseflow.acceptance import _random_expression
+from morseflow.errors import (
+    EvaluationError, RankDeficiencyError, RetractionError,
+)
+from morseflow.flow import GradientField
+from morseflow.geometry import RETRACT_MAX_ITER, normal_part
+from morseflow.symbolics import compile_expression, evaluate_jet
+
+CATALOG = ("sphere2", "sphereM", "torus_upright", "clifford")
+SCENARIOS = CATALOG + ("sphere_in_r5", "sqrt_domain")
+# Two constraints whose Jacobian rows overlap (clifford's never do).
+FIELD_SCENARIOS = SCENARIOS + ("sphere_cut",)
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario(name):
+    """(manifold, function) of a catalog or test scenario."""
+    if name == "sphere_in_r5":
+        m = ImplicitManifold(5, [
+            parse(e, 5) for e in ("x1^2 + x2^2 + x3^2 - 1", "x4", "x5")
+        ])
+        return m, parse("x3 + 0.3 * x1 * x2", 5)
+    if name == "sphere_cut":
+        m = ImplicitManifold(4, [
+            parse(e, 4) for e in ("x1^2 + x2^2 + x3^2 + x4^2 - 1",
+                                  "x1 + 2 * x2 - x3 + 0.5 * x4 - 0.3")
+        ])
+        return m, parse("x3 + 0.2 * x1 * x4", 4)
+    if name == "sqrt_domain":
+        # sqrt(x1 + 1) raises for x1 < -1, inside the bounding box
+        m = ImplicitManifold(
+            3, [parse("x1^2 + x2^2 + x3^2 - 1 + 1e-4*sqrt(x1 + 1)", 3)],
+            bounding_box=(-1.2, 1.2),
+        )
+        return m, parse("x3 + 0.2 * x1 * x2", 3)
+    scenario = load_scenario(name)
+    return scenario.build_manifold(), scenario.build_function()
+
+
+def _compiled(m):
+    return [compile_expression(c, m.ambient_dim) for c in m.constraints]
+
+
+def _project_oracle(m, xs, vec):
+    """GradientField.project as it was: hand-written k = 1 and k = 2."""
+    if isinstance(xs, np.ndarray) and xs.ndim == 2:
+        with np.errstate(divide="raise", invalid="raise"):
+            return _project_branches(m, xs, vec, columns=True)
+    return _project_branches(m, xs, vec, columns=False)
+
+
+def _project_branches(m, xs, vec, columns):
+    constraints = _compiled(m)
+    try:
+        if len(constraints) == 1:
+            _, j = constraints[0].value_and_grad(xs)
+            jj = 0.0
+            jv = 0.0
+            for a, b in zip(j, vec):
+                jj += a * a
+                jv += a * b
+            w = jv / jj
+            return [b - w * a for a, b in zip(j, vec)]
+        if len(constraints) == 2:
+            _, j1 = constraints[0].value_and_grad(xs)
+            _, j2 = constraints[1].value_and_grad(xs)
+            a11 = a12 = a22 = r1 = r2 = 0.0
+            for u, v, b in zip(j1, j2, vec):
+                a11 += u * u
+                a12 += u * v
+                a22 += v * v
+                r1 += u * b
+                r2 += v * b
+            det = a11 * a22 - a12 * a12
+            w1 = (a22 * r1 - a12 * r2) / det
+            w2 = (a11 * r2 - a12 * r1) / det
+            return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, vec)]
+    except (ZeroDivisionError, FloatingPointError):
+        raise RankDeficiencyError("rank deficient") from None
+    if not columns:
+        return list(_project_tangent_oracle(m, np.asarray(xs),
+                                            np.asarray(vec)))
+    _, jac = _values_and_jacobian_columns_oracle(m, xs)
+    v = np.empty((xs.shape[1], m.ambient_dim))
+    for i, b in enumerate(vec):
+        v[:, i] = b
+    return list((v - normal_part(jac, (jac @ v[..., None])[..., 0])).T)
+
+
+def _projected_gradient_oracle(m, f, xs):
+    grad = compile_expression(f, m.ambient_dim).value_and_grad(xs)[1]
+    return _project_oracle(m, xs, grad)
+
+
+def _values_and_jacobian_oracle(m, x):
+    vals, rows = [], []
+    for c in _compiled(m):
+        v, g = c.value_and_grad(x)
+        vals.append(v)
+        rows.append(g)
+    return np.array(vals), np.array(rows)
+
+
+def _values_and_jacobian_columns_oracle(m, cols):
+    count = cols.shape[1]
+    vals = np.empty((m.n_constraints, count))
+    jac = np.empty((count, m.n_constraints, m.ambient_dim))
+    for c, comp in enumerate(_compiled(m)):
+        vals[c], grad = comp.value_and_grad(cols)
+        for i, g in enumerate(grad):
+            jac[:, c, i] = g
+    return vals, jac
+
+
+def _project_tangent_oracle(m, x, v):
+    jac = np.array([c.gradient(x) for c in _compiled(m)])
+    try:
+        return v - normal_part(jac, jac @ v)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("rank deficient") from exc
+
+
+def _retract_oracle(m, x, guard=0.1, max_iter=RETRACT_MAX_ITER):
+    """ImplicitManifold.retract as it was: numpy Gauss-Newton."""
+    y = np.asarray(x, dtype=float).copy()
+    scale = 1.0 + np.linalg.norm(y)
+    for it in range(max_iter):
+        vals, jac = _values_and_jacobian_oracle(m, y)
+        if np.max(np.abs(vals)) <= m.constraint_tol:
+            return y
+        try:
+            step = normal_part(jac, vals)
+        except np.linalg.LinAlgError as exc:
+            raise RetractionError(
+                f"constraint Jacobian singular while retracting {y}"
+            ) from exc
+        if it == 0 and guard is not None:
+            if np.linalg.norm(step) > guard * scale:
+                raise RetractionError(
+                    "point outside the documented retraction basin "
+                    f"(initial correction {np.linalg.norm(step):.3e})"
+                )
+        y -= step
+        if not np.all(np.isfinite(y)):
+            raise RetractionError("retraction diverged to non-finite values")
+    raise RetractionError(
+        f"no convergence within {max_iter} retraction iterations"
+    )
+
+
+def _retract_columns_oracle(m, cols):
+    y = np.array(cols, dtype=float)
+    ok = np.zeros(y.shape[1], dtype=bool)
+    live = np.arange(y.shape[1])
+    for _ in range(RETRACT_MAX_ITER):
+        vals, jac = _values_and_jacobian_columns_oracle(m, y[:, live])
+        done = np.max(np.abs(vals), axis=0) <= m.constraint_tol
+        ok[live[done]] = True
+        live, vals, jac = live[~done], vals[:, ~done], jac[~done]
+        if not len(live):
+            break
+        try:
+            steps = normal_part(jac, vals.T)
+        except np.linalg.LinAlgError:
+            steps = np.full((len(live), m.ambient_dim), np.nan)
+            for j in range(len(live)):
+                try:
+                    steps[j] = normal_part(jac[j:j + 1], vals.T[j:j + 1])
+                except np.linalg.LinAlgError:
+                    pass
+        y[:, live] -= steps.T
+        live = live[np.all(np.isfinite(y[:, live]), axis=0)]
+    return y, ok
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or its error type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (RetractionError, RankDeficiencyError, EvaluationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+
+
+@functools.lru_cache(maxsize=None)
+def _points(name):
+    """On-M samples, the same pushed off M by 1e-8, 1e-4 and 2e-3, and
+    box draws the sampler would keep (max |F| < 0.5)."""
+    m, _ = _scenario(name)
+    rng = np.random.default_rng(11)
+    on = m.sample_points(40, seed=5)
+    near = [on + s * rng.standard_normal(on.shape) for s in (1e-8, 1e-4, 2e-3)]
+    lo, hi = m.bounding_box[:, 0], m.bounding_box[:, 1]
+    draws = []
+    while len(draws) < 40:
+        x = lo + (hi - lo) * rng.random(m.ambient_dim)
+        try:
+            if np.max(np.abs(m.constraint_values(x))) < 0.5:
+                draws.append(x)
+        except EvaluationError:
+            continue
+    return on, np.concatenate(near), np.array(draws)
+
+
+@pytest.mark.parametrize("name", FIELD_SCENARIOS)
+def test_field_matches_hand_written_projection(name):
+    m, f = _scenario(name)
+    field = GradientField(m, f)
+    on, near, _ = _points(name)
+    points = np.concatenate([on, near])
+    rng = np.random.default_rng(3)
+    for x in points.tolist():
+        assert np.array_equal(field.projected_gradient(x),
+                              _projected_gradient_oracle(m, f, x))
+        v = rng.standard_normal(m.ambient_dim).tolist()
+        assert np.array_equal(field.project(x, v), _project_oracle(m, x, v))
+    cols = points.T.copy()
+    assert np.array_equal(field.projected_gradient(cols),
+                          _projected_gradient_oracle(m, f, cols))
+    vec = list(rng.standard_normal((m.ambient_dim, len(points))))
+    assert np.array_equal(field.project(cols, vec),
+                          _project_oracle(m, cols, vec))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_retract_matches_numpy_gauss_newton(name):
+    m, _ = _scenario(name)
+    _, near, draws = _points(name)
+    for x in near:
+        _assert_same(_outcome(m.retract, x), _outcome(_retract_oracle, m, x))
+    for x in np.concatenate([near, draws]):
+        _assert_same(_outcome(m.retract, x, guard=None),
+                     _outcome(_retract_oracle, m, x, guard=None))
+    for cols in (near.T, draws.T):
+        got, ok = m.retract_columns(cols)
+        want, want_ok = _retract_columns_oracle(m, cols)
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(got[:, ok], want[:, ok])
+
+
+def test_retract_with_overlapping_rows():
+    # LAPACK fuses two updates of its 2 x 2 solve and BLAS sums J^T x in
+    # an order that depends on n, so here the closed form agrees with the
+    # oracle to rounding; the columns still follow the point bit for bit
+    m, _ = _scenario("sphere_cut")
+    _, near, draws = _points("sphere_cut")
+    for cols in (near.T, draws.T):
+        got, ok = m.retract_columns(cols)
+        want, want_ok = _retract_columns_oracle(m, cols)
+        assert np.array_equal(ok, want_ok)
+        assert np.allclose(got[:, ok], want[:, ok], rtol=0.0, atol=1e-14)
+        for x, y, good in zip(cols.T, got.T, ok):
+            if good:
+                assert np.array_equal(m.retract(x, guard=None), y)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_tangent_projection_matches_numpy(name):
+    # riemannian_gradient feeds c_floor, the census grad_norm and
+    # critical_points.json, so it must keep its bits
+    m, f = _scenario(name)
+    on, near, _ = _points(name)
+    rng = np.random.default_rng(8)
+    grad = compile_expression(f, m.ambient_dim)
+    for x in np.concatenate([on, near]):
+        v = rng.standard_normal(m.ambient_dim)
+        assert np.array_equal(m.project_tangent(x, v),
+                              _project_tangent_oracle(m, x, v))
+        assert np.array_equal(m.riemannian_gradient(f, x).vec,
+                              _project_tangent_oracle(m, x, grad.gradient(x)))
+
+
+def test_error_parity():
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    height = parse("x3", 3)
+    apex = [0.0, 0.0, 0.0]
+    with pytest.raises(RankDeficiencyError):
+        _projected_gradient_oracle(cone, height, apex)
+    with pytest.raises(RankDeficiencyError, match=r"at \[0.0, 0.0, 0.0\]"):
+        GradientField(cone, height).projected_gradient(apex)
+    cols = np.array([[0.6, 0.0], [0.8, 0.0], [1.0, 0.0]])
+    with pytest.raises(RankDeficiencyError, match="one of 2 points"):
+        GradientField(cone, height).projected_gradient(cols)
+    with pytest.raises(RankDeficiencyError):
+        cone.project_tangent(apex, np.ones(3))
+
+    sphere, _ = _scenario("sphere2")
+    doubled = ImplicitManifold(3, list(sphere.constraints) * 2)
+    for m, x in ((sphere, [0.0, 0.0, 0.0]),  # zero Jacobian row
+                 (doubled, [0.6, 0.0, 0.9]),  # equal rows
+                 (cone, [1e-3, 0.0, 0.5]),  # far from the cone's basin
+                 (sphere, [3.0, 0.0, 0.0]),  # outside the guard
+                 (sphere, [1e200, 0.0, 0.0])):  # overflows to a NaN step
+        for guard in (0.1, None):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _outcome(_retract_oracle, m, x, guard=guard)
+            _assert_same(_outcome(m.retract, x, guard=guard), want)
+    assert _outcome(doubled.retract, [0.6, 0.0, 0.9])[0] is RetractionError
+    assert "basin" in _outcome(sphere.retract, [3.0, 0.0, 0.0])[1]
+    assert "non-finite" in _outcome(sphere.retract, [1e200, 0.0, 0.0],
+                                    guard=None)[1]
+    cols = np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.9]])
+    with np.errstate(all="raise"):  # the singular column raises nothing
+        got, ok = sphere.retract_columns(cols)
+    want, want_ok = _retract_columns_oracle(sphere, cols)
+    assert ok.tolist() == want_ok.tolist() == [False, True]
+    assert np.array_equal(got[:, 1], want[:, 1])
+    got, ok = doubled.retract_columns(cols[:, 1:2])
+    assert ok.tolist() == [False]
+
+    # the iteration limit, with a tolerance no iterate reaches
+    strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
+    x = [0.6, 0.1, 0.9]
+    _assert_same(_outcome(strict.retract, x, guard=None),
+                 _outcome(_retract_oracle, strict, x, guard=None))
+    assert f"{RETRACT_MAX_ITER} retraction" in _outcome(
+        strict.retract, x, guard=None)[1]
+    assert not strict.retract_columns(np.array([x]).T)[1].any()
+
+    # a domain error names the failing constraint, as one compiled
+    # constraint did
+    m, f = _scenario("sqrt_domain")
+    outside = [-1.1, 0.2, 0.1]
+    want = _outcome(_retract_oracle, m, outside)
+    assert want[0] is EvaluationError and "sqrt" in want[1]
+    _assert_same(_outcome(m.retract, outside), want)
+    _assert_same(_outcome(GradientField(m, f).projected_gradient, outside),
+                 _outcome(_projected_gradient_oracle, m, f, outside))
+    _assert_same(_outcome(m.constraint_values, outside), want)
+    with pytest.raises(EvaluationError, match="sqrt"):
+        m.values_and_jacobian_columns(np.array([[0.5, -1.1], [0.1, 0.2],
+                                                [0.3, 0.1]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(CATALOG + ("sphere_cut",)),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_kernel_on_random_functions(name, seed):
+    # a random f on a catalog manifold: the kernel against the tree's jet
+    # projected by the oracle, and bit for bit against the oracle
+    # projection of the compiled gradient
+    m, _ = _scenario(name)
+    rng = np.random.default_rng(seed)
+    f = _random_expression(rng, m.ambient_dim, depth=4)
+    x = m.sample_points(1, seed=seed % 1000)[0]
+    x = (x + 1e-3 * rng.standard_normal(m.ambient_dim)).tolist()
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    try:
+        want = _projected_gradient_oracle(m, f, x)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as raised:
+            kernel.value_and_grad(x)
+        assert str(raised.value) == str(exc)
+        return
+    value, got = kernel.value_and_grad(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    try:
+        jet = evaluate_jet(f, x)
+    except EvaluationError:
+        return
+    if not (np.all(np.isfinite(jet.gradient)) and abs(jet.value) < 1e8):
+        return
+    tree = _project_oracle(m, x, jet.gradient.tolist())
+    assert abs(value - jet.value) <= 1e-12 * max(1.0, abs(jet.value))
+    scale = max(1.0, float(np.max(np.abs(jet.gradient))))
+    assert np.max(np.abs(np.subtract(got, tree))) <= 1e-9 * scale
+
+
+def test_kernels_share_the_expression_cache():
+    scenario = load_scenario("clifford")
+    m, f = scenario.build_manifold(), scenario.build_function()
+    kernel = compile_expression(f, 4, m.constraints)
+    assert kernel is compile_expression(f, 4, m.constraints)
+    assert compile_expression(m.constraints, 4) is m._map
+    compile_expression.cache_clear()
+    assert compile_expression(f, 4, m.constraints) is not kernel
