@@ -26,14 +26,15 @@ For one or two constraints the field is one generated kernel per (M, f)
 (`symbolics.compile`): one call gives P grad f from a single pass over f
 and the constraints, with the projection written out in a fixed term
 order, for floats and, exec'd with numpy, for columns. Vectors are
-re-projected by the constraint map's generated `project`, which writes
-the same projection. Three or more constraints project through numpy.
+re-projected by the constraint map's generated `project`, and retracted
+by its `normal_step`, which write the same Gram sums and solve. Three or
+more constraints project and retract through numpy's solve.
 
 Every accepted point is retracted back onto M (`retract`, a Gauss-Newton
-loop on floats; `retract_columns` for the batch) and the vectors are
-re-projected there. The scalar stepper records the constraint drift
-before retraction, which must stay within an order of magnitude of the
-manifold tolerance.
+loop on floats; `retract_columns` for the batch, each column bit for bit
+its point) and the vectors are re-projected there. The scalar stepper
+records the constraint drift before retraction, which must stay within
+an order of magnitude of the manifold tolerance.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -48,10 +49,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (
-    FlowError, NotConvergedError, RankDeficiencyError, RetractionError,
-)
-from .geometry import normal_part
+from .errors import FlowError, NotConvergedError, RetractionError
 from .symbolics import compile_expression
 
 # Cash-Karp tableau: 5th order propagated, 4th order for the error gap.
@@ -159,11 +157,12 @@ class GradientField:
     kernel of (M, f) gives P grad f from one pass over f and the
     constraints, and the constraint map's `project` the tangential part
     of any vector, with the projection written out in one term order
-    (see `symbolics.compile`), so the two agree bit for bit and serve
-    both forms without numpy dispatch for one point. Three or more
-    constraints project grad f through numpy (`normal_part`, a stacked
-    solve for columns). A rank-deficient Jacobian raises
-    RankDeficiencyError in both forms.
+    (see `symbolics.compile`), so the two agree bit for bit with each
+    other and with `ImplicitManifold.project_tangent`, and serve both
+    forms without numpy dispatch for one point. Three or more
+    constraints project through `ImplicitManifold.project_tangent`
+    (numpy's solve, stacked for columns). A rank-deficient Jacobian
+    raises RankDeficiencyError in both forms.
     """
 
     def __init__(self, m, f):
@@ -191,21 +190,7 @@ class GradientField:
         """Tangential part of `vec` at the point (or the columns) xs."""
         if self.k <= 2:
             return self._map.project(xs, vec)
-        if not (isinstance(xs, np.ndarray) and xs.ndim == 2):
-            return list(
-                self.manifold.project_tangent(np.asarray(xs), np.asarray(vec))
-            )
-        _, jac = self.manifold.values_and_jacobian_columns(xs)
-        v = np.empty((xs.shape[1], self.n))
-        for i, b in enumerate(vec):
-            v[:, i] = b
-        try:
-            return list((v - normal_part(jac, (jac @ v[..., None])[..., 0])).T)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                f"constraint Jacobian is rank deficient at one of "
-                f"{xs.shape[1]} points"
-            ) from None
+        return list(self.manifold.project_tangent(xs, vec))
 
 
 def _norm(vec):

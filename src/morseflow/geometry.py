@@ -27,12 +27,13 @@ SAMPLE_BLOCK = 1024
 
 
 def normal_part(jac, r):
-    """J^T (J J^T)^{-1} r for one Jacobian J (k, n) and r (k,), or a stack.
+    """J^T (J J^T)^{-1} r by numpy's solve, for three or more constraints.
 
-    A stack is J (N, k, n) with r (N, k); each stacked product and solve
-    gives the same bits as the 2-D one. The 2-D form is kept for one
-    point because it runs about 15% faster there. A singular Gram matrix
-    raises np.linalg.LinAlgError.
+    J (k, n) with r (k,) for one point, or a stack J (N, k, n) with
+    r (N, k); each stacked product and solve gives the same bits as the
+    2-D one. A singular Gram matrix raises np.linalg.LinAlgError. One or
+    two constraints take the generated arithmetic of the constraint map
+    instead (`CompiledExpression.project` and `normal_step`).
     """
     if jac.ndim == 2:
         return jac.T @ np.linalg.solve(jac @ jac.T, r)
@@ -40,68 +41,13 @@ def normal_part(jac, r):
     return (jac_t @ np.linalg.solve(jac @ jac_t, r[..., None]))[..., 0]
 
 
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-
-
-def _fused_dot(u, v):
-    """sum_i u_i v_i, each term after the first added by a fused multiply-add.
-
-    That is how the OpenBLAS dot kernels behind numpy's `@` accumulate on
-    x86-64 with FMA (one rounding per term). u and v are sequences of
-    floats, or (n, N) arrays holding N columns. The fused step is
-    emulated with Dekker's exact product and Knuth's exact sum, the same
-    float operations for both forms; it differs from a true fused
-    multiply-add only where a sum of two error terms rounds onto a tie,
-    which needs a product error below 2^-53 of its rounding unit.
-    """
-    if isinstance(u, np.ndarray):
-        # Columns, u and v (n, N): the exact products of all terms at once.
-        terms = zip(*_exact_product(u, v))
-        s = next(terms)[0]
-    else:
-        s = u[0] * v[0]
-        terms = map(_exact_product, u[1:], v[1:])
-    for p, e in terms:
-        q = p + s
-        z = q - p
-        s = q + (((p - (q - z)) + (s - z)) + e)  # q + t == p + s
-    return s
-
-
-def _exact_product(a, b):
-    """(p, e) with p = fl(a b) and p + e == a b exactly (Dekker)."""
-    p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _normal_step(r, rows):
-    """J^T (J J^T)^{-1} r for one or two Jacobian rows, elementwise.
-
-    `r` and `rows` hold floats for one point, or length-N arrays (or
-    floats) for columns. The Gram entries are fused dot products and the
-    solve is LAPACK's LU without row exchange, scaling by the reciprocal
-    pivot; so one row, and two rows with disjoint support (clifford),
-    give `normal_part`'s bits. A singular Gram matrix divides by zero:
-    ZeroDivisionError for floats, a non-finite step for columns.
-    """
-    if len(rows) == 1:
-        (a,), (r1,) = rows, r
-        w = r1 / _fused_dot(a, a)
-        return [ai * w for ai in a]
-    a, b = rows
-    r1, r2 = r
-    g11 = _fused_dot(a, a)
-    g12 = _fused_dot(a, b)
-    lower = g12 * (1.0 / g11)
-    x2 = (r2 - lower * r1) / (_fused_dot(b, b) - g12 * lower)
-    x1 = (r1 - g12 * x2) / g11
-    return [ai * x1 + bi * x2 for ai, bi in zip(a, b)]
+def _stack(entries, count):
+    """An (len(entries), count) array of length-count arrays, a float
+    broadcast where an entry does not depend on x."""
+    out = np.empty((len(entries), count))
+    for i, e in enumerate(entries):
+        out[i] = e
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,9 +117,7 @@ class ImplicitManifold:
         """Values (k, N) and Jacobians (N, k, n) at the columns of (n, N)."""
         vals, rows = self._map.value_and_grad(cols)
         entries = [*vals, *(g for row in rows for g in row)]
-        out = np.empty((len(entries), cols.shape[1]))
-        for i, e in enumerate(entries):
-            out[i] = e  # a float where an entry does not depend on x
+        out = _stack(entries, cols.shape[1])
         k, n = self.n_constraints, self.ambient_dim
         jac = out[k:].reshape(k, n, -1).transpose(2, 0, 1)
         return out[:k], np.ascontiguousarray(jac)
@@ -210,25 +154,34 @@ class ImplicitManifold:
         return 0.5 * (proj + proj.T)
 
     def project_tangent(self, x, v):
-        """P(x) @ v without forming the projector.
+        """P(x) v without forming the projector.
 
-        One constraint runs `_normal_step` on floats, with J v a fused
-        dot; that gives `normal_part`'s bits. Two or more stay on numpy,
-        whose product J v accumulates two rows in an order that depends
-        on n.
+        x is one point and v one vector, or x an (n, N) array of columns
+        and v n columns (length-N arrays, or floats), giving (n, N). One
+        or two constraints run the constraint map's generated `project`;
+        more solve with `normal_part`, stacked for columns. A singular
+        Gram matrix raises RankDeficiencyError.
         """
-        try:
-            if self.n_constraints == 1:
-                (row,) = self._map.value_and_grad(x)[1]
-                v = np.asarray(v, dtype=float).tolist()
-                step = _normal_step([_fused_dot(row, v)], [row])
-                return np.array([a - b for a, b in zip(v, step)])
+        columns = isinstance(x, np.ndarray) and x.ndim == 2
+        if self.n_constraints <= 2:
+            out = self._map.project(x, v)
+            return _stack(out, x.shape[1]) if columns else np.array(out)
+        if columns:
+            jac = self.values_and_jacobian_columns(x)[1]
+            v = np.ascontiguousarray(_stack(v, x.shape[1]).T)
+            r = (jac @ v[..., None])[..., 0]
+            where = f"one of {x.shape[1]} points"
+        else:
             jac = self.constraint_jacobian(x)
-            return v - normal_part(jac, jac @ v)
-        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+            v = np.asarray(v, dtype=float)
+            r = jac @ v
+            where = np.asarray(x)
+        try:
+            return (v - normal_part(jac, r)).T
+        except np.linalg.LinAlgError:
             raise RankDeficiencyError(
-                f"constraint Jacobian is rank deficient at {np.asarray(x)}"
-            ) from exc
+                f"constraint Jacobian is rank deficient at {where}"
+            ) from None
 
     def riemannian_gradient(self, f, x):
         """Tangential part of the ambient gradient of `f` at `x`."""
@@ -279,35 +232,30 @@ class ImplicitManifold:
         guard=None to disable it (used by the rejection sampler, which
         filters on |F| < 0.5 and simply discards failures).
 
-        The iteration runs on Python floats over the constraint map, one
-        call per iteration. Up to two constraints take the closed-form
-        step `_normal_step`, which `retract_columns` shares; it gives
-        numpy's bits for one constraint and for clifford's two, and
-        agrees with them to rounding otherwise. Three or more
-        constraints solve with `normal_part`. Raises RetractionError on
-        a singular Gram matrix, a non-finite iterate, the guard, or
-        max_iter iterations.
+        The iteration runs on Python floats, one call per iteration: up
+        to two constraints take the values and the step from the
+        constraint map's generated `normal_step`, three or more solve
+        with `normal_part`. Raises RetractionError on a singular Gram
+        matrix, a non-finite iterate, the guard, or max_iter iterations.
         """
         y = np.asarray(x, dtype=float).tolist()
         if guard is not None:
-            bound = guard * (1.0 + math.sqrt(_fused_dot(y, y)))
+            bound = guard * (1.0 + math.sqrt(sum(v * v for v in y)))
         tol = self.constraint_tol
         for it in range(max_iter):
-            vals, rows = self._map.value_and_grad(y)
-            if all(abs(v) <= tol for v in vals):
-                return np.array(y)
             try:
-                if len(rows) <= 2:
-                    step = _normal_step(vals, rows)
-                else:
-                    step = normal_part(np.array(rows), np.array(vals)).tolist()
-            except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+                vals, step = self._newton_step(y)
+            except RankDeficiencyError as exc:
+                if self.is_on_manifold(y):
+                    return np.array(y)
                 raise RetractionError(
                     "constraint Jacobian singular while retracting "
                     f"{np.array(y)}"
                 ) from exc
+            if all(abs(v) <= tol for v in vals):
+                return np.array(y)
             if it == 0 and guard is not None:
-                size = math.sqrt(_fused_dot(step, step))
+                size = math.sqrt(sum(v * v for v in step))
                 if size > bound:
                     raise RetractionError(
                         "point outside the documented retraction basin "
@@ -320,50 +268,62 @@ class ImplicitManifold:
             f"no convergence within {max_iter} retraction iterations"
         )
 
+    def _newton_step(self, y):
+        """Constraint values and the step J^T (J J^T)^{-1} F at y (floats)."""
+        if self.n_constraints <= 2:
+            return self._map.normal_step(y)
+        vals, rows = self._map.value_and_grad(y)
+        try:
+            return vals, normal_part(np.array(rows), np.array(vals)).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError("singular Gram matrix") from exc
+
     def retract_columns(self, cols):
         """`retract(x, guard=None)` of every column of an (n, N) array.
 
         Each column follows the same Gauss-Newton iteration as alone, with
-        the same arithmetic: `_normal_step` on the columns for up to two
-        constraints, a stacked `normal_part` for more. Returns (points,
-        ok); ok[j] is False where retracting column j alone would raise
-        RetractionError (singular Gram matrix, non-finite iterate, or
-        RETRACT_MAX_ITER iterations).
+        the same arithmetic: the constraint map's `normal_step` on the
+        columns for up to two constraints, a stacked `normal_part` for
+        more. Returns (points, ok); ok[j] is False where retracting
+        column j alone would raise RetractionError (singular Gram matrix,
+        non-finite iterate, or RETRACT_MAX_ITER iterations). A domain
+        error of a constraint raises EvaluationError for the batch.
         """
         y = np.array(cols, dtype=float)
         ok = np.zeros(y.shape[1], dtype=bool)
         live = np.arange(y.shape[1])
         for _ in range(RETRACT_MAX_ITER):
-            vals, jac = self.values_and_jacobian_columns(y[:, live])
+            vals, steps = self._column_steps(y[:, live])
             done = np.max(np.abs(vals), axis=0) <= self.constraint_tol
             ok[live[done]] = True
-            live, vals, jac = live[~done], vals[:, ~done], jac[~done]
+            live, steps = live[~done], steps[:, ~done]
             if not len(live):
                 break
-            y[:, live] -= self._column_steps(vals, jac)
+            y[:, live] -= steps
             live = live[np.all(np.isfinite(y[:, live]), axis=0)]
         return y, ok
 
-    def _column_steps(self, vals, jac):
-        """Gauss-Newton steps (n, N) for values (k, N) and Jacobians (N, k, n).
+    def _column_steps(self, cols):
+        """Values (k, N) and Gauss-Newton steps (n, N) at the columns.
 
         A column with a singular Gram matrix gets a non-finite step.
         """
+        count = cols.shape[1]
         if self.n_constraints <= 2:
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                return np.array(_normal_step(vals, jac.transpose(1, 2, 0)))
+            vals, step = self._map.normal_step(cols)
+            return _stack(vals, count), _stack(step, count)
+        vals, jac = self.values_and_jacobian_columns(cols)
         try:
-            return normal_part(jac, vals.T).T
+            return vals, normal_part(jac, vals.T).T
         except np.linalg.LinAlgError:
             # Some Gram matrix is singular: those columns fail.
-            steps = np.full((len(jac), self.ambient_dim), np.nan)
-            for j in range(len(jac)):
+            steps = np.full((count, self.ambient_dim), np.nan)
+            for j in range(count):
                 try:
                     steps[j] = normal_part(jac[j:j + 1], vals.T[j:j + 1])
                 except np.linalg.LinAlgError:
                     pass
-            return steps.T
+            return vals, steps.T
 
     def sample_points(self, count, seed, keep_tol=0.5):
         """`count` points on M, roughly uniform for acceptance purposes.

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotCriticalError, TooFewCriticalPointsError
+from .flow import GradientField
 from .geometry import TangentVector
 from .linalg import jacobi_eigh
 from .symbolics import compile_expression, evaluate_jet
@@ -265,7 +266,7 @@ def geometric_constants(m, f, crits, n_samples=2000, seed=0):
     crits = list(crits)
     if len(crits) < 2:
         samples = m.sample_points(max(n_samples, 1), seed)
-        floor = min(m.riemannian_gradient(f, x).norm() for x in samples)
+        floor = _gradient_floor(m, f, samples)
         raise TooFewCriticalPointsError(
             "separation radius needs at least two critical points; "
             f"manifold-wide gradient floor is {floor:.6e}",
@@ -279,22 +280,34 @@ def geometric_constants(m, f, crits, n_samples=2000, seed=0):
     ]
     r = 0.5 * min(pairwise)
     samples = m.sample_points(n_samples, seed)
-    floor = None
-    used = 0
-    for x in samples:
-        if min(np.linalg.norm(x - q) for q in locs) <= r / 2.0:
-            continue
-        used += 1
-        g = m.riemannian_gradient(f, x).norm()
-        if floor is None or g < floor:
-            floor = g
-    if floor is None:
+    radius = r / 2.0
+    dist = np.linalg.norm(samples[:, None, :] - np.array(locs), axis=2)
+    outside = np.all(dist > radius, axis=1)
+    # This norm sums its squares in another order than np.linalg.norm of
+    # one sample, so samples within rounding of a ball's edge take that.
+    for i in np.flatnonzero(np.any(abs(dist - radius) <= 1e-9 * r, axis=1)):
+        outside[i] = min(np.linalg.norm(samples[i] - q) for q in locs) > radius
+    if not outside.any():
         raise TooFewCriticalPointsError(
             "every sample fell inside a critical ball; enlarge n_samples"
         )
     return GeometricConstants(
         r=float(r),
-        c_floor=float(floor),
+        c_floor=float(_gradient_floor(m, f, samples[outside])),
         critical_locations=tuple(locs),
-        n_floor_samples=used,
+        n_floor_samples=int(np.count_nonzero(outside)),
     )
+
+
+def _gradient_floor(m, f, samples):
+    """min |P grad f| over the samples (rows), as riemannian_gradient's norm.
+
+    One projected-gradient call over all samples as columns finds the
+    candidates, every sample within 1e-9 relative of the batched minimum;
+    those few are recomputed with riemannian_gradient, whose bits can
+    differ from the batch's by some ulps.
+    """
+    grad = GradientField(m, f).projected_gradient(samples.T.copy())
+    norms = np.sqrt(sum(g * g for g in grad))
+    close = np.flatnonzero(norms <= (1.0 + 1e-9) * np.min(norms))
+    return min(m.riemannian_gradient(f, samples[i]).norm() for i in close)

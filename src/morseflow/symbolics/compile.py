@@ -12,16 +12,21 @@ and its one cache:
 - one expression: its value, or its value and gradient;
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
   of a manifold: all values, or all values and the Jacobian rows, from
-  one call; for k <= 2 also `project`, the tangential part of a vector;
+  one call; for k <= 2 also `project`, the tangential part of a vector,
+  and `normal_step`, the values with the Gauss-Newton step
+  J^T (J J^T)^{-1} F of a retraction;
 - a field kernel, f together with at most two constraints: the value of
   f and P grad f, P the orthogonal projection onto ker dF, from one pass
   over f and the constraints.
 
-The projection of `project` and of the field kernel is written out
-inline, with the Gram sums accumulated in coordinate order and Cramer's
-rule for k = 2, so both give the bits of the same arithmetic done term
-by term on floats. Three or more constraints are left to numpy's solve
-(`geometry.normal_part`).
+This is the only code that solves with the Gram matrix J J^T of one or
+two constraints: `project`, `normal_step` and the field kernel write the
+solve out inline from one emitter helper, with Gram sums from 0.0 in
+coordinate order, a division for k = 1 and Cramer's rule for k = 2. So
+the field, the tangent projection and the retraction all give the bits
+of that arithmetic done term by term on floats; numpy's solve agrees to
+rounding (within 1e-14 on the test scenarios). Three or more constraints
+are left to numpy's solve (`geometry.normal_part`).
 
 Each source is compiled once and executed twice: once with the `math`
 functions for one point given as floats, once with their numpy ufuncs
@@ -169,33 +174,42 @@ class _Emitter:
                 grads[j] = self.local("g", f"-{v} * {gb[j]} * {winv}")
         return v, grads
 
-    def project(self, rows, vec):
-        """Tokens of the tangential part of `vec` against one or two rows.
+    def _weights(self, rows, rhs):
+        """Tokens of w = (J J^T)^{-1} rhs for one or two rows J.
 
-        The Gram and right-hand sums run over the coordinates in order,
-        starting from 0.0, and k = 2 solves by Cramer's rule.
+        The Gram sums run over the coordinates in order, starting from
+        0.0, and k = 2 solves by Cramer's rule.
         """
-        def dot(u, v):
-            return " + ".join(["0.0", *(f"{a} * {b}" for a, b in zip(u, v))])
-
         if len(rows) == 1:
             (j,) = rows
-            jj = self.local("p", dot(j, j))
-            jv = self.local("p", dot(j, vec))
-            w = self.local("p", f"{jv} / {jj}")
-            return [f"{b} - {w} * {a}" for a, b in zip(j, vec)]
+            jj = self.local("p", _dot(j, j))
+            return [self.local("p", f"{rhs[0]} / {jj}")]
         j1, j2 = rows
-        a11 = self.local("p", dot(j1, j1))
-        a12 = self.local("p", dot(j1, j2))
-        a22 = self.local("p", dot(j2, j2))
-        r1 = self.local("p", dot(j1, vec))
-        r2 = self.local("p", dot(j2, vec))
+        a11 = self.local("p", _dot(j1, j1))
+        a12 = self.local("p", _dot(j1, j2))
+        a22 = self.local("p", _dot(j2, j2))
+        r1, r2 = rhs
         det = self.local("p", f"{a11} * {a22} - {a12} * {a12}")
-        w1 = self.local("p", f"({a22} * {r1} - {a12} * {r2}) / {det}")
-        w2 = self.local("p", f"({a11} * {r2} - {a12} * {r1}) / {det}")
-        return [
-            f"{b} - {w1} * {u} - {w2} * {v}" for u, v, b in zip(j1, j2, vec)
-        ]
+        return [self.local("p", f"({a22} * {r1} - {a12} * {r2}) / {det}"),
+                self.local("p", f"({a11} * {r2} - {a12} * {r1}) / {det}")]
+
+    def project(self, rows, vec):
+        """Tokens of vec - J^T w, the tangential part of `vec`, with w
+        the weights of J vec."""
+        w = self._weights(rows, [self.local("p", _dot(j, vec)) for j in rows])
+        return [" - ".join([b, *(f"{wi} * {a}" for wi, a in zip(w, col))])
+                for b, *col in zip(vec, *rows)]
+
+    def normal_step(self, rows, vals):
+        """Tokens of J^T w, the Gauss-Newton step, with w the weights of
+        the constraint values."""
+        w = self._weights(rows, vals)
+        return [" + ".join(f"{wi} * {a}" for wi, a in zip(w, col))
+                for col in zip(*rows)]
+
+
+def _dot(u, v):
+    return " + ".join(["0.0", *(f"{a} * {b}" for a, b in zip(u, v))])
 
 
 def _tuple(tokens):
@@ -226,34 +240,41 @@ def _value_code(exprs, n, single):
     return _build("_val", n, emitter, vals[0] if single else _tuple(vals))
 
 
+def _walk_all(emitter, exprs, n):
+    """Value tokens and dense gradient tokens of each expression."""
+    walked = [emitter.walk(e) for e in exprs]
+    return [v for v, _ in walked], [_dense(g, n) for _, g in walked]
+
+
 def _value_grad_code(exprs, n, single):
     emitter = _Emitter(with_grad=True)
-    vals, grads = [], []
-    for e in exprs:
-        val, grad = emitter.walk(e)
-        vals.append(val)
-        grads.append(_tuple(_dense(grad, n)))
+    vals, grads = _walk_all(emitter, exprs, n)
     if single:
-        return _build("_vg", n, emitter, f"{vals[0]}, {grads[0]}")
+        return _build("_vg", n, emitter, f"{vals[0]}, {_tuple(grads[0])}")
+    grads = [_tuple(g) for g in grads]
     return _build("_vg", n, emitter, f"{_tuple(vals)}, {_tuple(grads)}")
-
-
-def _rows(emitter, constraints, n):
-    return [_dense(emitter.walk(c)[1], n) for c in constraints]
 
 
 def _field_code(f, constraints, n):
     emitter = _Emitter(with_grad=True)
     val, grad = emitter.walk(f)
-    out = emitter.project(_rows(emitter, constraints, n), _dense(grad, n))
+    rows = _walk_all(emitter, constraints, n)[1]
+    out = emitter.project(rows, _dense(grad, n))
     return _build("_vg", n, emitter, f"{val}, {_tuple(out)}")
 
 
 def _project_code(constraints, n):
     emitter = _Emitter(with_grad=True)
     vec = [f"b{i}" for i in range(1, n + 1)]
-    out = emitter.project(_rows(emitter, constraints, n), vec)
+    out = emitter.project(_walk_all(emitter, constraints, n)[1], vec)
     return _build("_proj", n, emitter, _tuple(out), vector=True)
+
+
+def _step_code(constraints, n):
+    emitter = _Emitter(with_grad=True)
+    vals, rows = _walk_all(emitter, constraints, n)
+    step = emitter.normal_step(rows, vals)
+    return _build("_step", n, emitter, f"{_tuple(vals)}, {_tuple(step)}")
 
 
 def _define(code, name, namespace):
@@ -277,22 +298,25 @@ class CompiledExpression:
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
       `value_and_grad` (values, Jacobian rows). With at most two entries,
-      `project(x, vec)` gives the tangential part of vec at x.
+      `project(x, vec)` gives the tangential part of vec at x and
+      `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton
+      step toward F = 0.
     - `expression` f with `constraints` (one or two): the field kernel.
       `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x)).
 
-    `value` takes one point; `value_and_grad` and `project` also take an
+    `value` takes one point; the other methods also take an
     (ambient_dim, N) array whose columns are N points, and then each
     number above is a length-N array, or a float where it does not
     depend on x. A domain error raises EvaluationError naming the first
     expression, in the order f, F_1, ..., F_k, that fails at x; a zero
-    Gram determinant in the projection raises RankDeficiencyError.
+    Gram determinant raises RankDeficiencyError, except in
+    `normal_step` for columns (see there).
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project",
-        "_project_columns",
+        "_project_columns", "_step", "_step_columns",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -324,9 +348,12 @@ class CompiledExpression:
             code = _value_grad_code(exprs, n, single)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._project = self._project_columns = None
+        self._step = self._step_columns = None
         if not single and len(exprs) <= 2:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
+            self._step, self._step_columns = _pair(_step_code(exprs, n),
+                                                   "_step")
 
     def value(self, x):
         """The value(s) at one point."""
@@ -339,32 +366,43 @@ class CompiledExpression:
         """See the class docstring. For columns, numpy division by zero,
         invalid operations and overflow raise as `math` does for one
         point."""
-        try:
-            if isinstance(x, np.ndarray):
-                if x.ndim == 2:
-                    with np.errstate(divide="raise", invalid="raise",
-                                     over="raise"):
-                        return self._value_grad_columns(*x)
-                x = x.tolist()
-            return self._value_grad(*x)
-        except _FAILURES as exc:
-            raise self._failure("value_and_grad", x, exc,
-                                bool(self.constraints)) from exc
+        return self._call(self._value_grad, self._value_grad_columns, x,
+                          projected=bool(self.constraints))
 
     def project(self, x, vec):
         """Tangential part of `vec` (n floats, or n columns) at x."""
         if isinstance(vec, np.ndarray) and vec.ndim == 1:
             vec = vec.tolist()
+        return self._call(self._project, self._project_columns, x, *vec)
+
+    def normal_step(self, x):
+        """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns.
+
+        For columns a domain error raises for all of them, while a zero
+        Gram determinant gives only its own column a non-finite step.
+        """
+        try:
+            return self._call(self._step, self._step_columns, x)
+        except RankDeficiencyError:
+            if not (isinstance(x, np.ndarray) and x.ndim == 2):
+                raise
+        with np.errstate(all="ignore"):
+            return self._step_columns(*x)
+
+    def _call(self, point, columns, x, *args, projected=True):
+        """point(*x, *args) for one point, columns(*x, *args) for columns
+        with numpy's floating-point errors raised; a failure is named by
+        `_failure`."""
         try:
             if isinstance(x, np.ndarray):
                 if x.ndim == 2:
                     with np.errstate(divide="raise", invalid="raise",
                                      over="raise"):
-                        return self._project_columns(*x, *vec)
+                        return columns(*x, *args)
                 x = x.tolist()
-            return self._project(*x, *vec)
+            return point(*x, *args)
         except _FAILURES as exc:
-            raise self._failure("value_and_grad", x, exc, True) from exc
+            raise self._failure("value_and_grad", x, exc, projected) from exc
 
     def gradient(self, x):
         return np.asarray(self.value_and_grad(x)[1])

@@ -1,16 +1,18 @@
-"""The generated field kernel and the float retraction against the code
-they replaced.
+"""The generated field kernel, projection and retraction against
+hand-written oracles.
 
-The oracles are the hand-written projection GradientField used before
-the field kernel, and the numpy Gauss-Newton retraction and tangent
-projection, each kept as it was and evaluating one compiled object per
-constraint. The kernel writes the projection in the oracle's term order,
-so the field must be bit-equal everywhere. The retraction's closed-form
-step must be bit-equal on the catalog, on S^2 in R^5 (three constraints,
-still numpy) and on a manifold whose constraint has a domain error.
+The oracles evaluate one compiled object per constraint and write the
+k <= 2 arithmetic out term by term: Gram sums from 0.0 in coordinate
+order, r / jj for one constraint and Cramer's rule for two. The
+generated code does the same, so field, projection and retraction must
+be bit-equal to them, as must every column of a batch to its point;
+three or more constraints use numpy's solve on both sides. The numpy
+Gauss-Newton retraction and tangent projection the code used before
+stay as a second oracle, met to 1e-14 with the same outcomes.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -140,25 +142,61 @@ def _project_tangent_oracle(m, x, v):
         raise RankDeficiencyError("rank deficient") from exc
 
 
-def _retract_oracle(m, x, guard=0.1, max_iter=RETRACT_MAX_ITER):
-    """ImplicitManifold.retract as it was: numpy Gauss-Newton."""
+def _step_branches(vals, rows):
+    """J^T (J J^T)^{-1} F written out for one or two rows, numpy's solve
+    for more; a singular Gram matrix raises."""
+    if len(rows) == 1:
+        (j,), (r,) = rows, vals
+        jj = 0.0
+        for a in j:
+            jj += a * a
+        w = r / jj
+        return [w * a for a in j]
+    if len(rows) == 2:
+        j1, j2 = rows
+        r1, r2 = vals
+        a11 = a12 = a22 = 0.0
+        for u, v in zip(j1, j2):
+            a11 += u * u
+            a12 += u * v
+            a22 += v * v
+        det = a11 * a22 - a12 * a12
+        w1 = (a22 * r1 - a12 * r2) / det
+        w2 = (a11 * r2 - a12 * r1) / det
+        return [w1 * u + w2 * v for u, v in zip(j1, j2)]
+    return normal_part(np.array(rows), np.array(vals)).tolist()
+
+
+def _plain_norm(v):
+    return math.sqrt(sum(a * a for a in v))
+
+
+def _retract_oracle(m, x, guard=0.1, max_iter=RETRACT_MAX_ITER,
+                    lapack=False):
+    """ImplicitManifold.retract written out: the step of `_step_branches`
+    and plain norms, or with lapack=True numpy's solve and norms as
+    retract had them before."""
+    norm = np.linalg.norm if lapack else _plain_norm
     y = np.asarray(x, dtype=float).copy()
-    scale = 1.0 + np.linalg.norm(y)
+    scale = 1.0 + norm(y)
     for it in range(max_iter):
         vals, jac = _values_and_jacobian_oracle(m, y)
         if np.max(np.abs(vals)) <= m.constraint_tol:
             return y
         try:
-            step = normal_part(jac, vals)
-        except np.linalg.LinAlgError as exc:
+            if lapack:
+                step = normal_part(jac, vals)
+            else:
+                step = np.array(_step_branches(vals.tolist(), jac.tolist()))
+        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
             raise RetractionError(
                 f"constraint Jacobian singular while retracting {y}"
             ) from exc
         if it == 0 and guard is not None:
-            if np.linalg.norm(step) > guard * scale:
+            if norm(step) > guard * scale:
                 raise RetractionError(
                     "point outside the documented retraction basin "
-                    f"(initial correction {np.linalg.norm(step):.3e})"
+                    f"(initial correction {norm(step):.3e})"
                 )
         y -= step
         if not np.all(np.isfinite(y)):
@@ -169,6 +207,7 @@ def _retract_oracle(m, x, guard=0.1, max_iter=RETRACT_MAX_ITER):
 
 
 def _retract_columns_oracle(m, cols):
+    """retract_columns as it was: a stacked numpy solve."""
     y = np.array(cols, dtype=float)
     ok = np.zeros(y.shape[1], dtype=bool)
     live = np.arange(y.shape[1])
@@ -201,11 +240,24 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _is_error(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
 def _assert_same(got, want):
-    if isinstance(want, tuple) and isinstance(want[0], type):
+    if _is_error(want):
         assert got == want
     else:
         assert np.array_equal(np.asarray(got), np.asarray(want))
+
+
+def _assert_close(got, want):
+    """The same error, or values within 1e-14."""
+    if _is_error(want):
+        assert got == want
+    else:
+        assert not _is_error(got)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,52 +300,63 @@ def test_field_matches_hand_written_projection(name):
                           _project_oracle(m, cols, vec))
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_retract_matches_numpy_gauss_newton(name):
+def _check_retraction(name):
+    """Points against both retraction oracles, and each column of a batch
+    against its point."""
     m, _ = _scenario(name)
     _, near, draws = _points(name)
-    for x in near:
-        _assert_same(_outcome(m.retract, x), _outcome(_retract_oracle, m, x))
-    for x in np.concatenate([near, draws]):
-        _assert_same(_outcome(m.retract, x, guard=None),
-                     _outcome(_retract_oracle, m, x, guard=None))
-    for cols in (near.T, draws.T):
-        got, ok = m.retract_columns(cols)
-        want, want_ok = _retract_columns_oracle(m, cols)
-        assert np.array_equal(ok, want_ok)
-        assert np.array_equal(got[:, ok], want[:, ok])
-
-
-def test_retract_with_overlapping_rows():
-    # LAPACK fuses two updates of its 2 x 2 solve and BLAS sums J^T x in
-    # an order that depends on n, so here the closed form agrees with the
-    # oracle to rounding; the columns still follow the point bit for bit
-    m, _ = _scenario("sphere_cut")
-    _, near, draws = _points("sphere_cut")
+    cases = [(x, 0.1) for x in near]
+    cases += [(x, None) for x in np.concatenate([near, draws])]
+    for x, guard in cases:
+        got = _outcome(m.retract, x, guard=guard)
+        _assert_same(got, _outcome(_retract_oracle, m, x, guard=guard))
+        _assert_close(got, _outcome(_retract_oracle, m, x, guard=guard,
+                                    lapack=True))
     for cols in (near.T, draws.T):
         got, ok = m.retract_columns(cols)
         want, want_ok = _retract_columns_oracle(m, cols)
         assert np.array_equal(ok, want_ok)
         assert np.allclose(got[:, ok], want[:, ok], rtol=0.0, atol=1e-14)
         for x, y, good in zip(cols.T, got.T, ok):
+            alone = _outcome(m.retract, x, guard=None)
             if good:
-                assert np.array_equal(m.retract(x, guard=None), y)
+                assert np.array_equal(alone, y)
+            else:
+                assert alone[0] is RetractionError
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_retract_matches_numpy_gauss_newton(name):
+    _check_retraction(name)
+
+
+def test_retract_with_overlapping_rows():
+    # clifford's two Jacobian rows have disjoint support, sphere_cut's
+    # overlap, so every Gram entry of Cramer's rule is used
+    _check_retraction("sphere_cut")
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_tangent_projection_matches_numpy(name):
-    # riemannian_gradient feeds c_floor, the census grad_norm and
-    # critical_points.json, so it must keep its bits
+    # riemannian_gradient rechecks the floor of geometric_constants, so
+    # it must give the field kernel's bits
     m, f = _scenario(name)
     on, near, _ = _points(name)
+    points = np.concatenate([on, near])
     rng = np.random.default_rng(8)
     grad = compile_expression(f, m.ambient_dim)
-    for x in np.concatenate([on, near]):
+    for x in points:
         v = rng.standard_normal(m.ambient_dim)
-        assert np.array_equal(m.project_tangent(x, v),
-                              _project_tangent_oracle(m, x, v))
+        got = m.project_tangent(x, v)
+        assert np.array_equal(got, _project_oracle(m, x, v))
+        assert np.allclose(got, _project_tangent_oracle(m, x, v),
+                           rtol=0.0, atol=1e-14)
         assert np.array_equal(m.riemannian_gradient(f, x).vec,
-                              _project_tangent_oracle(m, x, grad.gradient(x)))
+                              _project_oracle(m, x, grad.gradient(x)))
+    cols = points.T.copy()
+    vec = list(rng.standard_normal(cols.shape))
+    assert np.array_equal(m.project_tangent(cols, vec),
+                          _project_oracle(m, cols, vec))
 
 
 def test_error_parity():
@@ -313,14 +376,18 @@ def test_error_parity():
     sphere, _ = _scenario("sphere2")
     doubled = ImplicitManifold(3, list(sphere.constraints) * 2)
     for m, x in ((sphere, [0.0, 0.0, 0.0]),  # zero Jacobian row
+                 (cone, apex),  # on M with a zero Jacobian row
                  (doubled, [0.6, 0.0, 0.9]),  # equal rows
                  (cone, [1e-3, 0.0, 0.5]),  # far from the cone's basin
                  (sphere, [3.0, 0.0, 0.0]),  # outside the guard
                  (sphere, [1e200, 0.0, 0.0])):  # overflows to a NaN step
         for guard in (0.1, None):
+            got = _outcome(m.retract, x, guard=guard)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = _outcome(_retract_oracle, m, x, guard=guard)
-            _assert_same(_outcome(m.retract, x, guard=guard), want)
+                _assert_same(got, _outcome(_retract_oracle, m, x,
+                                           guard=guard))
+                _assert_close(got, _outcome(_retract_oracle, m, x,
+                                            guard=guard, lapack=True))
     assert _outcome(doubled.retract, [0.6, 0.0, 0.9])[0] is RetractionError
     assert "basin" in _outcome(sphere.retract, [3.0, 0.0, 0.0])[1]
     assert "non-finite" in _outcome(sphere.retract, [1e200, 0.0, 0.0],
@@ -328,9 +395,9 @@ def test_error_parity():
     cols = np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.9]])
     with np.errstate(all="raise"):  # the singular column raises nothing
         got, ok = sphere.retract_columns(cols)
-    want, want_ok = _retract_columns_oracle(sphere, cols)
+    want_ok = _retract_columns_oracle(sphere, cols)[1]
     assert ok.tolist() == want_ok.tolist() == [False, True]
-    assert np.array_equal(got[:, 1], want[:, 1])
+    assert np.array_equal(got[:, 1], sphere.retract(cols[:, 1], guard=None))
     got, ok = doubled.retract_columns(cols[:, 1:2])
     assert ok.tolist() == [False]
 

@@ -144,11 +144,44 @@ def test_geometric_constants_torus(torus):
     assert torus.consts.c_floor > 0.0
 
 
+def _floor_oracle(m, f, crits, n_samples=2000, seed=0):
+    """(c_floor, n_floor_samples) as geometric_constants computed them
+    before its batched floor: one riemannian_gradient per sample."""
+    locs = [np.asarray(p.location, dtype=float) for p in crits]
+    r = 0.5 * min(np.linalg.norm(a - b)
+                  for i, a in enumerate(locs) for b in locs[i + 1:])
+    floor = None
+    used = 0
+    for x in m.sample_points(n_samples, seed):
+        if min(np.linalg.norm(x - q) for q in locs) <= r / 2.0:
+            continue
+        used += 1
+        g = m.riemannian_gradient(f, x).norm()
+        if floor is None or g < floor:
+            floor = g
+    return floor, used
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus", "clifford", "sphere_m"])
+def test_gradient_floor_matches_per_sample_loop(name, request):
+    setup = request.getfixturevalue(name)
+    m, f = setup.manifold, setup.function
+    for seed, consts in ((0, setup.consts),
+                         (7, geometric_constants(m, f, setup.crits, seed=7))):
+        want = _floor_oracle(m, f, setup.crits, seed=seed)
+        assert (consts.c_floor, consts.n_floor_samples) == want
+
+
 def test_too_few_critical_points(sphere):
     with pytest.raises(TooFewCriticalPointsError) as err:
         geometric_constants(sphere.manifold, sphere.function,
                             sphere.crits[:1], n_samples=200, seed=0)
     assert err.value.manifold_floor > 0
+    samples = sphere.manifold.sample_points(200, 0)
+    assert err.value.manifold_floor == min(
+        sphere.manifold.riemannian_gradient(sphere.function, x).norm()
+        for x in samples
+    )
 
 
 def test_classify_point_matches_census(sphere):
