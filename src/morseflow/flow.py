@@ -22,13 +22,12 @@ Single flows stay on the scalar stepper: a batch of one runs 8-10x
 slower than it (numpy dispatch on every stage), measured on the sphere2,
 torus_upright and clifford scenarios.
 
-For one or two constraints the field is one generated kernel per (M, f)
-(`symbolics.compile`): one call gives P grad f from a single pass over f
-and the constraints, with the projection written out in a fixed term
-order, for floats and, exec'd with numpy, for columns. Vectors are
+For any number of constraints the field is one generated kernel per
+(M, f) (`symbolics.compile`): one call gives P grad f from a single pass
+over f and the constraints, with the projection written out in a fixed
+term order, for floats and, exec'd with numpy, for columns. Vectors are
 re-projected by the constraint map's generated `project`, and retracted
-by its `normal_step`, which write the same Gram sums and solve. Three or
-more constraints project and retract through numpy's solve.
+by its `normal_step`, which write the same Gram sums and solve.
 
 Every accepted point is retracted back onto M (`retract`, a Gauss-Newton
 loop on floats; `retract_columns` for the batch, each column bit for bit
@@ -153,44 +152,33 @@ class GradientField:
 
     A point is a plain float list, or an (n, N) array whose columns are
     N points; vectors are then lists of n length-N arrays (or floats).
-    With one or two constraints both are generated code: the field
-    kernel of (M, f) gives P grad f from one pass over f and the
+    Both are generated code for any number of constraints: the field
+    kernel of (M, f) gives f and P grad f from one pass over f and the
     constraints, and the constraint map's `project` the tangential part
     of any vector, with the projection written out in one term order
     (see `symbolics.compile`), so the two agree bit for bit with each
     other and with `ImplicitManifold.project_tangent`, and serve both
-    forms without numpy dispatch for one point. Three or more
-    constraints project through `ImplicitManifold.project_tangent`
-    (numpy's solve, stacked for columns). A rank-deficient Jacobian
-    raises RankDeficiencyError in both forms.
+    forms without numpy dispatch for one point. A rank-deficient
+    Jacobian raises RankDeficiencyError in both forms.
     """
 
     def __init__(self, m, f):
         self.manifold = m
         self.function = f
         self.n = m.ambient_dim
-        self.k = m.n_constraints
-        self._f = compile_expression(f, self.n)
         self._map = compile_expression(m.constraints, self.n)
-        self._kernel = (
-            compile_expression(f, self.n, m.constraints) if self.k <= 2
-            else None
-        )
+        self._kernel = compile_expression(f, self.n, m.constraints)
 
     def f_value(self, xs):
-        return self._f.value(xs)
+        return self._kernel.value(xs)
 
     def projected_gradient(self, xs):
         """P(x) grad f(x): n floats, or n columns."""
-        if self._kernel is not None:
-            return self._kernel.value_and_grad(xs)[1]
-        return self.project(xs, self._f.value_and_grad(xs)[1])
+        return self._kernel.value_and_grad(xs)[1]
 
     def project(self, xs, vec):
         """Tangential part of `vec` at the point (or the columns) xs."""
-        if self.k <= 2:
-            return self._map.project(xs, vec)
-        return list(self.manifold.project_tangent(xs, vec))
+        return self._map.project(xs, vec)
 
 
 def _norm(vec):

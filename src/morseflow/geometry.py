@@ -26,21 +26,6 @@ RETRACT_MAX_ITER = 25
 SAMPLE_BLOCK = 1024
 
 
-def normal_part(jac, r):
-    """J^T (J J^T)^{-1} r by numpy's solve, for three or more constraints.
-
-    J (k, n) with r (k,) for one point, or a stack J (N, k, n) with
-    r (N, k); each stacked product and solve gives the same bits as the
-    2-D one. A singular Gram matrix raises np.linalg.LinAlgError. One or
-    two constraints take the generated arithmetic of the constraint map
-    instead (`CompiledExpression.project` and `normal_step`).
-    """
-    if jac.ndim == 2:
-        return jac.T @ np.linalg.solve(jac @ jac.T, r)
-    jac_t = jac.transpose(0, 2, 1)
-    return (jac_t @ np.linalg.solve(jac @ jac_t, r[..., None]))[..., 0]
-
-
 def _stack(entries, count):
     """An (len(entries), count) array of length-count arrays, a float
     broadcast where an entry does not depend on x."""
@@ -157,31 +142,14 @@ class ImplicitManifold:
         """P(x) v without forming the projector.
 
         x is one point and v one vector, or x an (n, N) array of columns
-        and v n columns (length-N arrays, or floats), giving (n, N). One
-        or two constraints run the constraint map's generated `project`;
-        more solve with `normal_part`, stacked for columns. A singular
-        Gram matrix raises RankDeficiencyError.
+        and v n columns (length-N arrays, or floats), giving (n, N): the
+        constraint map's generated `project`, with the same bits for a
+        point and for its column. A singular Gram matrix raises
+        RankDeficiencyError.
         """
         columns = isinstance(x, np.ndarray) and x.ndim == 2
-        if self.n_constraints <= 2:
-            out = self._map.project(x, v)
-            return _stack(out, x.shape[1]) if columns else np.array(out)
-        if columns:
-            jac = self.values_and_jacobian_columns(x)[1]
-            v = np.ascontiguousarray(_stack(v, x.shape[1]).T)
-            r = (jac @ v[..., None])[..., 0]
-            where = f"one of {x.shape[1]} points"
-        else:
-            jac = self.constraint_jacobian(x)
-            v = np.asarray(v, dtype=float)
-            r = jac @ v
-            where = np.asarray(x)
-        try:
-            return (v - normal_part(jac, r)).T
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                f"constraint Jacobian is rank deficient at {where}"
-            ) from None
+        out = self._map.project(x, v)
+        return _stack(out, x.shape[1]) if columns else np.array(out)
 
     def riemannian_gradient(self, f, x):
         """Tangential part of the ambient gradient of `f` at `x`."""
@@ -232,11 +200,10 @@ class ImplicitManifold:
         guard=None to disable it (used by the rejection sampler, which
         filters on |F| < 0.5 and simply discards failures).
 
-        The iteration runs on Python floats, one call per iteration: up
-        to two constraints take the values and the step from the
-        constraint map's generated `normal_step`, three or more solve
-        with `normal_part`. Raises RetractionError on a singular Gram
-        matrix, a non-finite iterate, the guard, or max_iter iterations.
+        The iteration runs on Python floats, one call per iteration of
+        the constraint map's generated `normal_step` for the values and
+        the step. Raises RetractionError on a singular Gram matrix, a
+        non-finite iterate, the guard, or max_iter iterations.
         """
         y = np.asarray(x, dtype=float).tolist()
         if guard is not None:
@@ -244,7 +211,7 @@ class ImplicitManifold:
         tol = self.constraint_tol
         for it in range(max_iter):
             try:
-                vals, step = self._newton_step(y)
+                vals, step = self._map.normal_step(y)
             except RankDeficiencyError as exc:
                 if self.is_on_manifold(y):
                     return np.array(y)
@@ -268,32 +235,23 @@ class ImplicitManifold:
             f"no convergence within {max_iter} retraction iterations"
         )
 
-    def _newton_step(self, y):
-        """Constraint values and the step J^T (J J^T)^{-1} F at y (floats)."""
-        if self.n_constraints <= 2:
-            return self._map.normal_step(y)
-        vals, rows = self._map.value_and_grad(y)
-        try:
-            return vals, normal_part(np.array(rows), np.array(vals)).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError("singular Gram matrix") from exc
-
     def retract_columns(self, cols):
         """`retract(x, guard=None)` of every column of an (n, N) array.
 
         Each column follows the same Gauss-Newton iteration as alone, with
         the same arithmetic: the constraint map's `normal_step` on the
-        columns for up to two constraints, a stacked `normal_part` for
-        more. Returns (points, ok); ok[j] is False where retracting
-        column j alone would raise RetractionError (singular Gram matrix,
-        non-finite iterate, or RETRACT_MAX_ITER iterations). A domain
-        error of a constraint raises EvaluationError for the batch.
+        columns, each column bit for bit its point. Returns (points, ok);
+        ok[j] is False where retracting column j alone would raise
+        RetractionError (singular Gram matrix, non-finite iterate, or
+        RETRACT_MAX_ITER iterations). A domain error of a constraint
+        raises EvaluationError for the batch.
         """
         y = np.array(cols, dtype=float)
         ok = np.zeros(y.shape[1], dtype=bool)
         live = np.arange(y.shape[1])
         for _ in range(RETRACT_MAX_ITER):
-            vals, steps = self._column_steps(y[:, live])
+            vals, steps = (_stack(a, len(live))
+                           for a in self._map.normal_step(y[:, live]))
             done = np.max(np.abs(vals), axis=0) <= self.constraint_tol
             ok[live[done]] = True
             live, steps = live[~done], steps[:, ~done]
@@ -302,28 +260,6 @@ class ImplicitManifold:
             y[:, live] -= steps
             live = live[np.all(np.isfinite(y[:, live]), axis=0)]
         return y, ok
-
-    def _column_steps(self, cols):
-        """Values (k, N) and Gauss-Newton steps (n, N) at the columns.
-
-        A column with a singular Gram matrix gets a non-finite step.
-        """
-        count = cols.shape[1]
-        if self.n_constraints <= 2:
-            vals, step = self._map.normal_step(cols)
-            return _stack(vals, count), _stack(step, count)
-        vals, jac = self.values_and_jacobian_columns(cols)
-        try:
-            return vals, normal_part(jac, vals.T).T
-        except np.linalg.LinAlgError:
-            # Some Gram matrix is singular: those columns fail.
-            steps = np.full((count, self.ambient_dim), np.nan)
-            for j in range(count):
-                try:
-                    steps[j] = normal_part(jac[j:j + 1], vals.T[j:j + 1])
-                except np.linalg.LinAlgError:
-                    pass
-            return vals, steps.T
 
     def sample_points(self, count, seed, keep_tol=0.5):
         """`count` points on M, roughly uniform for acceptance purposes.

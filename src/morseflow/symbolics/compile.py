@@ -12,21 +12,21 @@ and its one cache:
 - one expression: its value, or its value and gradient;
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
   of a manifold: all values, or all values and the Jacobian rows, from
-  one call; for k <= 2 also `project`, the tangential part of a vector,
-  and `normal_step`, the values with the Gauss-Newton step
+  one call; also `project`, the tangential part of a vector, and
+  `normal_step`, the values with the Gauss-Newton step
   J^T (J J^T)^{-1} F of a retraction;
-- a field kernel, f together with at most two constraints: the value of
-  f and P grad f, P the orthogonal projection onto ker dF, from one pass
-  over f and the constraints.
+- a field kernel, f together with the constraints: the value of f and
+  P grad f, P the orthogonal projection onto ker dF, from one pass over
+  f and the constraints.
 
-This is the only code that solves with the Gram matrix J J^T of one or
-two constraints: `project`, `normal_step` and the field kernel write the
-solve out inline from one emitter helper, with Gram sums from 0.0 in
-coordinate order, a division for k = 1 and Cramer's rule for k = 2. So
-the field, the tangent projection and the retraction all give the bits
-of that arithmetic done term by term on floats; numpy's solve agrees to
-rounding (within 1e-14 on the test scenarios). Three or more constraints
-are left to numpy's solve (`geometry.normal_part`).
+This is the only code that solves with the Gram matrix J J^T, for every
+number k of constraints: `project`, `normal_step` and the field kernel
+write the solve out inline from one emitter helper, with Gram sums from
+0.0 in coordinate order, Cramer's rule for k = 2 and otherwise Gaussian
+elimination without pivoting (a division for k = 1). So the field, the
+tangent projection and the retraction all give the bits of that
+arithmetic done term by term on floats, for one point and for columns;
+numpy's solve agrees to rounding (within 1e-14 on the test scenarios).
 
 Each source is compiled once and executed twice: once with the `math`
 functions for one point given as floats, once with their numpy ufuncs
@@ -175,23 +175,40 @@ class _Emitter:
         return v, grads
 
     def _weights(self, rows, rhs):
-        """Tokens of w = (J J^T)^{-1} rhs for one or two rows J.
+        """Tokens of w = (J J^T)^{-1} rhs for k rows J.
 
-        The Gram sums run over the coordinates in order, starting from
-        0.0, and k = 2 solves by Cramer's rule.
+        The Gram sums a_ij (i <= j) run over the coordinates in order,
+        starting from 0.0. k = 2 solves by Cramer's rule. Any other k
+        eliminates without pivoting, which the symmetric positive
+        definite Gram matrix allows (Golub & Van Loan, Matrix
+        Computations, 4.2): step c subtracts a_ci / a_cc times row c
+        from each row i > c, on and above the diagonal only, and
+        back-substitution then divides by the pivots; for k = 1 that is
+        rhs / a_11. A zero pivot divides by zero, as a zero determinant
+        does.
         """
-        if len(rows) == 1:
-            (j,) = rows
-            jj = self.local("p", _dot(j, j))
-            return [self.local("p", f"{rhs[0]} / {jj}")]
-        j1, j2 = rows
-        a11 = self.local("p", _dot(j1, j1))
-        a12 = self.local("p", _dot(j1, j2))
-        a22 = self.local("p", _dot(j2, j2))
-        r1, r2 = rhs
-        det = self.local("p", f"{a11} * {a22} - {a12} * {a12}")
-        return [self.local("p", f"({a22} * {r1} - {a12} * {r2}) / {det}"),
-                self.local("p", f"({a11} * {r2} - {a12} * {r1}) / {det}")]
+        k = len(rows)
+        a = {(i, j): self.local("p", _dot(rows[i], rows[j]))
+             for i in range(k) for j in range(i, k)}
+        r = list(rhs)
+        if k == 2:
+            a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
+            r1, r2 = r
+            det = self.local("p", f"{a11} * {a22} - {a12} * {a12}")
+            return [self.local("p", f"({a22} * {r1} - {a12} * {r2}) / {det}"),
+                    self.local("p", f"({a11} * {r2} - {a12} * {r1}) / {det}")]
+        for c in range(k - 1):
+            for i in range(c + 1, k):
+                factor = self.local("p", f"{a[c, i]} / {a[c, c]}")
+                for j in range(i, k):
+                    a[i, j] = self.local(
+                        "p", f"{a[i, j]} - {factor} * {a[c, j]}")
+                r[i] = self.local("p", f"{r[i]} - {factor} * {r[c]}")
+        w = [None] * k
+        for i in reversed(range(k)):
+            terms = (f" - {a[i, j]} * {w[j]}" for j in range(i + 1, k))
+            w[i] = self.local("p", f"({r[i]}{''.join(terms)}) / {a[i, i]}")
+        return w
 
     def project(self, rows, vec):
         """Tokens of vec - J^T w, the tangential part of `vec`, with w
@@ -297,11 +314,11 @@ class CompiledExpression:
       `value_and_grad` (value, gradient tuple of length ambient_dim).
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
-      `value_and_grad` (values, Jacobian rows). With at most two entries,
-      `project(x, vec)` gives the tangential part of vec at x and
-      `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton
-      step toward F = 0.
-    - `expression` f with `constraints` (one or two): the field kernel.
+      `value_and_grad` (values, Jacobian rows), `project(x, vec)` the
+      tangential part of vec at x and `normal_step(x)`
+      (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward
+      F = 0.
+    - `expression` f with `constraints`: the field kernel.
       `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x)).
 
     `value` takes one point; the other methods also take an
@@ -309,7 +326,7 @@ class CompiledExpression:
     number above is a length-N array, or a float where it does not
     depend on x. A domain error raises EvaluationError naming the first
     expression, in the order f, F_1, ..., F_k, that fails at x; a zero
-    Gram determinant raises RankDeficiencyError, except in
+    Gram determinant or pivot raises RankDeficiencyError, except in
     `normal_step` for columns (see there).
     """
 
@@ -328,9 +345,8 @@ class CompiledExpression:
                 f"expression references x{needed}, ambient dimension is "
                 f"{ambient_dim}"
             )
-        if constraints and (not single or len(constraints) > 2):
-            raise ValueError("a field kernel takes one function and at "
-                             "most two constraints")
+        if constraints and not single:
+            raise ValueError("a field kernel takes one function")
         self.expression = expression
         self.ambient_dim = ambient_dim
         self.constraints = constraints
@@ -349,7 +365,7 @@ class CompiledExpression:
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._project = self._project_columns = None
         self._step = self._step_columns = None
-        if not single and len(exprs) <= 2:
+        if not single:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
             self._step, self._step_columns = _pair(_step_code(exprs, n),
@@ -379,7 +395,8 @@ class CompiledExpression:
         """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns.
 
         For columns a domain error raises for all of them, while a zero
-        Gram determinant gives only its own column a non-finite step.
+        Gram determinant or pivot gives only its own column a non-finite
+        step.
         """
         try:
             return self._call(self._step, self._step_columns, x)
@@ -412,7 +429,7 @@ class CompiledExpression:
 
         Each part is re-run alone first, so the first one that fails
         raises its own EvaluationError. If all of them evaluate, a
-        projection divided by a zero Gram determinant.
+        projection divided by a zero Gram determinant or pivot.
         """
         for part in self._parts:
             getattr(compile_expression(part, self.ambient_dim), method)(x)

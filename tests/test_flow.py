@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from morseflow import (
 from morseflow.errors import (
     EvaluationError, FlowError, NotConvergedError, RankDeficiencyError,
 )
-from morseflow.flow import flow_terminals
+from morseflow.flow import GradientField, Terminal, flow_terminals
 
 
 def test_closed_form_height_coordinate(sphere):
@@ -220,7 +221,7 @@ def test_batched_flow_matches_scalar(name, request):
 
 
 def test_batched_flow_three_constraints():
-    # S^2 inside R^5: the stacked-solve branch of project
+    # S^2 inside R^5: three constraints, the generated elimination
     m = ImplicitManifold(5, [
         parse(e, 5) for e in ("x1^2 + x2^2 + x3^2 - 1", "x4", "x5")
     ])
@@ -231,6 +232,40 @@ def test_batched_flow_three_constraints():
     starts[:, :3] = rng.standard_normal((8, 3))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     _assert_batch_matches_scalar(m, f, starts, FlowConfig(), crits)
+
+
+def test_flow_on_orthogonal_group():
+    # O(3) in R^9 (six constraints, X^T X = I) with f = tr(diag(1, 2, 3) X):
+    # critical exactly at the eight diagonal sign matrices; each flow
+    # ends at its component's minimum, diag(1, -1, -1) (f = -4) on SO(3)
+    # and -I (f = -6) on the other
+    m = ImplicitManifold(9, [
+        parse(" + ".join(f"x{i + r}*x{j + r}" for r in (0, 3, 6))
+              + (" - 1" if i == j else ""), 9)
+        for i in (1, 2, 3) for j in range(i, 4)
+    ], bounding_box=(-1.2, 1.2))
+    f = parse("x1 + 2*x5 + 3*x9", 9)
+    field = GradientField(m, f)
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        x = np.diag(signs).ravel().tolist()
+        assert field.projected_gradient(x) == (0.0,) * 9
+    starts = m.sample_points(30, seed=0)
+    terminals, ends = flow_terminals(m, f, starts)
+    lows = set()
+    for x0, terminal, end in zip(starts, terminals, ends):
+        traj = integrate_flow(m, f, x0, record=False)
+        # no registered critical points: a vanishing field stalls
+        assert terminal == traj.terminal == Terminal("stalled")
+        assert np.array_equal(end, traj.end)
+        if np.linalg.det(x0.reshape(3, 3)) > 0:
+            want, low = np.diag([1.0, -1.0, -1.0]), -4.0
+        else:
+            want, low = -np.eye(3), -6.0
+        # f moves by |grad f| = sqrt(14) times the constraint tolerance
+        assert traj.f_values[-1] == pytest.approx(low, abs=1e-8)
+        assert np.max(np.abs(end - want.ravel())) < 1e-6
+        lows.add(low)
+    assert lows == {-4.0, -6.0}  # starts on both components
 
 
 def test_batched_flow_non_polynomial(sphere):

@@ -51,7 +51,7 @@ def test_projector_idempotent_symmetric(name, request):
 
 
 def test_field_projection_three_constraints():
-    # S^2 inside R^5 needs three constraints, the numpy branch of project
+    # S^2 inside R^5 needs three constraints: the generated elimination
     m = ImplicitManifold(5, [
         parse(e, 5) for e in ("x1^2 + x2^2 + x3^2 - 1", "x4", "x5")
     ])

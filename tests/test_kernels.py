@@ -2,13 +2,14 @@
 hand-written oracles.
 
 The oracles evaluate one compiled object per constraint and write the
-k <= 2 arithmetic out term by term: Gram sums from 0.0 in coordinate
-order, r / jj for one constraint and Cramer's rule for two. The
-generated code does the same, so field, projection and retraction must
-be bit-equal to them, as must every column of a batch to its point;
-three or more constraints use numpy's solve on both sides. The numpy
-Gauss-Newton retraction and tangent projection the code used before
-stay as a second oracle, met to 1e-14 with the same outcomes.
+arithmetic out term by term: Gram sums from 0.0 in coordinate order,
+r / jj for one constraint, Cramer's rule for two, and elimination
+without pivoting then back-substitution for three or more. The
+generated code does the same for every number of constraints, so field,
+projection and retraction must be bit-equal to them, as must every
+column of a batch to its point. The numpy Gauss-Newton retraction and
+tangent projection (numpy's solve, `normal_part` below) stay as a second
+oracle, met to 1e-14 with the same outcomes.
 """
 
 import functools
@@ -25,11 +26,11 @@ from morseflow.errors import (
     EvaluationError, RankDeficiencyError, RetractionError,
 )
 from morseflow.flow import GradientField
-from morseflow.geometry import RETRACT_MAX_ITER, normal_part
+from morseflow.geometry import RETRACT_MAX_ITER
 from morseflow.symbolics import compile_expression, evaluate_jet
 
 CATALOG = ("sphere2", "sphereM", "torus_upright", "clifford")
-SCENARIOS = CATALOG + ("sphere_in_r5", "sqrt_domain")
+SCENARIOS = CATALOG + ("sphere_in_r5", "o3", "sqrt_domain")
 # Two constraints whose Jacobian rows overlap (clifford's never do).
 FIELD_SCENARIOS = SCENARIOS + ("sphere_cut",)
 
@@ -42,6 +43,15 @@ def _scenario(name):
             parse(e, 5) for e in ("x1^2 + x2^2 + x3^2 - 1", "x4", "x5")
         ])
         return m, parse("x3 + 0.3 * x1 * x2", 5)
+    if name == "o3":
+        # O(3) in R^9, X = (x1 x2 x3; x4 x5 x6; x7 x8 x9) with X^T X = I:
+        # six constraints, one per entry on and above the diagonal
+        m = ImplicitManifold(9, [
+            parse(" + ".join(f"x{i + r}*x{j + r}" for r in (0, 3, 6))
+                  + (" - 1" if i == j else ""), 9)
+            for i in (1, 2, 3) for j in range(i, 4)
+        ], bounding_box=(-1.2, 1.2))
+        return m, parse("x1 + 2*x5 + 3*x9 + 0.4*x2*x4", 9)
     if name == "sphere_cut":
         m = ImplicitManifold(4, [
             parse(e, 4) for e in ("x1^2 + x2^2 + x3^2 + x4^2 - 1",
@@ -63,15 +73,54 @@ def _compiled(m):
     return [compile_expression(c, m.ambient_dim) for c in m.constraints]
 
 
+def normal_part(jac, r):
+    """J^T (J J^T)^{-1} r by numpy's solve: J (k, n) with r (k,), or a
+    stack J (N, k, n) with r (N, k). A singular Gram matrix raises
+    np.linalg.LinAlgError."""
+    if jac.ndim == 2:
+        return jac.T @ np.linalg.solve(jac @ jac.T, r)
+    jac_t = jac.transpose(0, 2, 1)
+    return (jac_t @ np.linalg.solve(jac @ jac_t, r[..., None]))[..., 0]
+
+
+def _plain_dot(u, v):
+    s = 0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _eliminate(rows, rhs):
+    """(J J^T)^{-1} rhs for three or more rows J: Gram sums on and above
+    the diagonal, elimination without pivoting, back-substitution."""
+    k = len(rows)
+    a = [[_plain_dot(rows[i], rows[j]) if j >= i else None
+          for j in range(k)] for i in range(k)]
+    r = list(rhs)
+    for c in range(k - 1):
+        for i in range(c + 1, k):
+            factor = a[c][i] / a[c][c]
+            for j in range(i, k):
+                a[i][j] = a[i][j] - factor * a[c][j]
+            r[i] = r[i] - factor * r[c]
+    w = [None] * k
+    for i in reversed(range(k)):
+        s = r[i]
+        for j in range(i + 1, k):
+            s = s - a[i][j] * w[j]
+        w[i] = s / a[i][i]
+    return w
+
+
 def _project_oracle(m, xs, vec):
-    """GradientField.project as it was: hand-written k = 1 and k = 2."""
+    """GradientField.project written out for every k."""
     if isinstance(xs, np.ndarray) and xs.ndim == 2:
         with np.errstate(divide="raise", invalid="raise"):
-            return _project_branches(m, xs, vec, columns=True)
-    return _project_branches(m, xs, vec, columns=False)
+            return _project_branches(m, xs, vec)
+    return _project_branches(m, xs, vec)
 
 
-def _project_branches(m, xs, vec, columns):
+def _project_branches(m, xs, vec):
     constraints = _compiled(m)
     try:
         if len(constraints) == 1:
@@ -97,16 +146,16 @@ def _project_branches(m, xs, vec, columns):
             w1 = (a22 * r1 - a12 * r2) / det
             w2 = (a11 * r2 - a12 * r1) / det
             return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, vec)]
+        rows = [c.value_and_grad(xs)[1] for c in constraints]
+        w = _eliminate(rows, [_plain_dot(j, vec) for j in rows])
+        out = []
+        for b, *col in zip(vec, *rows):
+            for wi, a in zip(w, col):
+                b = b - wi * a
+            out.append(b)
+        return out
     except (ZeroDivisionError, FloatingPointError):
         raise RankDeficiencyError("rank deficient") from None
-    if not columns:
-        return list(_project_tangent_oracle(m, np.asarray(xs),
-                                            np.asarray(vec)))
-    _, jac = _values_and_jacobian_columns_oracle(m, xs)
-    v = np.empty((xs.shape[1], m.ambient_dim))
-    for i, b in enumerate(vec):
-        v[:, i] = b
-    return list((v - normal_part(jac, (jac @ v[..., None])[..., 0])).T)
 
 
 def _projected_gradient_oracle(m, f, xs):
@@ -143,8 +192,8 @@ def _project_tangent_oracle(m, x, v):
 
 
 def _step_branches(vals, rows):
-    """J^T (J J^T)^{-1} F written out for one or two rows, numpy's solve
-    for more; a singular Gram matrix raises."""
+    """J^T (J J^T)^{-1} F written out: one row, Cramer's rule for two,
+    `_eliminate` for more; a singular Gram matrix raises."""
     if len(rows) == 1:
         (j,), (r,) = rows, vals
         jj = 0.0
@@ -164,7 +213,14 @@ def _step_branches(vals, rows):
         w1 = (a22 * r1 - a12 * r2) / det
         w2 = (a11 * r2 - a12 * r1) / det
         return [w1 * u + w2 * v for u, v in zip(j1, j2)]
-    return normal_part(np.array(rows), np.array(vals)).tolist()
+    w = _eliminate(rows, vals)
+    step = []
+    for col in zip(*rows):
+        s = w[0] * col[0]
+        for wi, a in zip(w[1:], col[1:]):
+            s = s + wi * a
+        step.append(s)
+    return step
 
 
 def _plain_norm(v):
@@ -287,9 +343,12 @@ def test_field_matches_hand_written_projection(name):
     on, near, _ = _points(name)
     points = np.concatenate([on, near])
     rng = np.random.default_rng(3)
+    grad = compile_expression(f, m.ambient_dim)
     for x in points.tolist():
-        assert np.array_equal(field.projected_gradient(x),
-                              _projected_gradient_oracle(m, f, x))
+        got = field.projected_gradient(x)
+        assert np.array_equal(got, _projected_gradient_oracle(m, f, x))
+        assert np.allclose(got, _project_tangent_oracle(
+            m, np.array(x), grad.gradient(x)), rtol=0.0, atol=1e-14)
         v = rng.standard_normal(m.ambient_dim).tolist()
         assert np.array_equal(field.project(x, v), _project_oracle(m, x, v))
     cols = points.T.copy()
@@ -374,8 +433,15 @@ def test_error_parity():
         cone.project_tangent(apex, np.ones(3))
 
     sphere, _ = _scenario("sphere2")
+    sphere5, f5 = _scenario("sphere_in_r5")  # k = 3
+    origin5 = [0.0] * 5
+    with pytest.raises(RankDeficiencyError):
+        _projected_gradient_oracle(sphere5, f5, origin5)
+    with pytest.raises(RankDeficiencyError, match=r"at \[0.0, 0.0, 0.0"):
+        GradientField(sphere5, f5).projected_gradient(origin5)
     doubled = ImplicitManifold(3, list(sphere.constraints) * 2)
     for m, x in ((sphere, [0.0, 0.0, 0.0]),  # zero Jacobian row
+                 (sphere5, origin5),  # zero first pivot
                  (cone, apex),  # on M with a zero Jacobian row
                  (doubled, [0.6, 0.0, 0.9]),  # equal rows
                  (cone, [1e-3, 0.0, 0.5]),  # far from the cone's basin
@@ -400,6 +466,13 @@ def test_error_parity():
     assert np.array_equal(got[:, 1], sphere.retract(cols[:, 1], guard=None))
     got, ok = doubled.retract_columns(cols[:, 1:2])
     assert ok.tolist() == [False]
+    assert _outcome(sphere5.retract, origin5)[0] is RetractionError
+    cols = np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.9], [0.0, 0.0],
+                     [0.0, 0.0]])
+    with np.errstate(all="raise"):
+        got, ok = sphere5.retract_columns(cols)
+    assert ok.tolist() == [False, True]
+    assert np.array_equal(got[:, 1], sphere5.retract(cols[:, 1], guard=None))
 
     # the iteration limit, with a tolerance no iterate reaches
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
@@ -426,10 +499,11 @@ def test_error_parity():
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(CATALOG + ("sphere_cut",)),
+@given(name=st.sampled_from(CATALOG + ("sphere_cut", "sphere_in_r5",
+                                       "o3")),
        seed=st.integers(0, 2 ** 31 - 1))
 def test_kernel_on_random_functions(name, seed):
-    # a random f on a catalog manifold: the kernel against the tree's jet
+    # a random f on a test manifold: the kernel against the tree's jet
     # projected by the oracle, and bit for bit against the oracle
     # projection of the compiled gradient
     m, _ = _scenario(name)
