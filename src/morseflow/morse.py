@@ -3,8 +3,9 @@
 The stationarity system {P(x) grad f(x) = 0 on M} is solved in its
 multiplier form: grad f(x) = J(x)^T lam together with F(x) = 0. Both
 systems have the same zero set when J has full rank, and the multiplier
-form has an analytic Jacobian assembled from second-order jets, so plain
-Newton converges quadratically.
+form has an analytic Jacobian assembled from the generated second-order
+jets of f and the constraints (`evaluate_jet`), so plain Newton
+converges quadratically.
 """
 
 from dataclasses import dataclass
@@ -144,7 +145,6 @@ def _newton_solve(m, f, x0, max_iter=60, step_cap=0.5, res_tol=1e-11):
     """Newton on the multiplier system from one start; None on failure."""
     n = m.ambient_dim
     x = np.asarray(x0, dtype=float).copy()
-    compiled_f = compile_expression(f, n)
     lam = None
     for _ in range(max_iter):
         jet = evaluate_jet(f, x)

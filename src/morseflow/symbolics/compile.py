@@ -4,12 +4,13 @@ Trajectory integration evaluates constraint and objective gradients
 millions of times; recursing over the tree with numpy temporaries is an
 order of magnitude too slow for that. Instead each expression is
 flattened once into generated source that propagates the value and the
-(sparse) first-order derivatives as scalar locals.
+(sparse) derivatives as scalar locals.
 
 Three kinds of object are generated, all through `compile_expression`
 and its one cache:
 
-- one expression: its value, or its value and gradient;
+- one expression: its value, its value and gradient, or, on first use
+  and for one point, its second-order jet (value, gradient, Hessian);
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
   of a manifold: all values, or all values and the Jacobian rows, from
   one call; also `project`, the tangential part of a vector, and
@@ -33,7 +34,11 @@ functions for one point given as floats, once with their numpy ufuncs
 for many points given as coordinate columns. The arithmetic is the same
 elementwise, so both give the same bits where `math` and numpy agree.
 
-Second derivatives stay in `jets.evaluate_jet`.
+The jet is the only source of second derivatives (`jets.evaluate_jet`
+runs it). Its rules are the dense forward-over-forward rules written
+out entry by entry, in their order of operations, so it gives the bits
+of the tree-walking jets that the tests keep as its oracle, with the
+Hessian formed on and above the diagonal and mirrored.
 """
 
 import functools
@@ -73,12 +78,26 @@ class _Emitter:
         if isinstance(e, Var):
             return f"x{e.index}", {e.index: "1.0"}
         if isinstance(e, Const):
-            return repr(e.value), {}
+            return _const(e.value), {}
         if isinstance(e, Unary):
             return self._unary(e)
         if isinstance(e, Power):
             return self._power(e)
         return self._binary(e)
+
+    def combine(self, prefix, a, b, op):
+        """Entries of a + b or a - b from sparse operands."""
+        out = {}
+        for key in sorted(a.keys() | b.keys()):
+            if key in a and key in b:
+                out[key] = self.local(prefix, f"{a[key]} {op} {b[key]}")
+            elif key in a:
+                out[key] = a[key]
+            elif op == "+":
+                out[key] = b[key]
+            else:
+                out[key] = self.local(prefix, f"-{b[key]}")
+        return out
 
     def _grad_scale(self, grads, factor):
         return {j: self.local("g", f"{factor} * {g}") for j, g in grads.items()}
@@ -133,18 +152,8 @@ class _Emitter:
         vb, gb = self.walk(e.right)
         op = e.op
         if op == "+" or op == "-":
-            v = self.local("v", f"{va} {op} {vb}")
-            grads = {}
-            for j in set(ga) | set(gb):
-                if j in ga and j in gb:
-                    grads[j] = self.local("g", f"{ga[j]} {op} {gb[j]}")
-                elif j in ga:
-                    grads[j] = ga[j]
-                elif op == "+":
-                    grads[j] = gb[j]
-                else:
-                    grads[j] = self.local("g", f"-{gb[j]}")
-            return v, grads
+            return (self.local("v", f"{va} {op} {vb}"),
+                    self.combine("g", ga, gb, op))
         if op == "*":
             v = self.local("v", f"{va} * {vb}")
             grads = {}
@@ -173,6 +182,123 @@ class _Emitter:
             else:
                 grads[j] = self.local("g", f"-{v} * {gb[j]} * {winv}")
         return v, grads
+
+    # -- second order ------------------------------------------------------
+    #
+    # `jet` is the second-order mode: forward over forward (Griewank and
+    # Walther, Evaluating Derivatives, ch. 3) with dense rules written out
+    # per entry. Each entry is the sum the dense rule forms, term for term
+    # and in the same order (a ** k as a power, a quotient by the
+    # denominator), with the terms that are zero by structure left out,
+    # so it gives the same bits as the dense rule up to the sign of zero.
+    # Only the upper triangle i <= j is formed; its rule reads entry
+    # (i, j) of the operands only.
+
+    def jet(self, e):
+        """Return (value, {j: g_j}, {(i, j): h_ij for i <= j}) tokens."""
+        if isinstance(e, Var):
+            return f"x{e.index}", {e.index: "1.0"}, {}
+        if isinstance(e, Const):
+            return _const(e.value), {}, {}
+        if isinstance(e, Unary):
+            return self._jet_unary(e)
+        if isinstance(e, Power):
+            return self._jet_power(e)
+        return self._jet_binary(e)
+
+    def total(self, prefix, terms):
+        """One token for the left-to-right sum `terms`."""
+        text = " + ".join(terms)
+        return text if " " not in text else self.local(prefix, text)
+
+    def _jet_chain(self, v, ga, ha, d1, d2):
+        """Jet of u(a): d1 g and d1 h_ij + d2 (g_i g_j), d1 = u'(a),
+        d2 = u''(a)."""
+        g = {j: self.total("g", [_times(d1, t)]) for j, t in ga.items()}
+        h = {}
+        for i, j in _upper(ha, ga, ga):
+            terms = []
+            if (i, j) in ha:
+                terms.append(_times(d1, ha[i, j]))
+            if i in ga and j in ga:
+                terms.append(_times(d2, _paren(_times(ga[i], ga[j]))))
+            h[i, j] = self.total("h", terms)
+        return v, g, h
+
+    def _jet_unary(self, e):
+        va, ga, ha = self.jet(e.arg)
+        if e.op == "neg":
+            return (self.local("v", f"-{va}"),
+                    {j: self.local("g", f"-{t}") for j, t in ga.items()},
+                    {ij: self.local("h", f"-{t}") for ij, t in ha.items()})
+        v = self.local("v", f"{e.op}({va})")
+        if e.op == "sqrt":
+            # Always formed: it divides by zero exactly where the argument
+            # is 0, which with sqrt's own error covers every argument <= 0.
+            d1 = self.local("w", f"0.5 / {v}")
+        if not ga:
+            return v, {}, {}
+        if e.op == "sin":
+            d1, d2 = self.local("w", f"cos({va})"), self.local("w", f"-{v}")
+        elif e.op == "cos":
+            d1, d2 = self.local("w", f"-sin({va})"), self.local("w", f"-{v}")
+        elif e.op == "exp":
+            d1 = d2 = v
+        else:
+            d2 = self.local("w", f"-0.25 / ({va} * {v})")
+        return self._jet_chain(v, ga, ha, d1, d2)
+
+    def _jet_power(self, e):
+        va, ga, ha = self.jet(e.base)
+        k = e.exponent
+        if k == 0:
+            return "1.0", {}, {}
+        if k == 1:
+            return va, ga, ha
+        v = self.local("v", f"{va} ** {k}")
+        if not ga:
+            return v, {}, {}
+        # k * a ** (k - 1) and k * (k - 1) * a ** (k - 2), where a ** 1 is
+        # a and a ** 0 is 1.0 exactly.
+        d1 = self.local("w", f"{k} * {_power(va, k - 1)}")
+        if k == 2:
+            d2 = "2.0"
+        else:
+            d2 = self.local("w", f"{k} * {k - 1} * {_power(va, k - 2)}")
+        return self._jet_chain(v, ga, ha, d1, d2)
+
+    def _jet_binary(self, e):
+        va, ga, ha = self.jet(e.left)
+        vb, gb, hb = self.jet(e.right)
+        op = e.op
+        if op == "+" or op == "-":
+            return (self.local("v", f"{va} {op} {vb}"),
+                    self.combine("g", ga, gb, op), self.combine("h", ha, hb, op))
+        if op == "*":
+            # a h_b + b h_a + g_a g_b^T + (g_a g_b^T)^T
+            v = self.local("v", f"{va} * {vb}")
+            g = {j: self.total("g", _present(
+                     (va, gb.get(j)), (vb, ga.get(j))))
+                 for j in sorted(ga.keys() | gb.keys())}
+            h = {(i, j): self.total("h", _present(
+                     (va, hb.get((i, j))), (vb, ha.get((i, j))),
+                     (ga.get(i), gb.get(j)), (ga.get(j), gb.get(i))))
+                 for i, j in _upper(ha | hb, ga, gb)}
+            return v, g, h
+        # q = a / b: (g_a - q g_b) / b and
+        # (h_a - q h_b - g_q g_b^T - (g_q g_b^T)^T) / b
+        q = self.local("v", f"{va} / {vb}")
+        g = {}
+        for j in sorted(ga.keys() | gb.keys()):
+            num = _difference(ga.get(j), _present((q, gb.get(j))))
+            g[j] = self.local("g", f"{num} / {vb}")
+        h = {}
+        for i, j in _upper(ha | hb, g, gb):
+            num = _difference(ha.get((i, j)), _present(
+                (q, hb.get((i, j))), (g.get(i), gb.get(j)),
+                (g.get(j), gb.get(i))))
+            h[i, j] = self.local("h", f"{num} / {vb}")
+        return q, g, h
 
     def _weights(self, rows, rhs):
         """Tokens of w = (J J^T)^{-1} rhs for k rows J.
@@ -223,6 +349,54 @@ class _Emitter:
         w = self._weights(rows, vals)
         return [" + ".join(f"{wi} * {a}" for wi, a in zip(w, col))
                 for col in zip(*rows)]
+
+
+def _const(value):
+    """Source token of a constant, a negative one in parentheses: bare,
+    -2.0 ** 4 would read as -(2.0 ** 4)."""
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
+
+
+def _times(a, b):
+    """Source of a * b; a factor 1.0 is left out, which is exact."""
+    if a == "1.0":
+        return b
+    if b == "1.0":
+        return a
+    return f"{a} * {b}"
+
+
+def _paren(text):
+    return f"({text})" if " " in text else text
+
+
+def _power(a, k):
+    """Source of a ** k, with a ** 1 as a and a ** 0 as 1.0 (both exact)."""
+    if k == 0:
+        return "1.0"
+    if k == 1:
+        return a
+    return f"{a} ** {k}"
+
+
+def _present(*pairs):
+    """Products of the factor pairs whose factors are both present."""
+    return [_times(a, b) for a, b in pairs if a is not None and b is not None]
+
+
+def _difference(first, terms):
+    """Source of first - t1 - t2 ..., or -t1 - t2 ... without `first`."""
+    if first is None:
+        first, terms = f"-{terms[0]}", terms[1:]
+    return _paren(" - ".join([first, *terms]))
+
+
+def _upper(h, ga, gb):
+    """Sorted entries (i, j), i <= j, that h or g_a g_b^T makes nonzero."""
+    pairs = set(h)
+    pairs.update((min(i, j), max(i, j)) for i in ga for j in gb)
+    return sorted(pairs)
 
 
 def _dot(u, v):
@@ -294,6 +468,15 @@ def _step_code(constraints, n):
     return _build("_step", n, emitter, f"{_tuple(vals)}, {_tuple(step)}")
 
 
+def _jet_code(e, n):
+    emitter = _Emitter(with_grad=True)
+    val, grad, hess = emitter.jet(e)
+    entries = [hess.get((min(i, j), max(i, j)), "0.0")
+               for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _build("_jet", n, emitter,
+                  f"{val}, {_tuple(_dense(grad, n))}, {_tuple(entries)}")
+
+
 def _define(code, name, namespace):
     """Run compiled source in a fresh scope of `namespace`; its function."""
     scope = dict(namespace)
@@ -310,8 +493,9 @@ def _pair(code, name):
 class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
-    - `expression` one expression: `value` gives a float and
-      `value_and_grad` (value, gradient tuple of length ambient_dim).
+    - `expression` one expression: `value` gives a float,
+      `value_and_grad` (value, gradient tuple of length ambient_dim) and
+      `jet` (value, gradient array, Hessian array).
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
       `value_and_grad` (values, Jacobian rows), `project(x, vec)` the
@@ -321,7 +505,7 @@ class CompiledExpression:
     - `expression` f with `constraints`: the field kernel.
       `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x)).
 
-    `value` takes one point; the other methods also take an
+    `value` and `jet` take one point; the other methods also take an
     (ambient_dim, N) array whose columns are N points, and then each
     number above is a length-N array, or a float where it does not
     depend on x. A domain error raises EvaluationError naming the first
@@ -333,7 +517,7 @@ class CompiledExpression:
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project",
-        "_project_columns", "_step", "_step_columns",
+        "_project_columns", "_step", "_step_columns", "_jet",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -364,7 +548,7 @@ class CompiledExpression:
             code = _value_grad_code(exprs, n, single)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._project = self._project_columns = None
-        self._step = self._step_columns = None
+        self._step = self._step_columns = self._jet = None
         if not single:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
@@ -377,6 +561,25 @@ class CompiledExpression:
             return self._value(*_as_floats(x))
         except _FAILURES as exc:
             raise self._failure("value", x, exc, False) from exc
+
+    def jet(self, x):
+        """(value, gradient, Hessian) of one expression at one point.
+
+        The gradient is an array of length ambient_dim and the Hessian an
+        (ambient_dim, ambient_dim) array, exactly symmetric. The code is
+        generated on the first call. Every failure raises EvaluationError,
+        and so does an argument 0 of sqrt, where its derivative is
+        unbounded.
+        """
+        if self._jet is None:
+            self._jet = _define(_jet_code(self.expression, self.ambient_dim),
+                                "_jet", _NAMESPACE)
+        try:
+            value, grad, hess = self._jet(*_as_floats(x))
+        except _FAILURES as exc:
+            raise EvaluationError(str(exc), self._text) from exc
+        n = self.ambient_dim
+        return value, np.array(grad), np.array(hess).reshape(n, n)
 
     def value_and_grad(self, x):
         """See the class docstring. For columns, numpy division by zero,

@@ -65,6 +65,8 @@ def _level(e):
         return _LEVEL_NEG if e.op == "neg" else _LEVEL_ATOM
     if isinstance(e, Power):
         return _LEVEL_POW
+    if isinstance(e, Const) and e.value < 0:
+        return _LEVEL_NEG
     return _LEVEL_ATOM
 
 

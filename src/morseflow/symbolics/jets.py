@@ -1,8 +1,10 @@
-"""Second-order forward-mode differentiation on expression trees.
+"""Second-order jets and plain values of expression trees.
 
-A jet carries (value, gradient, Hessian) and is propagated node by node,
-so derivatives are exact up to rounding; no finite differences and no
-symbolic expansion are involved.
+A jet carries (value, gradient, Hessian). `evaluate_jet` runs the code
+that `compile.py` generates for it, forward over forward, so the
+derivatives are exact up to rounding; no finite differences and no
+symbolic expansion are involved. The Hessian is formed on and above the
+diagonal and mirrored, so it is symmetric as stored.
 """
 
 import math
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EvaluationError
-from .expr import Binary, Const, Power, Unary, Var, max_variable_index, to_string
+from .compile import compile_expression
+from .expr import Binary, Const, Power, Unary, Var, to_string
 
 
 @dataclass(frozen=True)
@@ -61,81 +64,13 @@ def evaluate(e, x):
 def evaluate_jet(e, x):
     """Value, gradient and Hessian of `e` at `x`.
 
-    The Hessian is symmetric as stored since every propagation rule only
-    adds symmetric terms. Singular operations raise EvaluationError
-    naming the offending subexpression.
+    A division by zero, sqrt of an argument <= 0, a zero base with a
+    negative exponent, an overflow or a point shorter than the
+    expression needs raises EvaluationError.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    needed = max_variable_index(e)
-    if needed > n:
-        raise EvaluationError(
-            f"expression references x{needed} but the point has length {n}"
-        )
-    v, g, h = _jet(e, x, n)
-    return SecondOrderJet(v, g, h)
-
-
-def _chain(v, g, h, d1, d2):
-    # Jet of u(a) from the jet of a: u' * grad, u' * hess + u'' * g g^T.
-    return d1 * g, d1 * h + d2 * np.outer(g, g)
-
-
-def _jet(e, x, n):
-    if isinstance(e, Var):
-        g = np.zeros(n)
-        g[e.index - 1] = 1.0
-        return float(x[e.index - 1]), g, np.zeros((n, n))
-    if isinstance(e, Const):
-        return e.value, np.zeros(n), np.zeros((n, n))
-    if isinstance(e, Unary):
-        va, ga, ha = _jet(e.arg, x, n)
-        if e.op == "neg":
-            return -va, -ga, -ha
-        if e.op == "sin":
-            g, h = _chain(va, ga, ha, math.cos(va), -math.sin(va))
-            return math.sin(va), g, h
-        if e.op == "cos":
-            g, h = _chain(va, ga, ha, -math.sin(va), -math.cos(va))
-            return math.cos(va), g, h
-        if e.op == "exp":
-            ev = math.exp(va)
-            g, h = _chain(va, ga, ha, ev, ev)
-            return ev, g, h
-        if va <= 0.0:
-            # At exactly zero the derivative of sqrt is unbounded.
-            raise EvaluationError(
-                "sqrt domain error (argument <= 0)", to_string(e)
-            )
-        root = math.sqrt(va)
-        g, h = _chain(va, ga, ha, 0.5 / root, -0.25 / (va * root))
-        return root, g, h
-    if isinstance(e, Power):
-        va, ga, ha = _jet(e.base, x, n)
-        k = e.exponent
-        if k == 0:
-            return 1.0, np.zeros(n), np.zeros((n, n))
-        if k == 1:
-            return va, ga, ha
-        if k < 0 and va == 0.0:
-            raise EvaluationError(
-                "zero base with negative exponent", to_string(e)
-            )
-        g, h = _chain(va, ga, ha, k * va ** (k - 1), k * (k - 1) * va ** (k - 2))
-        return va ** k, g, h
-    va, ga, ha = _jet(e.left, x, n)
-    vb, gb, hb = _jet(e.right, x, n)
-    if e.op == "+":
-        return va + vb, ga + gb, ha + hb
-    if e.op == "-":
-        return va - vb, ga - gb, ha - hb
-    if e.op == "*":
-        cross = np.outer(ga, gb)
-        return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.T
-    if vb == 0.0:
-        raise EvaluationError("division by zero", to_string(e))
-    q = va / vb
-    gq = (ga - q * gb) / vb
-    cross = np.outer(gq, gb)
-    hq = (ha - q * hb - cross - cross.T) / vb
-    return q, gq, hq
+    try:
+        compiled = compile_expression(e, x.shape[0])
+    except ValueError as exc:
+        raise EvaluationError(str(exc)) from exc
+    return SecondOrderJet(*compiled.jet(x))

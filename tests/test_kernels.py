@@ -503,9 +503,9 @@ def test_error_parity():
                                        "o3")),
        seed=st.integers(0, 2 ** 31 - 1))
 def test_kernel_on_random_functions(name, seed):
-    # a random f on a test manifold: the kernel against the tree's jet
-    # projected by the oracle, and bit for bit against the oracle
-    # projection of the compiled gradient
+    # a random f on a test manifold: the kernel against the gradient of
+    # the second-order jet projected by the oracle, and bit for bit
+    # against the oracle projection of the compiled gradient
     m, _ = _scenario(name)
     rng = np.random.default_rng(seed)
     f = _random_expression(rng, m.ambient_dim, depth=4)

@@ -3,8 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from morseflow import find_critical_points, geometric_constants, intrinsic_hessian, parse
-from morseflow.errors import NotCriticalError, TooFewCriticalPointsError
+from morseflow import (
+    ImplicitManifold,
+    build_connection_graph,
+    check_connected,
+    find_critical_points,
+    flatness_test,
+    geometric_constants,
+    intrinsic_hessian,
+    parse,
+    propagate_constancy,
+)
+from morseflow.errors import (
+    DisconnectedGraphError,
+    NonMorseError,
+    NotCriticalError,
+    TooFewCriticalPointsError,
+)
 from morseflow.linalg import jacobi_eigh
 from morseflow.morse import classify_point
 
@@ -126,6 +141,67 @@ def test_constant_function_flags_degenerate(sphere):
     crits = find_critical_points(sphere.manifold, parse("1", 3), 20, seed=0)
     assert len(crits) > 0
     assert crits.any_degenerate()
+
+
+def test_orthogonal_group_census():
+    # O(3) in R^9 (six constraints, X^T X = I) with f = tr(D X),
+    # D = diag(1, 2, 3): the critical points are the eight diagonal sign
+    # matrices S, with f(S) = sum d_i s_i and intrinsic Hessian
+    # eigenvalues -(d_i s_i + d_j s_j) / 2 for i < j, so the index counts
+    # the positive sums. A flow keeps the sign of det, so the connection
+    # graph splits into SO(3) and its coset.
+    m = ImplicitManifold(9, [
+        parse(" + ".join(f"x{i + r}*x{j + r}" for r in (0, 3, 6))
+              + (" - 1" if i == j else ""), 9)
+        for i in (1, 2, 3) for j in range(i, 4)
+    ], bounding_box=(-1.2, 1.2))
+    f = parse("x1 + 2*x5 + 3*x9", 9)
+    crits = find_critical_points(m, f, 40, seed=0)
+    assert len(crits) == 8 and not crits.any_degenerate()
+    d = np.array([1.0, 2.0, 3.0])
+    found = set()
+    for p in crits:
+        s = np.sign(np.diag(p.location.reshape(3, 3)))
+        assert np.allclose(p.location, np.diag(s).ravel(), atol=1e-9)
+        sums = [d[i] * s[i] + d[j] * s[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert p.value == pytest.approx(float(d @ s), abs=1e-9)
+        assert np.allclose(p.eigenvalues, np.sort(-0.5 * np.array(sums)),
+                           atol=1e-9)
+        assert p.index == sum(v > 0 for v in sums)
+        found.add(tuple(s))
+    assert len(found) == 8
+    graph = build_connection_graph(m, f, crits)
+    connected, parts = check_connected(graph)
+    assert not connected
+    assert parts == [{0, 4, 5, 6}, {1, 2, 3, 7}]
+    for part in parts:
+        assert len({np.sign(np.linalg.det(crits[i].location.reshape(3, 3)))
+                    for i in part}) == 1
+    with pytest.raises(DisconnectedGraphError):
+        propagate_constancy(graph, [f])
+
+
+def test_morse_bott_function_is_flagged(sphere):
+    # f = x3^2 on S^2 is critical on the whole equator (f = 0, intrinsic
+    # Hessian eigenvalues 0 and 2) and at the poles (f = 1, eigenvalues
+    # -2, -2). The equator's zero eigenvalue comes out as rounding of
+    # either sign, so its index is not checked.
+    m = sphere.manifold
+    f = parse("x3^2", 3)
+    crits = find_critical_points(m, f, 200, seed=0)
+    equator = [p for p in crits if abs(p.location[2]) < 1e-12]
+    poles = [p for p in crits if abs(p.location[2]) >= 1e-12]
+    assert len(equator) > 100
+    assert all(p.degenerate for p in equator)
+    assert len(poles) == 2
+    for p in poles:
+        assert not p.degenerate and p.index == 2
+        assert p.value == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(p.eigenvalues, [-2.0, -2.0], atol=1e-8)
+    with pytest.raises(NonMorseError):
+        build_connection_graph(m, f, crits)
+    with pytest.raises(NonMorseError):
+        flatness_test(m, f, crits, 2, seed=0)
 
 
 def test_geometric_constants_sphere(sphere):

@@ -1,8 +1,13 @@
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morseflow import load_scenario
 from morseflow.errors import EvaluationError, ExpressionSyntaxError
 from morseflow.symbolics import (
     Binary,
@@ -17,6 +22,133 @@ from morseflow.symbolics import (
     to_string,
 )
 from morseflow.acceptance import _random_expression
+
+
+# -- the tree oracle ---------------------------------------------------------
+#
+# Second-order forward mode walked node by node on dense numpy arrays, the
+# rules the generated `evaluate_jet` writes out entry by entry.
+
+def _tree_jet(e, x):
+    """(value, gradient, Hessian) of `e` at `x` by walking the tree."""
+    x = np.asarray(x, dtype=float)
+    return _jet(e, x, x.shape[0])
+
+
+def _chain(v, g, h, d1, d2):
+    # Jet of u(a) from the jet of a: u' * grad, u' * hess + u'' * g g^T.
+    return d1 * g, d1 * h + d2 * np.outer(g, g)
+
+
+def _jet(e, x, n):
+    if isinstance(e, Var):
+        g = np.zeros(n)
+        g[e.index - 1] = 1.0
+        return float(x[e.index - 1]), g, np.zeros((n, n))
+    if isinstance(e, Const):
+        return e.value, np.zeros(n), np.zeros((n, n))
+    if isinstance(e, Unary):
+        va, ga, ha = _jet(e.arg, x, n)
+        if e.op == "neg":
+            return -va, -ga, -ha
+        if e.op == "sin":
+            g, h = _chain(va, ga, ha, math.cos(va), -math.sin(va))
+            return math.sin(va), g, h
+        if e.op == "cos":
+            g, h = _chain(va, ga, ha, -math.sin(va), -math.cos(va))
+            return math.cos(va), g, h
+        if e.op == "exp":
+            ev = math.exp(va)
+            g, h = _chain(va, ga, ha, ev, ev)
+            return ev, g, h
+        if va <= 0.0:
+            # At exactly zero the derivative of sqrt is unbounded.
+            raise EvaluationError(
+                "sqrt domain error (argument <= 0)", to_string(e)
+            )
+        root = math.sqrt(va)
+        g, h = _chain(va, ga, ha, 0.5 / root, -0.25 / (va * root))
+        return root, g, h
+    if isinstance(e, Power):
+        va, ga, ha = _jet(e.base, x, n)
+        k = e.exponent
+        if k == 0:
+            return 1.0, np.zeros(n), np.zeros((n, n))
+        if k == 1:
+            return va, ga, ha
+        if k < 0 and va == 0.0:
+            raise EvaluationError(
+                "zero base with negative exponent", to_string(e)
+            )
+        g, h = _chain(va, ga, ha, k * va ** (k - 1), k * (k - 1) * va ** (k - 2))
+        return va ** k, g, h
+    va, ga, ha = _jet(e.left, x, n)
+    vb, gb, hb = _jet(e.right, x, n)
+    if e.op == "+":
+        return va + vb, ga + gb, ha + hb
+    if e.op == "-":
+        return va - vb, ga - gb, ha - hb
+    if e.op == "*":
+        cross = np.outer(ga, gb)
+        return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.T
+    if vb == 0.0:
+        raise EvaluationError("division by zero", to_string(e))
+    q = va / vb
+    gq = (ga - q * gb) / vb
+    cross = np.outer(gq, gb)
+    hq = (ha - q * hb - cross - cross.T) / vb
+    return q, gq, hq
+
+
+def _signed_tree(rng, n, depth):
+    """A random tree with negative and zero constants, exponents -2..4 and,
+    from constant leaves, constant sqrt and division subtrees."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        pick = rng.random()
+        if pick < 0.5:
+            return Var(int(rng.integers(1, n + 1)))
+        if pick < 0.6:
+            return Const(0.0)
+        return Const(float(np.round(rng.uniform(-2.2, 2.2), 3)))
+    if roll < 0.50:
+        return Binary("+-*/"[rng.integers(0, 4)],
+                      _signed_tree(rng, n, depth - 1),
+                      _signed_tree(rng, n, depth - 1))
+    if roll < 0.80:
+        op = ("neg", "sin", "cos", "exp", "sqrt")[rng.integers(0, 5)]
+        return Unary(op, _signed_tree(rng, n, depth - 1))
+    return Power(_signed_tree(rng, n, depth - 1), int(rng.integers(-2, 5)))
+
+
+def _assert_matches_oracle(e, x):
+    """The generated jet against the tree oracle at x: the same
+    EvaluationError, or value, gradient and upper triangle bit for bit
+    and an exactly symmetric Hessian. Where the oracle fails otherwise
+    (overflow, or a numpy warning from inf * 0 in a dense product) only
+    the EvaluationError is checked. Returns what the oracle did."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                value, grad, hess = _tree_jet(e, x)
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            evaluate_jet(e, x)
+        return "raised"
+    except (ArithmeticError, ValueError, RuntimeWarning):
+        try:
+            evaluate_jet(e, x)
+        except EvaluationError:
+            pass
+        return "failed"
+    jet = evaluate_jet(e, x)
+    upper = np.triu_indices(len(x))
+    assert np.array_equal([jet.value], [value], equal_nan=True)
+    assert np.array_equal(jet.gradient, grad, equal_nan=True)
+    assert np.array_equal(jet.hessian[upper], hess[upper], equal_nan=True)
+    assert np.array_equal(jet.hessian, jet.hessian.T, equal_nan=True)
+    return "equal"
 
 
 def test_parse_single_variable():
@@ -93,15 +225,29 @@ def test_jet_product_rule():
 
 def test_jet_hessian_exactly_symmetric():
     rng = np.random.default_rng(7)
-    for _ in range(40):
+    checked = 0
+    for i in range(400):
         n = int(rng.integers(1, 4))
-        expr = _random_expression(rng, n, depth=4)
+        make = _signed_tree if i % 2 else _random_expression
+        expr = make(rng, n, 4)
         x = rng.uniform(-1.0, 1.0, n)
         try:
             jet = evaluate_jet(expr, x)
         except EvaluationError:
             continue
-        assert np.array_equal(jet.hessian, jet.hessian.T)
+        checked += 1
+        assert np.array_equal(jet.hessian, jet.hessian.T, equal_nan=True)
+    assert checked > 300
+    # The tree adds the two cross terms of a quotient's Hessian in the
+    # other order below the diagonal, so its h_13 and h_31 differ here;
+    # the jet mirrors the tree's upper triangle.
+    expr = parse("x3 / exp((x3 + x1)^2)", 3)
+    x = [-0.6135018046021679, -0.5777686298473714, -0.6310810009203371]
+    hess = _tree_jet(expr, x)[2]
+    assert hess[0, 2] != hess[2, 0]
+    jet = evaluate_jet(expr, x)
+    assert jet.hessian[0, 2] == jet.hessian[2, 0] == hess[0, 2]
+    assert _assert_matches_oracle(expr, x) == "equal"
 
 
 def test_jet_sum_linearity():
@@ -161,6 +307,7 @@ def test_roundtrip_random_trees():
 
 
 def test_compiled_matches_jets():
+    # the first-order code against the tree oracle
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 60:
@@ -169,17 +316,17 @@ def test_compiled_matches_jets():
         compiled = compile_expression(expr, n)
         x = rng.uniform(-1.2, 1.2, n)
         try:
-            jet = evaluate_jet(expr, x)
+            value_t, grad_t, _ = _tree_jet(expr, x)
             value, grad = compiled.value_and_grad(x)
         except EvaluationError:
             continue
-        if not np.all(np.isfinite(jet.gradient)) or abs(jet.value) > 1e8:
+        if not np.all(np.isfinite(grad_t)) or abs(value_t) > 1e8:
             continue
         checked += 1
-        scale = max(1.0, abs(jet.value))
-        assert abs(value - jet.value) <= 1e-12 * scale
-        gscale = np.maximum(1.0, np.abs(jet.gradient))
-        assert np.all(np.abs(np.array(grad) - jet.gradient) <= 1e-11 * gscale)
+        scale = max(1.0, abs(value_t))
+        assert abs(value - value_t) <= 1e-12 * scale
+        gscale = np.maximum(1.0, np.abs(grad_t))
+        assert np.all(np.abs(np.array(grad) - grad_t) <= 1e-11 * gscale)
 
 
 def test_jet_matches_fd_well_conditioned():
@@ -244,3 +391,86 @@ def test_compiled_columns_domain_errors():
         compile_expression(parse("x2 / (x1 + 1)", 2), 2).value_and_grad(cols)
     with pytest.raises(EvaluationError):
         compile_expression(parse("exp(1000 * x2)", 2), 2).value_and_grad(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+       depth=st.integers(1, 6), signed=st.booleans())
+def test_jet_matches_tree_oracle(seed, n, depth, signed):
+    rng = np.random.default_rng(seed)
+    make = _signed_tree if signed else _random_expression
+    _assert_matches_oracle(make(rng, n, depth), rng.uniform(-1.5, 1.5, n))
+
+
+def test_jet_matches_tree_oracle_on_random_trees():
+    # a fixed sample of the property above, large enough that every
+    # outcome shows
+    rng = np.random.default_rng(17)
+    outcomes = collections.Counter()
+    for i in range(1500):
+        n = int(rng.integers(1, 5))
+        expr = (_signed_tree if i % 2 else _random_expression)(rng, n, 5)
+        outcomes[_assert_matches_oracle(expr, rng.uniform(-1.5, 1.5, n))] += 1
+    assert outcomes["equal"] > 1000
+    assert outcomes["raised"] > 100
+    assert outcomes["failed"] > 0
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphereM", "torus_upright",
+                                  "clifford"])
+def test_jet_matches_tree_oracle_on_catalog(name):
+    # f and every F_i of a catalog scenario: the whole Hessian, not only
+    # the upper triangle, is the tree's
+    scenario = load_scenario(name)
+    m = scenario.build_manifold()
+    for x in m.sample_points(200, seed=3):
+        for expr in (scenario.build_function(), *m.constraints):
+            jet = evaluate_jet(expr, x)
+            value, grad, hess = _tree_jet(expr, x)
+            assert jet.value == value
+            assert np.array_equal(jet.gradient, grad)
+            assert np.array_equal(jet.hessian, hess)
+
+
+NEGATIVE_CONSTANTS = [
+    Power(Const(-2.0), 4),
+    Power(Const(-2.0), 3),
+    Binary("*", Power(Const(-0.5), 2), Var(1)),
+    Binary("*", Const(-1.5), Power(Var(1), 3)),
+    Power(Binary("+", Var(1), Const(-2.0)), 3),
+    Binary("-", Var(2), Power(Const(-3.0), 2)),
+    Binary("/", Power(Const(-2.0), 2), Binary("-", Var(1), Const(-1.0))),
+    Unary("neg", Power(Const(-1.25), 2)),
+    Unary("exp", Binary("*", Power(Const(-0.0), 2), Var(2))),
+]
+
+
+@pytest.mark.parametrize("expr", NEGATIVE_CONSTANTS, ids=to_string)
+def test_negative_constants_in_generated_code(expr):
+    # -2.0 ** 4 is -(2.0 ** 4) in Python, so a bare negative constant
+    # token read 16 as -16; the printed form had the same fault
+    x = [0.7, -1.3]
+    want = evaluate(expr, x)
+    assert evaluate(parse(to_string(expr), 2), x) == want
+    compiled = compile_expression(expr, 2)
+    assert compiled.value(x) == want
+    assert compiled.value_and_grad(x)[0] == want
+    assert evaluate_jet(expr, x).value == want
+    assert _assert_matches_oracle(expr, x) == "equal"
+    value, grad = compiled.value_and_grad(x)
+    assert np.allclose(grad, _tree_jet(expr, x)[1], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("text, x", [
+    ("exp(x1)", [1000.0]),           # math.exp overflows
+    ("x1^400", [1e3]),               # float ** int overflows
+    ("sqrt(0) * x1", [1.0]),         # constant sqrt argument 0
+    ("sqrt(1 - 1) + x1", [1.0]),     # the same, computed
+    ("sqrt(-1) * x1", [1.0]),        # constant sqrt argument < 0
+    ("x1 / (2 - 2)", [1.0]),         # constant division by zero
+    ("x1 + x3", [1.0, 2.0]),         # point shorter than the expression
+])
+def test_jet_failures_are_evaluation_errors(text, x):
+    with pytest.raises(EvaluationError):
+        evaluate_jet(parse(text, 3), x)
+
