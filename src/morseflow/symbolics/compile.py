@@ -6,11 +6,15 @@ order of magnitude too slow for that. Instead each expression is
 flattened once into generated source that propagates the value and the
 (sparse) derivatives as scalar locals.
 
-Three kinds of object are generated, all through `compile_expression`
-and its one cache:
+All of it comes from one walk over the tree, the forward-mode rules of
+each node run to an order: 0 for values, 1 for values and gradients, 2
+for the second-order jet (value, gradient, Hessian), so a value or a
+gradient has the same bits whichever method asks for it. Three kinds of
+object are generated, all through `compile_expression` and its one
+cache:
 
-- one expression: its value, its value and gradient, or, on first use
-  and for one point, its second-order jet (value, gradient, Hessian);
+- one expression: its value (order 0), its value and gradient (order
+  1), or, on first use and for one point, its jet (order 2);
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
   of a manifold: all values, or all values and the Jacobian rows, from
   one call; also `project`, the tangential part of a vector, and
@@ -29,16 +33,12 @@ tangent projection and the retraction all give the bits of that
 arithmetic done term by term on floats, for one point and for columns;
 numpy's solve agrees to rounding (within 1e-14 on the test scenarios).
 
-Each source is compiled once and executed twice: once with the `math`
-functions for one point given as floats, once with their numpy ufuncs
-for many points given as coordinate columns. The arithmetic is the same
-elementwise, so both give the same bits where `math` and numpy agree.
-
-The jet is the only source of second derivatives (`jets.evaluate_jet`
-runs it). Its rules are the dense forward-over-forward rules written
-out entry by entry, in their order of operations, so it gives the bits
-of the tree-walking jets that the tests keep as its oracle, with the
-Hessian formed on and above the diagonal and mirrored.
+Each first-order source is compiled once and executed twice: once with
+the `math` functions for one point given as floats, once with their
+numpy ufuncs for many points given as coordinate columns. The arithmetic
+is the same elementwise, so both give the same bits where `math` and
+numpy agree. The jet, the only source of second derivatives
+(`jets.evaluate_jet` runs it), is generated for one point only.
 """
 
 import functools
@@ -58,32 +58,19 @@ _FAILURES = (
 
 
 class _Emitter:
-    def __init__(self, with_grad):
+    """Source lines of one generated function: the node rules run to
+    `order` 0, 1 or 2, and the Gram solve of `project`/`normal_step`."""
+
+    def __init__(self, order):
         self.lines = []
         self.counter = 0
-        self.with_grad = with_grad
-
-    def fresh(self, prefix):
-        name = f"{prefix}{self.counter}"
-        self.counter += 1
-        return name
+        self.order = order
 
     def local(self, prefix, rhs):
-        name = self.fresh(prefix)
+        name = f"{prefix}{self.counter}"
+        self.counter += 1
         self.lines.append(f"    {name} = {rhs}")
         return name
-
-    def walk(self, e):
-        """Return (value_token, {var_index: derivative_token})."""
-        if isinstance(e, Var):
-            return f"x{e.index}", {e.index: "1.0"}
-        if isinstance(e, Const):
-            return _const(e.value), {}
-        if isinstance(e, Unary):
-            return self._unary(e)
-        if isinstance(e, Power):
-            return self._power(e)
-        return self._binary(e)
 
     def combine(self, prefix, a, b, op):
         """Entries of a + b or a - b from sparse operands."""
@@ -99,105 +86,28 @@ class _Emitter:
                 out[key] = self.local(prefix, f"-{b[key]}")
         return out
 
-    def _grad_scale(self, grads, factor):
-        return {j: self.local("g", f"{factor} * {g}") for j, g in grads.items()}
-
-    def _unary(self, e):
-        va, ga = self.walk(e.arg)
-        if e.op == "neg":
-            v = self.local("v", f"-{va}")
-            return v, {j: self.local("g", f"-{g}") for j, g in ga.items()}
-        if e.op == "sin":
-            v = self.local("v", f"sin({va})")
-            if not (self.with_grad and ga):
-                return v, {}
-            w = self.local("w", f"cos({va})")
-        elif e.op == "cos":
-            v = self.local("v", f"cos({va})")
-            if not (self.with_grad and ga):
-                return v, {}
-            w = self.local("w", f"-sin({va})")
-        elif e.op == "exp":
-            v = self.local("v", f"exp({va})")
-            if not (self.with_grad and ga):
-                return v, {}
-            w = v
-        else:  # sqrt
-            v = self.local("v", f"sqrt({va})")
-            if not (self.with_grad and ga):
-                return v, {}
-            w = self.local("w", f"0.5 / {v}")
-        return v, self._grad_scale(ga, w)
-
-    def _power(self, e):
-        va, ga = self.walk(e.base)
-        k = e.exponent
-        if k == 0:
-            return "1.0", {}
-        if k == 1:
-            return va, ga
-        if k == 2:
-            v = self.local("v", f"{va} * {va}")
-            scale = f"2.0 * {va}"
-        else:
-            v = self.local("v", f"{va} ** {k}")
-            scale = f"{float(k)!r} * {va} ** {k - 1}"
-        if not (self.with_grad and ga):
-            return v, {}
-        w = self.local("w", scale)
-        return v, self._grad_scale(ga, w)
-
-    def _binary(self, e):
-        va, ga = self.walk(e.left)
-        vb, gb = self.walk(e.right)
-        op = e.op
-        if op == "+" or op == "-":
-            return (self.local("v", f"{va} {op} {vb}"),
-                    self.combine("g", ga, gb, op))
-        if op == "*":
-            v = self.local("v", f"{va} * {vb}")
-            grads = {}
-            for j in set(ga) | set(gb):
-                if j in ga and j in gb:
-                    grads[j] = self.local(
-                        "g", f"{va} * {gb[j]} + {vb} * {ga[j]}"
-                    )
-                elif j in ga:
-                    grads[j] = self.local("g", f"{vb} * {ga[j]}")
-                else:
-                    grads[j] = self.local("g", f"{va} * {gb[j]}")
-            return v, grads
-        v = self.local("v", f"{va} / {vb}")
-        if not (self.with_grad and (ga or gb)):
-            return v, {}
-        winv = self.local("w", f"1.0 / {vb}")
-        grads = {}
-        for j in set(ga) | set(gb):
-            if j in ga and j in gb:
-                grads[j] = self.local(
-                    "g", f"({ga[j]} - {v} * {gb[j]}) * {winv}"
-                )
-            elif j in ga:
-                grads[j] = self.local("g", f"{ga[j]} * {winv}")
-            else:
-                grads[j] = self.local("g", f"-{v} * {gb[j]} * {winv}")
-        return v, grads
-
-    # -- second order ------------------------------------------------------
+    # -- the node rules ----------------------------------------------------
     #
-    # `jet` is the second-order mode: forward over forward (Griewank and
-    # Walther, Evaluating Derivatives, ch. 3) with dense rules written out
-    # per entry. Each entry is the sum the dense rule forms, term for term
-    # and in the same order (a ** k as a power, a quotient by the
-    # denominator), with the terms that are zero by structure left out,
-    # so it gives the same bits as the dense rule up to the sign of zero.
-    # Only the upper triangle i <= j is formed; its rule reads entry
-    # (i, j) of the operands only.
+    # Forward mode over forward mode (Griewank and Walther, Evaluating
+    # Derivatives, ch. 3) with the dense rules written out per entry, cut
+    # at `order`: 0 forms values, 1 adds gradients, 2 adds the upper
+    # Hessian triangle i <= j, whose rule reads entry (i, j) of the
+    # operands only. An entry above the order is never formed, and an
+    # entry up to it is the same source at every order. Each entry is the
+    # sum the dense rule forms, term for term and in the same order (a
+    # quotient by the denominator, a ** k as a power), with the terms that
+    # are zero by structure and the factors 1.0 left out, so it gives the
+    # bits of the tree-walking jets that the tests keep as the oracle, up
+    # to the sign of zero; the Hessian is mirrored below the diagonal. A
+    # square is a * a, not a ** 2: libm's pow(a, 2) differs from a * a in
+    # the last bit on about 0.08% of doubles, while numpy's a ** 2 of
+    # columns is the product, so only a * a keeps points and columns equal.
 
     def jet(self, e):
-        """Return (value, {j: g_j}, {(i, j): h_ij for i <= j}) tokens."""
+        """Return (value, {j: g_j}, {(i, j): h_ij for i <= j}) tokens; the
+        gradient is empty at order 0 and the Hessian below order 2."""
         if isinstance(e, Var):
-            return f"x{e.index}", {e.index: "1.0"}, {}
+            return f"x{e.index}", {e.index: "1.0"} if self.order else {}, {}
         if isinstance(e, Const):
             return _const(e.value), {}, {}
         if isinstance(e, Unary):
@@ -211,12 +121,25 @@ class _Emitter:
         text = " + ".join(terms)
         return text if " " not in text else self.local(prefix, text)
 
+    def second(self, text):
+        """A local for a second-derivative factor, at order 2 only."""
+        return self.local("w", text) if self.order == 2 else None
+
+    def upper(self, h, ga, gb):
+        """Sorted entries (i, j), i <= j, that h or g_a g_b^T makes
+        nonzero; none below order 2."""
+        if self.order < 2:
+            return []
+        pairs = set(h)
+        pairs.update((min(i, j), max(i, j)) for i in ga for j in gb)
+        return sorted(pairs)
+
     def _jet_chain(self, v, ga, ha, d1, d2):
         """Jet of u(a): d1 g and d1 h_ij + d2 (g_i g_j), d1 = u'(a),
         d2 = u''(a)."""
         g = {j: self.total("g", [_times(d1, t)]) for j, t in ga.items()}
         h = {}
-        for i, j in _upper(ha, ga, ga):
+        for i, j in self.upper(ha, ga, ga):
             terms = []
             if (i, j) in ha:
                 terms.append(_times(d1, ha[i, j]))
@@ -232,20 +155,21 @@ class _Emitter:
                     {j: self.local("g", f"-{t}") for j, t in ga.items()},
                     {ij: self.local("h", f"-{t}") for ij, t in ha.items()})
         v = self.local("v", f"{e.op}({va})")
-        if e.op == "sqrt":
-            # Always formed: it divides by zero exactly where the argument
-            # is 0, which with sqrt's own error covers every argument <= 0.
+        if e.op == "sqrt" and (ga or self.order == 2):
+            # At order 2 formed even for a constant argument: it divides
+            # by zero exactly where the argument is 0, which with sqrt's
+            # own error covers every argument <= 0.
             d1 = self.local("w", f"0.5 / {v}")
         if not ga:
             return v, {}, {}
         if e.op == "sin":
-            d1, d2 = self.local("w", f"cos({va})"), self.local("w", f"-{v}")
+            d1, d2 = self.local("w", f"cos({va})"), self.second(f"-{v}")
         elif e.op == "cos":
-            d1, d2 = self.local("w", f"-sin({va})"), self.local("w", f"-{v}")
+            d1, d2 = self.local("w", f"-sin({va})"), self.second(f"-{v}")
         elif e.op == "exp":
             d1 = d2 = v
         else:
-            d2 = self.local("w", f"-0.25 / ({va} * {v})")
+            d2 = self.second(f"-0.25 / ({va} * {v})")
         return self._jet_chain(v, ga, ha, d1, d2)
 
     def _jet_power(self, e):
@@ -255,16 +179,14 @@ class _Emitter:
             return "1.0", {}, {}
         if k == 1:
             return va, ga, ha
-        v = self.local("v", f"{va} ** {k}")
+        v = self.local("v", f"{va} * {va}" if k == 2 else f"{va} ** {k}")
         if not ga:
             return v, {}, {}
         # k * a ** (k - 1) and k * (k - 1) * a ** (k - 2), where a ** 1 is
         # a and a ** 0 is 1.0 exactly.
-        d1 = self.local("w", f"{k} * {_power(va, k - 1)}")
-        if k == 2:
-            d2 = "2.0"
-        else:
-            d2 = self.local("w", f"{k} * {k - 1} * {_power(va, k - 2)}")
+        d1 = self.local("w", f"{k} * {_pow(va, k - 1)}")
+        d2 = "2.0" if k == 2 else self.second(
+            f"{k} * {k - 1} * {_pow(va, k - 2)}")
         return self._jet_chain(v, ga, ha, d1, d2)
 
     def _jet_binary(self, e):
@@ -283,7 +205,7 @@ class _Emitter:
             h = {(i, j): self.total("h", _present(
                      (va, hb.get((i, j))), (vb, ha.get((i, j))),
                      (ga.get(i), gb.get(j)), (ga.get(j), gb.get(i))))
-                 for i, j in _upper(ha | hb, ga, gb)}
+                 for i, j in self.upper(ha | hb, ga, gb)}
             return v, g, h
         # q = a / b: (g_a - q g_b) / b and
         # (h_a - q h_b - g_q g_b^T - (g_q g_b^T)^T) / b
@@ -293,7 +215,7 @@ class _Emitter:
             num = _difference(ga.get(j), _present((q, gb.get(j))))
             g[j] = self.local("g", f"{num} / {vb}")
         h = {}
-        for i, j in _upper(ha | hb, g, gb):
+        for i, j in self.upper(ha | hb, g, gb):
             num = _difference(ha.get((i, j)), _present(
                 (q, hb.get((i, j))), (g.get(i), gb.get(j)),
                 (g.get(j), gb.get(i))))
@@ -353,7 +275,10 @@ class _Emitter:
 
 def _const(value):
     """Source token of a constant, a negative one in parentheses: bare,
-    -2.0 ** 4 would read as -(2.0 ** 4)."""
+    -2.0 ** 4 would read as -(2.0 ** 4). A non-finite constant has no
+    token (repr gives the bare names inf and nan) and raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite constant {value!r}")
     text = repr(value)
     return f"({text})" if text.startswith("-") else text
 
@@ -371,7 +296,7 @@ def _paren(text):
     return f"({text})" if " " in text else text
 
 
-def _power(a, k):
+def _pow(a, k):
     """Source of a ** k, with a ** 1 as a and a ** 0 as 1.0 (both exact)."""
     if k == 0:
         return "1.0"
@@ -390,13 +315,6 @@ def _difference(first, terms):
     if first is None:
         first, terms = f"-{terms[0]}", terms[1:]
     return _paren(" - ".join([first, *terms]))
-
-
-def _upper(h, ga, gb):
-    """Sorted entries (i, j), i <= j, that h or g_a g_b^T makes nonzero."""
-    pairs = set(h)
-    pairs.update((min(i, j), max(i, j)) for i in ga for j in gb)
-    return sorted(pairs)
 
 
 def _dot(u, v):
@@ -425,21 +343,22 @@ def _build(name, n, emitter, ret, vector=False):
     return compile(src, f"<compiled:{name}>", "exec")
 
 
+def _walk_all(exprs, n, order=1):
+    """An emitter at `order` that has walked `exprs`, with the value
+    tokens and the dense gradient tokens of each expression."""
+    emitter = _Emitter(order)
+    walked = [emitter.jet(e) for e in exprs]
+    return (emitter, [v for v, _, _ in walked],
+            [_dense(g, n) for _, g, _ in walked])
+
+
 def _value_code(exprs, n, single):
-    emitter = _Emitter(with_grad=False)
-    vals = [emitter.walk(e)[0] for e in exprs]
+    emitter, vals, _ = _walk_all(exprs, n, order=0)
     return _build("_val", n, emitter, vals[0] if single else _tuple(vals))
 
 
-def _walk_all(emitter, exprs, n):
-    """Value tokens and dense gradient tokens of each expression."""
-    walked = [emitter.walk(e) for e in exprs]
-    return [v for v, _ in walked], [_dense(g, n) for _, g in walked]
-
-
 def _value_grad_code(exprs, n, single):
-    emitter = _Emitter(with_grad=True)
-    vals, grads = _walk_all(emitter, exprs, n)
+    emitter, vals, grads = _walk_all(exprs, n)
     if single:
         return _build("_vg", n, emitter, f"{vals[0]}, {_tuple(grads[0])}")
     grads = [_tuple(g) for g in grads]
@@ -447,29 +366,25 @@ def _value_grad_code(exprs, n, single):
 
 
 def _field_code(f, constraints, n):
-    emitter = _Emitter(with_grad=True)
-    val, grad = emitter.walk(f)
-    rows = _walk_all(emitter, constraints, n)[1]
-    out = emitter.project(rows, _dense(grad, n))
-    return _build("_vg", n, emitter, f"{val}, {_tuple(out)}")
+    emitter, vals, grads = _walk_all((f, *constraints), n)
+    out = emitter.project(grads[1:], grads[0])
+    return _build("_vg", n, emitter, f"{vals[0]}, {_tuple(out)}")
 
 
 def _project_code(constraints, n):
-    emitter = _Emitter(with_grad=True)
-    vec = [f"b{i}" for i in range(1, n + 1)]
-    out = emitter.project(_walk_all(emitter, constraints, n)[1], vec)
+    emitter, _, rows = _walk_all(constraints, n)
+    out = emitter.project(rows, [f"b{i}" for i in range(1, n + 1)])
     return _build("_proj", n, emitter, _tuple(out), vector=True)
 
 
 def _step_code(constraints, n):
-    emitter = _Emitter(with_grad=True)
-    vals, rows = _walk_all(emitter, constraints, n)
+    emitter, vals, rows = _walk_all(constraints, n)
     step = emitter.normal_step(rows, vals)
     return _build("_step", n, emitter, f"{_tuple(vals)}, {_tuple(step)}")
 
 
 def _jet_code(e, n):
-    emitter = _Emitter(with_grad=True)
+    emitter = _Emitter(2)
     val, grad, hess = emitter.jet(e)
     entries = [hess.get((min(i, j), max(i, j)), "0.0")
                for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -492,6 +407,10 @@ def _pair(code, name):
 
 class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
+
+    `value` runs the node rules at order 0, `value_and_grad`, `project`
+    and `normal_step` at order 1 and `jet` at order 2, so where two of
+    them form the same number they give the same bits.
 
     - `expression` one expression: `value` gives a float,
       `value_and_grad` (value, gradient tuple of length ambient_dim) and

@@ -10,11 +10,13 @@ Grammar (whitespace insignificant, 1-based positions in errors):
     atom    :=  NUMBER | VARIABLE | NAME '(' expr ')' | '(' expr ')'
 
 VARIABLE is x1..xN; NAME is one of sin, cos, exp, sqrt. NUMBER is a
-decimal literal with optional fraction and exponent part. Binary
+decimal literal with optional fraction and exponent part whose value is
+a finite float (1e999 is rejected, not read as infinity). Binary
 operators associate left; unary minus binds tighter than '*' and '/'
 but looser than '^'.
 """
 
+import math
 import re
 
 from ..errors import ExpressionSyntaxError
@@ -140,7 +142,11 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError("number too large for a float",
+                                            tok.pos)
+            return Const(value)
         if tok.kind == "name":
             var = _VAR_RE.match(tok.text)
             if var:

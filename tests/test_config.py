@@ -106,6 +106,17 @@ def test_bad_bounding_box():
         parse_scenario_text(text)
 
 
+def test_overflowing_literal_rejected():
+    text = (
+        "ambient_dim = 2\n"
+        "constraint.1 = x1^2 + x2^2 - 1\n"
+        "function = 1e999 * x1\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_scenario_text(text)
+    assert err.value.line == 3
+
+
 def test_variable_out_of_range_reported_with_position():
     text = (
         "ambient_dim = 2\n"

@@ -27,7 +27,10 @@ from morseflow.acceptance import _random_expression
 # -- the tree oracle ---------------------------------------------------------
 #
 # Second-order forward mode walked node by node on dense numpy arrays, the
-# rules the generated `evaluate_jet` writes out entry by entry.
+# rules the generated code writes out entry by entry at every order:
+# `value` (order 0), `value_and_grad` (order 1) and `evaluate_jet` (order
+# 2). A square's value is va * va, as in the generated code, where libm's
+# pow(va, 2) would differ from numpy's product of columns in the last bit.
 
 def _tree_jet(e, x):
     """(value, gradient, Hessian) of `e` at `x` by walking the tree."""
@@ -81,7 +84,7 @@ def _jet(e, x, n):
                 "zero base with negative exponent", to_string(e)
             )
         g, h = _chain(va, ga, ha, k * va ** (k - 1), k * (k - 1) * va ** (k - 2))
-        return va ** k, g, h
+        return (va * va if k == 2 else va ** k), g, h
     va, ga, ha = _jet(e.left, x, n)
     vb, gb, hb = _jet(e.right, x, n)
     if e.op == "+":
@@ -122,11 +125,13 @@ def _signed_tree(rng, n, depth):
 
 
 def _assert_matches_oracle(e, x):
-    """The generated jet against the tree oracle at x: the same
-    EvaluationError, or value, gradient and upper triangle bit for bit
-    and an exactly symmetric Hessian. Where the oracle fails otherwise
-    (overflow, or a numpy warning from inf * 0 in a dense product) only
-    the EvaluationError is checked. Returns what the oracle did."""
+    """The generated code at every order against the tree oracle at x:
+    the jet raises the same EvaluationError, or gives value, gradient and
+    upper triangle bit for bit and an exactly symmetric Hessian, and then
+    `value` and `value_and_grad` give the same value and gradient bits.
+    Where the oracle fails otherwise (overflow, or a numpy warning from
+    inf * 0 in a dense product) only the jet's EvaluationError is
+    checked. Returns what the oracle did."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -148,6 +153,11 @@ def _assert_matches_oracle(e, x):
     assert np.array_equal(jet.gradient, grad, equal_nan=True)
     assert np.array_equal(jet.hessian[upper], hess[upper], equal_nan=True)
     assert np.array_equal(jet.hessian, jet.hessian.T, equal_nan=True)
+    compiled = compile_expression(e, len(x))
+    assert np.array_equal([compiled.value(x)], [value], equal_nan=True)
+    first_value, first_grad = compiled.value_and_grad(x)
+    assert np.array_equal([first_value], [value], equal_nan=True)
+    assert np.array_equal(first_grad, grad, equal_nan=True)
     return "equal"
 
 
@@ -307,7 +317,7 @@ def test_roundtrip_random_trees():
 
 
 def test_compiled_matches_jets():
-    # the first-order code against the tree oracle
+    # the first-order code against the tree oracle, bit for bit
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 60:
@@ -320,13 +330,13 @@ def test_compiled_matches_jets():
             value, grad = compiled.value_and_grad(x)
         except EvaluationError:
             continue
-        if not np.all(np.isfinite(grad_t)) or abs(value_t) > 1e8:
+        if not np.all(np.isfinite(grad_t)):
+            # inf * 0 in the oracle's dense product, a term the
+            # generated code leaves out
             continue
         checked += 1
-        scale = max(1.0, abs(value_t))
-        assert abs(value - value_t) <= 1e-12 * scale
-        gscale = np.maximum(1.0, np.abs(grad_t))
-        assert np.all(np.abs(np.array(grad) - grad_t) <= 1e-11 * gscale)
+        assert value == value_t
+        assert np.array_equal(grad, grad_t)
 
 
 def test_jet_matches_fd_well_conditioned():
@@ -373,14 +383,17 @@ def test_compiled_columns_match_points():
 
 
 def test_compiled_columns_polynomial_bit_equal():
-    torus = "(x1^2 + x2^2 + x3^2 + 3)^2 - 16 * (x1^2 + x2^2)"
-    compiled = compile_expression(parse(torus, 3), 3)
+    # squares are products and IEEE / and sqrt are correctly rounded in
+    # math and numpy alike, so points and columns agree bit for bit
     cols = np.random.default_rng(2).uniform(-3.0, 3.0, (3, 50))
-    value, grad = compiled.value_and_grad(cols)
-    for j, x in enumerate(cols.T.tolist()):
-        v, g = compiled.value_and_grad(x)
-        assert value[j] == v
-        assert [c[j] for c in grad] == list(g)
+    for text in ("(x1^2 + x2^2 + x3^2 + 3)^2 - 16 * (x1^2 + x2^2)",
+                 "x1 / (x2^2 + 1) + sqrt(x3^2 + 1)"):
+        compiled = compile_expression(parse(text, 3), 3)
+        value, grad = compiled.value_and_grad(cols)
+        for j, x in enumerate(cols.T.tolist()):
+            v, g = compiled.value_and_grad(x)
+            assert value[j] == v
+            assert [c[j] for c in grad] == list(g)
 
 
 def test_compiled_columns_domain_errors():
@@ -420,7 +433,8 @@ def test_jet_matches_tree_oracle_on_random_trees():
                                   "clifford"])
 def test_jet_matches_tree_oracle_on_catalog(name):
     # f and every F_i of a catalog scenario: the whole Hessian, not only
-    # the upper triangle, is the tree's
+    # the upper triangle, is the tree's, and so are `value` and
+    # `value_and_grad`
     scenario = load_scenario(name)
     m = scenario.build_manifold()
     for x in m.sample_points(200, seed=3):
@@ -430,6 +444,9 @@ def test_jet_matches_tree_oracle_on_catalog(name):
             assert jet.value == value
             assert np.array_equal(jet.gradient, grad)
             assert np.array_equal(jet.hessian, hess)
+            compiled = compile_expression(expr, len(x))
+            assert compiled.value(x) == value
+            assert compiled.value_and_grad(x) == (value, tuple(grad))
 
 
 NEGATIVE_CONSTANTS = [
@@ -458,7 +475,7 @@ def test_negative_constants_in_generated_code(expr):
     assert evaluate_jet(expr, x).value == want
     assert _assert_matches_oracle(expr, x) == "equal"
     value, grad = compiled.value_and_grad(x)
-    assert np.allclose(grad, _tree_jet(expr, x)[1], rtol=1e-14, atol=0.0)
+    assert np.array_equal(grad, _tree_jet(expr, x)[1])
 
 
 @pytest.mark.parametrize("text, x", [
@@ -474,3 +491,43 @@ def test_jet_failures_are_evaluation_errors(text, x):
     with pytest.raises(EvaluationError):
         evaluate_jet(parse(text, 3), x)
 
+
+@pytest.mark.parametrize("text", ["x1*x2 - x3", "sin(x1)", "(x1 + 1)^2"])
+def test_value_code_forms_no_derivatives(text):
+    # order 0 forms values only: no gradient (g) or derivative factor (w)
+    # locals
+    code = compile_expression(parse(text, 3), 3)._value.__code__
+    assert [name for name in code.co_varnames if name[0] in "gw"] == []
+
+
+@pytest.mark.parametrize("text, value, grad", [
+    ("sqrt(0) * x1", 0.0, (0.0,)),
+    ("sqrt(1 - 1) + x1", 1.5, (1.0,)),
+])
+def test_constant_sqrt_of_zero_below_order_two(text, value, grad):
+    # sqrt' is formed for a gradient, and a constant argument has none, so
+    # values and gradients evaluate where the jet raises
+    compiled = compile_expression(parse(text, 1), 1)
+    assert compiled.value([1.5]) == value
+    assert compiled.value_and_grad([1.5]) == (value, grad)
+    with pytest.raises(EvaluationError):
+        evaluate_jet(parse(text, 1), [1.5])
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e999*x1", 1),
+    ("x1 + " + "1" * 401, 6),
+], ids=["1e999", "401 digits"])
+def test_non_finite_literal_is_a_syntax_error(text, position):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text, 1)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constant_is_rejected(value):
+    expr = Binary("*", Const(value), Var(1))
+    with pytest.raises(ValueError):
+        compile_expression(expr, 1)
+    with pytest.raises(EvaluationError):
+        evaluate_jet(expr, [1.0])
