@@ -1,13 +1,18 @@
 """Negative gradient flow on an implicit manifold.
 
 Two embedded Cash-Karp 5(4) steppers step the ambient ODE
-dx/dt = -+ P(x) grad f(x). They share the tableau, the stage-sum
-expression, the step-size rules and capture:
+dx/dt = -+ P(x) grad f(x). They share the tableau, the term order of
+the stage, B5 and error sums, the step-size rules and capture:
 
-- `_cash_karp` steps one flow on plain float lists, over an augmented
-  state: the point, then the pushforward vectors of the linearized flow
-  (none for the plain flow). `integrate_flow` and the variational flows
-  use it.
+- `_cash_karp` steps one flow over an augmented state of floats: the
+  point, then the pushforward vectors of the linearized flow (none for
+  the plain flow). `integrate_flow` and the variational flows use it.
+  One step is one generated function per state size (`_step_code`),
+  compiled once and defined per flow with the field kernel, the sign
+  and the tolerances bound: from h, the state and k1 it forms the five
+  further stages, y5 and the scaled error norm on float locals. The
+  stages of a plain flow call the field kernel's point function
+  directly; those of a variational flow call its derivative `rhs`.
 - `_cash_karp_columns` steps many plain forward flows as one (n, N)
   array, with a time, step size, accept/reject decision and terminal per
   column. Basin sampling uses it, through `flow_terminals`. Each column
@@ -16,7 +21,11 @@ expression, the step-size rules and capture:
   squared error terms round differently: `pow` for one float, a product
   in numpy), and the terminals matched on all catalog basin starts.
   numpy's sin/cos/exp/sqrt may differ from `math` in the last bit, so
-  there a start near a basin boundary may land elsewhere.
+  there a start near a basin boundary may land elsewhere. It keeps its
+  whole-array sums: the generated step's source run in the numpy
+  namespace, one array per row, gave the same bits but one step took
+  1.3-2.1x their time on 12 and 50 columns (sphere2, torus_upright,
+  clifford; 2-core x86-64, numpy 2.4).
 
 Single flows stay on the scalar stepper: a batch of one runs 8-10x
 slower than it (numpy dispatch on every stage), measured on the sphere2,
@@ -42,6 +51,7 @@ as Stalled (an unregistered critical point upstream).
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -50,6 +60,7 @@ import numpy as np
 
 from .errors import FlowError, NotConvergedError, RetractionError
 from .symbolics import compile_expression
+from .symbolics.compile import _FAILURES, _define
 
 # Cash-Karp tableau: 5th order propagated, 4th order for the error gap.
 _CK_A = (
@@ -234,20 +245,98 @@ def _step_factor(cfg, err_scaled):
     return cfg.max_scale
 
 
-def _cash_karp(field, rhs, state, x_norm, cfg, crits=None, capture=True):
+def _weighted(weights, col):
+    """Source of sum(map(mul, weights, col)): from 0.0, in stage order,
+    zero weights kept."""
+    terms = (f"{w!r} * {k}" for w, k in zip(weights, col))
+    return f"({' + '.join(['0.0', *terms])})"
+
+
+@functools.lru_cache(maxsize=None)
+def _step_code(size, plain):
+    """Compiled `_ck(h, y1, ..., k1_1, ...)`: one Cash-Karp step over a
+    state of `size` floats, returning ([y5_1, ...], err_scaled).
+
+    Each further stage calls the field kernel's point function `vg` and
+    takes k = sign * P grad f (`plain`), or calls `rhs` on the stage as
+    a list. Stage, B5 and error sums are `_weighted`; each error term
+    is h * (...) / (abs_tol + rel_tol * max(|y|, |y5|)), squared with
+    ** 2 and summed from 0.0, and the norm is sqrt(sum / size).
+    """
+    index = range(1, size + 1)
+    ys = [f"y{j}" for j in index]
+    ks = [[f"k1_{j}" for j in index]]
+    lines = [f"def _ck(h, {', '.join(ys + ks[0])}):"]
+    for i, row in enumerate(_CK_A, start=2):
+        stage = ", ".join(f"{y} + h * {_weighted(row, col)}"
+                          for y, col in zip(ys, zip(*ks)))
+        k = [f"k{i}_{j}" for j in index]
+        if plain:
+            lines.append(f"    _, ({', '.join(f'g{j}' for j in index)},) "
+                         f"= vg({stage})")
+            lines += [f"    {kj} = sign * g{j}" for j, kj in zip(index, k)]
+        else:
+            lines.append(f"    {', '.join(k)}, = rhs([{stage}])")
+        ks.append(k)
+    cols = list(zip(*ks))
+    zs = [f"z{j}" for j in index]
+    lines += [f"    {z} = {y} + h * {_weighted(_CK_B5, col)}"
+              for z, y, col in zip(zs, ys, cols)]
+    errors = [
+        f"(h * {_weighted(_CK_ERR, col)} / (abs_tol + rel_tol * "
+        f"max(abs({y}), abs({z})))) ** 2"
+        for y, z, col in zip(ys, zs, cols)
+    ]
+    lines.append(f"    return [{', '.join(zs)}], "
+                 f"sqrt(({' + '.join(['0.0', *errors])}) / {size})")
+    return compile("\n".join(lines) + "\n", f"<cash-karp:{size}>", "exec")
+
+
+def _stepper(field, sign, cfg, size, rhs=None):
+    """step(h, state, k1) -> (y5, err_scaled) for a state of `size` floats.
+
+    With rhs None the stages call the field kernel unchecked; a stage
+    that fails there (a domain error, or a zero Gram determinant or
+    pivot) re-runs the step through the checked `value_and_grad`, which
+    raises the EvaluationError naming the failing expression, or the
+    RankDeficiencyError, of that stage.
+    """
+    kernel = field._kernel
+    code = _step_code(size, rhs is None)
+    scope = {"sqrt": math.sqrt, "sign": sign, "abs_tol": cfg.abs_tol,
+             "rel_tol": cfg.rel_tol, "rhs": rhs, "vg": kernel._value_grad}
+    fast = _define(code, "_ck", scope)
+
+    def step(h, state, k1):
+        try:
+            return fast(h, *state, *k1)
+        except _FAILURES:
+            scope["vg"] = lambda *xs: kernel.value_and_grad(xs)
+            return _define(code, "_ck", scope)(h, *state, *k1)
+    return step
+
+
+def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True,
+               rhs=None):
     """Step the flat state [x, v_1, ..., v_j] until its terminal.
 
-    `rhs(state)` is the state's derivative; its first n entries are the
-    signed field, whose norm at each accepted point decides capture. An
-    accepted point is retracted onto M and the vectors re-projected there.
-    `x_norm` (|x0|) sets the first step. Returns (terminal, stats, times,
-    states, grad_norms) over the start and every accepted step.
+    The state's derivative is the signed field sign * P grad f for a
+    plain flow, or `rhs(state)` for a variational one; its first n
+    entries are the signed field, whose norm at each accepted point
+    decides capture. An accepted point is retracted onto M and the
+    vectors re-projected there. `x_norm` (|x0|) sets the first step.
+    Returns (terminal, stats, times, states, grad_norms) over the start
+    and every accepted step.
     """
     m = field.manifold
     n = field.n
     size = len(state)
     crit_list = list(crits) if crits is not None else []
     stats = FlowStats()
+    step = _stepper(field, sign, cfg, size, rhs)
+    if rhs is None:
+        def rhs(ys):
+            return [sign * v for v in field.projected_gradient(ys)]
 
     def _terminal(point, norm):
         return _capture(point, norm, crit_list, cfg) if capture else None
@@ -268,25 +357,7 @@ def _cash_karp(field, rhs, state, x_norm, cfg, crits=None, capture=True):
         if h < 1e-13 * max(1.0, t):
             raise FlowError(f"step size underflow at t={t}")
 
-        # Stage sums take component i of every stage, in stage order.
-        ks = [k1]
-        for row in _CK_A:
-            stage = [
-                y + h * sum(map(mul, row, col))
-                for y, col in zip(state, zip(*ks))
-            ]
-            ks.append(rhs(stage))
-        cols = list(zip(*ks))
-        y_new = [
-            y + h * sum(map(mul, _CK_B5, col)) for y, col in zip(state, cols)
-        ]
-        err_scaled = 0.0
-        for y, y5, col in zip(state, y_new, cols):
-            err = h * sum(map(mul, _CK_ERR, col))
-            scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
-            err_scaled += (err / scale) ** 2
-        err_scaled = math.sqrt(err_scaled / size)
-
+        y_new, err_scaled = step(h, state, k1)
         if err_scaled > 1.0:
             stats.rejected += 1
             h *= _shrink_factor(cfg, err_scaled)
@@ -457,8 +528,7 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
     field = GradientField(m, f)
     xs = _start_point(m, x0).tolist()
     terminal, stats, times, points, gnorms = _cash_karp(
-        field, lambda ys: [sign * v for v in field.projected_gradient(ys)],
-        xs, _norm(xs), cfg or FlowConfig(), crits,
+        field, sign, xs, _norm(xs), cfg or FlowConfig(), crits,
     )
     f_vals = [field.f_value(p) for p in points]
     stats.monotone = not any(

@@ -111,7 +111,7 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         return dys
 
     terminal, stats, times, states, _ = _cash_karp(
-        field, rhs, state, np.linalg.norm(x), cfg, crits, capture
+        field, sign, state, np.linalg.norm(x), cfg, crits, capture, rhs
     )
     samples = np.array(states)
     return (

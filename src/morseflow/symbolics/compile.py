@@ -51,6 +51,8 @@ from .expr import Binary, Const, Power, Unary, Var, max_variable_index, to_strin
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
 _ARRAY_NAMESPACE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+# Integer powers up to this magnitude are product chains (see `_pow`).
+_CHAIN_MAX = 4
 # What `math` raises for one point and numpy, under np.errstate, for columns.
 _FAILURES = (
     ValueError, ZeroDivisionError, OverflowError, FloatingPointError,
@@ -95,13 +97,15 @@ class _Emitter:
     # operands only. An entry above the order is never formed, and an
     # entry up to it is the same source at every order. Each entry is the
     # sum the dense rule forms, term for term and in the same order (a
-    # quotient by the denominator, a ** k as a power), with the terms that
-    # are zero by structure and the factors 1.0 left out, so it gives the
-    # bits of the tree-walking jets that the tests keep as the oracle, up
-    # to the sign of zero; the Hessian is mirrored below the diagonal. A
-    # square is a * a, not a ** 2: libm's pow(a, 2) differs from a * a in
-    # the last bit on about 0.08% of doubles, while numpy's a ** 2 of
-    # columns is the product, so only a * a keeps points and columns equal.
+    # quotient by the denominator, a ** k as the product chain of `_pow`),
+    # with the terms that are zero by structure and the factors 1.0 left
+    # out, so it gives the bits of the tree-walking jets that the tests
+    # keep as the oracle, up to the sign of zero; the Hessian is mirrored
+    # below the diagonal. A power up to |k| = 4 is no pow call: for a in
+    # (0.5, 3), libm's pow(a, 2) differs from a * a on about 0.08% of
+    # doubles and from numpy's power of columns for k = 3, 4, -2 and -3
+    # on about 5%, so only the product chain keeps points and columns
+    # equal.
 
     def jet(self, e):
         """Return (value, {j: g_j}, {(i, j): h_ij for i <= j}) tokens; the
@@ -179,14 +183,14 @@ class _Emitter:
             return "1.0", {}, {}
         if k == 1:
             return va, ga, ha
-        v = self.local("v", f"{va} * {va}" if k == 2 else f"{va} ** {k}")
+        v = self.local("v", _pow(va, k))
         if not ga:
             return v, {}, {}
-        # k * a ** (k - 1) and k * (k - 1) * a ** (k - 2), where a ** 1 is
-        # a and a ** 0 is 1.0 exactly.
-        d1 = self.local("w", f"{k} * {_pow(va, k - 1)}")
+        # k * a ** (k - 1) and k * (k - 1) * a ** (k - 2), each power
+        # written by `_pow`.
+        d1 = self.local("w", f"{k} * {_paren(_pow(va, k - 1))}")
         d2 = "2.0" if k == 2 else self.second(
-            f"{k} * {k - 1} * {_pow(va, k - 2)}")
+            f"{k} * {k - 1} * {_paren(_pow(va, k - 2))}")
         return self._jet_chain(v, ga, ha, d1, d2)
 
     def _jet_binary(self, e):
@@ -297,12 +301,33 @@ def _paren(text):
 
 
 def _pow(a, k):
-    """Source of a ** k, with a ** 1 as a and a ** 0 as 1.0 (both exact)."""
+    """Source of a ** k: a ** 0 is 1.0, and for |k| <= _CHAIN_MAX one
+    product chain a * a * ... * a, multiplied from the left, with
+    1.0 / (chain) for k < 0. A larger k stays a power, which raises
+    OverflowError where a chain would give inf.
+
+    Python's float power (libm pow) and numpy's power of columns differ
+    in the last bit for some k and a, so only the chain gives points and
+    columns the same bits.
+    """
     if k == 0:
         return "1.0"
-    if k == 1:
-        return a
-    return f"{a} ** {k}"
+    if abs(k) > _CHAIN_MAX:
+        return f"{a} ** {k}"
+    chain = " * ".join([a] * abs(k))
+    return f"1.0 / {_paren(chain)}" if k < 0 else chain
+
+
+def _power(v, k):
+    """The float v ** k formed as the source of `_pow` forms it."""
+    if k == 0:
+        return 1.0
+    if abs(k) > _CHAIN_MAX:
+        return v ** k
+    chain = v
+    for _ in range(abs(k) - 1):
+        chain = chain * v
+    return 1.0 / chain if k < 0 else chain
 
 
 def _present(*pairs):

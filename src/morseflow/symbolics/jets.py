@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EvaluationError
-from .compile import compile_expression
+from .compile import _power, compile_expression
 from .expr import Binary, Const, Power, Unary, Var, to_string
 
 
@@ -47,7 +47,7 @@ def evaluate(e, x):
         v = evaluate(e.base, x)
         if e.exponent < 0 and v == 0.0:
             raise EvaluationError("zero base with negative exponent", to_string(e))
-        return v ** e.exponent
+        return _power(v, e.exponent)
     if e.op in "+-":
         a = evaluate(e.left, x)
         b = evaluate(e.right, x)

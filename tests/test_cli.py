@@ -190,3 +190,47 @@ def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert (tmp_path / "envout" / "basin.json").exists()
     capsys.readouterr()
+
+
+def test_non_morse_config_exit_code(tmp_path, capsys):
+    # f = x3^2 on the sphere is critical on the whole equator
+    cfg = tmp_path / "morse_bott.cfg"
+    cfg.write_text(
+        "ambient_dim = 3\n"
+        "constraint.1 = x1^2 + x2^2 + x3^2 - 1\n"
+        "function = x3^2\n"
+        "bounding_box = -1.2 1.2\n"
+    )
+    code = cli.main(["graph", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate critical point")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_disconnected_manifold_config(tmp_path, capsys):
+    # O(3) in R^9 (X^T X = I) has two components. `graph` reports the
+    # split with exit code 0: no subcommand requires a connected graph
+    # (DisconnectedGraphError comes only from propagate_constancy)
+    constraints = [
+        " + ".join(f"x{i + r}*x{j + r}" for r in (0, 3, 6))
+        + (" - 1" if i == j else "")
+        for i in (1, 2, 3) for j in range(i, 4)
+    ]
+    cfg = tmp_path / "o3.cfg"
+    cfg.write_text(
+        "ambient_dim = 9\n"
+        + "".join(f"constraint.{k} = {c}\n"
+                  for k, c in enumerate(constraints, start=1))
+        + "function = x1 + 2*x5 + 3*x9 + 0.4*x2*x4\n"
+        "bounding_box = -1.2 1.2\n"
+    )
+    out = tmp_path / "out"
+    code = cli.main(["graph", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    payload = _read_json(out / "graph.json")
+    assert len(payload["nodes"]) == 8
+    assert payload["connected"] is False
+    assert payload["components"] == [[0, 4, 5, 6], [1, 2, 3, 7]]
+    assert capsys.readouterr().err == ""

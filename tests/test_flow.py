@@ -1,5 +1,6 @@
 import itertools
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from morseflow import (
     unstable_seeds,
 )
 from morseflow.errors import (
-    EvaluationError, FlowError, NotConvergedError, RankDeficiencyError,
+    EvaluationError, FlowError, MorseflowError, NotConvergedError,
+    RankDeficiencyError,
 )
-from morseflow.flow import GradientField, Terminal, flow_terminals
+from morseflow.flow import (
+    _CK_A, _CK_B5, _CK_ERR, GradientField, Terminal, _first_step, _norm,
+    _stepper, flow_terminals,
+)
+from morseflow.linearization import _field_derivative
+from test_kernels import SCENARIOS, _scenario
 
 
 def test_closed_form_height_coordinate(sphere):
@@ -302,3 +309,113 @@ def test_batched_flow_errors_match_scalar(sphere):
         flow_terminals(sphere.manifold, low, [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="3 coordinates"):
         flow_terminals(sphere.manifold, sphere.function, [[1.0, 0.0]])
+
+
+# -- the generated Cash-Karp step against the list-based one ---------------
+
+
+def _oracle_step(rhs, h, state, k1, cfg):
+    """One Cash-Karp step on lists: stage sums take component i of every
+    stage in stage order, then the B5 sums and the scaled error norm."""
+    ks = [k1]
+    for row in _CK_A:
+        stage = [
+            y + h * sum(map(mul, row, col))
+            for y, col in zip(state, zip(*ks))
+        ]
+        ks.append(rhs(stage))
+    cols = list(zip(*ks))
+    y_new = [
+        y + h * sum(map(mul, _CK_B5, col)) for y, col in zip(state, cols)
+    ]
+    err_scaled = 0.0
+    for y, y5, col in zip(state, y_new, cols):
+        err = h * sum(map(mul, _CK_ERR, col))
+        scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
+        err_scaled += (err / scale) ** 2
+    return y_new, math.sqrt(err_scaled / len(state))
+
+
+def _plain_rhs(field, sign):
+    return lambda ys: [sign * v for v in field.projected_gradient(ys)]
+
+
+def _variational_rhs(field, sign):
+    # the derivative of [x, V_1, ..., V_j] that the variational flows step
+    n = field.n
+
+    def rhs(ys):
+        point = ys[:n]
+        dys = [sign * b for b in field.projected_gradient(point)]
+        for lo in range(n, len(ys), n):
+            dys += _field_derivative(field, point, ys[lo:lo + n], sign)
+        return dys
+    return rhs
+
+
+def _outcome(step, *args):
+    """The step's result, or the type and text of the error it raised."""
+    try:
+        return step(*args)
+    except MorseflowError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_generated_step_matches_list_oracle(name):
+    # plain states and states with 1 and 2 vectors, at random h and both
+    # signs: (y5, err_scaled) equal, or the same error
+    m, f = _scenario(name)
+    field = GradientField(m, f)
+    rng = np.random.default_rng(7)
+    cfg = FlowConfig()
+    for x in m.sample_points(4, seed=5):
+        point = x.tolist()
+        for sign, vectors in ((-1.0, 0), (1.0, 0), (-1.0, 1), (1.0, 2)):
+            state = point + [c for _ in range(vectors)
+                             for c in m.random_tangent(x, rng).tolist()]
+            if vectors:
+                rhs = _variational_rhs(field, sign)
+                step = _stepper(field, sign, cfg, len(state), rhs)
+            else:
+                rhs = _plain_rhs(field, sign)
+                step = _stepper(field, sign, cfg, len(state))
+            k1 = rhs(state)
+            for h in 10.0 ** rng.uniform(-4.0, 0.0, 3):
+                want = _outcome(_oracle_step, rhs, h, state, k1, cfg)
+                assert _outcome(step, h, state, k1) == want
+
+
+def test_stage_leaving_the_domain_raises_the_checked_error():
+    # f is defined for x3 >= -0.5 only; the start is inside, and the
+    # stages of the first step, about 0.02 long, cross the boundary
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)])
+    f = parse("x3 + sqrt(x3 + 0.5)", 3)
+    field = GradientField(m, f)
+    x0 = [math.sqrt(1.0 - 0.495 ** 2), 0.0, -0.495]
+    rhs = _plain_rhs(field, -1.0)
+    k1 = rhs(x0)
+    cfg = FlowConfig()
+    h = _first_step(cfg, _norm(x0), _norm(k1))
+    with pytest.raises(EvaluationError) as want:
+        _oracle_step(rhs, h, x0, k1, cfg)
+    with pytest.raises(EvaluationError) as got:
+        integrate_flow(m, f, x0, cfg)
+    assert str(got.value) == str(want.value)
+    assert got.value.subexpression == want.value.subexpression == (
+        "x3 + sqrt(x3 + 0.5)")
+
+
+def test_stage_on_a_rank_deficient_jacobian_raises():
+    # the cone's constraint gradient vanishes at its apex; with powers of
+    # two the second stage y + h * 0.2 * k1 lands on it exactly
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    field = GradientField(cone, parse("x3", 3))
+    state = [0.25, 0.5, 1.0]
+    k1 = [-0.25, -0.5, -1.0]
+    cfg = FlowConfig()
+    with pytest.raises(RankDeficiencyError) as want:
+        _oracle_step(_plain_rhs(field, -1.0), 5.0, state, k1, cfg)
+    with pytest.raises(RankDeficiencyError) as got:
+        _stepper(field, -1.0, cfg, 3)(5.0, state, k1)
+    assert str(got.value) == str(want.value)
