@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EvaluationError, RankDeficiencyError, RetractionError
 from .symbolics import compile_expression, evaluate_jet
+from .symbolics.compile import stack_columns
 
 DEFAULT_CONSTRAINT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
@@ -24,15 +25,6 @@ RETRACT_MAX_ITER = 25
 # while 2000 torus_upright points (one draw in 40 kept) took 3x as long
 # with 256 and 10x with 64.
 SAMPLE_BLOCK = 1024
-
-
-def _stack(entries, count):
-    """An (len(entries), count) array of length-count arrays, a float
-    broadcast where an entry does not depend on x."""
-    out = np.empty((len(entries), count))
-    for i, e in enumerate(entries):
-        out[i] = e
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ class ImplicitManifold:
         """Values (k, N) and Jacobians (N, k, n) at the columns of (n, N)."""
         vals, rows = self._map.value_and_grad(cols)
         entries = [*vals, *(g for row in rows for g in row)]
-        out = _stack(entries, cols.shape[1])
+        out = stack_columns(entries, cols.shape[1])
         k, n = self.n_constraints, self.ambient_dim
         jac = out[k:].reshape(k, n, -1).transpose(2, 0, 1)
         return out[:k], np.ascontiguousarray(jac)
@@ -149,7 +141,7 @@ class ImplicitManifold:
         """
         columns = isinstance(x, np.ndarray) and x.ndim == 2
         out = self._map.project(x, v)
-        return _stack(out, x.shape[1]) if columns else np.array(out)
+        return stack_columns(out, x.shape[1]) if columns else np.array(out)
 
     def riemannian_gradient(self, f, x):
         """Tangential part of the ambient gradient of `f` at `x`."""
@@ -250,7 +242,7 @@ class ImplicitManifold:
         ok = np.zeros(y.shape[1], dtype=bool)
         live = np.arange(y.shape[1])
         for _ in range(RETRACT_MAX_ITER):
-            vals, steps = (_stack(a, len(live))
+            vals, steps = (stack_columns(a, len(live))
                            for a in self._map.normal_step(y[:, live]))
             done = np.max(np.abs(vals), axis=0) <= self.constraint_tol
             ok[live[done]] = True

@@ -148,18 +148,21 @@ def integrate_variational(m, f, x0, v0, cfg=None, direction="forward",
 
 
 def _centered_derivative(t, e, i):
-    """d e / d t at sample i from a centered stencil on a non-uniform grid.
+    """d e / d t at sample i from a quartic on a non-uniform grid.
 
-    Interior samples fit a quartic through the five neighbours (exact
+    The quartic goes through the five samples centred on i, a window
+    clamped to the ends of the series, so the samples next to the ends
+    take a one-sided window (Fornberg, Math. Comp. 51, 1988); it is exact
     through fourth order, which keeps the estimate usable right next to
-    sign changes of the derivative); the samples adjacent to the ends
-    fall back to the three-point formula.
+    sign changes of the derivative. Series of three or four samples fall
+    back to the three-point formula.
     """
-    if 2 <= i < len(t) - 2:
-        span = t[i + 2] - t[i - 2]
-        s = (t[i - 2:i + 3] - t[i]) / span
+    if len(t) >= 5:
+        lo = min(max(i - 2, 0), len(t) - 5)
+        span = t[lo + 4] - t[lo]
+        s = (t[lo:lo + 5] - t[i]) / span
         vand = np.vander(s, 5, increasing=True)
-        coef = np.linalg.solve(vand, e[i - 2:i + 3])
+        coef = np.linalg.solve(vand, e[lo:lo + 5])
         return coef[1] / span
     h_minus = t[i] - t[i - 1]
     h_plus = t[i + 1] - t[i]

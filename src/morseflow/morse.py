@@ -3,9 +3,14 @@
 The stationarity system {P(x) grad f(x) = 0 on M} is solved in its
 multiplier form: grad f(x) = J(x)^T lam together with F(x) = 0. Both
 systems have the same zero set when J has full rank, and the multiplier
-form has an analytic Jacobian assembled from the generated second-order
-jets of f and the constraints (`evaluate_jet`), so plain Newton
-converges quadratically.
+form has an analytic Jacobian, the KKT matrix [[H_lam, -J^T], [J, 0]]
+with H_lam = Hess f - sum_i lam_i Hess F_i (Nocedal & Wright, Numerical
+Optimization, ch. 18), so plain Newton converges quadratically. The
+census runs Newton from all its starts at once: one call of the field
+kernel's generated `kkt_columns` per iteration gives every live start
+its blocks, and numpy's stacked solve takes their steps.
+`corrected_hessian` still assembles H_lam from the jets of f and the
+constraints (`evaluate_jet`).
 """
 
 from dataclasses import dataclass
@@ -141,40 +146,107 @@ def classify_point(m, f, location, point_id=-1, grad_tol=GRAD_TOL,
     )
 
 
-def _newton_solve(m, f, x0, max_iter=60, step_cap=0.5, res_tol=1e-11):
-    """Newton on the multiplier system from one start; None on failure."""
-    n = m.ambient_dim
-    x = np.asarray(x0, dtype=float).copy()
-    lam = None
-    for _ in range(max_iter):
-        jet = evaluate_jet(f, x)
-        vals, jac = m.values_and_jacobian(x)
-        if lam is None:
-            lam, *_ = np.linalg.lstsq(jac.T, jet.gradient, rcond=None)
-        residual = np.concatenate([jet.gradient - jac.T @ lam, vals])
-        if np.max(np.abs(residual)) < res_tol:
-            return x
-        hess = jet.hessian.copy()
-        for coef, cons_hess in zip(lam, m.constraint_hessians(x)):
-            hess -= coef * cons_hess
-        k = len(vals)
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = hess
-        kkt[:n, n:] = -jac.T
-        kkt[n:, :n] = jac
+def _norms(rows):
+    """np.linalg.norm of each row, bit for bit: the stacked product
+    (1, n) @ (n, 1) sums the squares as the dot product of one row does,
+    while norm(axis=1), einsum and plain sums round differently."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _lstsq(a, b):
+    """numpy's least-squares solution, or nan where a or b is not finite:
+    LAPACK's SVD may then fail to converge, or not return at all."""
+    if np.isfinite(a).all() and np.isfinite(b).all():
         try:
-            delta = np.linalg.solve(kkt, -residual)
+            return np.linalg.lstsq(a, b, rcond=None)[0]
         except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(kkt, -residual, rcond=None)
-        step = delta[:n]
-        norm = np.linalg.norm(step)
-        if norm > step_cap:
-            delta = delta * (step_cap / norm)
-        x = x + delta[:n]
-        lam = lam + delta[n:]
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e6:
-            return None
-    return None
+            pass
+    return np.full(a.shape[1], np.nan)
+
+
+def _kkt_step(kkt, rhs):
+    """One start's Newton step: numpy's solve, and lstsq where the KKT
+    matrix is singular."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return _lstsq(kkt, rhs)
+
+
+def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
+    """Newton on the multiplier system from every start (row) at once.
+
+    Each iteration makes one call of the field kernel's `kkt_columns` for
+    all live starts, forms the residual [grad f - J^T lam, F] and the KKT
+    matrix [[H_lam, -J^T], [J, 0]], and takes one stacked solve. A start
+    is done when its residual is below `res_tol` (its root), and is
+    dropped as None when its iterate is not finite or leaves the ball of
+    radius 1e6, or after `max_iter` iterations. Each start takes its
+    steps as it would alone: the matvec, the solve and the step norms are
+    numpy's per-row operations. A start whose evaluation fails is
+    dropped, and after the sweep the lowest-index one raises its
+    EvaluationError at the point where it failed.
+    """
+    n, k = m.ambient_dim, m.n_constraints
+    kernel = compile_expression(f, n, m.constraints)
+    roots = [None] * len(starts)
+    failed = []
+    live = np.arange(len(starts))
+    x = np.array(starts, dtype=float)
+    lam = np.zeros((len(x), k))
+
+    def evaluate():
+        """grad f, J, F and H_lam of the live starts, after dropping (and
+        recording) those whose evaluation fails."""
+        nonlocal live, x, lam
+        blocks, bad = kernel.kkt_columns(x.T, lam.T)
+        if bad.any():
+            failed.extend(zip(live[bad], x[bad], lam[bad]))
+            live, x, lam = live[~bad], x[~bad], lam[~bad]
+            blocks = [block[~bad] for block in blocks]
+        return blocks
+
+    with np.errstate(all="ignore"):
+        # The first multipliers need grad f and J only, so H_lam is
+        # evaluated at lam = 0 and not used.
+        grad, jac, _, _ = evaluate()
+        lam = np.array([_lstsq(j.T, g) for g, j in zip(grad, jac)]).reshape(
+            len(live), k)
+        for _ in range(max_iter):
+            if not len(live):
+                break
+            grad, jac, vals, hess = evaluate()
+            # J^T lam as numpy's matvec of one start's (k, n) Jacobian
+            # forms it, which needs each start's rows contiguous.
+            jac = np.ascontiguousarray(jac)
+            jac_t = jac.transpose(0, 2, 1)
+            res = np.concatenate(
+                [grad - (jac_t @ lam[:, :, None])[:, :, 0], vals], axis=1)
+            done = np.max(np.abs(res), axis=1) < res_tol
+            for s, root in zip(live[done], x[done]):
+                roots[s] = root
+            go = ~done
+            live, x, lam, res = live[go], x[go], lam[go], res[go]
+            kkt = np.zeros((len(live), n + k, n + k))
+            kkt[:, :n, :n] = hess[go]
+            kkt[:, :n, n:] = -jac_t[go]
+            kkt[:, n:, :n] = jac[go]
+            try:
+                delta = np.linalg.solve(kkt, -res[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                delta = np.array([_kkt_step(a, -b) for a, b in zip(kkt, res)])
+            norm = _norms(delta[:, :n])
+            big = norm > step_cap
+            delta[big] = delta[big] * (step_cap / norm[big])[:, None]
+            x = x + delta[:, :n]
+            lam = lam + delta[:, n:]
+            keep = np.all(np.isfinite(x), axis=1) & ~(_norms(x) > 1e6)
+            live, x, lam = live[keep], x[keep], lam[keep]
+    if failed:
+        # The point code raises where the columns failed.
+        _, at, lam_at = min(failed, key=lambda item: item[0])
+        kernel.kkt(at, lam_at)
+    return roots
 
 
 def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
@@ -191,19 +263,17 @@ def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    converged = []
-    n_failed = 0
-    for start in m.sample_points(n_starts, seed):
-        root = _newton_solve(m, f, start)
-        if root is None:
-            n_failed += 1
-            continue
-        converged.append(root)
-    converged.sort(key=lambda p: tuple(p))
-    unique = []
+    roots = _newton_sweep(m, f, m.sample_points(n_starts, seed))
+    converged = sorted((x for x in roots if x is not None), key=tuple)
+    n_failed = len(roots) - len(converged)
+    # Each root against every one kept so far, in coordinate order.
+    kept = np.empty((len(converged), m.ambient_dim))
+    count = 0
     for x in converged:
-        if all(np.linalg.norm(x - u) > dedupe_radius for u in unique):
-            unique.append(x)
+        if np.all(_norms(x - kept[:count]) > dedupe_radius):
+            kept[count] = x
+            count += 1
+    unique = list(kept[:count])
     records = []
     for x in unique:
         try:

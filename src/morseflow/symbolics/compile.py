@@ -22,7 +22,9 @@ cache:
   J^T (J J^T)^{-1} F of a retraction;
 - a field kernel, f together with the constraints: the value of f and
   P grad f, P the orthogonal projection onto ker dF, from one pass over
-  f and the constraints.
+  f and the constraints; also, compiled on first use, the blocks of the
+  KKT system of the multiplier Newton (grad f, J, F and
+  H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass.
 
 This is the only code that solves with the Gram matrix J J^T, for every
 number k of constraints: `project`, `normal_step` and the field kernel
@@ -33,12 +35,13 @@ tangent projection and the retraction all give the bits of that
 arithmetic done term by term on floats, for one point and for columns;
 numpy's solve agrees to rounding (within 1e-14 on the test scenarios).
 
-Each first-order source is compiled once and executed twice: once with
-the `math` functions for one point given as floats, once with their
+Each source but the jet's is compiled once and executed twice: once
+with the `math` functions for one point given as floats, once with their
 numpy ufuncs for many points given as coordinate columns. The arithmetic
 is the same elementwise, so both give the same bits where `math` and
-numpy agree. The jet, the only source of second derivatives
-(`jets.evaluate_jet` runs it), is generated for one point only.
+numpy agree. The jet of one expression (`jets.evaluate_jet` runs it) is
+generated for one point only; the KKT blocks, the other second-order
+source, come for one point and for columns.
 """
 
 import functools
@@ -355,12 +358,14 @@ def _dense(grad, n):
     return [grad.get(j, "0.0") for j in range(1, n + 1)]
 
 
-def _build(name, n, emitter, ret, vector=False):
-    """Compile `def name(x1, ..., xn[, b1, ..., bn])`: the emitter's lines,
-    then `return ret`; `vector` adds the coordinates of a vector b."""
-    params = [f"x{i}" for i in range(1, n + 1)]
-    if vector:
-        params += [f"b{i}" for i in range(1, n + 1)]
+def _names(prefix, count):
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
+
+
+def _build(name, n, emitter, ret, extra=()):
+    """Compile `def name(x1, ..., xn, *extra)`: the emitter's lines, then
+    `return ret`."""
+    params = [*_names("x", n), *extra]
     src = "\n".join([
         f"def {name}({', '.join(params)}):", *emitter.lines,
         f"    return {ret}", "",
@@ -398,8 +403,8 @@ def _field_code(f, constraints, n):
 
 def _project_code(constraints, n):
     emitter, _, rows = _walk_all(constraints, n)
-    out = emitter.project(rows, [f"b{i}" for i in range(1, n + 1)])
-    return _build("_proj", n, emitter, _tuple(out), vector=True)
+    out = emitter.project(rows, _names("b", n))
+    return _build("_proj", n, emitter, _tuple(out), extra=_names("b", n))
 
 
 def _step_code(constraints, n):
@@ -415,6 +420,43 @@ def _jet_code(e, n):
                for i in range(1, n + 1) for j in range(1, n + 1)]
     return _build("_jet", n, emitter,
                   f"{val}, {_tuple(_dense(grad, n))}, {_tuple(entries)}")
+
+
+def _kkt_code(f, constraints, n):
+    """Source of `_kkt(x1, ..., xn, l1, ..., lk)`: grad f, the Jacobian
+    rows and the values of the constraints, and the n * n entries of
+    H_lam = Hess f - sum_i l_i Hess F_i, from one order-2 walk.
+
+    Entry (i, j) of H_lam is ((h_f - l1 * h_1) - l2 * h_2) ..., the sum
+    that subtracting l_i Hess F_i from Hess f one constraint at a time
+    forms, over the constraints whose Hessian has the entry and from 0.0
+    where f's has not; it is mirrored below the diagonal.
+    """
+    emitter = _Emitter(2)
+    (_, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
+    lams = _names("l", len(constraints))
+    hess = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            terms = [_times(lam, h[i, j])
+                     for lam, (_, _, h) in zip(lams, walked) if (i, j) in h]
+            first = hf.get((i, j), "0.0")
+            hess[i, j] = (emitter.local("k", " - ".join([first, *terms]))
+                          if terms else first)
+    out = [*_dense(gf, n), *(t for _, g, _ in walked for t in _dense(g, n)),
+           *(v for v, _, _ in walked),
+           *(hess[min(i, j), max(i, j)]
+             for i in range(1, n + 1) for j in range(1, n + 1))]
+    return _build("_kkt", n, emitter, _tuple(out), extra=lams)
+
+
+def stack_columns(entries, count):
+    """An (len(entries), count) array of length-count arrays, a float
+    broadcast where an entry does not depend on x."""
+    out = np.empty((len(entries), count))
+    for i, e in enumerate(entries):
+        out[i] = e
+    return out
 
 
 def _define(code, name, namespace):
@@ -434,8 +476,9 @@ class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
     `value` runs the node rules at order 0, `value_and_grad`, `project`
-    and `normal_step` at order 1 and `jet` at order 2, so where two of
-    them form the same number they give the same bits.
+    and `normal_step` at order 1 and `jet`, `kkt` and `kkt_columns` at
+    order 2, so where two of them form the same number they give the
+    same bits.
 
     - `expression` one expression: `value` gives a float,
       `value_and_grad` (value, gradient tuple of length ambient_dim) and
@@ -447,21 +490,24 @@ class CompiledExpression:
       (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward
       F = 0.
     - `expression` f with `constraints`: the field kernel.
-      `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x)).
+      `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x));
+      `kkt(x, lam)` gives grad f, the Jacobian rows, F and H_lam at x and
+      the multipliers lam, and `kkt_columns` the same for columns.
 
-    `value` and `jet` take one point; the other methods also take an
-    (ambient_dim, N) array whose columns are N points, and then each
-    number above is a length-N array, or a float where it does not
-    depend on x. A domain error raises EvaluationError naming the first
-    expression, in the order f, F_1, ..., F_k, that fails at x; a zero
-    Gram determinant or pivot raises RankDeficiencyError, except in
-    `normal_step` for columns (see there).
+    `value`, `jet` and `kkt` take one point and `kkt_columns` columns;
+    the other methods take one point or an (ambient_dim, N) array whose
+    columns are N points, and then each number above is a length-N
+    array, or a float where it does not depend on x. A domain error
+    raises EvaluationError naming the first expression, in the order f,
+    F_1, ..., F_k, that fails at x; a zero Gram determinant or pivot
+    raises RankDeficiencyError, except in `normal_step` for columns (see
+    there).
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project",
-        "_project_columns", "_step", "_step_columns", "_jet",
+        "_project_columns", "_step", "_step_columns", "_jet", "_kkt",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -492,7 +538,7 @@ class CompiledExpression:
             code = _value_grad_code(exprs, n, single)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._project = self._project_columns = None
-        self._step = self._step_columns = self._jet = None
+        self._step = self._step_columns = self._jet = self._kkt = None
         if not single:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
@@ -524,6 +570,62 @@ class CompiledExpression:
             raise EvaluationError(str(exc), self._text) from exc
         n = self.ambient_dim
         return value, np.array(grad), np.array(hess).reshape(n, n)
+
+    def kkt(self, x, lam):
+        """(grad f, Jacobian rows, constraint values, H_lam) of the field
+        kernel at one point x and multipliers lam, arrays of shapes (n,),
+        (k, n), (k,) and (n, n). A domain error raises the EvaluationError
+        that f's `jet`, then the constraint map's `value_and_grad`, then
+        each constraint's `jet` raises first at x.
+        """
+        try:
+            out = self._kkt_pair()[0](*_as_floats(x), *_as_floats(lam))
+        except _FAILURES as exc:
+            n = self.ambient_dim
+            compile_expression(self.expression, n).jet(x)
+            compile_expression(self.constraints, n).value_and_grad(x)
+            for part in self.constraints:
+                compile_expression(part, n).jet(x)
+            raise EvaluationError(str(exc), self._text) from exc
+        return tuple(block[0] for block in self._kkt_blocks(np.array([out])))
+
+    def kkt_columns(self, x, lam):
+        """`kkt` at the N columns of x (ambient_dim, N) and lam (k, N).
+
+        Returns the four blocks with the point first, shapes (N, n),
+        (N, k, n), (N, k) and (N, n, n), and a boolean mask of the columns
+        where `kkt` alone raises. Where numpy flags a floating-point
+        error, every column is re-run as one point, so each column has
+        its point's bits and a failed one is nan.
+        """
+        point, columns = self._kkt_pair()
+        count = x.shape[1]
+        failed = np.zeros(count, dtype=bool)
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                out = stack_columns(columns(*x, *lam), count).T
+        except _FAILURES:
+            n, k = self.ambient_dim, len(self.constraints)
+            out = np.full((count, n + k * n + k + n * n), np.nan)
+            for j, (xj, lj) in enumerate(zip(x.T.tolist(), lam.T.tolist())):
+                try:
+                    out[j] = point(*xj, *lj)
+                except _FAILURES:
+                    failed[j] = True
+        return self._kkt_blocks(out), failed
+
+    def _kkt_pair(self):
+        if self._kkt is None:
+            self._kkt = _pair(_kkt_code(self.expression, self.constraints,
+                                        self.ambient_dim), "_kkt")
+        return self._kkt
+
+    def _kkt_blocks(self, out):
+        """grad f, J, F and H_lam from the rows of `_kkt` outputs."""
+        n, k = self.ambient_dim, len(self.constraints)
+        grad, jac, vals, hess = np.split(out, [n, n + k * n, n + k * n + k],
+                                         axis=1)
+        return grad, jac.reshape(-1, k, n), vals, hess.reshape(-1, n, n)
 
     def value_and_grad(self, x):
         """See the class docstring. For columns, numpy division by zero,

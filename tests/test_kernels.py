@@ -533,6 +533,40 @@ def test_kernel_on_random_functions(name, seed):
     assert np.max(np.abs(np.subtract(got, tree))) <= 1e-9 * scale
 
 
+def _kkt_oracle(m, f, x, lam):
+    """The KKT blocks from the jets: grad f, the constraint Jacobian and
+    values, and Hess f with lam_i Hess F_i subtracted one at a time."""
+    jet = evaluate_jet(f, x)
+    vals, jac = m.values_and_jacobian(x)
+    hess = jet.hessian.copy()
+    for coef, cons_hess in zip(lam, m.constraint_hessians(x)):
+        hess -= coef * cons_hess
+    return jet.gradient, jac, vals, hess
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_kkt_kernel_matches_jets(name):
+    # x = (-1.1, ..., -1.1) is outside the domain of sqrt_domain, so there
+    # the columns are re-run as points and that one is flagged.
+    m, f = _scenario(name)
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    points = np.concatenate([*_points(name), [[-1.1] * m.ambient_dim]])
+    rng = np.random.default_rng(4)
+    lam = rng.standard_normal((len(points), m.n_constraints))
+    blocks, failed = kernel.kkt_columns(points.T.copy(), lam.T.copy())
+    assert failed.any() == (name == "sqrt_domain")
+    for j, (x, mult) in enumerate(zip(points, lam)):
+        want = _outcome(_kkt_oracle, m, f, x, mult)
+        got = _outcome(kernel.kkt, x, mult)
+        assert failed[j] == _is_error(want)
+        if _is_error(want):
+            assert got == want
+            continue
+        for point, column, oracle in zip(got, blocks, want):
+            assert np.array_equal(point, oracle)
+            assert np.array_equal(column[j], oracle)
+
+
 def test_kernels_share_the_expression_cache():
     scenario = load_scenario("clifford")
     m, f = scenario.build_manifold(), scenario.build_function()

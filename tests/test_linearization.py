@@ -15,6 +15,7 @@ from morseflow import (
 from morseflow.errors import FlowError, NotConvergedError
 from morseflow.linearization import (
     ENERGY_MAX_STEP,
+    _centered_derivative,
     integrate_variational_multi,
     slow_component,
 )
@@ -111,6 +112,31 @@ def test_energy_ode_residual_sphere(sphere):
         sphere.cfg.replace(max_step=ENERGY_MAX_STEP), crits=sphere.crits,
     )
     assert check_energy_ode(series, sphere.manifold, sphere.function) < 1e-2
+
+
+def test_energy_ode_residual_at_the_end_samples(clifford):
+    # From this start dE/dt changes fast near t = 0: the three-point
+    # formula at sample 1 gave a residual of 0.197, while the five-sample
+    # window clamped to the end gives 5.4e-4.
+    m, f = clifford.manifold, clifford.function
+    x0 = m.sample_points(1, seed=167)[0]
+    v0 = m.random_tangent(x0, np.random.default_rng(2))
+    series = integrate_variational(
+        m, f, x0, v0, clifford.cfg.replace(max_step=ENERGY_MAX_STEP),
+        crits=clifford.crits,
+    )
+    assert check_energy_ode(series, m, f) < 1e-2
+
+
+def test_centered_derivative_is_exact_for_quartics():
+    rng = np.random.default_rng(0)
+    t = np.cumsum(rng.uniform(0.1, 1.0, 9))
+    coef = rng.standard_normal(5)
+    e = np.polyval(coef, t)
+    slope = np.polyval(np.polyder(coef), t)
+    for i in range(1, len(t) - 1):
+        assert _centered_derivative(t, e, i) == pytest.approx(
+            slope[i], rel=1e-9, abs=1e-9)
 
 
 def test_energy_rate_near_minimum(sphere):

@@ -16,12 +16,17 @@ from morseflow import (
 )
 from morseflow.errors import (
     DisconnectedGraphError,
+    EvaluationError,
     NonMorseError,
     NotCriticalError,
     TooFewCriticalPointsError,
 )
 from morseflow.linalg import jacobi_eigh
-from morseflow.morse import classify_point
+from morseflow.morse import (
+    DEDUPE_RADIUS, SweepStats, _newton_sweep, classify_point,
+)
+from morseflow.symbolics import evaluate_jet
+from test_kernels import CATALOG, _scenario
 
 
 def test_sphere_census(sphere):
@@ -278,3 +283,179 @@ def test_jacobi_eigh_against_numpy():
         assert np.allclose(w, w_ref, atol=1e-9)
         assert np.max(np.abs(a @ v - v * w)) < 1e-9
         assert np.max(np.abs(v @ v.T - np.eye(n))) < 1e-10
+
+
+def _newton_solve(m, f, x0, max_iter=60, step_cap=0.5, res_tol=1e-11):
+    """Newton on the multiplier system from one start; None on failure.
+
+    The oracle of `_newton_sweep`: one start at a time, from the jets of
+    f and of each constraint.
+    """
+    n = m.ambient_dim
+    x = np.asarray(x0, dtype=float).copy()
+    lam = None
+    for _ in range(max_iter):
+        jet = evaluate_jet(f, x)
+        vals, jac = m.values_and_jacobian(x)
+        if lam is None:
+            lam, *_ = np.linalg.lstsq(jac.T, jet.gradient, rcond=None)
+        residual = np.concatenate([jet.gradient - jac.T @ lam, vals])
+        if np.max(np.abs(residual)) < res_tol:
+            return x
+        hess = jet.hessian.copy()
+        for coef, cons_hess in zip(lam, m.constraint_hessians(x)):
+            hess -= coef * cons_hess
+        k = len(vals)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = hess
+        kkt[:n, n:] = -jac.T
+        kkt[n:, :n] = jac
+        try:
+            delta = np.linalg.solve(kkt, -residual)
+        except np.linalg.LinAlgError:
+            delta, *_ = np.linalg.lstsq(kkt, -residual, rcond=None)
+        step = delta[:n]
+        norm = np.linalg.norm(step)
+        if norm > step_cap:
+            delta = delta * (step_cap / norm)
+        x = x + delta[:n]
+        lam = lam + delta[n:]
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e6:
+            return None
+    return None
+
+
+def _census_oracle(m, f, roots):
+    """Kept locations and SweepStats of a census from the oracle's roots:
+    sorted by coordinates, deduplicated with one norm per pair."""
+    converged = sorted((x for x in roots if x is not None), key=tuple)
+    unique = []
+    for x in converged:
+        if all(np.linalg.norm(x - u) > DEDUPE_RADIUS for u in unique):
+            unique.append(x)
+    kept = []
+    for x in unique:
+        try:
+            classify_point(m, f, x)
+        except NotCriticalError:
+            continue
+        kept.append(x)
+    stats = SweepStats(
+        n_starts=len(roots),
+        n_converged=len(converged),
+        n_discarded=len(roots) - len(converged) + len(unique) - len(kept),
+        n_unique=len(kept),
+    )
+    return kept, stats
+
+
+def _assert_same_roots(got, want):
+    """Same None pattern, and each root with the oracle's bits (the sign
+    of a zero included)."""
+    assert [r is None for r in got] == [r is None for r in want]
+    for a, b in zip(got, want):
+        if b is not None:
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _quadric_cut():
+    # Both constraints and f have Hessian entry (1, 1), so its H_lam entry
+    # is a sum of three terms, and the Jacobian rows overlap.
+    m = ImplicitManifold(4, [parse(e, 4) for e in (
+        "x1^2 + x2^2 + x3^2 + x4^2 - 1", "x1^2 - x2^2 + x3*x4 - 0.1")])
+    return m, parse("x1*x3 + 0.5*x1^2 + x4", 4)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("sphere_in_r5", "o3", "quadric"))
+def test_newton_sweep_matches_point_newton(name):
+    # Every o3 start takes capped steps, and 6 of its 120 run out of
+    # iterations (38 of 120 quadric starts).
+    m, f = _quadric_cut() if name == "quadric" else _scenario(name)
+    for seed in range(3):
+        starts = m.sample_points(40, seed)
+        want = [_newton_solve(m, f, x) for x in starts]
+        _assert_same_roots(_newton_sweep(m, f, starts), want)
+        crits = find_critical_points(m, f, 40, seed)
+        kept, stats = _census_oracle(m, f, want)
+        assert crits.stats == stats
+        got = sorted((p.location for p in crits), key=tuple)
+        assert len(got) == len(kept)
+        assert all(np.array_equal(a, b) for a, b in zip(got, kept))
+
+
+def test_newton_sweep_branches(sphere):
+    m = sphere.manifold
+    samples = list(m.sample_points(6, 0))
+    edge = [math.cos(1e-8), 0.0, math.sin(1e-8)]
+    cases = [
+        # At the equator f = x3 has lam = 0 and H_lam = 0, so the KKT
+        # matrix is singular: lstsq steps (for those rows only, the rest
+        # of the batch solves), until max_iter.
+        (parse("x3", 3), [[1.0, 0.0, 0.0], *samples, [0.0, 1.0, 0.0]], {}),
+        # A constant f: singular everywhere.
+        (parse("1", 3), samples, {}),
+        # Just off the equator the KKT matrix is nearly singular: an
+        # uncapped step of about 1e8 leaves the ball of radius 1e6.
+        (parse("x3", 3), [edge, *samples], {"step_cap": 1e9}),
+        # Too few iterations: these samples need 6 to 15 evaluations, so
+        # 5 stops one of them a single evaluation short.
+        *((sphere.function, samples, {"max_iter": i}) for i in (2, 5, 8)),
+    ]
+    for f, starts, options in cases:
+        starts = np.array(starts)
+        want = [_newton_solve(m, f, x, **options) for x in starts]
+        _assert_same_roots(_newton_sweep(m, f, starts, **options), want)
+    # Only the options make those starts fail.
+    assert _newton_solve(m, parse("x3", 3), edge, step_cap=1e9) is None
+    assert _newton_solve(m, parse("x3", 3), edge) is not None
+    for x in samples:
+        assert _newton_solve(m, sphere.function, x, max_iter=2) is None
+        assert _newton_solve(m, sphere.function, x) is not None
+
+
+def _first_failure(m, f, starts):
+    """The EvaluationError message of the first start whose point Newton
+    raises."""
+    for x in starts:
+        try:
+            _newton_solve(m, f, x)
+        except EvaluationError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("function", [
+    "x1 + x2 + 0.01*sqrt(x2 + 1)", "-x1 - x2 + 0.001*sqrt(0.99 - x2)",
+])
+def test_newton_sweep_raises_the_first_failing_start(function):
+    # The constraint has sqrt(x1 + 1) and f a sqrt of x2, so a start fails
+    # in one or the other; the orders of the starts below make the first
+    # failing start a different one.
+    m, _ = _scenario("sqrt_domain")
+    f = parse(function, 3)
+    starts = m.sample_points(30, 0)
+    messages = set()
+    for batch in (starts, starts[1:], starts[2:], starts[::-1]):
+        want = _first_failure(m, f, batch)
+        messages.add(want)
+        with np.errstate(all="raise"):
+            with pytest.raises(EvaluationError) as err:
+                _newton_sweep(m, f, batch)
+        assert str(err.value) == want
+    assert len(messages) == 2 and None not in messages
+    with pytest.raises(EvaluationError) as err:
+        find_critical_points(m, f, 30, 0)
+    assert str(err.value) == _first_failure(m, f, starts)
+
+
+def test_newton_sweep_overflow_is_a_failed_start(sphere):
+    # H_lam of 1e308 x1^2 overflows to inf, and near x1 = +-1 so does the
+    # gradient: numpy flags the overflow, the point code gives inf, and no
+    # lstsq sees a non-finite matrix (LAPACK may not return from one).
+    m = sphere.manifold
+    f = parse("1e308 * x1^2", 3)
+    starts = np.array([[0.1, 0.2, math.sqrt(0.95)], [0.6, 0.0, 0.8],
+                       [0.95, 0.0, math.sqrt(1.0 - 0.95 ** 2)]])
+    with np.errstate(all="raise"):
+        assert _newton_sweep(m, f, starts) == [None, None, None]
