@@ -17,7 +17,9 @@ from .catalog import list_scenarios, load_scenario, load_scenario_file
 from .connectivity import basin_sample, build_connection_graph, check_connected
 from .errors import ConfigError, ExpressionSyntaxError, MorseflowError, UnknownScenarioError
 from .flow import FlowConfig, check_length_bound, integrate_flow
-from .linearization import ENERGY_MAX_STEP, check_energy_ode, integrate_variational, run_decay, fit_decay_rate
+from .linearization import (
+    ENERGY_MAX_STEP, check_energy_ode, integrate_variational, run_decay,
+)
 from .morse import find_critical_points, geometric_constants
 from .transport import flatness_test
 
@@ -173,14 +175,8 @@ def _cmd_decay(args):
             raise ConfigError("--v requires --from")
         raw = _parse_point(args.direction_vector, ws.manifold.ambient_dim)
         v0 = ws.manifold.project_tangent(x0, raw)
-        series = integrate_variational(
-            ws.manifold, ws.function, x0, v0,
-            ws.cfg.replace(max_step=0.2), crits=ws.crits,
-        )
-        report = fit_decay_rate(series, ws.crits)
-    else:
-        series, report = run_decay(ws.manifold, ws.function, ws.crits,
-                                   ws.cfg, seed=ws.seed, x0=x0)
+    series, report = run_decay(ws.manifold, ws.function, ws.crits, ws.cfg,
+                               seed=ws.seed, x0=x0, v0=v0)
     energy_series = integrate_variational(
         ws.manifold, ws.function, series.points[0], series.vectors[0],
         ws.cfg.replace(max_step=ENERGY_MAX_STEP), crits=ws.crits,

@@ -10,9 +10,9 @@ the stage, B5 and error sums, the step-size rules and capture:
   One step is one generated function per state size (`_step_code`),
   compiled once and defined per flow with the field kernel, the sign
   and the tolerances bound: from h, the state and k1 it forms the five
-  further stages, y5 and the scaled error norm on float locals. The
-  stages of a plain flow call the field kernel's point function
-  directly; those of a variational flow call its derivative `rhs`.
+  further stages, y5 and the scaled error norm on float locals. Each
+  stage is one call of the field kernel for the state: P grad f, then
+  its exact derivative along each vector.
 - `_cash_karp_columns` steps many plain forward flows as one (n, N)
   array, with a time, step size, accept/reject decision and terminal per
   column. Basin sampling uses it, through `flow_terminals`. Each column
@@ -184,7 +184,8 @@ class GradientField:
         return self._kernel.value(xs)
 
     def projected_gradient(self, xs):
-        """P(x) grad f(x): n floats, or n columns."""
+        """P(x) grad f(x): n floats, or n columns; for a state [x, V_1,
+        ...], P grad f then its derivative along each V."""
         return self._kernel.value_and_grad(xs)[1]
 
     def project(self, xs, vec):
@@ -253,15 +254,15 @@ def _weighted(weights, col):
 
 
 @functools.lru_cache(maxsize=None)
-def _step_code(size, plain):
+def _step_code(size):
     """Compiled `_ck(h, y1, ..., k1_1, ...)`: one Cash-Karp step over a
     state of `size` floats, returning ([y5_1, ...], err_scaled).
 
-    Each further stage calls the field kernel's point function `vg` and
-    takes k = sign * P grad f (`plain`), or calls `rhs` on the stage as
-    a list. Stage, B5 and error sums are `_weighted`; each error term
-    is h * (...) / (abs_tol + rel_tol * max(|y|, |y5|)), squared with
-    ** 2 and summed from 0.0, and the norm is sqrt(sum / size).
+    Each further stage calls the field kernel's point function `vg` for
+    the state size and takes k = sign * g of its output g (see
+    `_cash_karp`). Stage, B5 and error sums are `_weighted`; each error
+    term is h * (...) / (abs_tol + rel_tol * max(|y|, |y5|)), squared
+    with ** 2 and summed from 0.0, and the norm is sqrt(sum / size).
     """
     index = range(1, size + 1)
     ys = [f"y{j}" for j in index]
@@ -271,12 +272,9 @@ def _step_code(size, plain):
         stage = ", ".join(f"{y} + h * {_weighted(row, col)}"
                           for y, col in zip(ys, zip(*ks)))
         k = [f"k{i}_{j}" for j in index]
-        if plain:
-            lines.append(f"    _, ({', '.join(f'g{j}' for j in index)},) "
-                         f"= vg({stage})")
-            lines += [f"    {kj} = sign * g{j}" for j, kj in zip(index, k)]
-        else:
-            lines.append(f"    {', '.join(k)}, = rhs([{stage}])")
+        lines.append(f"    _, ({', '.join(f'g{j}' for j in index)},) "
+                     f"= vg({stage})")
+        lines += [f"    {kj} = sign * g{j}" for j, kj in zip(index, k)]
         ks.append(k)
     cols = list(zip(*ks))
     zs = [f"z{j}" for j in index]
@@ -292,19 +290,19 @@ def _step_code(size, plain):
     return compile("\n".join(lines) + "\n", f"<cash-karp:{size}>", "exec")
 
 
-def _stepper(field, sign, cfg, size, rhs=None):
+def _stepper(field, sign, cfg, size):
     """step(h, state, k1) -> (y5, err_scaled) for a state of `size` floats.
 
-    With rhs None the stages call the field kernel unchecked; a stage
-    that fails there (a domain error, or a zero Gram determinant or
-    pivot) re-runs the step through the checked `value_and_grad`, which
-    raises the EvaluationError naming the failing expression, or the
-    RankDeficiencyError, of that stage.
+    The stages call the field kernel's point function for the state size
+    unchecked; a stage that fails there (a domain error, or a zero Gram
+    determinant or pivot) re-runs the step through the checked
+    `value_and_grad`, which raises the EvaluationError naming the
+    failing expression, or the RankDeficiencyError, of that stage.
     """
     kernel = field._kernel
-    code = _step_code(size, rhs is None)
+    code = _step_code(size)
     scope = {"sqrt": math.sqrt, "sign": sign, "abs_tol": cfg.abs_tol,
-             "rel_tol": cfg.rel_tol, "rhs": rhs, "vg": kernel._value_grad}
+             "rel_tol": cfg.rel_tol, "vg": kernel.field_function(size)}
     fast = _define(code, "_ck", scope)
 
     def step(h, state, k1):
@@ -316,32 +314,31 @@ def _stepper(field, sign, cfg, size, rhs=None):
     return step
 
 
-def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True,
-               rhs=None):
+def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
     """Step the flat state [x, v_1, ..., v_j] until its terminal.
 
-    The state's derivative is the signed field sign * P grad f for a
-    plain flow, or `rhs(state)` for a variational one; its first n
-    entries are the signed field, whose norm at each accepted point
-    decides capture. An accepted point is retracted onto M and the
-    vectors re-projected there. `x_norm` (|x0|) sets the first step.
-    Returns (terminal, stats, times, states, grad_norms) over the start
-    and every accepted step.
+    The state's derivative is sign times the field kernel's output for
+    the state: P grad f, then the derivative of P grad f along each
+    vector. Its first n entries are the signed field, whose norm at each
+    accepted point decides capture. An accepted point is retracted onto
+    M and the vectors re-projected there. `x_norm` (|x0|) sets the first
+    step. Returns (terminal, stats, times, states, grad_norms) over the
+    start and every accepted step.
     """
     m = field.manifold
     n = field.n
     size = len(state)
     crit_list = list(crits) if crits is not None else []
     stats = FlowStats()
-    step = _stepper(field, sign, cfg, size, rhs)
-    if rhs is None:
-        def rhs(ys):
-            return [sign * v for v in field.projected_gradient(ys)]
+    step = _stepper(field, sign, cfg, size)
+
+    def derivative(ys):
+        return [sign * v for v in field.projected_gradient(ys)]
 
     def _terminal(point, norm):
         return _capture(point, norm, crit_list, cfg) if capture else None
 
-    k1 = rhs(state)
+    k1 = derivative(state)
     gnorm = _norm(k1[:n])
     times, states, gnorms = [0.0], [state], [gnorm]
     terminal = _terminal(np.array(state[:n]), gnorm)
@@ -387,7 +384,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True,
             for c in field.project(point, y_new[lo:lo + n])
         ]
         stats.steps += 1
-        k1 = rhs(state)
+        k1 = derivative(state)
         gnorm = _norm(k1[:n])
         times.append(t)
         states.append(state)

@@ -2,11 +2,11 @@
 
 The pushforward V(t) of a tangent vector obeys the variational equation
 dV/dt = -A(x) V, where A(x) V is the directional derivative of the
-projected gradient field along V. That derivative is taken by central
-finite differences of the assembled field (step 1e-6 * max(1, |x|)) and
-projected back to the tangent space; this avoids third derivatives of
-the defining expressions, and the Richardson consistency test in the
-suite validates the step choice.
+projected gradient field along V. The field kernel forms it exactly,
+from the second-order jets, in the call that forms the field
+(`symbolics.compile`). Its normal part, which turns V with the tangent
+planes, is kept: projecting it away would bleed energy at every
+re-projection. For tangent V, V . A(x) V = Hess(V, V).
 
 The joint state [x, V_1, ..., V_j] runs through the flow's own stepper:
 one adaptive step and error norm over the point and every vector, with
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import FlowError, NotConvergedError
 from .flow import (
-    FlowConfig, FlowStats, GradientField, Terminal, _cash_karp, _norm,
-    _sign, _start_point,
+    FlowConfig, FlowStats, GradientField, Terminal, _cash_karp, _sign,
+    _start_point,
 )
 from .morse import hessian_quadratic_form
 
@@ -36,8 +36,6 @@ from .morse import hessian_quadratic_form
 # the 1e-2 residual gate even where dE/dt changes sign).
 DECAY_MAX_STEP = 0.2
 ENERGY_MAX_STEP = 0.02
-
-_FD_STEP = 1e-6
 
 
 @dataclass
@@ -57,19 +55,6 @@ class VariationalSeries:
 
     def vector_norms(self):
         return np.linalg.norm(self.vectors, axis=1)
-
-
-def _field_derivative(field, xs, vec, sign):
-    """sign * A(x) vec for the list-based field, finite differenced."""
-    norm = _norm(vec)
-    if norm == 0.0:
-        return [0.0] * len(vec)
-    h = _FD_STEP * max(1.0, _norm(xs))
-    unit = [v / norm for v in vec]
-    plus = field.projected_gradient([x + h * u for x, u in zip(xs, unit)])
-    minus = field.projected_gradient([x - h * u for x, u in zip(xs, unit)])
-    scale = sign * norm / (2.0 * h)
-    return [scale * (p - q) for p, q in zip(plus, minus)]
 
 
 def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
@@ -99,19 +84,8 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
             raise ValueError("v0 is not tangent at x0")
         state += vec.tolist()
 
-    def rhs(ys):
-        # The raw directional derivative of the field carries the normal
-        # component that rotates V with the tangent planes; projecting it
-        # here would bleed energy at every re-projection. Tangency is
-        # enforced on accepted samples instead.
-        point = ys[:n]
-        dys = [sign * b for b in field.projected_gradient(point)]
-        for lo in range(n, len(ys), n):
-            dys += _field_derivative(field, point, ys[lo:lo + n], sign)
-        return dys
-
     terminal, stats, times, states, _ = _cash_karp(
-        field, sign, state, np.linalg.norm(x), cfg, crits, capture, rhs
+        field, sign, state, np.linalg.norm(x), cfg, crits, capture
     )
     samples = np.array(states)
     return (

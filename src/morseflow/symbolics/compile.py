@@ -24,7 +24,9 @@ cache:
   P grad f, P the orthogonal projection onto ker dF, from one pass over
   f and the constraints; also, compiled on first use, the blocks of the
   KKT system of the multiplier Newton (grad f, J, F and
-  H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass.
+  H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass, and for
+  x with j tangent vectors, f, P grad f and the derivative of P grad f
+  along each vector from one order-2 pass (`_field_code`).
 
 This is the only code that solves with the Gram matrix J J^T, for every
 number k of constraints: `project`, `normal_step` and the field kernel
@@ -39,9 +41,9 @@ Each source but the jet's is compiled once and executed twice: once
 with the `math` functions for one point given as floats, once with their
 numpy ufuncs for many points given as coordinate columns. The arithmetic
 is the same elementwise, so both give the same bits where `math` and
-numpy agree. The jet of one expression (`jets.evaluate_jet` runs it) is
-generated for one point only; the KKT blocks, the other second-order
-source, come for one point and for columns.
+numpy agree. The jet of one expression (`jets.evaluate_jet` runs it) and
+the field kernel's derivatives along vectors are generated for one point
+only; the KKT blocks come for one point and for columns.
 """
 
 import functools
@@ -266,11 +268,11 @@ class _Emitter:
         return w
 
     def project(self, rows, vec):
-        """Tokens of vec - J^T w, the tangential part of `vec`, with w
+        """Tokens of vec - J^T w, the tangential part of `vec`, and of w,
         the weights of J vec."""
         w = self._weights(rows, [self.local("p", _dot(j, vec)) for j in rows])
         return [" - ".join([b, *(f"{wi} * {a}" for wi, a in zip(w, col))])
-                for b, *col in zip(vec, *rows)]
+                for b, *col in zip(vec, *rows)], w
 
     def normal_step(self, rows, vals):
         """Tokens of J^T w, the Gauss-Newton step, with w the weights of
@@ -279,6 +281,29 @@ class _Emitter:
         return [" + ".join(f"{wi} * {a}" for wi, a in zip(w, col))
                 for col in zip(*rows)]
 
+    def corrected_hessian(self, hf, hessians, lams):
+        """Upper-triangle tokens of H_lam = Hess f - sum_i lam_i Hess F_i
+        at the entries f or some F_i has: ((h_f - l1 * h_1) - l2 * h_2)
+        ..., over the F_i with the entry and from 0.0 where f has not."""
+        hess = {}
+        for i, j in sorted(set(hf).union(*hessians)):
+            terms = [_times(lam, h[i, j])
+                     for lam, h in zip(lams, hessians) if (i, j) in h]
+            first = hf.get((i, j), "0.0")
+            hess[i, j] = (self.local("k", " - ".join([first, *terms]))
+                          if terms else first)
+        return hess
+
+    def symmetric_times(self, upper, vec):
+        """Tokens of M vec for the symmetric M with upper triangle
+        `upper`: sums from 0.0 over its entries, in coordinate order."""
+        out = []
+        for i in range(1, len(vec) + 1):
+            keys = [(min(i, j), max(i, j)) for j in range(1, len(vec) + 1)]
+            terms = [f"{upper[k]} * {v}" for k, v in zip(keys, vec)
+                     if k in upper]
+            out.append(self.local("d", " + ".join(["0.0", *terms])))
+        return out
 
 def _const(value):
     """Source token of a constant, a negative one in parentheses: bare,
@@ -395,15 +420,34 @@ def _value_grad_code(exprs, n, single):
     return _build("_vg", n, emitter, f"{_tuple(vals)}, {_tuple(grads)}")
 
 
-def _field_code(f, constraints, n):
-    emitter, vals, grads = _walk_all((f, *constraints), n)
-    out = emitter.project(grads[1:], grads[0])
-    return _build("_vg", n, emitter, f"{vals[0]}, {_tuple(out)}")
+def _field_code(f, constraints, n, vectors=0):
+    """Source of `_vg(x1, ..., xn, v1_1, ..., vj_n)`, j = `vectors`: f,
+    w = P grad f, then for each V the derivative of w along V,
+    dw[V] = P(H_lam V) - J^T (J J^T)^{-1} [w^T Hess F_i V]_i, lam the
+    weights of w's projection; the normal part turns V with the tangent
+    planes. j = 0 walks to order 1, j > 0 to order 2."""
+    emitter = _Emitter(2 if vectors else 1)
+    (vf, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
+    rows = [_dense(g, n) for _, g, _ in walked]
+    w, lams = emitter.project(rows, _dense(gf, n))
+    params = [_names(f"v{j}_", n) for j in range(1, vectors + 1)]
+    hessians = [h for _, _, h in walked]
+    hess = emitter.corrected_hessian(hf, hessians, lams)
+    w = [emitter.local("d", t) for t in w] if vectors else w
+    out = list(w)
+    for vec in params:
+        tangent, _ = emitter.project(rows, emitter.symmetric_times(hess, vec))
+        turn = [emitter.local("d", _dot(w, emitter.symmetric_times(h, vec)))
+                for h in hessians]
+        normal = emitter.normal_step(rows, turn)
+        out += [f"{t} - ({q})" for t, q in zip(tangent, normal)]
+    return _build("_vg", n, emitter, f"{vf}, {_tuple(out)}",
+                  extra=[v for vec in params for v in vec])
 
 
 def _project_code(constraints, n):
     emitter, _, rows = _walk_all(constraints, n)
-    out = emitter.project(rows, _names("b", n))
+    out, _ = emitter.project(rows, _names("b", n))
     return _build("_proj", n, emitter, _tuple(out), extra=_names("b", n))
 
 
@@ -425,27 +469,16 @@ def _jet_code(e, n):
 def _kkt_code(f, constraints, n):
     """Source of `_kkt(x1, ..., xn, l1, ..., lk)`: grad f, the Jacobian
     rows and the values of the constraints, and the n * n entries of
-    H_lam = Hess f - sum_i l_i Hess F_i, from one order-2 walk.
-
-    Entry (i, j) of H_lam is ((h_f - l1 * h_1) - l2 * h_2) ..., the sum
-    that subtracting l_i Hess F_i from Hess f one constraint at a time
-    forms, over the constraints whose Hessian has the entry and from 0.0
-    where f's has not; it is mirrored below the diagonal.
+    H_lam = Hess f - sum_i l_i Hess F_i (`corrected_hessian`, mirrored
+    below the diagonal), from one order-2 walk.
     """
     emitter = _Emitter(2)
     (_, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
     lams = _names("l", len(constraints))
-    hess = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            terms = [_times(lam, h[i, j])
-                     for lam, (_, _, h) in zip(lams, walked) if (i, j) in h]
-            first = hf.get((i, j), "0.0")
-            hess[i, j] = (emitter.local("k", " - ".join([first, *terms]))
-                          if terms else first)
+    hess = emitter.corrected_hessian(hf, [h for _, _, h in walked], lams)
     out = [*_dense(gf, n), *(t for _, g, _ in walked for t in _dense(g, n)),
            *(v for v, _, _ in walked),
-           *(hess[min(i, j), max(i, j)]
+           *(hess.get((min(i, j), max(i, j)), "0.0")
              for i in range(1, n + 1) for j in range(1, n + 1))]
     return _build("_kkt", n, emitter, _tuple(out), extra=lams)
 
@@ -476,9 +509,9 @@ class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
     `value` runs the node rules at order 0, `value_and_grad`, `project`
-    and `normal_step` at order 1 and `jet`, `kkt` and `kkt_columns` at
-    order 2, so where two of them form the same number they give the
-    same bits.
+    and `normal_step` at order 1 and `jet`, `kkt`, `kkt_columns` and the
+    field kernel's `value_and_grad` of a state with vectors at order 2,
+    so where two of them form the same number they give the same bits.
 
     - `expression` one expression: `value` gives a float,
       `value_and_grad` (value, gradient tuple of length ambient_dim) and
@@ -491,6 +524,9 @@ class CompiledExpression:
       F = 0.
     - `expression` f with `constraints`: the field kernel.
       `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x));
+      for a state of x and j tangent vectors, (1 + j) n floats, it gives
+      f(x) and P grad f followed by its derivative along each vector
+      (`field_function` is the unchecked function of a state size).
       `kkt(x, lam)` gives grad f, the Jacobian rows, F and H_lam at x and
       the multipliers lam, and `kkt_columns` the same for columns.
 
@@ -499,14 +535,14 @@ class CompiledExpression:
     columns are N points, and then each number above is a length-N
     array, or a float where it does not depend on x. A domain error
     raises EvaluationError naming the first expression, in the order f,
-    F_1, ..., F_k, that fails at x; a zero Gram determinant or pivot
-    raises RankDeficiencyError, except in `normal_step` for columns (see
-    there).
+    F_1, ..., F_k, that fails at x (with vectors, whose `jet` fails); a
+    zero Gram determinant or pivot raises RankDeficiencyError, except in
+    `normal_step` for columns (see there).
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
-        "_value", "_value_grad", "_value_grad_columns", "_project",
+        "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
         "_project_columns", "_step", "_step_columns", "_jet", "_kkt",
     )
 
@@ -537,6 +573,7 @@ class CompiledExpression:
         else:
             code = _value_grad_code(exprs, n, single)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
+        self._fields = {0: self._value_grad}
         self._project = self._project_columns = None
         self._step = self._step_columns = self._jet = self._kkt = None
         if not single:
@@ -627,10 +664,28 @@ class CompiledExpression:
                                          axis=1)
         return grad, jac.reshape(-1, k, n), vals, hess.reshape(-1, n, n)
 
+    def field_function(self, size):
+        """The field kernel's unchecked point function for a state of
+        `size` floats, x and size / n - 1 vectors, generated on first use
+        (`_field_code`); size n gives `value_and_grad`'s own."""
+        vectors = size // self.ambient_dim - 1
+        if vectors not in self._fields:
+            self._fields[vectors] = _define(_field_code(
+                self.expression, self.constraints, self.ambient_dim, vectors,
+            ), "_vg", _NAMESPACE)
+        return self._fields[vectors]
+
     def value_and_grad(self, x):
         """See the class docstring. For columns, numpy division by zero,
         invalid operations and overflow raise as `math` does for one
         point."""
+        n = self.ambient_dim
+        if self.constraints and len(x) > n:
+            x = _as_floats(x)
+            try:
+                return self.field_function(len(x))(*x)
+            except _FAILURES as exc:
+                raise self._failure("jet", x[:n], exc, True) from exc
         return self._call(self._value_grad, self._value_grad_columns, x,
                           projected=bool(self.constraints))
 

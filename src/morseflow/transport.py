@@ -198,10 +198,12 @@ def _pushed_operator(m, f, x, u, v, t, direction, cfg, h, substeps):
     pushed_v = blocks[1][-1]
     y = points[-1]
     nu = np.linalg.norm(pushed_u)
+    if nu == 0.0:
+        raise FlowError("pushed plane degenerated; shorten t")
     unit_u = pushed_u / nu
     perp = pushed_v - (pushed_v @ unit_u) * unit_u
     nv = np.linalg.norm(perp)
-    if nu == 0.0 or nv < 1e-12:
+    if nv < 1e-12:
         raise FlowError("pushed plane degenerated; shorten t")
     unit_v = perp / nv
     area = nu * nv

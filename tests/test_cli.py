@@ -4,9 +4,11 @@ import json
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 
 from morseflow import cli
+from morseflow.linearization import run_decay
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -72,6 +74,26 @@ def test_decay_with_explicit_vector(tmp_path):
     payload = _read_json(out / "decay.json")
     assert payload["relative_gap"] < 0.05
     assert payload["c_pred"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_decay_with_explicit_vector_keeps_a_smaller_max_step(tmp_path,
+                                                             sphere):
+    # --v caps the step as run_decay does, so --max-step 0.05 gives the
+    # library's run at max_step=0.05
+    out = tmp_path / "out"
+    code = cli.main(["decay", "--scenario", "sphere2", "--from", "1,0,0",
+                     "--v", "0,1,0", "--max-step", "0.05",
+                     "--out", str(out)])
+    assert code == 0
+    m = sphere.manifold
+    x0 = m.retract(np.array([1.0, 0.0, 0.0]))
+    _, report = run_decay(
+        m, sphere.function, sphere.crits, sphere.cfg.replace(max_step=0.05),
+        x0=x0, v0=m.project_tangent(x0, np.array([0.0, 1.0, 0.0])))
+    payload = _read_json(out / "decay.json")
+    assert payload["n_fit_samples"] == report.n_fit_samples
+    assert payload["c_fit"] == report.c_fit
+    assert payload["fit_window"] == list(report.fit_window)
 
 
 def test_flow_backward(tmp_path):

@@ -23,7 +23,8 @@ from morseflow.flow import (
     _CK_A, _CK_B5, _CK_ERR, GradientField, Terminal, _first_step, _norm,
     _stepper, flow_terminals,
 )
-from morseflow.linearization import _field_derivative
+from morseflow.linearization import integrate_variational
+from morseflow.morse import hessian_quadratic_form
 from test_kernels import SCENARIOS, _scenario
 
 
@@ -336,21 +337,47 @@ def _oracle_step(rhs, h, state, k1, cfg):
     return y_new, math.sqrt(err_scaled / len(state))
 
 
-def _plain_rhs(field, sign):
+def _checked_rhs(field, sign):
+    # the derivative of [x, V_1, ..., V_j], from the checked kernel call
     return lambda ys: [sign * v for v in field.projected_gradient(ys)]
 
 
-def _variational_rhs(field, sign):
-    # the derivative of [x, V_1, ..., V_j] that the variational flows step
-    n = field.n
+_FD_STEP = 1e-6
 
-    def rhs(ys):
-        point = ys[:n]
-        dys = [sign * b for b in field.projected_gradient(point)]
-        for lo in range(n, len(ys), n):
-            dys += _field_derivative(field, point, ys[lo:lo + n], sign)
-        return dys
-    return rhs
+
+def _field_derivative(field, xs, vec):
+    """The derivative of P grad f along vec by central finite differences
+    of the field, step 1e-6 * max(1, |x|)."""
+    norm = _norm(vec)
+    if norm == 0.0:
+        return [0.0] * len(vec)
+    h = _FD_STEP * max(1.0, _norm(xs))
+    unit = [v / norm for v in vec]
+    plus = field.projected_gradient([x + h * u for x, u in zip(xs, unit)])
+    minus = field.projected_gradient([x - h * u for x, u in zip(xs, unit)])
+    scale = norm / (2.0 * h)
+    return [scale * (p - q) for p, q in zip(plus, minus)]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_field_derivative_matches_finite_differences(name):
+    # dw[V] and dw[2V] from one kernel call: within 1e-8 of the finite
+    # differences, exactly linear under scaling by 2, and V . dw[V] is
+    # the corrected Hessian's V^T H_lam V for tangent V
+    m, f = _scenario(name)
+    field = GradientField(m, f)
+    n = field.n
+    rng = np.random.default_rng(11)
+    for x in m.sample_points(20, seed=12):
+        v = m.random_tangent(x, rng)
+        out = field.projected_gradient(
+            x.tolist() + v.tolist() + (2.0 * v).tolist())
+        dw, dw2 = np.array(out[n:2 * n]), np.array(out[2 * n:])
+        fd = _field_derivative(field, x.tolist(), v.tolist())
+        assert np.linalg.norm(dw - fd) <= 1e-8 * max(1.0, np.linalg.norm(dw))
+        assert dw2.tobytes() == (2.0 * dw).tobytes()
+        q = hessian_quadratic_form(m, f, x, v)
+        assert abs(v @ dw - q) <= 1e-12 * max(1.0, abs(q))
 
 
 def _outcome(step, *args):
@@ -374,12 +401,8 @@ def test_generated_step_matches_list_oracle(name):
         for sign, vectors in ((-1.0, 0), (1.0, 0), (-1.0, 1), (1.0, 2)):
             state = point + [c for _ in range(vectors)
                              for c in m.random_tangent(x, rng).tolist()]
-            if vectors:
-                rhs = _variational_rhs(field, sign)
-                step = _stepper(field, sign, cfg, len(state), rhs)
-            else:
-                rhs = _plain_rhs(field, sign)
-                step = _stepper(field, sign, cfg, len(state))
+            rhs = _checked_rhs(field, sign)
+            step = _stepper(field, sign, cfg, len(state))
             k1 = rhs(state)
             for h in 10.0 ** rng.uniform(-4.0, 0.0, 3):
                 want = _outcome(_oracle_step, rhs, h, state, k1, cfg)
@@ -393,7 +416,7 @@ def test_stage_leaving_the_domain_raises_the_checked_error():
     f = parse("x3 + sqrt(x3 + 0.5)", 3)
     field = GradientField(m, f)
     x0 = [math.sqrt(1.0 - 0.495 ** 2), 0.0, -0.495]
-    rhs = _plain_rhs(field, -1.0)
+    rhs = _checked_rhs(field, -1.0)
     k1 = rhs(x0)
     cfg = FlowConfig()
     h = _first_step(cfg, _norm(x0), _norm(k1))
@@ -415,7 +438,42 @@ def test_stage_on_a_rank_deficient_jacobian_raises():
     k1 = [-0.25, -0.5, -1.0]
     cfg = FlowConfig()
     with pytest.raises(RankDeficiencyError) as want:
-        _oracle_step(_plain_rhs(field, -1.0), 5.0, state, k1, cfg)
+        _oracle_step(_checked_rhs(field, -1.0), 5.0, state, k1, cfg)
     with pytest.raises(RankDeficiencyError) as got:
         _stepper(field, -1.0, cfg, 3)(5.0, state, k1)
+    assert str(got.value) == str(want.value)
+
+
+def test_variational_stage_leaving_the_domain_raises_the_checked_error():
+    # the sphere and start of the plain case, with a tangent vector
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)])
+    f = parse("x3 + sqrt(x3 + 0.5)", 3)
+    field = GradientField(m, f)
+    x0 = [math.sqrt(1.0 - 0.495 ** 2), 0.0, -0.495]
+    state = x0 + [0.0, 1.0, 0.0]
+    rhs = _checked_rhs(field, -1.0)
+    k1 = rhs(state)
+    cfg = FlowConfig()
+    h = _first_step(cfg, _norm(x0), _norm(k1[:3]))
+    with pytest.raises(EvaluationError) as want:
+        _oracle_step(rhs, h, state, k1, cfg)
+    with pytest.raises(EvaluationError) as got:
+        integrate_variational(m, f, x0, [0.0, 1.0, 0.0], cfg)
+    assert str(got.value) == str(want.value)
+    assert got.value.subexpression == want.value.subexpression == (
+        "x3 + sqrt(x3 + 0.5)")
+
+
+def test_variational_stage_on_a_rank_deficient_jacobian_raises():
+    # the plain case's cone apex, reached by the second stage with a
+    # tangent vector in the state
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    field = GradientField(cone, parse("x3", 3))
+    state = [0.25, 0.5, 1.0, 2.0, -1.0, 0.0]
+    k1 = [-0.25, -0.5, -1.0, 0.5, 0.25, 0.0]
+    cfg = FlowConfig()
+    with pytest.raises(RankDeficiencyError) as want:
+        _oracle_step(_checked_rhs(field, -1.0), 5.0, state, k1, cfg)
+    with pytest.raises(RankDeficiencyError) as got:
+        _stepper(field, -1.0, cfg, 6)(5.0, state, k1)
     assert str(got.value) == str(want.value)

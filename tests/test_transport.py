@@ -11,7 +11,7 @@ from morseflow import (
     parallel_transport,
     parse,
 )
-from morseflow.errors import NonMorseError
+from morseflow.errors import FlowError, NonMorseError
 from morseflow.transport import sectional_value
 
 
@@ -128,6 +128,16 @@ def test_flow_invariance_defect_sphere(sphere):
     defect = flow_invariance_defect(sphere.manifold, sphere.function,
                                     x, u, v, 0.5, sphere.cfg)
     assert defect > 10.0 * 1e-3
+
+
+def test_flow_invariance_defect_zero_vector_is_degenerate(sphere):
+    # a zero u stays zero along the flow; the pushed plane is refused
+    # before anything divides by its length (a RuntimeWarning fails here)
+    x = np.array([1.0, 0.0, 0.0])
+    v = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(FlowError, match="degenerated"):
+        flow_invariance_defect(sphere.manifold, sphere.function,
+                               x, np.zeros(3), v, 0.1)
 
 
 def test_flow_invariance_defect_clifford(clifford):
