@@ -4,8 +4,9 @@
     python3 oracles/trajectory_digest.py [--starts 15]
 
 For each catalog scenario the script takes the critical points and flow
-settings as the tests do (200 Newton starts at seed 0, the scenario's
-integrator defaults) and draws `--starts` points from seed 1. It prints
+settings from the scenario session (`catalog.ScenarioContext` at its
+defaults, as the CLI, the tests and the acceptance suite build it) and
+draws `--starts` points from seed 1. It prints
 one line `<scenario> plain <digest>` over the `integrate_flow` runs,
 forward and backward from each start, and one line
 `<scenario> variational <digest>` over the `integrate_variational_multi`
@@ -27,11 +28,8 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from morseflow import (  # noqa: E402
-    FlowConfig, find_critical_points, geometric_constants, integrate_flow,
-    load_scenario,
-)
-from morseflow.catalog import list_scenarios  # noqa: E402
+from morseflow import integrate_flow, load_scenario  # noqa: E402
+from morseflow.catalog import ScenarioContext, list_scenarios  # noqa: E402
 from morseflow.linearization import integrate_variational_multi  # noqa: E402
 
 
@@ -48,12 +46,9 @@ def _update_outcome(digest, terminal, stats):
 
 
 def scenario_digests(name, starts):
-    scenario = load_scenario(name)
-    m = scenario.build_manifold()
-    f = scenario.build_function()
-    crits = find_critical_points(m, f, 200, seed=0)
-    consts = geometric_constants(m, f, crits)
-    cfg = FlowConfig.from_constants(consts, **scenario.config.integrator)
+    session = ScenarioContext(load_scenario(name))
+    m, f, crits, cfg = (session.manifold, session.function, session.crits,
+                        session.cfg)
     rng = np.random.default_rng(2)
     plain, variational = hashlib.sha256(), hashlib.sha256()
     for i, x0 in enumerate(m.sample_points(starts, seed=1)):

@@ -2,9 +2,10 @@
 
 Each criterion runs against the built-in scenarios at a pinned
 tolerance and reports pass/fail with details; `run_all` is what the
-`check` CLI subcommand and tests/test_acceptance.py execute. Scenario
-state (critical points, separation constants, flow configs) is shared
-across criteria through lazily populated contexts.
+`check` CLI subcommand runs, and tests/test_acceptance.py runs each
+criterion alone. Scenario state (critical points, separation constants,
+flow configs) is shared across criteria through one lazily evaluated
+`catalog.ScenarioContext` per scenario.
 """
 
 import math
@@ -13,21 +14,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import load_scenario
+from .catalog import ScenarioContext, load_scenario
 from .connectivity import (
     basin_sample,
     build_connection_graph,
     check_connected,
     propagate_constancy,
 )
-from .flow import FlowConfig, integrate_flow, check_length_bound
+from .errors import ConfigError
+from .flow import integrate_flow, check_length_bound
 from .linearization import (
     ENERGY_MAX_STEP,
     check_energy_ode,
     integrate_variational,
     run_decay,
 )
-from .morse import find_critical_points, geometric_constants
 from .symbolics import (
     Binary,
     Const,
@@ -44,64 +45,6 @@ from .transport import (
     parallel_transport,
     sectional_value,
 )
-
-N_STARTS = 200
-MASTER_SEED = 0
-
-
-class ScenarioContext:
-    """Lazily computed shared state for one catalog scenario."""
-
-    def __init__(self, name):
-        self.name = name
-        self.scenario = load_scenario(name)
-        self._manifold = None
-        self._function = None
-        self._crits = None
-        self._consts = None
-        self._cfg = None
-
-    @property
-    def manifold(self):
-        if self._manifold is None:
-            self._manifold = self.scenario.build_manifold()
-        return self._manifold
-
-    @property
-    def function(self):
-        if self._function is None:
-            self._function = self.scenario.build_function()
-        return self._function
-
-    @property
-    def crits(self):
-        if self._crits is None:
-            self._crits = find_critical_points(
-                self.manifold, self.function, N_STARTS, seed=MASTER_SEED
-            )
-        return self._crits
-
-    @property
-    def consts(self):
-        if self._consts is None:
-            self._consts = geometric_constants(
-                self.manifold, self.function, self.crits,
-                n_samples=2000, seed=MASTER_SEED,
-            )
-        return self._consts
-
-    @property
-    def cfg(self):
-        if self._cfg is None:
-            self._cfg = FlowConfig.from_constants(
-                self.consts, **self.scenario.config.integrator
-            )
-        return self._cfg
-
-    @property
-    def expected(self):
-        return self.scenario.expected
-
 
 @dataclass
 class CriterionResult:
@@ -128,7 +71,7 @@ def _c1_census(ctx):
         start = time.perf_counter()
         c = ctx[name]
         crits = c.crits
-        exp = c.expected
+        exp = c.scenario.expected
         elapsed = time.perf_counter() - start
         details[name] = {"elapsed": elapsed, "count": len(crits)}
         if len(crits) != len(exp.values):
@@ -179,7 +122,8 @@ def _c2_connectivity(ctx):
         details[name] = {"directed_pairs": pairs, "connected": connected}
         if not connected:
             failures.append(f"{name}: graph disconnected, parts {parts}")
-        expected = sorted(tuple(e) for e in c.expected.directed_edges)
+        edges = c.scenario.expected.directed_edges
+        expected = sorted(tuple(e) for e in edges)
         if pairs != expected:
             failures.append(
                 f"{name}: edges {pairs} differ from oracle {expected}"
@@ -571,35 +515,50 @@ CRITERIA = (
 
 def make_contexts():
     return {
-        name: ScenarioContext(name)
+        name: ScenarioContext(load_scenario(name))
         for name in ("sphere2", "sphereM", "torus_upright", "clifford")
     }
 
 
+def _criterion(number):
+    for criterion in CRITERIA:
+        if criterion[0] == number:
+            return criterion
+    raise ConfigError(
+        f"no criterion {number}; criteria are 1 to {len(CRITERIA)}"
+    )
+
+
 def run_criterion(number, contexts=None):
+    _, name, budget, fn = _criterion(number)
     contexts = contexts if contexts is not None else make_contexts()
-    for num, name, budget, fn in CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            failures, details = fn(contexts)
-            elapsed = time.perf_counter() - start
-            if elapsed > budget:
-                failures = list(failures) + [
-                    f"runtime {elapsed:.1f}s exceeded budget {budget:.0f}s"
-                ]
-            return CriterionResult(
-                number=num, name=name, passed=not failures,
-                elapsed=elapsed, budget=budget,
-                failures=list(failures), details=details,
-            )
-    raise ValueError(f"no criterion {number}")
+    start = time.perf_counter()
+    failures, details = fn(contexts)
+    elapsed = time.perf_counter() - start
+    if elapsed > budget:
+        failures = list(failures) + [
+            f"runtime {elapsed:.1f}s exceeded budget {budget:.0f}s"
+        ]
+    return CriterionResult(
+        number=number, name=name, passed=not failures,
+        elapsed=elapsed, budget=budget,
+        failures=list(failures), details=details,
+    )
 
 
-def run_all(contexts=None, echo=None):
+def run_all(contexts=None, echo=None, criteria=None):
+    """Run every criterion, or those numbered in `criteria`, in order.
+
+    An unknown number raises ConfigError before any criterion runs.
+    `echo` receives each result's line and its failures as they finish.
+    """
+    if criteria is None:
+        criteria = [num for num, *_ in CRITERIA]
+    numbers = sorted({_criterion(number)[0] for number in criteria})
     contexts = contexts if contexts is not None else make_contexts()
     results = []
-    for num, *_ in CRITERIA:
-        result = run_criterion(num, contexts)
+    for number in numbers:
+        result = run_criterion(number, contexts)
         results.append(result)
         if echo is not None:
             echo(result.line())

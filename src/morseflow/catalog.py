@@ -5,16 +5,28 @@ config format users supply, so the catalog doubles as format
 documentation. Expected tables (critical values, indices, eigenvalue
 floors, edge sets, curvature class) live in sibling *.expected.json
 data files regenerated by oracles/generate_expected.py.
+
+`ScenarioContext` binds a scenario to its critical points, separation
+constants and flow config; the CLI, the acceptance suite, the tests and
+the oracles all build scenario state through it.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .config import ScenarioConfig, parse_scenario_file, parse_scenario_text
-from .errors import UnknownScenarioError
+from .errors import ConfigError, UnknownScenarioError
+from .flow import FlowConfig
+from .morse import find_critical_points, geometric_constants
 
 _CATALOG_NAMES = ("clifford", "sphere2", "sphereM", "torus_upright")
+# Defaults of a ScenarioContext: Newton starts of the census and samples
+# of the gradient floor.
+N_STARTS = 200
+CONSTANT_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,64 @@ class Scenario:
     @property
     def seed(self):
         return self.config.seed
+
+
+@contextmanager
+def _config_errors():
+    """A ValueError of a library constructor, as ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+class ScenarioContext:
+    """A scenario with its census, separation constants and flow config,
+    each computed on first use: `crits` from `n_starts` Newton starts at
+    `seed` (default: the scenario's), `consts` from CONSTANT_SAMPLES
+    samples (None below two critical points), and `cfg` from the
+    scenario's integrator settings with `integrator` over them. A value
+    the library rejects raises ConfigError.
+    """
+
+    def __init__(self, scenario, seed=None, n_starts=N_STARTS,
+                 integrator=None):
+        if n_starts < 1:
+            raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
+        self.scenario = scenario
+        self.seed = scenario.seed if seed is None else seed
+        self.n_starts = n_starts
+        self.integrator = {**scenario.config.integrator, **(integrator or {})}
+        with _config_errors():
+            FlowConfig(**self.integrator)
+
+    @cached_property
+    def manifold(self):
+        with _config_errors():
+            return self.scenario.build_manifold()
+
+    @cached_property
+    def function(self):
+        return self.scenario.build_function()
+
+    @cached_property
+    def crits(self):
+        return find_critical_points(self.manifold, self.function,
+                                    self.n_starts, seed=self.seed)
+
+    @cached_property
+    def consts(self):
+        if len(self.crits) < 2:
+            return None
+        return geometric_constants(self.manifold, self.function, self.crits,
+                                   n_samples=CONSTANT_SAMPLES, seed=self.seed)
+
+    @cached_property
+    def cfg(self):
+        if self.consts is None:
+            return FlowConfig(**self.integrator)
+        with _config_errors():
+            return FlowConfig.from_constants(self.consts, **self.integrator)
 
 
 def list_scenarios():

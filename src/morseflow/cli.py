@@ -13,20 +13,17 @@ import sys
 import numpy as np
 
 from . import acceptance, reports
-from .catalog import list_scenarios, load_scenario, load_scenario_file
+from .catalog import (
+    N_STARTS, ScenarioContext, load_scenario, load_scenario_file,
+)
+from .config import INTEGRATOR_KEYS
 from .connectivity import basin_sample, build_connection_graph, check_connected
 from .errors import ConfigError, ExpressionSyntaxError, MorseflowError, UnknownScenarioError
-from .flow import FlowConfig, check_length_bound, integrate_flow
+from .flow import check_length_bound, integrate_flow
 from .linearization import (
     ENERGY_MAX_STEP, check_energy_ode, integrate_variational, run_decay,
 )
-from .morse import find_critical_points, geometric_constants
 from .transport import flatness_test
-
-_TOL_FLAGS = (
-    "rel_tol", "abs_tol", "t_max", "capture_grad_tol", "capture_radius",
-    "max_step",
-)
 
 
 def _add_common(parser):
@@ -34,54 +31,45 @@ def _add_common(parser):
     source.add_argument("--scenario", help="catalog scenario name")
     source.add_argument("--config", help="path to a scenario config file")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed (default 0)")
+                        help="override the scenario's seed")
     parser.add_argument("--out", default=None,
                         help="output directory (default $MORSEFLOW_OUT or "
                              "./morseflow-out)")
-    parser.add_argument("--n-starts", type=int, default=200,
+    parser.add_argument("--n-starts", type=int, default=N_STARTS,
                         help="multi-start count for the critical point sweep")
-    for flag in _TOL_FLAGS:
+    for flag in INTEGRATOR_KEYS:
         parser.add_argument(f"--{flag.replace('_', '-')}", type=float,
                             default=None, dest=flag)
 
 
-def _resolve_out(args):
+def _write(args, files):
+    """Write each report of {file name: payload} (text for a str, else
+    JSON) into the output directory, and return the directory."""
     out = args.out or os.environ.get("MORSEFLOW_OUT") or "./morseflow-out"
     os.makedirs(out, exist_ok=True)
+    for name, payload in files.items():
+        if isinstance(payload, str):
+            reports.write_text_atomic(os.path.join(out, name), payload)
+        else:
+            reports.write_json_atomic(os.path.join(out, name), payload)
     return out
 
 
-def _load_scenario(args):
+def _session(args, **positive):
+    """ScenarioContext of the common flags. Each keyword names a
+    subcommand flag whose value must be positive; they are checked
+    before the scenario loads."""
+    for flag, value in positive.items():
+        if not value > 0:
+            raise ConfigError(f"--{flag} must be positive, got {value}")
     if args.scenario:
-        return load_scenario(args.scenario)
-    return load_scenario_file(args.config)
-
-
-class _Workspace:
-    """Scenario bound to computed critical points and a flow config."""
-
-    def __init__(self, args):
-        self.scenario = _load_scenario(args)
-        self.seed = args.seed if args.seed is not None else self.scenario.seed
-        self.manifold = self.scenario.build_manifold()
-        self.function = self.scenario.build_function()
-        self.crits = find_critical_points(
-            self.manifold, self.function, args.n_starts, seed=self.seed
-        )
-        self.consts = None
-        if len(self.crits) >= 2:
-            self.consts = geometric_constants(
-                self.manifold, self.function, self.crits, seed=self.seed
-            )
-        overrides = dict(self.scenario.config.integrator)
-        for flag in _TOL_FLAGS:
-            value = getattr(args, flag)
-            if value is not None:
-                overrides[flag] = value
-        if self.consts is not None:
-            self.cfg = FlowConfig.from_constants(self.consts, **overrides)
-        else:
-            self.cfg = FlowConfig(**overrides)
+        scenario = load_scenario(args.scenario)
+    else:
+        scenario = load_scenario_file(args.config)
+    overrides = {flag: getattr(args, flag) for flag in INTEGRATOR_KEYS
+                 if getattr(args, flag) is not None}
+    return ScenarioContext(scenario, seed=args.seed, n_starts=args.n_starts,
+                           integrator=overrides)
 
 
 def _parse_point(text, n):
@@ -97,10 +85,9 @@ def _parse_point(text, n):
 
 
 def _cmd_critical_points(args):
-    ws = _Workspace(args)
-    out = _resolve_out(args)
-    payload = reports.critical_points_report(ws.crits, ws.consts)
-    reports.write_json_atomic(os.path.join(out, "critical_points.json"), payload)
+    ws = _session(args)
+    out = _write(args, {"critical_points.json":
+                        reports.critical_points_report(ws.crits, ws.consts)})
     print(f"{len(ws.crits)} critical points -> {out}/critical_points.json")
     return 0
 
@@ -113,8 +100,7 @@ def _crit_location(ws, crit_id):
 
 
 def _cmd_flow(args):
-    ws = _Workspace(args)
-    out = _resolve_out(args)
+    ws = _session(args)
     if args.from_crit is not None:
         x0 = _crit_location(ws, args.from_crit)
     elif args.start is None:
@@ -131,10 +117,10 @@ def _cmd_flow(args):
     length = None
     if ws.consts is not None and len(traj) >= 2:
         length = check_length_bound(traj, ws.consts)
-    reports.write_text_atomic(os.path.join(out, "trajectory.csv"),
-                              reports.trajectory_csv(traj))
-    reports.write_json_atomic(os.path.join(out, "terminal.json"),
-                              reports.terminal_report(traj, length))
+    out = _write(args, {
+        "trajectory.csv": reports.trajectory_csv(traj),
+        "terminal.json": reports.terminal_report(traj, length),
+    })
     print(
         f"trajectory: {len(traj)} samples, terminal {traj.terminal.kind} "
         f"-> {out}/trajectory.csv"
@@ -143,17 +129,14 @@ def _cmd_flow(args):
 
 
 def _cmd_graph(args):
-    ws = _Workspace(args)
-    out = _resolve_out(args)
+    ws = _session(args, eps=args.eps)
     graph = build_connection_graph(ws.manifold, ws.function, ws.crits,
                                    ws.cfg, eps=args.eps)
     connected, components = check_connected(graph)
-    reports.write_json_atomic(
-        os.path.join(out, "graph.json"),
-        reports.graph_report(graph, connected, components),
-    )
-    reports.write_text_atomic(os.path.join(out, "graph.dot"),
-                              reports.graph_dot(graph))
+    out = _write(args, {
+        "graph.json": reports.graph_report(graph, connected, components),
+        "graph.dot": reports.graph_dot(graph),
+    })
     print(
         f"graph: {len(graph.crits)} nodes, {len(graph.edges)} witness "
         f"orbits, connected={connected} -> {out}/graph.json"
@@ -162,8 +145,7 @@ def _cmd_graph(args):
 
 
 def _cmd_decay(args):
-    ws = _Workspace(args)
-    out = _resolve_out(args)
+    ws = _session(args)
     x0 = None
     v0 = None
     if args.start is not None:
@@ -182,8 +164,8 @@ def _cmd_decay(args):
         ws.cfg.replace(max_step=ENERGY_MAX_STEP), crits=ws.crits,
     )
     residual = check_energy_ode(energy_series, ws.manifold, ws.function)
-    reports.write_json_atomic(os.path.join(out, "decay.json"),
-                              reports.decay_report(report, residual))
+    out = _write(args,
+                 {"decay.json": reports.decay_report(report, residual)})
     print(
         f"decay: fitted {report.c_fit:.6f} vs predicted {report.c_pred:.6f} "
         f"(gap {report.relative_gap:.2%}) -> {out}/decay.json"
@@ -192,12 +174,10 @@ def _cmd_decay(args):
 
 
 def _cmd_basin(args):
-    ws = _Workspace(args)
-    out = _resolve_out(args)
+    ws = _session(args, samples=args.samples)
     report = basin_sample(ws.manifold, ws.function, ws.crits, ws.cfg,
                           args.samples, seed=ws.seed)
-    reports.write_json_atomic(os.path.join(out, "basin.json"),
-                              reports.basin_report(report))
+    out = _write(args, {"basin.json": reports.basin_report(report)})
     print(
         f"basin: minima fraction {report.minima_fraction:.4f} over "
         f"{report.n_samples} samples -> {out}/basin.json"
@@ -206,13 +186,11 @@ def _cmd_basin(args):
 
 
 def _cmd_curvature(args):
-    ws = _Workspace(args)
-    out = _resolve_out(args)
+    ws = _session(args, samples=args.samples)
     report = flatness_test(ws.manifold, ws.function, ws.crits,
                            sample_count=args.samples, seed=ws.seed,
                            cfg=ws.cfg)
-    reports.write_json_atomic(os.path.join(out, "flatness.json"),
-                              reports.flatness_report(report))
+    out = _write(args, {"flatness.json": reports.flatness_report(report)})
     print(
         f"curvature: max {report.curvature_max:.3e}, Lie derivative max "
         f"{report.lie_derivative_max:.3e}, consistent={report.consistent} "
@@ -221,20 +199,21 @@ def _cmd_curvature(args):
     return 0
 
 
+def _parse_criteria(text):
+    """Criterion numbers of `--criteria` ("3" or "2,6"); None for all."""
+    if not text:
+        return None
+    try:
+        return [int(token) for token in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--criteria takes comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _cmd_check(args):
-    numbers = None
-    if args.criteria:
-        numbers = sorted({int(tok) for tok in args.criteria.split(",")})
-    contexts = acceptance.make_contexts()
-    results = []
-    for num, *_ in acceptance.CRITERIA:
-        if numbers is not None and num not in numbers:
-            continue
-        result = acceptance.run_criterion(num, contexts)
-        results.append(result)
-        print(result.line())
-        for failure in result.failures:
-            print(f"         - {failure}")
+    results = acceptance.run_all(criteria=_parse_criteria(args.criteria),
+                                 echo=print)
     ok = all(r.passed for r in results)
     print("acceptance:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -18,17 +18,16 @@ Constraints are numbered consecutively from 1. The full grammar is in
 docs/config_format.md; errors report line and column.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ExpressionSyntaxError
+from .flow import FlowConfig
 from .geometry import ImplicitManifold
 from .symbolics import parse as parse_expression
 
 _TOLERANCE_KEYS = {"constraint", "rank"}
-_INTEGRATOR_KEYS = {
-    "rel_tol", "abs_tol", "t_max", "capture_grad_tol", "capture_radius",
-    "max_step",
-}
+# integrator.<key> sets the FlowConfig field <key>.
+INTEGRATOR_KEYS = tuple(f.name for f in fields(FlowConfig))
 
 
 @dataclass
@@ -153,7 +152,7 @@ def parse_scenario_text(text, default_name="scenario"):
             tolerances[sub] = _parse_float(value, lineno, raw)
         elif key.startswith("integrator."):
             sub = key.split(".", 1)[1]
-            if sub not in _INTEGRATOR_KEYS:
+            if sub not in INTEGRATOR_KEYS:
                 raise ConfigError(f"unknown integrator key {sub!r}",
                                   line=lineno, column=1)
             integrator[sub] = _parse_float(value, lineno, raw)

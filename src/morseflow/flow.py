@@ -78,6 +78,11 @@ _CK_ERR = tuple(
         (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4),
     )
 )
+# Step-size factor SAFETY * err^(-1/5), clipped to [MIN_SCALE, MAX_SCALE];
+# MAX_SCALE after a zero error estimate.
+SAFETY = 0.9
+MIN_SCALE = 0.2
+MAX_SCALE = 5.0
 
 
 @dataclass(frozen=True)
@@ -90,17 +95,11 @@ class FlowConfig:
     capture_grad_tol: float = 1e-7
     capture_radius: float = 1e-3
     max_step: float = 5.0
-    safety: float = 0.9
-    min_scale: float = 0.2
-    max_scale: float = 5.0
 
     def __post_init__(self):
-        for name in (
-            "rel_tol", "abs_tol", "t_max", "capture_grad_tol",
-            "capture_radius", "max_step", "safety", "min_scale", "max_scale",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for field in dataclasses.fields(self):
+            if not getattr(self, field.name) > 0.0:
+                raise ValueError(f"{field.name} must be positive")
 
     def replace(self, **changes):
         return dataclasses.replace(self, **changes)
@@ -161,16 +160,15 @@ class Trajectory:
 class GradientField:
     """Tangent projection on M and the projected gradient field of f.
 
-    A point is a plain float list, or an (n, N) array whose columns are
-    N points; vectors are then lists of n length-N arrays (or floats).
     Both are generated code for any number of constraints: the field
     kernel of (M, f) gives f and P grad f from one pass over f and the
-    constraints, and the constraint map's `project` the tangential part
-    of any vector, with the projection written out in one term order
-    (see `symbolics.compile`), so the two agree bit for bit with each
-    other and with `ImplicitManifold.project_tangent`, and serve both
-    forms without numpy dispatch for one point. A rank-deficient
-    Jacobian raises RankDeficiencyError in both forms.
+    constraints, at one point (a float list) or at the N columns of an
+    (n, N) array, and the constraint map's `project` the tangential
+    part of a vector at one point, with the projection written out in
+    one term order (see `symbolics.compile`), so the two agree bit for
+    bit with each other and with `ImplicitManifold.project_tangent`,
+    without numpy dispatch for one point. A rank-deficient Jacobian
+    raises RankDeficiencyError.
     """
 
     def __init__(self, m, f):
@@ -189,7 +187,7 @@ class GradientField:
         return self._kernel.value_and_grad(xs)[1]
 
     def project(self, xs, vec):
-        """Tangential part of `vec` at the point (or the columns) xs."""
+        """Tangential part of `vec` at the point xs."""
         return self._map.project(xs, vec)
 
 
@@ -229,21 +227,21 @@ def _first_step(cfg, x_norm, gnorm):
                0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
 
 
-def _shrink_factor(cfg, err_scaled):
+def _shrink_factor(err_scaled):
     """Step factor after a rejected step.
 
     Both steppers compute the factors on Python floats, one start at a
     time: numpy's vectorised power can differ from libm's in the last
     bit, which would move the step sizes apart.
     """
-    return max(cfg.min_scale, cfg.safety * err_scaled ** -0.2)
+    return max(MIN_SCALE, SAFETY * err_scaled ** -0.2)
 
 
-def _step_factor(cfg, err_scaled):
+def _step_factor(err_scaled):
     """Step factor after an accepted step."""
     if err_scaled > 0.0:
-        return min(cfg.max_scale, _shrink_factor(cfg, err_scaled))
-    return cfg.max_scale
+        return min(MAX_SCALE, _shrink_factor(err_scaled))
+    return MAX_SCALE
 
 
 def _weighted(weights, col):
@@ -357,7 +355,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
         y_new, err_scaled = step(h, state, k1)
         if err_scaled > 1.0:
             stats.rejected += 1
-            h *= _shrink_factor(cfg, err_scaled)
+            h *= _shrink_factor(err_scaled)
             continue
 
         x_new = y_new[:n]
@@ -391,7 +389,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
         gnorms.append(gnorm)
         terminal = _terminal(retracted, gnorm)
         if terminal is None:
-            h *= _step_factor(cfg, err_scaled)
+            h *= _step_factor(err_scaled)
     return terminal, stats, times, states, gnorms
 
 
@@ -471,7 +469,7 @@ def _cash_karp_columns(field, points, cfg, crits):
         rejected = err_scaled > 1.0
         shrink = np.flatnonzero(rejected)
         h[shrink] *= [
-            _shrink_factor(cfg, e) for e in err_scaled[shrink].tolist()
+            _shrink_factor(e) for e in err_scaled[shrink].tolist()
         ]
         accepted = np.flatnonzero(~rejected)
         retracted, ok = m.retract_columns(y_new[:, accepted])
@@ -491,17 +489,17 @@ def _cash_karp_columns(field, points, cfg, crits):
         capture(moved.tolist(), norms(k1[:, moved]))
         grow = moved[~done[moved]]
         h[grow] *= [
-            _step_factor(cfg, e) for e in err_scaled[grow].tolist()
+            _step_factor(e) for e in err_scaled[grow].tolist()
         ]
 
 
 def flow_terminals(m, f, starts, cfg=None, crits=None):
     """Forward flows from many starts together: (terminals, end points).
 
-    The bulk counterpart of integrate_flow(..., record=False), used for
-    basin sampling: the same start handling, step control and capture,
-    stepped for all starts as one array. The end points are the rows of
-    an (N, n) array.
+    The bulk counterpart of integrate_flow's terminal and end point,
+    used for basin sampling: the same start handling, step control and
+    capture, stepped for all starts as one array. The end points are the
+    rows of an (N, n) array.
     """
     field = GradientField(m, f)
     points = np.array([_start_point(m, x0) for x0 in starts], dtype=float)
@@ -511,15 +509,13 @@ def flow_terminals(m, f, starts, cfg=None, crits=None):
     )
 
 
-def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
-                   record=True):
+def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None):
     """Flow from x0 until capture, stall, or t_max (hit exactly).
 
     `crits` supplies the registered critical points used for capture;
     with crits=None any capture-level gradient is reported as Stalled.
     Backward direction flips the sign of the field (f then increases
-    along the trajectory). With record=False only the first and the
-    last sample are returned.
+    along the trajectory). Every accepted sample is returned.
     """
     sign = _sign(direction)
     field = GradientField(m, f)
@@ -531,8 +527,6 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None,
     stats.monotone = not any(
         sign * (b - a) < -1e-12 for a, b in zip(f_vals, f_vals[1:])
     )
-    if not record:
-        del times[1:-1], points[1:-1], f_vals[1:-1], gnorms[1:-1]
     return Trajectory(
         times=np.array(times),
         points=np.array(points),

@@ -131,17 +131,11 @@ class ImplicitManifold:
         return 0.5 * (proj + proj.T)
 
     def project_tangent(self, x, v):
-        """P(x) v without forming the projector.
-
-        x is one point and v one vector, or x an (n, N) array of columns
-        and v n columns (length-N arrays, or floats), giving (n, N): the
-        constraint map's generated `project`, with the same bits for a
-        point and for its column. A singular Gram matrix raises
+        """P(x) v without forming the projector: the constraint map's
+        generated `project` at one point. A singular Gram matrix raises
         RankDeficiencyError.
         """
-        columns = isinstance(x, np.ndarray) and x.ndim == 2
-        out = self._map.project(x, v)
-        return stack_columns(out, x.shape[1]) if columns else np.array(out)
+        return np.array(self._map.project(x, v))
 
     def riemannian_gradient(self, f, x):
         """Tangential part of the ambient gradient of `f` at `x`."""

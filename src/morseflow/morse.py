@@ -13,6 +13,7 @@ its blocks, and numpy's stacked solve takes their steps.
 constraints (`evaluate_jet`).
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,11 +104,12 @@ def hessian_quadratic_form(m, f, x, v):
 
 def intrinsic_hessian(m, f, location, grad_tol=GRAD_TOL):
     """Intrinsic Hessian at a critical point, in the tangent basis."""
-    hess, _ = _intrinsic_hessian_with_basis(m, f, location, grad_tol)
-    return hess
+    return _intrinsic_hessian_with_basis(m, f, location, grad_tol)[0]
 
 
 def _intrinsic_hessian_with_basis(m, f, location, grad_tol=GRAD_TOL):
+    """(intrinsic Hessian, tangent basis rows, |P grad f|) at a point
+    whose projected gradient norm is at most grad_tol."""
     location = np.asarray(location, dtype=float)
     gnorm = m.riemannian_gradient(f, location).norm()
     if gnorm > grad_tol:
@@ -118,14 +120,15 @@ def _intrinsic_hessian_with_basis(m, f, location, grad_tol=GRAD_TOL):
     basis = m.tangent_basis(location)
     ambient = corrected_hessian(m, f, location)
     hess = basis @ ambient @ basis.T
-    return 0.5 * (hess + hess.T), basis
+    return 0.5 * (hess + hess.T), basis, gnorm
 
 
 def classify_point(m, f, location, point_id=-1, grad_tol=GRAD_TOL,
                    degenerate_tol=DEGENERATE_TOL):
     """Build a CriticalPoint record (Hessian spectrum, index, margin)."""
     location = np.asarray(location, dtype=float)
-    hess, basis = _intrinsic_hessian_with_basis(m, f, location, grad_tol)
+    hess, basis, gnorm = _intrinsic_hessian_with_basis(m, f, location,
+                                                       grad_tol)
     eigvals, eigvecs = jacobi_eigh(hess)
     vectors = tuple(
         TangentVector(location, basis.T @ eigvecs[:, j])
@@ -142,7 +145,7 @@ def classify_point(m, f, location, point_id=-1, grad_tol=GRAD_TOL,
         eigenvectors=vectors,
         nondegeneracy_margin=margin,
         degenerate=margin <= degenerate_tol,
-        grad_norm=m.riemannian_gradient(f, location).norm(),
+        grad_norm=gnorm,
     )
 
 
@@ -294,20 +297,7 @@ def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
         p for level in levels
         for p in sorted(level, key=lambda q: tuple(np.round(q.location, 6)))
     ]
-    points = [
-        CriticalPoint(
-            id=i,
-            location=p.location,
-            value=p.value,
-            index=p.index,
-            eigenvalues=p.eigenvalues,
-            eigenvectors=p.eigenvectors,
-            nondegeneracy_margin=p.nondegeneracy_margin,
-            degenerate=p.degenerate,
-            grad_norm=p.grad_norm,
-        )
-        for i, p in enumerate(records)
-    ]
+    points = [dataclasses.replace(p, id=i) for i, p in enumerate(records)]
     stats = SweepStats(
         n_starts=int(n_starts),
         n_converged=len(converged),

@@ -28,22 +28,22 @@ cache:
   x with j tangent vectors, f, P grad f and the derivative of P grad f
   along each vector from one order-2 pass (`_field_code`).
 
-This is the only code that solves with the Gram matrix J J^T, for every
-number k of constraints: `project`, `normal_step` and the field kernel
-write the solve out inline from one emitter helper, with Gram sums from
-0.0 in coordinate order, Cramer's rule for k = 2 and otherwise Gaussian
-elimination without pivoting (a division for k = 1). So the field, the
-tangent projection and the retraction all give the bits of that
-arithmetic done term by term on floats, for one point and for columns;
-numpy's solve agrees to rounding (within 1e-14 on the test scenarios).
+`project`, `normal_step` and the field kernel write the solve with the
+Gram matrix J J^T out inline for every number k of constraints, from
+one emitter helper: Gram sums from 0.0 in coordinate order, Cramer's
+rule for k = 2, otherwise Gaussian elimination without pivoting (a
+division for k = 1). So the field, the tangent projection and the
+retraction give the bits of that arithmetic done term by term on
+floats; numpy's solve agrees to rounding (within 1e-14 on the test
+scenarios). Two numpy solves with J J^T remain outside this module:
+`ImplicitManifold.tangent_projector` (`np.linalg.solve`) and
+`morse.corrected_hessian` (`lstsq`).
 
-Each source but the jet's is compiled once and executed twice: once
-with the `math` functions for one point given as floats, once with their
-numpy ufuncs for many points given as coordinate columns. The arithmetic
-is the same elementwise, so both give the same bits where `math` and
-numpy agree. The jet of one expression (`jets.evaluate_jet` runs it) and
-the field kernel's derivatives along vectors are generated for one point
-only; the KKT blocks come for one point and for columns.
+Each source but the jet's, `project`'s and the field kernel's with
+vectors is compiled once and executed twice: with the `math` functions
+for one point given as floats, and with their numpy ufuncs for many
+points given as coordinate columns. The arithmetic is the same
+elementwise, so both give the same bits where `math` and numpy agree.
 """
 
 import functools
@@ -530,20 +530,20 @@ class CompiledExpression:
       `kkt(x, lam)` gives grad f, the Jacobian rows, F and H_lam at x and
       the multipliers lam, and `kkt_columns` the same for columns.
 
-    `value`, `jet` and `kkt` take one point and `kkt_columns` columns;
-    the other methods take one point or an (ambient_dim, N) array whose
-    columns are N points, and then each number above is a length-N
-    array, or a float where it does not depend on x. A domain error
-    raises EvaluationError naming the first expression, in the order f,
-    F_1, ..., F_k, that fails at x (with vectors, whose `jet` fails); a
-    zero Gram determinant or pivot raises RankDeficiencyError, except in
-    `normal_step` for columns (see there).
+    `value`, `jet`, `kkt` and `project` take one point and `kkt_columns`
+    columns; the other methods take one point or an (ambient_dim, N)
+    array whose columns are N points, and then each number above is a
+    length-N array, or a float where it does not depend on x. A domain
+    error raises EvaluationError naming the first expression, in the
+    order f, F_1, ..., F_k, that fails at x (with vectors, whose `jet`
+    fails); a zero Gram determinant or pivot raises RankDeficiencyError,
+    except in `normal_step` for columns (see there).
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
-        "_project_columns", "_step", "_step_columns", "_jet", "_kkt",
+        "_step", "_step_columns", "_jet", "_kkt",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -574,11 +574,11 @@ class CompiledExpression:
             code = _value_grad_code(exprs, n, single)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._fields = {0: self._value_grad}
-        self._project = self._project_columns = None
-        self._step = self._step_columns = self._jet = self._kkt = None
+        self._project = self._step = self._step_columns = None
+        self._jet = self._kkt = None
         if not single:
-            self._project, self._project_columns = _pair(
-                _project_code(exprs, n), "_proj")
+            self._project = _define(_project_code(exprs, n), "_proj",
+                                    _NAMESPACE)
             self._step, self._step_columns = _pair(_step_code(exprs, n),
                                                    "_step")
 
@@ -690,10 +690,12 @@ class CompiledExpression:
                           projected=bool(self.constraints))
 
     def project(self, x, vec):
-        """Tangential part of `vec` (n floats, or n columns) at x."""
-        if isinstance(vec, np.ndarray) and vec.ndim == 1:
-            vec = vec.tolist()
-        return self._call(self._project, self._project_columns, x, *vec)
+        """Tangential part of `vec` (n floats) at one point x."""
+        x = _as_floats(x)
+        try:
+            return self._project(*x, *_as_floats(vec))
+        except _FAILURES as exc:
+            raise self._failure("value_and_grad", x, exc, True) from exc
 
     def normal_step(self, x):
         """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns.

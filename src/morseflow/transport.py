@@ -274,6 +274,8 @@ def flatness_test(m, f, crits, sample_count, seed, cfg=None, floor=1e-2,
         )
     if m.dim < 2:
         raise ValueError("curvature needs at least a 2-dimensional manifold")
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     points = m.sample_points(sample_count, seed)
     rng = np.random.default_rng((seed, 0x5EED))
     samples = []

@@ -1,27 +1,13 @@
-import collections
-
 import pytest
 
-from morseflow import (
-    FlowConfig,
-    find_critical_points,
-    geometric_constants,
-    load_scenario,
-)
-
-Setup = collections.namedtuple(
-    "Setup", "scenario manifold function crits consts cfg"
-)
+from morseflow import load_scenario
+from morseflow.catalog import ScenarioContext
 
 
 def build_setup(name):
-    scenario = load_scenario(name)
-    manifold = scenario.build_manifold()
-    function = scenario.build_function()
-    crits = find_critical_points(manifold, function, 200, seed=0)
-    consts = geometric_constants(manifold, function, crits)
-    cfg = FlowConfig.from_constants(consts, **scenario.config.integrator)
-    return Setup(scenario, manifold, function, crits, consts, cfg)
+    """The catalog scenario's session: census, constants and flow config
+    at the defaults the CLI and the acceptance suite use."""
+    return ScenarioContext(load_scenario(name))
 
 
 @pytest.fixture(scope="session")

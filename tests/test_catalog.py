@@ -5,7 +5,11 @@ from importlib import resources
 
 import pytest
 
-from morseflow import list_scenarios, load_scenario, load_scenario_file
+from morseflow import (
+    FlowConfig, list_scenarios, load_scenario, load_scenario_file,
+)
+from morseflow.catalog import Scenario, ScenarioContext
+from morseflow.config import parse_scenario_text
 from morseflow.errors import UnknownScenarioError
 
 ORACLE_SCRIPT = os.path.join(os.path.dirname(__file__), "..", "oracles",
@@ -77,3 +81,27 @@ def test_oracle_script_reproduces_expected_tables():
             .joinpath("scenarios", f"{name}.expected.json").read_text()
         )
         assert table == shipped, name
+
+
+def test_session_is_lazy_and_applies_its_overrides():
+    session = ScenarioContext(load_scenario("sphere2"), seed=3, n_starts=20,
+                              integrator={"max_step": 0.5})
+    assert "crits" not in vars(session)  # nothing computed yet
+    cfg = session.cfg
+    assert session.crits.stats.n_starts == 20
+    assert cfg.max_step == 0.5
+    assert cfg.capture_radius == min(session.consts.r / 2.0, 1e-3)
+    assert session.seed == 3
+
+
+def test_session_without_two_critical_points():
+    # f = x1 on the line x2 = 0 has no critical point: no separation
+    # constants, and the flow config is the integrator settings alone
+    config = parse_scenario_text(
+        "ambient_dim = 2\nconstraint.1 = x2\nfunction = x1\n"
+        "integrator.t_max = 3\n"
+    )
+    session = ScenarioContext(Scenario("line", config, None), n_starts=5)
+    assert len(session.crits) == 0
+    assert session.consts is None
+    assert session.cfg == FlowConfig(t_max=3.0)

@@ -256,3 +256,70 @@ def test_disconnected_manifold_config(tmp_path, capsys):
     assert payload["connected"] is False
     assert payload["components"] == [[0, 4, 5, 6], [1, 2, 3, 7]]
     assert capsys.readouterr().err == ""
+
+
+_SPHERE = (
+    "ambient_dim = 3\n"
+    "constraint.1 = x1^2 + x2^2 + x3^2 - 1\n"
+    "function = x3\n"
+)
+_BAD_CONFIGS = {
+    "negative_tol": _SPHERE + "integrator.rel_tol = -1\n",
+    # two constraints leave no manifold dimension in R^2
+    "two_constraints": (
+        "ambient_dim = 2\n"
+        "constraint.1 = x1^2 + x2^2 - 1\n"
+        "constraint.2 = x1\n"
+        "function = x2\n"
+    ),
+}
+_FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    _FLOW + ["--rel-tol", "-1"],
+    _FLOW + ["--abs-tol", "nan"],
+    ["critical-points", "--config", "{negative_tol}"],
+    _FLOW + ["--capture-radius", "5"],
+    ["critical-points", "--config", "{two_constraints}"],
+    ["critical-points", "--scenario", "sphere2", "--n-starts", "0"],
+    ["basin", "--scenario", "sphere2", "--samples", "0"],
+    ["graph", "--scenario", "sphere2", "--eps", "-1"],
+    ["curvature", "--scenario", "sphere2", "--samples", "0"],
+], ids=["rel_tol", "abs_tol_nan", "config_rel_tol", "capture_radius",
+        "two_constraints_in_r2", "n_starts", "basin_samples", "eps",
+        "curvature_samples"])
+def test_input_errors_exit_2(argv, tmp_path, capsys):
+    # a bad user value is one `error:` line and exit code 2, with no
+    # report directory written
+    paths = {}
+    for name, text in _BAD_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("criteria", ["99", "x", "3,99", "3,,5"])
+def test_check_rejects_unknown_criteria(criteria, capsys):
+    # nothing runs: no criterion line and no verdict
+    assert cli.main(["check", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_check_runs_the_selected_criterion(capsys):
+    assert cli.main(["check", "--criteria", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("[ 3/11] flow closed form")
+    assert "PASS" in lines[0]
+    assert lines[1] == "acceptance: PASS"

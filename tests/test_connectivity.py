@@ -135,8 +135,8 @@ def test_basin_matches_scalar_flows(torus):
                           points=points)
     tally = {}
     for x0 in points:
-        terminal = integrate_flow(m, f, x0, torus.cfg, crits=torus.crits,
-                                  record=False).terminal
+        terminal = integrate_flow(m, f, x0, torus.cfg,
+                                  crits=torus.crits).terminal
         tally[terminal.critical_point_id] = (
             tally.get(terminal.critical_point_id, 0) + 1
         )

@@ -186,13 +186,6 @@ def test_flow_config_validation(sphere):
                                   capture_radius=2.0 * sphere.consts.r)
 
 
-def test_record_terminal_only(sphere):
-    traj = integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
-                          sphere.cfg, crits=sphere.crits, record=False)
-    assert len(traj) == 2
-    assert traj.terminal.converged
-
-
 def test_direction_validation(sphere):
     with pytest.raises(ValueError):
         integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
@@ -211,7 +204,7 @@ def _assert_batch_matches_scalar(m, f, starts, cfg, crits, tol=1e-12):
     terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
     assert len(terminals) == len(ends) == len(starts)
     for x0, terminal, end in zip(starts, terminals, ends):
-        ref = integrate_flow(m, f, x0, cfg, crits=crits, record=False)
+        ref = integrate_flow(m, f, x0, cfg, crits=crits)
         assert terminal == ref.terminal
         if tol is not None:
             assert np.max(np.abs(end - ref.end)) <= tol
@@ -261,7 +254,7 @@ def test_flow_on_orthogonal_group():
     terminals, ends = flow_terminals(m, f, starts)
     lows = set()
     for x0, terminal, end in zip(starts, terminals, ends):
-        traj = integrate_flow(m, f, x0, record=False)
+        traj = integrate_flow(m, f, x0)
         # no registered critical points: a vanishing field stalls
         assert terminal == traj.terminal == Terminal("stalled")
         assert np.array_equal(end, traj.end)

@@ -354,9 +354,6 @@ def test_field_matches_hand_written_projection(name):
     cols = points.T.copy()
     assert np.array_equal(field.projected_gradient(cols),
                           _projected_gradient_oracle(m, f, cols))
-    vec = list(rng.standard_normal((m.ambient_dim, len(points))))
-    assert np.array_equal(field.project(cols, vec),
-                          _project_oracle(m, cols, vec))
 
 
 def _check_retraction(name):
@@ -412,10 +409,6 @@ def test_tangent_projection_matches_numpy(name):
                            rtol=0.0, atol=1e-14)
         assert np.array_equal(m.riemannian_gradient(f, x).vec,
                               _project_oracle(m, x, grad.gradient(x)))
-    cols = points.T.copy()
-    vec = list(rng.standard_normal(cols.shape))
-    assert np.array_equal(m.project_tangent(cols, vec),
-                          _project_oracle(m, cols, vec))
 
 
 def test_error_parity():

@@ -213,3 +213,9 @@ def test_flatness_refuses_degenerate(sphere):
     with pytest.raises(NonMorseError):
         flatness_test(sphere.manifold, constant, crits, sample_count=3,
                       seed=0)
+
+
+def test_flatness_needs_a_sample(sphere):
+    with pytest.raises(ValueError, match="sample_count"):
+        flatness_test(sphere.manifold, sphere.function, sphere.crits,
+                      sample_count=0, seed=0)
