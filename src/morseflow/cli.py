@@ -187,6 +187,9 @@ def _cmd_basin(args):
 
 def _cmd_curvature(args):
     ws = _session(args, samples=args.samples)
+    if ws.manifold.dim < 2:
+        raise ConfigError("curvature needs at least a 2-dimensional "
+                          f"manifold, got dimension {ws.manifold.dim}")
     report = flatness_test(ws.manifold, ws.function, ws.crits,
                            sample_count=args.samples, seed=ws.seed,
                            cfg=ws.cfg)

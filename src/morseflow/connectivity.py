@@ -20,6 +20,9 @@ from .errors import (
 from .flow import FlowConfig, flow_terminals, integrate_flow, unstable_seeds
 from .symbolics import compile_expression
 
+CONSTANCY_SAMPLES = 500
+CONSTANCY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OrbitEdge:
@@ -194,13 +197,13 @@ class ConstancyVerdict:
     witness: dict
 
 
-def propagate_constancy(graph, field, tol=1e-6, n_samples=500, seed=0):
+def propagate_constancy(graph, field):
     """Check a vector field for constancy through the connection graph.
 
-    Step one verifies that every component has (numerically) vanishing
-    derivative along the projected gradient direction at sampled points;
-    exact jets are used, not finite differences. Step two compares the
-    field values at all critical points and witness-orbit endpoints.
+    Step one verifies that every component has a derivative along the
+    projected gradient of at most CONSTANCY_TOL at CONSTANCY_SAMPLES
+    samples (seed 0), from exact gradients. Step two compares the field
+    values at all critical points and witness-orbit endpoints.
     """
     connected, parts = check_connected(graph)
     if not connected:
@@ -209,7 +212,7 @@ def propagate_constancy(graph, field, tol=1e-6, n_samples=500, seed=0):
         )
     m = graph.manifold
     components = [compile_expression(expr, m.ambient_dim) for expr in field]
-    samples = m.sample_points(n_samples, seed)
+    samples = m.sample_points(CONSTANCY_SAMPLES, 0)
     worst = 0.0
     worst_witness = None
     for x in samples:
@@ -223,7 +226,7 @@ def propagate_constancy(graph, field, tol=1e-6, n_samples=500, seed=0):
                     "component": ci,
                     "violation": violation,
                 }
-    if worst > tol:
+    if worst > CONSTANCY_TOL:
         return ConstancyVerdict(
             applicable=False,
             constant=None,
@@ -252,7 +255,7 @@ def propagate_constancy(graph, field, tol=1e-6, n_samples=500, seed=0):
                     }
     return ConstancyVerdict(
         applicable=True,
-        constant=max_dev <= tol,
+        constant=max_dev <= CONSTANCY_TOL,
         max_violation=worst,
         max_deviation=max_dev,
         witness=pair or {},

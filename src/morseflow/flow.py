@@ -35,8 +35,8 @@ For any number of constraints the field is one generated kernel per
 (M, f) (`symbolics.compile`): one call gives P grad f from a single pass
 over f and the constraints, with the projection written out in a fixed
 term order, for floats and, exec'd with numpy, for columns. Vectors are
-re-projected by the constraint map's generated `project`, and retracted
-by its `normal_step`, which write the same Gram sums and solve.
+re-projected by the constraint map's generated `project`, and points
+retracted by its `normal_step`: they write the same Gram sums and solve.
 
 Every accepted point is retracted back onto M (`retract`, a Gauss-Newton
 loop on floats; `retract_columns` for the batch, each column bit for bit
@@ -83,6 +83,7 @@ _CK_ERR = tuple(
 SAFETY = 0.9
 MIN_SCALE = 0.2
 MAX_SCALE = 5.0
+LENGTH_SLACK = 1.05
 
 
 @dataclass(frozen=True)
@@ -579,8 +580,8 @@ class LengthBoundReport:
     slack: float
 
 
-def check_length_bound(traj, consts, slack=1.05):
-    """Check length <= slack * drop / c_floor on every outside segment.
+def check_length_bound(traj, consts):
+    """Check length <= LENGTH_SLACK * drop / c_floor per outside segment.
 
     Samples closer than r/2 to any critical point are excluded; each
     maximal run of outside samples is one segment. An empty restriction
@@ -609,7 +610,7 @@ def check_length_bound(traj, consts, slack=1.05):
                 np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))
             )
             drop = abs(float(traj.f_values[i] - traj.f_values[j]))
-            bound = slack * drop / consts.c_floor
+            bound = LENGTH_SLACK * drop / consts.c_floor
             segments.append(
                 LengthSegment(
                     t_start=float(traj.times[i]),
@@ -628,7 +629,7 @@ def check_length_bound(traj, consts, slack=1.05):
         lhs=float(lhs),
         rhs=float(rhs),
         passed=all(s.ok for s in segments),
-        slack=slack,
+        slack=LENGTH_SLACK,
     )
 
 

@@ -18,8 +18,8 @@ from .symbolics.compile import stack_columns
 
 DEFAULT_CONSTRAINT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
-TANGENCY_TOL = 1e-8
 RETRACT_MAX_ITER = 25
+SAMPLE_KEEP_TOL = 0.5
 # Draws per pass of the rejection sampler; the points do not depend on
 # it. One or two points take under 1 ms with blocks of 64 to 4096 draws,
 # while 2000 torus_upright points (one draw in 40 kept) took 3x as long
@@ -138,10 +138,11 @@ class ImplicitManifold:
         return np.array(self._map.project(x, v))
 
     def riemannian_gradient(self, f, x):
-        """Tangential part of the ambient gradient of `f` at `x`."""
-        grad = compile_expression(f, self.ambient_dim).gradient(x)
+        """Tangential part of the ambient gradient of `f` at `x`, from one
+        call of the field kernel of (M, f)."""
         x = np.asarray(x, dtype=float)
-        return TangentVector(x, self.project_tangent(x, grad))
+        kernel = compile_expression(f, self.ambient_dim, self.constraints)
+        return TangentVector(x, kernel.gradient(x))
 
     def tangent_basis(self, x):
         """Rows: `dim` orthonormal ambient vectors spanning ker J(x).
@@ -177,25 +178,25 @@ class ImplicitManifold:
 
     # -- retraction and sampling ----------------------------------------
 
-    def retract(self, x, guard=0.1, max_iter=RETRACT_MAX_ITER):
+    def retract(self, x, guard=0.1):
         """Project a near-manifold point back onto M.
 
         Gauss-Newton on F = 0 moving along the normal space, so the
         result is the locally nearest manifold point. The basin guard
         bounds the first correction step by guard * (1 + |x|); pass
         guard=None to disable it (used by the rejection sampler, which
-        filters on |F| < 0.5 and simply discards failures).
+        filters on |F| < SAMPLE_KEEP_TOL and simply discards failures).
 
         The iteration runs on Python floats, one call per iteration of
         the constraint map's generated `normal_step` for the values and
         the step. Raises RetractionError on a singular Gram matrix, a
-        non-finite iterate, the guard, or max_iter iterations.
+        non-finite iterate, the guard, or RETRACT_MAX_ITER iterations.
         """
         y = np.asarray(x, dtype=float).tolist()
         if guard is not None:
             bound = guard * (1.0 + math.sqrt(sum(v * v for v in y)))
         tol = self.constraint_tol
-        for it in range(max_iter):
+        for it in range(RETRACT_MAX_ITER):
             try:
                 vals, step = self._map.normal_step(y)
             except RankDeficiencyError as exc:
@@ -218,7 +219,7 @@ class ImplicitManifold:
             if not all(map(math.isfinite, y)):
                 raise RetractionError("retraction diverged to non-finite values")
         raise RetractionError(
-            f"no convergence within {max_iter} retraction iterations"
+            f"no convergence within {RETRACT_MAX_ITER} retraction iterations"
         )
 
     def retract_columns(self, cols):
@@ -247,11 +248,11 @@ class ImplicitManifold:
             live = live[np.all(np.isfinite(y[:, live]), axis=0)]
         return y, ok
 
-    def sample_points(self, count, seed, keep_tol=0.5):
+    def sample_points(self, count, seed):
         """`count` points on M, roughly uniform for acceptance purposes.
 
         Rejection sampling: ambient draws in the bounding box are kept
-        when every |F_i| < keep_tol, then retracted (`retract` with
+        when every |F_i| < SAMPLE_KEEP_TOL, then retracted (`retract` with
         guard=None) and rank-checked as in `_checked_jacobian`; draws
         whose evaluation, retraction or rank check fails are discarded.
         Deterministic given the seed.
@@ -278,9 +279,7 @@ class ImplicitManifold:
         drawn = 0
         while len(points) < count:
             block = lo + span * rng.random((SAMPLE_BLOCK, self.ambient_dim))
-            ok, retracted = self._sample_block(
-                block, count - len(points), keep_tol
-            )
+            ok, retracted = self._sample_block(block, count - len(points))
             # ok is False past the last point needed, but no draw there
             # can trip the limit: it grew by 20000 with that point.
             number = drawn + np.arange(1, SAMPLE_BLOCK + 1)
@@ -296,7 +295,7 @@ class ImplicitManifold:
             drawn += SAMPLE_BLOCK
         return np.array(points)
 
-    def _sample_block(self, block, need, keep_tol):
+    def _sample_block(self, block, need):
         """(ok, points) for the draws in the rows of `block`.
 
         Kept draws are retracted in draw order until `need` of them
@@ -313,7 +312,7 @@ class ImplicitManifold:
                     vals[:, j] = self.constraint_values(cand)
                 except EvaluationError:
                     pass
-        kept = np.flatnonzero(np.all(np.abs(vals) < keep_tol, axis=0))
+        kept = np.flatnonzero(np.all(np.abs(vals) < SAMPLE_KEEP_TOL, axis=0))
         ok = np.zeros(len(block), dtype=bool)
         points = block.copy()
         while need and len(kept):

@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 
+OFF_TOL = 1e-12
+MAX_SWEEPS = 64
+DEFINITE_FLOOR = 1e-14
 
-def jacobi_eigh(matrix, off_tol=1e-12, max_sweeps=64):
+
+def jacobi_eigh(matrix):
     """Eigen-decomposition of a symmetric matrix.
 
     Returns (w, V) with eigenvalues `w` ascending and eigenvectors in the
@@ -18,9 +22,10 @@ def jacobi_eigh(matrix, off_tol=1e-12, max_sweeps=64):
     |a_ij - a_ji| <= atol + 1e-5 |a_ji| (numpy's `allclose` rule) with
     atol = 1e-10 max(1, max |a_ij|); it is then averaged with its
     transpose. Sweeps stop once the off-diagonal Frobenius norm falls
-    below `off_tol`. Eigenvector signs are fixed so the entry of largest
-    magnitude is positive. The rotations run on Python floats: the
-    matrices are a few rows, where numpy's per-call cost dominates.
+    below OFF_TOL, or after MAX_SWEEPS sweeps. Eigenvector signs are
+    fixed so the entry of largest magnitude is positive. The rotations
+    run on Python floats: the matrices are a few rows, where numpy's
+    per-call cost dominates.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
@@ -37,17 +42,17 @@ def jacobi_eigh(matrix, off_tol=1e-12, max_sweeps=64):
     a = [[0.5 * (x + a[j][i]) for j, x in enumerate(row)]
          for i, row in enumerate(a)]
     v = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = math.sqrt(sum(
             x * x for i, row in enumerate(a) for j, x in enumerate(row)
             if i != j
         ))
-        if off <= off_tol:
+        if off <= OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) <= off_tol / (n * n):
+                if abs(apq) <= OFF_TOL / (n * n):
                     continue
                 theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (
@@ -78,10 +83,10 @@ def _rotate_columns(rows, p, q, c, s):
         row[q] = s * x + c * y
 
 
-def sym_inverse_sqrt(gram, floor=1e-14):
-    """G^{-1/2} for a symmetric positive definite matrix."""
+def sym_inverse_sqrt(gram):
+    """G^{-1/2} for a symmetric matrix, all eigenvalues > DEFINITE_FLOOR."""
     w, v = jacobi_eigh(gram)
-    if w[0] <= floor:
+    if w[0] <= DEFINITE_FLOOR:
         raise ValueError("matrix is not positive definite")
     return (v * (1.0 / np.sqrt(w))) @ v.T
 

@@ -36,6 +36,11 @@ from .morse import hessian_quadratic_form
 # the 1e-2 residual gate even where dE/dt changes sign).
 DECAY_MAX_STEP = 0.2
 ENERGY_MAX_STEP = 0.02
+ENERGY_DERIV_FLOOR = 1e-10
+FIT_WINDOW = (0.60, 0.95)
+FIT_MIN_SAMPLES = 20
+SLOW_EIGENVALUE_TOL = 1e-6
+MAX_REDRAWS = 5
 
 
 @dataclass
@@ -147,12 +152,12 @@ def _centered_derivative(t, e, i):
     )
 
 
-def check_energy_ode(series, m, f, deriv_floor=1e-10):
+def check_energy_ode(series, m, f):
     """Max relative residual of dE/dt against -Hess(V, V) on the series.
 
     dE/dt is a centered finite difference on the (non-uniform) time
-    grid; samples whose derivative magnitude sits below `deriv_floor`
-    are skipped. Returns 0.0 when nothing clears the floor.
+    grid; samples where its magnitude is at most ENERGY_DERIV_FLOOR are
+    skipped. Returns 0.0 when nothing clears the floor.
     """
     if len(series) < 3:
         raise FlowError("need at least three samples for the energy check")
@@ -161,7 +166,7 @@ def check_energy_ode(series, m, f, deriv_floor=1e-10):
     e = series.energies
     for i in range(1, len(series) - 1):
         lhs = _centered_derivative(t, e, i)
-        if abs(lhs) <= deriv_floor:
+        if abs(lhs) <= ENERGY_DERIV_FLOOR:
             continue
         rhs = -hessian_quadratic_form(m, f, series.points[i], series.vectors[i])
         denom = max(abs(lhs), abs(rhs))
@@ -183,13 +188,13 @@ class DecayReport:
     energy_monotone_on_window: bool
 
 
-def fit_decay_rate(series, crits, window=(0.60, 0.95), min_samples=20):
+def fit_decay_rate(series, crits):
     """Least-squares slope of log|V| on the tail of a converged series.
 
-    The window covers the stated fraction of samples before capture (the
-    final slice is dropped as capture-threshold noise). The prediction
-    is the smallest intrinsic Hessian eigenvalue at the limiting
-    minimum.
+    The window covers the FIT_WINDOW fraction of the samples before
+    capture, at least FIT_MIN_SAMPLES (the final slice is dropped as
+    capture-threshold noise). The prediction is the smallest intrinsic
+    Hessian eigenvalue at the limiting minimum.
     """
     if not series.terminal.converged:
         raise NotConvergedError("series did not converge to a critical point")
@@ -203,11 +208,11 @@ def fit_decay_rate(series, crits, window=(0.60, 0.95), min_samples=20):
             f"{limit.index}"
         )
     n = len(series)
-    lo = int(math.floor(window[0] * n))
-    hi = int(math.floor(window[1] * n))
-    if hi - lo < min_samples:
+    lo = int(math.floor(FIT_WINDOW[0] * n))
+    hi = int(math.floor(FIT_WINDOW[1] * n))
+    if hi - lo < FIT_MIN_SAMPLES:
         raise FlowError(
-            f"fit window has {hi - lo} samples, needs {min_samples}; "
+            f"fit window has {hi - lo} samples, needs {FIT_MIN_SAMPLES}; "
             "lower max_step or raise capture accuracy"
         )
     norms = series.vector_norms()[lo:hi]
@@ -235,19 +240,20 @@ def fit_decay_rate(series, crits, window=(0.60, 0.95), min_samples=20):
     )
 
 
-def slow_component(series, crits, tol=1e-6):
+def slow_component(series, crits):
     """Fraction of the final vector lying in the slow eigenspace.
 
     Guards the generic-direction assumption behind rate fits: a start
     vector with no component on the smallest-eigenvalue eigenspace of
-    the limiting minimum decays at a faster rate and must be redrawn.
+    the limiting minimum (eigenvalues within SLOW_EIGENVALUE_TOL of the
+    smallest) decays at a faster rate and must be redrawn.
     """
     by_id = {p.id: p for p in crits}
     limit = by_id[series.terminal.critical_point_id]
     lam_min = limit.eigenvalues[0]
     slow = [
         ev.vec for lam, ev in zip(limit.eigenvalues, limit.eigenvectors)
-        if lam <= lam_min + tol
+        if lam <= lam_min + SLOW_EIGENVALUE_TOL
     ]
     v_end = series.vectors[-1]
     norm = np.linalg.norm(v_end)
@@ -257,20 +263,20 @@ def slow_component(series, crits, tol=1e-6):
     return math.sqrt(proj) / norm
 
 
-def run_decay(m, f, crits, cfg=None, seed=0, x0=None, v0=None,
-              max_redraws=5):
+def run_decay(m, f, crits, cfg=None, seed=0, x0=None, v0=None):
     """One full decay experiment: generic start, fit, genericity guard.
 
     Draws a start point and tangent direction from the seed when not
-    supplied, redraws the direction if its slow-eigenspace component at
-    the limit falls below 1e-6, and returns (series, report).
+    supplied, draws the direction up to MAX_REDRAWS times until its
+    slow-eigenspace component at the limit is 1e-6 or more, and returns
+    (series, report).
     """
     cfg = (cfg or FlowConfig()).replace(max_step=min(
         DECAY_MAX_STEP, (cfg or FlowConfig()).max_step))
     rng = np.random.default_rng(seed)
     if x0 is None:
         x0 = m.sample_points(1, seed=rng.integers(2 ** 31))[0]
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         vec = m.random_tangent(x0, rng) if v0 is None else np.asarray(
             getattr(v0, "vec", v0), dtype=float)
         series = integrate_variational(m, f, x0, vec, cfg, crits=crits)

@@ -102,19 +102,19 @@ def hessian_quadratic_form(m, f, x, v):
     return float(v @ h @ v)
 
 
-def intrinsic_hessian(m, f, location, grad_tol=GRAD_TOL):
+def intrinsic_hessian(m, f, location):
     """Intrinsic Hessian at a critical point, in the tangent basis."""
-    return _intrinsic_hessian_with_basis(m, f, location, grad_tol)[0]
+    return _intrinsic_hessian_with_basis(m, f, location)[0]
 
 
-def _intrinsic_hessian_with_basis(m, f, location, grad_tol=GRAD_TOL):
+def _intrinsic_hessian_with_basis(m, f, location):
     """(intrinsic Hessian, tangent basis rows, |P grad f|) at a point
-    whose projected gradient norm is at most grad_tol."""
+    whose projected gradient norm is at most GRAD_TOL."""
     location = np.asarray(location, dtype=float)
     gnorm = m.riemannian_gradient(f, location).norm()
-    if gnorm > grad_tol:
+    if gnorm > GRAD_TOL:
         raise NotCriticalError(
-            f"projected gradient norm {gnorm:.3e} exceeds {grad_tol:.1e} "
+            f"projected gradient norm {gnorm:.3e} exceeds {GRAD_TOL:.1e} "
             f"at {location}"
         )
     basis = m.tangent_basis(location)
@@ -123,12 +123,10 @@ def _intrinsic_hessian_with_basis(m, f, location, grad_tol=GRAD_TOL):
     return 0.5 * (hess + hess.T), basis, gnorm
 
 
-def classify_point(m, f, location, point_id=-1, grad_tol=GRAD_TOL,
-                   degenerate_tol=DEGENERATE_TOL):
-    """Build a CriticalPoint record (Hessian spectrum, index, margin)."""
+def classify_point(m, f, location):
+    """CriticalPoint record (spectrum, index, margin), id -1 until a census."""
     location = np.asarray(location, dtype=float)
-    hess, basis, gnorm = _intrinsic_hessian_with_basis(m, f, location,
-                                                       grad_tol)
+    hess, basis, gnorm = _intrinsic_hessian_with_basis(m, f, location)
     eigvals, eigvecs = jacobi_eigh(hess)
     vectors = tuple(
         TangentVector(location, basis.T @ eigvecs[:, j])
@@ -137,14 +135,14 @@ def classify_point(m, f, location, point_id=-1, grad_tol=GRAD_TOL,
     margin = float(np.min(np.abs(eigvals))) if len(eigvals) else 0.0
     value = compile_expression(f, m.ambient_dim).value(location)
     return CriticalPoint(
-        id=point_id,
+        id=-1,
         location=location,
         value=float(value),
         index=int(np.sum(eigvals < 0.0)),
         eigenvalues=eigvals,
         eigenvectors=vectors,
         nondegeneracy_margin=margin,
-        degenerate=margin <= degenerate_tol,
+        degenerate=margin <= DEGENERATE_TOL,
         grad_norm=gnorm,
     )
 
@@ -252,13 +250,11 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     return roots
 
 
-def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
-                         degenerate_tol=DEGENERATE_TOL,
-                         dedupe_radius=DEDUPE_RADIUS):
+def find_critical_points(m, f, n_starts, seed):
     """Multi-start Newton sweep for all critical points of f on M.
 
     Starts are manifold samples; converged roots are sorted by
-    coordinates, deduplicated at `dedupe_radius` in that order, and ids
+    coordinates, deduplicated at DEDUPE_RADIUS in that order, and ids
     are assigned in ascending critical value. Values within
     VALUE_TIE_TOL of each other are ties, broken by coordinate order at
     1e-6 resolution (so rounding noise in a root cannot flip it), and
@@ -273,17 +269,14 @@ def find_critical_points(m, f, n_starts, seed, grad_tol=GRAD_TOL,
     kept = np.empty((len(converged), m.ambient_dim))
     count = 0
     for x in converged:
-        if np.all(_norms(x - kept[:count]) > dedupe_radius):
+        if np.all(_norms(x - kept[:count]) > DEDUPE_RADIUS):
             kept[count] = x
             count += 1
     unique = list(kept[:count])
     records = []
     for x in unique:
         try:
-            records.append(
-                classify_point(m, f, x, grad_tol=grad_tol,
-                               degenerate_tol=degenerate_tol)
-            )
+            records.append(classify_point(m, f, x))
         except NotCriticalError:
             n_failed += 1
     records.sort(key=lambda p: p.value)

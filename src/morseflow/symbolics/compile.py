@@ -70,13 +70,16 @@ class _Emitter:
 
     def __init__(self, order):
         self.lines = []
-        self.counter = 0
+        self.names = {}  # right-hand side -> its local
         self.order = order
 
     def local(self, prefix, rhs):
-        name = f"{prefix}{self.counter}"
-        self.counter += 1
-        self.lines.append(f"    {name} = {rhs}")
+        """A new local for `rhs`, or the one holding that text already:
+        the code is single-assignment, so equal text is an equal value."""
+        name = self.names.get(rhs)
+        if name is None:
+            name = self.names[rhs] = f"{prefix}{len(self.names)}"
+            self.lines.append(f"    {name} = {rhs}")
         return name
 
     def combine(self, prefix, a, b, op):
@@ -712,18 +715,17 @@ class CompiledExpression:
         with np.errstate(all="ignore"):
             return self._step_columns(*x)
 
-    def _call(self, point, columns, x, *args, projected=True):
-        """point(*x, *args) for one point, columns(*x, *args) for columns
-        with numpy's floating-point errors raised; a failure is named by
-        `_failure`."""
+    def _call(self, point, columns, x, projected=True):
+        """point(*x) for one point, columns(*x) for columns with numpy's
+        floating-point errors raised; a failure is named by `_failure`."""
         try:
             if isinstance(x, np.ndarray):
                 if x.ndim == 2:
                     with np.errstate(divide="raise", invalid="raise",
                                      over="raise"):
-                        return columns(*x, *args)
+                        return columns(*x)
                 x = x.tolist()
-            return point(*x, *args)
+            return point(*x)
         except _FAILURES as exc:
             raise self._failure("value_and_grad", x, exc, projected) from exc
 

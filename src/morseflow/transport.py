@@ -26,6 +26,12 @@ from .flow import FlowConfig
 from .linalg import operator_norm, sym_inverse_sqrt
 from .linearization import integrate_variational_multi
 
+MAX_SUBSTEP = 0.02  # longest chord of one `parallel_transport` substep
+LOOP_H = 0.05  # side of a holonomy loop
+LOOP_SUBSTEPS = 8  # retracted pieces per side of a loop
+LIE_H_T = 1e-3  # half-width in t of the Lie-derivative difference
+FLATNESS_FLOOR = 1e-2
+
 
 @dataclass
 class TransportedFrame:
@@ -70,7 +76,7 @@ def _transport_polyline(m, points, frame, max_substep):
     return current, worst
 
 
-def parallel_transport(m, traj, frame0, max_substep=0.02):
+def parallel_transport(m, traj, frame0):
     """Transport an orthonormal tangent frame along a trajectory.
 
     frame0 has dim rows, orthonormal and tangent at the trajectory
@@ -88,7 +94,7 @@ def parallel_transport(m, traj, frame0, max_substep=0.02):
     worst_bias = 0.0
     gram_drift = float(np.max(np.abs(frame0 @ frame0.T - np.eye(len(frame0)))))
     for a, b in zip(traj.points[:-1], traj.points[1:]):
-        nxt, bias = _transport_polyline(m, [a, b], frames[-1], max_substep)
+        nxt, bias = _transport_polyline(m, [a, b], frames[-1], MAX_SUBSTEP)
         worst_bias = max(worst_bias, bias)
         frames.append(nxt)
         gram_drift = max(
@@ -115,49 +121,37 @@ class CurvatureSample:
     frame: np.ndarray
 
 
-def _loop_points(m, x, u, v, h, substeps):
-    """Retracted parallelogram x -> x+hu -> x+hu+hv -> x+hv -> x."""
-    x = np.asarray(x, dtype=float)
-    corners = [
-        x,
-        m.retract(x + h * u, guard=None),
-        m.retract(x + h * u + h * v, guard=None),
-        m.retract(x + h * v, guard=None),
-        x,
-    ]
-    points = [corners[0]]
+def _holonomy_operator(m, x, u, v, h, frame):
+    """(I - holonomy) / h^2 of the retracted parallelogram x -> x+hu ->
+    x+hu+hv -> x+hv -> x, each side cut into LOOP_SUBSTEPS retracted
+    pieces, so the substep bound LOOP_H cuts no further."""
+    corners = [x, m.retract(x + h * u, guard=None),
+               m.retract(x + h * u + h * v, guard=None),
+               m.retract(x + h * v, guard=None), x]
+    points = [x]
     for a, b in zip(corners[:-1], corners[1:]):
-        for s in range(1, substeps + 1):
-            target = a + (s / substeps) * (b - a)
-            points.append(b if s == substeps else m.retract(target, guard=None))
-    return points
-
-
-def _holonomy_operator(m, x, u, v, h, frame, substeps, max_substep):
-    points = _loop_points(m, x, u, v, h, substeps)
-    looped, _ = _transport_polyline(m, points, frame, max_substep)
+        for s in range(1, LOOP_SUBSTEPS):
+            target = a + (s / LOOP_SUBSTEPS) * (b - a)
+            points.append(m.retract(target, guard=None))
+        points.append(b)
+    looped, _ = _transport_polyline(m, points, frame, LOOP_H)
     hol = frame @ looped.T  # hol[i, j] = <frame_i, looped_j>
     return (np.eye(len(frame)) - hol) / (h * h)
 
 
-def holonomy_curvature(m, x, u, v, h=0.05, frame=None, substeps=8):
+def holonomy_curvature(m, x, u, v, frame=None):
     """Curvature operator on the plane (u, v) from loop holonomy.
 
-    u, v must be orthonormal tangent vectors at x and h in [1e-3, 1e-1].
-    The loop estimate at h and h/2 is Richardson-combined to cancel the
-    leading error term. The sign convention makes the sectional value
+    u, v must be orthonormal tangent vectors at x. The loop estimate at
+    LOOP_H and LOOP_H / 2 is Richardson-combined to cancel the leading
+    error term. The sign convention makes the sectional value
     <operator v, u> positive on a round sphere.
     """
-    if not 1e-3 <= h <= 1e-1:
-        raise ValueError("h must lie in [1e-3, 1e-1]")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    x, u, v = (np.asarray(a, dtype=float) for a in (x, u, v))
     if frame is None:
         frame = m.tangent_basis(x)
-    max_substep = h  # legs are already cut into `substeps` pieces
-    coarse = _holonomy_operator(m, x, u, v, h, frame, substeps, max_substep)
-    fine = _holonomy_operator(m, x, u, v, h / 2, frame, substeps, max_substep)
+    coarse = _holonomy_operator(m, x, u, v, LOOP_H, frame)
+    fine = _holonomy_operator(m, x, u, v, LOOP_H / 2, frame)
     operator = 2.0 * fine - coarse
     return CurvatureSample(
         point=x,
@@ -176,7 +170,7 @@ def sectional_value(sample):
     return float(cu @ sample.operator @ cv)
 
 
-def _pushed_operator(m, f, x, u, v, t, direction, cfg, h, substeps):
+def _pushed_operator(m, f, x, u, v, t, direction, cfg):
     """Matrix of the pulled-back curvature on the pushed plane.
 
     Pushes (u, v) and an orthonormal frame from x along the flow for
@@ -187,16 +181,12 @@ def _pushed_operator(m, f, x, u, v, t, direction, cfg, h, substeps):
     """
     frame = m.tangent_basis(x)
     if t == 0.0:
-        sample = holonomy_curvature(m, x, u, v, h, frame=frame,
-                                    substeps=substeps)
-        return sample.operator, frame
+        return holonomy_curvature(m, x, u, v, frame=frame).operator
     cfg = (cfg or FlowConfig()).replace(t_max=t)
-    times, points, blocks, _, _ = integrate_variational_multi(
+    _, points, blocks, _, _ = integrate_variational_multi(
         m, f, x, [u, v], cfg, direction=direction, capture=False
     )
-    pushed_u = blocks[0][-1]
-    pushed_v = blocks[1][-1]
-    y = points[-1]
+    pushed_u, pushed_v = blocks[0][-1], blocks[1][-1]
     nu = np.linalg.norm(pushed_u)
     if nu == 0.0:
         raise FlowError("pushed plane degenerated; shorten t")
@@ -205,15 +195,13 @@ def _pushed_operator(m, f, x, u, v, t, direction, cfg, h, substeps):
     nv = np.linalg.norm(perp)
     if nv < 1e-12:
         raise FlowError("pushed plane degenerated; shorten t")
-    unit_v = perp / nv
-    area = nu * nv
-    moved_frame, _ = _transport_polyline(m, points, frame, max_substep=h)
-    sample = holonomy_curvature(m, y, unit_u, unit_v, h, frame=moved_frame,
-                                substeps=substeps)
-    return area * sample.operator, frame
+    moved_frame, _ = _transport_polyline(m, points, frame, LOOP_H)
+    sample = holonomy_curvature(m, points[-1], unit_u, perp / nv,
+                                frame=moved_frame)
+    return nu * nv * sample.operator
 
 
-def flow_invariance_defect(m, f, x, u, v, t, cfg=None, h=0.05, substeps=8):
+def flow_invariance_defect(m, f, x, u, v, t, cfg=None):
     """Operator-norm mismatch between R at x and the pulled-back R.
 
     Zero (to estimator tolerance) exactly when the curvature operator is
@@ -221,22 +209,20 @@ def flow_invariance_defect(m, f, x, u, v, t, cfg=None, h=0.05, substeps=8):
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    frame = m.tangent_basis(np.asarray(x, dtype=float))
-    base = holonomy_curvature(m, x, u, v, h, frame=frame, substeps=substeps)
-    pushed, _ = _pushed_operator(m, f, x, u, v, t, "forward", cfg, h, substeps)
+    base = holonomy_curvature(m, x, u, v)
+    pushed = _pushed_operator(m, f, x, u, v, t, "forward", cfg)
     return operator_norm(base.operator - pushed)
 
 
-def lie_derivative_estimate(m, f, x, u, v, cfg=None, h_t=1e-3, h=0.05,
-                            substeps=8):
+def lie_derivative_estimate(m, f, x, u, v, cfg=None):
     """Norm of the t-derivative of the pulled-back curvature at t = 0.
 
-    Centered difference between pullbacks at t = +h_t (forward flow) and
-    t = -h_t (backward flow).
+    Centered difference between pullbacks at t = +LIE_H_T (forward flow)
+    and t = -LIE_H_T (backward flow).
     """
-    plus, _ = _pushed_operator(m, f, x, u, v, h_t, "forward", cfg, h, substeps)
-    minus, _ = _pushed_operator(m, f, x, u, v, h_t, "backward", cfg, h, substeps)
-    return operator_norm((plus - minus) / (2.0 * h_t))
+    plus = _pushed_operator(m, f, x, u, v, LIE_H_T, "forward", cfg)
+    minus = _pushed_operator(m, f, x, u, v, LIE_H_T, "backward", cfg)
+    return operator_norm((plus - minus) / (2.0 * LIE_H_T))
 
 
 @dataclass(frozen=True)
@@ -258,14 +244,13 @@ class FlatnessReport:
     consistent: bool
 
 
-def flatness_test(m, f, crits, sample_count, seed, cfg=None, floor=1e-2,
-                  h=0.05, substeps=8):
+def flatness_test(m, f, crits, sample_count, seed, cfg=None):
     """Sample curvature and Lie-derivative norms; flag counterexamples.
 
     `consistent` is False only when the sampled Lie derivative stays
-    below the floor while the sampled curvature rises above ten times
-    the floor. Requires a nondegenerate critical point set (a scenario
-    with a degenerate point certifies nothing).
+    below FLATNESS_FLOOR while the sampled curvature rises above ten
+    times that floor. Requires a nondegenerate critical point set (a
+    scenario with a degenerate point certifies nothing).
     """
     crits = list(crits)
     if not crits or any(p.degenerate for p in crits):
@@ -291,9 +276,8 @@ def flatness_test(m, f, crits, sample_count, seed, cfg=None, floor=1e-2,
                 break
         if v is None:
             continue
-        curv = holonomy_curvature(m, x, u, v, h, substeps=substeps).norm
-        lie = lie_derivative_estimate(m, f, x, u, v, cfg=cfg, h=h,
-                                      substeps=substeps)
+        curv = holonomy_curvature(m, x, u, v).norm
+        lie = lie_derivative_estimate(m, f, x, u, v, cfg=cfg)
         samples.append(FlatnessSample(
             point=x, curvature_norm=curv, lie_derivative_norm=lie))
     curv_max = max(s.curvature_norm for s in samples)
@@ -302,6 +286,7 @@ def flatness_test(m, f, crits, sample_count, seed, cfg=None, floor=1e-2,
         samples=tuple(samples),
         curvature_max=curv_max,
         lie_derivative_max=lie_max,
-        floor=floor,
-        consistent=not (lie_max < floor and curv_max > 10.0 * floor),
+        floor=FLATNESS_FLOOR,
+        consistent=not (lie_max < FLATNESS_FLOOR
+                        and curv_max > 10.0 * FLATNESS_FLOOR),
     )

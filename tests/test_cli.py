@@ -272,6 +272,12 @@ _BAD_CONFIGS = {
         "constraint.2 = x1\n"
         "function = x2\n"
     ),
+    # a circle has no tangent 2-planes to take the curvature of
+    "circle": (
+        "ambient_dim = 2\n"
+        "constraint.1 = x1^2 + x2^2 - 1\n"
+        "function = x2\n"
+    ),
 }
 _FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
 
@@ -286,9 +292,10 @@ _FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
     ["basin", "--scenario", "sphere2", "--samples", "0"],
     ["graph", "--scenario", "sphere2", "--eps", "-1"],
     ["curvature", "--scenario", "sphere2", "--samples", "0"],
+    ["curvature", "--config", "{circle}"],
 ], ids=["rel_tol", "abs_tol_nan", "config_rel_tol", "capture_radius",
         "two_constraints_in_r2", "n_starts", "basin_samples", "eps",
-        "curvature_samples"])
+        "curvature_samples", "curvature_on_a_circle"])
 def test_input_errors_exit_2(argv, tmp_path, capsys):
     # a bad user value is one `error:` line and exit code 2, with no
     # report directory written

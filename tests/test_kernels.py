@@ -27,6 +27,7 @@ from morseflow.errors import (
 )
 from morseflow.flow import GradientField
 from morseflow.geometry import RETRACT_MAX_ITER
+from morseflow.symbolics import compile as compiled
 from morseflow.symbolics import compile_expression, evaluate_jet
 
 CATALOG = ("sphere2", "sphereM", "torus_upright", "clifford")
@@ -407,8 +408,12 @@ def test_tangent_projection_matches_numpy(name):
         assert np.array_equal(got, _project_oracle(m, x, v))
         assert np.allclose(got, _project_tangent_oracle(m, x, v),
                            rtol=0.0, atol=1e-14)
-        assert np.array_equal(m.riemannian_gradient(f, x).vec,
-                              _project_oracle(m, x, grad.gradient(x)))
+        # one field kernel call, bit-equal to f's compiled gradient
+        # projected by the constraint map's `project`
+        g = grad.gradient(x)
+        composed = m.project_tangent(x, g)
+        assert np.array_equal(composed, _project_oracle(m, x, g))
+        assert np.array_equal(m.riemannian_gradient(f, x).vec, composed)
 
 
 def test_error_parity():
@@ -514,6 +519,10 @@ def test_kernel_on_random_functions(name, seed):
         return
     value, got = kernel.value_and_grad(x)
     assert np.array_equal(got, want, equal_nan=True)
+    composed = m.project_tangent(
+        x, compile_expression(f, m.ambient_dim).gradient(x))
+    assert np.array_equal(m.riemannian_gradient(f, x).vec, composed,
+                          equal_nan=True)
     try:
         jet = evaluate_jet(f, x)
     except EvaluationError:
@@ -558,6 +567,28 @@ def test_kkt_kernel_matches_jets(name):
         for point, column, oracle in zip(got, blocks, want):
             assert np.array_equal(point, oracle)
             assert np.array_equal(column[j], oracle)
+
+
+def test_field_source_forms_each_right_hand_side_once(monkeypatch):
+    # equal right-hand sides share one local: with vectors, each one's
+    # projection reuses the Gram sums and elimination of the first, and
+    # equal H_lam entries are formed once
+    sources = []
+
+    def capture(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(compiled, "compile", capture, raising=False)
+    for name in ("sphere2", "clifford", "o3"):
+        m, f = _scenario(name)
+        for vectors in (0, 1, 2):
+            compiled._field_code(f, m.constraints, m.ambient_dim, vectors)
+    assert len(sources) == 9
+    for src in sources:
+        rhs = [line.split(" = ", 1)[1] for line in src.splitlines()
+               if " = " in line]
+        assert len(rhs) == len(set(rhs))
 
 
 def test_kernels_share_the_expression_cache():

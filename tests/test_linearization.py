@@ -15,6 +15,7 @@ from morseflow import (
 from morseflow.errors import FlowError, NotConvergedError
 from morseflow.linearization import (
     ENERGY_MAX_STEP,
+    FIT_MIN_SAMPLES,
     _centered_derivative,
     integrate_variational_multi,
     slow_component,
@@ -204,7 +205,15 @@ def test_fit_rejects_saddle_limits(torus):
 
 
 def test_fit_window_minimum_size(sphere):
-    series, _ = run_decay(sphere.manifold, sphere.function, sphere.crits,
-                          sphere.cfg, seed=5)
-    with pytest.raises(FlowError):
-        fit_decay_rate(series, sphere.crits, min_samples=10 ** 6)
+    # a loose capture ends the flow after 33 samples, so the fit window
+    # (60% to 95% of them) holds 12, fewer than FIT_MIN_SAMPLES
+    cfg = sphere.cfg.replace(capture_radius=0.1, capture_grad_tol=1e-2)
+    series = integrate_variational(
+        sphere.manifold, sphere.function, [0.6, 0.0, -0.8], [0.0, 1.0, 0.0],
+        cfg, crits=sphere.crits,
+    )
+    assert series.terminal.converged
+    n = len(series)
+    assert math.floor(0.95 * n) - math.floor(0.6 * n) < FIT_MIN_SAMPLES
+    with pytest.raises(FlowError, match="fit window has 12 samples"):
+        fit_decay_rate(series, sphere.crits)

@@ -94,15 +94,6 @@ def test_curvature_antisymmetry_and_skewness(sphere):
     assert uu.norm < 1e-9
 
 
-def test_holonomy_step_bounds(sphere):
-    m = sphere.manifold
-    x = np.array([1.0, 0.0, 0.0])
-    u = np.array([0.0, 1.0, 0.0])
-    v = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        holonomy_curvature(m, x, u, v, h=0.5)
-
-
 def test_clifford_flat(clifford):
     rng = np.random.default_rng(3)
     m = clifford.manifold
