@@ -274,14 +274,14 @@ class _Emitter:
         """Tokens of vec - J^T w, the tangential part of `vec`, and of w,
         the weights of J vec."""
         w = self._weights(rows, [self.local("p", _dot(j, vec)) for j in rows])
-        return [" - ".join([b, *(f"{wi} * {a}" for wi, a in zip(w, col))])
+        return [" - ".join([b, *_products(w, col)])
                 for b, *col in zip(vec, *rows)], w
 
     def normal_step(self, rows, vals):
         """Tokens of J^T w, the Gauss-Newton step, with w the weights of
         the constraint values."""
         w = self._weights(rows, vals)
-        return [" + ".join(f"{wi} * {a}" for wi, a in zip(w, col))
+        return [" + ".join(_products(w, col) or ["0.0"])
                 for col in zip(*rows)]
 
     def corrected_hessian(self, hf, hessians, lams):
@@ -373,8 +373,15 @@ def _difference(first, terms):
     return _paren(" - ".join([first, *terms]))
 
 
+def _products(u, v):
+    """Sources of the products u_i * v_i, through `_times`, without those
+    with a factor 0.0: each is a signed zero, which added to a sum leaves
+    a finite sum's bits (a sum from 0.0 is never -0.0)."""
+    return [_times(a, b) for a, b in zip(u, v) if "0.0" not in (a, b)]
+
+
 def _dot(u, v):
-    return " + ".join(["0.0", *(f"{a} * {b}" for a, b in zip(u, v))])
+    return " + ".join(["0.0", *_products(u, v)])
 
 
 def _tuple(tokens):

@@ -14,6 +14,7 @@ oracle, met to 1e-14 with the same outcomes.
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -589,6 +590,25 @@ def test_field_source_forms_each_right_hand_side_once(monkeypatch):
         rhs = [line.split(" = ", 1)[1] for line in src.splitlines()
                if " = " in line]
         assert len(rhs) == len(set(rhs))
+
+
+def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
+    # the Gram sums, projections and normal steps leave out the products
+    # with a Jacobian entry 0.0 and write a factor 1.0 as no product
+    sources = []
+
+    def capture(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(compiled, "compile", capture, raising=False)
+    for name in ("sphere2", "clifford"):
+        m, f = _scenario(name)
+        for vectors in (0, 1):
+            compiled._field_code(f, m.constraints, m.ambient_dim, vectors)
+    assert len(sources) == 4
+    for src in sources:
+        assert not re.search(r"\* 0\.0\b|(?<![\w.])0\.0 \*|\* 1\.0\b", src)
 
 
 def test_kernels_share_the_expression_cache():
