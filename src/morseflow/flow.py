@@ -189,7 +189,7 @@ class GradientField:
 
     def project(self, xs, vec):
         """Tangential part of `vec` at the point xs."""
-        return self._map.project(xs, vec)
+        return self._map.project(xs, vec)[0]
 
 
 def _norm(vec):

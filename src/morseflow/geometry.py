@@ -122,20 +122,12 @@ class ImplicitManifold:
             )
         return jac
 
-    def tangent_projector(self, x):
-        """Orthogonal projector P = I - J^T (J J^T)^{-1} J onto ker J(x)."""
-        jac = self._checked_jacobian(x)
-        gram = jac @ jac.T
-        weights = np.linalg.solve(gram, jac)
-        proj = np.eye(self.ambient_dim) - jac.T @ weights
-        return 0.5 * (proj + proj.T)
-
     def project_tangent(self, x, v):
         """P(x) v without forming the projector: the constraint map's
         generated `project` at one point. A singular Gram matrix raises
         RankDeficiencyError.
         """
-        return np.array(self._map.project(x, v))
+        return np.array(self._map.project(x, v)[0])
 
     def riemannian_gradient(self, f, x):
         """Tangential part of the ambient gradient of `f` at `x`, from one
@@ -147,12 +139,13 @@ class ImplicitManifold:
     def tangent_basis(self, x):
         """Rows: `dim` orthonormal ambient vectors spanning ker J(x).
 
-        The basis is deterministic in x: projected standard basis vectors
-        are orthogonalized greedily, largest residual first, ties broken
-        by coordinate index.
+        Deterministic in x: after `_checked_jacobian`'s rank check, the
+        standard basis vectors projected by `project` are orthogonalized
+        greedily, largest residual first, ties broken by coordinate index.
         """
-        proj = self.tangent_projector(x)
-        residuals = [proj[:, i].copy() for i in range(self.ambient_dim)]
+        self._checked_jacobian(x)
+        residuals = [np.array(self._map.project(x, e)[0])
+                     for e in np.eye(self.ambient_dim).tolist()]
         basis = []
         for _ in range(self.dim):
             norms = np.array([np.linalg.norm(r) for r in residuals])
@@ -249,7 +242,7 @@ class ImplicitManifold:
         return y, ok
 
     def sample_points(self, count, seed):
-        """`count` points on M, roughly uniform for acceptance purposes.
+        """`count` points on M as (count, ambient_dim) rows, roughly uniform.
 
         Rejection sampling: ambient draws in the bounding box are kept
         when every |F_i| < SAMPLE_KEEP_TOL, then retracted (`retract` with
@@ -272,6 +265,8 @@ class ImplicitManifold:
         i > 20000 * (points found before it + 1) + 10000, so a box that
         misses M fails at draw 30001 whatever the count.
         """
+        if count < 0:
+            raise ValueError("count must be at least 0")
         rng = np.random.default_rng(seed)
         lo = self.bounding_box[:, 0]
         span = self.bounding_box[:, 1] - self.bounding_box[:, 0]
@@ -293,7 +288,7 @@ class ImplicitManifold:
                 )
             points.extend(retracted[ok])
             drawn += SAMPLE_BLOCK
-        return np.array(points)
+        return np.array(points).reshape(-1, self.ambient_dim)
 
     def _sample_block(self, block, need):
         """(ok, points) for the draws in the rows of `block`.

@@ -9,8 +9,10 @@ Optimization, ch. 18), so plain Newton converges quadratically. The
 census runs Newton from all its starts at once: one call of the field
 kernel's generated `kkt_columns` per iteration gives every live start
 its blocks, and numpy's stacked solve takes their steps.
-`corrected_hessian` still assembles H_lam from the jets of f and the
-constraints (`evaluate_jet`).
+`corrected_hessian` assembles H_lam from the jets of f and the
+constraints (`evaluate_jet`), with lam, as in the first Newton iterate,
+the Gram weights (J J^T)^{-1} J grad f of the constraint map's `project`
+(the Weingarten correction: Absil, Mahony & Trumpf, GSI 2013).
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCriticalError, TooFewCriticalPointsError
+from .errors import (NotCriticalError, RankDeficiencyError,
+                     TooFewCriticalPointsError)
 from .flow import GradientField
 from .geometry import TangentVector
 from .linalg import jacobi_eigh
@@ -84,12 +87,12 @@ def corrected_hessian(m, f, x):
     Hess f minus the multiplier-weighted constraint Hessians; restricted
     to tangent vectors this is the quadratic form of the intrinsic
     Hessian (the multipliers carry exactly the normal component of
-    grad f, i.e. the curvature-of-embedding correction).
+    grad f, i.e. the curvature-of-embedding correction). A singular Gram
+    matrix raises RankDeficiencyError.
     """
     jet = evaluate_jet(f, x)
     hess = jet.hessian.copy()
-    jac = m.constraint_jacobian(x)
-    lam, *_ = np.linalg.lstsq(jac.T, jet.gradient, rcond=None)
+    lam = m._map.project(x, jet.gradient)[1]
     for coef, cons_hess in zip(lam, m.constraint_hessians(x)):
         hess -= coef * cons_hess
     return 0.5 * (hess + hess.T)
@@ -182,11 +185,13 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     matrix [[H_lam, -J^T], [J, 0]], and takes one stacked solve. A start
     is done when its residual is below `res_tol` (its root), and is
     dropped as None when its iterate is not finite or leaves the ball of
-    radius 1e6, or after `max_iter` iterations. Each start takes its
-    steps as it would alone: the matvec, the solve and the step norms are
-    numpy's per-row operations. A start whose evaluation fails is
-    dropped, and after the sweep the lowest-index one raises its
-    EvaluationError at the point where it failed.
+    radius 1e6, or after `max_iter` iterations. The first multipliers are
+    grad f's Gram weights in the constraint map's `project`, nan (so the
+    start is dropped at its first step) where J J^T is singular. Each
+    start takes its steps as it would alone: the matvec, the solve and
+    the step norms are numpy's per-row operations. A start whose
+    evaluation fails is dropped, and after the sweep the lowest-index
+    one raises its EvaluationError at the point where it failed.
     """
     n, k = m.ambient_dim, m.n_constraints
     kernel = compile_expression(f, n, m.constraints)
@@ -205,14 +210,17 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
             failed.extend(zip(live[bad], x[bad], lam[bad]))
             live, x, lam = live[~bad], x[~bad], lam[~bad]
             blocks = [block[~bad] for block in blocks]
-        return blocks
+        return blocks[1:]
 
     with np.errstate(all="ignore"):
-        # The first multipliers need grad f and J only, so H_lam is
-        # evaluated at lam = 0 and not used.
-        grad, jac, _, _ = evaluate()
-        lam = np.array([_lstsq(j.T, g) for g, j in zip(grad, jac)]).reshape(
-            len(live), k)
+        # grad f at lam = 0, which drops the starts that fail
+        grad = evaluate()[0]
+        lam = np.full((len(live), k), np.nan)
+        for i, (p, g) in enumerate(zip(x, grad)):
+            try:
+                lam[i] = m._map.project(p, g)[1]
+            except RankDeficiencyError:
+                pass
         for _ in range(max_iter):
             if not len(live):
                 break
@@ -316,9 +324,11 @@ class GeometricConstants:
 
 
 def geometric_constants(m, f, crits, n_samples=2000, seed=0):
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     crits = list(crits)
     if len(crits) < 2:
-        samples = m.sample_points(max(n_samples, 1), seed)
+        samples = m.sample_points(n_samples, seed)
         floor = _gradient_floor(m, f, samples)
         raise TooFewCriticalPointsError(
             "separation radius needs at least two critical points; "

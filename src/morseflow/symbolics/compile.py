@@ -9,24 +9,24 @@ flattened once into generated source that propagates the value and the
 All of it comes from one walk over the tree, the forward-mode rules of
 each node run to an order: 0 for values, 1 for values and gradients, 2
 for the second-order jet (value, gradient, Hessian), so a value or a
-gradient has the same bits whichever method asks for it. Three kinds of
+gradient has the same bits whichever method asks for it. Two kinds of
 object are generated, all through `compile_expression` and its one
 cache:
 
-- one expression: its value (order 0), its value and gradient (order
-  1), or, on first use and for one point, its jet (order 2);
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
   of a manifold: all values, or all values and the Jacobian rows, from
-  one call; also `project`, the tangential part of a vector, and
-  `normal_step`, the values with the Gauss-Newton step
-  J^T (J J^T)^{-1} F of a retraction;
-- a field kernel, f together with the constraints: the value of f and
-  P grad f, P the orthogonal projection onto ker dF, from one pass over
-  f and the constraints; also, compiled on first use, the blocks of the
-  KKT system of the multiplier Newton (grad f, J, F and
-  H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass, and for
-  x with j tangent vectors, f, P grad f and the derivative of P grad f
-  along each vector from one order-2 pass (`_field_code`).
+  one call; also `project`, the tangential part of a vector with its
+  Gram weights (J J^T)^{-1} J vec, and `normal_step`, the values with
+  the Gauss-Newton step J^T (J J^T)^{-1} F of a retraction;
+- a field kernel, f together with k >= 0 constraints (one expression
+  is k = 0, P the identity): the value of f and P grad f, P the
+  orthogonal projection onto ker dF, from one pass over f and the
+  constraints; also, compiled on first use, f and the blocks of the KKT
+  system of the multiplier Newton (grad f, J, F and
+  H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass, which
+  for k = 0 is f's jet, and for x with j tangent vectors, f, P grad f
+  and the derivative of P grad f along each vector from one order-2
+  pass (`_field_code`).
 
 `project`, `normal_step` and the field kernel write the solve with the
 Gram matrix J J^T out inline for every number k of constraints, from
@@ -35,11 +35,10 @@ rule for k = 2, otherwise Gaussian elimination without pivoting (a
 division for k = 1). So the field, the tangent projection and the
 retraction give the bits of that arithmetic done term by term on
 floats; numpy's solve agrees to rounding (within 1e-14 on the test
-scenarios). Two numpy solves with J J^T remain outside this module:
-`ImplicitManifold.tangent_projector` (`np.linalg.solve`) and
-`morse.corrected_hessian` (`lstsq`).
+scenarios). There is no other J J^T solve: `project` also gives the
+Lagrange multipliers and the tangent bases.
 
-Each source but the jet's, `project`'s and the field kernel's with
+Each source but `value`'s, `project`'s and the field kernel's with
 vectors is compiled once and executed twice: with the `math` functions
 for one point given as floats, and with their numpy ufuncs for many
 points given as coordinate columns. The arithmetic is the same
@@ -299,14 +298,11 @@ class _Emitter:
 
     def symmetric_times(self, upper, vec):
         """Tokens of M vec for the symmetric M with upper triangle
-        `upper`: sums from 0.0 over its entries, in coordinate order."""
-        out = []
-        for i in range(1, len(vec) + 1):
-            keys = [(min(i, j), max(i, j)) for j in range(1, len(vec) + 1)]
-            terms = [f"{upper[k]} * {v}" for k, v in zip(keys, vec)
-                     if k in upper]
-            out.append(self.local("d", " + ".join(["0.0", *terms])))
-        return out
+        `upper`: one `_dot` per row, over its entries in coordinate order."""
+        n = len(vec)
+        rows = [[upper.get((min(i, j), max(i, j)), "0.0")
+                 for j in range(1, n + 1)] for i in range(1, n + 1)]
+        return [self.local("d", _dot(row, vec)) for row in rows]
 
 def _const(value):
     """Source token of a constant, a negative one in parentheses: bare,
@@ -374,9 +370,8 @@ def _difference(first, terms):
 
 
 def _products(u, v):
-    """Sources of the products u_i * v_i, through `_times`, without those
-    with a factor 0.0: each is a signed zero, which added to a sum leaves
-    a finite sum's bits (a sum from 0.0 is never -0.0)."""
+    """Sources of u_i * v_i by `_times`, less those with a factor 0.0: a
+    signed zero leaves a finite sum's bits (one from 0.0 is never -0.0)."""
     return [_times(a, b) for a, b in zip(u, v) if "0.0" not in (a, b)]
 
 
@@ -422,10 +417,8 @@ def _value_code(exprs, n, single):
     return _build("_val", n, emitter, vals[0] if single else _tuple(vals))
 
 
-def _value_grad_code(exprs, n, single):
+def _value_grad_code(exprs, n):
     emitter, vals, grads = _walk_all(exprs, n)
-    if single:
-        return _build("_vg", n, emitter, f"{vals[0]}, {_tuple(grads[0])}")
     grads = [_tuple(g) for g in grads]
     return _build("_vg", n, emitter, f"{_tuple(vals)}, {_tuple(grads)}")
 
@@ -457,8 +450,9 @@ def _field_code(f, constraints, n, vectors=0):
 
 def _project_code(constraints, n):
     emitter, _, rows = _walk_all(constraints, n)
-    out, _ = emitter.project(rows, _names("b", n))
-    return _build("_proj", n, emitter, _tuple(out), extra=_names("b", n))
+    out, w = emitter.project(rows, _names("b", n))
+    return _build("_proj", n, emitter, f"{_tuple(out)}, {_tuple(w)}",
+                  extra=_names("b", n))
 
 
 def _step_code(constraints, n):
@@ -467,30 +461,28 @@ def _step_code(constraints, n):
     return _build("_step", n, emitter, f"{_tuple(vals)}, {_tuple(step)}")
 
 
-def _jet_code(e, n):
-    emitter = _Emitter(2)
-    val, grad, hess = emitter.jet(e)
-    entries = [hess.get((min(i, j), max(i, j)), "0.0")
-               for i in range(1, n + 1) for j in range(1, n + 1)]
-    return _build("_jet", n, emitter,
-                  f"{val}, {_tuple(_dense(grad, n))}, {_tuple(entries)}")
-
-
 def _kkt_code(f, constraints, n):
-    """Source of `_kkt(x1, ..., xn, l1, ..., lk)`: grad f, the Jacobian
-    rows and the values of the constraints, and the n * n entries of
-    H_lam = Hess f - sum_i l_i Hess F_i (`corrected_hessian`, mirrored
-    below the diagonal), from one order-2 walk.
-    """
+    """Source of `_kkt(x1, ..., xn, l1, ..., lk)`: f, then tuples of
+    grad f, the Jacobian rows, the constraint values and the n * n
+    entries of H_lam = Hess f - sum_i l_i Hess F_i (`corrected_hessian`,
+    mirrored below the diagonal), from one order-2 walk: f's jet for
+    k = 0. A tuple of constants is built once, at compile time."""
     emitter = _Emitter(2)
-    (_, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
+    (vf, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
     lams = _names("l", len(constraints))
     hess = emitter.corrected_hessian(hf, [h for _, _, h in walked], lams)
-    out = [*_dense(gf, n), *(t for _, g, _ in walked for t in _dense(g, n)),
-           *(v for v, _, _ in walked),
-           *(hess.get((min(i, j), max(i, j)), "0.0")
-             for i in range(1, n + 1) for j in range(1, n + 1))]
-    return _build("_kkt", n, emitter, _tuple(out), extra=lams)
+    blocks = [_dense(gf, n), [t for _, g, _ in walked for t in _dense(g, n)],
+              [v for v, _, _ in walked],
+              [hess.get((min(i, j), max(i, j)), "0.0")
+               for i in range(1, n + 1) for j in range(1, n + 1)]]
+    return _build("_kkt", n, emitter, ", ".join([vf, *map(_tuple, blocks)]),
+                  extra=lams)
+
+
+def _flat(blocks):
+    """`_kkt`'s value and tuples as one list."""
+    value, *rest = blocks
+    return [value, *(t for block in rest for t in block)]
 
 
 def stack_columns(entries, count):
@@ -523,22 +515,20 @@ class CompiledExpression:
     field kernel's `value_and_grad` of a state with vectors at order 2,
     so where two of them form the same number they give the same bits.
 
-    - `expression` one expression: `value` gives a float,
-      `value_and_grad` (value, gradient tuple of length ambient_dim) and
-      `jet` (value, gradient array, Hessian array).
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
       `value_and_grad` (values, Jacobian rows), `project(x, vec)` the
-      tangential part of vec at x and `normal_step(x)`
-      (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward
-      F = 0.
-    - `expression` f with `constraints`: the field kernel.
-      `value` gives f(x) and `value_and_grad` (f(x), P(x) grad f(x));
-      for a state of x and j tangent vectors, (1 + j) n floats, it gives
-      f(x) and P grad f followed by its derivative along each vector
-      (`field_function` is the unchecked function of a state size).
-      `kkt(x, lam)` gives grad f, the Jacobian rows, F and H_lam at x and
-      the multipliers lam, and `kkt_columns` the same for columns.
+      tangential part of vec at x with its Gram weights and
+      `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton
+      step toward F = 0.
+    - `expression` f with k >= 0 `constraints` (k = 0 for one
+      expression): the field kernel. `value` gives f(x), `value_and_grad`
+      (f(x), P(x) grad f(x)), and for a state of x and j tangent vectors,
+      (1 + j) n floats, f(x), P grad f and its derivative along each
+      vector (`field_function`: the unchecked function of a state size).
+      `kkt(x, lam)` gives f, grad f, the Jacobian rows, F and H_lam at x
+      and multipliers lam, `kkt_columns` the same for columns, and `jet`
+      f's (value, gradient array, Hessian array).
 
     `value`, `jet`, `kkt` and `project` take one point and `kkt_columns`
     columns; the other methods take one point or an (ambient_dim, N)
@@ -553,7 +543,7 @@ class CompiledExpression:
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
-        "_step", "_step_columns", "_jet", "_kkt",
+        "_step", "_step_columns", "_kkt",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -578,14 +568,13 @@ class CompiledExpression:
         evaluated = exprs[:1] if constraints else exprs
         self._value = _define(_value_code(evaluated, n, single), "_val",
                               _NAMESPACE)
-        if constraints:
+        if single:
             code = _field_code(expression, constraints, n)
         else:
-            code = _value_grad_code(exprs, n, single)
+            code = _value_grad_code(exprs, n)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._fields = {0: self._value_grad}
-        self._project = self._step = self._step_columns = None
-        self._jet = self._kkt = None
+        self._project = self._step = self._step_columns = self._kkt = None
         if not single:
             self._project = _define(_project_code(exprs, n), "_proj",
                                     _NAMESPACE)
@@ -603,43 +592,39 @@ class CompiledExpression:
         """(value, gradient, Hessian) of one expression at one point.
 
         The gradient is an array of length ambient_dim and the Hessian an
-        (ambient_dim, ambient_dim) array, exactly symmetric. The code is
-        generated on the first call. Every failure raises EvaluationError,
-        and so does an argument 0 of sqrt, where its derivative is
-        unbounded.
+        (ambient_dim, ambient_dim) array, exactly symmetric. The code,
+        `kkt`'s with no constraints, is generated on the first call.
+        Every failure raises EvaluationError, and so does an argument 0 of
+        sqrt, where its derivative is unbounded.
         """
-        if self._jet is None:
-            self._jet = _define(_jet_code(self.expression, self.ambient_dim),
-                                "_jet", _NAMESPACE)
+        # no call that a compiled jet does not need: it is a hot path
+        point = (self._kkt or self._kkt_pair())[0]
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
         try:
-            value, grad, hess = self._jet(*_as_floats(x))
+            value, grad, _, _, hess = point(*x)
         except _FAILURES as exc:
-            raise EvaluationError(str(exc), self._text) from exc
+            raise self._failure("jet", x, exc, False) from exc
         n = self.ambient_dim
         return value, np.array(grad), np.array(hess).reshape(n, n)
 
     def kkt(self, x, lam):
-        """(grad f, Jacobian rows, constraint values, H_lam) of the field
-        kernel at one point x and multipliers lam, arrays of shapes (n,),
-        (k, n), (k,) and (n, n). A domain error raises the EvaluationError
-        that f's `jet`, then the constraint map's `value_and_grad`, then
-        each constraint's `jet` raises first at x.
-        """
+        """(f, grad f, Jacobian rows, constraint values, H_lam) of the
+        field kernel at one point x and multipliers lam: a float and
+        arrays of shapes (n,), (k, n), (k,) and (n, n). A domain error
+        raises the EvaluationError that the `jet` of f, F_1, ..., F_k
+        raises first at x."""
         try:
             out = self._kkt_pair()[0](*_as_floats(x), *_as_floats(lam))
         except _FAILURES as exc:
-            n = self.ambient_dim
-            compile_expression(self.expression, n).jet(x)
-            compile_expression(self.constraints, n).value_and_grad(x)
-            for part in self.constraints:
-                compile_expression(part, n).jet(x)
-            raise EvaluationError(str(exc), self._text) from exc
-        return tuple(block[0] for block in self._kkt_blocks(np.array([out])))
+            raise self._failure("jet", x, exc, False) from exc
+        return tuple(block[0] for block in self._kkt_blocks(
+            np.array([_flat(out)])))
 
     def kkt_columns(self, x, lam):
         """`kkt` at the N columns of x (ambient_dim, N) and lam (k, N).
 
-        Returns the four blocks with the point first, shapes (N, n),
+        Returns the five blocks with the point first, shapes (N,), (N, n),
         (N, k, n), (N, k) and (N, n, n), and a boolean mask of the columns
         where `kkt` alone raises. Where numpy flags a floating-point
         error, every column is re-run as one point, so each column has
@@ -650,13 +635,13 @@ class CompiledExpression:
         failed = np.zeros(count, dtype=bool)
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                out = stack_columns(columns(*x, *lam), count).T
+                out = stack_columns(_flat(columns(*x, *lam)), count).T
         except _FAILURES:
             n, k = self.ambient_dim, len(self.constraints)
-            out = np.full((count, n + k * n + k + n * n), np.nan)
+            out = np.full((count, 1 + n + k * n + k + n * n), np.nan)
             for j, (xj, lj) in enumerate(zip(x.T.tolist(), lam.T.tolist())):
                 try:
-                    out[j] = point(*xj, *lj)
+                    out[j] = _flat(point(*xj, *lj))
                 except _FAILURES:
                     failed[j] = True
         return self._kkt_blocks(out), failed
@@ -668,11 +653,12 @@ class CompiledExpression:
         return self._kkt
 
     def _kkt_blocks(self, out):
-        """grad f, J, F and H_lam from the rows of `_kkt` outputs."""
+        """f, grad f, J, F and H_lam from the rows of `_kkt` outputs."""
         n, k = self.ambient_dim, len(self.constraints)
-        grad, jac, vals, hess = np.split(out, [n, n + k * n, n + k * n + k],
-                                         axis=1)
-        return grad, jac.reshape(-1, k, n), vals, hess.reshape(-1, n, n)
+        value, grad, jac, vals, hess = np.split(
+            out, np.cumsum([1, n, k * n, k]), axis=1)
+        return (value[:, 0], grad, jac.reshape(-1, k, n), vals,
+                hess.reshape(-1, n, n))
 
     def field_function(self, size):
         """The field kernel's unchecked point function for a state of
@@ -700,7 +686,8 @@ class CompiledExpression:
                           projected=bool(self.constraints))
 
     def project(self, x, vec):
-        """Tangential part of `vec` (n floats) at one point x."""
+        """(vec - J^T w, w) at one point x for `vec` (n floats), with the
+        Gram weights w = (J J^T)^{-1} J vec: for grad f, the multipliers."""
         x = _as_floats(x)
         try:
             return self._project(*x, *_as_floats(vec))

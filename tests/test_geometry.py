@@ -19,35 +19,55 @@ from morseflow.errors import (
 )
 from morseflow.flow import GradientField
 from morseflow.geometry import SAMPLE_BLOCK
+from test_kernels import projector_oracle
+
+
+def _basis_projector(m, x):
+    """B^T B for the tangent basis rows B at x."""
+    basis = m.tangent_basis(x)
+    return basis.T @ basis
 
 
 def test_projector_north_pole(sphere):
-    proj = sphere.manifold.tangent_projector([0.0, 0.0, 1.0])
+    x = [0.0, 0.0, 1.0]
+    proj = _basis_projector(sphere.manifold, x)
     assert np.allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    assert np.allclose(proj, projector_oracle(sphere.manifold, x), atol=1e-12)
 
 
 def test_projector_equator(sphere):
-    proj = sphere.manifold.tangent_projector([1.0, 0.0, 0.0])
+    x = [1.0, 0.0, 0.0]
+    proj = _basis_projector(sphere.manifold, x)
     assert np.allclose(proj, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+    assert np.allclose(proj, projector_oracle(sphere.manifold, x), atol=1e-12)
 
 
 def test_projector_clifford_point(clifford):
+    m = clifford.manifold
     c = np.sqrt(0.5)
     x = np.array([c, 0.0, c, 0.0])
-    proj = clifford.manifold.tangent_projector(x)
+    proj = _basis_projector(m, x)
     assert np.linalg.matrix_rank(proj, tol=1e-8) == 2
+    assert np.allclose(proj, projector_oracle(m, x), atol=1e-12)
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
     assert np.allclose(proj @ e2, e2, atol=1e-12)
+    assert np.allclose(m.project_tangent(x, e2), e2, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus", "clifford"])
 def test_projector_idempotent_symmetric(name, request):
+    # the projector with columns P e_i from project_tangent, and B^T B
+    # from the tangent basis, against numpy's
     setup = request.getfixturevalue(name)
     m = setup.manifold
+    eye = np.eye(m.ambient_dim)
     for x in m.sample_points(1000, seed=101):
-        proj = m.tangent_projector(x)
+        proj = np.array([m.project_tangent(x, e) for e in eye]).T
         assert np.max(np.abs(proj - proj.T)) < 1e-10
         assert np.max(np.abs(proj @ proj - proj)) < 1e-10
+        oracle = projector_oracle(m, x)
+        assert np.max(np.abs(proj - oracle)) < 1e-12
+        assert np.max(np.abs(_basis_projector(m, x) - oracle)) < 1e-12
 
 
 def test_field_projection_three_constraints():
@@ -62,7 +82,7 @@ def test_field_projection_three_constraints():
         x[:3] = rng.standard_normal(3)
         x /= np.linalg.norm(x)
         v = rng.standard_normal(5)
-        proj = m.tangent_projector(x)
+        proj = projector_oracle(m, x)
         assert np.allclose(field.project(x.tolist(), v.tolist()), proj @ v,
                            rtol=0.0, atol=1e-12)
         assert np.allclose(field.projected_gradient(x.tolist()),
@@ -145,7 +165,7 @@ def test_retract_basin_guard(sphere):
 def test_rank_deficiency_detected():
     degenerate = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2", 3)])
     with pytest.raises(RankDeficiencyError):
-        degenerate.tangent_projector([0.0, 0.0, 0.0])
+        degenerate.tangent_basis([0.0, 0.0, 0.0])
     with pytest.raises(RankDeficiencyError):
         degenerate.project_tangent([0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0]))
     # the apex of a cone lies on it, and the field there has no projection
@@ -249,6 +269,16 @@ def test_sampling_matches_per_draw_off_catalog(n, constraints, rank_tol):
                          rank_tol=rank_tol, bounding_box=(-1.2, 1.2))
     for count in (1, 2, 60, 600, 2000):
         _assert_sampler_parity(m, count, seed=count)
+
+
+def test_sampling_no_points(sphere):
+    points = sphere.manifold.sample_points(0, seed=3)
+    assert points.shape == (0, 3)
+
+
+def test_sampling_negative_count(sphere):
+    with pytest.raises(ValueError, match="count"):
+        sphere.manifold.sample_points(-1, seed=3)
 
 
 def test_sampling_box_missing_the_manifold_fails_fast():

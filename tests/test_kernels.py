@@ -85,6 +85,15 @@ def normal_part(jac, r):
     return (jac_t @ np.linalg.solve(jac @ jac_t, r[..., None]))[..., 0]
 
 
+def projector_oracle(m, x):
+    """I - J^T (J J^T)^{-1} J at x by numpy's solve, symmetrized: the
+    projector that `tangent_basis` was built from before the generated
+    projection."""
+    jac = m.constraint_jacobian(x)
+    proj = np.eye(m.ambient_dim) - jac.T @ np.linalg.solve(jac @ jac.T, jac)
+    return 0.5 * (proj + proj.T)
+
+
 def _plain_dot(u, v):
     s = 0.0
     for a, b in zip(u, v):
@@ -537,14 +546,15 @@ def test_kernel_on_random_functions(name, seed):
 
 
 def _kkt_oracle(m, f, x, lam):
-    """The KKT blocks from the jets: grad f, the constraint Jacobian and
-    values, and Hess f with lam_i Hess F_i subtracted one at a time."""
+    """The KKT blocks from the jets: f and grad f, the constraint
+    Jacobian and values, and Hess f with lam_i Hess F_i subtracted one at
+    a time."""
     jet = evaluate_jet(f, x)
     vals, jac = m.values_and_jacobian(x)
     hess = jet.hessian.copy()
     for coef, cons_hess in zip(lam, m.constraint_hessians(x)):
         hess -= coef * cons_hess
-    return jet.gradient, jac, vals, hess
+    return jet.value, jet.gradient, jac, vals, hess
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -568,6 +578,20 @@ def test_kkt_kernel_matches_jets(name):
         for point, column, oracle in zip(got, blocks, want):
             assert np.array_equal(point, oracle)
             assert np.array_equal(column[j], oracle)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_tangent_basis_matches_numpy_projector(name):
+    # orthonormal rows in ker J, spanning the range of numpy's projector
+    m, _ = _scenario(name)
+    on, _, _ = _points(name)
+    for x in on:
+        basis = m.tangent_basis(x)
+        jac = m.constraint_jacobian(x)
+        assert basis.shape == (m.dim, m.ambient_dim)
+        assert np.max(np.abs(basis @ basis.T - np.eye(m.dim))) < 1e-12
+        assert np.max(np.abs(jac @ basis.T)) < 1e-12 * np.max(np.abs(jac))
+        assert np.max(np.abs(basis.T @ basis - projector_oracle(m, x))) < 1e-12
 
 
 def test_field_source_forms_each_right_hand_side_once(monkeypatch):

@@ -19,11 +19,13 @@ from morseflow.errors import (
     EvaluationError,
     NonMorseError,
     NotCriticalError,
+    RankDeficiencyError,
     TooFewCriticalPointsError,
 )
 from morseflow.linalg import jacobi_eigh
 from morseflow.morse import (
     DEDUPE_RADIUS, SweepStats, _newton_sweep, classify_point,
+    corrected_hessian,
 )
 from morseflow.symbolics import evaluate_jet
 from test_kernels import CATALOG, _scenario
@@ -265,6 +267,14 @@ def test_too_few_critical_points(sphere):
     )
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_geometric_constants_needs_samples(sphere, n_samples):
+    for crits in (sphere.crits, sphere.crits[:1]):
+        with pytest.raises(ValueError, match="n_samples"):
+            geometric_constants(sphere.manifold, sphere.function, crits,
+                                n_samples=n_samples)
+
+
 def test_classify_point_matches_census(sphere):
     p = classify_point(sphere.manifold, sphere.function,
                        sphere.crits[1].location)
@@ -298,7 +308,12 @@ def _newton_solve(m, f, x0, max_iter=60, step_cap=0.5, res_tol=1e-11):
         jet = evaluate_jet(f, x)
         vals, jac = m.values_and_jacobian(x)
         if lam is None:
-            lam, *_ = np.linalg.lstsq(jac.T, jet.gradient, rcond=None)
+            # the constraint map's Gram weights of grad f, nan where the
+            # Gram matrix is singular
+            try:
+                lam = np.array(m._map.project(x, jet.gradient)[1])
+            except RankDeficiencyError:
+                lam = np.full(len(vals), np.nan)
         residual = np.concatenate([jet.gradient - jac.T @ lam, vals])
         if np.max(np.abs(residual)) < res_tol:
             return x
@@ -384,6 +399,24 @@ def test_newton_sweep_matches_point_newton(name):
         assert all(np.array_equal(a, b) for a, b in zip(got, kept))
 
 
+@pytest.mark.parametrize("name", CATALOG + ("sphere_in_r5", "o3", "quadric"))
+def test_multipliers_match_lstsq(name):
+    # the Gram weights of grad f are the least-squares solution of
+    # J^T lam = grad f, and corrected_hessian subtracts them as before
+    m, f = _quadric_cut() if name == "quadric" else _scenario(name)
+    for x in m.sample_points(300, seed=7):
+        jet = evaluate_jet(f, x)
+        jac = m.constraint_jacobian(x)
+        want, *_ = np.linalg.lstsq(jac.T, jet.gradient, rcond=None)
+        got = np.array(m._map.project(x, jet.gradient)[1])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        hess = jet.hessian.copy()
+        for coef, cons_hess in zip(want, m.constraint_hessians(x)):
+            hess -= coef * cons_hess
+        gap = corrected_hessian(m, f, x) - 0.5 * (hess + hess.T)
+        assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(hess)))
+
+
 def test_newton_sweep_branches(sphere):
     m = sphere.manifold
     samples = list(m.sample_points(6, 0))
@@ -395,6 +428,9 @@ def test_newton_sweep_branches(sphere):
         (parse("x3", 3), [[1.0, 0.0, 0.0], *samples, [0.0, 1.0, 0.0]], {}),
         # A constant f: singular everywhere.
         (parse("1", 3), samples, {}),
+        # At the origin J = 0, so the Gram matrix is singular: the first
+        # multipliers are nan and the start is dropped.
+        (sphere.function, [[0.0, 0.0, 0.0], *samples], {}),
         # Just off the equator the KKT matrix is nearly singular: an
         # uncapped step of about 1e8 leaves the ball of radius 1e6.
         (parse("x3", 3), [edge, *samples], {"step_cap": 1e9}),
@@ -409,6 +445,7 @@ def test_newton_sweep_branches(sphere):
     # Only the options make those starts fail.
     assert _newton_solve(m, parse("x3", 3), edge, step_cap=1e9) is None
     assert _newton_solve(m, parse("x3", 3), edge) is not None
+    assert _newton_sweep(m, sphere.function, np.zeros((1, 3))) == [None]
     for x in samples:
         assert _newton_solve(m, sphere.function, x, max_iter=2) is None
         assert _newton_solve(m, sphere.function, x) is not None
