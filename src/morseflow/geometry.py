@@ -185,7 +185,11 @@ class ImplicitManifold:
         the step. Raises RetractionError on a singular Gram matrix, a
         non-finite iterate, the guard, or RETRACT_MAX_ITER iterations.
         """
-        y = np.asarray(x, dtype=float).tolist()
+        return np.array(self.retract_floats(
+            np.asarray(x, dtype=float).tolist(), guard))
+
+    def retract_floats(self, y, guard=0.1):
+        """`retract` of one point given and returned as a list of floats."""
         if guard is not None:
             bound = guard * (1.0 + math.sqrt(sum(v * v for v in y)))
         tol = self.constraint_tol
@@ -194,13 +198,13 @@ class ImplicitManifold:
                 vals, step = self._map.normal_step(y)
             except RankDeficiencyError as exc:
                 if self.is_on_manifold(y):
-                    return np.array(y)
+                    return y
                 raise RetractionError(
                     "constraint Jacobian singular while retracting "
                     f"{np.array(y)}"
                 ) from exc
             if all(abs(v) <= tol for v in vals):
-                return np.array(y)
+                return y
             if it == 0 and guard is not None:
                 size = math.sqrt(sum(v * v for v in step))
                 if size > bound:

@@ -16,8 +16,10 @@ cache:
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
   of a manifold: all values, or all values and the Jacobian rows, from
   one call; also `project`, the tangential part of a vector with its
-  Gram weights (J J^T)^{-1} J vec, and `normal_step`, the values with
-  the Gauss-Newton step J^T (J J^T)^{-1} F of a retraction;
+  Gram weights (J J^T)^{-1} J vec, `project_rows`, the tangential parts
+  of d rows (a transported frame) with one Gram solve for all of them,
+  and `normal_step`, the values with the Gauss-Newton step
+  J^T (J J^T)^{-1} F of a retraction;
 - a field kernel, f together with k >= 0 constraints (one expression
   is k = 0, P the identity): the value of f and P grad f, P the
   orthogonal projection onto ker dF, from one pass over f and the
@@ -28,20 +30,20 @@ cache:
   and the derivative of P grad f along each vector from one order-2
   pass (`_field_code`).
 
-`project`, `normal_step` and the field kernel write the solve with the
-Gram matrix J J^T out inline for every number k of constraints, from
-one emitter helper: Gram sums from 0.0 in coordinate order, Cramer's
-rule for k = 2, otherwise Gaussian elimination without pivoting (a
-division for k = 1). So the field, the tangent projection and the
-retraction give the bits of that arithmetic done term by term on
+`project`, `project_rows`, `normal_step` and the field kernel write the
+solve with the Gram matrix J J^T out inline for every number k of
+constraints, from one emitter helper: Gram sums from 0.0 in coordinate
+order, Cramer's rule for k = 2, otherwise Gaussian elimination without
+pivoting (a division for k = 1). So the field, the tangent projection
+and the retraction give the bits of that arithmetic done term by term on
 floats; numpy's solve agrees to rounding (within 1e-14 on the test
 scenarios). There is no other J J^T solve: `project` also gives the
 Lagrange multipliers and the tangent bases.
 
-Each source but `value`'s, `project`'s and the field kernel's with
-vectors is compiled once and executed twice: with the `math` functions
-for one point given as floats, and with their numpy ufuncs for many
-points given as coordinate columns. The arithmetic is the same
+Each source but `value`'s, `project`'s, `project_rows`'s and the field
+kernel's with vectors is compiled once and executed twice: with the
+`math` functions for one point given as floats, and with their numpy
+ufuncs for many points given as coordinate columns. The arithmetic is the same
 elementwise, so both give the same bits where `math` and numpy agree.
 """
 
@@ -455,6 +457,18 @@ def _project_code(constraints, n):
                   extra=_names("b", n))
 
 
+def _rows_code(constraints, n, count):
+    """Source of `_rows(x1, ..., xn, b1_1, ..., bd_n)`: `project`'s
+    tangential part of each of the d = `count` rows b, flat. One emitter
+    takes all d projections, so the Gram sums and the elimination are
+    emitted once and shared by the rows."""
+    emitter, _, rows = _walk_all(constraints, n)
+    vecs = [_names(f"b{i}_", n) for i in range(1, count + 1)]
+    out = [t for vec in vecs for t in emitter.project(rows, vec)[0]]
+    return _build("_rows", n, emitter, _tuple(out),
+                  extra=[b for vec in vecs for b in vec])
+
+
 def _step_code(constraints, n):
     emitter, vals, rows = _walk_all(constraints, n)
     step = emitter.normal_step(rows, vals)
@@ -510,17 +524,20 @@ def _pair(code, name):
 class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
-    `value` runs the node rules at order 0, `value_and_grad`, `project`
-    and `normal_step` at order 1 and `jet`, `kkt`, `kkt_columns` and the
-    field kernel's `value_and_grad` of a state with vectors at order 2,
-    so where two of them form the same number they give the same bits.
+    `value` runs the node rules at order 0, `value_and_grad`, `project`,
+    `project_rows` and `normal_step` at order 1 and `jet`, `kkt`,
+    `kkt_columns` and the field kernel's `value_and_grad` of a state with
+    vectors at order 2, so where two of them form the same number they
+    give the same bits.
 
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
       `value_and_grad` (values, Jacobian rows), `project(x, vec)` the
-      tangential part of vec at x with its Gram weights and
-      `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the Gauss-Newton
-      step toward F = 0.
+      tangential part of vec at x with its Gram weights,
+      `project_rows(x, rows)` the tangential parts of d rows (d * n
+      floats, row after row; the function of each d generated on first
+      use) and `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the
+      Gauss-Newton step toward F = 0.
     - `expression` f with k >= 0 `constraints` (k = 0 for one
       expression): the field kernel. `value` gives f(x), `value_and_grad`
       (f(x), P(x) grad f(x)), and for a state of x and j tangent vectors,
@@ -530,10 +547,11 @@ class CompiledExpression:
       and multipliers lam, `kkt_columns` the same for columns, and `jet`
       f's (value, gradient array, Hessian array).
 
-    `value`, `jet`, `kkt` and `project` take one point and `kkt_columns`
-    columns; the other methods take one point or an (ambient_dim, N)
-    array whose columns are N points, and then each number above is a
-    length-N array, or a float where it does not depend on x. A domain
+    `value`, `jet`, `kkt`, `project` and `project_rows` take one point
+    and `kkt_columns` columns; the other methods take one point or an
+    (ambient_dim, N) array whose columns are N points, and then each
+    number above is a length-N array, or a float where it does not
+    depend on x. A domain
     error raises EvaluationError naming the first expression, in the
     order f, F_1, ..., F_k, that fails at x (with vectors, whose `jet`
     fails); a zero Gram determinant or pivot raises RankDeficiencyError,
@@ -543,7 +561,7 @@ class CompiledExpression:
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
-        "_step", "_step_columns", "_kkt",
+        "_step", "_step_columns", "_kkt", "_rows",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -575,6 +593,7 @@ class CompiledExpression:
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._fields = {0: self._value_grad}
         self._project = self._step = self._step_columns = self._kkt = None
+        self._rows = {}
         if not single:
             self._project = _define(_project_code(exprs, n), "_proj",
                                     _NAMESPACE)
@@ -691,6 +710,22 @@ class CompiledExpression:
         x = _as_floats(x)
         try:
             return self._project(*x, *_as_floats(vec))
+        except _FAILURES as exc:
+            raise self._failure("value_and_grad", x, exc, True) from exc
+
+    def project_rows(self, x, rows):
+        """`project`'s tangential parts of d rows at one point x, from one
+        call that solves with the Gram matrix once: `rows` and the result
+        are d * n floats, row after row, each row the bits of `project`'s.
+        The function of each d is generated on first use (`_rows_code`)."""
+        count = len(rows) // self.ambient_dim
+        function = self._rows.get(count)
+        if function is None:
+            function = self._rows[count] = _define(_rows_code(
+                self.expression, self.ambient_dim, count), "_rows", _NAMESPACE)
+        x = _as_floats(x)
+        try:
+            return function(*x, *_as_floats(rows))
         except _FAILURES as exc:
             raise self._failure("value_and_grad", x, exc, True) from exc
 

@@ -7,6 +7,15 @@ the projection chain, so frames pick up no spurious in-plane rotation
 from anisotropic shrinkage (plain Gram-Schmidt injects a first-order
 bias that shows up as fake curvature on flat product manifolds).
 
+A substep runs on Python floats from start to end: the retraction of
+the chord midpoint (`retract_floats`), the constraint map's generated
+`project_rows` at the midpoint and at the target, one Gram solve shared
+by all rows, and the generated polar step of `linalg.polar_function`
+(the Gram triangle, the bias, `jacobi_eigh`'s rotations and G^{-1/2}
+times the rows). The frame stays a flat list of floats along a
+polyline and becomes an array only where a caller needs one: at each
+`parallel_transport` sample and at the end of a loop.
+
 Curvature is estimated from the holonomy of small retracted
 parallelogram loops, Richardson-extrapolated over h and h/2. The
 flow-invariance defect compares the curvature operator at a point
@@ -23,7 +32,7 @@ import numpy as np
 
 from .errors import FlowError, NonMorseError
 from .flow import FlowConfig
-from .linalg import operator_norm, sym_inverse_sqrt
+from .linalg import operator_norm, polar_function
 from .linearization import integrate_variational_multi
 
 MAX_SUBSTEP = 0.02  # longest chord of one `parallel_transport` substep
@@ -43,37 +52,40 @@ class TransportedFrame:
     correction_bias_max: float  # largest pre-orthonormalization deviation
 
 
-def _transport_matrix_step(m, frame, a, b):
-    """Move frame rows from T_a M to T_b M through the chord midpoint."""
-    mid = m.retract(0.5 * (a + b), guard=None)
-    moved = np.array([m.project_tangent(mid, w) for w in frame])
-    moved = np.array([m.project_tangent(b, w) for w in moved])
-    gram = moved @ moved.T
-    bias = float(np.max(np.abs(gram - np.eye(len(frame)))))
-    return sym_inverse_sqrt(gram) @ moved, bias
+def _chord(a, b, frac):
+    """a + frac (b - a) for lists of floats, as numpy forms it per entry."""
+    return [p + frac * (q - p) for p, q in zip(a, b)]
 
 
 def _transport_polyline(m, points, frame, max_substep):
     """Transport `frame` along retracted chords through `points`.
 
-    Returns (frame at the end, worst per-substep bias). Long gaps are
-    subdivided so each substep chord stays below max_substep.
+    Points are lists of floats and the frame is d * n floats, row after
+    row. Returns (frame at the end, worst per-substep bias), on floats.
+    Long gaps are subdivided so each substep chord stays below
+    max_substep. A substep moves the rows from T_a M to T_b M through the
+    retracted chord midpoint, projecting them there and at b with one
+    `project_rows` call each, then takes the polar factor
+    (`polar_function`).
     """
+    project = m._map.project_rows
+    polar = polar_function(len(frame) // m.ambient_dim, m.ambient_dim)
     worst = 0.0
-    current = frame
     for a, b in zip(points[:-1], points[1:]):
-        gap = float(np.linalg.norm(b - a))
+        gap = math.dist(a, b)
         if gap == 0.0:
             continue
         pieces = max(1, int(math.ceil(gap / max_substep)))
         prev = a
         for s in range(1, pieces + 1):
-            target = a + (s / pieces) * (b - a)
-            target = b if s == pieces else m.retract(target, guard=None)
-            current, bias = _transport_matrix_step(m, current, prev, target)
+            target = b if s == pieces else m.retract_floats(
+                _chord(a, b, s / pieces), guard=None)
+            mid = m.retract_floats(
+                [0.5 * (p + q) for p, q in zip(prev, target)], guard=None)
+            frame, bias = polar(*project(target, project(mid, frame)))
             worst = max(worst, bias)
             prev = target
-    return current, worst
+    return frame, worst
 
 
 def parallel_transport(m, traj, frame0):
@@ -93,9 +105,12 @@ def parallel_transport(m, traj, frame0):
     frames = [frame0]
     worst_bias = 0.0
     gram_drift = float(np.max(np.abs(frame0 @ frame0.T - np.eye(len(frame0)))))
-    for a, b in zip(traj.points[:-1], traj.points[1:]):
-        nxt, bias = _transport_polyline(m, [a, b], frames[-1], MAX_SUBSTEP)
+    points = traj.points.tolist()
+    current = frame0.ravel().tolist()
+    for a, b in zip(points[:-1], points[1:]):
+        current, bias = _transport_polyline(m, [a, b], current, MAX_SUBSTEP)
         worst_bias = max(worst_bias, bias)
+        nxt = np.array(current).reshape(frame0.shape)
         frames.append(nxt)
         gram_drift = max(
             gram_drift,
@@ -125,17 +140,18 @@ def _holonomy_operator(m, x, u, v, h, frame):
     """(I - holonomy) / h^2 of the retracted parallelogram x -> x+hu ->
     x+hu+hv -> x+hv -> x, each side cut into LOOP_SUBSTEPS retracted
     pieces, so the substep bound LOOP_H cuts no further."""
-    corners = [x, m.retract(x + h * u, guard=None),
-               m.retract(x + h * u + h * v, guard=None),
-               m.retract(x + h * v, guard=None), x]
-    points = [x]
+    corners = [m.retract_floats(c.tolist(), guard=None)
+               for c in (x + h * u, x + h * u + h * v, x + h * v)]
+    corners = [x.tolist(), *corners, x.tolist()]
+    points = [corners[0]]
     for a, b in zip(corners[:-1], corners[1:]):
         for s in range(1, LOOP_SUBSTEPS):
-            target = a + (s / LOOP_SUBSTEPS) * (b - a)
-            points.append(m.retract(target, guard=None))
+            points.append(m.retract_floats(
+                _chord(a, b, s / LOOP_SUBSTEPS), guard=None))
         points.append(b)
-    looped, _ = _transport_polyline(m, points, frame, LOOP_H)
-    hol = frame @ looped.T  # hol[i, j] = <frame_i, looped_j>
+    looped, _ = _transport_polyline(m, points, frame.ravel().tolist(), LOOP_H)
+    # hol[i, j] = <frame_i, looped_j>
+    hol = frame @ np.array(looped).reshape(frame.shape).T
     return (np.eye(len(frame)) - hol) / (h * h)
 
 
@@ -195,9 +211,10 @@ def _pushed_operator(m, f, x, u, v, t, direction, cfg):
     nv = np.linalg.norm(perp)
     if nv < 1e-12:
         raise FlowError("pushed plane degenerated; shorten t")
-    moved_frame, _ = _transport_polyline(m, points, frame, LOOP_H)
+    moved, _ = _transport_polyline(m, points.tolist(),
+                                   frame.ravel().tolist(), LOOP_H)
     sample = holonomy_curvature(m, points[-1], unit_u, perp / nv,
-                                frame=moved_frame)
+                                frame=np.array(moved).reshape(frame.shape))
     return nu * nv * sample.operator
 
 

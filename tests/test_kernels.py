@@ -426,6 +426,28 @@ def test_tangent_projection_matches_numpy(name):
         assert np.array_equal(m.riemannian_gradient(f, x).vec, composed)
 
 
+@pytest.mark.parametrize("name", SCENARIOS + ("sphere_cut",))
+def test_projected_rows_match_project(name):
+    # the row function shares one Gram solve among the rows, and each
+    # row keeps the bits of `project` alone
+    m, _ = _scenario(name)
+    on, near, _ = _points(name)
+    rng = np.random.default_rng(12)
+    for x in np.concatenate([on[:10], near[::12]]):
+        for d in (1, 2, 3):
+            rows = rng.standard_normal((d, m.ambient_dim))
+            got = m._map.project_rows(x, rows.ravel())
+            want = [m._map.project(x, r)[0] for r in rows.tolist()]
+            assert got == tuple(t for row in want for t in row)
+
+
+def test_projected_rows_name_a_domain_error():
+    # a zero Gram matrix is test_transport's rows at the sphere's origin
+    m, _ = _scenario("sqrt_domain")
+    with pytest.raises(EvaluationError, match="sqrt"):
+        m._map.project_rows([-1.1, 0.2, 0.1], [1.0, 0.0, 0.0])
+
+
 def test_error_parity():
     cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
     height = parse("x3", 3)

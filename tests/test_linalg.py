@@ -1,11 +1,13 @@
-"""jacobi_eigh on Python floats against the numpy sweep it replaced."""
+"""jacobi_eigh on Python floats against the numpy sweep it replaced, and
+the generated polar step that runs its rotations."""
 
 import math
 
 import numpy as np
 import pytest
 
-from morseflow.linalg import jacobi_eigh, sym_inverse_sqrt
+from morseflow.errors import RankDeficiencyError
+from morseflow.linalg import jacobi_eigh, polar_function
 from morseflow.morse import intrinsic_hessian
 
 
@@ -91,11 +93,20 @@ def test_random_symmetric_matrices_match_numpy_sweep():
 
 
 def test_gram_inverse_square_root():
+    # the polar step returns Q = G^{-1/2} R for G = R R^T, so
+    # Q Q^T = G^{-1/2} G G^{-1/2} = I, and Q R^T = G^{1/2} is symmetric
+    # with square G
     rng = np.random.default_rng(2)
     for n in (1, 2, 3):
-        frame = rng.standard_normal((n, n + 2))
-        gram = frame @ frame.T
-        root = sym_inverse_sqrt(gram)
-        assert np.allclose(root @ gram @ root, np.eye(n), atol=1e-10)
-    with pytest.raises(ValueError):
-        sym_inverse_sqrt(np.zeros((2, 2)))
+        rows = rng.standard_normal((n, n + 2))
+        gram = rows @ rows.T
+        flat, bias = polar_function(n, n + 2)(*rows.ravel().tolist())
+        q = np.array(flat).reshape(rows.shape)
+        assert bias == pytest.approx(np.max(np.abs(gram - np.eye(n))),
+                                     abs=1e-12)
+        assert np.allclose(q @ q.T, np.eye(n), atol=1e-10)
+        root = q @ rows.T
+        assert np.allclose(root, root.T, atol=1e-10)
+        assert np.allclose(root @ root, gram, atol=1e-10)
+    with pytest.raises(RankDeficiencyError, match="collapsed"):
+        polar_function(2, 4)(*[0.0] * 8)

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from morseflow import (
+    ImplicitManifold,
     find_critical_points,
     flatness_test,
     flow_invariance_defect,
@@ -11,8 +14,9 @@ from morseflow import (
     parallel_transport,
     parse,
 )
-from morseflow.errors import FlowError, NonMorseError
-from morseflow.transport import sectional_value
+from morseflow.errors import FlowError, NonMorseError, RankDeficiencyError
+from morseflow.linalg import DEFINITE_FLOOR, jacobi_eigh
+from morseflow.transport import _transport_polyline, sectional_value
 
 
 def _orthonormal_pair(m, x, rng):
@@ -20,6 +24,94 @@ def _orthonormal_pair(m, x, rng):
     w = m.random_tangent(x, rng)
     w = w - (w @ u) * u
     return u, w / np.linalg.norm(w)
+
+
+def _sym_inverse_sqrt(gram):
+    """G^{-1/2} from `jacobi_eigh`, all eigenvalues > DEFINITE_FLOOR."""
+    w, v = jacobi_eigh(gram)
+    if w[0] <= DEFINITE_FLOOR:
+        raise ValueError("matrix is not positive definite")
+    return (v * (1.0 / np.sqrt(w))) @ v.T
+
+
+def _transport_matrix_step(m, frame, a, b):
+    """The numpy substep that the float one replaced, kept as its oracle:
+    frame rows moved from T_a M to T_b M through the chord midpoint, then
+    the polar factor. Returns (frame, bias)."""
+    mid = m.retract(0.5 * (a + b), guard=None)
+    moved = np.array([m.project_tangent(mid, w) for w in frame])
+    moved = np.array([m.project_tangent(b, w) for w in moved])
+    gram = moved @ moved.T
+    bias = float(np.max(np.abs(gram - np.eye(len(frame)))))
+    return _sym_inverse_sqrt(gram) @ moved, bias
+
+
+@functools.lru_cache(maxsize=None)
+def _great_sphere_in_r5():
+    """A great S^2 of the unit S^4: three constraints, two of them planes
+    through 0 with overlapping normals, so the Gram solve eliminates."""
+    return ImplicitManifold(5, [parse(e, 5) for e in (
+        "x1^2 + x2^2 + x3^2 + x4^2 + x5^2 - 1",
+        "x4 - 0.3 * x1 + 0.2 * x2",
+        "x5 + 0.4 * x3 - 0.1 * x1",
+    )], bounding_box=(-1.2, 1.2))
+
+
+def _manifold(name, request):
+    if name == "great_sphere_in_r5":
+        return _great_sphere_in_r5()
+    return request.getfixturevalue(name).manifold
+
+
+@pytest.mark.parametrize("name", ["sphere", "clifford", "sphere_m",
+                                  "great_sphere_in_r5"])
+def test_substep_matches_numpy_oracle(name, request):
+    # one constraint (a division), two (Cramer), dim 4 (six rotations a
+    # sweep) and three (elimination); frames of 1 and of dim rows
+    m = _manifold(name, request)
+    rng = np.random.default_rng(7)
+    for x in m.sample_points(4, seed=8):
+        basis = m.tangent_basis(x)
+        for d in (1, m.dim):
+            turn = np.linalg.qr(rng.standard_normal((m.dim, m.dim)))[0]
+            frame = (turn @ basis)[:d]
+            step = rng.uniform(0.005, 0.1)
+            b = m.retract(x + step * m.random_tangent(x, rng), guard=None)
+            want, want_bias = _transport_matrix_step(m, frame, x, b)
+            # a chord shorter than max_substep is one substep
+            got, bias = _transport_polyline(m, [x.tolist(), b.tolist()],
+                                            frame.ravel().tolist(), 1.0)
+            got = np.array(got).reshape(frame.shape)
+            assert np.max(np.abs(got - want)) < 1e-13
+            assert abs(bias - want_bias) < 1e-13
+            assert bias > 0.0
+
+
+@pytest.mark.parametrize("name", ["sphere_m", "great_sphere_in_r5"])
+def test_holonomy_on_unit_spheres(name, request):
+    m = _manifold(name, request)
+    rng = np.random.default_rng(6)
+    x = m.sample_points(1, seed=16)[0]
+    u, v = _orthonormal_pair(m, x, rng)
+    sample = holonomy_curvature(m, x, u, v)
+    assert sample.frame.shape == (m.dim, m.ambient_dim)
+    assert sectional_value(sample) == pytest.approx(1.0, abs=0.05)
+
+
+def test_rows_at_sphere_origin_raise(sphere):
+    # the Gram matrix of the constraint is 0 at the origin: named, not a
+    # raw ZeroDivisionError
+    with pytest.raises(RankDeficiencyError, match=r"at \[0.0, 0.0, 0.0\]"):
+        sphere.manifold._map.project_rows([0.0, 0.0, 0.0],
+                                          [0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+
+
+def test_collapsed_frame_raises(sphere):
+    x = np.array([1.0, 0.0, 0.0])
+    u = np.array([0.0, 1.0, 0.0])
+    v = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(RankDeficiencyError, match="collapsed"):
+        holonomy_curvature(sphere.manifold, x, u, v, frame=np.array([u, u]))
 
 
 def test_zero_duration_transport(sphere):
