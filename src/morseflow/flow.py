@@ -38,11 +38,15 @@ term order, for floats and, exec'd with numpy, for columns. Vectors are
 re-projected by the constraint map's generated `project`, and points
 retracted by its `normal_step`: they write the same Gram sums and solve.
 
-Every accepted point is retracted back onto M (`retract`, a Gauss-Newton
-loop on floats; `retract_columns` for the batch, each column bit for bit
-its point) and the vectors are re-projected there. The scalar stepper
-records the constraint drift before retraction, which must stay within
-an order of magnitude of the manifold tolerance.
+Every accepted point is retracted back onto M and the vectors are
+re-projected there. The scalar stepper stays on Python floats: it
+retracts the point part of y5 as a list with `retract`'s Gauss-Newton
+loop, and the point becomes an array only in capture, once the gradient
+norm is below the capture threshold. The batch uses `retract_columns`,
+each column bit for bit its point. The constraint drift, which must stay
+within an order of magnitude of the manifold tolerance, is max |F| at
+the unretracted point: the constraint values of the loop's first
+iterate, so F is not evaluated a second time.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -214,9 +218,14 @@ def _start_point(m, x0):
 
 
 def _capture(point, norm, crits, cfg):
-    """Terminal at an accepted point, or None while the flow goes on."""
+    """Terminal at an accepted point, or None while the flow goes on.
+
+    The point (floats or an array) becomes an array only once the
+    gradient norm is below the capture threshold.
+    """
     if norm >= cfg.capture_grad_tol:
         return None
+    point = np.asarray(point)
     for crit in crits:
         if np.linalg.norm(point - crit.location) < cfg.capture_radius:
             return Terminal("converged", crit.id)
@@ -340,7 +349,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
     k1 = derivative(state)
     gnorm = _norm(k1[:n])
     times, states, gnorms = [0.0], [state], [gnorm]
-    terminal = _terminal(np.array(state[:n]), gnorm)
+    terminal = _terminal(state[:n], gnorm)
     t = 0.0
     h = _first_step(cfg, x_norm, gnorm)
     halvings = 0
@@ -359,9 +368,8 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
             h *= _shrink_factor(err_scaled)
             continue
 
-        x_new = y_new[:n]
         try:
-            retracted = m.retract(np.array(x_new), guard=None)
+            point, vals = m._gauss_newton(y_new[:n], None)
         except RetractionError:
             halvings += 1
             stats.retraction_halvings += 1
@@ -373,11 +381,10 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
             continue
         halvings = 0
 
-        drift = max(abs(v) for v in field._map.value(x_new))
+        drift = max(map(abs, vals))
         stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
 
         t += h
-        point = retracted.tolist()
         state = point + [
             c for lo in range(n, size, n)
             for c in field.project(point, y_new[lo:lo + n])
@@ -388,7 +395,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
         times.append(t)
         states.append(state)
         gnorms.append(gnorm)
-        terminal = _terminal(retracted, gnorm)
+        terminal = _terminal(point, gnorm)
         if terminal is None:
             h *= _step_factor(err_scaled)
     return terminal, stats, times, states, gnorms

@@ -180,31 +180,46 @@ class ImplicitManifold:
         guard=None to disable it (used by the rejection sampler, which
         filters on |F| < SAMPLE_KEEP_TOL and simply discards failures).
 
-        The iteration runs on Python floats, one call per iteration of
-        the constraint map's generated `normal_step` for the values and
-        the step. Raises RetractionError on a singular Gram matrix, a
-        non-finite iterate, the guard, or RETRACT_MAX_ITER iterations.
+        The array wrapper of `retract_floats`: the same iteration, on
+        Python floats. Raises RetractionError on a singular Gram matrix,
+        a non-finite iterate, the guard, or RETRACT_MAX_ITER iterations.
         """
         return np.array(self.retract_floats(
             np.asarray(x, dtype=float).tolist(), guard))
 
     def retract_floats(self, y, guard=0.1):
-        """`retract` of one point given and returned as a list of floats."""
+        """`retract` of one point given and returned as a list of floats:
+        the point of `_gauss_newton`."""
+        return self._gauss_newton(y, guard)[0]
+
+    def _gauss_newton(self, y, guard):
+        """(point, values): `retract`'s iteration on the float list y, with
+        the constraint values F(y) of its first iterate.
+
+        One call per iteration of the constraint map's generated
+        `normal_step` gives the values and the step, so F(y) costs
+        nothing extra; a flow takes its constraint drift from it. The
+        iteration stops once every |F_i| <= constraint_tol, which a nan
+        value never satisfies.
+        """
         if guard is not None:
             bound = guard * (1.0 + math.sqrt(sum(v * v for v in y)))
         tol = self.constraint_tol
+        first = None
         for it in range(RETRACT_MAX_ITER):
             try:
                 vals, step = self._map.normal_step(y)
             except RankDeficiencyError as exc:
-                if self.is_on_manifold(y):
-                    return y
+                vals = self._map.value(y)
+                if all(abs(v) <= tol for v in vals):
+                    return y, first or vals
                 raise RetractionError(
                     "constraint Jacobian singular while retracting "
                     f"{np.array(y)}"
                 ) from exc
+            first = first or vals
             if all(abs(v) <= tol for v in vals):
-                return y
+                return y, first
             if it == 0 and guard is not None:
                 size = math.sqrt(sum(v * v for v in step))
                 if size > bound:

@@ -14,9 +14,11 @@ the vectors re-projected by `GradientField.project` at each accepted point.
 
 The energy E(t) = |V|^2 / 2 satisfies dE/dt = -Hess(V, V) with the
 multiplier-corrected Hessian; `check_energy_ode` measures the residual
-of that identity on a computed series, and `fit_decay_rate` compares the
-asymptotic decay rate of |V| against the smallest Hessian eigenvalue at
-the limiting minimum.
+of that identity on a computed series, all samples at once: dE/dt from
+five-point derivative weights in closed form, H_lam at every sample from
+one call of the field kernel's `kkt_columns`, and Hess(V, V) from one
+einsum. `fit_decay_rate` compares the asymptotic decay rate of |V|
+against the smallest Hessian eigenvalue at the limiting minimum.
 """
 
 import math
@@ -24,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowError, NotConvergedError
+from .errors import (EvaluationError, FlowError, NotConvergedError,
+                     RankDeficiencyError)
 from .flow import (
     FlowConfig, FlowStats, GradientField, Terminal, _cash_karp, _sign,
     _start_point,
 )
-from .morse import hessian_quadratic_form
+from .symbolics import compile_expression
 
 # Step caps giving dense enough sampling for rate fits and for the
 # finite-difference energy derivative (its truncation must sit below
@@ -126,52 +129,105 @@ def integrate_variational(m, f, x0, v0, cfg=None, direction="forward",
     )
 
 
-def _centered_derivative(t, e, i):
-    """d e / d t at sample i from a quartic on a non-uniform grid.
+def _derivative_weights(t):
+    """(windows, weights) of dE/dt at the interior samples of the grid t.
 
-    The quartic goes through the five samples centred on i, a window
-    clamped to the ends of the series, so the samples next to the ends
-    take a one-sided window (Fornberg, Math. Comp. 51, 1988); it is exact
-    through fourth order, which keeps the estimate usable right next to
-    sign changes of the derivative. Series of three or four samples fall
-    back to the three-point formula.
+    Row i - 1 holds sample i's window, five samples centred on i and
+    clamped to the ends of the series, and the weights w with
+    dE/dt(t_i) ~ sum_j w_j E[window_j]: the derivative of the quartic
+    through the window, exact through fourth order, which keeps the
+    estimate usable next to sign changes of dE/dt. Series of three or
+    four samples take three-sample windows.
+
+    The weights are the closed form of the Lagrange basis derivative at
+    a node (Fornberg, Math. Comp. 51, 1988): with the barycentric weights
+    b_j = 1 / prod_{m != j} (t_j - t_m), w_j = b_j / (b_i (t_i - t_j))
+    for j != i and w_i = -sum_{j != i} w_j (Berrut & Trefethen, SIAM
+    Review 46, 2004, eq. 9.4).
     """
-    if len(t) >= 5:
-        lo = min(max(i - 2, 0), len(t) - 5)
-        span = t[lo + 4] - t[lo]
-        s = (t[lo:lo + 5] - t[i]) / span
-        vand = np.vander(s, 5, increasing=True)
-        coef = np.linalg.solve(vand, e[lo:lo + 5])
-        return coef[1] / span
-    h_minus = t[i] - t[i - 1]
-    h_plus = t[i + 1] - t[i]
-    return (
-        -e[i - 1] * h_plus / (h_minus * (h_minus + h_plus))
-        + e[i] * (h_plus - h_minus) / (h_minus * h_plus)
-        + e[i + 1] * h_minus / (h_plus * (h_minus + h_plus))
-    )
+    count = len(t)
+    width = 5 if count >= 5 else 3
+    centre = np.arange(1, count - 1)
+    lo = np.clip(centre - width // 2, 0, count - width)
+    windows = lo[:, None] + np.arange(width)
+    offsets = t[windows] - t[centre, None]
+    at = windows == centre[:, None]
+    gaps = offsets[:, :, None] - offsets[:, None, :]
+    gaps[:, range(width), range(width)] = 1.0
+    bary = 1.0 / gaps.prod(axis=2)
+    with np.errstate(divide="ignore"):
+        weights = bary / (-offsets * bary[at][:, None])
+    weights[at] = 0.0
+    weights[at] = -weights.sum(axis=1)
+    return windows, weights
+
+
+def _corrected_hessians(m, f, points):
+    """H_lam at each row of `points`, as `morse.corrected_hessian` forms
+    it, from one `kkt_columns` call.
+
+    The multipliers lam are grad f's Gram weights in the constraint map's
+    `project`, one point at a time. Where a point's gradient, weights or
+    `kkt` fails, the lowest such row raises that point's
+    EvaluationError or RankDeficiencyError.
+    """
+    n = m.ambient_dim
+    gradient = compile_expression(f, n)
+    kernel = compile_expression(f, n, m.constraints)
+
+    def weights(x):
+        return m._map.project(x, gradient.value_and_grad(x)[1])[1]
+
+    lam = np.full((len(points), m.n_constraints), np.nan)
+    failed = np.zeros(len(points), dtype=bool)
+    for j, x in enumerate(points.tolist()):
+        try:
+            lam[j] = weights(x)
+        except (EvaluationError, RankDeficiencyError):
+            failed[j] = True
+    blocks, bad = kernel.kkt_columns(points.T, lam.T)
+    failed |= bad
+    if failed.any():
+        x = points[np.argmax(failed)].tolist()
+        kernel.kkt(x, weights(x))
+    return blocks[-1]
+
+
+def _energy_sides(series, m, f):
+    """(samples, dE/dt, -Hess(V, V)) at the interior samples whose
+    finite-difference dE/dt exceeds ENERGY_DERIV_FLOOR in magnitude.
+
+    dE/dt comes from `_derivative_weights`, H_lam for all those samples
+    from `_corrected_hessians`, and each V^T H_lam V from one einsum.
+    Samples under the floor are never evaluated.
+    """
+    if len(series) < 3:
+        raise FlowError("need at least three samples for the energy check")
+    windows, weights = _derivative_weights(series.times)
+    lhs = np.einsum("sw,sw->s", weights, series.energies[windows])
+    kept = np.flatnonzero(np.abs(lhs) > ENERGY_DERIV_FLOOR)
+    samples = kept + 1
+    hess = _corrected_hessians(m, f, series.points[samples])
+    vecs = series.vectors[samples]
+    return samples, lhs[kept], -np.einsum("si,sij,sj->s", vecs, hess, vecs)
 
 
 def check_energy_ode(series, m, f):
     """Max relative residual of dE/dt against -Hess(V, V) on the series.
 
-    dE/dt is a centered finite difference on the (non-uniform) time
-    grid; samples where its magnitude is at most ENERGY_DERIV_FLOOR are
-    skipped. Returns 0.0 when nothing clears the floor.
+    dE/dt is the five-point finite difference on the (non-uniform) time
+    grid, with closed-form weights for every sample at once; samples
+    where its magnitude is at most ENERGY_DERIV_FLOOR are skipped and
+    never evaluated. H_lam at all other samples comes from one kernel
+    call, and a sample whose evaluation fails raises its error, the
+    lowest first (see `_energy_sides`). Returns 0.0 when nothing clears
+    the floor.
     """
-    if len(series) < 3:
-        raise FlowError("need at least three samples for the energy check")
-    worst = 0.0
-    t = series.times
-    e = series.energies
-    for i in range(1, len(series) - 1):
-        lhs = _centered_derivative(t, e, i)
-        if abs(lhs) <= ENERGY_DERIV_FLOOR:
-            continue
-        rhs = -hessian_quadratic_form(m, f, series.points[i], series.vectors[i])
-        denom = max(abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+    _, lhs, rhs = _energy_sides(series, m, f)
+    if not len(lhs):
+        return 0.0
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs),
+                                                         np.abs(rhs))))
 
 
 @dataclass(frozen=True)

@@ -98,13 +98,6 @@ def corrected_hessian(m, f, x):
     return 0.5 * (hess + hess.T)
 
 
-def hessian_quadratic_form(m, f, x, v):
-    """v^T (corrected Hessian) v for a tangent vector v at x."""
-    h = corrected_hessian(m, f, x)
-    v = np.asarray(v, dtype=float)
-    return float(v @ h @ v)
-
-
 def intrinsic_hessian(m, f, location):
     """Intrinsic Hessian at a critical point, in the tangent basis."""
     return _intrinsic_hessian_with_basis(m, f, location)[0]

@@ -17,15 +17,15 @@ from morseflow import (
 )
 from morseflow.errors import (
     EvaluationError, FlowError, MorseflowError, NotConvergedError,
-    RankDeficiencyError,
+    RankDeficiencyError, RetractionError,
 )
 from morseflow.flow import (
     _CK_A, _CK_B5, _CK_ERR, GradientField, Terminal, _first_step, _norm,
     _stepper, flow_terminals,
 )
 from morseflow.linearization import integrate_variational
-from morseflow.morse import hessian_quadratic_form
 from test_kernels import SCENARIOS, _scenario
+from test_linearization import hessian_quadratic_form
 
 
 def test_closed_form_height_coordinate(sphere):
@@ -333,6 +333,123 @@ def _oracle_step(rhs, h, state, k1, cfg):
 def _checked_rhs(field, sign):
     # the derivative of [x, V_1, ..., V_j], from the checked kernel call
     return lambda ys: [sign * v for v in field.projected_gradient(ys)]
+
+
+def _failing(monkeypatch, m, method, fails):
+    """Let the manifold's `method` fail at a flow's accepted points on its
+    first `fails` calls: `_gauss_newton` raises RetractionError, and
+    `retract_columns` marks its first column not ok (calls without
+    columns do not count). Returns the arguments of the failed calls."""
+    original = getattr(m, method)
+    failed = []
+
+    def patched(*args):
+        if method == "_gauss_newton":
+            if len(failed) < fails:
+                failed.append(args)
+                raise RetractionError("retraction failed on purpose")
+            return original(*args)
+        points, ok = original(*args)
+        if len(ok) and len(failed) < fails:
+            failed.append(args)
+            ok[0] = False
+        return points, ok
+    monkeypatch.setattr(m, method, patched)
+    return failed
+
+
+# Near the minimum the first step is large enough (about 1) to be halved
+# 40 times before the step size underflows.
+NEAR_MINIMUM = [0.1, 0.0, -math.sqrt(0.99)]
+
+
+def test_failed_retraction_halves_the_step(sphere, monkeypatch):
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    plain = integrate_flow(m, f, [1.0, 0.0, 0.0], cfg, crits=crits)
+    _failing(monkeypatch, m, "_gauss_newton", 1)
+    halved = integrate_flow(m, f, [1.0, 0.0, 0.0], cfg, crits=crits)
+    assert plain.stats.retraction_halvings == 0
+    assert halved.stats.retraction_halvings == 1
+    assert halved.times[1] == 0.5 * plain.times[1]
+    assert halved.terminal == plain.terminal
+
+
+def test_retraction_failing_41_times_raises(sphere, monkeypatch):
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    failed = _failing(monkeypatch, m, "_gauss_newton", 41)
+    with pytest.raises(FlowError, match="retraction kept failing after 40 "
+                                        "step halvings"):
+        integrate_flow(m, f, NEAR_MINIMUM, cfg, crits=crits)
+    assert len(failed) == 41
+    # forty failures in a row are halved away
+    monkeypatch.undo()
+    _failing(monkeypatch, m, "_gauss_newton", 40)
+    traj = integrate_flow(m, f, NEAR_MINIMUM, cfg, crits=crits)
+    assert traj.stats.retraction_halvings == 40
+    assert traj.terminal.converged
+
+
+def test_batched_flow_halves_a_column_whose_retraction_fails(sphere,
+                                                             monkeypatch):
+    # the column stepper halves the first start's step once, through its
+    # ok mask, as the scalar stepper does after one RetractionError
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    starts = [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.6, 0.0, -0.8]]
+    failed = _failing(monkeypatch, m, "retract_columns", 1)
+    terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
+    monkeypatch.undo()
+    assert failed[0][0].shape == (3, 3)  # every start's first step accepted
+    _failing(monkeypatch, m, "_gauss_newton", 1)
+    first = integrate_flow(m, f, starts[0], cfg, crits=crits)
+    monkeypatch.undo()
+    scalar = [first] + [integrate_flow(m, f, x0, cfg, crits=crits)
+                        for x0 in starts[1:]]
+    assert first.stats.retraction_halvings == 1
+    assert terminals == [traj.terminal for traj in scalar]
+    for end, traj in zip(ends, scalar):
+        assert np.max(np.abs(end - traj.end)) <= 1e-12
+
+
+def test_batched_flow_raises_after_41_failed_retractions(sphere,
+                                                        monkeypatch):
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    failed = _failing(monkeypatch, m, "retract_columns", 41)
+    with pytest.raises(FlowError, match="retraction kept failing after 40 "
+                                        "step halvings"):
+        flow_terminals(m, f, [NEAR_MINIMUM], cfg, crits=crits)
+    assert len(failed) == 41
+
+
+@pytest.mark.parametrize("name", ["sphere", "clifford"])
+@pytest.mark.parametrize("vectors", [0, 1])
+def test_drift_is_the_largest_violation_before_retraction(name, vectors,
+                                                          request,
+                                                          monkeypatch):
+    # max_constraint_drift is max |F| at the unretracted y5 of every
+    # accepted step, recomputed with the constraint map's value
+    setup = request.getfixturevalue(name)
+    m, f, cfg, crits = setup.manifold, setup.function, setup.cfg, setup.crits
+    retracted = []
+    original = m._gauss_newton
+
+    def recording(y, guard):
+        out = original(y, guard)
+        retracted.append(list(y))
+        return out
+    monkeypatch.setattr(m, "_gauss_newton", recording)
+    x0 = m.sample_points(1, seed=31)[0]
+    if vectors:
+        v0 = m.random_tangent(x0, np.random.default_rng(4))
+        stats = integrate_variational(m, f, x0, v0, cfg, crits=crits).stats
+    else:
+        stats = integrate_flow(m, f, x0, cfg, crits=crits).stats
+    assert len(retracted) == stats.steps > 10
+    drift = max(max(abs(v) for v in m._map.value(y)) for y in retracted)
+    assert stats.max_constraint_drift == drift > 0.0
 
 
 _FD_STEP = 1e-6

@@ -5,21 +5,72 @@ import pytest
 
 from morseflow import (
     FlowConfig,
+    ImplicitManifold,
     check_energy_ode,
     fit_decay_rate,
     integrate_flow,
     integrate_variational,
+    parse,
     run_decay,
     unstable_seeds,
 )
-from morseflow.errors import FlowError, NotConvergedError
+from morseflow.errors import (
+    EvaluationError, FlowError, NotConvergedError, RankDeficiencyError,
+)
+from morseflow.flow import FlowStats, Terminal
 from morseflow.linearization import (
+    ENERGY_DERIV_FLOOR,
     ENERGY_MAX_STEP,
     FIT_MIN_SAMPLES,
-    _centered_derivative,
+    VariationalSeries,
+    _derivative_weights,
+    _energy_sides,
     integrate_variational_multi,
     slow_component,
 )
+from morseflow.morse import corrected_hessian
+
+
+def _centered_derivative(t, e, i):
+    """Oracle: d e / d t at sample i from the quartic through the five
+    samples centred on i (clamped to the ends), by one Vandermonde solve;
+    the three-point formula for series of three or four samples."""
+    if len(t) >= 5:
+        lo = min(max(i - 2, 0), len(t) - 5)
+        span = t[lo + 4] - t[lo]
+        s = (t[lo:lo + 5] - t[i]) / span
+        vand = np.vander(s, 5, increasing=True)
+        coef = np.linalg.solve(vand, e[lo:lo + 5])
+        return coef[1] / span
+    h_minus = t[i] - t[i - 1]
+    h_plus = t[i + 1] - t[i]
+    return (
+        -e[i - 1] * h_plus / (h_minus * (h_minus + h_plus))
+        + e[i] * (h_plus - h_minus) / (h_minus * h_plus)
+        + e[i + 1] * h_minus / (h_plus * (h_minus + h_plus))
+    )
+
+
+def hessian_quadratic_form(m, f, x, v):
+    """Oracle: v^T (corrected Hessian) v for a tangent vector v at x."""
+    h = corrected_hessian(m, f, x)
+    v = np.asarray(v, dtype=float)
+    return float(v @ h @ v)
+
+
+def _energy_oracle(series, m, f):
+    """The energy check one sample at a time: {sample: (dE/dt,
+    -Hess(V, V))} over the samples above the floor, and the residual."""
+    sides = {}
+    t, e = series.times, series.energies
+    for i in range(1, len(series) - 1):
+        lhs = _centered_derivative(t, e, i)
+        if abs(lhs) > ENERGY_DERIV_FLOOR:
+            sides[i] = (lhs, -hessian_quadratic_form(
+                m, f, series.points[i], series.vectors[i]))
+    worst = max((abs(a - b) / max(abs(a), abs(b)) for a, b in sides.values()),
+                default=0.0)
+    return sides, worst
 
 
 def test_zero_vector_stays_zero(sphere):
@@ -130,14 +181,112 @@ def test_energy_ode_residual_at_the_end_samples(clifford):
 
 
 def test_centered_derivative_is_exact_for_quartics():
+    # the oracle and the closed-form weights at every interior sample,
+    # the clamped windows next to the ends included; three or four
+    # samples take the three-point window, exact for quadratics
     rng = np.random.default_rng(0)
-    t = np.cumsum(rng.uniform(0.1, 1.0, 9))
-    coef = rng.standard_normal(5)
-    e = np.polyval(coef, t)
-    slope = np.polyval(np.polyder(coef), t)
-    for i in range(1, len(t) - 1):
-        assert _centered_derivative(t, e, i) == pytest.approx(
-            slope[i], rel=1e-9, abs=1e-9)
+    for count, degree in ((9, 4), (6, 4), (5, 4), (4, 2), (3, 2)):
+        t = np.cumsum(rng.uniform(0.1, 1.0, count))
+        coef = rng.standard_normal(degree + 1)
+        e = np.polyval(coef, t)
+        slope = np.polyval(np.polyder(coef), t)
+        windows, weights = _derivative_weights(t)
+        width = 5 if count >= 5 else 3
+        assert windows.shape == weights.shape == (count - 2, width)
+        batched = np.sum(weights * e[windows], axis=1)
+        for i in range(1, count - 1):
+            lo = min(max(i - width // 2, 0), count - width)
+            assert windows[i - 1].tolist() == list(range(lo, lo + width))
+            assert _centered_derivative(t, e, i) == pytest.approx(
+                slope[i], rel=1e-9, abs=1e-9)
+            assert batched[i - 1] == pytest.approx(slope[i], rel=1e-9,
+                                                   abs=1e-9)
+
+
+def _energy_series(setup):
+    """c05's variational flow on sphere2 and clifford; on the other
+    catalog scenarios a start and vector drawn as c05 draws clifford's."""
+    m, f = setup.manifold, setup.function
+    if setup.scenario.name == "sphere2":
+        x0, v0 = [1.0, 0.0, 0.0], np.array([0.0, 1.0, 0.0])
+    else:
+        x0 = m.sample_points(1, seed=11)[0]
+        v0 = m.random_tangent(x0, np.random.default_rng(2))
+    return integrate_variational(
+        m, f, x0, v0, setup.cfg.replace(max_step=ENERGY_MAX_STEP),
+        crits=setup.crits,
+    )
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
+def test_batched_energy_check_matches_the_per_sample_oracle(name, request):
+    setup = request.getfixturevalue(name)
+    m, f = setup.manifold, setup.function
+    series = _energy_series(setup)
+    sides, worst = _energy_oracle(series, m, f)
+    samples, lhs, rhs = _energy_sides(series, m, f)
+    assert samples.tolist() == sorted(sides)
+    assert len(samples) > 100
+    for i, a, b in zip(samples.tolist(), lhs, rhs):
+        want_lhs, want_rhs = sides[i]
+        assert a == pytest.approx(want_lhs, rel=1e-9)
+        assert b == pytest.approx(want_rhs, rel=1e-9)
+    # the residual is itself relative: a 1e-9 relative move of dE/dt
+    # moves it by about 1e-9
+    assert abs(check_energy_ode(series, m, f) - worst) <= 1e-9
+    assert worst < 1e-2
+
+
+def _hand_built(points, energies):
+    """A series on a uniform grid with unit vectors along x1."""
+    points = np.array(points, dtype=float)
+    vectors = np.zeros_like(points)
+    vectors[:, 0] = 1.0
+    return VariationalSeries(
+        times=0.1 * np.arange(len(points)), points=points, vectors=vectors,
+        energies=np.array(energies, dtype=float),
+        terminal=Terminal("max_time"), stats=FlowStats(),
+        direction="forward",
+    )
+
+
+def _sqrt_on_sphere():
+    """The unit sphere and f = sqrt(x3 + 0.5): f is defined only for
+    x3 >= -0.5, and the sphere's Gram matrix vanishes at the origin."""
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)])
+    return m, parse("sqrt(x3 + 0.5)", 3)
+
+
+GOOD = [0.6, 0.0, 0.8]
+OUTSIDE = [0.0, 0.6, -0.8]  # f's domain error
+ORIGIN = [0.0, 0.0, 0.0]    # zero constraint Gram matrix
+
+
+@pytest.mark.parametrize("first,error", [
+    (OUTSIDE, EvaluationError), (ORIGIN, RankDeficiencyError),
+])
+def test_energy_check_raises_at_the_lowest_failing_sample(first, error):
+    # every interior sample clears the floor; the two failing ones are
+    # samples 2 and 4, and the lower one decides the error
+    m, f = _sqrt_on_sphere()
+    second = ORIGIN if first is OUTSIDE else OUTSIDE
+    points = [GOOD, GOOD, first, GOOD, second, GOOD, GOOD]
+    series = _hand_built(points, [float(k) for k in range(7)])
+    with pytest.raises(error):
+        check_energy_ode(series, m, f)
+
+
+def test_energy_check_leaves_samples_under_the_floor_unevaluated():
+    # constant energy: no sample clears the floor, so neither the domain
+    # error nor the zero Gram matrix is evaluated
+    m, f = _sqrt_on_sphere()
+    points = [GOOD, OUTSIDE, ORIGIN, GOOD, GOOD, GOOD, GOOD]
+    assert check_energy_ode(_hand_built(points, [1.0] * 7), m, f) == 0.0
+    # energy constant over the windows of samples 1 and 2 (samples 0-4):
+    # only samples 3, 4 and 5 are evaluated
+    series = _hand_built(points, [1.0] * 5 + [2.0, 3.0])
+    assert _energy_sides(series, m, f)[0].tolist() == [3, 4, 5]
+    assert np.isfinite(check_energy_ode(series, m, f))
 
 
 def test_energy_rate_near_minimum(sphere):
