@@ -79,9 +79,12 @@ def _parse_point(text, n):
             f"point needs {n} coordinates, got {len(parts)}"
         )
     try:
-        return np.array([float(p) for p in parts])
+        point = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError(f"bad coordinate in {text!r}") from exc
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"non-finite coordinate in {text!r}")
+    return point
 
 
 def _cmd_critical_points(args):

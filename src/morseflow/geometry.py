@@ -140,12 +140,12 @@ class ImplicitManifold:
         """Rows: `dim` orthonormal ambient vectors spanning ker J(x).
 
         Deterministic in x: after `_checked_jacobian`'s rank check, the
-        standard basis vectors projected by `project` are orthogonalized
-        greedily, largest residual first, ties broken by coordinate index.
+        standard basis vectors projected by one `project_rows` call are
+        orthogonalized greedily, largest residual first, ties by index.
         """
         self._checked_jacobian(x)
-        residuals = [np.array(self._map.project(x, e)[0])
-                     for e in np.eye(self.ambient_dim).tolist()]
+        eye = np.eye(self.ambient_dim)
+        residuals = np.reshape(self._map.project_rows(x, eye.ravel()), eye.shape)
         basis = []
         for _ in range(self.dim):
             norms = np.array([np.linalg.norm(r) for r in residuals])

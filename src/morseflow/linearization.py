@@ -16,7 +16,7 @@ The energy E(t) = |V|^2 / 2 satisfies dE/dt = -Hess(V, V) with the
 multiplier-corrected Hessian; `check_energy_ode` measures the residual
 of that identity on a computed series, all samples at once: dE/dt from
 five-point derivative weights in closed form, H_lam at every sample from
-one call of the field kernel's `kkt_columns`, and Hess(V, V) from one
+two `kkt_columns` calls (grad f, then H_lam), and Hess(V, V) from one
 einsum. `fit_decay_rate` compares the asymptotic decay rate of |V|
 against the smallest Hessian eigenvalue at the limiting minimum.
 """
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EvaluationError, FlowError, NotConvergedError,
-                     RankDeficiencyError)
+from .errors import FlowError, NotConvergedError
 from .flow import (
     FlowConfig, FlowStats, GradientField, Terminal, _cash_karp, _sign,
     _start_point,
 )
+from .morse import _multipliers
 from .symbolics import compile_expression
 
 # Step caps giving dense enough sampling for rate fits and for the
@@ -88,7 +88,8 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         if vec.shape != (n,):
             raise ValueError("each v0 must be an ambient vector of length n")
         tangency = np.max(np.abs(m.constraint_jacobian(x) @ vec))
-        if tangency > 1e-6 * max(1.0, np.linalg.norm(vec)):
+        # written so that a nan fails it
+        if not tangency <= 1e-6 * max(1.0, np.linalg.norm(vec)):
             raise ValueError("v0 is not tangent at x0")
         state += vec.tolist()
 
@@ -164,32 +165,20 @@ def _derivative_weights(t):
 
 def _corrected_hessians(m, f, points):
     """H_lam at each row of `points`, as `morse.corrected_hessian` forms
-    it, from one `kkt_columns` call.
-
-    The multipliers lam are grad f's Gram weights in the constraint map's
-    `project`, one point at a time. Where a point's gradient, weights or
-    `kkt` fails, the lowest such row raises that point's
-    EvaluationError or RankDeficiencyError.
-    """
-    n = m.ambient_dim
-    gradient = compile_expression(f, n)
+    it: grad f from one `kkt_columns` call at lam = 0, its Gram weights
+    lam from `morse._multipliers`, and H_lam from a second call. The
+    lowest row whose `kkt` or weights fail raises that point's
+    EvaluationError or RankDeficiencyError."""
+    n, k = m.ambient_dim, m.n_constraints
     kernel = compile_expression(f, n, m.constraints)
-
-    def weights(x):
-        return m._map.project(x, gradient.value_and_grad(x)[1])[1]
-
-    lam = np.full((len(points), m.n_constraints), np.nan)
-    failed = np.zeros(len(points), dtype=bool)
-    for j, x in enumerate(points.tolist()):
-        try:
-            lam[j] = weights(x)
-        except (EvaluationError, RankDeficiencyError):
-            failed[j] = True
+    blocks, failed = kernel.kkt_columns(points.T, np.zeros((k, len(points))))
+    lam = np.full((len(points), k), np.nan)
+    lam[~failed] = _multipliers(m, points[~failed], blocks[1][~failed])
     blocks, bad = kernel.kkt_columns(points.T, lam.T)
-    failed |= bad
+    failed |= bad | np.isnan(lam).any(axis=1)
     if failed.any():
         x = points[np.argmax(failed)].tolist()
-        kernel.kkt(x, weights(x))
+        kernel.kkt(x, m._map.project(x, kernel.kkt(x, [0.0] * k)[1])[1])
     return blocks[-1]
 
 

@@ -10,9 +10,9 @@ census runs Newton from all its starts at once: one call of the field
 kernel's generated `kkt_columns` per iteration gives every live start
 its blocks, and numpy's stacked solve takes their steps.
 `corrected_hessian` assembles H_lam from the jets of f and the
-constraints (`evaluate_jet`), with lam, as in the first Newton iterate,
-the Gram weights (J J^T)^{-1} J grad f of the constraint map's `project`
-(the Weingarten correction: Absil, Mahony & Trumpf, GSI 2013).
+constraints (`evaluate_jet`), with lam the Gram weights (J J^T)^{-1} J
+grad f of the map's `project` (the Weingarten correction: Absil, Mahony
+& Trumpf, GSI 2013), which `_multipliers` takes at many points at once.
 """
 
 import dataclasses
@@ -27,6 +27,7 @@ from .flow import GradientField
 from .geometry import TangentVector
 from .linalg import jacobi_eigh
 from .symbolics import compile_expression, evaluate_jet
+from .symbolics.compile import stack_columns
 
 GRAD_TOL = 1e-8
 DEGENERATE_TOL = 1e-6
@@ -170,6 +171,20 @@ def _kkt_step(kkt, rhs):
         return _lstsq(kkt, rhs)
 
 
+def _multipliers(m, x, grad):
+    """The Gram weights of the rows of `grad` (grad f) at the rows of x,
+    a C-contiguous (N, k) array, from `project` on columns: each row the
+    point call's bits (where numpy agrees with `math`), a non-finite row
+    from that call, or nan where it raises RankDeficiencyError."""
+    lam = stack_columns(m._map.project(x.T, grad.T)[1], len(x)).T.copy()
+    for i in np.flatnonzero(~np.isfinite(lam).all(axis=1)):
+        try:
+            lam[i] = m._map.project(x[i], grad[i])[1]
+        except RankDeficiencyError:
+            lam[i] = np.nan
+    return lam
+
+
 def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     """Newton on the multiplier system from every start (row) at once.
 
@@ -179,7 +194,7 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     is done when its residual is below `res_tol` (its root), and is
     dropped as None when its iterate is not finite or leaves the ball of
     radius 1e6, or after `max_iter` iterations. The first multipliers are
-    grad f's Gram weights in the constraint map's `project`, nan (so the
+    grad f's Gram weights from one `_multipliers` call, nan (so the
     start is dropped at its first step) where J J^T is singular. Each
     start takes its steps as it would alone: the matvec, the solve and
     the step norms are numpy's per-row operations. A start whose
@@ -208,12 +223,7 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     with np.errstate(all="ignore"):
         # grad f at lam = 0, which drops the starts that fail
         grad = evaluate()[0]
-        lam = np.full((len(live), k), np.nan)
-        for i, (p, g) in enumerate(zip(x, grad)):
-            try:
-                lam[i] = m._map.project(p, g)[1]
-            except RankDeficiencyError:
-                pass
+        lam = _multipliers(m, x, grad)
         for _ in range(max_iter):
             if not len(live):
                 break

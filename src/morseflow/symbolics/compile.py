@@ -40,8 +40,8 @@ floats; numpy's solve agrees to rounding (within 1e-14 on the test
 scenarios). There is no other J J^T solve: `project` also gives the
 Lagrange multipliers and the tangent bases.
 
-Each source but `value`'s, `project`'s, `project_rows`'s and the field
-kernel's with vectors is compiled once and executed twice: with the
+Each source but `value`'s, `project_rows`'s and the field kernel's with
+vectors is compiled once and executed twice: with the
 `math` functions for one point given as floats, and with their numpy
 ufuncs for many points given as coordinate columns. The arithmetic is the same
 elementwise, so both give the same bits where `math` and numpy agree.
@@ -547,21 +547,21 @@ class CompiledExpression:
       and multipliers lam, `kkt_columns` the same for columns, and `jet`
       f's (value, gradient array, Hessian array).
 
-    `value`, `jet`, `kkt`, `project` and `project_rows` take one point
-    and `kkt_columns` columns; the other methods take one point or an
-    (ambient_dim, N) array whose columns are N points, and then each
-    number above is a length-N array, or a float where it does not
-    depend on x. A domain
+    `value`, `jet`, `kkt` and `project_rows` take one point and
+    `kkt_columns` columns; the other methods take one point or an
+    (ambient_dim, N) array whose columns are N points (for `project`,
+    with vec (ambient_dim, N) too), and then each number above is a
+    length-N array, or a float where it does not depend on x. A domain
     error raises EvaluationError naming the first expression, in the
     order f, F_1, ..., F_k, that fails at x (with vectors, whose `jet`
     fails); a zero Gram determinant or pivot raises RankDeficiencyError,
-    except in `normal_step` for columns (see there).
+    except in `project` and `normal_step` for columns (see `_solve`).
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
-        "_step", "_step_columns", "_kkt", "_rows",
+        "_project_columns", "_step", "_step_columns", "_kkt", "_rows",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -592,11 +592,11 @@ class CompiledExpression:
             code = _value_grad_code(exprs, n)
         self._value_grad, self._value_grad_columns = _pair(code, "_vg")
         self._fields = {0: self._value_grad}
-        self._project = self._step = self._step_columns = self._kkt = None
+        self._project = self._step = self._kkt = None
         self._rows = {}
         if not single:
-            self._project = _define(_project_code(exprs, n), "_proj",
-                                    _NAMESPACE)
+            self._project, self._project_columns = _pair(
+                _project_code(exprs, n), "_proj")
             self._step, self._step_columns = _pair(_step_code(exprs, n),
                                                    "_step")
 
@@ -705,13 +705,12 @@ class CompiledExpression:
                           projected=bool(self.constraints))
 
     def project(self, x, vec):
-        """(vec - J^T w, w) at one point x for `vec` (n floats), with the
-        Gram weights w = (J J^T)^{-1} J vec: for grad f, the multipliers."""
-        x = _as_floats(x)
-        try:
-            return self._project(*x, *_as_floats(vec))
-        except _FAILURES as exc:
-            raise self._failure("value_and_grad", x, exc, True) from exc
+        """(vec - J^T w, w) at one point or at columns x, vec n floats or
+        (n, N) columns, with the Gram weights w = (J J^T)^{-1} J vec (for
+        grad f, the multipliers); columns by `_solve`'s rule."""
+        if isinstance(vec, np.ndarray) and vec.ndim == 1:
+            vec = vec.tolist()
+        return self._solve(self._project, self._project_columns, x, vec)
 
     def project_rows(self, x, rows):
         """`project`'s tangential parts of d rows at one point x, from one
@@ -730,31 +729,32 @@ class CompiledExpression:
             raise self._failure("value_and_grad", x, exc, True) from exc
 
     def normal_step(self, x):
-        """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns.
+        """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns, the
+        columns by `_solve`'s rule."""
+        return self._solve(self._step, self._step_columns, x)
 
-        For columns a domain error raises for all of them, while a zero
-        Gram determinant or pivot gives only its own column a non-finite
-        step.
-        """
+    def _solve(self, point, columns, x, vec=()):
+        """`_call` of a Gram solve, but on columns a zero Gram determinant
+        or pivot gives only its own column non-finite numbers."""
         try:
-            return self._call(self._step, self._step_columns, x)
+            return self._call(point, columns, x, vec)
         except RankDeficiencyError:
             if not (isinstance(x, np.ndarray) and x.ndim == 2):
                 raise
         with np.errstate(all="ignore"):
-            return self._step_columns(*x)
+            return columns(*x, *vec)
 
-    def _call(self, point, columns, x, projected=True):
-        """point(*x) for one point, columns(*x) for columns with numpy's
-        floating-point errors raised; a failure is named by `_failure`."""
+    def _call(self, point, columns, x, vec=(), projected=True):
+        """point(*x, *vec) for one point, columns(*x, *vec) for columns with
+        numpy's floating-point errors raised; `_failure` names a failure."""
         try:
             if isinstance(x, np.ndarray):
                 if x.ndim == 2:
                     with np.errstate(divide="raise", invalid="raise",
                                      over="raise"):
-                        return columns(*x)
+                        return columns(*x, *vec)
                 x = x.tolist()
-            return point(*x)
+            return point(*x, *vec)
         except _FAILURES as exc:
             raise self._failure("value_and_grad", x, exc, projected) from exc
 

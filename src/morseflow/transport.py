@@ -98,9 +98,10 @@ def parallel_transport(m, traj, frame0):
     """
     frame0 = np.asarray(frame0, dtype=float)
     start = traj.points[0]
-    if np.max(np.abs(frame0 @ frame0.T - np.eye(len(frame0)))) > 1e-7:
+    # written so that a nan fails them
+    if not np.max(np.abs(frame0 @ frame0.T - np.eye(len(frame0)))) <= 1e-7:
         raise ValueError("frame0 is not orthonormal")
-    if np.max(np.abs(m.constraint_jacobian(start) @ frame0.T)) > 1e-7:
+    if not np.max(np.abs(m.constraint_jacobian(start) @ frame0.T)) <= 1e-7:
         raise ValueError("frame0 is not tangent at the trajectory start")
     frames = [frame0]
     worst_bias = 0.0

@@ -293,9 +293,13 @@ _FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
     ["graph", "--scenario", "sphere2", "--eps", "-1"],
     ["curvature", "--scenario", "sphere2", "--samples", "0"],
     ["curvature", "--config", "{circle}"],
+    ["flow", "--scenario", "sphere2", "--from", "inf,0,0"],
+    ["decay", "--scenario", "sphere2", "--from", "0.6,0,-0.8",
+     "--v", "nan,1,0"],
 ], ids=["rel_tol", "abs_tol_nan", "config_rel_tol", "capture_radius",
         "two_constraints_in_r2", "n_starts", "basin_samples", "eps",
-        "curvature_samples", "curvature_on_a_circle"])
+        "curvature_samples", "curvature_on_a_circle", "flow_from_inf",
+        "decay_v_nan"])
 def test_input_errors_exit_2(argv, tmp_path, capsys):
     # a bad user value is one `error:` line and exit code 2, with no
     # report directory written

@@ -439,6 +439,15 @@ def test_projected_rows_match_project(name):
             got = m._map.project_rows(x, rows.ravel())
             want = [m._map.project(x, r)[0] for r in rows.tolist()]
             assert got == tuple(t for row in want for t in row)
+    # `project` of columns gives each column its point's bits
+    points = np.concatenate([on, near])
+    vecs = np.random.default_rng(13).standard_normal(points.shape)
+    tangent, weights = (compiled.stack_columns(block, len(points)) for block
+                        in m._map.project(points.T.copy(), vecs.T.copy()))
+    for j, (x, v) in enumerate(zip(points, vecs)):
+        want_tangent, want_weights = m._map.project(x, v)
+        assert tangent[:, j].tolist() == list(want_tangent)
+        assert weights[:, j].tolist() == list(want_weights)
 
 
 def test_projected_rows_name_a_domain_error():
@@ -497,6 +506,17 @@ def test_error_parity():
     got, ok = doubled.retract_columns(cols[:, 1:2])
     assert ok.tolist() == [False]
     assert _outcome(sphere5.retract, origin5)[0] is RetractionError
+    # `project` of columns: a zero Gram matrix (a zero Jacobian row, a
+    # zero first pivot) makes only its own column's weights non-finite
+    for m, x in ((sphere, [0.0, 0.0, 0.0]), (sphere5, origin5)):
+        good = [0.6, 0.0, 0.8] + [0.0] * (len(x) - 3)
+        cols = np.array([x, good]).T
+        with np.errstate(all="raise"):
+            weights = m._map.project(cols, np.ones_like(cols))[1]
+        weights = compiled.stack_columns(weights, 2)
+        assert not np.isfinite(weights[:, 0]).all()
+        want = m._map.project(good, np.ones(len(x)))[1]
+        assert weights[:, 1].tolist() == list(want)
     cols = np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.9], [0.0, 0.0],
                      [0.0, 0.0]])
     with np.errstate(all="raise"):
@@ -523,9 +543,11 @@ def test_error_parity():
     _assert_same(_outcome(GradientField(m, f).projected_gradient, outside),
                  _outcome(_projected_gradient_oracle, m, f, outside))
     _assert_same(_outcome(m.constraint_values, outside), want)
+    cols = np.array([[0.5, -1.1], [0.1, 0.2], [0.3, 0.1]])
     with pytest.raises(EvaluationError, match="sqrt"):
-        m.values_and_jacobian_columns(np.array([[0.5, -1.1], [0.1, 0.2],
-                                                [0.3, 0.1]]))
+        m.values_and_jacobian_columns(cols)
+    with pytest.raises(EvaluationError, match="sqrt"):
+        m._map.project(cols, np.ones_like(cols))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
-"""jacobi_eigh on Python floats against the numpy sweep it replaced, and
-the generated polar step that runs its rotations."""
+"""jacobi_eigh, which runs the generated Jacobi sweep, against the numpy
+sweep kept as its reference, and the generated polar step that runs the
+same sweep."""
 
 import math
 

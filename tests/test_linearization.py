@@ -114,6 +114,15 @@ def test_rejects_non_tangent_vector(sphere):
         )
 
 
+def test_rejects_a_nan_vector(sphere):
+    # its tangency is nan, which fails the check
+    with pytest.raises(ValueError, match="not tangent"):
+        integrate_variational(
+            sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
+            np.array([math.nan, 1.0, 0.0]), sphere.cfg,
+        )
+
+
 def test_linearity_at_matched_times(sphere):
     cfg = sphere.cfg.replace(t_max=2.0)
     double = integrate_variational(

@@ -24,7 +24,7 @@ from morseflow.errors import (
 )
 from morseflow.linalg import jacobi_eigh
 from morseflow.morse import (
-    DEDUPE_RADIUS, SweepStats, _newton_sweep, classify_point,
+    DEDUPE_RADIUS, SweepStats, _multipliers, _newton_sweep, classify_point,
     corrected_hessian,
 )
 from morseflow.symbolics import evaluate_jet
@@ -415,6 +415,34 @@ def test_multipliers_match_lstsq(name):
             hess -= coef * cons_hess
         gap = corrected_hessian(m, f, x) - 0.5 * (hess + hess.T)
         assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(hess)))
+
+
+@pytest.mark.parametrize("name", CATALOG + ("sphere_in_r5", "o3"))
+def test_batched_multipliers_match_project(name):
+    # each row the bits of the point `project` of grad f
+    m, f = _scenario(name)
+    x = m.sample_points(50, seed=9)
+    grad = np.array([evaluate_jet(f, p).gradient for p in x])
+    lam = _multipliers(m, x, grad)
+    assert lam.flags.c_contiguous and lam.shape == (50, m.n_constraints)
+    for row, p, g in zip(lam, x, grad):
+        assert row.tolist() == list(m._map.project(p, g)[1])
+
+
+def test_batched_multipliers_are_nan_only_where_project_raises(sphere):
+    # the columns make rows 1 and 2 non-finite: at the origin (row 1) the
+    # point call raises on the zero Gram matrix, while at row 2 J grad f
+    # overflows to inf there and the point call returns inf
+    m = sphere.manifold
+    x = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    grad = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1e308, 1e308]])
+    lam = _multipliers(m, x, grad)
+    with pytest.raises(RankDeficiencyError):
+        m._map.project(x[1], grad[1])
+    assert np.isnan(lam[1]).all()
+    assert lam[0].tolist() == list(m._map.project(x[0], grad[0])[1])
+    assert lam[2].tolist() == list(m._map.project(x[2], grad[2])[1])
+    assert lam[2].tolist() == [math.inf]
 
 
 def test_newton_sweep_branches(sphere):

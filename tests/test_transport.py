@@ -15,8 +15,9 @@ from morseflow import (
     parse,
 )
 from morseflow.errors import FlowError, NonMorseError, RankDeficiencyError
-from morseflow.linalg import DEFINITE_FLOOR, jacobi_eigh
+from morseflow.linalg import DEFINITE_FLOOR
 from morseflow.transport import _transport_polyline, sectional_value
+from test_linalg import _jacobi_eigh_oracle
 
 
 def _orthonormal_pair(m, x, rng):
@@ -27,8 +28,10 @@ def _orthonormal_pair(m, x, rng):
 
 
 def _sym_inverse_sqrt(gram):
-    """G^{-1/2} from `jacobi_eigh`, all eigenvalues > DEFINITE_FLOOR."""
-    w, v = jacobi_eigh(gram)
+    """G^{-1/2} from the numpy Jacobi sweep of test_linalg, which does not
+    share the generated sweep of the polar step under test, all
+    eigenvalues > DEFINITE_FLOOR."""
+    w, v = _jacobi_eigh_oracle(gram)
     if w[0] <= DEFINITE_FLOOR:
         raise ValueError("matrix is not positive definite")
     return (v * (1.0 / np.sqrt(w))) @ v.T
@@ -161,6 +164,10 @@ def test_transport_rejects_bad_frame(sphere):
     with pytest.raises(ValueError):
         parallel_transport(sphere.manifold, traj,
                            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    # a nan entry fails both checks, the first one first
+    with pytest.raises(ValueError, match="orthonormal"):
+        parallel_transport(sphere.manifold, traj,
+                           np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_sphere_sectional_curvature(sphere):
