@@ -13,9 +13,13 @@ forward and backward from each start, and one line
 runs, forward from each start with one tangent vector on even starts and
 two on odd ones (drawn from seed 2). A digest covers the times, points,
 f values, gradient norms, vectors, terminals and step statistics of its
-flows, as raw float64 bytes. The package is imported from this
-checkout's src/, so two checkouts print digests to compare line by
-line; equal digests mean bit-identical trajectories.
+flows, as raw float64 bytes. A third line, `<scenario> transport
+<digest>`, covers the `parallel_transport` of the tangent basis at the
+start of each forward flow along it (every frame, the Gram drift and
+the bias) and one `holonomy_curvature` per start, on the plane of that
+basis's first two rows (the operator and its norm). The package is
+imported from this checkout's src/, so two checkouts print digests to
+compare line by line; equal digests mean bit-identical trajectories.
 """
 
 import argparse
@@ -31,6 +35,9 @@ import numpy as np  # noqa: E402
 from morseflow import integrate_flow, load_scenario  # noqa: E402
 from morseflow.catalog import ScenarioContext, list_scenarios  # noqa: E402
 from morseflow.linearization import integrate_variational_multi  # noqa: E402
+from morseflow.transport import (  # noqa: E402
+    holonomy_curvature, parallel_transport,
+)
 
 
 def _update(digest, *arrays):
@@ -45,12 +52,24 @@ def _update_outcome(digest, terminal, stats):
     _update(digest, [stats.max_constraint_drift])
 
 
+def _update_transport(digest, m, traj):
+    """The transport of the start's tangent basis along a forward flow,
+    and the holonomy on the plane of its first two rows."""
+    start = traj.points[0]
+    basis = m.tangent_basis(start)
+    moved = parallel_transport(m, traj, basis)
+    _update(digest, moved.times, *moved.frames,
+            [moved.gram_drift_max, moved.correction_bias_max])
+    sample = holonomy_curvature(m, start, basis[0], basis[1])
+    _update(digest, sample.operator, [sample.norm])
+
+
 def scenario_digests(name, starts):
     session = ScenarioContext(load_scenario(name))
     m, f, crits, cfg = (session.manifold, session.function, session.crits,
                         session.cfg)
     rng = np.random.default_rng(2)
-    plain, variational = hashlib.sha256(), hashlib.sha256()
+    plain, variational, transport = (hashlib.sha256() for _ in range(3))
     for i, x0 in enumerate(m.sample_points(starts, seed=1)):
         for direction in ("forward", "backward"):
             traj = integrate_flow(m, f, x0, cfg, direction=direction,
@@ -58,12 +77,14 @@ def scenario_digests(name, starts):
             _update(plain, traj.times, traj.points, traj.f_values,
                     traj.grad_norms)
             _update_outcome(plain, traj.terminal, traj.stats)
+            if direction == "forward":
+                _update_transport(transport, m, traj)
         vectors = [m.random_tangent(x0, rng) for _ in range(1 + i % 2)]
         times, points, blocks, terminal, stats = integrate_variational_multi(
             m, f, x0, vectors, cfg, crits=crits)
         _update(variational, times, points, *blocks)
         _update_outcome(variational, terminal, stats)
-    return plain.hexdigest(), variational.hexdigest()
+    return plain.hexdigest(), variational.hexdigest(), transport.hexdigest()
 
 
 if __name__ == "__main__":
@@ -72,6 +93,7 @@ if __name__ == "__main__":
                         help="starts per scenario (default 15)")
     args = parser.parse_args()
     for name in list_scenarios():
-        plain, variational = scenario_digests(name, args.starts)
+        plain, variational, transport = scenario_digests(name, args.starts)
         print(name, "plain", plain)
         print(name, "variational", variational)
+        print(name, "transport", transport)

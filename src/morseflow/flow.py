@@ -40,13 +40,15 @@ retracted by its `normal_step`: they write the same Gram sums and solve.
 
 Every accepted point is retracted back onto M and the vectors are
 re-projected there. The scalar stepper stays on Python floats: it
-retracts the point part of y5 as a list with `retract`'s Gauss-Newton
-loop, and the point becomes an array only in capture, once the gradient
-norm is below the capture threshold. The batch uses `retract_columns`,
-each column bit for bit its point. The constraint drift, which must stay
-within an order of magnitude of the manifold tolerance, is max |F| at
-the unretracted point: the constraint values of the loop's first
-iterate, so F is not evaluated a second time.
+retracts the point part of y5 as a list with `_gauss_newton`, whose
+whole loop is one generated call of the constraint map (`normal_step`'s
+lines as its body, the convergence, guard and finiteness tests
+unrolled), and the point becomes an array only in capture, once the
+gradient norm is below the capture threshold. The batch uses
+`retract_columns`, each column bit for bit its point. The constraint
+drift, which must stay within an order of magnitude of the manifold
+tolerance, is max |F| at the unretracted point: the constraint values
+of the loop's first iterate, so F is not evaluated a second time.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -63,6 +65,7 @@ from operator import mul
 import numpy as np
 
 from .errors import FlowError, NotConvergedError, RetractionError
+from .linalg import row_norms
 from .symbolics import compile_expression
 from .symbolics.compile import _FAILURES, _define
 
@@ -592,15 +595,17 @@ def check_length_bound(traj, consts):
 
     Samples closer than r/2 to any critical point are excluded; each
     maximal run of outside samples is one segment. An empty restriction
-    passes vacuously.
+    passes vacuously. All sample-to-point distances come from one
+    `row_norms` call, each the bits of np.linalg.norm of its difference.
     """
     if len(traj) < 2:
         raise FlowError("need at least two samples to measure length")
-    locs = consts.critical_locations
-    outside = [
-        min(np.linalg.norm(x - q) for q in locs) > consts.r / 2.0
-        for x in traj.points
-    ]
+    points = traj.points
+    dim = points.shape[1]
+    locs = np.reshape(consts.critical_locations, (-1, dim))
+    dists = row_norms((points[:, None] - locs).reshape(-1, dim))
+    outside = (dists.reshape(len(points), -1).min(axis=1)
+               > consts.r / 2.0).tolist()
     segments = []
     i = 0
     n = len(traj)

@@ -189,47 +189,49 @@ class ImplicitManifold:
 
     def retract_floats(self, y, guard=0.1):
         """`retract` of one point given and returned as a list of floats:
-        the point of `_gauss_newton`."""
+        the point of `_gauss_newton`, one generated call."""
         return self._gauss_newton(y, guard)[0]
 
     def _gauss_newton(self, y, guard):
         """(point, values): `retract`'s iteration on the float list y, with
         the constraint values F(y) of its first iterate.
 
-        One call per iteration of the constraint map's generated
-        `normal_step` gives the values and the step, so F(y) costs
-        nothing extra; a flow takes its constraint drift from it. The
-        iteration stops once every |F_i| <= constraint_tol, which a nan
-        value never satisfies.
+        The whole iteration is one call of the constraint map's generated
+        `_gn` (`symbolics.compile`), whose loop body is `normal_step`'s:
+        each iteration forms the values and the step together, so F(y)
+        costs nothing extra; a flow takes its constraint drift from it.
+        The iteration stops once every |F_i| <= constraint_tol, which a
+        nan value never satisfies. Here each status of `_gn` becomes its
+        error. Where the body raised, the checked `normal_step` at that
+        point raises the same failure as EvaluationError or
+        RankDeficiencyError; a rank-deficient point is still returned if
+        it satisfies the tolerance.
         """
-        if guard is not None:
-            bound = guard * (1.0 + math.sqrt(sum(v * v for v in y)))
-        tol = self.constraint_tol
-        first = None
-        for it in range(RETRACT_MAX_ITER):
+        bound = math.inf if guard is None else guard * (
+            1.0 + math.sqrt(sum(v * v for v in y)))
+        point, first, status = self._map.gauss_newton(RETRACT_MAX_ITER)(
+            self.constraint_tol, bound, *y)
+        if status == "converged":
+            return point, first
+        if status == "failed":
             try:
-                vals, step = self._map.normal_step(y)
+                self._map.normal_step(point)  # raises what `_gn` raised
             except RankDeficiencyError as exc:
-                vals = self._map.value(y)
-                if all(abs(v) <= tol for v in vals):
-                    return y, first or vals
+                vals = self._map.value(point)
+                if all(abs(v) <= self.constraint_tol for v in vals):
+                    return point, first or vals
                 raise RetractionError(
                     "constraint Jacobian singular while retracting "
-                    f"{np.array(y)}"
+                    f"{np.array(point)}"
                 ) from exc
-            first = first or vals
-            if all(abs(v) <= tol for v in vals):
-                return y, first
-            if it == 0 and guard is not None:
-                size = math.sqrt(sum(v * v for v in step))
-                if size > bound:
-                    raise RetractionError(
-                        "point outside the documented retraction basin "
-                        f"(initial correction {size:.3e})"
-                    )
-            y = [a - b for a, b in zip(y, step)]
-            if not all(map(math.isfinite, y)):
-                raise RetractionError("retraction diverged to non-finite values")
+        if status == "guard":
+            size = math.sqrt(sum(v * v for v in self._map.normal_step(y)[1]))
+            raise RetractionError(
+                "point outside the documented retraction basin "
+                f"(initial correction {size:.3e})"
+            )
+        if status == "diverged":
+            raise RetractionError("retraction diverged to non-finite values")
         raise RetractionError(
             f"no convergence within {RETRACT_MAX_ITER} retraction iterations"
         )

@@ -1,4 +1,5 @@
-"""Small dense symmetric eigenproblems via cyclic Jacobi rotations.
+"""Small dense symmetric eigenproblems via cyclic Jacobi rotations, and
+bit-exact row norms.
 
 The intrinsic Hessians and frame Gram matrices here are at most a few
 rows, so a short textbook Jacobi sweep on Python floats is plenty and
@@ -6,7 +7,8 @@ keeps the decomposition deterministic across platforms. There is one
 sweep, `_sweep`, which writes the rotations of a sweep out as generated
 code for each matrix size. `jacobi_eigh` runs it on a Hessian, and the
 polar step of a transported frame, `polar_function`, on the frame's
-Gram matrix.
+Gram matrix. `row_norms` gives the norms of many rows with the bits of
+np.linalg.norm of each, for the distance checks of morse and flow.
 """
 
 import functools
@@ -26,7 +28,8 @@ def jacobi_eigh(matrix):
     """Eigen-decomposition of a symmetric matrix.
 
     Returns (w, V) with eigenvalues `w` ascending and eigenvectors in the
-    columns of `V`. The matrix is symmetric when every
+    columns of `V`. A matrix with an inf or nan entry raises ValueError
+    before the sweep. The matrix is symmetric when every
     |a_ij - a_ji| <= atol + 1e-5 |a_ji| (numpy's `allclose` rule) with
     atol = 1e-10 max(1, max |a_ij|); it is then averaged with its
     transpose. Sweeps stop once the off-diagonal Frobenius norm falls
@@ -39,6 +42,8 @@ def jacobi_eigh(matrix):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
     a = a.tolist()
     atol = 1e-10 * max(1.0, max((abs(x) for row in a for x in row),
                                 default=0.0))
@@ -167,6 +172,14 @@ def polar_function(d, n):
     (G^{-1/2} R, max |G - I|), G = R R^T, its rows orthonormal."""
     code = compile(_polar_code(d, n), f"<polar:{d}x{n}>", "exec")
     return _define(code, "_polar", _SCOPE)
+
+
+def row_norms(rows):
+    """np.linalg.norm of each row of a 2-D array, bit for bit: the
+    stacked product (1, n) @ (n, 1) sums the squares as the dot product
+    of one row does, while norm(axis=1), einsum and plain sums round
+    differently."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def operator_norm(matrix):

@@ -87,8 +87,11 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         vec = np.asarray(getattr(v0, "vec", v0), dtype=float)
         if vec.shape != (n,):
             raise ValueError("each v0 must be an ambient vector of length n")
+        # before J @ vec, where an inf entry forms 0 * inf
+        if not np.isfinite(vec).all():
+            raise ValueError(
+                "v0 is not tangent at x0: it has a non-finite entry")
         tangency = np.max(np.abs(m.constraint_jacobian(x) @ vec))
-        # written so that a nan fails it
         if not tangency <= 1e-6 * max(1.0, np.linalg.norm(vec)):
             raise ValueError("v0 is not tangent at x0")
         state += vec.tolist()

@@ -25,7 +25,7 @@ from .errors import (NotCriticalError, RankDeficiencyError,
                      TooFewCriticalPointsError)
 from .flow import GradientField
 from .geometry import TangentVector
-from .linalg import jacobi_eigh
+from .linalg import jacobi_eigh, row_norms
 from .symbolics import compile_expression, evaluate_jet
 from .symbolics.compile import stack_columns
 
@@ -144,13 +144,6 @@ def classify_point(m, f, location):
     )
 
 
-def _norms(rows):
-    """np.linalg.norm of each row, bit for bit: the stacked product
-    (1, n) @ (n, 1) sums the squares as the dot product of one row does,
-    while norm(axis=1), einsum and plain sums round differently."""
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-
-
 def _lstsq(a, b):
     """numpy's least-squares solution, or nan where a or b is not finite:
     LAPACK's SVD may then fail to converge, or not return at all."""
@@ -247,12 +240,12 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
                 delta = np.linalg.solve(kkt, -res[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 delta = np.array([_kkt_step(a, -b) for a, b in zip(kkt, res)])
-            norm = _norms(delta[:, :n])
+            norm = row_norms(delta[:, :n])
             big = norm > step_cap
             delta[big] = delta[big] * (step_cap / norm[big])[:, None]
             x = x + delta[:, :n]
             lam = lam + delta[:, n:]
-            keep = np.all(np.isfinite(x), axis=1) & ~(_norms(x) > 1e6)
+            keep = np.all(np.isfinite(x), axis=1) & ~(row_norms(x) > 1e6)
             live, x, lam = live[keep], x[keep], lam[keep]
     if failed:
         # The point code raises where the columns failed.
@@ -280,7 +273,7 @@ def find_critical_points(m, f, n_starts, seed):
     kept = np.empty((len(converged), m.ambient_dim))
     count = 0
     for x in converged:
-        if np.all(_norms(x - kept[:count]) > DEDUPE_RADIUS):
+        if np.all(row_norms(x - kept[:count]) > DEDUPE_RADIUS):
             kept[count] = x
             count += 1
     unique = list(kept[:count])

@@ -18,8 +18,13 @@ cache:
   one call; also `project`, the tangential part of a vector with its
   Gram weights (J J^T)^{-1} J vec, `project_rows`, the tangential parts
   of d rows (a transported frame) with one Gram solve for all of them,
-  and `normal_step`, the values with the Gauss-Newton step
-  J^T (J J^T)^{-1} F of a retraction;
+  `normal_step`, the values with the Gauss-Newton step
+  J^T (J J^T)^{-1} F of a retraction, and, compiled on first use,
+  `gauss_newton`'s `_gn`, the whole retraction of one point: a loop
+  whose body is `normal_step`'s lines, with the convergence test over
+  the k values, the guard on the first step's norm and the finiteness
+  test unrolled, returning the point, the first iterate's values and a
+  status;
 - a field kernel, f together with k >= 0 constraints (one expression
   is k = 0, P the identity): the value of f and P grad f, P the
   orthogonal projection onto ker dF, from one pass over f and the
@@ -40,8 +45,16 @@ floats; numpy's solve agrees to rounding (within 1e-14 on the test
 scenarios). There is no other J J^T solve: `project` also gives the
 Lagrange multipliers and the tangent bases.
 
-Each source but `value`'s, `project_rows`'s and the field kernel's with
-vectors is compiled once and executed twice: with the
+A generated function keeps only its live lines (`_live`): those its
+results read, directly or through later lines. A dead line stays if it
+divides, raises a power or calls a function, as those raise on floats
+where *, + and - never do, so a call for one point raises where it
+would with all lines (columns under np.errstate no longer raise for the
+overflow of a dropped *, + or -); the field kernel, for one, forms no
+constraint value.
+
+Each source but `value`'s, `project_rows`'s, `_gn`'s and the field
+kernel's with vectors is compiled once and executed twice: with the
 `math` functions for one point given as floats, and with their numpy
 ufuncs for many points given as coordinate columns. The arithmetic is the same
 elementwise, so both give the same bits where `math` and numpy agree.
@@ -49,6 +62,7 @@ elementwise, so both give the same bits where `math` and numpy agree.
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -63,6 +77,8 @@ _CHAIN_MAX = 4
 _FAILURES = (
     ValueError, ZeroDivisionError, OverflowError, FloatingPointError,
 )
+_GN_NAMESPACE = {**_NAMESPACE, "isfinite": math.isfinite,
+                 "_FAILURES": _FAILURES}
 
 
 class _Emitter:
@@ -394,12 +410,34 @@ def _names(prefix, count):
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
+# A name in generated source (not the exponent of a literal like 1e-05),
+# and a right-hand side that can raise: a division, a power or a call.
+_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+_RAISES = re.compile(r"/|\*\*|\w\(")
+
+
+def _live(lines, outputs):
+    """The `lines` ("    name = rhs") that `outputs` read, directly or
+    through later lines, in order (Aho et al., Compilers, 9.2.5), and
+    every line that can raise, with what it reads: math raises there
+    (numpy under np.errstate too), where a *, + or - never does on
+    floats, so each call still raises where it raised before."""
+    needed = set(_NAME.findall(outputs))
+    kept = []
+    for line in reversed(lines):
+        name, rhs = line.strip().split(" = ", 1)
+        if name in needed or _RAISES.search(rhs):
+            needed.update(_NAME.findall(rhs))
+            kept.append(line)
+    return kept[::-1]
+
+
 def _build(name, n, emitter, ret, extra=()):
-    """Compile `def name(x1, ..., xn, *extra)`: the emitter's lines, then
-    `return ret`."""
+    """Compile `def name(x1, ..., xn, *extra)`: the emitter's lines that
+    `ret` needs (`_live`), then `return ret`."""
     params = [*_names("x", n), *extra]
     src = "\n".join([
-        f"def {name}({', '.join(params)}):", *emitter.lines,
+        f"def {name}({', '.join(params)}):", *_live(emitter.lines, ret),
         f"    return {ret}", "",
     ])
     return compile(src, f"<compiled:{name}>", "exec")
@@ -475,6 +513,52 @@ def _step_code(constraints, n):
     return _build("_step", n, emitter, f"{_tuple(vals)}, {_tuple(step)}")
 
 
+def _gn_code(constraints, n, max_iter):
+    """Source of `_gn(tol, bound, x1, ..., xn)`: the Gauss-Newton
+    iteration x <- x - J^T (J J^T)^{-1} F(x) for at most `max_iter`
+    steps, with `_step_code`'s lines inlined as its body.
+
+    It stops at the first iterate where every |F_i| <= tol and returns
+    (point, values, status): the point as a list, the values of the
+    first iterate and "converged", or "guard" when the first step's
+    norm is above `bound`, "diverged" when a step leaves a non-finite
+    coordinate, "iterations" after `max_iter` steps, and "failed" with
+    the point where the body raised (a domain error or a zero Gram
+    determinant or pivot). The step's entries are all formed before a
+    coordinate moves, since J can read the coordinates.
+    """
+    emitter, vals, rows = _walk_all(constraints, n)
+    steps = _names("s", n)
+    body = emitter.lines + [f"    {s} = {t}" for s, t in zip(
+        steps, emitter.normal_step(rows, vals))]
+    xs = _names("x", n)
+    point = f"[{', '.join(xs)}]"
+    lines = [
+        f"def _gn(tol, bound, {', '.join(xs)}):",
+        "    first = None",
+        "    try:",
+        f"        for it in range({max_iter}):",
+        *("        " + line for line in _live(body, ", ".join(vals + steps))),
+        "            if it == 0:",
+        f"                first = {_tuple(vals)}",
+        "            if " + " and ".join(f"abs({v}) <= tol" for v in vals)
+        + ":",
+        f"                return {point}, first, 'converged'",
+        "            if it == 0 and sqrt("
+        + " + ".join(f"{s} * {s}" for s in steps) + ") > bound:",
+        f"                return {point}, first, 'guard'",
+        *(f"            {x} = {x} - {s}" for x, s in zip(xs, steps)),
+        "            if not (" + " and ".join(f"isfinite({x})" for x in xs)
+        + "):",
+        f"                return {point}, first, 'diverged'",
+        "    except _FAILURES:",
+        f"        return {point}, first, 'failed'",
+        f"    return {point}, first, 'iterations'",
+        "",
+    ]
+    return compile("\n".join(lines), "<compiled:_gn>", "exec")
+
+
 def _kkt_code(f, constraints, n):
     """Source of `_kkt(x1, ..., xn, l1, ..., lk)`: f, then tuples of
     grad f, the Jacobian rows, the constraint values and the n * n
@@ -536,8 +620,9 @@ class CompiledExpression:
       tangential part of vec at x with its Gram weights,
       `project_rows(x, rows)` the tangential parts of d rows (d * n
       floats, row after row; the function of each d generated on first
-      use) and `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the
-      Gauss-Newton step toward F = 0.
+      use), `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the
+      Gauss-Newton step toward F = 0, and `gauss_newton(max_iter)` the
+      unchecked function of the whole iteration for one point.
     - `expression` f with k >= 0 `constraints` (k = 0 for one
       expression): the field kernel. `value` gives f(x), `value_and_grad`
       (f(x), P(x) grad f(x)), and for a state of x and j tangent vectors,
@@ -562,6 +647,7 @@ class CompiledExpression:
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
         "_project_columns", "_step", "_step_columns", "_kkt", "_rows",
+        "_gn",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -594,6 +680,7 @@ class CompiledExpression:
         self._fields = {0: self._value_grad}
         self._project = self._step = self._kkt = None
         self._rows = {}
+        self._gn = {}
         if not single:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
@@ -732,6 +819,17 @@ class CompiledExpression:
         """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns, the
         columns by `_solve`'s rule."""
         return self._solve(self._step, self._step_columns, x)
+
+    def gauss_newton(self, max_iter):
+        """The map's unchecked Gauss-Newton function `_gn(tol, bound, x1,
+        ..., xn)` of at most `max_iter` steps (`_gn_code`), generated on
+        first use: (point, first values, status) of one point."""
+        function = self._gn.get(max_iter)
+        if function is None:
+            function = self._gn[max_iter] = _define(_gn_code(
+                self.expression, self.ambient_dim, max_iter), "_gn",
+                _GN_NAMESPACE)
+        return function
 
     def _solve(self, point, columns, x, vec=()):
         """`_call` of a Gram solve, but on columns a zero Gram determinant

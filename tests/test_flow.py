@@ -162,6 +162,36 @@ def test_length_bound_torus_descent(torus):
     assert len(report.segments) >= 1
 
 
+def _outside_oracle(traj, consts):
+    """check_length_bound's outside mask as it was: one np.linalg.norm
+    per sample and critical point."""
+    return [min(np.linalg.norm(x - q) for q in consts.critical_locations)
+            > consts.r / 2.0 for x in traj.points]
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
+def test_length_bound_segments_match_per_sample_norms(name, request):
+    # the batched distances decide every sample as the per-sample norms
+    # did, so the segments are the runs of two or more outside samples
+    setup = request.getfixturevalue(name)
+    m, f = setup.manifold, setup.function
+    for x0 in m.sample_points(10, seed=3):
+        for direction in ("forward", "backward"):
+            traj = integrate_flow(m, f, x0, setup.cfg, direction=direction,
+                                  crits=setup.crits)
+            mask = _outside_oracle(traj, setup.consts) + [False]
+            runs, start = [], None
+            for i, out in enumerate(mask):
+                if out and start is None:
+                    start = i
+                elif not out and start is not None:
+                    if i - 1 > start:
+                        runs.append((traj.times[start], traj.times[i - 1]))
+                    start = None
+            report = check_length_bound(traj, setup.consts)
+            assert [(s.t_start, s.t_end) for s in report.segments] == runs
+
+
 def test_unstable_seeds_counts(sphere, torus):
     north = unstable_seeds(sphere.manifold, sphere.crits[1])
     assert len(north) == 4

@@ -403,6 +403,88 @@ def test_retract_with_overlapping_rows():
     _check_retraction("sphere_cut")
 
 
+# The RetractionError text, or EvaluationError, that `_retract_oracle`
+# raises for each status of the generated Gauss-Newton function.
+_STATUS_ERRORS = {"guard": "basin", "diverged": "non-finite",
+                  "iterations": "no convergence", "failed": "singular"}
+
+
+def _generated_retraction(m, x, guard):
+    """The raw (point, first values, status) of the map's `_gn`."""
+    bound = math.inf if guard is None else guard * (1.0 + _plain_norm(x))
+    return m._map.gauss_newton(RETRACT_MAX_ITER)(
+        m.constraint_tol, bound, *np.asarray(x, dtype=float).tolist())
+
+
+def _check_generated_retraction(m, x, guard):
+    """`_gn` against `_retract_oracle` bit for bit: the converged point,
+    the values at x as the first iterate's, or the status of the
+    oracle's error."""
+    point, first, status = _generated_retraction(m, x, guard)
+    want = _outcome(_retract_oracle, m, x, guard=guard)
+    if not _is_error(want):
+        assert status == "converged"
+        assert point == want.tolist()
+        vals = _values_and_jacobian_oracle(m, np.asarray(x, dtype=float))[0]
+        assert first == tuple(vals.tolist())
+    elif want[0] is EvaluationError:
+        assert status == "failed"
+    else:
+        assert _STATUS_ERRORS[status] in want[1]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_generated_retraction_matches_oracle(name):
+    m, _ = _scenario(name)
+    _, near, draws = _points(name)
+    for x in near:
+        _check_generated_retraction(m, x, 0.1)
+    for x in np.concatenate([near, draws]):
+        _check_generated_retraction(m, x, None)
+
+
+def test_generated_retraction_statuses():
+    # each status of `_gn`, and the outcome `retract` makes of it
+    sphere, _ = _scenario("sphere2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, guard, status in (([0.6, 0.0, 0.9], 0.1, "converged"),
+                                 ([3.0, 0.0, 0.0], 0.1, "guard"),
+                                 ([1e200, 0.0, 0.0], None, "diverged")):
+            assert _generated_retraction(sphere, x, guard)[2] == status
+            _check_generated_retraction(sphere, x, guard)
+    strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
+    x = [0.6, 0.1, 0.9]
+    assert _generated_retraction(strict, x, None)[2] == "iterations"
+    _check_generated_retraction(strict, x, None)
+    with pytest.raises(RetractionError,
+                       match=f"{RETRACT_MAX_ITER} retraction"):
+        strict.retract(x, guard=None)
+    # the cone's apex satisfies F = 0 but has a zero Gram matrix: the step
+    # divides by zero, and `retract` still returns the converged point
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    apex = [0.0, 0.0, 0.0]
+    assert _generated_retraction(cone, apex, 0.1) == (apex, None, "failed")
+    assert cone._gauss_newton(apex, 0.1) == (apex, (0.0,))
+    # a domain error stops the loop; the checked step names the constraint
+    m, _ = _scenario("sqrt_domain")
+    outside = [-1.1, 0.2, 0.1]
+    assert _generated_retraction(m, outside, 0.1)[2] == "failed"
+    _check_generated_retraction(m, outside, 0.1)
+    with pytest.raises(EvaluationError, match="sqrt"):
+        m.retract(outside)
+
+
+def test_live_lines_keep_what_can_raise():
+    # a dead *, + or - line goes; a dead division, power or call stays
+    # with the lines it reads
+    lines = ["    a = x1 * x1", "    b = x1 ** 7", "    c = 1.0 / x2",
+             "    d = sqrt(a)", "    e = x1 + x2", "    f = e - 1e-05",
+             "    g = e * 2.0"]
+    assert compiled._live(lines, "(g,)") == [
+        "    a = x1 * x1", "    b = x1 ** 7", "    c = 1.0 / x2",
+        "    d = sqrt(a)", "    e = x1 + x2", "    g = e * 2.0"]
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_tangent_projection_matches_numpy(name):
     # riemannian_gradient rechecks the floor of geometric_constants, so

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from morseflow.errors import RankDeficiencyError
-from morseflow.linalg import jacobi_eigh, polar_function
+from morseflow.linalg import jacobi_eigh, polar_function, row_norms
 from morseflow.morse import intrinsic_hessian
 
 
@@ -111,3 +111,22 @@ def test_gram_inverse_square_root():
         assert np.allclose(root @ root, gram, atol=1e-10)
     with pytest.raises(RankDeficiencyError, match="collapsed"):
         polar_function(2, 4)(*[0.0] * 8)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_matrices_are_rejected(bad):
+    # an inf diagonal made the symmetry tolerance inf, so the sweep ran and
+    # returned [inf, nan]; a non-finite entry anywhere raises before it
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        a = [[1.0, 0.5], [0.5, 2.0]]
+        a[i][j] = a[j][i] = bad
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            jacobi_eigh(a)
+
+
+def test_row_norms_match_numpy_norm():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 9):
+        rows = rng.standard_normal((200, n)) * 10.0 ** rng.integers(-3, 4)
+        want = [np.linalg.norm(r) for r in rows]
+        assert row_norms(rows).tolist() == want

@@ -115,12 +115,17 @@ def test_rejects_non_tangent_vector(sphere):
 
 
 def test_rejects_a_nan_vector(sphere):
-    # its tangency is nan, which fails the check
-    with pytest.raises(ValueError, match="not tangent"):
-        integrate_variational(
-            sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
-            np.array([math.nan, 1.0, 0.0]), sphere.cfg,
-        )
+    # checked before the tangency J @ v0 at x0 = (1, 0, 0), J = (2, 0, 0):
+    # an inf first entry made the tangency inf, which passed the check
+    # against 1e-6 |v0| = inf, and an inf second entry formed 0 * inf,
+    # whose RuntimeWarning was raised instead of the ValueError
+    for bad in (math.nan, math.inf, -math.inf):
+        for vec in ([bad, 1.0, 0.0], [0.0, bad, 1.0]):
+            with pytest.raises(ValueError, match="not tangent"):
+                integrate_variational(
+                    sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
+                    np.array(vec), sphere.cfg,
+                )
 
 
 def test_linearity_at_matched_times(sphere):
