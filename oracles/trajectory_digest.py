@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two sha256 per catalog scenario over the bytes of seeded flows.
+"""Print four sha256 per catalog scenario over the bytes of seeded flows.
 
     python3 oracles/trajectory_digest.py [--starts 15]
 
@@ -17,7 +17,12 @@ flows, as raw float64 bytes. A third line, `<scenario> transport
 <digest>`, covers the `parallel_transport` of the tangent basis at the
 start of each forward flow along it (every frame, the Gram drift and
 the bias) and one `holonomy_curvature` per start, on the plane of that
-basis's first two rows (the operator and its norm). The package is
+basis's first two rows (the operator and its norm). A fourth,
+`<scenario> pushed <digest>`, covers the fixed-time flows without
+capture that `flatness_test` pushes a plane with: from each start, the
+first two rows of that basis pushed by `integrate_variational_multi(...,
+capture=False)` forward and backward for t = LIE_H_T and t = 1, and the
+`lie_derivative_estimate` made of the LIE_H_T pair. The package is
 imported from this checkout's src/, so two checkouts print digests to
 compare line by line; equal digests mean bit-identical trajectories.
 """
@@ -36,7 +41,7 @@ from morseflow import integrate_flow, load_scenario  # noqa: E402
 from morseflow.catalog import ScenarioContext, list_scenarios  # noqa: E402
 from morseflow.linearization import integrate_variational_multi  # noqa: E402
 from morseflow.transport import (  # noqa: E402
-    holonomy_curvature, parallel_transport,
+    LIE_H_T, holonomy_curvature, lie_derivative_estimate, parallel_transport,
 )
 
 
@@ -64,12 +69,28 @@ def _update_transport(digest, m, traj):
     _update(digest, sample.operator, [sample.norm])
 
 
+def _update_pushed(digest, m, f, x0, cfg):
+    """Fixed-time pushes of the start basis's first two rows, without
+    capture, in both directions, and the Lie derivative estimate."""
+    u, v = m.tangent_basis(x0)[:2]
+    for t in (LIE_H_T, 1.0):
+        for direction in ("forward", "backward"):
+            times, points, blocks, terminal, stats = (
+                integrate_variational_multi(
+                    m, f, x0, [u, v], cfg.replace(t_max=t),
+                    direction=direction, capture=False))
+            _update(digest, times, points, *blocks)
+            _update_outcome(digest, terminal, stats)
+    _update(digest, [lie_derivative_estimate(m, f, x0, u, v, cfg)])
+
+
 def scenario_digests(name, starts):
     session = ScenarioContext(load_scenario(name))
     m, f, crits, cfg = (session.manifold, session.function, session.crits,
                         session.cfg)
     rng = np.random.default_rng(2)
-    plain, variational, transport = (hashlib.sha256() for _ in range(3))
+    plain, variational, transport, pushed = (
+        hashlib.sha256() for _ in range(4))
     for i, x0 in enumerate(m.sample_points(starts, seed=1)):
         for direction in ("forward", "backward"):
             traj = integrate_flow(m, f, x0, cfg, direction=direction,
@@ -84,7 +105,9 @@ def scenario_digests(name, starts):
             m, f, x0, vectors, cfg, crits=crits)
         _update(variational, times, points, *blocks)
         _update_outcome(variational, terminal, stats)
-    return plain.hexdigest(), variational.hexdigest(), transport.hexdigest()
+        _update_pushed(pushed, m, f, x0, cfg)
+    return tuple(d.hexdigest() for d in (plain, variational, transport,
+                                         pushed))
 
 
 if __name__ == "__main__":
@@ -93,7 +116,7 @@ if __name__ == "__main__":
                         help="starts per scenario (default 15)")
     args = parser.parse_args()
     for name in list_scenarios():
-        plain, variational, transport = scenario_digests(name, args.starts)
-        print(name, "plain", plain)
-        print(name, "variational", variational)
-        print(name, "transport", transport)
+        digests = scenario_digests(name, args.starts)
+        for kind, digest in zip(("plain", "variational", "transport",
+                                 "pushed"), digests):
+            print(name, kind, digest)

@@ -1,18 +1,22 @@
 """Negative gradient flow on an implicit manifold.
 
 Two embedded Cash-Karp 5(4) steppers step the ambient ODE
-dx/dt = -+ P(x) grad f(x). They share the tableau, the term order of
-the stage, B5 and error sums, the step-size rules and capture:
+dx/dt = -+ P(x) grad f(x), with one tableau, one term order of the
+stage, B5 and error sums, and the same step-size rules and capture:
 
 - `_cash_karp` steps one flow over an augmented state of floats: the
   point, then the pushforward vectors of the linearized flow (none for
   the plain flow). `integrate_flow` and the variational flows use it.
-  One step is one generated function per state size (`_step_code`),
-  compiled once and defined per flow with the field kernel, the sign
-  and the tolerances bound: from h, the state and k1 it forms the five
-  further stages, y5 and the scaled error norm on float locals. Each
-  stage is one call of the field kernel for the state: P grad f, then
-  its exact derivative along each vector.
+  Its whole accept/reject loop is one generated function per (n, state
+  size) (`_loop_factory`), defined per flow with the field kernel, the
+  constraint map's retraction `_gn` and row projection `_rows`, the
+  sign, the tolerances and the capture threshold bound. It hands back
+  to Python only to capture (once |P grad f| is below the threshold,
+  where the point becomes an array), to turn a retraction status other
+  than converged into a RetractionError, after which the step is
+  halved, and at a failed stage or projection. k1 at each accepted
+  point stays a call of the checked `GradientField.projected_gradient`,
+  so a failure there raises its named error at once.
 - `_cash_karp_columns` steps many plain forward flows as one (n, N)
   array, with a time, step size, accept/reject decision and terminal per
   column. Basin sampling uses it, through `flow_terminals`. Each column
@@ -21,34 +25,15 @@ the stage, B5 and error sums, the step-size rules and capture:
   squared error terms round differently: `pow` for one float, a product
   in numpy), and the terminals matched on all catalog basin starts.
   numpy's sin/cos/exp/sqrt may differ from `math` in the last bit, so
-  there a start near a basin boundary may land elsewhere. It keeps its
-  whole-array sums: the generated step's source run in the numpy
-  namespace, one array per row, gave the same bits but one step took
-  1.3-2.1x their time on 12 and 50 columns (sphere2, torus_upright,
-  clifford; 2-core x86-64, numpy 2.4).
+  there a start near a basin boundary may land elsewhere.
 
-Single flows stay on the scalar stepper: a batch of one runs 8-10x
-slower than it (numpy dispatch on every stage), measured on the sphere2,
-torus_upright and clifford scenarios.
-
-For any number of constraints the field is one generated kernel per
-(M, f) (`symbolics.compile`): one call gives P grad f from a single pass
-over f and the constraints, with the projection written out in a fixed
-term order, for floats and, exec'd with numpy, for columns. Vectors are
-re-projected by the constraint map's generated `project`, and points
-retracted by its `normal_step`: they write the same Gram sums and solve.
-
-Every accepted point is retracted back onto M and the vectors are
-re-projected there. The scalar stepper stays on Python floats: it
-retracts the point part of y5 as a list with `_gauss_newton`, whose
-whole loop is one generated call of the constraint map (`normal_step`'s
-lines as its body, the convergence, guard and finiteness tests
-unrolled), and the point becomes an array only in capture, once the
-gradient norm is below the capture threshold. The batch uses
-`retract_columns`, each column bit for bit its point. The constraint
-drift, which must stay within an order of magnitude of the manifold
-tolerance, is max |F| at the unretracted point: the constraint values
-of the loop's first iterate, so F is not evaluated a second time.
+Every accepted point is retracted back onto M by the generated
+Gauss-Newton loop and the vectors are re-projected there, with the Gram
+sums and solve of the field kernel. The batch uses `retract_columns`,
+each column bit for bit its point. The constraint drift, which must
+stay within an order of magnitude of the manifold tolerance, is max |F|
+at the unretracted point: the constraint values of the retraction's
+first iterate, so F is not evaluated a second time.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -65,6 +50,7 @@ from operator import mul
 import numpy as np
 
 from .errors import FlowError, NotConvergedError, RetractionError
+from .geometry import RETRACT_MAX_ITER
 from .linalg import row_norms
 from .symbolics import compile_expression
 from .symbolics.compile import _FAILURES, _define
@@ -194,13 +180,14 @@ class GradientField:
         ...], P grad f then its derivative along each V."""
         return self._kernel.value_and_grad(xs)[1]
 
-    def project(self, xs, vec):
-        """Tangential part of `vec` at the point xs."""
-        return self._map.project(xs, vec)[0]
-
 
 def _norm(vec):
-    return math.sqrt(sum(v * v for v in vec))
+    """The generated loop's norm: squares summed left to right from 0.0
+    (`sum` of floats is compensated on Python 3.12 and later)."""
+    total = 0.0
+    for v in vec:
+        total += v * v
+    return math.sqrt(total)
 
 
 def _sign(direction):
@@ -264,65 +251,123 @@ def _weighted(weights, col):
     return f"({' + '.join(['0.0', *terms])})"
 
 
+# The generated flow loop (`_loop_factory`) reads `_FLOW_NAMES`, bound
+# per flow, and `_LOOP_NAMESPACE`.
+_FLOW_NAMES = (
+    "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
+    "capture", "vg", "pg", "gn", "retracted", "rows", "stats",
+    "record_time", "record_state", "record_gnorm",
+)
+_LOOP_NAMESPACE = {
+    "sqrt": math.sqrt, "inf": math.inf, "_FAILURES": _FAILURES,
+    "FlowError": FlowError, "RetractionError": RetractionError,
+    "SAFETY": SAFETY, "MIN_SCALE": MIN_SCALE, "MAX_SCALE": MAX_SCALE,
+    "MAX_TIME": Terminal("max_time"),
+}
+_LOOP_SOURCE = """\
+def _make({names}):
+    def _flow{state}:
+        while True:
+            if t >= t_max - 1e-13:
+                return MAX_TIME, {state}
+            h = min(h, t_max - t, max_step)
+            if h < 1e-13 * max(1.0, t):
+                raise FlowError(f"step size underflow at t={{t}}")
+            try:
+{stages}
+            except _FAILURES:
+                return None, {state}
+{y5}
+            err = sqrt(({errors}) / {size})
+            if err > 1.0:
+                stats.rejected += 1
+                h *= max(MIN_SCALE, SAFETY * err ** -0.2)
+                continue
+            point, first, status = gn(tol, inf, {z})
+            if status != "converged":
+                try:
+                    point, first = retracted([{z}], point, first, status)
+                except RetractionError:
+                    halvings += 1
+                    stats.retraction_halvings += 1
+                    if halvings > 40:
+                        raise FlowError("retraction kept failing after 40 "
+                                        "step halvings") from None
+                    h *= 0.5
+                    continue
+{accept}
+            halvings = 0
+            drift = max(drift, max(map(abs, first)))
+            t += h
+            {g}, = pg(state)
+{k1}
+            gnorm = sqrt({gnorm})
+            record_time(t)
+            record_state(state)
+            record_gnorm(gnorm)
+            if not gnorm >= threshold:
+                terminal = capture(point, gnorm)
+                if terminal is not None:
+                    return terminal, {state}
+            if err > 0.0:
+                h *= min(MAX_SCALE, max(MIN_SCALE, SAFETY * err ** -0.2))
+            else:
+                h *= MAX_SCALE
+    return _flow
+"""
+_ACCEPT_VECTORS = """\
+try:
+    {v} = rows(*point, {zv})
+except _FAILURES:
+    return None, {state}
+{x} = point
+state = [{y}]"""
+
+
+def _block(lines, depth=12):
+    """The source lines as one text, each indented by `depth` spaces."""
+    text = "\n".join(lines)
+    return "\n".join(" " * depth + line for line in text.split("\n"))
+
+
 @functools.lru_cache(maxsize=None)
-def _step_code(size):
-    """Compiled `_ck(h, y1, ..., k1_1, ...)`: one Cash-Karp step over a
-    state of `size` floats, returning ([y5_1, ...], err_scaled).
-
-    Each further stage calls the field kernel's point function `vg` for
-    the state size and takes k = sign * g of its output g (see
-    `_cash_karp`). Stage, B5 and error sums are `_weighted`; each error
-    term is h * (...) / (abs_tol + rel_tol * max(|y|, |y5|)), squared
-    with ** 2 and summed from 0.0, and the norm is sqrt(sum / size).
+def _loop_factory(n, size):
+    """`_make(*_FLOW_NAMES)` of `_LOOP_SOURCE` for a state of `size`
+    floats, the point its first n: `_flow(t, h, halvings, drift, y...,
+    k1...)` returns (terminal, its arguments at the end), or, where a
+    stage or `rows` raised, (None, its arguments at that step's start).
     """
-    index = range(1, size + 1)
-    ys = [f"y{j}" for j in index]
-    ks = [[f"k1_{j}" for j in index]]
-    lines = [f"def _ck(h, {', '.join(ys + ks[0])}):"]
+    ys, zs, gs = ([f"{c}{j}" for j in range(1, size + 1)] for c in "yzg")
+    ks = [[f"k1_{j}" for j in range(1, size + 1)]]
+    state = f"(t, h, halvings, drift, {', '.join(ys + ks[0])})"
+    stages = []
     for i, row in enumerate(_CK_A, start=2):
-        stage = ", ".join(f"{y} + h * {_weighted(row, col)}"
-                          for y, col in zip(ys, zip(*ks)))
-        k = [f"k{i}_{j}" for j in index]
-        lines.append(f"    _, ({', '.join(f'g{j}' for j in index)},) "
-                     f"= vg({stage})")
-        lines += [f"    {kj} = sign * g{j}" for j, kj in zip(index, k)]
-        ks.append(k)
+        args = ", ".join(f"{y} + h * {_weighted(row, col)}"
+                         for y, col in zip(ys, zip(*ks)))
+        ks.append([f"k{i}_{j}" for j in range(1, size + 1)])
+        stages += [f"_, ({', '.join(gs)},) = vg({args})",
+                   *(f"{k} = sign * {g}" for k, g in zip(ks[-1], gs))]
     cols = list(zip(*ks))
-    zs = [f"z{j}" for j in index]
-    lines += [f"    {z} = {y} + h * {_weighted(_CK_B5, col)}"
-              for z, y, col in zip(zs, ys, cols)]
-    errors = [
-        f"(h * {_weighted(_CK_ERR, col)} / (abs_tol + rel_tol * "
-        f"max(abs({y}), abs({z})))) ** 2"
-        for y, z, col in zip(ys, zs, cols)
-    ]
-    lines.append(f"    return [{', '.join(zs)}], "
-                 f"sqrt(({' + '.join(['0.0', *errors])}) / {size})")
-    return compile("\n".join(lines) + "\n", f"<cash-karp:{size}>", "exec")
-
-
-def _stepper(field, sign, cfg, size):
-    """step(h, state, k1) -> (y5, err_scaled) for a state of `size` floats.
-
-    The stages call the field kernel's point function for the state size
-    unchecked; a stage that fails there (a domain error, or a zero Gram
-    determinant or pivot) re-runs the step through the checked
-    `value_and_grad`, which raises the EvaluationError naming the
-    failing expression, or the RankDeficiencyError, of that stage.
-    """
-    kernel = field._kernel
-    code = _step_code(size)
-    scope = {"sqrt": math.sqrt, "sign": sign, "abs_tol": cfg.abs_tol,
-             "rel_tol": cfg.rel_tol, "vg": kernel.field_function(size)}
-    fast = _define(code, "_ck", scope)
-
-    def step(h, state, k1):
-        try:
-            return fast(h, *state, *k1)
-        except _FAILURES:
-            scope["vg"] = lambda *xs: kernel.value_and_grad(xs)
-            return _define(code, "_ck", scope)(h, *state, *k1)
-    return step
+    errors = (f"(h * {_weighted(_CK_ERR, col)} / (abs_tol + rel_tol * "
+              f"max(abs({y}), abs({z})))) ** 2"
+              for y, z, col in zip(ys, zs, cols))
+    if size > n:
+        accept = _ACCEPT_VECTORS.format(
+            v=", ".join(ys[n:]), zv=", ".join(zs[n:]), state=state,
+            x=", ".join(ys[:n]), y=", ".join(ys))
+    else:
+        accept = f"{', '.join(ys)}, = state = point"
+    source = _LOOP_SOURCE.format(
+        names=", ".join(_FLOW_NAMES), state=state, size=size,
+        stages=_block(stages, 16), y5=_block(
+            f"{z} = {y} + h * {_weighted(_CK_B5, col)}"
+            for z, y, col in zip(zs, ys, cols)),
+        errors=" + ".join(["0.0", *errors]), z=", ".join(zs[:n]),
+        accept=_block([accept]), g=", ".join(gs),
+        k1=_block(f"{k} = sign * {g}" for k, g in zip(ks[0], gs)),
+        gnorm=" + ".join(f"{k} * {k}" for k in ks[0][:n]))
+    return _define(compile(source, f"<flow-loop:{n}:{size}>", "exec"),
+                   "_make", _LOOP_NAMESPACE)
 
 
 def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
@@ -335,72 +380,51 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
     M and the vectors re-projected there. `x_norm` (|x0|) sets the first
     step. Returns (terminal, stats, times, states, grad_norms) over the
     start and every accepted step.
+
+    After the start sample the whole loop is one call of a `_flow`
+    defined for this flow by `_loop_factory`. If a stage or the
+    re-projection fails there, `_flow` is defined again with the checked
+    `value_and_grad` and `project_rows` and run from the start of that
+    step, which raises the EvaluationError naming the failing
+    expression, or the RankDeficiencyError, of that call.
     """
     m = field.manifold
     n = field.n
     size = len(state)
-    crit_list = list(crits) if crits is not None else []
     stats = FlowStats()
-    step = _stepper(field, sign, cfg, size)
+    crit_list = list(crits) if crits is not None else []
+    threshold = cfg.capture_grad_tol if capture else -math.inf
 
-    def derivative(ys):
-        return [sign * v for v in field.projected_gradient(ys)]
-
-    def _terminal(point, norm):
+    def capture_at(point, norm):
         return _capture(point, norm, crit_list, cfg) if capture else None
 
-    k1 = derivative(state)
+    k1 = [sign * v for v in field.projected_gradient(state)]
     gnorm = _norm(k1[:n])
     times, states, gnorms = [0.0], [state], [gnorm]
-    terminal = _terminal(state[:n], gnorm)
-    t = 0.0
-    h = _first_step(cfg, x_norm, gnorm)
-    halvings = 0
-
-    while terminal is None:
-        if t >= cfg.t_max - 1e-13:
-            terminal = Terminal("max_time")
-            break
-        h = min(h, cfg.t_max - t, cfg.max_step)
-        if h < 1e-13 * max(1.0, t):
-            raise FlowError(f"step size underflow at t={t}")
-
-        y_new, err_scaled = step(h, state, k1)
-        if err_scaled > 1.0:
-            stats.rejected += 1
-            h *= _shrink_factor(err_scaled)
-            continue
-
-        try:
-            point, vals = m._gauss_newton(y_new[:n], None)
-        except RetractionError:
-            halvings += 1
-            stats.retraction_halvings += 1
-            if halvings > 40:
-                raise FlowError(
-                    "retraction kept failing after 40 step halvings"
-                ) from None
-            h *= 0.5
-            continue
-        halvings = 0
-
-        drift = max(map(abs, vals))
-        stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
-
-        t += h
-        state = point + [
-            c for lo in range(n, size, n)
-            for c in field.project(point, y_new[lo:lo + n])
-        ]
-        stats.steps += 1
-        k1 = derivative(state)
-        gnorm = _norm(k1[:n])
-        times.append(t)
-        states.append(state)
-        gnorms.append(gnorm)
-        terminal = _terminal(point, gnorm)
+    terminal = capture_at(state[:n], gnorm)
+    if terminal is None:
+        kernel, project_rows = field._kernel, m._map.project_rows
+        names = {
+            "sign": sign, "abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol,
+            "t_max": cfg.t_max, "max_step": cfg.max_step,
+            "tol": m.constraint_tol, "threshold": threshold,
+            "capture": capture_at, "vg": kernel.field_function(size),
+            "pg": field.projected_gradient,
+            "gn": m._map.gauss_newton(RETRACT_MAX_ITER),
+            "retracted": m._retracted,
+            "rows": m._map.rows_function(size // n - 1) if size > n else None,
+            "stats": stats, "record_time": times.append,
+            "record_state": states.append, "record_gnorm": gnorms.append,
+        }
+        make = _loop_factory(n, size)
+        terminal, loop_state = make(**names)(
+            0.0, _first_step(cfg, x_norm, gnorm), 0, 0.0, *state, *k1)
         if terminal is None:
-            h *= _step_factor(err_scaled)
+            names["vg"] = lambda *xs: kernel.value_and_grad(xs)
+            names["rows"] = lambda *xs: project_rows(xs[:n], xs[n:])
+            terminal, loop_state = make(**names)(*loop_state)
+        stats.max_constraint_drift = loop_state[3]
+    stats.steps = len(times) - 1
     return terminal, stats, times, states, gnorms
 
 

@@ -198,28 +198,31 @@ class ImplicitManifold:
 
         The whole iteration is one call of the constraint map's generated
         `_gn` (`symbolics.compile`), whose loop body is `normal_step`'s:
-        each iteration forms the values and the step together, so F(y)
-        costs nothing extra; a flow takes its constraint drift from it.
-        The iteration stops once every |F_i| <= constraint_tol, which a
-        nan value never satisfies. Here each status of `_gn` becomes its
-        error. Where the body raised, the checked `normal_step` at that
-        point raises the same failure as EvaluationError or
-        RankDeficiencyError; a rank-deficient point is still returned if
-        it satisfies the tolerance.
+        each iteration forms the values first, so F(y) costs nothing
+        extra; a flow takes its constraint drift from it. The iteration
+        stops once every |F_i| <= constraint_tol, which a nan value never
+        satisfies, before that point's step is formed. `_retracted` turns
+        the status of `_gn` into the point or its error.
         """
         bound = math.inf if guard is None else guard * (
             1.0 + math.sqrt(sum(v * v for v in y)))
-        point, first, status = self._map.gauss_newton(RETRACT_MAX_ITER)(
-            self.constraint_tol, bound, *y)
+        return self._retracted(y, *self._map.gauss_newton(RETRACT_MAX_ITER)(
+            self.constraint_tol, bound, *y))
+
+    def _retracted(self, y, point, first, status):
+        """(point, first values) of `_gn` run from y, or its error.
+
+        Where the body raised, the checked `normal_step` at that point
+        raises the same failure as EvaluationError, or as
+        RankDeficiencyError, which becomes a RetractionError; every other
+        status but "converged" is a RetractionError.
+        """
         if status == "converged":
             return point, first
         if status == "failed":
             try:
                 self._map.normal_step(point)  # raises what `_gn` raised
             except RankDeficiencyError as exc:
-                vals = self._map.value(point)
-                if all(abs(v) <= self.constraint_tol for v in vals):
-                    return point, first or vals
                 raise RetractionError(
                     "constraint Jacobian singular while retracting "
                     f"{np.array(point)}"

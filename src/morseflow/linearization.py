@@ -10,7 +10,8 @@ re-projection. For tangent V, V . A(x) V = Hess(V, V).
 
 The joint state [x, V_1, ..., V_j] runs through the flow's own stepper:
 one adaptive step and error norm over the point and every vector, with
-the vectors re-projected by `GradientField.project` at each accepted point.
+the vectors re-projected by the constraint map's generated `_rows` at
+each accepted point, bit for bit its `project`.
 
 The energy E(t) = |V|^2 / 2 satisfies dE/dt = -Hess(V, V) with the
 multiplier-corrected Hessian; `check_energy_ode` measures the residual

@@ -22,9 +22,9 @@ cache:
   J^T (J J^T)^{-1} F of a retraction, and, compiled on first use,
   `gauss_newton`'s `_gn`, the whole retraction of one point: a loop
   whose body is `normal_step`'s lines, with the convergence test over
-  the k values, the guard on the first step's norm and the finiteness
-  test unrolled, returning the point, the first iterate's values and a
-  status;
+  the k values (before the step is formed), the guard on the first
+  step's norm and the finiteness test unrolled, returning the point,
+  the first iterate's values and a status;
 - a field kernel, f together with k >= 0 constraints (one expression
   is k = 0, P the identity): the value of f and P grad f, P the
   orthogonal projection onto ker dF, from one pass over f and the
@@ -416,17 +416,18 @@ _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _RAISES = re.compile(r"/|\*\*|\w\(")
 
 
-def _live(lines, outputs):
+def _live(lines, outputs, raising=True):
     """The `lines` ("    name = rhs") that `outputs` read, directly or
     through later lines, in order (Aho et al., Compilers, 9.2.5), and
     every line that can raise, with what it reads: math raises there
     (numpy under np.errstate too), where a *, + or - never does on
-    floats, so each call still raises where it raised before."""
+    floats, so each call still raises where it raised before (with
+    raising=False, only the lines that `outputs` read)."""
     needed = set(_NAME.findall(outputs))
     kept = []
     for line in reversed(lines):
         name, rhs = line.strip().split(" = ", 1)
-        if name in needed or _RAISES.search(rhs):
+        if name in needed or raising and _RAISES.search(rhs):
             needed.update(_NAME.findall(rhs))
             kept.append(line)
     return kept[::-1]
@@ -518,10 +519,12 @@ def _gn_code(constraints, n, max_iter):
     iteration x <- x - J^T (J J^T)^{-1} F(x) for at most `max_iter`
     steps, with `_step_code`'s lines inlined as its body.
 
-    It stops at the first iterate where every |F_i| <= tol and returns
-    (point, values, status): the point as a list, the values of the
-    first iterate and "converged", or "guard" when the first step's
-    norm is above `bound`, "diverged" when a step leaves a non-finite
+    It stops at the first iterate where every |F_i| <= tol, tested on
+    the values before the other lines of the step (so such a point is
+    returned even where its step would raise), and returns (point,
+    values, status): the point as a list, the values of the first
+    iterate and "converged", or "guard" when the first step's norm is
+    above `bound`, "diverged" when a step leaves a non-finite
     coordinate, "iterations" after `max_iter` steps, and "failed" with
     the point where the body raised (a domain error or a zero Gram
     determinant or pivot). The step's entries are all formed before a
@@ -529,8 +532,10 @@ def _gn_code(constraints, n, max_iter):
     """
     emitter, vals, rows = _walk_all(constraints, n)
     steps = _names("s", n)
-    body = emitter.lines + [f"    {s} = {t}" for s, t in zip(
-        steps, emitter.normal_step(rows, vals))]
+    body = _live(emitter.lines + [f"    {s} = {t}" for s, t in zip(
+        steps, emitter.normal_step(rows, vals))], ", ".join(vals + steps))
+    head = _live(body, ", ".join(vals), raising=False)
+    tail = [line for line in body if line not in head]
     xs = _names("x", n)
     point = f"[{', '.join(xs)}]"
     lines = [
@@ -538,12 +543,13 @@ def _gn_code(constraints, n, max_iter):
         "    first = None",
         "    try:",
         f"        for it in range({max_iter}):",
-        *("        " + line for line in _live(body, ", ".join(vals + steps))),
+        *("        " + line for line in head),
         "            if it == 0:",
         f"                first = {_tuple(vals)}",
         "            if " + " and ".join(f"abs({v}) <= tol" for v in vals)
         + ":",
         f"                return {point}, first, 'converged'",
+        *("        " + line for line in tail),
         "            if it == 0 and sqrt("
         + " + ".join(f"{s} * {s}" for s in steps) + ") > bound:",
         f"                return {point}, first, 'guard'",
@@ -619,10 +625,11 @@ class CompiledExpression:
       `value_and_grad` (values, Jacobian rows), `project(x, vec)` the
       tangential part of vec at x with its Gram weights,
       `project_rows(x, rows)` the tangential parts of d rows (d * n
-      floats, row after row; the function of each d generated on first
-      use), `normal_step(x)` (values, J^T (J J^T)^{-1} F(x)), the
-      Gauss-Newton step toward F = 0, and `gauss_newton(max_iter)` the
-      unchecked function of the whole iteration for one point.
+      floats, row after row; `rows_function(d)` the unchecked function
+      of each d, generated on first use), `normal_step(x)` (values,
+      J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward F = 0, and
+      `gauss_newton(max_iter)` the unchecked function of the whole
+      iteration for one point.
     - `expression` f with k >= 0 `constraints` (k = 0 for one
       expression): the field kernel. `value` gives f(x), `value_and_grad`
       (f(x), P(x) grad f(x)), and for a state of x and j tangent vectors,
@@ -804,16 +811,21 @@ class CompiledExpression:
         call that solves with the Gram matrix once: `rows` and the result
         are d * n floats, row after row, each row the bits of `project`'s.
         The function of each d is generated on first use (`_rows_code`)."""
-        count = len(rows) // self.ambient_dim
-        function = self._rows.get(count)
-        if function is None:
-            function = self._rows[count] = _define(_rows_code(
-                self.expression, self.ambient_dim, count), "_rows", _NAMESPACE)
+        function = self.rows_function(len(rows) // self.ambient_dim)
         x = _as_floats(x)
         try:
             return function(*x, *_as_floats(rows))
         except _FAILURES as exc:
             raise self._failure("value_and_grad", x, exc, True) from exc
+
+    def rows_function(self, count):
+        """The map's unchecked `_rows(x1, ..., xn, b1_1, ..., bd_n)` for
+        d = `count` rows, generated on first use (`_rows_code`)."""
+        function = self._rows.get(count)
+        if function is None:
+            function = self._rows[count] = _define(_rows_code(
+                self.expression, self.ambient_dim, count), "_rows", _NAMESPACE)
+        return function
 
     def normal_step(self, x):
         """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns, the

@@ -20,9 +20,11 @@ from morseflow.errors import (
     RankDeficiencyError, RetractionError,
 )
 from morseflow.flow import (
-    _CK_A, _CK_B5, _CK_ERR, GradientField, Terminal, _first_step, _norm,
-    _stepper, flow_terminals,
+    _CK_A, _CK_B5, _CK_ERR, FlowStats, GradientField, Terminal, _capture,
+    _cash_karp, _first_step, _norm, _shrink_factor, _step_factor,
+    flow_terminals,
 )
+from morseflow.geometry import RETRACT_MAX_ITER
 from morseflow.linearization import integrate_variational
 from test_kernels import SCENARIOS, _scenario
 from test_linearization import hessian_quadratic_form
@@ -335,7 +337,16 @@ def test_batched_flow_errors_match_scalar(sphere):
         flow_terminals(sphere.manifold, sphere.function, [[1.0, 0.0]])
 
 
-# -- the generated Cash-Karp step against the list-based one ---------------
+# -- the generated flow loop against the list-based one ---------------------
+
+
+def _fold(terms):
+    """Left-to-right sum from 0.0, as the generated code adds (`sum` of
+    floats is compensated on Python 3.12 and later)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def _oracle_step(rhs, h, state, k1, cfg):
@@ -344,17 +355,17 @@ def _oracle_step(rhs, h, state, k1, cfg):
     ks = [k1]
     for row in _CK_A:
         stage = [
-            y + h * sum(map(mul, row, col))
+            y + h * _fold(map(mul, row, col))
             for y, col in zip(state, zip(*ks))
         ]
         ks.append(rhs(stage))
     cols = list(zip(*ks))
     y_new = [
-        y + h * sum(map(mul, _CK_B5, col)) for y, col in zip(state, cols)
+        y + h * _fold(map(mul, _CK_B5, col)) for y, col in zip(state, cols)
     ]
     err_scaled = 0.0
     for y, y5, col in zip(state, y_new, cols):
-        err = h * sum(map(mul, _CK_ERR, col))
+        err = h * _fold(map(mul, _CK_ERR, col))
         scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
         err_scaled += (err / scale) ** 2
     return y_new, math.sqrt(err_scaled / len(state))
@@ -365,26 +376,104 @@ def _checked_rhs(field, sign):
     return lambda ys: [sign * v for v in field.projected_gradient(ys)]
 
 
-def _failing(monkeypatch, m, method, fails):
-    """Let the manifold's `method` fail at a flow's accepted points on its
-    first `fails` calls: `_gauss_newton` raises RetractionError, and
-    `retract_columns` marks its first column not ok (calls without
-    columns do not count). Returns the arguments of the failed calls."""
-    original = getattr(m, method)
+def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
+    """`_cash_karp` as the Python loop it was: `_oracle_step` with the
+    checked field, `ImplicitManifold._gauss_newton` on the point part of
+    y5, the constraint map's `project` per vector, and the step factors,
+    capture and statistics of the module's helpers."""
+    m = field.manifold
+    n = field.n
+    size = len(state)
+    crit_list = list(crits) if crits is not None else []
+    stats = FlowStats()
+    rhs = _checked_rhs(field, sign)
+
+    def _terminal(point, norm):
+        return _capture(point, norm, crit_list, cfg) if capture else None
+
+    k1 = rhs(state)
+    gnorm = _norm(k1[:n])
+    times, states, gnorms = [0.0], [state], [gnorm]
+    terminal = _terminal(state[:n], gnorm)
+    t = 0.0
+    h = _first_step(cfg, x_norm, gnorm)
+    halvings = 0
+    while terminal is None:
+        if t >= cfg.t_max - 1e-13:
+            terminal = Terminal("max_time")
+            break
+        h = min(h, cfg.t_max - t, cfg.max_step)
+        if h < 1e-13 * max(1.0, t):
+            raise FlowError(f"step size underflow at t={t}")
+        y_new, err_scaled = _oracle_step(rhs, h, state, k1, cfg)
+        if err_scaled > 1.0:
+            stats.rejected += 1
+            h *= _shrink_factor(err_scaled)
+            continue
+        try:
+            point, vals = m._gauss_newton(y_new[:n], None)
+        except RetractionError:
+            halvings += 1
+            stats.retraction_halvings += 1
+            if halvings > 40:
+                raise FlowError(
+                    "retraction kept failing after 40 step halvings"
+                ) from None
+            h *= 0.5
+            continue
+        halvings = 0
+        drift = max(map(abs, vals))
+        stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
+        t += h
+        state = point + [
+            c for lo in range(n, size, n)
+            for c in m._map.project(point, y_new[lo:lo + n])[0]
+        ]
+        stats.steps += 1
+        k1 = rhs(state)
+        gnorm = _norm(k1[:n])
+        times.append(t)
+        states.append(state)
+        gnorms.append(gnorm)
+        terminal = _terminal(point, gnorm)
+        if terminal is None:
+            h *= _step_factor(err_scaled)
+    return terminal, stats, times, states, gnorms
+
+
+def _failing_retraction(monkeypatch, m, fails):
+    """Let the retraction of one point, the constraint map's generated
+    `_gn` that flows and `retract` call, report "iterations" on its first
+    `fails` calls, or for a set on the calls it numbers from 0, which
+    `_retracted` turns into RetractionError. Returns the arguments (tol,
+    bound, *y) of the failed calls."""
+    fails = range(fails) if isinstance(fails, int) else fails
+    original = m._map.gauss_newton(RETRACT_MAX_ITER)
+    failed, calls = [], itertools.count()
+
+    def failing(*args):
+        point, first, status = original(*args)
+        if next(calls) in fails:
+            failed.append(args)
+            status = "iterations"
+        return point, first, status
+    monkeypatch.setitem(m._map._gn, RETRACT_MAX_ITER, failing)
+    return failed
+
+
+def _failing_columns(monkeypatch, m, fails):
+    """Let `retract_columns` mark its first column not ok on its first
+    `fails` calls with columns. Returns the arguments of those calls."""
+    original = m.retract_columns
     failed = []
 
     def patched(*args):
-        if method == "_gauss_newton":
-            if len(failed) < fails:
-                failed.append(args)
-                raise RetractionError("retraction failed on purpose")
-            return original(*args)
         points, ok = original(*args)
         if len(ok) and len(failed) < fails:
             failed.append(args)
             ok[0] = False
         return points, ok
-    monkeypatch.setattr(m, method, patched)
+    monkeypatch.setattr(m, "retract_columns", patched)
     return failed
 
 
@@ -397,7 +486,7 @@ def test_failed_retraction_halves_the_step(sphere, monkeypatch):
     m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
                         sphere.crits)
     plain = integrate_flow(m, f, [1.0, 0.0, 0.0], cfg, crits=crits)
-    _failing(monkeypatch, m, "_gauss_newton", 1)
+    _failing_retraction(monkeypatch, m, 1)
     halved = integrate_flow(m, f, [1.0, 0.0, 0.0], cfg, crits=crits)
     assert plain.stats.retraction_halvings == 0
     assert halved.stats.retraction_halvings == 1
@@ -408,16 +497,29 @@ def test_failed_retraction_halves_the_step(sphere, monkeypatch):
 def test_retraction_failing_41_times_raises(sphere, monkeypatch):
     m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
                         sphere.crits)
-    failed = _failing(monkeypatch, m, "_gauss_newton", 41)
+    failed = _failing_retraction(monkeypatch, m, 41)
     with pytest.raises(FlowError, match="retraction kept failing after 40 "
                                         "step halvings"):
         integrate_flow(m, f, NEAR_MINIMUM, cfg, crits=crits)
     assert len(failed) == 41
     # forty failures in a row are halved away
     monkeypatch.undo()
-    _failing(monkeypatch, m, "_gauss_newton", 40)
+    _failing_retraction(monkeypatch, m, 40)
     traj = integrate_flow(m, f, NEAR_MINIMUM, cfg, crits=crits)
     assert traj.stats.retraction_halvings == 40
+    assert traj.terminal.converged
+
+
+def test_retraction_failures_count_only_in_a_row(sphere, monkeypatch):
+    # 30 failures, a retraction that converges, then 11 more: the count
+    # starts again at each accepted step, so 41 failures in all pass
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    failed = _failing_retraction(monkeypatch, m,
+                                 set(range(30)) | set(range(31, 42)))
+    traj = integrate_flow(m, f, NEAR_MINIMUM, cfg, crits=crits)
+    assert len(failed) == 41
+    assert traj.stats.retraction_halvings == 41
     assert traj.terminal.converged
 
 
@@ -428,11 +530,11 @@ def test_batched_flow_halves_a_column_whose_retraction_fails(sphere,
     m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
                         sphere.crits)
     starts = [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.6, 0.0, -0.8]]
-    failed = _failing(monkeypatch, m, "retract_columns", 1)
+    failed = _failing_columns(monkeypatch, m, 1)
     terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
     monkeypatch.undo()
     assert failed[0][0].shape == (3, 3)  # every start's first step accepted
-    _failing(monkeypatch, m, "_gauss_newton", 1)
+    _failing_retraction(monkeypatch, m, 1)
     first = integrate_flow(m, f, starts[0], cfg, crits=crits)
     monkeypatch.undo()
     scalar = [first] + [integrate_flow(m, f, x0, cfg, crits=crits)
@@ -447,7 +549,7 @@ def test_batched_flow_raises_after_41_failed_retractions(sphere,
                                                         monkeypatch):
     m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
                         sphere.crits)
-    failed = _failing(monkeypatch, m, "retract_columns", 41)
+    failed = _failing_columns(monkeypatch, m, 41)
     with pytest.raises(FlowError, match="retraction kept failing after 40 "
                                         "step halvings"):
         flow_terminals(m, f, [NEAR_MINIMUM], cfg, crits=crits)
@@ -463,15 +565,14 @@ def test_drift_is_the_largest_violation_before_retraction(name, vectors,
     # accepted step, recomputed with the constraint map's value
     setup = request.getfixturevalue(name)
     m, f, cfg, crits = setup.manifold, setup.function, setup.cfg, setup.crits
-    retracted = []
-    original = m._gauss_newton
-
-    def recording(y, guard):
-        out = original(y, guard)
-        retracted.append(list(y))
-        return out
-    monkeypatch.setattr(m, "_gauss_newton", recording)
     x0 = m.sample_points(1, seed=31)[0]
+    retracted = []
+    original = m._map.gauss_newton(RETRACT_MAX_ITER)
+
+    def recording(tol, bound, *y):
+        retracted.append(list(y))
+        return original(tol, bound, *y)
+    monkeypatch.setitem(m._map._gn, RETRACT_MAX_ITER, recording)
     if vectors:
         v0 = m.random_tangent(x0, np.random.default_rng(4))
         stats = integrate_variational(m, f, x0, v0, cfg, crits=crits).stats
@@ -520,33 +621,91 @@ def test_field_derivative_matches_finite_differences(name):
         assert abs(v @ dw - q) <= 1e-12 * max(1.0, abs(q))
 
 
-def _outcome(step, *args):
-    """The step's result, or the type and text of the error it raised."""
+def _outcome(run, *args):
+    """The result, or the type and text of the error it raised."""
     try:
-        return step(*args)
+        return run(*args)
     except MorseflowError as exc:
         return type(exc), str(exc)
 
 
+def _bits(outcome):
+    """A flow outcome with each float series as its raw bytes."""
+    if len(outcome) == 2:
+        return outcome
+    terminal, stats, times, states, gnorms = outcome
+    return (terminal, stats, np.array(times).tobytes(),
+            np.array(states).tobytes(), np.array(gnorms).tobytes())
+
+
+def _assert_loop_matches_oracle(monkeypatch, field, sign, state, x_norm,
+                                cfg, crits, capture, fails=0):
+    """The generated loop and `_oracle_flow` from the same start, each
+    with the first `fails` retractions failing: the same times, states,
+    gradient norms, FlowStats and terminal bit for bit, or the same
+    error. Returns the outcome."""
+    outcomes = []
+    for run in (_oracle_flow, _cash_karp):
+        with monkeypatch.context() as patch:
+            _failing_retraction(patch, field.manifold, fails)
+            outcomes.append(_bits(_outcome(
+                run, field, sign, list(state), x_norm, cfg, crits, capture)))
+    want, got = outcomes
+    assert got == want
+    return got
+
+
+_CATALOG_FIXTURES = {"sphere2": "sphere", "sphereM": "sphere_m",
+                     "torus_upright": "torus", "clifford": "clifford"}
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_generated_step_matches_list_oracle(name):
-    # plain states and states with 1 and 2 vectors, at random h and both
-    # signs: (y5, err_scaled) equal, or the same error
+def test_generated_step_matches_list_oracle(name, request, monkeypatch):
+    # whole flows of plain states and states with 1 and 2 vectors, both
+    # signs, with capture and without it (then until t_max = 5), on the
+    # scenario's critical points and settings where it is in the catalog;
+    # one flow per state size asks for a first step of max_step, so that
+    # steps are rejected, and one has its first two retractions fail
     m, f = _scenario(name)
+    if name in _CATALOG_FIXTURES:
+        setup = request.getfixturevalue(_CATALOG_FIXTURES[name])
+        cfg, crits = setup.cfg, setup.crits
+    else:
+        cfg, crits = FlowConfig(), None
     field = GradientField(m, f)
     rng = np.random.default_rng(7)
-    cfg = FlowConfig()
-    for x in m.sample_points(4, seed=5):
+    counts = FlowStats()
+    kinds = set()
+    for i, x in enumerate(m.sample_points(2, seed=5)):
         point = x.tolist()
-        for sign, vectors in ((-1.0, 0), (1.0, 0), (-1.0, 1), (1.0, 2)):
+        for vectors in (0, 1, 2):
             state = point + [c for _ in range(vectors)
                              for c in m.random_tangent(x, rng).tolist()]
-            rhs = _checked_rhs(field, sign)
-            step = _stepper(field, sign, cfg, len(state))
-            k1 = rhs(state)
-            for h in 10.0 ** rng.uniform(-4.0, 0.0, 3):
-                want = _outcome(_oracle_step, rhs, h, state, k1, cfg)
-                assert _outcome(step, h, state, k1) == want
+            for sign, capture in itertools.product((-1.0, 1.0),
+                                                   (True, False)):
+                run_cfg = cfg if capture else cfg.replace(t_max=5.0)
+                big = i == 0 and sign < 0 and capture
+                outcome = _assert_loop_matches_oracle(
+                    monkeypatch, field, sign, state,
+                    1e6 if big else _norm(point), run_cfg, crits, capture,
+                    fails=2 if i == 1 and sign < 0 and capture else 0)
+                if len(outcome) == 5:
+                    kinds.add(outcome[0].kind)
+                    counts.rejected += outcome[1].rejected
+                    counts.retraction_halvings += (
+                        outcome[1].retraction_halvings)
+    assert counts.rejected > 0
+    assert counts.retraction_halvings >= 6
+    assert "max_time" in kinds
+
+
+def _cone_field():
+    # the cone's constraint gradient vanishes at its apex. At (0.5, 0,
+    # 0.5) the field of f = x3 is x / (2 x3) = x, and with a first step of
+    # max_step = 5 (a start norm of 1e3 asks for more) the second stage
+    # x + 5 * (0.2 * -x) lands on the apex exactly
+    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
+    return GradientField(cone, parse("x3", 3)), [0.5, 0.0, 0.5]
 
 
 def test_stage_leaving_the_domain_raises_the_checked_error():
@@ -570,18 +729,16 @@ def test_stage_leaving_the_domain_raises_the_checked_error():
 
 
 def test_stage_on_a_rank_deficient_jacobian_raises():
-    # the cone's constraint gradient vanishes at its apex; with powers of
-    # two the second stage y + h * 0.2 * k1 lands on it exactly
-    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
-    field = GradientField(cone, parse("x3", 3))
-    state = [0.25, 0.5, 1.0]
-    k1 = [-0.25, -0.5, -1.0]
+    field, x0 = _cone_field()
+    rhs = _checked_rhs(field, -1.0)
     cfg = FlowConfig()
+    assert rhs(x0) == [-0.5, -0.0, -0.5]
     with pytest.raises(RankDeficiencyError) as want:
-        _oracle_step(_checked_rhs(field, -1.0), 5.0, state, k1, cfg)
+        _oracle_step(rhs, 5.0, x0, rhs(x0), cfg)
     with pytest.raises(RankDeficiencyError) as got:
-        _stepper(field, -1.0, cfg, 3)(5.0, state, k1)
+        _cash_karp(field, -1.0, x0, 1e3, cfg)
     assert str(got.value) == str(want.value)
+    assert "[0.0, 0.0, 0.0]" in str(got.value)
 
 
 def test_variational_stage_leaving_the_domain_raises_the_checked_error():
@@ -607,13 +764,32 @@ def test_variational_stage_leaving_the_domain_raises_the_checked_error():
 def test_variational_stage_on_a_rank_deficient_jacobian_raises():
     # the plain case's cone apex, reached by the second stage with a
     # tangent vector in the state
-    cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
-    field = GradientField(cone, parse("x3", 3))
-    state = [0.25, 0.5, 1.0, 2.0, -1.0, 0.0]
-    k1 = [-0.25, -0.5, -1.0, 0.5, 0.25, 0.0]
+    field, x0 = _cone_field()
+    state = x0 + [0.0, 1.0, 0.0]
+    rhs = _checked_rhs(field, -1.0)
     cfg = FlowConfig()
     with pytest.raises(RankDeficiencyError) as want:
-        _oracle_step(_checked_rhs(field, -1.0), 5.0, state, k1, cfg)
+        _oracle_step(rhs, 5.0, state, rhs(state), cfg)
     with pytest.raises(RankDeficiencyError) as got:
-        _stepper(field, -1.0, cfg, 6)(5.0, state, k1)
+        _cash_karp(field, -1.0, state, 1e3, cfg)
+    assert str(got.value) == str(want.value)
+    assert "[0.0, 0.0, 0.0]" in str(got.value)
+
+
+def test_projection_failure_raises_the_checked_error(monkeypatch):
+    # a vector is re-projected at the retracted point by the unchecked
+    # `_rows`; where that divides by zero, the step is run again through
+    # the checked `project_rows`, whose RankDeficiencyError is raised
+    field, x0 = _cone_field()
+    m = field.manifold
+    state = [0.6, 0.8, 1.0, 0.0, 1.0, 0.8]
+    apex = [0.0, 0.0, 0.0]
+
+    def to_apex(tol, bound, *y):
+        return apex, (0.0,), "converged"
+    with pytest.raises(RankDeficiencyError) as want:
+        m._map.project_rows(apex, [0.0, 1.0, 0.0])
+    monkeypatch.setitem(m._map._gn, RETRACT_MAX_ITER, to_apex)
+    with pytest.raises(RankDeficiencyError) as got:
+        _cash_karp(field, -1.0, state, 1.0, FlowConfig())
     assert str(got.value) == str(want.value)

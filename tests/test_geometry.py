@@ -83,12 +83,12 @@ def test_field_projection_three_constraints():
         x /= np.linalg.norm(x)
         v = rng.standard_normal(5)
         proj = projector_oracle(m, x)
-        assert np.allclose(field.project(x.tolist(), v.tolist()), proj @ v,
+        assert np.allclose(m.project_tangent(x.tolist(), v.tolist()), proj @ v,
                            rtol=0.0, atol=1e-12)
         assert np.allclose(field.projected_gradient(x.tolist()),
                            proj @ np.eye(5)[2], rtol=0.0, atol=1e-12)
     with pytest.raises(RankDeficiencyError):
-        field.project([0.0] * 5, [1.0] * 5)
+        m.project_tangent([0.0] * 5, [1.0] * 5)
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,9 +110,10 @@ def test_field_projection_tangent_and_idempotent(name, seed, coords):
     x = m.sample_points(1, seed=seed)[0]
     v = coords[:m.ambient_dim]
     tol = 1e-12 * max(1.0, np.linalg.norm(v))
-    p = field.project(x.tolist(), v)
+    p = m.project_tangent(x.tolist(), v)
     assert np.max(np.abs(m.constraint_jacobian(x) @ p)) <= tol
-    assert np.allclose(field.project(x.tolist(), p), p, rtol=0.0, atol=tol)
+    assert np.allclose(m.project_tangent(x.tolist(), p), p, rtol=0.0,
+                       atol=tol)
 
 
 def test_riemannian_gradient_poles(sphere):

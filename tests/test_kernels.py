@@ -361,7 +361,8 @@ def test_field_matches_hand_written_projection(name):
         assert np.allclose(got, _project_tangent_oracle(
             m, np.array(x), grad.gradient(x)), rtol=0.0, atol=1e-14)
         v = rng.standard_normal(m.ambient_dim).tolist()
-        assert np.array_equal(field.project(x, v), _project_oracle(m, x, v))
+        assert np.array_equal(m.project_tangent(x, v),
+                              _project_oracle(m, x, v))
     cols = points.T.copy()
     assert np.array_equal(field.projected_gradient(cols),
                           _projected_gradient_oracle(m, f, cols))
@@ -459,11 +460,13 @@ def test_generated_retraction_statuses():
     with pytest.raises(RetractionError,
                        match=f"{RETRACT_MAX_ITER} retraction"):
         strict.retract(x, guard=None)
-    # the cone's apex satisfies F = 0 but has a zero Gram matrix: the step
-    # divides by zero, and `retract` still returns the converged point
+    # the cone's apex satisfies F = 0 but has a zero Gram matrix: the
+    # values are tested before the step, so the converged point returns
+    # without the division by zero
     cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
     apex = [0.0, 0.0, 0.0]
-    assert _generated_retraction(cone, apex, 0.1) == (apex, None, "failed")
+    assert _generated_retraction(cone, apex, 0.1) == (
+        apex, (0.0,), "converged")
     assert cone._gauss_newton(apex, 0.1) == (apex, (0.0,))
     # a domain error stops the loop; the checked step names the constraint
     m, _ = _scenario("sqrt_domain")
@@ -472,6 +475,21 @@ def test_generated_retraction_statuses():
     _check_generated_retraction(m, outside, 0.1)
     with pytest.raises(EvaluationError, match="sqrt"):
         m.retract(outside)
+
+
+def test_point_within_tolerance_is_returned_where_its_step_would_raise():
+    # at x3 = 0 the derivative 0.5 / sqrt(x3) divides by zero; (1, 0, 0)
+    # satisfies F = 0, so its step is never formed and it is returned
+    # (before the values were tested first, it raised EvaluationError),
+    # while a point off M there still needs that step and raises
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 - 1 + sqrt(x3)", 3)])
+    on = [1.0, 0.0, 0.0]
+    assert _generated_retraction(m, on, 0.1) == (on, (0.0,), "converged")
+    assert m.retract(on).tolist() == on
+    off = [1.1, 0.0, 0.0]
+    assert _generated_retraction(m, off, 0.1)[2] == "failed"
+    with pytest.raises(EvaluationError, match="division by zero"):
+        m.retract(off)
 
 
 def test_live_lines_keep_what_can_raise():
