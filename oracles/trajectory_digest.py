@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print four sha256 per catalog scenario over the bytes of seeded flows.
+"""Print five sha256 per catalog scenario over the bytes of seeded flows.
 
     python3 oracles/trajectory_digest.py [--starts 15]
 
@@ -22,7 +22,10 @@ basis's first two rows (the operator and its norm). A fourth,
 capture that `flatness_test` pushes a plane with: from each start, the
 first two rows of that basis pushed by `integrate_variational_multi(...,
 capture=False)` forward and backward for t = LIE_H_T and t = 1, and the
-`lie_derivative_estimate` made of the LIE_H_T pair. The package is
+`lie_derivative_estimate` made of the LIE_H_T pair. A fifth, `<scenario>
+basin <digest>`, covers the basin flows of `flow_terminals` from
+BASIN_STARTS points drawn from seed 3: each terminal and the end points
+as raw float64 bytes. The package is
 imported from this checkout's src/, so two checkouts print digests to
 compare line by line; equal digests mean bit-identical trajectories.
 """
@@ -39,10 +42,14 @@ import numpy as np  # noqa: E402
 
 from morseflow import integrate_flow, load_scenario  # noqa: E402
 from morseflow.catalog import ScenarioContext, list_scenarios  # noqa: E402
+from morseflow.flow import flow_terminals  # noqa: E402
 from morseflow.linearization import integrate_variational_multi  # noqa: E402
 from morseflow.transport import (  # noqa: E402
     LIE_H_T, holonomy_curvature, lie_derivative_estimate, parallel_transport,
 )
+
+
+BASIN_STARTS = 50
 
 
 def _update(digest, *arrays):
@@ -89,8 +96,8 @@ def scenario_digests(name, starts):
     m, f, crits, cfg = (session.manifold, session.function, session.crits,
                         session.cfg)
     rng = np.random.default_rng(2)
-    plain, variational, transport, pushed = (
-        hashlib.sha256() for _ in range(4))
+    plain, variational, transport, pushed, basin = (
+        hashlib.sha256() for _ in range(5))
     for i, x0 in enumerate(m.sample_points(starts, seed=1)):
         for direction in ("forward", "backward"):
             traj = integrate_flow(m, f, x0, cfg, direction=direction,
@@ -106,8 +113,14 @@ def scenario_digests(name, starts):
         _update(variational, times, points, *blocks)
         _update_outcome(variational, terminal, stats)
         _update_pushed(pushed, m, f, x0, cfg)
+    terminals, ends = flow_terminals(
+        m, f, m.sample_points(BASIN_STARTS, seed=3), cfg, crits=crits)
+    for terminal in terminals:
+        basin.update(repr((terminal.kind,
+                           terminal.critical_point_id)).encode())
+    _update(basin, ends)
     return tuple(d.hexdigest() for d in (plain, variational, transport,
-                                         pushed))
+                                         pushed, basin))
 
 
 if __name__ == "__main__":
@@ -118,5 +131,5 @@ if __name__ == "__main__":
     for name in list_scenarios():
         digests = scenario_digests(name, args.starts)
         for kind, digest in zip(("plain", "variational", "transport",
-                                 "pushed"), digests):
+                                 "pushed", "basin"), digests):
             print(name, kind, digest)

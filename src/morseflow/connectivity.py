@@ -148,9 +148,8 @@ class BasinReport:
 def basin_sample(m, f, crits, cfg, n, seed, points=None):
     """Flow n sampled starts to capture and tally the landing ids.
 
-    All starts are flowed together as one array (`flow_terminals`),
-    under `integrate_flow`'s step rules and capture; the terminals
-    matched the scalar path on every catalog basin start.
+    Each start is flowed by `flow_terminals`, which is the scalar path
+    of `integrate_flow`: every terminal is that flow's, bit for bit.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -1,36 +1,24 @@
 """Negative gradient flow on an implicit manifold.
 
-Two embedded Cash-Karp 5(4) steppers step the ambient ODE
-dx/dt = -+ P(x) grad f(x), with one tableau, one term order of the
-stage, B5 and error sums, and the same step-size rules and capture:
-
-- `_cash_karp` steps one flow over an augmented state of floats: the
-  point, then the pushforward vectors of the linearized flow (none for
-  the plain flow). `integrate_flow` and the variational flows use it.
-  Its whole accept/reject loop is one generated function per (n, state
-  size) (`_loop_factory`), defined per flow with the field kernel, the
-  constraint map's retraction `_gn` and row projection `_rows`, the
-  sign, the tolerances and the capture threshold bound. It hands back
-  to Python only to capture (once |P grad f| is below the threshold,
-  where the point becomes an array), to turn a retraction status other
-  than converged into a RetractionError, after which the step is
-  halved, and at a failed stage or projection. k1 at each accepted
-  point stays a call of the checked `GradientField.projected_gradient`,
-  so a failure there raises its named error at once.
-- `_cash_karp_columns` steps many plain forward flows as one (n, N)
-  array, with a time, step size, accept/reject decision and terminal per
-  column. Basin sampling uses it, through `flow_terminals`. Each column
-  follows the scalar stepper's step rules and term order. For polynomial
-  f the end points agree with the scalar ones to about 1e-14 (the
-  squared error terms round differently: `pow` for one float, a product
-  in numpy), and the terminals matched on all catalog basin starts.
-  numpy's sin/cos/exp/sqrt may differ from `math` in the last bit, so
-  there a start near a basin boundary may land elsewhere.
+One embedded Cash-Karp 5(4) stepper, `_cash_karp`, steps the ambient
+ODE dx/dt = -+ P(x) grad f(x) over an augmented state of floats: the
+point, then the pushforward vectors of the linearized flow (none for the
+plain flow). `integrate_flow`, the variational flows and the basin
+flows of `flow_terminals` all run it, one flow at a time. Its whole
+accept/reject loop is one generated function per (n, state size)
+(`_loop_factory`), defined per flow with the field kernel, the
+constraint map's retraction `_gn` and row projection `_rows`, the sign,
+the tolerances and the capture threshold bound. It hands back to Python
+only to capture (once |P grad f| is below the threshold, where the point
+becomes an array), to turn a retraction status other than converged
+into a RetractionError, after which the step is halved, and at a failed
+stage or projection. k1 at each accepted point stays a call of the
+checked `GradientField.projected_gradient`, so a failure there raises
+its named error at once.
 
 Every accepted point is retracted back onto M by the generated
 Gauss-Newton loop and the vectors are re-projected there, with the Gram
-sums and solve of the field kernel. The batch uses `retract_columns`,
-each column bit for bit its point. The constraint drift, which must
+sums and solve of the field kernel. The constraint drift, which must
 stay within an order of magnitude of the manifold tolerance, is max |F|
 at the unretracted point: the constraint values of the retraction's
 first iterate, so F is not evaluated a second time.
@@ -45,7 +33,6 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -227,27 +214,11 @@ def _first_step(cfg, x_norm, gnorm):
                0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
 
 
-def _shrink_factor(err_scaled):
-    """Step factor after a rejected step.
-
-    Both steppers compute the factors on Python floats, one start at a
-    time: numpy's vectorised power can differ from libm's in the last
-    bit, which would move the step sizes apart.
-    """
-    return max(MIN_SCALE, SAFETY * err_scaled ** -0.2)
-
-
-def _step_factor(err_scaled):
-    """Step factor after an accepted step."""
-    if err_scaled > 0.0:
-        return min(MAX_SCALE, _shrink_factor(err_scaled))
-    return MAX_SCALE
-
-
 def _weighted(weights, col):
     """Source of sum(map(mul, weights, col)): from 0.0, in stage order,
-    zero weights kept."""
-    terms = (f"{w!r} * {k}" for w, k in zip(weights, col))
+    without the terms of zero weight (a partial sum from 0.0 is never
+    -0.0, so for finite stages they add nothing)."""
+    terms = (f"{w!r} * {k}" for w, k in zip(weights, col) if w != 0.0)
     return f"({' + '.join(['0.0', *terms])})"
 
 
@@ -348,9 +319,15 @@ def _loop_factory(n, size):
         stages += [f"_, ({', '.join(gs)},) = vg({args})",
                    *(f"{k} = sign * {g}" for k, g in zip(ks[-1], gs))]
     cols = list(zip(*ks))
+    # the error scale max(|y|, |z|) as `max` picks it: the first unless
+    # the second is larger
+    y5 = [f"{z} = {y} + h * {_weighted(_CK_B5, col)}"
+          for z, y, col in zip(zs, ys, cols)]
+    for j, (y, z) in enumerate(zip(ys, zs), start=1):
+        y5.append(f"a{j}, b{j} = abs({y}), abs({z})")
     errors = (f"(h * {_weighted(_CK_ERR, col)} / (abs_tol + rel_tol * "
-              f"max(abs({y}), abs({z})))) ** 2"
-              for y, z, col in zip(ys, zs, cols))
+              f"(b{j} if b{j} > a{j} else a{j}))) ** 2"
+              for j, col in enumerate(cols, start=1))
     if size > n:
         accept = _ACCEPT_VECTORS.format(
             v=", ".join(ys[n:]), zv=", ".join(zs[n:]), state=state,
@@ -359,9 +336,7 @@ def _loop_factory(n, size):
         accept = f"{', '.join(ys)}, = state = point"
     source = _LOOP_SOURCE.format(
         names=", ".join(_FLOW_NAMES), state=state, size=size,
-        stages=_block(stages, 16), y5=_block(
-            f"{z} = {y} + h * {_weighted(_CK_B5, col)}"
-            for z, y, col in zip(zs, ys, cols)),
+        stages=_block(stages, 16), y5=_block(y5),
         errors=" + ".join(["0.0", *errors]), z=", ".join(zs[:n]),
         accept=_block([accept]), g=", ".join(gs),
         k1=_block(f"{k} = sign * {g}" for k, g in zip(ks[0], gs)),
@@ -428,120 +403,26 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
     return terminal, stats, times, states, gnorms
 
 
-def _cash_karp_columns(field, points, cfg, crits):
-    """Forward flow of every column of the (n, N) array `points` at once.
-
-    Each column is a start on M with its own time, step size,
-    accept/reject decision, halving count and terminal, under
-    `_cash_karp`'s rules and term order (per-row step control as in
-    Hairer, Norsett & Wanner, Solving ODEs I, II.4); see the module
-    docstring for how closely it follows the scalar path. A column leaves the active
-    set at its terminal. Returns the terminals and the last accepted
-    points as the rows of an (N, n) array.
-    """
-    m = field.manifold
-    n, count = points.shape
-    terminals = [None] * count
-    ends = np.empty((count, n))
-
-    def rhs(cols):
-        k = np.empty_like(cols)
-        for i, v in enumerate(field.projected_gradient(cols)):
-            k[i] = -v
-        return k
-
-    def norms(k):
-        return np.sqrt(sum(c * c for c in k)).tolist()
-
-    def capture(rows, gnorms):
-        # Positions `rows` of the active set were just accepted.
-        for j, gnorm in zip(rows, gnorms):
-            if gnorm < cfg.capture_grad_tol:
-                terminals[live[j]] = _capture(state[:, j], gnorm, crits, cfg)
-                done[j] = True
-
-    live = np.arange(count)
-    state = np.array(points, dtype=float)
-    k1 = rhs(state)
-    gnorms = norms(k1)
-    h = np.array([
-        _first_step(cfg, _norm(x), g)
-        for x, g in zip(state.T.tolist(), gnorms)
-    ])
-    t = np.zeros(count)
-    halvings = np.zeros(count, dtype=int)
-    done = np.zeros(count, dtype=bool)
-    capture(range(count), gnorms)
-
-    while True:
-        for j in np.flatnonzero(~done & (t >= cfg.t_max - 1e-13)):
-            terminals[live[j]] = Terminal("max_time")
-            done[j] = True
-        if done.any():
-            ends[live[done]] = state[:, done].T
-            live, state, k1, t, h, halvings = (
-                a[..., ~done] for a in (live, state, k1, t, h, halvings)
-            )
-            done = done[~done]
-        if not len(live):
-            return terminals, ends
-
-        h = np.minimum(np.minimum(h, cfg.t_max - t), cfg.max_step)
-        small = h < 1e-13 * np.maximum(1.0, t)
-        if small.any():
-            raise FlowError(f"step size underflow at t={t[small][0]}")
-
-        # The scalar stepper's stage, B5 and error sums, per column.
-        ks = [k1]
-        for row in _CK_A:
-            ks.append(rhs(state + h * sum(map(mul, row, ks))))
-        y_new = state + h * sum(map(mul, _CK_B5, ks))
-        err = h * sum(map(mul, _CK_ERR, ks))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(
-            np.abs(state), np.abs(y_new))
-        err_scaled = np.sqrt(sum((err / scale) ** 2) / n)
-
-        rejected = err_scaled > 1.0
-        shrink = np.flatnonzero(rejected)
-        h[shrink] *= [
-            _shrink_factor(e) for e in err_scaled[shrink].tolist()
-        ]
-        accepted = np.flatnonzero(~rejected)
-        retracted, ok = m.retract_columns(y_new[:, accepted])
-        failed = accepted[~ok]
-        halvings[failed] += 1
-        if (halvings[failed] > 40).any():
-            raise FlowError(
-                "retraction kept failing after 40 step halvings"
-            )
-        h[failed] *= 0.5
-
-        moved = accepted[ok]
-        halvings[moved] = 0
-        t[moved] += h[moved]
-        state[:, moved] = retracted[:, ok]
-        k1[:, moved] = rhs(state[:, moved])
-        capture(moved.tolist(), norms(k1[:, moved]))
-        grow = moved[~done[moved]]
-        h[grow] *= [
-            _step_factor(e) for e in err_scaled[grow].tolist()
-        ]
-
-
 def flow_terminals(m, f, starts, cfg=None, crits=None):
-    """Forward flows from many starts together: (terminals, end points).
+    """Forward flows from many starts: (terminals, end points).
 
-    The bulk counterpart of integrate_flow's terminal and end point,
-    used for basin sampling: the same start handling, step control and
-    capture, stepped for all starts as one array. The end points are the
-    rows of an (N, n) array.
+    The terminal and last point of `integrate_flow` from each start, used
+    for basin sampling: every start is checked and put on M first, then
+    each flow is `_cash_karp`, the scalar path itself. The end points are
+    the rows of an (N, n) array.
     """
     field = GradientField(m, f)
-    points = np.array([_start_point(m, x0) for x0 in starts], dtype=float)
-    return _cash_karp_columns(
-        field, points.reshape(-1, field.n).T, cfg or FlowConfig(),
-        list(crits) if crits is not None else [],
-    )
+    cfg = cfg or FlowConfig()
+    crits = list(crits) if crits is not None else []
+    points = [_start_point(m, x0).tolist() for x0 in starts]
+    terminals = []
+    ends = np.empty((len(points), field.n))
+    for end, xs in zip(ends, points):
+        terminal, _, _, states, _ = _cash_karp(field, -1.0, xs, _norm(xs),
+                                               cfg, crits)
+        terminals.append(terminal)
+        end[:] = states[-1]
+    return terminals, ends
 
 
 def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None):

@@ -180,17 +180,12 @@ class ImplicitManifold:
         guard=None to disable it (used by the rejection sampler, which
         filters on |F| < SAMPLE_KEEP_TOL and simply discards failures).
 
-        The array wrapper of `retract_floats`: the same iteration, on
+        The array wrapper of `_gauss_newton`: the same iteration, on
         Python floats. Raises RetractionError on a singular Gram matrix,
         a non-finite iterate, the guard, or RETRACT_MAX_ITER iterations.
         """
-        return np.array(self.retract_floats(
-            np.asarray(x, dtype=float).tolist(), guard))
-
-    def retract_floats(self, y, guard=0.1):
-        """`retract` of one point given and returned as a list of floats:
-        the point of `_gauss_newton`, one generated call."""
-        return self._gauss_newton(y, guard)[0]
+        return np.array(self._gauss_newton(
+            np.asarray(x, dtype=float).tolist(), guard)[0])
 
     def _gauss_newton(self, y, guard):
         """(point, values): `retract`'s iteration on the float list y, with
@@ -239,32 +234,6 @@ class ImplicitManifold:
             f"no convergence within {RETRACT_MAX_ITER} retraction iterations"
         )
 
-    def retract_columns(self, cols):
-        """`retract(x, guard=None)` of every column of an (n, N) array.
-
-        Each column follows the same Gauss-Newton iteration as alone, with
-        the same arithmetic: the constraint map's `normal_step` on the
-        columns, each column bit for bit its point. Returns (points, ok);
-        ok[j] is False where retracting column j alone would raise
-        RetractionError (singular Gram matrix, non-finite iterate, or
-        RETRACT_MAX_ITER iterations). A domain error of a constraint
-        raises EvaluationError for the batch.
-        """
-        y = np.array(cols, dtype=float)
-        ok = np.zeros(y.shape[1], dtype=bool)
-        live = np.arange(y.shape[1])
-        for _ in range(RETRACT_MAX_ITER):
-            vals, steps = (stack_columns(a, len(live))
-                           for a in self._map.normal_step(y[:, live]))
-            done = np.max(np.abs(vals), axis=0) <= self.constraint_tol
-            ok[live[done]] = True
-            live, steps = live[~done], steps[:, ~done]
-            if not len(live):
-                break
-            y[:, live] -= steps
-            live = live[np.all(np.isfinite(y[:, live]), axis=0)]
-        return y, ok
-
     def sample_points(self, count, seed):
         """`count` points on M as (count, ambient_dim) rows, roughly uniform.
 
@@ -277,13 +246,12 @@ class ImplicitManifold:
         The draws are made in blocks of SAMPLE_BLOCK with one
         `rng.random` call, the same stream as one call per draw. Each
         block is filtered as coordinate columns; its kept draws are
-        retracted together, in draw order and only as many as are still
-        needed, and rank-checked with one stacked SVD. Where a constraint
-        raises for some draw, that filter or retraction runs one draw at
-        a time, so only those draws are lost. The points are those of
-        drawing, filtering and retracting one draw at a time, bit for
-        bit where numpy's ufuncs agree with `math` (always for + - * /
-        and sqrt).
+        retracted one at a time by the generated Gauss-Newton loop, in
+        draw order and only as many as are still needed, and
+        rank-checked with one stacked SVD. Where a constraint raises for
+        some draw, that filter or rank check runs one draw at a time, so
+        only those draws are lost. The points are those of drawing,
+        filtering and retracting one draw at a time, bit for bit.
 
         Draw i (counting from 1) raises RetractionError when
         i > 20000 * (points found before it + 1) + 10000, so a box that
@@ -343,25 +311,29 @@ class ImplicitManifold:
     def _retract_checked(self, rows):
         """Rows retracted with guard=None, and where they pass the rank check.
 
-        Returns (points, ok) like `retract_columns`, in rows. Where a
-        constraint raises for some row, each row is retracted alone.
+        Returns (points, ok) in rows: each row is one `_gn` call, the
+        iteration of `retract`, and ok where it converged and the
+        Jacobian there passes `_checked_jacobian`'s rank check. Where a
+        constraint's derivative raises at some converged row, the rank
+        check runs one row at a time.
         """
-        try:
-            cols, ok = self.retract_columns(rows.T)
-            if ok.any():
-                jac = self.values_and_jacobian_columns(cols[:, ok])[1]
-                smallest = np.linalg.svd(jac, compute_uv=False)[:, -1]
-                ok[ok] = smallest > self.rank_tol
-            return cols.T, ok
-        except EvaluationError:
-            pass
+        gn = self._map.gauss_newton(RETRACT_MAX_ITER)
         points = rows.copy()
         ok = np.zeros(len(rows), dtype=bool)
-        for j, cand in enumerate(rows):
+        for j, y in enumerate(rows.tolist()):
+            point, _, status = gn(self.constraint_tol, math.inf, *y)
+            if status == "converged":
+                points[j] = point
+                ok[j] = True
+        if ok.any():
             try:
-                points[j] = self.retract(cand, guard=None)
-                self._checked_jacobian(points[j])
-            except (RetractionError, RankDeficiencyError, EvaluationError):
-                continue
-            ok[j] = True
+                jac = self.values_and_jacobian_columns(points[ok].T)[1]
+                smallest = np.linalg.svd(jac, compute_uv=False)[:, -1]
+                ok[ok] = smallest > self.rank_tol
+            except EvaluationError:
+                for j in np.flatnonzero(ok):
+                    try:
+                        self._checked_jacobian(points[j])
+                    except (RankDeficiencyError, EvaluationError):
+                        ok[j] = False
         return points, ok

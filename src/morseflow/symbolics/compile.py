@@ -53,11 +53,12 @@ would with all lines (columns under np.errstate no longer raise for the
 overflow of a dropped *, + or -); the field kernel, for one, forms no
 constraint value.
 
-Each source but `value`'s, `project_rows`'s, `_gn`'s and the field
-kernel's with vectors is compiled once and executed twice: with the
-`math` functions for one point given as floats, and with their numpy
-ufuncs for many points given as coordinate columns. The arithmetic is the same
-elementwise, so both give the same bits where `math` and numpy agree.
+Each source but `value`'s, `project_rows`'s, `normal_step`'s, `_gn`'s
+and the field kernel's with vectors is compiled once and executed twice:
+with the `math` functions for one point given as floats, and with their
+numpy ufuncs for many points given as coordinate columns. The arithmetic
+is the same elementwise, so both give the same bits where `math` and
+numpy agree.
 """
 
 import functools
@@ -627,7 +628,8 @@ class CompiledExpression:
       `project_rows(x, rows)` the tangential parts of d rows (d * n
       floats, row after row; `rows_function(d)` the unchecked function
       of each d, generated on first use), `normal_step(x)` (values,
-      J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward F = 0, and
+      J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward F = 0 from
+      one point, which names the failure of a retraction, and
       `gauss_newton(max_iter)` the unchecked function of the whole
       iteration for one point.
     - `expression` f with k >= 0 `constraints` (k = 0 for one
@@ -639,21 +641,21 @@ class CompiledExpression:
       and multipliers lam, `kkt_columns` the same for columns, and `jet`
       f's (value, gradient array, Hessian array).
 
-    `value`, `jet`, `kkt` and `project_rows` take one point and
-    `kkt_columns` columns; the other methods take one point or an
+    `value`, `jet`, `kkt`, `project_rows` and `normal_step` take one
+    point and `kkt_columns` columns; the other methods take one point or an
     (ambient_dim, N) array whose columns are N points (for `project`,
     with vec (ambient_dim, N) too), and then each number above is a
     length-N array, or a float where it does not depend on x. A domain
     error raises EvaluationError naming the first expression, in the
     order f, F_1, ..., F_k, that fails at x (with vectors, whose `jet`
     fails); a zero Gram determinant or pivot raises RankDeficiencyError,
-    except in `project` and `normal_step` for columns (see `_solve`).
+    except in `project` for columns (see `_solve`).
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
-        "_project_columns", "_step", "_step_columns", "_kkt", "_rows",
+        "_project_columns", "_step", "_kkt", "_rows",
         "_gn",
     )
 
@@ -691,8 +693,7 @@ class CompiledExpression:
         if not single:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
-            self._step, self._step_columns = _pair(_step_code(exprs, n),
-                                                   "_step")
+            self._step = _define(_step_code(exprs, n), "_step", _NAMESPACE)
 
     def value(self, x):
         """The value(s) at one point."""
@@ -828,9 +829,8 @@ class CompiledExpression:
         return function
 
     def normal_step(self, x):
-        """(F(x), J^T (J J^T)^{-1} F(x)) at one point or at columns, the
-        columns by `_solve`'s rule."""
-        return self._solve(self._step, self._step_columns, x)
+        """(F(x), J^T (J J^T)^{-1} F(x)) at one point."""
+        return self._call(self._step, None, x)
 
     def gauss_newton(self, max_iter):
         """The map's unchecked Gauss-Newton function `_gn(tol, bound, x1,

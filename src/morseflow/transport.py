@@ -8,7 +8,7 @@ from anisotropic shrinkage (plain Gram-Schmidt injects a first-order
 bias that shows up as fake curvature on flat product manifolds).
 
 A substep runs on Python floats from start to end: the retraction of
-the chord midpoint (`retract_floats`), the constraint map's generated
+the chord midpoint (`_gauss_newton`), the constraint map's generated
 `project_rows` at the midpoint and at the target, one Gram solve shared
 by all rows, and the generated polar step of `linalg.polar_function`
 (the Gram triangle, the bias, `jacobi_eigh`'s rotations and G^{-1/2}
@@ -78,10 +78,10 @@ def _transport_polyline(m, points, frame, max_substep):
         pieces = max(1, int(math.ceil(gap / max_substep)))
         prev = a
         for s in range(1, pieces + 1):
-            target = b if s == pieces else m.retract_floats(
-                _chord(a, b, s / pieces), guard=None)
-            mid = m.retract_floats(
-                [0.5 * (p + q) for p, q in zip(prev, target)], guard=None)
+            target = b if s == pieces else m._gauss_newton(
+                _chord(a, b, s / pieces), None)[0]
+            mid = m._gauss_newton(
+                [0.5 * (p + q) for p, q in zip(prev, target)], None)[0]
             frame, bias = polar(*project(target, project(mid, frame)))
             worst = max(worst, bias)
             prev = target
@@ -141,14 +141,14 @@ def _holonomy_operator(m, x, u, v, h, frame):
     """(I - holonomy) / h^2 of the retracted parallelogram x -> x+hu ->
     x+hu+hv -> x+hv -> x, each side cut into LOOP_SUBSTEPS retracted
     pieces, so the substep bound LOOP_H cuts no further."""
-    corners = [m.retract_floats(c.tolist(), guard=None)
+    corners = [m._gauss_newton(c.tolist(), None)[0]
                for c in (x + h * u, x + h * u + h * v, x + h * v)]
     corners = [x.tolist(), *corners, x.tolist()]
     points = [corners[0]]
     for a, b in zip(corners[:-1], corners[1:]):
         for s in range(1, LOOP_SUBSTEPS):
-            points.append(m.retract_floats(
-                _chord(a, b, s / LOOP_SUBSTEPS), guard=None))
+            points.append(m._gauss_newton(
+                _chord(a, b, s / LOOP_SUBSTEPS), None)[0])
         points.append(b)
     looped, _ = _transport_polyline(m, points, frame.ravel().tolist(), LOOP_H)
     # hol[i, j] = <frame_i, looped_j>

@@ -20,8 +20,8 @@ from morseflow.errors import (
     RankDeficiencyError, RetractionError,
 )
 from morseflow.flow import (
-    _CK_A, _CK_B5, _CK_ERR, FlowStats, GradientField, Terminal, _capture,
-    _cash_karp, _first_step, _norm, _shrink_factor, _step_factor,
+    _CK_A, _CK_B5, _CK_ERR, MAX_SCALE, MIN_SCALE, SAFETY, FlowStats,
+    GradientField, Terminal, _capture, _cash_karp, _first_step, _norm,
     flow_terminals,
 )
 from morseflow.geometry import RETRACT_MAX_ITER
@@ -230,16 +230,15 @@ def test_wrong_dimension_start_is_a_value_error(sphere):
                        sphere.cfg, crits=sphere.crits)
 
 
-# The batched stepper against the scalar one, start by start: same
-# terminal, and the same end point up to the last bits.
-def _assert_batch_matches_scalar(m, f, starts, cfg, crits, tol=1e-12):
+# The basin flows against integrate_flow, start by start: the same
+# terminal and the same end point, bit for bit.
+def _assert_batch_matches_scalar(m, f, starts, cfg, crits):
     terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
     assert len(terminals) == len(ends) == len(starts)
     for x0, terminal, end in zip(starts, terminals, ends):
         ref = integrate_flow(m, f, x0, cfg, crits=crits)
         assert terminal == ref.terminal
-        if tol is not None:
-            assert np.max(np.abs(end - ref.end)) <= tol
+        assert np.array_equal(end, ref.end)
 
 
 @pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
@@ -302,12 +301,15 @@ def test_flow_on_orthogonal_group():
 
 
 def test_batched_flow_non_polynomial(sphere):
-    # np.sin is not math.sin to the last bit, so only the terminals agree
+    # every basin flow evaluates sin and exp with `math`, as one flow
+    # does (numpy's exp differs from `math.exp` in the last bit on some
+    # arguments), so the end points agree bit for bit as well
     m = sphere.manifold
-    f = parse("sin(x3) + 0.1*x1", 3)
-    crits = find_critical_points(m, f, 50, seed=0)
-    _assert_batch_matches_scalar(m, f, m.sample_points(10, seed=4),
-                                 sphere.cfg, crits, tol=None)
+    for text in ("sin(x3) + 0.1*x1", "exp(x3) + 0.1*x1"):
+        f = parse(text, 3)
+        crits = find_critical_points(m, f, 50, seed=0)
+        _assert_batch_matches_scalar(m, f, m.sample_points(10, seed=4),
+                                     sphere.cfg, crits)
 
 
 def test_batched_flow_unresolved_terminals(sphere):
@@ -371,6 +373,18 @@ def _oracle_step(rhs, h, state, k1, cfg):
     return y_new, math.sqrt(err_scaled / len(state))
 
 
+def _shrink_factor(err_scaled):
+    """Step factor after a rejected step."""
+    return max(MIN_SCALE, SAFETY * err_scaled ** -0.2)
+
+
+def _step_factor(err_scaled):
+    """Step factor after an accepted step."""
+    if err_scaled > 0.0:
+        return min(MAX_SCALE, _shrink_factor(err_scaled))
+    return MAX_SCALE
+
+
 def _checked_rhs(field, sign):
     # the derivative of [x, V_1, ..., V_j], from the checked kernel call
     return lambda ys: [sign * v for v in field.projected_gradient(ys)]
@@ -379,8 +393,8 @@ def _checked_rhs(field, sign):
 def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
     """`_cash_karp` as the Python loop it was: `_oracle_step` with the
     checked field, `ImplicitManifold._gauss_newton` on the point part of
-    y5, the constraint map's `project` per vector, and the step factors,
-    capture and statistics of the module's helpers."""
+    y5, the constraint map's `project` per vector, the step factors
+    above, and the module's capture and statistics."""
     m = field.manifold
     n = field.n
     size = len(state)
@@ -461,22 +475,6 @@ def _failing_retraction(monkeypatch, m, fails):
     return failed
 
 
-def _failing_columns(monkeypatch, m, fails):
-    """Let `retract_columns` mark its first column not ok on its first
-    `fails` calls with columns. Returns the arguments of those calls."""
-    original = m.retract_columns
-    failed = []
-
-    def patched(*args):
-        points, ok = original(*args)
-        if len(ok) and len(failed) < fails:
-            failed.append(args)
-            ok[0] = False
-        return points, ok
-    monkeypatch.setattr(m, "retract_columns", patched)
-    return failed
-
-
 # Near the minimum the first step is large enough (about 1) to be halved
 # 40 times before the step size underflows.
 NEAR_MINIMUM = [0.1, 0.0, -math.sqrt(0.99)]
@@ -525,31 +523,33 @@ def test_retraction_failures_count_only_in_a_row(sphere, monkeypatch):
 
 def test_batched_flow_halves_a_column_whose_retraction_fails(sphere,
                                                              monkeypatch):
-    # the column stepper halves the first start's step once, through its
-    # ok mask, as the scalar stepper does after one RetractionError
+    # the starts are on M, so the first `_gn` call is the first start's
+    # first step: it fails, and that step is halved once, as in
+    # integrate_flow after one RetractionError
     m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
                         sphere.crits)
     starts = [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.6, 0.0, -0.8]]
-    failed = _failing_columns(monkeypatch, m, 1)
+    failed = _failing_retraction(monkeypatch, m, 1)
     terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
     monkeypatch.undo()
-    assert failed[0][0].shape == (3, 3)  # every start's first step accepted
-    _failing_retraction(monkeypatch, m, 1)
+    alone = _failing_retraction(monkeypatch, m, 1)
     first = integrate_flow(m, f, starts[0], cfg, crits=crits)
     monkeypatch.undo()
+    assert len(failed) == 1
+    assert failed == alone  # the same point, bit for bit
     scalar = [first] + [integrate_flow(m, f, x0, cfg, crits=crits)
                         for x0 in starts[1:]]
     assert first.stats.retraction_halvings == 1
     assert terminals == [traj.terminal for traj in scalar]
     for end, traj in zip(ends, scalar):
-        assert np.max(np.abs(end - traj.end)) <= 1e-12
+        assert np.array_equal(end, traj.end)
 
 
 def test_batched_flow_raises_after_41_failed_retractions(sphere,
                                                         monkeypatch):
     m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
                         sphere.crits)
-    failed = _failing_columns(monkeypatch, m, 41)
+    failed = _failing_retraction(monkeypatch, m, 41)
     with pytest.raises(FlowError, match="retraction kept failing after 40 "
                                         "step halvings"):
         flow_terminals(m, f, [NEAR_MINIMUM], cfg, crits=crits)
@@ -793,3 +793,37 @@ def test_projection_failure_raises_the_checked_error(monkeypatch):
     with pytest.raises(RankDeficiencyError) as got:
         _cash_karp(field, -1.0, state, 1.0, FlowConfig())
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("f, x2, stage", [
+    ("1e300*x2^4", 5e-100, math.inf),
+    ("1e300*x2^4 - 5e299*x2^4", 6.3e-100, math.nan),
+], ids=["inf", "nan"])
+def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
+                                                    monkeypatch):
+    # On the plane x3 = 0 from |x| = 1e6 the first step is max_step = 5,
+    # so the second stage lands at x2 = -500, where the product
+    # 4e300 * x2^3 overflows without an exception: k2 is inf, or nan for
+    # the difference of two infinite terms. The later stages and y5 are
+    # nan, an error estimate of nan is not above 1, and the retraction
+    # onto x3 = 0 leaves x2 as it is, so the flow stalls at a nan point,
+    # as the list oracle, which keeps the zero-weight terms, does too.
+    m = ImplicitManifold(3, [parse("x3", 3)])
+    field = GradientField(m, parse(f, 3))
+    x0 = [1e6, x2, 0.0]
+    k1 = [-v for v in field.projected_gradient(x0)]
+    assert round(k1[1]) == -500
+    second = [x + 5.0 * (0.2 * k) for x, k in zip(x0, k1)]
+    k2 = -field.projected_gradient(second)[1]
+    assert k2 == stage or math.isnan(stage) and math.isnan(k2)
+    terminal, stats, times, states, gnorms = _assert_loop_matches_oracle(
+        monkeypatch, field, -1.0, x0, _norm(x0), FlowConfig(), None, True)
+    assert terminal == Terminal("stalled")
+    assert stats.steps == 1 and stats.rejected == 0
+    end = np.frombuffer(states, dtype=float)[-3:]
+    assert np.frombuffer(times, dtype=float).tolist() == [0.0, 5.0]
+    assert end[0] == 1e6 and np.isnan(end[1]) and end[2] == 0.0
+    assert np.isnan(np.frombuffer(gnorms, dtype=float)[-1])
+    traj = integrate_flow(m, field.function, x0)
+    assert traj.terminal == terminal
+    assert np.array_equal(traj.end, end, equal_nan=True)

@@ -184,30 +184,6 @@ def test_rank_deficiency_detected():
         )
 
 
-@pytest.mark.parametrize("name", ["sphere", "torus", "clifford"])
-def test_retract_columns_matches_retract(name, request):
-    setup = request.getfixturevalue(name)
-    m = setup.manifold
-    rng = np.random.default_rng(6)
-    near = m.sample_points(40, seed=13)
-    near += 1e-3 * rng.standard_normal(near.shape)
-    points, ok = m.retract_columns(near.T)
-    assert ok.all()
-    for x, y in zip(near, points.T):
-        assert np.array_equal(m.retract(x, guard=None), y)
-
-
-def test_retract_columns_flags_failures(sphere):
-    # the centre has a zero Jacobian, so its Gram matrix is singular
-    cols = np.array([[0.6, 0.0, 0.0], [0.0, 0.0, 0.0], [0.9, 0.0, 1.1]])
-    with np.errstate(divide="raise", invalid="raise"):  # as in the stepper
-        points, ok = sphere.manifold.retract_columns(cols)
-    assert ok.tolist() == [True, False, True]
-    assert np.allclose(np.linalg.norm(points[:, ok], axis=0), 1.0)
-    with pytest.raises(RetractionError):
-        sphere.manifold.retract([0.0, 0.0, 0.0], guard=None)
-
-
 def _sample_points_per_draw(m, count, seed, keep_tol=0.5):
     """`sample_points` one draw at a time: the reference for its blocks."""
     rng = np.random.default_rng(seed)
@@ -256,7 +232,7 @@ def test_sampling_matches_per_draw(name):
 
 
 @pytest.mark.parametrize("n, constraints, rank_tol", [
-    # three constraints: the stacked solve of retract_columns
+    # three constraints: the generated elimination of the retraction
     (5, ["x1^2 + x2^2 + x3^2 - 1", "x4", "x5"], 1e-6),
     # sqrt(x1 + 1) raises for x1 < -1, a twelfth of the box: only those
     # draws are lost, the rest of their block is used
@@ -264,12 +240,33 @@ def test_sampling_matches_per_draw(name):
     # a double root: retraction stops with |grad F| near 1e-4, so about
     # two thirds of the retracted draws fail the rank check
     (3, ["(x1^2 + x2^2 + x3^2 - 1)^2"], 1e-4),
-], ids=["three_constraints", "domain_error", "rank_check"])
+    # sin and exp, where numpy's ufuncs need not agree with `math` in the
+    # last bit (exp differs on some draws): each draw is retracted by the
+    # generated loop, with `math`, as alone
+    (3, ["x1^2 + x2^2 + x3^2 - 1 + 0.1*sin(x1)"], 1e-6),
+    (3, ["x1^2 + x2^2 + x3^2 - 1 + 0.1*exp(x1)"], 1e-6),
+], ids=["three_constraints", "domain_error", "rank_check", "transcendental",
+        "exp"])
 def test_sampling_matches_per_draw_off_catalog(n, constraints, rank_tol):
     m = ImplicitManifold(n, [parse(c, n) for c in constraints],
                          rank_tol=rank_tol, bounding_box=(-1.2, 1.2))
     for count in (1, 2, 60, 600, 2000):
         _assert_sampler_parity(m, count, seed=count)
+
+
+def test_rank_check_drops_a_point_whose_jacobian_raises():
+    # (1, 0, 0) satisfies F = 0, so its retraction converges without the
+    # derivative 0.5 / sqrt(x3), which divides by zero there: only that
+    # row fails the rank check, as the draw alone fails `_checked_jacobian`
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 - 1 + sqrt(x3)", 3)])
+    on = [1.0, 0.0, 0.0]
+    near = [0.6, 0.7, 0.01]
+    assert m.retract(on, guard=None).tolist() == on
+    with pytest.raises(EvaluationError, match="division by zero"):
+        m._checked_jacobian(on)
+    points, ok = m._retract_checked(np.array([near, on, [0.6, 0.0, -0.1]]))
+    assert ok.tolist() == [True, False, False]
+    assert np.array_equal(points[0], m.retract(near, guard=None))
 
 
 def test_sampling_no_points(sphere):

@@ -174,6 +174,10 @@ def _projected_gradient_oracle(m, f, xs):
     return _project_oracle(m, xs, grad)
 
 
+def _values_oracle(m, x):
+    return np.array([c.value(x) for c in _compiled(m)])
+
+
 def _values_and_jacobian_oracle(m, x):
     vals, rows = [], []
     for c in _compiled(m):
@@ -181,17 +185,6 @@ def _values_and_jacobian_oracle(m, x):
         vals.append(v)
         rows.append(g)
     return np.array(vals), np.array(rows)
-
-
-def _values_and_jacobian_columns_oracle(m, cols):
-    count = cols.shape[1]
-    vals = np.empty((m.n_constraints, count))
-    jac = np.empty((count, m.n_constraints, m.ambient_dim))
-    for c, comp in enumerate(_compiled(m)):
-        vals[c], grad = comp.value_and_grad(cols)
-        for i, g in enumerate(grad):
-            jac[:, c, i] = g
-    return vals, jac
 
 
 def _project_tangent_oracle(m, x, v):
@@ -242,14 +235,15 @@ def _retract_oracle(m, x, guard=0.1, max_iter=RETRACT_MAX_ITER,
                     lapack=False):
     """ImplicitManifold.retract written out: the step of `_step_branches`
     and plain norms, or with lapack=True numpy's solve and norms as
-    retract had them before."""
+    retract had them before. The values are tested before the Jacobian
+    is formed, so a point within tolerance returns where that raises."""
     norm = np.linalg.norm if lapack else _plain_norm
     y = np.asarray(x, dtype=float).copy()
     scale = 1.0 + norm(y)
     for it in range(max_iter):
-        vals, jac = _values_and_jacobian_oracle(m, y)
-        if np.max(np.abs(vals)) <= m.constraint_tol:
+        if np.max(np.abs(_values_oracle(m, y))) <= m.constraint_tol:
             return y
+        vals, jac = _values_and_jacobian_oracle(m, y)
         try:
             if lapack:
                 step = normal_part(jac, vals)
@@ -271,32 +265,6 @@ def _retract_oracle(m, x, guard=0.1, max_iter=RETRACT_MAX_ITER,
     raise RetractionError(
         f"no convergence within {max_iter} retraction iterations"
     )
-
-
-def _retract_columns_oracle(m, cols):
-    """retract_columns as it was: a stacked numpy solve."""
-    y = np.array(cols, dtype=float)
-    ok = np.zeros(y.shape[1], dtype=bool)
-    live = np.arange(y.shape[1])
-    for _ in range(RETRACT_MAX_ITER):
-        vals, jac = _values_and_jacobian_columns_oracle(m, y[:, live])
-        done = np.max(np.abs(vals), axis=0) <= m.constraint_tol
-        ok[live[done]] = True
-        live, vals, jac = live[~done], vals[:, ~done], jac[~done]
-        if not len(live):
-            break
-        try:
-            steps = normal_part(jac, vals.T)
-        except np.linalg.LinAlgError:
-            steps = np.full((len(live), m.ambient_dim), np.nan)
-            for j in range(len(live)):
-                try:
-                    steps[j] = normal_part(jac[j:j + 1], vals.T[j:j + 1])
-                except np.linalg.LinAlgError:
-                    pass
-        y[:, live] -= steps.T
-        live = live[np.all(np.isfinite(y[:, live]), axis=0)]
-    return y, ok
 
 
 def _outcome(fn, *args, **kwargs):
@@ -369,8 +337,7 @@ def test_field_matches_hand_written_projection(name):
 
 
 def _check_retraction(name):
-    """Points against both retraction oracles, and each column of a batch
-    against its point."""
+    """Points against both retraction oracles."""
     m, _ = _scenario(name)
     _, near, draws = _points(name)
     cases = [(x, 0.1) for x in near]
@@ -380,17 +347,6 @@ def _check_retraction(name):
         _assert_same(got, _outcome(_retract_oracle, m, x, guard=guard))
         _assert_close(got, _outcome(_retract_oracle, m, x, guard=guard,
                                     lapack=True))
-    for cols in (near.T, draws.T):
-        got, ok = m.retract_columns(cols)
-        want, want_ok = _retract_columns_oracle(m, cols)
-        assert np.array_equal(ok, want_ok)
-        assert np.allclose(got[:, ok], want[:, ok], rtol=0.0, atol=1e-14)
-        for x, y, good in zip(cols.T, got.T, ok):
-            alone = _outcome(m.retract, x, guard=None)
-            if good:
-                assert np.array_equal(alone, y)
-            else:
-                assert alone[0] is RetractionError
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -426,7 +382,7 @@ def _check_generated_retraction(m, x, guard):
     if not _is_error(want):
         assert status == "converged"
         assert point == want.tolist()
-        vals = _values_and_jacobian_oracle(m, np.asarray(x, dtype=float))[0]
+        vals = _values_oracle(m, np.asarray(x, dtype=float))
         assert first == tuple(vals.tolist())
     elif want[0] is EvaluationError:
         assert status == "failed"
@@ -484,10 +440,10 @@ def test_point_within_tolerance_is_returned_where_its_step_would_raise():
     # while a point off M there still needs that step and raises
     m = ImplicitManifold(3, [parse("x1^2 + x2^2 - 1 + sqrt(x3)", 3)])
     on = [1.0, 0.0, 0.0]
-    assert _generated_retraction(m, on, 0.1) == (on, (0.0,), "converged")
+    _check_generated_retraction(m, on, 0.1)
     assert m.retract(on).tolist() == on
     off = [1.1, 0.0, 0.0]
-    assert _generated_retraction(m, off, 0.1)[2] == "failed"
+    _check_generated_retraction(m, off, 0.1)
     with pytest.raises(EvaluationError, match="division by zero"):
         m.retract(off)
 
@@ -597,14 +553,6 @@ def test_error_parity():
     assert "basin" in _outcome(sphere.retract, [3.0, 0.0, 0.0])[1]
     assert "non-finite" in _outcome(sphere.retract, [1e200, 0.0, 0.0],
                                     guard=None)[1]
-    cols = np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.9]])
-    with np.errstate(all="raise"):  # the singular column raises nothing
-        got, ok = sphere.retract_columns(cols)
-    want_ok = _retract_columns_oracle(sphere, cols)[1]
-    assert ok.tolist() == want_ok.tolist() == [False, True]
-    assert np.array_equal(got[:, 1], sphere.retract(cols[:, 1], guard=None))
-    got, ok = doubled.retract_columns(cols[:, 1:2])
-    assert ok.tolist() == [False]
     assert _outcome(sphere5.retract, origin5)[0] is RetractionError
     # `project` of columns: a zero Gram matrix (a zero Jacobian row, a
     # zero first pivot) makes only its own column's weights non-finite
@@ -617,12 +565,6 @@ def test_error_parity():
         assert not np.isfinite(weights[:, 0]).all()
         want = m._map.project(good, np.ones(len(x)))[1]
         assert weights[:, 1].tolist() == list(want)
-    cols = np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.9], [0.0, 0.0],
-                     [0.0, 0.0]])
-    with np.errstate(all="raise"):
-        got, ok = sphere5.retract_columns(cols)
-    assert ok.tolist() == [False, True]
-    assert np.array_equal(got[:, 1], sphere5.retract(cols[:, 1], guard=None))
 
     # the iteration limit, with a tolerance no iterate reaches
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
@@ -631,7 +573,6 @@ def test_error_parity():
                  _outcome(_retract_oracle, strict, x, guard=None))
     assert f"{RETRACT_MAX_ITER} retraction" in _outcome(
         strict.retract, x, guard=None)[1]
-    assert not strict.retract_columns(np.array([x]).T)[1].any()
 
     # a domain error names the failing constraint, as one compiled
     # constraint did
