@@ -25,7 +25,13 @@ capture=False)` forward and backward for t = LIE_H_T and t = 1, and the
 `lie_derivative_estimate` made of the LIE_H_T pair. A fifth, `<scenario>
 basin <digest>`, covers the basin flows of `flow_terminals` from
 BASIN_STARTS points drawn from seed 3: each terminal and the end points
-as raw float64 bytes. The package is
+as raw float64 bytes. Then one line `<scenario> flows <digest>` for
+each of two scenarios off the catalog whose field reads sin, cos and
+exp (`transcendental`) or sqrt (`sqrt_domain`, which raises where
+x1 < -1), over the `integrate_flow` runs forward and backward and the
+`integrate_variational_multi` run with one or two vectors from each
+start, without critical points (a small gradient stalls); a flow that
+raises adds its error's type and text. The package is
 imported from this checkout's src/, so two checkouts print digests to
 compare line by line; equal digests mean bit-identical trajectories.
 """
@@ -40,8 +46,11 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from morseflow import integrate_flow, load_scenario  # noqa: E402
+from morseflow import (  # noqa: E402
+    FlowConfig, ImplicitManifold, integrate_flow, load_scenario, parse,
+)
 from morseflow.catalog import ScenarioContext, list_scenarios  # noqa: E402
+from morseflow.errors import MorseflowError  # noqa: E402
 from morseflow.flow import flow_terminals  # noqa: E402
 from morseflow.linearization import integrate_variational_multi  # noqa: E402
 from morseflow.transport import (  # noqa: E402
@@ -50,6 +59,13 @@ from morseflow.transport import (  # noqa: E402
 
 
 BASIN_STARTS = 50
+# (constraint, f) on R^3, both also scenarios of tests/test_kernels.py
+OFF_CATALOG = {
+    "transcendental": ("x1^2 + x2^2 + x3^2 - 1 + 0.1*sin(x1)",
+                       "sin(x3) + 0.3*cos(x1*x2) + 0.1*exp(x2)"),
+    "sqrt_domain": ("x1^2 + x2^2 + x3^2 - 1 + 1e-4*sqrt(x1 + 1)",
+                    "x3 + 0.2 * x1 * x2"),
+}
 
 
 def _update(digest, *arrays):
@@ -123,6 +139,35 @@ def scenario_digests(name, starts):
                                          pushed, basin))
 
 
+def off_catalog_digest(name, starts):
+    constraint, function = OFF_CATALOG[name]
+    m = ImplicitManifold(3, [parse(constraint, 3)], bounding_box=(-1.2, 1.2))
+    f = parse(function, 3)
+    cfg = FlowConfig()
+    rng = np.random.default_rng(2)
+    digest = hashlib.sha256()
+    for i, x0 in enumerate(m.sample_points(starts, seed=1)):
+        runs = [(integrate_flow, (m, f, x0, cfg, direction))
+                for direction in ("forward", "backward")]
+        vectors = [m.random_tangent(x0, rng) for _ in range(1 + i % 2)]
+        runs.append((integrate_variational_multi, (m, f, x0, vectors, cfg)))
+        for run, args in runs:
+            try:
+                out = run(*args)
+            except MorseflowError as exc:
+                digest.update(repr((type(exc).__name__, str(exc))).encode())
+                continue
+            if run is integrate_flow:
+                _update(digest, out.times, out.points, out.f_values,
+                        out.grad_norms)
+                _update_outcome(digest, out.terminal, out.stats)
+            else:
+                times, points, blocks, terminal, stats = out
+                _update(digest, times, points, *blocks)
+                _update_outcome(digest, terminal, stats)
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--starts", type=int, default=15,
@@ -133,3 +178,5 @@ if __name__ == "__main__":
         for kind, digest in zip(("plain", "variational", "transport",
                                  "pushed", "basin"), digests):
             print(name, kind, digest)
+    for name in OFF_CATALOG:
+        print(name, "flows", off_catalog_digest(name, args.starts))

@@ -5,16 +5,20 @@ ODE dx/dt = -+ P(x) grad f(x) over an augmented state of floats: the
 point, then the pushforward vectors of the linearized flow (none for the
 plain flow). `integrate_flow`, the variational flows and the basin
 flows of `flow_terminals` all run it, one flow at a time. Its whole
-accept/reject loop is one generated function per (n, state size)
-(`_loop_factory`), defined per flow with the field kernel, the
-constraint map's retraction `_gn` and row projection `_rows`, the sign,
-the tolerances and the capture threshold bound. It hands back to Python
-only to capture (once |P grad f| is below the threshold, where the point
-becomes an array), to turn a retraction status other than converged
-into a RetractionError, after which the step is halved, and at a failed
-stage or projection. k1 at each accepted point stays a call of the
+accept/reject loop is one generated function per field kernel and state
+size (`_loop_factory`, kept on the kernel), with the kernel's lines
+written into each of the five stages after k1, so no stage calls the
+kernel. It is defined per flow with the constraint map's retraction
+`_gn` and row projection `_rows`, the sign, the tolerances and the
+capture threshold bound. It hands back to Python only to capture (once
+|P grad f| is below the threshold, where the point becomes an array),
+to turn a retraction status other than converged into a
+RetractionError, after which the step is halved, and at a failed stage
+or projection, whose arguments it returns: the one checked call on them
+raises the named error. k1 at each accepted point stays a call of the
 checked `GradientField.projected_gradient`, so a failure there raises
-its named error at once.
+its named error at once. A step is rejected unless its error estimate
+is at most 1, so a nan estimate is rejected too.
 
 Every accepted point is retracted back onto M by the generated
 Gauss-Newton loop and the vectors are re-projected there, with the Gram
@@ -30,7 +34,6 @@ as Stalled (an unregistered critical point upstream).
 """
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +43,7 @@ from .errors import FlowError, NotConvergedError, RetractionError
 from .geometry import RETRACT_MAX_ITER
 from .linalg import row_norms
 from .symbolics import compile_expression
-from .symbolics.compile import _FAILURES, _define
+from .symbolics.compile import _FAILURES, _NAMESPACE, _define, prefixed
 
 # Cash-Karp tableau: 5th order propagated, 4th order for the error gap.
 _CK_A = (
@@ -226,33 +229,41 @@ def _weighted(weights, col):
 # per flow, and `_LOOP_NAMESPACE`.
 _FLOW_NAMES = (
     "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
-    "capture", "vg", "pg", "gn", "retracted", "rows", "stats",
+    "capture", "pg", "gn", "retracted", "rows", "stats",
     "record_time", "record_state", "record_gnorm",
 )
 _LOOP_NAMESPACE = {
-    "sqrt": math.sqrt, "inf": math.inf, "_FAILURES": _FAILURES,
+    **_NAMESPACE, "inf": math.inf, "_FAILURES": _FAILURES,
     "FlowError": FlowError, "RetractionError": RetractionError,
     "SAFETY": SAFETY, "MIN_SCALE": MIN_SCALE, "MAX_SCALE": MAX_SCALE,
     "MAX_TIME": Terminal("max_time"),
 }
+# The step size and the step factors are clipped by conditionals that
+# pick what `min` and `max` pick: the first argument unless a later one
+# is strictly smaller (larger).
 _LOOP_SOURCE = """\
 def _make({names}):
-    def _flow{state}:
+    def _flow(h, {state}):
+        t = 0.0
+        halvings = 0
+        drift = 0.0
         while True:
             if t >= t_max - 1e-13:
-                return MAX_TIME, {state}
-            h = min(h, t_max - t, max_step)
-            if h < 1e-13 * max(1.0, t):
+                return MAX_TIME, drift
+            rest = t_max - t
+            if rest < h:
+                h = rest
+            if max_step < h:
+                h = max_step
+            if h < 1e-13 * (t if t > 1.0 else 1.0):
                 raise FlowError(f"step size underflow at t={{t}}")
-            try:
 {stages}
-            except _FAILURES:
-                return None, {state}
 {y5}
             err = sqrt(({errors}) / {size})
-            if err > 1.0:
+            if not err <= 1.0:
                 stats.rejected += 1
-                h *= max(MIN_SCALE, SAFETY * err ** -0.2)
+                factor = SAFETY * err ** -0.2
+                h *= factor if factor > MIN_SCALE else MIN_SCALE
                 continue
             point, first, status = gn(tol, inf, {z})
             if status != "converged":
@@ -268,7 +279,7 @@ def _make({names}):
                     continue
 {accept}
             halvings = 0
-            drift = max(drift, max(map(abs, first)))
+{drift}
             t += h
             {g}, = pg(state)
 {k1}
@@ -279,18 +290,18 @@ def _make({names}):
             if not gnorm >= threshold:
                 terminal = capture(point, gnorm)
                 if terminal is not None:
-                    return terminal, {state}
-            if err > 0.0:
-                h *= min(MAX_SCALE, max(MIN_SCALE, SAFETY * err ** -0.2))
-            else:
-                h *= MAX_SCALE
+                    return terminal, drift
+            factor = SAFETY * err ** -0.2 if err > 0.0 else MAX_SCALE
+            if not factor > MIN_SCALE:
+                factor = MIN_SCALE
+            h *= factor if factor < MAX_SCALE else MAX_SCALE
     return _flow
 """
 _ACCEPT_VECTORS = """\
 try:
     {v} = rows(*point, {zv})
 except _FAILURES:
-    return None, {state}
+    return "rows", (point, [{zv}])
 {x} = point
 state = [{y}]"""
 
@@ -301,23 +312,44 @@ def _block(lines, depth=12):
     return "\n".join(" " * depth + line for line in text.split("\n"))
 
 
-@functools.lru_cache(maxsize=None)
-def _loop_factory(n, size):
-    """`_make(*_FLOW_NAMES)` of `_LOOP_SOURCE` for a state of `size`
-    floats, the point its first n: `_flow(t, h, halvings, drift, y...,
-    k1...)` returns (terminal, its arguments at the end), or, where a
-    stage or `rows` raised, (None, its arguments at that step's start).
+def _loop_factory(kernel, size):
+    """`_make(*_FLOW_NAMES)` of `_LOOP_SOURCE` for the field kernel and a
+    state of `size` floats, generated on first use and kept on the
+    kernel, so that it goes with the kernel. `_make(**names)` defines one
+    flow's `_flow(h, y..., k1...)`, which returns (terminal, largest
+    drift), or ("stage", its arguments) where a stage raised and ("rows",
+    (point, vectors)) where the re-projection did.
+
+    Stage i assigns its arguments, the state plus h times the weighted
+    earlier stages, to the parameters of the kernel's lines
+    (`field_lines`, each name prefixed by `s<i>_`), runs the lines and
+    takes k<i>_j = sign * (output j).
     """
+    make = kernel._loops.get(size)
+    if make is not None:
+        return make
+    n = kernel.ambient_dim
     ys, zs, gs = ([f"{c}{j}" for j in range(1, size + 1)] for c in "yzg")
     ks = [[f"k1_{j}" for j in range(1, size + 1)]]
-    state = f"(t, h, halvings, drift, {', '.join(ys + ks[0])})"
+    params, lines, outputs = kernel.field_lines(size)
     stages = []
     for i, row in enumerate(_CK_A, start=2):
-        args = ", ".join(f"{y} + h * {_weighted(row, col)}"
-                         for y, col in zip(ys, zip(*ks)))
+        args = [prefixed(p, f"s{i}_") for p in params]
+        stages += [f"{a} = {y} + h * {_weighted(row, col)}"
+                   for a, y, col in zip(args, ys, zip(*ks))]
         ks.append([f"k{i}_{j}" for j in range(1, size + 1)])
-        stages += [f"_, ({', '.join(gs)},) = vg({args})",
-                   *(f"{k} = sign * {g}" for k, g in zip(ks[-1], gs))]
+        stages += ["try:",
+                   *(f"    {prefixed(line, f's{i}_')}" for line in lines),
+                   *(f"    {k} = sign * ({prefixed(out, f's{i}_')})"
+                     for k, out in zip(ks[-1], outputs)),
+                   "except _FAILURES:",
+                   f"    return \"stage\", [{', '.join(args)}]"]
+    # the drift max(drift, max(map(abs, first))) as `max` picks it
+    cs = [f"c{i}" for i in range(1, len(kernel.constraints) + 1)]
+    drift = [f"{', '.join(cs)}, = first", "c = abs(c1)"]
+    for c in cs[1:]:
+        drift += [f"{c} = abs({c})", f"if {c} > c:", f"    c = {c}"]
+    drift += ["if c > drift:", "    drift = c"]
     cols = list(zip(*ks))
     # the error scale max(|y|, |z|) as `max` picks it: the first unless
     # the second is larger
@@ -330,19 +362,21 @@ def _loop_factory(n, size):
               for j, col in enumerate(cols, start=1))
     if size > n:
         accept = _ACCEPT_VECTORS.format(
-            v=", ".join(ys[n:]), zv=", ".join(zs[n:]), state=state,
+            v=", ".join(ys[n:]), zv=", ".join(zs[n:]),
             x=", ".join(ys[:n]), y=", ".join(ys))
     else:
         accept = f"{', '.join(ys)}, = state = point"
     source = _LOOP_SOURCE.format(
-        names=", ".join(_FLOW_NAMES), state=state, size=size,
-        stages=_block(stages, 16), y5=_block(y5),
+        names=", ".join(_FLOW_NAMES), state=", ".join(ys + ks[0]),
+        size=size, stages=_block(stages), y5=_block(y5),
         errors=" + ".join(["0.0", *errors]), z=", ".join(zs[:n]),
-        accept=_block([accept]), g=", ".join(gs),
+        accept=_block([accept]), drift=_block(drift), g=", ".join(gs),
         k1=_block(f"{k} = sign * {g}" for k, g in zip(ks[0], gs)),
         gnorm=" + ".join(f"{k} * {k}" for k in ks[0][:n]))
-    return _define(compile(source, f"<flow-loop:{n}:{size}>", "exec"),
-                   "_make", _LOOP_NAMESPACE)
+    make = kernel._loops[size] = _define(
+        compile(source, f"<flow-loop:{n}:{size}>", "exec"), "_make",
+        _LOOP_NAMESPACE)
+    return make
 
 
 def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
@@ -357,11 +391,12 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
     start and every accepted step.
 
     After the start sample the whole loop is one call of a `_flow`
-    defined for this flow by `_loop_factory`. If a stage or the
-    re-projection fails there, `_flow` is defined again with the checked
-    `value_and_grad` and `project_rows` and run from the start of that
-    step, which raises the EvaluationError naming the failing
-    expression, or the RankDeficiencyError, of that call.
+    defined for this flow by `_loop_factory`, with the field kernel's
+    lines inlined in each stage. If a stage or the re-projection fails
+    there, `_flow` returns that call's arguments, and the one checked
+    call on them, `value_and_grad` or `project_rows`, raises the
+    EvaluationError naming the failing expression, or the
+    RankDeficiencyError.
     """
     m = field.manifold
     n = field.n
@@ -378,27 +413,22 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
     times, states, gnorms = [0.0], [state], [gnorm]
     terminal = capture_at(state[:n], gnorm)
     if terminal is None:
-        kernel, project_rows = field._kernel, m._map.project_rows
-        names = {
-            "sign": sign, "abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol,
-            "t_max": cfg.t_max, "max_step": cfg.max_step,
-            "tol": m.constraint_tol, "threshold": threshold,
-            "capture": capture_at, "vg": kernel.field_function(size),
-            "pg": field.projected_gradient,
-            "gn": m._map.gauss_newton(RETRACT_MAX_ITER),
-            "retracted": m._retracted,
-            "rows": m._map.rows_function(size // n - 1) if size > n else None,
-            "stats": stats, "record_time": times.append,
-            "record_state": states.append, "record_gnorm": gnorms.append,
-        }
-        make = _loop_factory(n, size)
-        terminal, loop_state = make(**names)(
-            0.0, _first_step(cfg, x_norm, gnorm), 0, 0.0, *state, *k1)
-        if terminal is None:
-            names["vg"] = lambda *xs: kernel.value_and_grad(xs)
-            names["rows"] = lambda *xs: project_rows(xs[:n], xs[n:])
-            terminal, loop_state = make(**names)(*loop_state)
-        stats.max_constraint_drift = loop_state[3]
+        flow = _loop_factory(field._kernel, size)(
+            sign=sign, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
+            t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
+            threshold=threshold, capture=capture_at,
+            pg=field.projected_gradient,
+            gn=m._map.gauss_newton(RETRACT_MAX_ITER),
+            retracted=m._retracted,
+            rows=m._map.rows_function(size // n - 1) if size > n else None,
+            stats=stats, record_time=times.append,
+            record_state=states.append, record_gnorm=gnorms.append)
+        terminal, end = flow(_first_step(cfg, x_norm, gnorm), *state, *k1)
+        if terminal == "stage":
+            field._kernel.value_and_grad(end)  # raises the stage's error
+        elif terminal == "rows":
+            m._map.project_rows(*end)  # raises the projection's error
+        stats.max_constraint_drift = end
     stats.steps = len(times) - 1
     return terminal, stats, times, states, gnorms
 

@@ -53,6 +53,13 @@ would with all lines (columns under np.errstate no longer raise for the
 overflow of a dropped *, + or -); the field kernel, for one, forms no
 constraint value.
 
+The field kernel's lines can also be inlined in other generated code:
+`field_lines` gives its parameters, its live lines for P grad f and the
+derivatives along the vectors (without f, with every line that can
+raise) and the output tokens, and `prefixed` renames every name in them
+but the `math` functions, so that copies of them do not meet. The flow
+loop (`flow._loop_factory`) writes one copy into each Cash-Karp stage.
+
 Each source but `value`'s, `project_rows`'s, `normal_step`'s, `_gn`'s
 and the field kernel's with vectors is compiled once and executed twice:
 with the `math` functions for one point given as floats, and with their
@@ -78,8 +85,7 @@ _CHAIN_MAX = 4
 _FAILURES = (
     ValueError, ZeroDivisionError, OverflowError, FloatingPointError,
 )
-_GN_NAMESPACE = {**_NAMESPACE, "isfinite": math.isfinite,
-                 "_FAILURES": _FAILURES}
+_GN_NAMESPACE = {**_NAMESPACE, "_FAILURES": _FAILURES}
 
 
 class _Emitter:
@@ -465,12 +471,14 @@ def _value_grad_code(exprs, n):
     return _build("_vg", n, emitter, f"{_tuple(vals)}, {_tuple(grads)}")
 
 
-def _field_code(f, constraints, n, vectors=0):
-    """Source of `_vg(x1, ..., xn, v1_1, ..., vj_n)`, j = `vectors`: f,
-    w = P grad f, then for each V the derivative of w along V,
+def _field_parts(f, constraints, n, vectors):
+    """The field kernel's walk for x with j = `vectors` tangent vectors:
+    (emitter, f's token, the output tokens, the parameters). The outputs
+    are w = P grad f, then for each V the derivative of w along V,
     dw[V] = P(H_lam V) - J^T (J J^T)^{-1} [w^T Hess F_i V]_i, lam the
     weights of w's projection; the normal part turns V with the tangent
-    planes. j = 0 walks to order 1, j > 0 to order 2."""
+    planes. The parameters are x1, ..., xn, v1_1, ..., vj_n. j = 0 walks
+    to order 1, j > 0 to order 2."""
     emitter = _Emitter(2 if vectors else 1)
     (vf, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
     rows = [_dense(g, n) for _, g, _ in walked]
@@ -486,8 +494,24 @@ def _field_code(f, constraints, n, vectors=0):
                 for h in hessians]
         normal = emitter.normal_step(rows, turn)
         out += [f"{t} - ({q})" for t, q in zip(tangent, normal)]
+    return (emitter, vf, out,
+            _names("x", n) + [v for vec in params for v in vec])
+
+
+def _field_code(f, constraints, n, vectors=0):
+    """Source of `_vg(x1, ..., xn, v1_1, ..., vj_n)`, j = `vectors`: f
+    and the outputs of `_field_parts`."""
+    emitter, vf, out, params = _field_parts(f, constraints, n, vectors)
     return _build("_vg", n, emitter, f"{vf}, {_tuple(out)}",
-                  extra=[v for vec in params for v in vec])
+                  extra=params[n:])
+
+
+def prefixed(text, prefix):
+    """Generated source with every name but the `math` functions
+    prefixed, so that lines of one generated function can be inlined in
+    another, several times, without their locals meeting."""
+    return _NAME.sub(
+        lambda m: m[0] if m[0] in _NAMESPACE else prefix + m[0], text)
 
 
 def _project_code(constraints, n):
@@ -526,10 +550,11 @@ def _gn_code(constraints, n, max_iter):
     values, status): the point as a list, the values of the first
     iterate and "converged", or "guard" when the first step's norm is
     above `bound`, "diverged" when a step leaves a non-finite
-    coordinate, "iterations" after `max_iter` steps, and "failed" with
-    the point where the body raised (a domain error or a zero Gram
-    determinant or pivot). The step's entries are all formed before a
-    coordinate moves, since J can read the coordinates.
+    coordinate (the sum of the differences x - x is 0.0 exactly when
+    every coordinate is finite), "iterations" after `max_iter` steps,
+    and "failed" with the point where the body raised (a domain error or
+    a zero Gram determinant or pivot). The step's entries are all formed
+    before a coordinate moves, since J can read the coordinates.
     """
     emitter, vals, rows = _walk_all(constraints, n)
     steps = _names("s", n)
@@ -555,8 +580,8 @@ def _gn_code(constraints, n, max_iter):
         + " + ".join(f"{s} * {s}" for s in steps) + ") > bound:",
         f"                return {point}, first, 'guard'",
         *(f"            {x} = {x} - {s}" for x, s in zip(xs, steps)),
-        "            if not (" + " and ".join(f"isfinite({x})" for x in xs)
-        + "):",
+        "            if not " + " + ".join(f"({x} - {x})" for x in xs)
+        + " == 0.0:",
         f"                return {point}, first, 'diverged'",
         "    except _FAILURES:",
         f"        return {point}, first, 'failed'",
@@ -636,7 +661,8 @@ class CompiledExpression:
       expression): the field kernel. `value` gives f(x), `value_and_grad`
       (f(x), P(x) grad f(x)), and for a state of x and j tangent vectors,
       (1 + j) n floats, f(x), P grad f and its derivative along each
-      vector (`field_function`: the unchecked function of a state size).
+      vector (`field_function`: the unchecked function of a state size;
+      `field_lines` its lines for inlining).
       `kkt(x, lam)` gives f, grad f, the Jacobian rows, F and H_lam at x
       and multipliers lam, `kkt_columns` the same for columns, and `jet`
       f's (value, gradient array, Hessian array).
@@ -656,7 +682,7 @@ class CompiledExpression:
         "expression", "ambient_dim", "constraints", "_text", "_parts",
         "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
         "_project_columns", "_step", "_kkt", "_rows",
-        "_gn",
+        "_gn", "_loops",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -690,6 +716,9 @@ class CompiledExpression:
         self._project = self._step = self._kkt = None
         self._rows = {}
         self._gn = {}
+        # the field kernel's generated flow loops by state size, kept
+        # here by `flow._loop_factory` so that they go with this object
+        self._loops = {}
         if not single:
             self._project, self._project_columns = _pair(
                 _project_code(exprs, n), "_proj")
@@ -784,6 +813,24 @@ class CompiledExpression:
                 self.expression, self.constraints, self.ambient_dim, vectors,
             ), "_vg", _NAMESPACE)
         return self._fields[vectors]
+
+    def field_lines(self, size):
+        """The field kernel's lines for a state of `size` floats, to be
+        inlined in other generated code: (parameters, lines, outputs).
+
+        The lines ("name = rhs", without indent) are `field_function`'s,
+        kept by `_live` for the outputs P grad f and its derivatives
+        along the vectors, without f, and with every line that can
+        raise. So run from the parameters they raise where
+        `field_function(size)` raises on the same floats, and the output
+        tokens are the bits of its outputs. Names are as generated;
+        `prefixed` keeps copies of them apart.
+        """
+        n = self.ambient_dim
+        emitter, _, out, params = _field_parts(
+            self.expression, self.constraints, n, size // n - 1)
+        lines = _live(emitter.lines, ", ".join(out))
+        return params, [line.strip() for line in lines], out
 
     def value_and_grad(self, x):
         """See the class docstring. For columns, numpy division by zero,

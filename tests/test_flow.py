@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from operator import mul
 
 import numpy as np
@@ -19,13 +21,15 @@ from morseflow.errors import (
     EvaluationError, FlowError, MorseflowError, NotConvergedError,
     RankDeficiencyError, RetractionError,
 )
+from morseflow import flow as flow_module
 from morseflow.flow import (
-    _CK_A, _CK_B5, _CK_ERR, MAX_SCALE, MIN_SCALE, SAFETY, FlowStats,
-    GradientField, Terminal, _capture, _cash_karp, _first_step, _norm,
-    flow_terminals,
+    _CK_A, _CK_B5, _CK_ERR, _FLOW_NAMES, MAX_SCALE, MIN_SCALE, SAFETY,
+    FlowStats, GradientField, Terminal, _capture, _cash_karp, _first_step,
+    _loop_factory, _norm, flow_terminals,
 )
 from morseflow.geometry import RETRACT_MAX_ITER
 from morseflow.linearization import integrate_variational
+from morseflow.symbolics.compile import CompiledExpression
 from test_kernels import SCENARIOS, _scenario
 from test_linearization import hessian_quadratic_form
 
@@ -420,7 +424,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
         if h < 1e-13 * max(1.0, t):
             raise FlowError(f"step size underflow at t={t}")
         y_new, err_scaled = _oracle_step(rhs, h, state, k1, cfg)
-        if err_scaled > 1.0:
+        if not err_scaled <= 1.0:
             stats.rejected += 1
             h *= _shrink_factor(err_scaled)
             continue
@@ -659,11 +663,12 @@ _CATALOG_FIXTURES = {"sphere2": "sphere", "sphereM": "sphere_m",
                      "torus_upright": "torus", "clifford": "clifford"}
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", SCENARIOS + ("transcendental",))
 def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     # whole flows of plain states and states with 1 and 2 vectors, both
     # signs, with capture and without it (then until t_max = 5), on the
-    # scenario's critical points and settings where it is in the catalog;
+    # scenario's critical points and settings where it is in the catalog
+    # (sin, cos and exp inlined in the stages for "transcendental");
     # one flow per state size asks for a first step of max_step, so that
     # steps are rejected, and one has its first two retractions fail
     m, f = _scenario(name)
@@ -697,6 +702,72 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     assert counts.rejected > 0
     assert counts.retraction_halvings >= 6
     assert "max_time" in kinds
+
+
+def _flow_state(setup, vectors):
+    """A sampled point of the setup's manifold and `vectors` tangent
+    vectors there, as one flat state."""
+    m = setup.manifold
+    x = m.sample_points(1, seed=9)[0]
+    rng = np.random.default_rng(9)
+    return x.tolist() + [c for _ in range(vectors)
+                         for c in m.random_tangent(x, rng).tolist()]
+
+
+def test_flow_loop_is_built_once_per_state_size(sphere, monkeypatch):
+    # two flows of each state size compile one loop per size, kept on
+    # the field kernel; no stage of it calls a kernel function
+    field = GradientField(sphere.manifold, sphere.function)
+    kernel = field._kernel
+    monkeypatch.setattr(kernel, "_loops", {})
+    compiled = []
+
+    def counting(source, name, mode):
+        compiled.append(name)
+        return compile(source, name, mode)
+    monkeypatch.setattr(flow_module, "compile", counting, raising=False)
+    for vectors in (0, 1, 0, 1):
+        state = _flow_state(sphere, vectors)
+        _cash_karp(field, -1.0, state, _norm(state[:3]), sphere.cfg,
+                   sphere.crits)
+    assert compiled == ["<flow-loop:3:3>", "<flow-loop:3:6>"]
+    assert sorted(kernel._loops) == [3, 6]
+    for size, make in kernel._loops.items():
+        assert _loop_factory(kernel, size) is make
+        code = make(**dict.fromkeys(_FLOW_NAMES)).__code__
+        assert "vg" not in code.co_names + code.co_freevars
+        assert set(code.co_freevars) <= set(_FLOW_NAMES)
+
+
+def test_flow_loop_goes_with_its_kernel(sphere):
+    # the loop is kept on the kernel only: a kernel dropped from
+    # `compile_expression`'s cache takes its loops with it
+    m, f = sphere.manifold, sphere.function
+    field = GradientField(m, f)
+    field._kernel = CompiledExpression(f, 3, m.constraints)
+    state = _flow_state(sphere, 0)
+    _cash_karp(field, -1.0, state, _norm(state), sphere.cfg, sphere.crits)
+    loop = weakref.ref(field._kernel._loops[3])
+    del field
+    gc.collect()
+    assert loop() is None
+
+
+@pytest.mark.parametrize("vectors", [0, 1])
+def test_flow_leaves_no_reference_cycles(sphere, vectors):
+    # nothing of a finished flow (its samples, the bound names of its
+    # `_flow`) is kept alive by a cycle that only the collector frees
+    field = GradientField(sphere.manifold, sphere.function)
+    state = _flow_state(sphere, vectors)
+    run = (field, -1.0, state, _norm(state[:3]), sphere.cfg, sphere.crits)
+    _cash_karp(*run)  # compiles the loop
+    gc.collect()
+    gc.disable()
+    try:
+        _cash_karp(*run)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _cone_field():
@@ -804,10 +875,13 @@ def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
     # On the plane x3 = 0 from |x| = 1e6 the first step is max_step = 5,
     # so the second stage lands at x2 = -500, where the product
     # 4e300 * x2^3 overflows without an exception: k2 is inf, or nan for
-    # the difference of two infinite terms. The later stages and y5 are
-    # nan, an error estimate of nan is not above 1, and the retraction
-    # onto x3 = 0 leaves x2 as it is, so the flow stalls at a nan point,
-    # as the list oracle, which keeps the zero-weight terms, does too.
+    # the difference of two infinite terms. The later stages, y5 and the
+    # error estimate are nan. A nan estimate is rejected (it is not at
+    # most 1) and shrinks the step by MIN_SCALE (nan is not above it), so
+    # every step from the start is rejected until the step size
+    # underflows, as in the list oracle, which keeps the zero-weight
+    # terms. (While only an estimate above 1 was rejected, the flow
+    # stalled after one step at a point with x2 = nan.)
     m = ImplicitManifold(3, [parse("x3", 3)])
     field = GradientField(m, parse(f, 3))
     x0 = [1e6, x2, 0.0]
@@ -816,14 +890,9 @@ def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
     second = [x + 5.0 * (0.2 * k) for x, k in zip(x0, k1)]
     k2 = -field.projected_gradient(second)[1]
     assert k2 == stage or math.isnan(stage) and math.isnan(k2)
-    terminal, stats, times, states, gnorms = _assert_loop_matches_oracle(
-        monkeypatch, field, -1.0, x0, _norm(x0), FlowConfig(), None, True)
-    assert terminal == Terminal("stalled")
-    assert stats.steps == 1 and stats.rejected == 0
-    end = np.frombuffer(states, dtype=float)[-3:]
-    assert np.frombuffer(times, dtype=float).tolist() == [0.0, 5.0]
-    assert end[0] == 1e6 and np.isnan(end[1]) and end[2] == 0.0
-    assert np.isnan(np.frombuffer(gnorms, dtype=float)[-1])
-    traj = integrate_flow(m, field.function, x0)
-    assert traj.terminal == terminal
-    assert np.array_equal(traj.end, end, equal_nan=True)
+    underflow = "step size underflow at t=0.0"
+    assert _assert_loop_matches_oracle(
+        monkeypatch, field, -1.0, x0, _norm(x0), FlowConfig(), None,
+        True) == (FlowError, underflow)
+    with pytest.raises(FlowError, match=underflow):
+        integrate_flow(m, field.function, x0)

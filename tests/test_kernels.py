@@ -67,6 +67,13 @@ def _scenario(name):
             bounding_box=(-1.2, 1.2),
         )
         return m, parse("x3 + 0.2 * x1 * x2", 3)
+    if name == "transcendental":
+        # sin, cos and exp in f and sin in the constraint
+        m = ImplicitManifold(
+            3, [parse("x1^2 + x2^2 + x3^2 - 1 + 0.1*sin(x1)", 3)],
+            bounding_box=(-1.2, 1.2),
+        )
+        return m, parse("sin(x3) + 0.3*cos(x1*x2) + 0.1*exp(x2)", 3)
     scenario = load_scenario(name)
     return scenario.build_manifold(), scenario.build_function()
 
@@ -406,7 +413,8 @@ def test_generated_retraction_statuses():
     with np.errstate(over="ignore", invalid="ignore"):
         for x, guard, status in (([0.6, 0.0, 0.9], 0.1, "converged"),
                                  ([3.0, 0.0, 0.0], 0.1, "guard"),
-                                 ([1e200, 0.0, 0.0], None, "diverged")):
+                                 ([1e200, 0.0, 0.0], None, "diverged"),
+                                 ([math.nan, 0.0, 0.0], None, "diverged")):
             assert _generated_retraction(sphere, x, guard)[2] == status
             _check_generated_retraction(sphere, x, guard)
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
