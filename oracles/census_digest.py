@@ -6,9 +6,17 @@
 For each catalog scenario the script runs `find_critical_points` with
 `--starts` Newton starts at each seed 0, ..., `--seeds` - 1. The digest
 covers, per census, the location (as raw float64 bytes), id, value and
-index of every critical point and the `SweepStats`. The package is
-imported from this checkout's src/, so two checkouts print digests to
-compare line by line; equal digests mean the same censuses, bit for bit.
+index of every critical point, the `SweepStats`, and the r, c_floor and
+n_floor_samples of `geometric_constants` (2000 samples, the census's
+seed). A last line, `sqrt_domain`, is a scenario off the catalog whose
+constraint reads sqrt(x1 + 1), with the default bounding box, so that
+every draw block of the sampler holds draws outside the domain; at each
+seed its digest covers the bytes of `sample_points(2000, seed)`, the
+outcome of `find_critical_points` (a result, or its error's type and
+text), and the manifold-wide gradient floor of `geometric_constants`
+with no critical points. The package is imported from this checkout's
+src/, so two checkouts print digests to compare line by line; equal
+digests mean the same censuses, bit for bit.
 """
 
 import argparse
@@ -21,8 +29,24 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from morseflow import find_critical_points, load_scenario  # noqa: E402
+from morseflow import (  # noqa: E402
+    ImplicitManifold, find_critical_points, geometric_constants,
+    load_scenario, parse,
+)
 from morseflow.catalog import list_scenarios  # noqa: E402
+from morseflow.errors import MorseflowError, TooFewCriticalPointsError  # noqa: E402
+
+# (constraint, f) on R^3, as in trajectory_digest.py
+SQRT_DOMAIN = ("x1^2 + x2^2 + x3^2 - 1 + 1e-4*sqrt(x1 + 1)",
+               "x3 + 0.2*x1*x2")
+
+
+def _update_census(digest, crits):
+    for p in crits:
+        digest.update(np.ascontiguousarray(p.location, dtype=float)
+                      .tobytes())
+        digest.update(repr((p.id, p.value, p.index)).encode())
+    digest.update(repr(crits.stats).encode())
 
 
 def scenario_digest(name, starts, seeds):
@@ -32,11 +56,29 @@ def scenario_digest(name, starts, seeds):
     digest = hashlib.sha256()
     for seed in range(seeds):
         crits = find_critical_points(m, f, starts, seed=seed)
-        for p in crits:
-            digest.update(np.ascontiguousarray(p.location, dtype=float)
-                          .tobytes())
-            digest.update(repr((p.id, p.value, p.index)).encode())
-        digest.update(repr(crits.stats).encode())
+        _update_census(digest, crits)
+        consts = geometric_constants(m, f, crits, seed=seed)
+        digest.update(repr((consts.r, consts.c_floor,
+                            consts.n_floor_samples)).encode())
+    return digest.hexdigest()
+
+
+def sqrt_domain_digest(starts, seeds):
+    m = ImplicitManifold(3, [parse(SQRT_DOMAIN[0], 3)])
+    f = parse(SQRT_DOMAIN[1], 3)
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        digest.update(np.ascontiguousarray(m.sample_points(2000, seed))
+                      .tobytes())
+        try:
+            _update_census(digest, find_critical_points(m, f, starts,
+                                                        seed=seed))
+        except MorseflowError as exc:
+            digest.update(repr((type(exc).__name__, str(exc))).encode())
+        try:
+            geometric_constants(m, f, [], seed=seed)
+        except TooFewCriticalPointsError as exc:
+            digest.update(repr(exc.manifold_floor).encode())
     return digest.hexdigest()
 
 
@@ -49,3 +91,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     for name in list_scenarios():
         print(name, scenario_digest(name, args.starts, args.seeds))
+    print("sqrt_domain", sqrt_domain_digest(args.starts, args.seeds))

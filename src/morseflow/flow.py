@@ -144,15 +144,15 @@ class Trajectory:
 class GradientField:
     """Tangent projection on M and the projected gradient field of f.
 
-    Both are generated code for any number of constraints: the field
-    kernel of (M, f) gives f and P grad f from one pass over f and the
-    constraints, at one point (a float list) or at the N columns of an
-    (n, N) array, and the constraint map's `project` the tangential
-    part of a vector at one point, with the projection written out in
-    one term order (see `symbolics.compile`), so the two agree bit for
-    bit with each other and with `ImplicitManifold.project_tangent`,
-    without numpy dispatch for one point. A rank-deficient Jacobian
-    raises RankDeficiencyError.
+    Both are generated code for any number of constraints, for one point
+    (a float list): the field kernel of (M, f) gives f and P grad f from
+    one pass over f and the constraints, and the constraint map's
+    `project` the tangential part of a vector, with the projection
+    written out in one term order (see `symbolics.compile`), so the two
+    agree bit for bit with each other and with
+    `ImplicitManifold.project_tangent`, without numpy dispatch. Many
+    points go through `CompiledExpression.columns`. A rank-deficient
+    Jacobian raises RankDeficiencyError.
     """
 
     def __init__(self, m, f):
@@ -166,7 +166,7 @@ class GradientField:
         return self._kernel.value(xs)
 
     def projected_gradient(self, xs):
-        """P(x) grad f(x): n floats, or n columns; for a state [x, V_1,
+        """P(x) grad f(x) at one point, n floats; for a state [x, V_1,
         ...], P grad f then its derivative along each V."""
         return self._kernel.value_and_grad(xs)[1]
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, RankDeficiencyError, RetractionError
+from .errors import RankDeficiencyError, RetractionError
 from .symbolics import compile_expression, evaluate_jet
-from .symbolics.compile import stack_columns
 
 DEFAULT_CONSTRAINT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
@@ -89,15 +88,6 @@ class ImplicitManifold:
     def values_and_jacobian(self, x):
         vals, rows = self._map.value_and_grad(x)
         return np.array(vals), np.array(rows)
-
-    def values_and_jacobian_columns(self, cols):
-        """Values (k, N) and Jacobians (N, k, n) at the columns of (n, N)."""
-        vals, rows = self._map.value_and_grad(cols)
-        entries = [*vals, *(g for row in rows for g in row)]
-        out = stack_columns(entries, cols.shape[1])
-        k, n = self.n_constraints, self.ambient_dim
-        jac = out[k:].reshape(k, n, -1).transpose(2, 0, 1)
-        return out[:k], np.ascontiguousarray(jac)
 
     def constraint_hessians(self, x):
         """Ambient Hessian of each constraint (second-order jets)."""
@@ -245,12 +235,12 @@ class ImplicitManifold:
 
         The draws are made in blocks of SAMPLE_BLOCK with one
         `rng.random` call, the same stream as one call per draw. Each
-        block is filtered as coordinate columns; its kept draws are
-        retracted one at a time by the generated Gauss-Newton loop, in
-        draw order and only as many as are still needed, and
-        rank-checked with one stacked SVD. Where a constraint raises for
-        some draw, that filter or rank check runs one draw at a time, so
-        only those draws are lost. The points are those of drawing,
+        block is filtered by one `columns` call of the constraint values;
+        its kept draws are retracted one at a time by the generated
+        Gauss-Newton loop, in draw order and only as many as are still
+        needed, and rank-checked with one `columns` call of the Jacobians
+        and one stacked SVD. A draw where a constraint raises is flagged
+        by `columns` and lost alone. The points are those of drawing,
         filtering and retracting one draw at a time, bit for bit.
 
         Draw i (counting from 1) raises RetractionError when
@@ -289,17 +279,9 @@ class ImplicitManifold:
         survive, so ok is exact up to its last True; points holds the
         retracted rows where ok is True.
         """
-        try:
-            vals = self.values_and_jacobian_columns(block.T)[0]
-        except EvaluationError:
-            # Some draw is outside a constraint's domain: judge each alone.
-            vals = np.full((self.n_constraints, len(block)), np.inf)
-            for j, cand in enumerate(block):
-                try:
-                    vals[:, j] = self.constraint_values(cand)
-                except EvaluationError:
-                    pass
-        kept = np.flatnonzero(np.all(np.abs(vals) < SAMPLE_KEEP_TOL, axis=0))
+        # a draw where a constraint raises has nan values, and is not kept
+        vals = self._map.columns("value", block.T)[0]
+        kept = np.flatnonzero(np.all(np.abs(vals) < SAMPLE_KEEP_TOL, axis=1))
         ok = np.zeros(len(block), dtype=bool)
         points = block.copy()
         while need and len(kept):
@@ -313,9 +295,8 @@ class ImplicitManifold:
 
         Returns (points, ok) in rows: each row is one `_gn` call, the
         iteration of `retract`, and ok where it converged and the
-        Jacobian there passes `_checked_jacobian`'s rank check. Where a
-        constraint's derivative raises at some converged row, the rank
-        check runs one row at a time.
+        Jacobian there evaluates (`columns` flags where it raises) and
+        passes `_checked_jacobian`'s rank check.
         """
         gn = self._map.gauss_newton(RETRACT_MAX_ITER)
         points = rows.copy()
@@ -325,15 +306,10 @@ class ImplicitManifold:
             if status == "converged":
                 points[j] = point
                 ok[j] = True
-        if ok.any():
-            try:
-                jac = self.values_and_jacobian_columns(points[ok].T)[1]
-                smallest = np.linalg.svd(jac, compute_uv=False)[:, -1]
-                ok[ok] = smallest > self.rank_tol
-            except EvaluationError:
-                for j in np.flatnonzero(ok):
-                    try:
-                        self._checked_jacobian(points[j])
-                    except (RankDeficiencyError, EvaluationError):
-                        ok[j] = False
+        jac, failed = self._map.columns("value_and_grad", points[ok].T)
+        ok[np.flatnonzero(ok)[failed]] = False
+        k, n = self.n_constraints, self.ambient_dim
+        smallest = np.linalg.svd(jac[~failed, k:].reshape(-1, k, n),
+                                 compute_uv=False)[:, -1]
+        ok[ok] = smallest > self.rank_tol
         return points, ok

@@ -21,13 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (NotCriticalError, RankDeficiencyError,
-                     TooFewCriticalPointsError)
-from .flow import GradientField
+from .errors import NotCriticalError, TooFewCriticalPointsError
 from .geometry import TangentVector
 from .linalg import jacobi_eigh, row_norms
 from .symbolics import compile_expression, evaluate_jet
-from .symbolics.compile import stack_columns
 
 GRAD_TOL = 1e-8
 DEGENERATE_TOL = 1e-6
@@ -74,9 +71,6 @@ class CriticalPointSet(Sequence):
 
     def minima(self):
         return [p for p in self.points if p.index == 0]
-
-    def any_degenerate(self):
-        return any(p.degenerate for p in self.points)
 
     def euler_characteristic(self):
         return int(sum((-1) ** p.index for p in self.points))
@@ -166,16 +160,11 @@ def _kkt_step(kkt, rhs):
 
 def _multipliers(m, x, grad):
     """The Gram weights of the rows of `grad` (grad f) at the rows of x,
-    a C-contiguous (N, k) array, from `project` on columns: each row the
-    point call's bits (where numpy agrees with `math`), a non-finite row
-    from that call, or nan where it raises RankDeficiencyError."""
-    lam = stack_columns(m._map.project(x.T, grad.T)[1], len(x)).T.copy()
-    for i in np.flatnonzero(~np.isfinite(lam).all(axis=1)):
-        try:
-            lam[i] = m._map.project(x[i], grad[i])[1]
-        except RankDeficiencyError:
-            lam[i] = np.nan
-    return lam
+    a C-contiguous (N, k) array, from one `columns` call of the map's
+    `project`: each row the point call's bits (where numpy agrees with
+    `math`), nan where that call raises."""
+    rows = m._map.columns("project", x.T, grad.T)[0]
+    return np.ascontiguousarray(rows[:, m.ambient_dim:])
 
 
 def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
@@ -339,13 +328,10 @@ def geometric_constants(m, f, crits, n_samples=2000, seed=0):
     ]
     r = 0.5 * min(pairwise)
     samples = m.sample_points(n_samples, seed)
-    radius = r / 2.0
-    dist = np.linalg.norm(samples[:, None, :] - np.array(locs), axis=2)
-    outside = np.all(dist > radius, axis=1)
-    # This norm sums its squares in another order than np.linalg.norm of
-    # one sample, so samples within rounding of a ball's edge take that.
-    for i in np.flatnonzero(np.any(abs(dist - radius) <= 1e-9 * r, axis=1)):
-        outside[i] = min(np.linalg.norm(samples[i] - q) for q in locs) > radius
+    # each the bits of np.linalg.norm of one sample's difference
+    dist = row_norms((samples[:, None] - np.array(locs))
+                     .reshape(-1, m.ambient_dim))
+    outside = np.all(dist.reshape(len(samples), -1) > r / 2.0, axis=1)
     if not outside.any():
         raise TooFewCriticalPointsError(
             "every sample fell inside a critical ball; enlarge n_samples"
@@ -361,12 +347,16 @@ def geometric_constants(m, f, crits, n_samples=2000, seed=0):
 def _gradient_floor(m, f, samples):
     """min |P grad f| over the samples (rows), as riemannian_gradient's norm.
 
-    One projected-gradient call over all samples as columns finds the
+    One `columns` call of the field kernel over all samples finds the
     candidates, every sample within 1e-9 relative of the batched minimum;
     those few are recomputed with riemannian_gradient, whose bits can
-    differ from the batch's by some ulps.
+    differ from the batch's by some ulps. The first sample where the
+    kernel raises raises its error through riemannian_gradient.
     """
-    grad = GradientField(m, f).projected_gradient(samples.T.copy())
-    norms = np.sqrt(sum(g * g for g in grad))
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    rows, failed = kernel.columns("value_and_grad", samples.T.copy())
+    if failed.any():
+        m.riemannian_gradient(f, samples[np.argmax(failed)])  # raises
+    norms = np.sqrt(sum(g * g for g in rows[:, 1:].T))
     close = np.flatnonzero(norms <= (1.0 + 1e-9) * np.min(norms))
     return min(m.riemannian_gradient(f, samples[i]).norm() for i in close)

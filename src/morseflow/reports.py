@@ -96,9 +96,7 @@ def critical_points_report(crits, consts=None):
     payload = {
         "schema": "morseflow.critical_points.v1",
         "points": points,
-        "euler_characteristic": int(
-            sum((-1) ** p.index for p in crits)
-        ),
+        "euler_characteristic": crits.euler_characteristic(),
         "stats": {
             "n_starts": crits.stats.n_starts,
             "n_converged": crits.stats.n_converged,

@@ -49,9 +49,9 @@ A generated function keeps only its live lines (`_live`): those its
 results read, directly or through later lines. A dead line stays if it
 divides, raises a power or calls a function, as those raise on floats
 where *, + and - never do, so a call for one point raises where it
-would with all lines (columns under np.errstate no longer raise for the
-overflow of a dropped *, + or -); the field kernel, for one, forms no
-constraint value.
+would with all lines (numpy twins under np.errstate no longer raise for
+the overflow of a dropped *, + or -); the field kernel, for one, forms
+no constraint value.
 
 The field kernel's lines can also be inlined in other generated code:
 `field_lines` gives its parameters, its live lines for P grad f and the
@@ -60,12 +60,15 @@ raise) and the output tokens, and `prefixed` renames every name in them
 but the `math` functions, so that copies of them do not meet. The flow
 loop (`flow._loop_factory`) writes one copy into each Cash-Karp stage.
 
-Each source but `value`'s, `project_rows`'s, `normal_step`'s, `_gn`'s
-and the field kernel's with vectors is compiled once and executed twice:
-with the `math` functions for one point given as floats, and with their
-numpy ufuncs for many points given as coordinate columns. The arithmetic
-is the same elementwise, so both give the same bits where `math` and
-numpy agree.
+The sources of `value`, `value_and_grad`, `project` and `kkt` are
+each compiled once and executed twice: with the `math` functions for one
+point given as floats, and with their numpy ufuncs for many points given
+as coordinate columns. The numpy twin runs only in
+`CompiledExpression.columns`, the one call for many points: where numpy
+raises for some column, every column is re-run as one point, so each has
+its point's bits and a failure flags only its own column. The arithmetic
+is the same elementwise, so the twin gives the point's bits where `math`
+and numpy agree.
 """
 
 import functools
@@ -609,19 +612,12 @@ def _kkt_code(f, constraints, n):
                   extra=lams)
 
 
-def _flat(blocks):
-    """`_kkt`'s value and tuples as one list."""
-    value, *rest = blocks
-    return [value, *(t for block in rest for t in block)]
-
-
-def stack_columns(entries, count):
-    """An (len(entries), count) array of length-count arrays, a float
-    broadcast where an entry does not depend on x."""
-    out = np.empty((len(entries), count))
-    for i, e in enumerate(entries):
-        out[i] = e
-    return out
+def _flat(out):
+    """A generated function's result, a number or nested tuples of them,
+    as one flat list in order."""
+    if isinstance(out, tuple):
+        return [t for item in out for t in _flat(item)]
+    return [out]
 
 
 def _define(code, name, namespace):
@@ -641,10 +637,9 @@ class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
     `value` runs the node rules at order 0, `value_and_grad`, `project`,
-    `project_rows` and `normal_step` at order 1 and `jet`, `kkt`,
-    `kkt_columns` and the field kernel's `value_and_grad` of a state with
-    vectors at order 2, so where two of them form the same number they
-    give the same bits.
+    `project_rows` and `normal_step` at order 1 and `jet`, `kkt` and the
+    field kernel's `value_and_grad` of a state with vectors at order 2,
+    so where two of them form the same number they give the same bits.
 
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
@@ -667,22 +662,19 @@ class CompiledExpression:
       and multipliers lam, `kkt_columns` the same for columns, and `jet`
       f's (value, gradient array, Hessian array).
 
-    `value`, `jet`, `kkt`, `project_rows` and `normal_step` take one
-    point and `kkt_columns` columns; the other methods take one point or an
-    (ambient_dim, N) array whose columns are N points (for `project`,
-    with vec (ambient_dim, N) too), and then each number above is a
-    length-N array, or a float where it does not depend on x. A domain
-    error raises EvaluationError naming the first expression, in the
-    order f, F_1, ..., F_k, that fails at x (with vectors, whose `jet`
-    fails); a zero Gram determinant or pivot raises RankDeficiencyError,
-    except in `project` for columns (see `_solve`).
+    Each of these methods takes one point. A domain error raises
+    EvaluationError naming the first expression, in the order f, F_1,
+    ..., F_k, that fails at x (with vectors, whose `jet` fails); a zero
+    Gram determinant or pivot raises RankDeficiencyError. Many points go
+    through `columns` alone, which runs `value`, `value_and_grad`,
+    `project` or `kkt` on the N columns of an (ambient_dim, N) array and
+    flags the columns where the point call raises, without raising.
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
-        "_value", "_value_grad", "_value_grad_columns", "_project", "_fields",
-        "_project_columns", "_step", "_kkt", "_rows",
-        "_gn", "_loops",
+        "_pairs", "_value", "_value_grad", "_project", "_fields",
+        "_step", "_kkt", "_rows", "_gn", "_loops",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -705,13 +697,17 @@ class CompiledExpression:
         self._parts = exprs if constraints or not single else ()
         n = ambient_dim
         evaluated = exprs[:1] if constraints else exprs
-        self._value = _define(_value_code(evaluated, n, single), "_val",
-                              _NAMESPACE)
         if single:
             code = _field_code(expression, constraints, n)
         else:
             code = _value_grad_code(exprs, n)
-        self._value_grad, self._value_grad_columns = _pair(code, "_vg")
+        # (point function, numpy twin) of each function `columns` runs
+        self._pairs = {
+            "value": _pair(_value_code(evaluated, n, single), "_val"),
+            "value_and_grad": _pair(code, "_vg"),
+        }
+        self._value = self._pairs["value"][0]
+        self._value_grad = self._pairs["value_and_grad"][0]
         self._fields = {0: self._value_grad}
         self._project = self._step = self._kkt = None
         self._rows = {}
@@ -720,8 +716,8 @@ class CompiledExpression:
         # here by `flow._loop_factory` so that they go with this object
         self._loops = {}
         if not single:
-            self._project, self._project_columns = _pair(
-                _project_code(exprs, n), "_proj")
+            self._pairs["project"] = _pair(_project_code(exprs, n), "_proj")
+            self._project = self._pairs["project"][0]
             self._step = _define(_step_code(exprs, n), "_step", _NAMESPACE)
 
     def value(self, x):
@@ -765,29 +761,56 @@ class CompiledExpression:
             np.array([_flat(out)])))
 
     def kkt_columns(self, x, lam):
-        """`kkt` at the N columns of x (ambient_dim, N) and lam (k, N).
+        """`kkt` at the N columns of x (ambient_dim, N) and lam (k, N) by
+        `columns`: the five blocks with the point first, shapes (N,),
+        (N, n), (N, k, n), (N, k) and (N, n, n), and its failure mask."""
+        rows, failed = self.columns("kkt", x, lam)
+        return self._kkt_blocks(rows), failed
 
-        Returns the five blocks with the point first, shapes (N,), (N, n),
-        (N, k, n), (N, k) and (N, n, n), and a boolean mask of the columns
-        where `kkt` alone raises. Where numpy flags a floating-point
-        error, every column is re-run as one point, so each column has
-        its point's bits and a failed one is nan.
+    def columns(self, name, x, *args):
+        """The generated `name` ("value", "value_and_grad", "project" or
+        "kkt") at the N columns of x (ambient_dim, N), the further
+        parameters (vec of `project`, lam of `kkt`) given as `args` of N
+        columns each.
+
+        Returns (rows, failed): an (N, width) array whose row j holds the
+        outputs at column j in order, flat, and a boolean mask of the
+        columns where the point call raises. The numpy twin runs on all
+        columns at once with division by zero, invalid operations and
+        overflow raised. If numpy raises, every column is re-run as one
+        point, so each row has the point call's bits and a failed row is
+        nan; otherwise a row has the point call's bits where `math` and
+        numpy agree.
         """
-        point, columns = self._kkt_pair()
+        point, twin = self._kkt_pair() if name == "kkt" else self._pairs[name]
+        params = [*x, *(row for block in args for row in block)]
         count = x.shape[1]
         failed = np.zeros(count, dtype=bool)
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                out = stack_columns(_flat(columns(*x, *lam)), count).T
+                outs = _flat(twin(*params))
         except _FAILURES:
-            n, k = self.ambient_dim, len(self.constraints)
-            out = np.full((count, 1 + n + k * n + k + n * n), np.nan)
-            for j, (xj, lj) in enumerate(zip(x.T.tolist(), lam.T.tolist())):
+            rows = np.full((count, self._width(name)), np.nan)
+            for j, column in enumerate(zip(*(p.tolist() for p in params))):
                 try:
-                    out[j] = _flat(point(*xj, *lj))
+                    rows[j] = _flat(point(*column))
                 except _FAILURES:
                     failed[j] = True
-        return self._kkt_blocks(out), failed
+            return rows, failed
+        rows = np.empty((len(outs), count))
+        for i, out in enumerate(outs):
+            rows[i] = out  # a float where it does not depend on x
+        return rows.T, failed
+
+    def _width(self, name):
+        """How many numbers `name` gives for one point."""
+        n, k = self.ambient_dim, len(self.constraints)
+        if isinstance(self.expression, tuple):
+            k = len(self.expression)
+            return {"value": k, "value_and_grad": k + k * n,
+                    "project": n + k}[name]
+        return {"value": 1, "value_and_grad": 1 + n,
+                "kkt": 1 + n + k * n + k + n * n}[name]
 
     def _kkt_pair(self):
         if self._kkt is None:
@@ -833,26 +856,26 @@ class CompiledExpression:
         return params, [line.strip() for line in lines], out
 
     def value_and_grad(self, x):
-        """See the class docstring. For columns, numpy division by zero,
-        invalid operations and overflow raise as `math` does for one
-        point."""
+        """See the class docstring."""
+        # no call that one point does not need: a flow makes one per step
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
         n = self.ambient_dim
         if self.constraints and len(x) > n:
-            x = _as_floats(x)
             try:
                 return self.field_function(len(x))(*x)
             except _FAILURES as exc:
                 raise self._failure("jet", x[:n], exc, True) from exc
-        return self._call(self._value_grad, self._value_grad_columns, x,
-                          projected=bool(self.constraints))
+        try:
+            return self._value_grad(*x)
+        except _FAILURES as exc:
+            raise self._failure("value_and_grad", x, exc,
+                                bool(self.constraints)) from exc
 
     def project(self, x, vec):
-        """(vec - J^T w, w) at one point or at columns x, vec n floats or
-        (n, N) columns, with the Gram weights w = (J J^T)^{-1} J vec (for
-        grad f, the multipliers); columns by `_solve`'s rule."""
-        if isinstance(vec, np.ndarray) and vec.ndim == 1:
-            vec = vec.tolist()
-        return self._solve(self._project, self._project_columns, x, vec)
+        """(vec - J^T w, w) at one point x, vec n floats, with the Gram
+        weights w = (J J^T)^{-1} J vec (for grad f, the multipliers)."""
+        return self._call(self._project, x, *_as_floats(vec))
 
     def project_rows(self, x, rows):
         """`project`'s tangential parts of d rows at one point x, from one
@@ -877,7 +900,7 @@ class CompiledExpression:
 
     def normal_step(self, x):
         """(F(x), J^T (J J^T)^{-1} F(x)) at one point."""
-        return self._call(self._step, None, x)
+        return self._call(self._step, x)
 
     def gauss_newton(self, max_iter):
         """The map's unchecked Gauss-Newton function `_gn(tol, bound, x1,
@@ -890,30 +913,14 @@ class CompiledExpression:
                 _GN_NAMESPACE)
         return function
 
-    def _solve(self, point, columns, x, vec=()):
-        """`_call` of a Gram solve, but on columns a zero Gram determinant
-        or pivot gives only its own column non-finite numbers."""
+    def _call(self, point, x, *args):
+        """point(*x, *args) of a Gram solve at one point; `_failure` names
+        a failure."""
+        x = _as_floats(x)
         try:
-            return self._call(point, columns, x, vec)
-        except RankDeficiencyError:
-            if not (isinstance(x, np.ndarray) and x.ndim == 2):
-                raise
-        with np.errstate(all="ignore"):
-            return columns(*x, *vec)
-
-    def _call(self, point, columns, x, vec=(), projected=True):
-        """point(*x, *vec) for one point, columns(*x, *vec) for columns with
-        numpy's floating-point errors raised; `_failure` names a failure."""
-        try:
-            if isinstance(x, np.ndarray):
-                if x.ndim == 2:
-                    with np.errstate(divide="raise", invalid="raise",
-                                     over="raise"):
-                        return columns(*x, *vec)
-                x = x.tolist()
-            return point(*x, *vec)
+            return point(*x, *args)
         except _FAILURES as exc:
-            raise self._failure("value_and_grad", x, exc, projected) from exc
+            raise self._failure("value_and_grad", x, exc, True) from exc
 
     def gradient(self, x):
         return np.asarray(self.value_and_grad(x)[1])
@@ -929,16 +936,10 @@ class CompiledExpression:
             getattr(compile_expression(part, self.ambient_dim), method)(x)
         if projected:
             return RankDeficiencyError(
-                f"constraint Jacobian is rank deficient at {_where(x)}"
+                "constraint Jacobian is rank deficient at "
+                f"{np.asarray(x).tolist()}"
             )
         return EvaluationError(str(exc), self._text)
-
-
-def _where(x):
-    """One point, or how many columns, for an error message."""
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return f"one of {x.shape[1]} points"
-    return str(np.asarray(x).tolist())
 
 
 def _as_floats(x):

@@ -19,6 +19,7 @@ from morseflow.errors import (
 )
 from morseflow.flow import GradientField
 from morseflow.geometry import SAMPLE_BLOCK
+from morseflow.symbolics.compile import CompiledExpression
 from test_kernels import projector_oracle
 
 
@@ -177,11 +178,14 @@ def test_rank_deficiency_detected():
     with pytest.raises(RankDeficiencyError):
         integrate_variational(cone, height, [0.0, 0.0, 0.0],
                               np.array([1.0, 0.0, 0.0]))
-    # columns raise too, without the caller setting numpy's error state
-    with pytest.raises(RankDeficiencyError):
-        GradientField(cone, height).projected_gradient(
-            np.array([[0.6, 0.0], [0.8, 0.0], [1.0, 0.0]])
-        )
+    # a batch flags the apex alone, without the caller setting numpy's
+    # error state, and keeps the other column's point bits
+    kernel = GradientField(cone, height)._kernel
+    rows, failed = kernel.columns(
+        "value_and_grad", np.array([[0.6, 0.0], [0.8, 0.0], [1.0, 0.0]]))
+    assert failed.tolist() == [False, True] and np.isnan(rows[1]).all()
+    value, grad = kernel.value_and_grad([0.6, 0.8, 1.0])
+    assert rows[0].tolist() == [value, *grad]
 
 
 def _sample_points_per_draw(m, count, seed, keep_tol=0.5):
@@ -279,20 +283,21 @@ def test_sampling_negative_count(sphere):
         sphere.manifold.sample_points(-1, seed=3)
 
 
-def test_sampling_box_missing_the_manifold_fails_fast():
+def test_sampling_box_missing_the_manifold_fails_fast(monkeypatch):
     # no draw is kept, so the limit trips at draw 30001, and the sampler
-    # evaluates no block past the one that holds it
+    # filters no block past the one that holds it
     m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)],
                          bounding_box=(2.0, 3.0))
     columns = 0
-    evaluate = m.values_and_jacobian_columns
+    evaluate = CompiledExpression.columns
 
-    def counted(cols):
+    def counted(self, name, x, *args):
         nonlocal columns
-        columns += cols.shape[1]
-        return evaluate(cols)
+        if self is m._map and name == "value":
+            columns += x.shape[1]
+        return evaluate(self, name, x, *args)
 
-    m.values_and_jacobian_columns = counted
+    monkeypatch.setattr(CompiledExpression, "columns", counted)
     _assert_sampler_parity(m, 2000, seed=0)
     assert 30001 <= columns <= 30000 + SAMPLE_BLOCK
     # the box meets M only near (0.645, 0.645, 0.645), one draw in 13000

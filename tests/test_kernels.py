@@ -132,13 +132,6 @@ def _eliminate(rows, rhs):
 
 def _project_oracle(m, xs, vec):
     """GradientField.project written out for every k."""
-    if isinstance(xs, np.ndarray) and xs.ndim == 2:
-        with np.errstate(divide="raise", invalid="raise"):
-            return _project_branches(m, xs, vec)
-    return _project_branches(m, xs, vec)
-
-
-def _project_branches(m, xs, vec):
     constraints = _compiled(m)
     try:
         if len(constraints) == 1:
@@ -172,7 +165,7 @@ def _project_branches(m, xs, vec):
                 b = b - wi * a
             out.append(b)
         return out
-    except (ZeroDivisionError, FloatingPointError):
+    except ZeroDivisionError:
         raise RankDeficiencyError("rank deficient") from None
 
 
@@ -338,9 +331,11 @@ def test_field_matches_hand_written_projection(name):
         v = rng.standard_normal(m.ambient_dim).tolist()
         assert np.array_equal(m.project_tangent(x, v),
                               _project_oracle(m, x, v))
-    cols = points.T.copy()
-    assert np.array_equal(field.projected_gradient(cols),
-                          _projected_gradient_oracle(m, f, cols))
+    # one `columns` call of the kernel gives each column its point's bits
+    rows, failed = field._kernel.columns("value_and_grad", points.T.copy())
+    assert not failed.any()
+    assert rows[:, 1:].tolist() == [
+        _projected_gradient_oracle(m, f, x) for x in points.tolist()]
 
 
 def _check_retraction(name):
@@ -503,15 +498,14 @@ def test_projected_rows_match_project(name):
             got = m._map.project_rows(x, rows.ravel())
             want = [m._map.project(x, r)[0] for r in rows.tolist()]
             assert got == tuple(t for row in want for t in row)
-    # `project` of columns gives each column its point's bits
+    # `project` by `columns` gives each column its point's bits
     points = np.concatenate([on, near])
     vecs = np.random.default_rng(13).standard_normal(points.shape)
-    tangent, weights = (compiled.stack_columns(block, len(points)) for block
-                        in m._map.project(points.T.copy(), vecs.T.copy()))
-    for j, (x, v) in enumerate(zip(points, vecs)):
+    rows, failed = m._map.columns("project", points.T.copy(), vecs.T.copy())
+    assert not failed.any()
+    for row, x, v in zip(rows, points, vecs):
         want_tangent, want_weights = m._map.project(x, v)
-        assert tangent[:, j].tolist() == list(want_tangent)
-        assert weights[:, j].tolist() == list(want_weights)
+        assert row.tolist() == [*want_tangent, *want_weights]
 
 
 def test_projected_rows_name_a_domain_error():
@@ -529,9 +523,11 @@ def test_error_parity():
         _projected_gradient_oracle(cone, height, apex)
     with pytest.raises(RankDeficiencyError, match=r"at \[0.0, 0.0, 0.0\]"):
         GradientField(cone, height).projected_gradient(apex)
+    # a batch flags the apex, where the point call names the point
     cols = np.array([[0.6, 0.0], [0.8, 0.0], [1.0, 0.0]])
-    with pytest.raises(RankDeficiencyError, match="one of 2 points"):
-        GradientField(cone, height).projected_gradient(cols)
+    failed = GradientField(cone, height)._kernel.columns(
+        "value_and_grad", cols)[1]
+    assert failed.tolist() == [False, True]
     with pytest.raises(RankDeficiencyError):
         cone.project_tangent(apex, np.ones(3))
 
@@ -562,17 +558,16 @@ def test_error_parity():
     assert "non-finite" in _outcome(sphere.retract, [1e200, 0.0, 0.0],
                                     guard=None)[1]
     assert _outcome(sphere5.retract, origin5)[0] is RetractionError
-    # `project` of columns: a zero Gram matrix (a zero Jacobian row, a
-    # zero first pivot) makes only its own column's weights non-finite
+    # `project` by `columns`: a zero Gram matrix (a zero Jacobian row, a
+    # zero first pivot) flags only its own column
     for m, x in ((sphere, [0.0, 0.0, 0.0]), (sphere5, origin5)):
         good = [0.6, 0.0, 0.8] + [0.0] * (len(x) - 3)
         cols = np.array([x, good]).T
         with np.errstate(all="raise"):
-            weights = m._map.project(cols, np.ones_like(cols))[1]
-        weights = compiled.stack_columns(weights, 2)
-        assert not np.isfinite(weights[:, 0]).all()
-        want = m._map.project(good, np.ones(len(x)))[1]
-        assert weights[:, 1].tolist() == list(want)
+            rows, failed = m._map.columns("project", cols, np.ones_like(cols))
+        assert failed.tolist() == [True, False] and np.isnan(rows[0]).all()
+        want = m._map.project(good, np.ones(len(x)))
+        assert rows[1].tolist() == [*want[0], *want[1]]
 
     # the iteration limit, with a tolerance no iterate reaches
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
@@ -592,11 +587,79 @@ def test_error_parity():
     _assert_same(_outcome(GradientField(m, f).projected_gradient, outside),
                  _outcome(_projected_gradient_oracle, m, f, outside))
     _assert_same(_outcome(m.constraint_values, outside), want)
+    # a batch flags the column outside the domain, whose point call
+    # names the failing constraint
     cols = np.array([[0.5, -1.1], [0.1, 0.2], [0.3, 0.1]])
-    with pytest.raises(EvaluationError, match="sqrt"):
-        m.values_and_jacobian_columns(cols)
-    with pytest.raises(EvaluationError, match="sqrt"):
-        m._map.project(cols, np.ones_like(cols))
+    for name, args in (("value_and_grad", ()),
+                       ("project", (np.ones_like(cols),))):
+        assert m._map.columns(name, cols, *args)[1].tolist() == [False, True]
+    _assert_same(_outcome(m._map.project, outside, [1.0, 1.0, 1.0]), want)
+
+
+def _flat_outputs(out):
+    """A point call's outputs (a float, or tuples and arrays of them) as
+    one flat list in order."""
+    if not isinstance(out, tuple):
+        return [out]
+    return [float(t) for block in out for t in np.ravel(block)]
+
+
+# (scenario, object, function, columns whose point call raises) over the
+# batch of `test_columns_flag_exactly_the_failing_points`: the sphere's
+# origin (column 1) has a zero Gram matrix and (-1.1, 0.2, 0.1) (column
+# 3) is outside the domain of sqrt_domain's sqrt
+COLUMN_CASES = [
+    ("sphere2", "map", "value", []),
+    ("sphere2", "map", "value_and_grad", []),
+    ("sphere2", "map", "project", [1]),
+    ("sphere2", "kernel", "value", []),
+    ("sphere2", "kernel", "value_and_grad", [1]),
+    ("sphere2", "kernel", "kkt", []),
+    ("sqrt_domain", "map", "value", [3]),
+    ("sqrt_domain", "map", "value_and_grad", [3]),
+    ("sqrt_domain", "map", "project", [3]),
+    ("sqrt_domain", "kernel", "value", []),
+    ("sqrt_domain", "kernel", "value_and_grad", [3]),
+    ("sqrt_domain", "kernel", "kkt", [3]),
+]
+
+
+@pytest.mark.parametrize("name, kind, function, failing", COLUMN_CASES)
+def test_columns_flag_exactly_the_failing_points(name, kind, function,
+                                                 failing):
+    # the one batch rule: the mask is true exactly where the point call
+    # raises, each other row is the point call's outputs bit for bit, and
+    # a batch of failing points keeps the shape (N, width), all nan
+    m, f = _scenario(name)
+    obj = (m._map if kind == "map"
+           else compile_expression(f, m.ambient_dim, m.constraints))
+    on = m.sample_points(3, seed=4)
+    x = np.array([on[0], [0.0, 0.0, 0.0], on[1], [-1.1, 0.2, 0.1], on[2]])
+    rng = np.random.default_rng(6)
+    args = {"project": (rng.standard_normal(x.shape),),
+            "kkt": (rng.standard_normal((len(x), m.n_constraints)),)
+            }.get(function, ())
+    rows, failed = obj.columns(function, x.T.copy(),
+                               *(a.T.copy() for a in args))
+    want = []
+    for j, point in enumerate(x.tolist()):
+        outcome = _outcome(getattr(obj, function), point,
+                           *(a[j].tolist() for a in args))
+        want.append(None if _is_error(outcome) else _flat_outputs(outcome))
+    assert [j for j, w in enumerate(want) if w is None] == failing
+    assert failed.tolist() == [w is None for w in want]
+    width = len(want[0])
+    assert rows.shape == (len(x), width)
+    for row, w in zip(rows, want):
+        if w is None:
+            assert np.isnan(row).all()
+        else:
+            assert row.tolist() == w
+    if failing:
+        rows, failed = obj.columns(function, x[failing].T.copy(),
+                                   *(a[failing].T.copy() for a in args))
+        assert rows.shape == (len(failing), width) and failed.all()
+        assert np.isnan(rows).all()
 
 
 @settings(max_examples=80, deadline=None)

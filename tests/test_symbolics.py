@@ -376,27 +376,42 @@ def test_compiled_caching():
     assert compile_expression(expr, 2) is compile_expression(expr, 2)
 
 
+def _point_rows(compiled, cols):
+    """Each column's flat `value_and_grad` outputs, or None where the
+    point call raises."""
+    rows = []
+    for x in cols.T.tolist():
+        try:
+            value, grad = compiled.value_and_grad(x)
+        except EvaluationError:
+            rows.append(None)
+        else:
+            rows.append([value, *grad])
+    return rows
+
+
 def test_compiled_columns_match_points():
-    # the numpy twin of the generated code, on (n, N) coordinate columns.
-    # The tolerance is for exp alone: numpy's exp differs from math.exp in
-    # the last bit on about 4.6% of points (x86-64, numpy 2.4), while sin,
-    # cos, sqrt and the arithmetic agreed bit for bit on these trees there
+    # the numpy twin of the generated code, on (n, N) coordinate columns
+    # by `columns`. The tolerance is for exp alone: numpy's exp differs
+    # from math.exp in the last bit on about 4.6% of points (x86-64,
+    # numpy 2.4), while sin, cos, sqrt and the arithmetic agreed bit for
+    # bit on these trees there. Where a column raises, every row is its
+    # point's, bit for bit
     rng = np.random.default_rng(4)
     checked = 0
     while checked < 60:
         n = int(rng.integers(1, 4))
         compiled = compile_expression(_random_expression(rng, n, depth=4), n)
         cols = rng.uniform(-1.2, 1.2, (n, 8))
-        try:
-            points = [compiled.value_and_grad(x) for x in cols.T.tolist()]
-        except EvaluationError:
-            with pytest.raises(EvaluationError):
-                compiled.value_and_grad(cols)
+        want = _point_rows(compiled, cols)
+        got, failed = compiled.columns("value_and_grad", cols)
+        assert failed.tolist() == [w is None for w in want]
+        if failed.any():
+            for row, w in zip(got, want):
+                assert np.isnan(row).all() if w is None else row.tolist() == w
             continue
         checked += 1
-        value, grad = compiled.value_and_grad(cols)
-        want = np.array([[v, *g] for v, g in points])
-        got = np.column_stack(np.broadcast_arrays(value, *grad))
+        want = np.array(want)
         scale = np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -412,21 +427,24 @@ def test_compiled_columns_polynomial_bit_equal():
                  "x1^3 - 2 * x2^4 * x3 + x3^-1",
                  "x1^-3 * x2 + sqrt(x2^4 + 1) / (x3^3 + 30)"):
         compiled = compile_expression(parse(text, 3), 3)
-        value, grad = compiled.value_and_grad(cols)
-        for j, x in enumerate(cols.T.tolist()):
-            v, g = compiled.value_and_grad(x)
-            assert value[j] == v
-            assert [c[j] for c in grad] == list(g)
+        got, failed = compiled.columns("value_and_grad", cols)
+        assert not failed.any()
+        assert got.tolist() == _point_rows(compiled, cols)
 
 
 def test_compiled_columns_domain_errors():
+    # `columns` flags the columns whose point call raises, and nothing
+    # else; where every column fails the rows keep their width, all nan
     cols = np.array([[0.5, -1.0], [1.0, 1.0]])
-    with pytest.raises(EvaluationError):
-        compile_expression(parse("sqrt(x1)", 2), 2).value_and_grad(cols)
-    with pytest.raises(EvaluationError):
-        compile_expression(parse("x2 / (x1 + 1)", 2), 2).value_and_grad(cols)
-    with pytest.raises(EvaluationError):
-        compile_expression(parse("exp(1000 * x2)", 2), 2).value_and_grad(cols)
+    for text, failing in (("sqrt(x1)", [False, True]),
+                          ("x2 / (x1 + 1)", [False, True]),
+                          ("exp(1000 * x2)", [True, True])):
+        compiled = compile_expression(parse(text, 2), 2)
+        got, failed = compiled.columns("value_and_grad", cols)
+        assert failed.tolist() == failing
+        assert got.shape == (2, 3)
+        assert [w is None for w in _point_rows(compiled, cols)] == failing
+        assert np.isnan(got[failed]).all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -581,8 +599,9 @@ def test_dead_power_still_raises():
         cmap.project(x, [1.0, 0.0])
     with pytest.raises(EvaluationError):
         kernel.value_and_grad(x)
-    with pytest.raises(EvaluationError):
-        cmap.project(np.array([x]).T, np.array([[1.0], [0.0]]))
+    # and a batch of that one point flags it
+    assert cmap.columns("project", np.array([x]).T,
+                        np.array([[1.0], [0.0]]))[1].tolist() == [True]
     # the gradient alone evaluates there
     assert math.isfinite(compile_expression(
         parse("7 * x1^6", 2), 2).value(x))
