@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per catalog scenario over seeded critical point censuses.
+"""Print two sha256 per catalog scenario over seeded critical point censuses.
 
     python3 oracles/census_digest.py [--starts 200] [--seeds 10]
 
@@ -8,15 +8,20 @@ For each catalog scenario the script runs `find_critical_points` with
 covers, per census, the location (as raw float64 bytes), id, value and
 index of every critical point, the `SweepStats`, and the r, c_floor and
 n_floor_samples of `geometric_constants` (2000 samples, the census's
-seed). A last line, `sqrt_domain`, is a scenario off the catalog whose
-constraint reads sqrt(x1 + 1), with the default bounding box, so that
-every draw block of the sampler holds draws outside the domain; at each
-seed its digest covers the bytes of `sample_points(2000, seed)`, the
-outcome of `find_critical_points` (a result, or its error's type and
-text), and the manifold-wide gradient floor of `geometric_constants`
-with no critical points. The package is imported from this checkout's
-src/, so two checkouts print digests to compare line by line; equal
-digests mean the same censuses, bit for bit.
+seed). A second line per scenario, `<scenario> h_lam <digest>`, covers
+the multiplier-corrected Hessian H_lam by both of its paths, as raw
+float64 bytes: `corrected_hessian` at each critical point of each
+census, and `linearization._corrected_hessians` over
+`sample_points(200, seed)` at each seed. A last line, `sqrt_domain`, is
+a scenario off the catalog whose constraint reads sqrt(x1 + 1), with
+the default bounding box, so that every draw block of the sampler holds
+draws outside the domain; at each seed its digest covers the bytes of
+`sample_points(2000, seed)`, the outcome of `find_critical_points` (a
+result, or its error's type and text), and the manifold-wide gradient
+floor of `geometric_constants` with no critical points. The package is
+imported from this checkout's src/, so two checkouts print digests to
+compare line by line; equal digests mean the same censuses, bit for
+bit.
 """
 
 import argparse
@@ -35,6 +40,8 @@ from morseflow import (  # noqa: E402
 )
 from morseflow.catalog import list_scenarios  # noqa: E402
 from morseflow.errors import MorseflowError, TooFewCriticalPointsError  # noqa: E402
+from morseflow.linearization import _corrected_hessians  # noqa: E402
+from morseflow.morse import corrected_hessian  # noqa: E402
 
 # (constraint, f) on R^3, as in trajectory_digest.py
 SQRT_DOMAIN = ("x1^2 + x2^2 + x3^2 - 1 + 1e-4*sqrt(x1 + 1)",
@@ -49,18 +56,24 @@ def _update_census(digest, crits):
     digest.update(repr(crits.stats).encode())
 
 
-def scenario_digest(name, starts, seeds):
+def scenario_digests(name, starts, seeds):
+    """(census digest, h_lam digest) of one catalog scenario."""
     scenario = load_scenario(name)
     m = scenario.build_manifold()
     f = scenario.build_function()
     digest = hashlib.sha256()
+    h_lam = hashlib.sha256()
     for seed in range(seeds):
         crits = find_critical_points(m, f, starts, seed=seed)
         _update_census(digest, crits)
         consts = geometric_constants(m, f, crits, seed=seed)
         digest.update(repr((consts.r, consts.c_floor,
                             consts.n_floor_samples)).encode())
-    return digest.hexdigest()
+        for p in crits:
+            h_lam.update(corrected_hessian(m, f, p.location).tobytes())
+        h_lam.update(_corrected_hessians(
+            m, f, m.sample_points(200, seed)).tobytes())
+    return digest.hexdigest(), h_lam.hexdigest()
 
 
 def sqrt_domain_digest(starts, seeds):
@@ -90,5 +103,7 @@ if __name__ == "__main__":
                         help="censuses per scenario, seeds 0.. (default 10)")
     args = parser.parse_args()
     for name in list_scenarios():
-        print(name, scenario_digest(name, args.starts, args.seeds))
+        census, h_lam = scenario_digests(name, args.starts, args.seeds)
+        print(name, census)
+        print(name, "h_lam", h_lam)
     print("sqrt_domain", sqrt_domain_digest(args.starts, args.seeds))

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError, NotConvergedError, RetractionError
-from .geometry import RETRACT_MAX_ITER
 from .linalg import row_norms
 from .symbolics import compile_expression
 from .symbolics.compile import _FAILURES, _NAMESPACE, _define, prefixed
@@ -145,14 +144,14 @@ class GradientField:
     """Tangent projection on M and the projected gradient field of f.
 
     Both are generated code for any number of constraints, for one point
-    (a float list): the field kernel of (M, f) gives f and P grad f from
-    one pass over f and the constraints, and the constraint map's
-    `project` the tangential part of a vector, with the projection
-    written out in one term order (see `symbolics.compile`), so the two
-    agree bit for bit with each other and with
-    `ImplicitManifold.project_tangent`, without numpy dispatch. Many
-    points go through `CompiledExpression.columns`. A rank-deficient
-    Jacobian raises RankDeficiencyError.
+    (a float list): the field kernel of (M, f) gives f, P grad f and the
+    multipliers from one pass over f and the constraints, and the
+    constraint map's `project_rows` the tangential part of a vector,
+    with the projection written out in one term order (see
+    `symbolics.compile`), so the two agree bit for bit with each other
+    and with `ImplicitManifold.project_tangent`, without numpy dispatch.
+    Many points go through `CompiledExpression.columns`. A
+    rank-deficient Jacobian raises RankDeficiencyError.
     """
 
     def __init__(self, m, f):
@@ -418,7 +417,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
             t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
             threshold=threshold, capture=capture_at,
             pg=field.projected_gradient,
-            gn=m._map.gauss_newton(RETRACT_MAX_ITER),
+            gn=m._map.gauss_newton(),
             retracted=m._retracted,
             rows=m._map.rows_function(size // n - 1) if size > n else None,
             stats=stats, record_time=times.append,

@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import RankDeficiencyError, RetractionError
 from .symbolics import compile_expression, evaluate_jet
+from .symbolics.compile import RETRACT_MAX_ITER
 
 DEFAULT_CONSTRAINT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-6
-RETRACT_MAX_ITER = 25
 SAMPLE_KEEP_TOL = 0.5
 # Draws per pass of the rejection sampler; the points do not depend on
 # it. One or two points take under 1 ms with blocks of 64 to 4096 draws,
@@ -114,10 +114,10 @@ class ImplicitManifold:
 
     def project_tangent(self, x, v):
         """P(x) v without forming the projector: the constraint map's
-        generated `project` at one point. A singular Gram matrix raises
-        RankDeficiencyError.
+        generated `project_rows` at one point, with one row. A singular
+        Gram matrix raises RankDeficiencyError.
         """
-        return np.array(self._map.project(x, v)[0])
+        return np.array(self._map.project_rows(x, v))
 
     def riemannian_gradient(self, f, x):
         """Tangential part of the ambient gradient of `f` at `x`, from one
@@ -182,38 +182,39 @@ class ImplicitManifold:
         the constraint values F(y) of its first iterate.
 
         The whole iteration is one call of the constraint map's generated
-        `_gn` (`symbolics.compile`), whose loop body is `normal_step`'s:
-        each iteration forms the values first, so F(y) costs nothing
-        extra; a flow takes its constraint drift from it. The iteration
-        stops once every |F_i| <= constraint_tol, which a nan value never
-        satisfies, before that point's step is formed. `_retracted` turns
-        the status of `_gn` into the point or its error.
+        `_gn` (`symbolics.compile`), whose loop body forms the values, the
+        Jacobian rows and the Gauss-Newton step: each iteration forms the
+        values first, so F(y) costs nothing extra; a flow takes its
+        constraint drift from it. The iteration stops once every
+        |F_i| <= constraint_tol, which a nan value never satisfies, before
+        that point's step is formed. `_retracted` turns the status of
+        `_gn` into the point or its error.
         """
         bound = math.inf if guard is None else guard * (
             1.0 + math.sqrt(sum(v * v for v in y)))
-        return self._retracted(y, *self._map.gauss_newton(RETRACT_MAX_ITER)(
+        return self._retracted(y, *self._map.gauss_newton()(
             self.constraint_tol, bound, *y))
 
     def _retracted(self, y, point, first, status):
         """(point, first values) of `_gn` run from y, or its error.
 
-        Where the body raised, the checked `normal_step` at that point
-        raises the same failure as EvaluationError, or as
-        RankDeficiencyError, which becomes a RetractionError; every other
-        status but "converged" is a RetractionError.
+        Where the body raised, the map's checked `value_and_grad` at that
+        point raises a constraint's EvaluationError; if it evaluates, the
+        Gram solve divided by zero, a RetractionError. On "guard", `_gn`
+        gives the first step in place of the point, and its norm goes
+        into the message. Every other status but "converged" is a
+        RetractionError.
         """
         if status == "converged":
             return point, first
         if status == "failed":
-            try:
-                self._map.normal_step(point)  # raises what `_gn` raised
-            except RankDeficiencyError as exc:
-                raise RetractionError(
-                    "constraint Jacobian singular while retracting "
-                    f"{np.array(point)}"
-                ) from exc
+            self._map.value_and_grad(point)  # raises a domain error
+            raise RetractionError(
+                "constraint Jacobian singular while retracting "
+                f"{np.array(point)}"
+            )
         if status == "guard":
-            size = math.sqrt(sum(v * v for v in self._map.normal_step(y)[1]))
+            size = math.sqrt(sum(v * v for v in point))
             raise RetractionError(
                 "point outside the documented retraction basin "
                 f"(initial correction {size:.3e})"
@@ -298,7 +299,7 @@ class ImplicitManifold:
         Jacobian there evaluates (`columns` flags where it raises) and
         passes `_checked_jacobian`'s rank check.
         """
-        gn = self._map.gauss_newton(RETRACT_MAX_ITER)
+        gn = self._map.gauss_newton()
         points = rows.copy()
         ok = np.zeros(len(rows), dtype=bool)
         for j, y in enumerate(rows.tolist()):

@@ -11,15 +11,16 @@ re-projection. For tangent V, V . A(x) V = Hess(V, V).
 The joint state [x, V_1, ..., V_j] runs through the flow's own stepper:
 one adaptive step and error norm over the point and every vector, with
 the vectors re-projected by the constraint map's generated `_rows` at
-each accepted point, bit for bit its `project`.
+each accepted point.
 
 The energy E(t) = |V|^2 / 2 satisfies dE/dt = -Hess(V, V) with the
 multiplier-corrected Hessian; `check_energy_ode` measures the residual
 of that identity on a computed series, all samples at once: dE/dt from
 five-point derivative weights in closed form, H_lam at every sample from
-two `kkt_columns` calls (grad f, then H_lam), and Hess(V, V) from one
-einsum. `fit_decay_rate` compares the asymptotic decay rate of |V|
-against the smallest Hessian eigenvalue at the limiting minimum.
+the field kernel's multipliers and one `kkt_columns` call, and
+Hess(V, V) from one einsum. `fit_decay_rate` compares the asymptotic
+decay rate of |V| against the smallest Hessian eigenvalue at the
+limiting minimum.
 """
 
 import math
@@ -169,20 +170,17 @@ def _derivative_weights(t):
 
 def _corrected_hessians(m, f, points):
     """H_lam at each row of `points`, as `morse.corrected_hessian` forms
-    it: grad f from one `kkt_columns` call at lam = 0, its Gram weights
-    lam from `morse._multipliers`, and H_lam from a second call. The
-    lowest row whose `kkt` or weights fail raises that point's
+    it: the multipliers lam from one field-kernel call
+    (`morse._multipliers`), and H_lam from one `kkt_columns` call. The
+    lowest row whose multipliers or `kkt` fail raises that point's
     EvaluationError or RankDeficiencyError."""
-    n, k = m.ambient_dim, m.n_constraints
-    kernel = compile_expression(f, n, m.constraints)
-    blocks, failed = kernel.kkt_columns(points.T, np.zeros((k, len(points))))
-    lam = np.full((len(points), k), np.nan)
-    lam[~failed] = _multipliers(m, points[~failed], blocks[1][~failed])
-    blocks, bad = kernel.kkt_columns(points.T, lam.T)
-    failed |= bad | np.isnan(lam).any(axis=1)
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    lam = _multipliers(m, f, points)
+    blocks, failed = kernel.kkt_columns(points.T, lam.T)
+    failed |= np.isnan(lam).any(axis=1)
     if failed.any():
         x = points[np.argmax(failed)].tolist()
-        kernel.kkt(x, m._map.project(x, kernel.kkt(x, [0.0] * k)[1])[1])
+        kernel.kkt(x, kernel.value_and_grad(x)[2])
     return blocks[-1]
 
 

@@ -10,9 +10,11 @@ census runs Newton from all its starts at once: one call of the field
 kernel's generated `kkt_columns` per iteration gives every live start
 its blocks, and numpy's stacked solve takes their steps.
 `corrected_hessian` assembles H_lam from the jets of f and the
-constraints (`evaluate_jet`), with lam the Gram weights (J J^T)^{-1} J
-grad f of the map's `project` (the Weingarten correction: Absil, Mahony
-& Trumpf, GSI 2013), which `_multipliers` takes at many points at once.
+constraints (`evaluate_jet`), with lam = (J J^T)^{-1} J grad f, which
+carries the normal part of grad f (the Weingarten correction: Absil,
+Mahony & Trumpf, GSI 2013). Every multiplier is read from the field
+kernel, which forms lam as the Gram weights of its projection: one
+point call, or one `columns` call for many points (`_multipliers`).
 """
 
 import dataclasses
@@ -82,12 +84,14 @@ def corrected_hessian(m, f, x):
     Hess f minus the multiplier-weighted constraint Hessians; restricted
     to tangent vectors this is the quadratic form of the intrinsic
     Hessian (the multipliers carry exactly the normal component of
-    grad f, i.e. the curvature-of-embedding correction). A singular Gram
-    matrix raises RankDeficiencyError.
+    grad f, i.e. the curvature-of-embedding correction), read from one
+    point call of the field kernel. A singular Gram matrix raises
+    RankDeficiencyError.
     """
     jet = evaluate_jet(f, x)
     hess = jet.hessian.copy()
-    lam = m._map.project(x, jet.gradient)[1]
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    lam = kernel.value_and_grad(x)[2]
     for coef, cons_hess in zip(lam, m.constraint_hessians(x)):
         hess -= coef * cons_hess
     return 0.5 * (hess + hess.T)
@@ -158,13 +162,14 @@ def _kkt_step(kkt, rhs):
         return _lstsq(kkt, rhs)
 
 
-def _multipliers(m, x, grad):
-    """The Gram weights of the rows of `grad` (grad f) at the rows of x,
-    a C-contiguous (N, k) array, from one `columns` call of the map's
-    `project`: each row the point call's bits (where numpy agrees with
-    `math`), nan where that call raises."""
-    rows = m._map.columns("project", x.T, grad.T)[0]
-    return np.ascontiguousarray(rows[:, m.ambient_dim:])
+def _multipliers(m, f, x):
+    """The multipliers of f at the rows of x, a C-contiguous (N, k)
+    array, from one `columns` call of the field kernel's
+    `value_and_grad`: each row the point call's lam bits (where numpy
+    agrees with `math`), nan where that call raises."""
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    rows = kernel.columns("value_and_grad", x.T)[0]
+    return np.ascontiguousarray(rows[:, 1 + m.ambient_dim:])
 
 
 def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
@@ -175,13 +180,14 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     matrix [[H_lam, -J^T], [J, 0]], and takes one stacked solve. A start
     is done when its residual is below `res_tol` (its root), and is
     dropped as None when its iterate is not finite or leaves the ball of
-    radius 1e6, or after `max_iter` iterations. The first multipliers are
-    grad f's Gram weights from one `_multipliers` call, nan (so the
-    start is dropped at its first step) where J J^T is singular. Each
-    start takes its steps as it would alone: the matvec, the solve and
-    the step norms are numpy's per-row operations. A start whose
-    evaluation fails is dropped, and after the sweep the lowest-index
-    one raises its EvaluationError at the point where it failed.
+    radius 1e6, or after `max_iter` iterations. The first multipliers
+    come from one `_multipliers` call, nan where J J^T is singular (so
+    the start is dropped at its first step). Each start takes its
+    steps as it would alone: the matvec, the solve and the step norms
+    are numpy's per-row operations. A start whose evaluation fails is
+    dropped as None too; only when no start converged does the
+    lowest-index one raise its EvaluationError at the point where it
+    failed, so a function undefined on all of M still names its error.
     """
     n, k = m.ambient_dim, m.n_constraints
     kernel = compile_expression(f, n, m.constraints)
@@ -189,7 +195,7 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
     failed = []
     live = np.arange(len(starts))
     x = np.array(starts, dtype=float)
-    lam = np.zeros((len(x), k))
+    lam = _multipliers(m, f, x)
 
     def evaluate():
         """grad f, J, F and H_lam of the live starts, after dropping (and
@@ -203,9 +209,6 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
         return blocks[1:]
 
     with np.errstate(all="ignore"):
-        # grad f at lam = 0, which drops the starts that fail
-        grad = evaluate()[0]
-        lam = _multipliers(m, x, grad)
         for _ in range(max_iter):
             if not len(live):
                 break
@@ -236,7 +239,7 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
             lam = lam + delta[:, n:]
             keep = np.all(np.isfinite(x), axis=1) & ~(row_norms(x) > 1e6)
             live, x, lam = live[keep], x[keep], lam[keep]
-    if failed:
+    if failed and all(root is None for root in roots):
         # The point code raises where the columns failed.
         _, at, lam_at = min(failed, key=lambda item: item[0])
         kernel.kkt(at, lam_at)
@@ -357,6 +360,6 @@ def _gradient_floor(m, f, samples):
     rows, failed = kernel.columns("value_and_grad", samples.T.copy())
     if failed.any():
         m.riemannian_gradient(f, samples[np.argmax(failed)])  # raises
-    norms = np.sqrt(sum(g * g for g in rows[:, 1:].T))
+    norms = np.sqrt(sum(g * g for g in rows[:, 1:1 + m.ambient_dim].T))
     close = np.flatnonzero(norms <= (1.0 + 1e-9) * np.min(norms))
     return min(m.riemannian_gradient(f, samples[i]).norm() for i in close)

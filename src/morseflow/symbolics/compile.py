@@ -14,36 +14,36 @@ object are generated, all through `compile_expression` and its one
 cache:
 
 - a map, a tuple of expressions such as the constraints F = (F_1, ..., F_k)
-  of a manifold: all values, or all values and the Jacobian rows, from
-  one call; also `project`, the tangential part of a vector with its
-  Gram weights (J J^T)^{-1} J vec, `project_rows`, the tangential parts
-  of d rows (a transported frame) with one Gram solve for all of them,
-  `normal_step`, the values with the Gauss-Newton step
-  J^T (J J^T)^{-1} F of a retraction, and, compiled on first use,
+  of a manifold, with four generated functions: all values (`value`),
+  all values and the Jacobian rows (`value_and_grad`), `project_rows`,
+  the tangential parts of d rows (one vector, or a transported frame)
+  with one Gram solve for all of them, and, compiled on first use,
   `gauss_newton`'s `_gn`, the whole retraction of one point: a loop
-  whose body is `normal_step`'s lines, with the convergence test over
-  the k values (before the step is formed), the guard on the first
-  step's norm and the finiteness test unrolled, returning the point,
-  the first iterate's values and a status;
+  whose body forms the values and the Gauss-Newton step
+  J^T (J J^T)^{-1} F, with the convergence test over the k values
+  (before the step is formed), the guard on the first step's norm and
+  the finiteness test unrolled, returning the point, the first
+  iterate's values and a status;
 - a field kernel, f together with k >= 0 constraints (one expression
-  is k = 0, P the identity): the value of f and P grad f, P the
-  orthogonal projection onto ker dF, from one pass over f and the
-  constraints; also, compiled on first use, f and the blocks of the KKT
-  system of the multiplier Newton (grad f, J, F and
-  H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass, which
-  for k = 0 is f's jet, and for x with j tangent vectors, f, P grad f
-  and the derivative of P grad f along each vector from one order-2
-  pass (`_field_code`).
+  is k = 0, P the identity): the value of f, P grad f, P the orthogonal
+  projection onto ker dF, and for k >= 1 the Lagrange multipliers
+  lam = (J J^T)^{-1} J grad f, the Gram weights of that projection, from
+  one pass over f and the constraints; also, compiled on first use, f
+  and the blocks of the KKT system of the multiplier Newton (grad f, J,
+  F and H_lam = Hess f - sum_i lam_i Hess F_i) from one order-2 pass,
+  which for k = 0 is f's jet, and for x with j tangent vectors, f,
+  P grad f, the derivative of P grad f along each vector and lam from
+  one order-2 pass (`_field_code`).
 
-`project`, `project_rows`, `normal_step` and the field kernel write the
-solve with the Gram matrix J J^T out inline for every number k of
-constraints, from one emitter helper: Gram sums from 0.0 in coordinate
-order, Cramer's rule for k = 2, otherwise Gaussian elimination without
-pivoting (a division for k = 1). So the field, the tangent projection
-and the retraction give the bits of that arithmetic done term by term on
+`project_rows`, `_gn` and the field kernel write the solve with the
+Gram matrix J J^T out inline for every number k of constraints, from
+one emitter helper: Gram sums from 0.0 in coordinate order, Cramer's
+rule for k = 2, otherwise Gaussian elimination without pivoting (a
+division for k = 1). So the field, the tangent projection and the
+retraction give the bits of that arithmetic done term by term on
 floats; numpy's solve agrees to rounding (within 1e-14 on the test
-scenarios). There is no other J J^T solve: `project` also gives the
-Lagrange multipliers and the tangent bases.
+scenarios). There is no other J J^T solve: the field kernel's lam are
+the multipliers, and `project_rows` gives the tangent bases.
 
 A generated function keeps only its live lines (`_live`): those its
 results read, directly or through later lines. A dead line stays if it
@@ -60,8 +60,8 @@ raise) and the output tokens, and `prefixed` renames every name in them
 but the `math` functions, so that copies of them do not meet. The flow
 loop (`flow._loop_factory`) writes one copy into each Cash-Karp stage.
 
-The sources of `value`, `value_and_grad`, `project` and `kkt` are
-each compiled once and executed twice: with the `math` functions for one
+The sources of `value`, `value_and_grad` and `kkt` are each compiled
+once and executed twice: with the `math` functions for one
 point given as floats, and with their numpy ufuncs for many points given
 as coordinate columns. The numpy twin runs only in
 `CompiledExpression.columns`, the one call for many points: where numpy
@@ -93,7 +93,7 @@ _GN_NAMESPACE = {**_NAMESPACE, "_FAILURES": _FAILURES}
 
 class _Emitter:
     """Source lines of one generated function: the node rules run to
-    `order` 0, 1 or 2, and the Gram solve of `project`/`normal_step`."""
+    `order` 0, 1 or 2, and the Gram solve of `project`/`normal`."""
 
     def __init__(self, order):
         self.lines = []
@@ -304,10 +304,11 @@ class _Emitter:
         return [" - ".join([b, *_products(w, col)])
                 for b, *col in zip(vec, *rows)], w
 
-    def normal_step(self, rows, vals):
-        """Tokens of J^T w, the Gauss-Newton step, with w the weights of
-        the constraint values."""
-        w = self._weights(rows, vals)
+    def normal(self, rows, rhs):
+        """Tokens of J^T w, w = (J J^T)^{-1} rhs: the normal vector whose
+        image under J is rhs (for the constraint values, the
+        Gauss-Newton step)."""
+        w = self._weights(rows, rhs)
         return [" + ".join(_products(w, col) or ["0.0"])
                 for col in zip(*rows)]
 
@@ -476,12 +477,13 @@ def _value_grad_code(exprs, n):
 
 def _field_parts(f, constraints, n, vectors):
     """The field kernel's walk for x with j = `vectors` tangent vectors:
-    (emitter, f's token, the output tokens, the parameters). The outputs
-    are w = P grad f, then for each V the derivative of w along V,
+    (emitter, f's token, the output tokens, the multiplier tokens, the
+    parameters). The outputs are w = P grad f, then for each V the
+    derivative of w along V,
     dw[V] = P(H_lam V) - J^T (J J^T)^{-1} [w^T Hess F_i V]_i, lam the
-    weights of w's projection; the normal part turns V with the tangent
-    planes. The parameters are x1, ..., xn, v1_1, ..., vj_n. j = 0 walks
-    to order 1, j > 0 to order 2."""
+    weights of w's projection (the multipliers, none for k = 0); the
+    normal part turns V with the tangent planes. The parameters are x1,
+    ..., xn, v1_1, ..., vj_n. j = 0 walks to order 1, j > 0 to order 2."""
     emitter = _Emitter(2 if vectors else 1)
     (vf, gf, hf), *walked = [emitter.jet(e) for e in (f, *constraints)]
     rows = [_dense(g, n) for _, g, _ in walked]
@@ -495,18 +497,18 @@ def _field_parts(f, constraints, n, vectors):
         tangent, _ = emitter.project(rows, emitter.symmetric_times(hess, vec))
         turn = [emitter.local("d", _dot(w, emitter.symmetric_times(h, vec)))
                 for h in hessians]
-        normal = emitter.normal_step(rows, turn)
+        normal = emitter.normal(rows, turn)
         out += [f"{t} - ({q})" for t, q in zip(tangent, normal)]
-    return (emitter, vf, out,
+    return (emitter, vf, out, lams,
             _names("x", n) + [v for vec in params for v in vec])
 
 
 def _field_code(f, constraints, n, vectors=0):
-    """Source of `_vg(x1, ..., xn, v1_1, ..., vj_n)`, j = `vectors`: f
-    and the outputs of `_field_parts`."""
-    emitter, vf, out, params = _field_parts(f, constraints, n, vectors)
-    return _build("_vg", n, emitter, f"{vf}, {_tuple(out)}",
-                  extra=params[n:])
+    """Source of `_vg(x1, ..., xn, v1_1, ..., vj_n)`, j = `vectors`: f,
+    the outputs of `_field_parts` and, for k >= 1, the multipliers."""
+    emitter, vf, out, lams, params = _field_parts(f, constraints, n, vectors)
+    ret = f"{vf}, {_tuple(out)}" + (f", {_tuple(lams)}" if lams else "")
+    return _build("_vg", n, emitter, ret, extra=params[n:])
 
 
 def prefixed(text, prefix):
@@ -517,18 +519,11 @@ def prefixed(text, prefix):
         lambda m: m[0] if m[0] in _NAMESPACE else prefix + m[0], text)
 
 
-def _project_code(constraints, n):
-    emitter, _, rows = _walk_all(constraints, n)
-    out, w = emitter.project(rows, _names("b", n))
-    return _build("_proj", n, emitter, f"{_tuple(out)}, {_tuple(w)}",
-                  extra=_names("b", n))
-
-
 def _rows_code(constraints, n, count):
-    """Source of `_rows(x1, ..., xn, b1_1, ..., bd_n)`: `project`'s
-    tangential part of each of the d = `count` rows b, flat. One emitter
-    takes all d projections, so the Gram sums and the elimination are
-    emitted once and shared by the rows."""
+    """Source of `_rows(x1, ..., xn, b1_1, ..., bd_n)`: the tangential
+    part b - J^T (J J^T)^{-1} J b of each of the d = `count` rows b,
+    flat. One emitter takes all d projections, so the Gram sums and the
+    elimination are emitted once and shared by the rows."""
     emitter, _, rows = _walk_all(constraints, n)
     vecs = [_names(f"b{i}_", n) for i in range(1, count + 1)]
     out = [t for vec in vecs for t in emitter.project(rows, vec)[0]]
@@ -536,33 +531,33 @@ def _rows_code(constraints, n, count):
                   extra=[b for vec in vecs for b in vec])
 
 
-def _step_code(constraints, n):
-    emitter, vals, rows = _walk_all(constraints, n)
-    step = emitter.normal_step(rows, vals)
-    return _build("_step", n, emitter, f"{_tuple(vals)}, {_tuple(step)}")
+# Gauss-Newton steps of one retraction (`_gn_code`).
+RETRACT_MAX_ITER = 25
 
 
-def _gn_code(constraints, n, max_iter):
+def _gn_code(constraints, n):
     """Source of `_gn(tol, bound, x1, ..., xn)`: the Gauss-Newton
-    iteration x <- x - J^T (J J^T)^{-1} F(x) for at most `max_iter`
-    steps, with `_step_code`'s lines inlined as its body.
+    iteration x <- x - J^T (J J^T)^{-1} F(x) for at most
+    RETRACT_MAX_ITER steps, its body the values, the Jacobian rows and
+    the step from one walk of the constraints.
 
     It stops at the first iterate where every |F_i| <= tol, tested on
     the values before the other lines of the step (so such a point is
     returned even where its step would raise), and returns (point,
     values, status): the point as a list, the values of the first
-    iterate and "converged", or "guard" when the first step's norm is
-    above `bound`, "diverged" when a step leaves a non-finite
-    coordinate (the sum of the differences x - x is 0.0 exactly when
-    every coordinate is finite), "iterations" after `max_iter` steps,
-    and "failed" with the point where the body raised (a domain error or
-    a zero Gram determinant or pivot). The step's entries are all formed
-    before a coordinate moves, since J can read the coordinates.
+    iterate and "converged", or in place of the point the first step
+    and "guard" when that step's norm is above `bound`, "diverged" when
+    a step leaves a non-finite coordinate (the sum of the differences
+    x - x is 0.0 exactly when every coordinate is finite), "iterations"
+    after RETRACT_MAX_ITER steps, and "failed" with the point where the
+    body raised (a domain error or a zero Gram determinant or pivot).
+    The step's entries are all formed before a coordinate moves, since
+    J can read the coordinates.
     """
     emitter, vals, rows = _walk_all(constraints, n)
     steps = _names("s", n)
     body = _live(emitter.lines + [f"    {s} = {t}" for s, t in zip(
-        steps, emitter.normal_step(rows, vals))], ", ".join(vals + steps))
+        steps, emitter.normal(rows, vals))], ", ".join(vals + steps))
     head = _live(body, ", ".join(vals), raising=False)
     tail = [line for line in body if line not in head]
     xs = _names("x", n)
@@ -571,7 +566,7 @@ def _gn_code(constraints, n, max_iter):
         f"def _gn(tol, bound, {', '.join(xs)}):",
         "    first = None",
         "    try:",
-        f"        for it in range({max_iter}):",
+        f"        for it in range({RETRACT_MAX_ITER}):",
         *("        " + line for line in head),
         "            if it == 0:",
         f"                first = {_tuple(vals)}",
@@ -581,7 +576,7 @@ def _gn_code(constraints, n, max_iter):
         *("        " + line for line in tail),
         "            if it == 0 and sqrt("
         + " + ".join(f"{s} * {s}" for s in steps) + ") > bound:",
-        f"                return {point}, first, 'guard'",
+        f"                return [{', '.join(steps)}], first, 'guard'",
         *(f"            {x} = {x} - {s}" for x, s in zip(xs, steps)),
         "            if not " + " + ".join(f"({x} - {x})" for x in xs)
         + " == 0.0:",
@@ -636,28 +631,26 @@ def _pair(code, name):
 class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
-    `value` runs the node rules at order 0, `value_and_grad`, `project`,
-    `project_rows` and `normal_step` at order 1 and `jet`, `kkt` and the
+    `value` runs the node rules at order 0, `value_and_grad`,
+    `project_rows` and `gauss_newton` at order 1 and `jet`, `kkt` and the
     field kernel's `value_and_grad` of a state with vectors at order 2,
     so where two of them form the same number they give the same bits.
 
     - `expression` a tuple of expressions (a map such as the constraints
       of a manifold): `value` gives the tuple of values and
-      `value_and_grad` (values, Jacobian rows), `project(x, vec)` the
-      tangential part of vec at x with its Gram weights,
-      `project_rows(x, rows)` the tangential parts of d rows (d * n
-      floats, row after row; `rows_function(d)` the unchecked function
-      of each d, generated on first use), `normal_step(x)` (values,
-      J^T (J J^T)^{-1} F(x)), the Gauss-Newton step toward F = 0 from
-      one point, which names the failure of a retraction, and
-      `gauss_newton(max_iter)` the unchecked function of the whole
-      iteration for one point.
+      `value_and_grad` (values, Jacobian rows), `project_rows(x, rows)`
+      the tangential parts of d rows (d * n floats, row after row; one
+      vector is d = 1; `rows_function(d)` the unchecked function of each
+      d, generated on first use), and `gauss_newton()` the unchecked
+      function of the whole retraction of one point.
     - `expression` f with k >= 0 `constraints` (k = 0 for one
       expression): the field kernel. `value` gives f(x), `value_and_grad`
       (f(x), P(x) grad f(x)), and for a state of x and j tangent vectors,
       (1 + j) n floats, f(x), P grad f and its derivative along each
       vector (`field_function`: the unchecked function of a state size;
-      `field_lines` its lines for inlining).
+      `field_lines` its lines for inlining); for k >= 1 both end with the
+      Lagrange multipliers lam = (J J^T)^{-1} J grad f, the Gram weights
+      of the projection, as a third output.
       `kkt(x, lam)` gives f, grad f, the Jacobian rows, F and H_lam at x
       and multipliers lam, `kkt_columns` the same for columns, and `jet`
       f's (value, gradient array, Hessian array).
@@ -666,15 +659,15 @@ class CompiledExpression:
     EvaluationError naming the first expression, in the order f, F_1,
     ..., F_k, that fails at x (with vectors, whose `jet` fails); a zero
     Gram determinant or pivot raises RankDeficiencyError. Many points go
-    through `columns` alone, which runs `value`, `value_and_grad`,
-    `project` or `kkt` on the N columns of an (ambient_dim, N) array and
-    flags the columns where the point call raises, without raising.
+    through `columns` alone, which runs `value`, `value_and_grad` or
+    `kkt` on the N columns of an (ambient_dim, N) array and flags the
+    columns where the point call raises, without raising.
     """
 
     __slots__ = (
         "expression", "ambient_dim", "constraints", "_text", "_parts",
-        "_pairs", "_value", "_value_grad", "_project", "_fields",
-        "_step", "_kkt", "_rows", "_gn", "_loops",
+        "_pairs", "_value", "_value_grad", "_fields", "_kkt", "_rows",
+        "_gn", "_loops",
     )
 
     def __init__(self, expression, ambient_dim, constraints=()):
@@ -709,16 +702,11 @@ class CompiledExpression:
         self._value = self._pairs["value"][0]
         self._value_grad = self._pairs["value_and_grad"][0]
         self._fields = {0: self._value_grad}
-        self._project = self._step = self._kkt = None
+        self._kkt = self._gn = None
         self._rows = {}
-        self._gn = {}
         # the field kernel's generated flow loops by state size, kept
         # here by `flow._loop_factory` so that they go with this object
         self._loops = {}
-        if not single:
-            self._pairs["project"] = _pair(_project_code(exprs, n), "_proj")
-            self._project = self._pairs["project"][0]
-            self._step = _define(_step_code(exprs, n), "_step", _NAMESPACE)
 
     def value(self, x):
         """The value(s) at one point."""
@@ -768,10 +756,9 @@ class CompiledExpression:
         return self._kkt_blocks(rows), failed
 
     def columns(self, name, x, *args):
-        """The generated `name` ("value", "value_and_grad", "project" or
-        "kkt") at the N columns of x (ambient_dim, N), the further
-        parameters (vec of `project`, lam of `kkt`) given as `args` of N
-        columns each.
+        """The generated `name` ("value", "value_and_grad" or "kkt") at
+        the N columns of x (ambient_dim, N), the multipliers lam of `kkt`
+        given as `args`, k rows of N columns.
 
         Returns (rows, failed): an (N, width) array whose row j holds the
         outputs at column j in order, flat, and a boolean mask of the
@@ -807,9 +794,8 @@ class CompiledExpression:
         n, k = self.ambient_dim, len(self.constraints)
         if isinstance(self.expression, tuple):
             k = len(self.expression)
-            return {"value": k, "value_and_grad": k + k * n,
-                    "project": n + k}[name]
-        return {"value": 1, "value_and_grad": 1 + n,
+            return {"value": k, "value_and_grad": k + k * n}[name]
+        return {"value": 1, "value_and_grad": 1 + n + k,
                 "kkt": 1 + n + k * n + k + n * n}[name]
 
     def _kkt_pair(self):
@@ -850,7 +836,7 @@ class CompiledExpression:
         `prefixed` keeps copies of them apart.
         """
         n = self.ambient_dim
-        emitter, _, out, params = _field_parts(
+        emitter, _, out, _, params = _field_parts(
             self.expression, self.constraints, n, size // n - 1)
         lines = _live(emitter.lines, ", ".join(out))
         return params, [line.strip() for line in lines], out
@@ -872,16 +858,12 @@ class CompiledExpression:
             raise self._failure("value_and_grad", x, exc,
                                 bool(self.constraints)) from exc
 
-    def project(self, x, vec):
-        """(vec - J^T w, w) at one point x, vec n floats, with the Gram
-        weights w = (J J^T)^{-1} J vec (for grad f, the multipliers)."""
-        return self._call(self._project, x, *_as_floats(vec))
-
     def project_rows(self, x, rows):
-        """`project`'s tangential parts of d rows at one point x, from one
-        call that solves with the Gram matrix once: `rows` and the result
-        are d * n floats, row after row, each row the bits of `project`'s.
-        The function of each d is generated on first use (`_rows_code`)."""
+        """The tangential parts b - J^T (J J^T)^{-1} J b of d rows b at one
+        point x, from one call that solves with the Gram matrix once:
+        `rows` and the result are d * n floats, row after row, and a row
+        has the same bits in each d (one vector is d = 1). The function of
+        each d is generated on first use (`_rows_code`)."""
         function = self.rows_function(len(rows) // self.ambient_dim)
         x = _as_floats(x)
         try:
@@ -898,29 +880,15 @@ class CompiledExpression:
                 self.expression, self.ambient_dim, count), "_rows", _NAMESPACE)
         return function
 
-    def normal_step(self, x):
-        """(F(x), J^T (J J^T)^{-1} F(x)) at one point."""
-        return self._call(self._step, x)
-
-    def gauss_newton(self, max_iter):
+    def gauss_newton(self):
         """The map's unchecked Gauss-Newton function `_gn(tol, bound, x1,
-        ..., xn)` of at most `max_iter` steps (`_gn_code`), generated on
-        first use: (point, first values, status) of one point."""
-        function = self._gn.get(max_iter)
-        if function is None:
-            function = self._gn[max_iter] = _define(_gn_code(
-                self.expression, self.ambient_dim, max_iter), "_gn",
-                _GN_NAMESPACE)
-        return function
-
-    def _call(self, point, x, *args):
-        """point(*x, *args) of a Gram solve at one point; `_failure` names
-        a failure."""
-        x = _as_floats(x)
-        try:
-            return point(*x, *args)
-        except _FAILURES as exc:
-            raise self._failure("value_and_grad", x, exc, True) from exc
+        ..., xn)` of at most RETRACT_MAX_ITER steps (`_gn_code`),
+        generated on first use: (point, first values, status) of one
+        point."""
+        if self._gn is None:
+            self._gn = _define(_gn_code(self.expression, self.ambient_dim),
+                               "_gn", _GN_NAMESPACE)
+        return self._gn
 
     def gradient(self, x):
         return np.asarray(self.value_and_grad(x)[1])

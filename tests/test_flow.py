@@ -27,7 +27,6 @@ from morseflow.flow import (
     FlowStats, GradientField, Terminal, _capture, _cash_karp, _first_step,
     _loop_factory, _norm, flow_terminals,
 )
-from morseflow.geometry import RETRACT_MAX_ITER
 from morseflow.linearization import integrate_variational
 from morseflow.symbolics.compile import CompiledExpression
 from test_kernels import SCENARIOS, _scenario
@@ -397,7 +396,7 @@ def _checked_rhs(field, sign):
 def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
     """`_cash_karp` as the Python loop it was: `_oracle_step` with the
     checked field, `ImplicitManifold._gauss_newton` on the point part of
-    y5, the constraint map's `project` per vector, the step factors
+    y5, the constraint map's `project_rows` per vector, the step factors
     above, and the module's capture and statistics."""
     m = field.manifold
     n = field.n
@@ -445,7 +444,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
         t += h
         state = point + [
             c for lo in range(n, size, n)
-            for c in m._map.project(point, y_new[lo:lo + n])[0]
+            for c in m._map.project_rows(point, y_new[lo:lo + n])
         ]
         stats.steps += 1
         k1 = rhs(state)
@@ -466,7 +465,7 @@ def _failing_retraction(monkeypatch, m, fails):
     `_retracted` turns into RetractionError. Returns the arguments (tol,
     bound, *y) of the failed calls."""
     fails = range(fails) if isinstance(fails, int) else fails
-    original = m._map.gauss_newton(RETRACT_MAX_ITER)
+    original = m._map.gauss_newton()
     failed, calls = [], itertools.count()
 
     def failing(*args):
@@ -475,7 +474,7 @@ def _failing_retraction(monkeypatch, m, fails):
             failed.append(args)
             status = "iterations"
         return point, first, status
-    monkeypatch.setitem(m._map._gn, RETRACT_MAX_ITER, failing)
+    monkeypatch.setattr(m._map, "_gn", failing)
     return failed
 
 
@@ -571,12 +570,12 @@ def test_drift_is_the_largest_violation_before_retraction(name, vectors,
     m, f, cfg, crits = setup.manifold, setup.function, setup.cfg, setup.crits
     x0 = m.sample_points(1, seed=31)[0]
     retracted = []
-    original = m._map.gauss_newton(RETRACT_MAX_ITER)
+    original = m._map.gauss_newton()
 
     def recording(tol, bound, *y):
         retracted.append(list(y))
         return original(tol, bound, *y)
-    monkeypatch.setitem(m._map._gn, RETRACT_MAX_ITER, recording)
+    monkeypatch.setattr(m._map, "_gn", recording)
     if vectors:
         v0 = m.random_tangent(x0, np.random.default_rng(4))
         stats = integrate_variational(m, f, x0, v0, cfg, crits=crits).stats
@@ -860,7 +859,7 @@ def test_projection_failure_raises_the_checked_error(monkeypatch):
         return apex, (0.0,), "converged"
     with pytest.raises(RankDeficiencyError) as want:
         m._map.project_rows(apex, [0.0, 1.0, 0.0])
-    monkeypatch.setitem(m._map._gn, RETRACT_MAX_ITER, to_apex)
+    monkeypatch.setattr(m._map, "_gn", to_apex)
     with pytest.raises(RankDeficiencyError) as got:
         _cash_karp(field, -1.0, state, 1.0, FlowConfig())
     assert str(got.value) == str(want.value)

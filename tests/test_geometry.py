@@ -184,8 +184,8 @@ def test_rank_deficiency_detected():
     rows, failed = kernel.columns(
         "value_and_grad", np.array([[0.6, 0.0], [0.8, 0.0], [1.0, 0.0]]))
     assert failed.tolist() == [False, True] and np.isnan(rows[1]).all()
-    value, grad = kernel.value_and_grad([0.6, 0.8, 1.0])
-    assert rows[0].tolist() == [value, *grad]
+    value, grad, lam = kernel.value_and_grad([0.6, 0.8, 1.0])
+    assert rows[0].tolist() == [value, *grad, *lam]
 
 
 def _sample_points_per_draw(m, count, seed, keep_tol=0.5):

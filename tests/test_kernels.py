@@ -334,7 +334,7 @@ def test_field_matches_hand_written_projection(name):
     # one `columns` call of the kernel gives each column its point's bits
     rows, failed = field._kernel.columns("value_and_grad", points.T.copy())
     assert not failed.any()
-    assert rows[:, 1:].tolist() == [
+    assert rows[:, 1:1 + m.ambient_dim].tolist() == [
         _projected_gradient_oracle(m, f, x) for x in points.tolist()]
 
 
@@ -371,7 +371,7 @@ _STATUS_ERRORS = {"guard": "basin", "diverged": "non-finite",
 def _generated_retraction(m, x, guard):
     """The raw (point, first values, status) of the map's `_gn`."""
     bound = math.inf if guard is None else guard * (1.0 + _plain_norm(x))
-    return m._map.gauss_newton(RETRACT_MAX_ITER)(
+    return m._map.gauss_newton()(
         m.constraint_tol, bound, *np.asarray(x, dtype=float).tolist())
 
 
@@ -478,7 +478,7 @@ def test_tangent_projection_matches_numpy(name):
         assert np.allclose(got, _project_tangent_oracle(m, x, v),
                            rtol=0.0, atol=1e-14)
         # one field kernel call, bit-equal to f's compiled gradient
-        # projected by the constraint map's `project`
+        # projected by the constraint map's `project_rows`
         g = grad.gradient(x)
         composed = m.project_tangent(x, g)
         assert np.array_equal(composed, _project_oracle(m, x, g))
@@ -488,7 +488,8 @@ def test_tangent_projection_matches_numpy(name):
 @pytest.mark.parametrize("name", SCENARIOS + ("sphere_cut",))
 def test_projected_rows_match_project(name):
     # the row function shares one Gram solve among the rows, and each
-    # row keeps the bits of `project` alone
+    # row keeps the bits of its projection alone (d = 1, which is
+    # `project_tangent`), within 1e-14 of numpy's
     m, _ = _scenario(name)
     on, near, _ = _points(name)
     rng = np.random.default_rng(12)
@@ -496,16 +497,11 @@ def test_projected_rows_match_project(name):
         for d in (1, 2, 3):
             rows = rng.standard_normal((d, m.ambient_dim))
             got = m._map.project_rows(x, rows.ravel())
-            want = [m._map.project(x, r)[0] for r in rows.tolist()]
+            want = [m._map.project_rows(x, r) for r in rows.tolist()]
             assert got == tuple(t for row in want for t in row)
-    # `project` by `columns` gives each column its point's bits
-    points = np.concatenate([on, near])
-    vecs = np.random.default_rng(13).standard_normal(points.shape)
-    rows, failed = m._map.columns("project", points.T.copy(), vecs.T.copy())
-    assert not failed.any()
-    for row, x, v in zip(rows, points, vecs):
-        want_tangent, want_weights = m._map.project(x, v)
-        assert row.tolist() == [*want_tangent, *want_weights]
+            for row, r in zip(want, rows):
+                assert np.allclose(row, _project_tangent_oracle(m, x, r),
+                                   rtol=0.0, atol=1e-14)
 
 
 def test_projected_rows_name_a_domain_error():
@@ -531,7 +527,7 @@ def test_error_parity():
     with pytest.raises(RankDeficiencyError):
         cone.project_tangent(apex, np.ones(3))
 
-    sphere, _ = _scenario("sphere2")
+    sphere, f2 = _scenario("sphere2")
     sphere5, f5 = _scenario("sphere_in_r5")  # k = 3
     origin5 = [0.0] * 5
     with pytest.raises(RankDeficiencyError):
@@ -558,16 +554,18 @@ def test_error_parity():
     assert "non-finite" in _outcome(sphere.retract, [1e200, 0.0, 0.0],
                                     guard=None)[1]
     assert _outcome(sphere5.retract, origin5)[0] is RetractionError
-    # `project` by `columns`: a zero Gram matrix (a zero Jacobian row, a
-    # zero first pivot) flags only its own column
-    for m, x in ((sphere, [0.0, 0.0, 0.0]), (sphere5, origin5)):
+    # the field kernel by `columns`: a zero Gram matrix (a zero Jacobian
+    # row, a zero first pivot) flags only its own column, and the other
+    # keeps its point's f, P grad f and multipliers
+    for m, f, x in ((sphere, f2, [0.0, 0.0, 0.0]), (sphere5, f5, origin5)):
+        kernel = compile_expression(f, m.ambient_dim, m.constraints)
         good = [0.6, 0.0, 0.8] + [0.0] * (len(x) - 3)
         cols = np.array([x, good]).T
         with np.errstate(all="raise"):
-            rows, failed = m._map.columns("project", cols, np.ones_like(cols))
+            rows, failed = kernel.columns("value_and_grad", cols)
         assert failed.tolist() == [True, False] and np.isnan(rows[0]).all()
-        want = m._map.project(good, np.ones(len(x)))
-        assert rows[1].tolist() == [*want[0], *want[1]]
+        value, grad, lam = kernel.value_and_grad(good)
+        assert rows[1].tolist() == [value, *grad, *lam]
 
     # the iteration limit, with a tolerance no iterate reaches
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
@@ -590,10 +588,9 @@ def test_error_parity():
     # a batch flags the column outside the domain, whose point call
     # names the failing constraint
     cols = np.array([[0.5, -1.1], [0.1, 0.2], [0.3, 0.1]])
-    for name, args in (("value_and_grad", ()),
-                       ("project", (np.ones_like(cols),))):
-        assert m._map.columns(name, cols, *args)[1].tolist() == [False, True]
-    _assert_same(_outcome(m._map.project, outside, [1.0, 1.0, 1.0]), want)
+    assert m._map.columns("value_and_grad", cols)[1].tolist() == [False, True]
+    _assert_same(_outcome(m._map.project_rows, outside, [1.0, 1.0, 1.0]),
+                 want)
 
 
 def _flat_outputs(out):
@@ -607,17 +604,19 @@ def _flat_outputs(out):
 # (scenario, object, function, columns whose point call raises) over the
 # batch of `test_columns_flag_exactly_the_failing_points`: the sphere's
 # origin (column 1) has a zero Gram matrix and (-1.1, 0.2, 0.1) (column
-# 3) is outside the domain of sqrt_domain's sqrt
+# 3) is outside the domain of sqrt_domain's sqrt. The field kernel's
+# `value_and_grad` rows end with the multipliers; f alone ("plain") has
+# none.
 COLUMN_CASES = [
     ("sphere2", "map", "value", []),
     ("sphere2", "map", "value_and_grad", []),
-    ("sphere2", "map", "project", [1]),
+    ("sphere2", "plain", "value_and_grad", []),
     ("sphere2", "kernel", "value", []),
     ("sphere2", "kernel", "value_and_grad", [1]),
     ("sphere2", "kernel", "kkt", []),
     ("sqrt_domain", "map", "value", [3]),
     ("sqrt_domain", "map", "value_and_grad", [3]),
-    ("sqrt_domain", "map", "project", [3]),
+    ("sqrt_domain", "plain", "value_and_grad", []),
     ("sqrt_domain", "kernel", "value", []),
     ("sqrt_domain", "kernel", "value_and_grad", [3]),
     ("sqrt_domain", "kernel", "kkt", [3]),
@@ -631,13 +630,12 @@ def test_columns_flag_exactly_the_failing_points(name, kind, function,
     # raises, each other row is the point call's outputs bit for bit, and
     # a batch of failing points keeps the shape (N, width), all nan
     m, f = _scenario(name)
-    obj = (m._map if kind == "map"
-           else compile_expression(f, m.ambient_dim, m.constraints))
+    obj = {"map": m._map, "plain": compile_expression(f, m.ambient_dim),
+           "kernel": compile_expression(f, m.ambient_dim, m.constraints)}[kind]
     on = m.sample_points(3, seed=4)
     x = np.array([on[0], [0.0, 0.0, 0.0], on[1], [-1.1, 0.2, 0.1], on[2]])
     rng = np.random.default_rng(6)
-    args = {"project": (rng.standard_normal(x.shape),),
-            "kkt": (rng.standard_normal((len(x), m.n_constraints)),)
+    args = {"kkt": (rng.standard_normal((len(x), m.n_constraints)),)
             }.get(function, ())
     rows, failed = obj.columns(function, x.T.copy(),
                                *(a.T.copy() for a in args))
@@ -683,7 +681,7 @@ def test_kernel_on_random_functions(name, seed):
             kernel.value_and_grad(x)
         assert str(raised.value) == str(exc)
         return
-    value, got = kernel.value_and_grad(x)
+    value, got, _ = kernel.value_and_grad(x)
     assert np.array_equal(got, want, equal_nan=True)
     composed = m.project_tangent(
         x, compile_expression(f, m.ambient_dim).gradient(x))

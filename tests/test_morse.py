@@ -27,8 +27,8 @@ from morseflow.morse import (
     DEDUPE_RADIUS, SweepStats, _multipliers, _newton_sweep, classify_point,
     corrected_hessian,
 )
-from morseflow.symbolics import evaluate_jet
-from test_kernels import CATALOG, _scenario
+from morseflow.symbolics import compile_expression, evaluate_jet
+from test_kernels import CATALOG, FIELD_SCENARIOS, _scenario
 
 
 def test_sphere_census(sphere):
@@ -302,16 +302,17 @@ def _newton_solve(m, f, x0, max_iter=60, step_cap=0.5, res_tol=1e-11):
     f and of each constraint.
     """
     n = m.ambient_dim
+    kernel = compile_expression(f, n, m.constraints)
     x = np.asarray(x0, dtype=float).copy()
     lam = None
     for _ in range(max_iter):
         jet = evaluate_jet(f, x)
         vals, jac = m.values_and_jacobian(x)
         if lam is None:
-            # the constraint map's Gram weights of grad f, nan where the
-            # Gram matrix is singular
+            # the field kernel's multipliers, nan where the Gram matrix
+            # is singular
             try:
-                lam = np.array(m._map.project(x, jet.gradient)[1])
+                lam = np.array(kernel.value_and_grad(x)[2])
             except RankDeficiencyError:
                 lam = np.full(len(vals), np.nan)
         residual = np.concatenate([jet.gradient - jac.T @ lam, vals])
@@ -401,14 +402,15 @@ def test_newton_sweep_matches_point_newton(name):
 
 @pytest.mark.parametrize("name", CATALOG + ("sphere_in_r5", "o3", "quadric"))
 def test_multipliers_match_lstsq(name):
-    # the Gram weights of grad f are the least-squares solution of
+    # the field kernel's multipliers are the least-squares solution of
     # J^T lam = grad f, and corrected_hessian subtracts them as before
     m, f = _quadric_cut() if name == "quadric" else _scenario(name)
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
     for x in m.sample_points(300, seed=7):
         jet = evaluate_jet(f, x)
         jac = m.constraint_jacobian(x)
         want, *_ = np.linalg.lstsq(jac.T, jet.gradient, rcond=None)
-        got = np.array(m._map.project(x, jet.gradient)[1])
+        got = np.array(kernel.value_and_grad(x)[2])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         hess = jet.hessian.copy()
         for coef, cons_hess in zip(want, m.constraint_hessians(x)):
@@ -417,31 +419,37 @@ def test_multipliers_match_lstsq(name):
         assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(hess)))
 
 
-@pytest.mark.parametrize("name", CATALOG + ("sphere_in_r5", "o3"))
+@pytest.mark.parametrize("name", FIELD_SCENARIOS)
 def test_batched_multipliers_match_project(name):
-    # each row the bits of the point `project` of grad f
+    # the field kernel's multipliers, the Gram weights of its projection,
+    # meet numpy's least-squares solution of J^T lam = grad f, and each
+    # `_multipliers` row has the bits of the point call's
     m, f = _scenario(name)
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
     x = m.sample_points(50, seed=9)
-    grad = np.array([evaluate_jet(f, p).gradient for p in x])
-    lam = _multipliers(m, x, grad)
+    lam = _multipliers(m, f, x)
     assert lam.flags.c_contiguous and lam.shape == (50, m.n_constraints)
-    for row, p, g in zip(lam, x, grad):
-        assert row.tolist() == list(m._map.project(p, g)[1])
+    for row, p in zip(lam, x):
+        want, *_ = np.linalg.lstsq(m.constraint_jacobian(p).T,
+                                   evaluate_jet(f, p).gradient, rcond=None)
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+        assert row.tolist() == list(kernel.value_and_grad(p)[2])
 
 
 def test_batched_multipliers_are_nan_only_where_project_raises(sphere):
     # the columns make rows 1 and 2 non-finite: at the origin (row 1) the
     # point call raises on the zero Gram matrix, while at row 2 J grad f
-    # overflows to inf there and the point call returns inf
+    # overflows to inf and the point call returns inf
     m = sphere.manifold
+    f = parse("1e308*x2 + 1e308*x3", 3)
+    kernel = compile_expression(f, 3, m.constraints)
     x = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
-    grad = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1e308, 1e308]])
-    lam = _multipliers(m, x, grad)
+    lam = _multipliers(m, f, x)
     with pytest.raises(RankDeficiencyError):
-        m._map.project(x[1], grad[1])
+        kernel.value_and_grad(x[1])
     assert np.isnan(lam[1]).all()
-    assert lam[0].tolist() == list(m._map.project(x[0], grad[0])[1])
-    assert lam[2].tolist() == list(m._map.project(x[2], grad[2])[1])
+    assert lam[0].tolist() == list(kernel.value_and_grad(x[0])[2])
+    assert lam[2].tolist() == list(kernel.value_and_grad(x[2])[2])
     assert lam[2].tolist() == [math.inf]
 
 
@@ -479,15 +487,12 @@ def test_newton_sweep_branches(sphere):
         assert _newton_solve(m, sphere.function, x) is not None
 
 
-def _first_failure(m, f, starts):
-    """The EvaluationError message of the first start whose point Newton
-    raises."""
-    for x in starts:
-        try:
-            _newton_solve(m, f, x)
-        except EvaluationError as exc:
-            return str(exc)
-    return None
+def _newton_outcome(m, f, x):
+    """The point Newton's root (or None), or its EvaluationError."""
+    try:
+        return _newton_solve(m, f, x)
+    except EvaluationError as exc:
+        return exc
 
 
 @pytest.mark.parametrize("function", [
@@ -495,23 +500,33 @@ def _first_failure(m, f, starts):
 ])
 def test_newton_sweep_raises_the_first_failing_start(function):
     # The constraint has sqrt(x1 + 1) and f a sqrt of x2, so a start fails
-    # in one or the other; the orders of the starts below make the first
-    # failing start a different one.
+    # in one or the other. A start whose evaluation fails is discarded as
+    # a diverging one is, so a batch with converging starts returns their
+    # roots and the census counts the failures as discarded.
     m, _ = _scenario("sqrt_domain")
     f = parse(function, 3)
     starts = m.sample_points(30, 0)
+    outcomes = [_newton_outcome(m, f, x) for x in starts]
+    errors = [isinstance(o, EvaluationError) for o in outcomes]
+    want = [None if e else o for e, o in zip(errors, outcomes)]
+    with np.errstate(all="raise"):
+        _assert_same_roots(_newton_sweep(m, f, starts), want)
+    crits = find_critical_points(m, f, 30, 0)
+    assert crits.stats.n_converged == len(starts) - sum(errors) > 0
+    assert crits.stats.n_discarded >= sum(errors) > 0
+    # With no start converging, the lowest failing start raises its
+    # error; the orders below make it a failure of f or of the
+    # constraint.
+    failing = starts[errors]
     messages = set()
-    for batch in (starts, starts[1:], starts[2:], starts[::-1]):
-        want = _first_failure(m, f, batch)
-        messages.add(want)
+    for batch in (failing, failing[1:], failing[2:], failing[::-1]):
+        first = str(_newton_outcome(m, f, batch[0]))
+        messages.add(first)
         with np.errstate(all="raise"):
             with pytest.raises(EvaluationError) as err:
                 _newton_sweep(m, f, batch)
-        assert str(err.value) == want
-    assert len(messages) == 2 and None not in messages
-    with pytest.raises(EvaluationError) as err:
-        find_critical_points(m, f, 30, 0)
-    assert str(err.value) == _first_failure(m, f, starts)
+        assert str(err.value) == first
+    assert len(messages) == 2
 
 
 def test_newton_sweep_overflow_is_a_failed_start(sphere):

@@ -577,31 +577,32 @@ def test_non_finite_constant_is_rejected(value):
 def test_field_kernel_forms_no_constraint_value():
     # the field kernel reads only the Jacobian of sphere2's
     # F = x1^2 + x2^2 + x3^2 - 1, so none of F's value locals (v) is
-    # left in it; the normal step, which returns F, forms them
+    # left in it; the retraction, which returns F, forms them
     scenario = load_scenario("sphere2")
     m, f = scenario.build_manifold(), scenario.build_function()
     kernel = compile_expression(f, 3, m.constraints)
     names = kernel._value_grad.__code__.co_varnames
     assert [name for name in names if name[0] == "v"] == []
-    names = compile_expression(m.constraints, 3)._step.__code__.co_varnames
+    names = compile_expression(
+        m.constraints, 3).gauss_newton().__code__.co_varnames
     assert [name for name in names if name[0] == "v"] != []
 
 
 def test_dead_power_still_raises():
-    # `project` and the field kernel read only F's gradient, 7 x1^6, which
-    # is finite at x1 = 1e45; F's value x1 ** 7 is read by neither, but
-    # stays as a line that can raise, so its overflow raises as before
+    # `project_rows` and the field kernel read only F's gradient, 7 x1^6,
+    # which is finite at x1 = 1e45; F's value x1 ** 7 is read by neither,
+    # but stays as a line that can raise, so its overflow raises as before
     constraints = (parse("x1^7 + x2 - 1", 2),)
     cmap = compile_expression(constraints, 2)
     kernel = compile_expression(parse("x2", 2), 2, constraints)
     x = [1e45, 0.0]
     with pytest.raises(EvaluationError):
-        cmap.project(x, [1.0, 0.0])
+        cmap.project_rows(x, [1.0, 0.0])
     with pytest.raises(EvaluationError):
         kernel.value_and_grad(x)
     # and a batch of that one point flags it
-    assert cmap.columns("project", np.array([x]).T,
-                        np.array([[1.0], [0.0]]))[1].tolist() == [True]
+    assert kernel.columns("value_and_grad",
+                          np.array([x]).T)[1].tolist() == [True]
     # the gradient alone evaluates there
     assert math.isfinite(compile_expression(
         parse("7 * x1^6", 2), 2).value(x))
