@@ -40,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError, NotConvergedError, RetractionError
-from .linalg import row_norms
+from .linalg import float_norm, row_norms
 from .symbolics import compile_expression
 from .symbolics.compile import _FAILURES, _NAMESPACE, _define, prefixed
+from .symbolics.compile import _const, _dot
 
 # Cash-Karp tableau: 5th order propagated, 4th order for the error gap.
 _CK_A = (
@@ -170,15 +171,6 @@ class GradientField:
         return self._kernel.value_and_grad(xs)[1]
 
 
-def _norm(vec):
-    """The generated loop's norm: squares summed left to right from 0.0
-    (`sum` of floats is compensated on Python 3.12 and later)."""
-    total = 0.0
-    for v in vec:
-        total += v * v
-    return math.sqrt(total)
-
-
 def _sign(direction):
     """Sign of the field: -1 descends f (forward), +1 ascends (backward)."""
     if direction not in ("forward", "backward"):
@@ -214,14 +206,6 @@ def _capture(point, norm, crits, cfg):
 def _first_step(cfg, x_norm, gnorm):
     return min(cfg.max_step, cfg.t_max,
                0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
-
-
-def _weighted(weights, col):
-    """Source of sum(map(mul, weights, col)): from 0.0, in stage order,
-    without the terms of zero weight (a partial sum from 0.0 is never
-    -0.0, so for finite stages they add nothing)."""
-    terms = (f"{w!r} * {k}" for w, k in zip(weights, col) if w != 0.0)
-    return f"({' + '.join(['0.0', *terms])})"
 
 
 # The generated flow loop (`_loop_factory`) reads `_FLOW_NAMES`, bound
@@ -334,7 +318,7 @@ def _loop_factory(kernel, size):
     stages = []
     for i, row in enumerate(_CK_A, start=2):
         args = [prefixed(p, f"s{i}_") for p in params]
-        stages += [f"{a} = {y} + h * {_weighted(row, col)}"
+        stages += [f"{a} = {y} + h * ({_dot(map(_const, row), col)})"
                    for a, y, col in zip(args, ys, zip(*ks))]
         ks.append([f"k{i}_{j}" for j in range(1, size + 1)])
         stages += ["try:",
@@ -352,12 +336,12 @@ def _loop_factory(kernel, size):
     cols = list(zip(*ks))
     # the error scale max(|y|, |z|) as `max` picks it: the first unless
     # the second is larger
-    y5 = [f"{z} = {y} + h * {_weighted(_CK_B5, col)}"
+    y5 = [f"{z} = {y} + h * ({_dot(map(_const, _CK_B5), col)})"
           for z, y, col in zip(zs, ys, cols)]
     for j, (y, z) in enumerate(zip(ys, zs), start=1):
         y5.append(f"a{j}, b{j} = abs({y}), abs({z})")
-    errors = (f"(h * {_weighted(_CK_ERR, col)} / (abs_tol + rel_tol * "
-              f"(b{j} if b{j} > a{j} else a{j}))) ** 2"
+    errors = (f"(h * ({_dot(map(_const, _CK_ERR), col)}) / (abs_tol + "
+              f"rel_tol * (b{j} if b{j} > a{j} else a{j}))) ** 2"
               for j, col in enumerate(cols, start=1))
     if size > n:
         accept = _ACCEPT_VECTORS.format(
@@ -408,7 +392,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
         return _capture(point, norm, crit_list, cfg) if capture else None
 
     k1 = [sign * v for v in field.projected_gradient(state)]
-    gnorm = _norm(k1[:n])
+    gnorm = float_norm(k1[:n])
     times, states, gnorms = [0.0], [state], [gnorm]
     terminal = capture_at(state[:n], gnorm)
     if terminal is None:
@@ -447,8 +431,8 @@ def flow_terminals(m, f, starts, cfg=None, crits=None):
     terminals = []
     ends = np.empty((len(points), field.n))
     for end, xs in zip(ends, points):
-        terminal, _, _, states, _ = _cash_karp(field, -1.0, xs, _norm(xs),
-                                               cfg, crits)
+        terminal, _, _, states, _ = _cash_karp(
+            field, -1.0, xs, float_norm(xs), cfg, crits)
         terminals.append(terminal)
         end[:] = states[-1]
     return terminals, ends
@@ -466,7 +450,7 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None):
     field = GradientField(m, f)
     xs = _start_point(m, x0).tolist()
     terminal, stats, times, points, gnorms = _cash_karp(
-        field, sign, xs, _norm(xs), cfg or FlowConfig(), crits,
+        field, sign, xs, float_norm(xs), cfg or FlowConfig(), crits,
     )
     f_vals = [field.f_value(p) for p in points]
     stats.monotone = not any(
@@ -541,6 +525,7 @@ def check_length_bound(traj, consts):
     outside = (dists.reshape(len(points), -1).min(axis=1)
                > consts.r / 2.0).tolist()
     segments = []
+    lhs = drops = 0.0  # summed left to right: `sum` compensates on 3.12+
     i = 0
     n = len(traj)
     while i < n:
@@ -557,6 +542,8 @@ def check_length_bound(traj, consts):
             )
             drop = abs(float(traj.f_values[i] - traj.f_values[j]))
             bound = LENGTH_SLACK * drop / consts.c_floor
+            lhs += length
+            drops += drop
             segments.append(
                 LengthSegment(
                     t_start=float(traj.times[i]),
@@ -568,12 +555,10 @@ def check_length_bound(traj, consts):
                 )
             )
         i = j + 1
-    lhs = sum(s.length for s in segments)
-    rhs = sum(s.drop for s in segments) / consts.c_floor
     return LengthBoundReport(
         segments=tuple(segments),
-        lhs=float(lhs),
-        rhs=float(rhs),
+        lhs=lhs,
+        rhs=float(drops / consts.c_floor),
         passed=all(s.ok for s in segments),
         slack=LENGTH_SLACK,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, RetractionError
+from .linalg import float_norm
 from .symbolics import compile_expression, evaluate_jet
 from .symbolics.compile import RETRACT_MAX_ITER
 
@@ -167,8 +168,7 @@ class ImplicitManifold:
         Gauss-Newton on F = 0 moving along the normal space, so the
         result is the locally nearest manifold point. The basin guard
         bounds the first correction step by guard * (1 + |x|); pass
-        guard=None to disable it (used by the rejection sampler, which
-        filters on |F| < SAMPLE_KEEP_TOL and simply discards failures).
+        guard=None to disable it.
 
         The array wrapper of `_gauss_newton`: the same iteration, on
         Python floats. Raises RetractionError on a singular Gram matrix,
@@ -190,8 +190,7 @@ class ImplicitManifold:
         that point's step is formed. `_retracted` turns the status of
         `_gn` into the point or its error.
         """
-        bound = math.inf if guard is None else guard * (
-            1.0 + math.sqrt(sum(v * v for v in y)))
+        bound = math.inf if guard is None else guard * (1.0 + float_norm(y))
         return self._retracted(y, *self._map.gauss_newton()(
             self.constraint_tol, bound, *y))
 
@@ -214,10 +213,9 @@ class ImplicitManifold:
                 f"{np.array(point)}"
             )
         if status == "guard":
-            size = math.sqrt(sum(v * v for v in point))
             raise RetractionError(
                 "point outside the documented retraction basin "
-                f"(initial correction {size:.3e})"
+                f"(initial correction {float_norm(point):.3e})"
             )
         if status == "diverged":
             raise RetractionError("retraction diverged to non-finite values")

@@ -174,6 +174,15 @@ def polar_function(d, n):
     return _define(code, "_polar", _SCOPE)
 
 
+def float_norm(vec):
+    """The norm of a sequence of floats, squares summed left to right from
+    0.0 (`sum` of floats is compensated on Python 3.12 and later)."""
+    total = 0.0
+    for v in vec:
+        total += v * v
+    return math.sqrt(total)
+
+
 def row_norms(rows):
     """np.linalg.norm of each row of a 2-D array, bit for bit: the
     stacked product (1, n) @ (n, 1) sums the squares as the dot product

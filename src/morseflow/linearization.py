@@ -306,7 +306,9 @@ def slow_component(series, crits):
     norm = np.linalg.norm(v_end)
     if norm == 0.0:
         return 0.0
-    proj = sum(float(np.dot(v_end, s)) ** 2 for s in slow)
+    proj = 0.0
+    for s in slow:
+        proj += float(np.dot(v_end, s)) ** 2
     return math.sqrt(proj) / norm
 
 

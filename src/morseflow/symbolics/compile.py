@@ -45,6 +45,16 @@ floats; numpy's solve agrees to rounding (within 1e-14 on the test
 scenarios). There is no other J J^T solve: the field kernel's lam are
 the multipliers, and `project_rows` gives the tangent bases.
 
+Zeros have one rule. A zero enters as the 0.0 of a dense fill (`_dense`,
+`symmetric_times`, an H_lam entry that f or an F_i lacks) and leaves in
+`_products`, which drops each product with a factor 0.0. In between it
+stays the token 0.0: `_Emitter.local` binds no right-hand side that is
+one name or one literal, and every product and difference, the Cramer
+and elimination lines too, goes through `_products` and `_difference`.
+A dropped 0.0 * x changes no finite sum (one from 0.0 is never -0.0).
+Divisions stay, as they are what raises: a block-diagonal Gram matrix
+is still solved by Cramer's rule.
+
 A generated function keeps only its live lines (`_live`): those its
 results read, directly or through later lines. A dead line stays if it
 divides, raises a power or calls a function, as those raise on floats
@@ -101,8 +111,11 @@ class _Emitter:
         self.order = order
 
     def local(self, prefix, rhs):
-        """A new local for `rhs`, or the one holding that text already:
-        the code is single-assignment, so equal text is an equal value."""
+        """`rhs` itself if it is one token (`_TOKEN`), else a new local
+        for it, or the one holding that text already: the code is
+        single-assignment, so equal text is an equal value."""
+        if _TOKEN.fullmatch(rhs):
+            return rhs
         name = self.names.get(rhs)
         if name is None:
             name = self.names[rhs] = f"{prefix}{len(self.names)}"
@@ -136,11 +149,7 @@ class _Emitter:
     # with the terms that are zero by structure and the factors 1.0 left
     # out, so it gives the bits of the tree-walking jets that the tests
     # keep as the oracle, up to the sign of zero; the Hessian is mirrored
-    # below the diagonal. A power up to |k| = 4 is no pow call: for a in
-    # (0.5, 3), libm's pow(a, 2) differs from a * a on about 0.08% of
-    # doubles and from numpy's power of columns for k = 3, 4, -2 and -3
-    # on about 5%, so only the product chain keeps points and columns
-    # equal.
+    # below the diagonal.
 
     def jet(self, e):
         """Return (value, {j: g_j}, {(i, j): h_ij for i <= j}) tokens; the
@@ -154,11 +163,6 @@ class _Emitter:
         if isinstance(e, Power):
             return self._jet_power(e)
         return self._jet_binary(e)
-
-    def total(self, prefix, terms):
-        """One token for the left-to-right sum `terms`."""
-        text = " + ".join(terms)
-        return text if " " not in text else self.local(prefix, text)
 
     def second(self, text):
         """A local for a second-derivative factor, at order 2 only."""
@@ -176,15 +180,12 @@ class _Emitter:
     def _jet_chain(self, v, ga, ha, d1, d2):
         """Jet of u(a): d1 g and d1 h_ij + d2 (g_i g_j), d1 = u'(a),
         d2 = u''(a)."""
-        g = {j: self.total("g", [_times(d1, t)]) for j, t in ga.items()}
-        h = {}
-        for i, j in self.upper(ha, ga, ga):
-            terms = []
-            if (i, j) in ha:
-                terms.append(_times(d1, ha[i, j]))
-            if i in ga and j in ga:
-                terms.append(_times(d2, _paren(_times(ga[i], ga[j]))))
-            h[i, j] = self.total("h", terms)
+        g = {j: self.local("g", _times(d1, t)) for j, t in ga.items()}
+        h = {(i, j): self.local("h", " + ".join(_present(
+                 (d1, ha.get((i, j))),
+                 (d2, _paren(_times(ga[i], ga[j]))
+                  if i in ga and j in ga else None))))
+             for i, j in self.upper(ha, ga, ga)}
         return v, g, h
 
     def _jet_unary(self, e):
@@ -238,12 +239,12 @@ class _Emitter:
         if op == "*":
             # a h_b + b h_a + g_a g_b^T + (g_a g_b^T)^T
             v = self.local("v", f"{va} * {vb}")
-            g = {j: self.total("g", _present(
-                     (va, gb.get(j)), (vb, ga.get(j))))
+            g = {j: self.local("g", " + ".join(_present(
+                     (va, gb.get(j)), (vb, ga.get(j)))))
                  for j in sorted(ga.keys() | gb.keys())}
-            h = {(i, j): self.total("h", _present(
+            h = {(i, j): self.local("h", " + ".join(_present(
                      (va, hb.get((i, j))), (vb, ha.get((i, j))),
-                     (ga.get(i), gb.get(j)), (ga.get(j), gb.get(i))))
+                     (ga.get(i), gb.get(j)), (ga.get(j), gb.get(i)))))
                  for i, j in self.upper(ha | hb, ga, gb)}
             return v, g, h
         # q = a / b: (g_a - q g_b) / b and
@@ -252,56 +253,57 @@ class _Emitter:
         g = {}
         for j in sorted(ga.keys() | gb.keys()):
             num = _difference(ga.get(j), _present((q, gb.get(j))))
-            g[j] = self.local("g", f"{num} / {vb}")
+            g[j] = self.local("g", f"{_paren(num)} / {vb}")
         h = {}
         for i, j in self.upper(ha | hb, g, gb):
             num = _difference(ha.get((i, j)), _present(
                 (q, hb.get((i, j))), (g.get(i), gb.get(j)),
                 (g.get(j), gb.get(i))))
-            h[i, j] = self.local("h", f"{num} / {vb}")
+            h[i, j] = self.local("h", f"{_paren(num)} / {vb}")
         return q, g, h
 
     def _weights(self, rows, rhs):
-        """Tokens of w = (J J^T)^{-1} rhs for k rows J.
-
-        The Gram sums a_ij (i <= j) run over the coordinates in order,
-        starting from 0.0. k = 2 solves by Cramer's rule. Any other k
-        eliminates without pivoting, which the symmetric positive
+        """Tokens of w = (J J^T)^{-1} rhs for k rows J: from the Gram sums
+        a_ij (i <= j), Cramer's rule for k = 2, and for any other k
+        elimination without pivoting, which the symmetric positive
         definite Gram matrix allows (Golub & Van Loan, Matrix
-        Computations, 4.2): step c subtracts a_ci / a_cc times row c
-        from each row i > c, on and above the diagonal only, and
-        back-substitution then divides by the pivots; for k = 1 that is
-        rhs / a_11. A zero pivot divides by zero, as a zero determinant
-        does.
-        """
+        Computations, 4.2): step c subtracts a_ci / a_cc times row c from
+        each row i > c, on and above the diagonal, then back-substitution
+        divides by the pivots (rhs / a_11 for k = 1). A zero pivot
+        divides by zero, as a zero determinant does."""
         k = len(rows)
         a = {(i, j): self.local("p", _dot(rows[i], rows[j]))
              for i in range(k) for j in range(i, k)}
         r = list(rhs)
         if k == 2:
-            a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
-            r1, r2 = r
-            det = self.local("p", f"{a11} * {a22} - {a12} * {a12}")
-            return [self.local("p", f"({a22} * {r1} - {a12} * {r2}) / {det}"),
-                    self.local("p", f"({a11} * {r2} - {a12} * {r1}) / {det}")]
+            (a11, a12, a22), (r1, r2) = (a[0, 0], a[0, 1], a[1, 1]), r
+            # the determinant and the numerators, each u * v - a12 * t
+            det, *nums = (_difference(*(_products([u], [v]) or [None]),
+                                      _products([a12], [t]))
+                          for u, v, t in ((a11, a22, a12), (a22, r1, r2),
+                                          (a11, r2, r1)))
+            det = self.local("p", det)
+            return [self.local("p", f"({num}) / {det}") for num in nums]
         for c in range(k - 1):
             for i in range(c + 1, k):
                 factor = self.local("p", f"{a[c, i]} / {a[c, c]}")
                 for j in range(i, k):
-                    a[i, j] = self.local(
-                        "p", f"{a[i, j]} - {factor} * {a[c, j]}")
-                r[i] = self.local("p", f"{r[i]} - {factor} * {r[c]}")
+                    a[i, j] = self.local("p", _difference(
+                        a[i, j], _products([factor], [a[c, j]])))
+                r[i] = self.local("p", _difference(
+                    r[i], _products([factor], [r[c]])))
         w = [None] * k
         for i in reversed(range(k)):
-            terms = (f" - {a[i, j]} * {w[j]}" for j in range(i + 1, k))
-            w[i] = self.local("p", f"({r[i]}{''.join(terms)}) / {a[i, i]}")
+            num = _difference(r[i], _products(
+                [a[i, j] for j in range(i + 1, k)], w[i + 1:]))
+            w[i] = self.local("p", f"({num}) / {a[i, i]}")
         return w
 
     def project(self, rows, vec):
         """Tokens of vec - J^T w, the tangential part of `vec`, and of w,
         the weights of J vec."""
         w = self._weights(rows, [self.local("p", _dot(j, vec)) for j in rows])
-        return [" - ".join([b, *_products(w, col)])
+        return [_difference(b, _products(w, col))
                 for b, *col in zip(vec, *rows)], w
 
     def normal(self, rows, rhs):
@@ -316,14 +318,9 @@ class _Emitter:
         """Upper-triangle tokens of H_lam = Hess f - sum_i lam_i Hess F_i
         at the entries f or some F_i has: ((h_f - l1 * h_1) - l2 * h_2)
         ..., over the F_i with the entry and from 0.0 where f has not."""
-        hess = {}
-        for i, j in sorted(set(hf).union(*hessians)):
-            terms = [_times(lam, h[i, j])
-                     for lam, h in zip(lams, hessians) if (i, j) in h]
-            first = hf.get((i, j), "0.0")
-            hess[i, j] = (self.local("k", " - ".join([first, *terms]))
-                          if terms else first)
-        return hess
+        return {ij: self.local("k", _difference(hf.get(ij, "0.0"), _products(
+                    lams, [h.get(ij, "0.0") for h in hessians])))
+                for ij in sorted(set(hf).union(*hessians))}
 
     def symmetric_times(self, upper, vec):
         """Tokens of M vec for the symmetric M with upper triangle
@@ -363,7 +360,9 @@ def _pow(a, k):
     OverflowError where a chain would give inf.
 
     Python's float power (libm pow) and numpy's power of columns differ
-    in the last bit for some k and a, so only the chain gives points and
+    in the last bit for some k and a (for a in (0.5, 3), pow(a, 2) and
+    a * a on about 0.08% of doubles, numpy's power and the chain for
+    k = 3, 4, -2 and -3 on about 5%), so only the chain gives points and
     columns the same bits.
     """
     if k == 0:
@@ -392,15 +391,15 @@ def _present(*pairs):
 
 
 def _difference(first, terms):
-    """Source of first - t1 - t2 ..., or -t1 - t2 ... without `first`."""
+    """Source of first - t1 - t2 ..., -t1 - t2 ... without `first`
+    (None), and 0.0 without either."""
     if first is None:
-        first, terms = f"-{terms[0]}", terms[1:]
-    return _paren(" - ".join([first, *terms]))
+        first, terms = (f"-{terms[0]}", terms[1:]) if terms else ("0.0", [])
+    return " - ".join([first, *terms])
 
 
 def _products(u, v):
-    """Sources of u_i * v_i by `_times`, less those with a factor 0.0: a
-    signed zero leaves a finite sum's bits (one from 0.0 is never -0.0)."""
+    """Sources of u_i * v_i by `_times`, less those with a factor 0.0."""
     return [_times(a, b) for a, b in zip(u, v) if "0.0" not in (a, b)]
 
 
@@ -425,6 +424,9 @@ def _names(prefix, count):
 # and a right-hand side that can raise: a division, a power or a call.
 _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _RAISES = re.compile(r"/|\*\*|\w\(")
+# One token: a name, or a literal as `_const` writes it, a negative one in
+# parentheses (of a bare -2.0, `_pow` would write -2.0 ** 6).
+_TOKEN = re.compile(r"[A-Za-z_]\w*|[\d.]+(e[+-]\d+)?|\(-[\d.]+(e[+-]\d+)?\)")
 
 
 def _live(lines, outputs, raising=True):
@@ -498,7 +500,7 @@ def _field_parts(f, constraints, n, vectors):
         turn = [emitter.local("d", _dot(w, emitter.symmetric_times(h, vec)))
                 for h in hessians]
         normal = emitter.normal(rows, turn)
-        out += [f"{t} - ({q})" for t, q in zip(tangent, normal)]
+        out += [_difference(t, [f"({q})"]) for t, q in zip(tangent, normal)]
     return (emitter, vf, out, lams,
             _names("x", n) + [v for vec in params for v in vec])
 
@@ -555,9 +557,8 @@ def _gn_code(constraints, n):
     J can read the coordinates.
     """
     emitter, vals, rows = _walk_all(constraints, n)
-    steps = _names("s", n)
-    body = _live(emitter.lines + [f"    {s} = {t}" for s, t in zip(
-        steps, emitter.normal(rows, vals))], ", ".join(vals + steps))
+    steps = [emitter.local("s", t) for t in emitter.normal(rows, vals)]
+    body = _live(emitter.lines, ", ".join(vals + steps))
     head = _live(body, ", ".join(vals), raising=False)
     tail = [line for line in body if line not in head]
     xs = _names("x", n)
@@ -575,7 +576,7 @@ def _gn_code(constraints, n):
         f"                return {point}, first, 'converged'",
         *("        " + line for line in tail),
         "            if it == 0 and sqrt("
-        + " + ".join(f"{s} * {s}" for s in steps) + ") > bound:",
+        + " + ".join(_products(steps, steps) or ["0.0"]) + ") > bound:",
         f"                return [{', '.join(steps)}], first, 'guard'",
         *(f"            {x} = {x} - {s}" for x, s in zip(xs, steps)),
         "            if not " + " + ".join(f"({x} - {x})" for x in xs)

@@ -3,6 +3,7 @@ import itertools
 import math
 import weakref
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from morseflow.errors import (
 from morseflow import flow as flow_module
 from morseflow.flow import (
     _CK_A, _CK_B5, _CK_ERR, _FLOW_NAMES, MAX_SCALE, MIN_SCALE, SAFETY,
-    FlowStats, GradientField, Terminal, _capture, _cash_karp, _first_step,
-    _loop_factory, _norm, flow_terminals,
+    FlowStats, GradientField, Terminal, Trajectory, _capture, _cash_karp,
+    _first_step, _loop_factory, flow_terminals,
 )
+from morseflow.linalg import float_norm
 from morseflow.linearization import integrate_variational
 from morseflow.symbolics.compile import CompiledExpression
 from test_kernels import SCENARIOS, _scenario
@@ -165,6 +167,31 @@ def test_length_bound_torus_descent(torus):
     report = check_length_bound(traj, torus.consts)
     assert report.passed
     assert len(report.segments) >= 1
+
+
+def test_length_bound_sums_left_to_right():
+    # three outside segments of lengths and drops 1e16, 1 and 1, with one
+    # sample at a critical point between each two: a compensated sum
+    # (math.fsum, and `sum` of floats on Python 3.12 and later) gives
+    # 1e16 + 2, the sum from 0.0 left to right 1e16
+    points = np.array([[0.0], [1e16], [-100.0], [10.0], [11.0], [-200.0],
+                       [20.0], [21.0]])
+    traj = Trajectory(
+        times=np.arange(8.0), points=points,
+        f_values=np.array([1e16, 0.0, 0.5, 1.0, 0.0, 0.5, 1.0, 0.0]),
+        grad_norms=np.ones(8), terminal=Terminal("stalled"),
+        stats=FlowStats(), direction="forward")
+    consts = SimpleNamespace(critical_locations=[[-100.0], [-200.0]],
+                             r=2.0, c_floor=0.5)
+    report = check_length_bound(traj, consts)
+    lengths = [s.length for s in report.segments]
+    assert lengths == [s.drop for s in report.segments] == [1e16, 1.0, 1.0]
+    lhs = drops = 0.0
+    for length in lengths:
+        lhs += length
+        drops += length
+    assert (report.lhs, report.rhs) == (lhs, drops / 0.5)
+    assert report.lhs != math.fsum(lengths)
 
 
 def _outside_oracle(traj, consts):
@@ -409,7 +436,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
         return _capture(point, norm, crit_list, cfg) if capture else None
 
     k1 = rhs(state)
-    gnorm = _norm(k1[:n])
+    gnorm = float_norm(k1[:n])
     times, states, gnorms = [0.0], [state], [gnorm]
     terminal = _terminal(state[:n], gnorm)
     t = 0.0
@@ -448,7 +475,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
         ]
         stats.steps += 1
         k1 = rhs(state)
-        gnorm = _norm(k1[:n])
+        gnorm = float_norm(k1[:n])
         times.append(t)
         states.append(state)
         gnorms.append(gnorm)
@@ -592,10 +619,10 @@ _FD_STEP = 1e-6
 def _field_derivative(field, xs, vec):
     """The derivative of P grad f along vec by central finite differences
     of the field, step 1e-6 * max(1, |x|)."""
-    norm = _norm(vec)
+    norm = float_norm(vec)
     if norm == 0.0:
         return [0.0] * len(vec)
-    h = _FD_STEP * max(1.0, _norm(xs))
+    h = _FD_STEP * max(1.0, float_norm(xs))
     unit = [v / norm for v in vec]
     plus = field.projected_gradient([x + h * u for x, u in zip(xs, unit)])
     minus = field.projected_gradient([x - h * u for x, u in zip(xs, unit)])
@@ -691,7 +718,7 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
                 big = i == 0 and sign < 0 and capture
                 outcome = _assert_loop_matches_oracle(
                     monkeypatch, field, sign, state,
-                    1e6 if big else _norm(point), run_cfg, crits, capture,
+                    1e6 if big else float_norm(point), run_cfg, crits, capture,
                     fails=2 if i == 1 and sign < 0 and capture else 0)
                 if len(outcome) == 5:
                     kinds.add(outcome[0].kind)
@@ -727,7 +754,7 @@ def test_flow_loop_is_built_once_per_state_size(sphere, monkeypatch):
     monkeypatch.setattr(flow_module, "compile", counting, raising=False)
     for vectors in (0, 1, 0, 1):
         state = _flow_state(sphere, vectors)
-        _cash_karp(field, -1.0, state, _norm(state[:3]), sphere.cfg,
+        _cash_karp(field, -1.0, state, float_norm(state[:3]), sphere.cfg,
                    sphere.crits)
     assert compiled == ["<flow-loop:3:3>", "<flow-loop:3:6>"]
     assert sorted(kernel._loops) == [3, 6]
@@ -745,7 +772,7 @@ def test_flow_loop_goes_with_its_kernel(sphere):
     field = GradientField(m, f)
     field._kernel = CompiledExpression(f, 3, m.constraints)
     state = _flow_state(sphere, 0)
-    _cash_karp(field, -1.0, state, _norm(state), sphere.cfg, sphere.crits)
+    _cash_karp(field, -1.0, state, float_norm(state), sphere.cfg, sphere.crits)
     loop = weakref.ref(field._kernel._loops[3])
     del field
     gc.collect()
@@ -758,7 +785,7 @@ def test_flow_leaves_no_reference_cycles(sphere, vectors):
     # `_flow`) is kept alive by a cycle that only the collector frees
     field = GradientField(sphere.manifold, sphere.function)
     state = _flow_state(sphere, vectors)
-    run = (field, -1.0, state, _norm(state[:3]), sphere.cfg, sphere.crits)
+    run = (field, -1.0, state, float_norm(state[:3]), sphere.cfg, sphere.crits)
     _cash_karp(*run)  # compiles the loop
     gc.collect()
     gc.disable()
@@ -788,7 +815,7 @@ def test_stage_leaving_the_domain_raises_the_checked_error():
     rhs = _checked_rhs(field, -1.0)
     k1 = rhs(x0)
     cfg = FlowConfig()
-    h = _first_step(cfg, _norm(x0), _norm(k1))
+    h = _first_step(cfg, float_norm(x0), float_norm(k1))
     with pytest.raises(EvaluationError) as want:
         _oracle_step(rhs, h, x0, k1, cfg)
     with pytest.raises(EvaluationError) as got:
@@ -821,7 +848,7 @@ def test_variational_stage_leaving_the_domain_raises_the_checked_error():
     rhs = _checked_rhs(field, -1.0)
     k1 = rhs(state)
     cfg = FlowConfig()
-    h = _first_step(cfg, _norm(x0), _norm(k1[:3]))
+    h = _first_step(cfg, float_norm(x0), float_norm(k1[:3]))
     with pytest.raises(EvaluationError) as want:
         _oracle_step(rhs, h, state, k1, cfg)
     with pytest.raises(EvaluationError) as got:
@@ -891,7 +918,7 @@ def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
     assert k2 == stage or math.isnan(stage) and math.isnan(k2)
     underflow = "step size underflow at t=0.0"
     assert _assert_loop_matches_oracle(
-        monkeypatch, field, -1.0, x0, _norm(x0), FlowConfig(), None,
+        monkeypatch, field, -1.0, x0, float_norm(x0), FlowConfig(), None,
         True) == (FlowError, underflow)
     with pytest.raises(FlowError, match=underflow):
         integrate_flow(m, field.function, x0)

@@ -1,4 +1,6 @@
 import functools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +156,33 @@ def test_retract_fixed_point_and_idempotent(sphere):
     assert np.max(np.abs(m.retract(x) - x)) < 1e-12
     once = m.retract(np.array([0.55, 0.0, 0.9]))
     assert np.max(np.abs(m.retract(once) - once)) < 1e-12
+
+
+def test_retraction_guard_norms_sum_left_to_right(sphere, monkeypatch):
+    # the guard bound of `_gauss_newton` and the correction in the guard
+    # message are norms summed from 0.0 left to right, on squares (1e16,
+    # 1, 1) where a compensated sum (math.fsum, and `sum` of floats on
+    # Python 3.12 and later) differs
+    m = sphere.manifold
+    y = [1e8, 1.0, 1.0]
+    total = 0.0
+    for v in y:
+        total += v * v
+    bounds = []
+
+    def gauss_newton(self):
+        def gn(tol, bound, *x):
+            bounds.append(bound)
+            return list(x), (0.0,), "converged"
+        return gn
+
+    monkeypatch.setattr(CompiledExpression, "gauss_newton", gauss_newton)
+    m._gauss_newton(y, 0.1)
+    assert bounds == [0.1 * (1.0 + math.sqrt(total))]
+    assert bounds[0] != 0.1 * (1.0 + math.sqrt(math.fsum(v * v for v in y)))
+    with pytest.raises(RetractionError, match=re.escape(
+            f"(initial correction {math.sqrt(total):.3e})")):
+        m._retracted(y, y, (0.0,), "guard")
 
 
 def test_retract_basin_guard(sphere):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseflow import ImplicitManifold, load_scenario, parse
+from morseflow import flow as flow_module
 from morseflow.acceptance import _random_expression
 from morseflow.errors import (
     EvaluationError, RankDeficiencyError, RetractionError,
@@ -566,6 +567,29 @@ def test_error_parity():
         assert failed.tolist() == [True, False] and np.isnan(rows[0]).all()
         value, grad, lam = kernel.value_and_grad(good)
         assert rows[1].tolist() == [value, *grad, *lam]
+    # clifford's two Jacobian rows are disjoint, so the Cramer lines leave
+    # out the zero Gram entry: a zero second row still divides by a zero
+    # determinant, and a non-finite coordinate gives the outputs of the
+    # full products, nan where they were nan, without a raise
+    clifford, fc = _scenario("clifford")
+    kernel = compile_expression(fc, 4, clifford.constraints)
+    flat = [0.5, 0.5, 0.0, 0.0]
+    with pytest.raises(RankDeficiencyError, match=r"at \[0.5, 0.5, 0.0, 0"):
+        kernel.value_and_grad(flat)
+    cols = np.array([[0.6, 0.0, 0.8, 0.0], flat, [0.0, 0.6, 0.0, 0.8]]).T
+    assert kernel.columns("value_and_grad", cols)[1].tolist() == [
+        False, True, False]
+    inf, nan = math.inf, math.nan
+    for x, want in (([inf, 0.5, 0.5, 0.5], [inf] + [nan] * 6),
+                    ([0.5, -inf, 0.5, 0.5], [1.0, 1.0, nan, nan, nan, 0.0,
+                                             nan]),
+                    ([0.5, 0.5, 0.5, nan], [1.0] + [nan] * 6),
+                    ([nan, 0.5, 0.5, 0.5], [nan] * 7)):
+        value, grad, lam = kernel.value_and_grad(x)
+        assert np.array_equal([value, *grad, *lam], want, equal_nan=True)
+        rows, failed = kernel.columns("value_and_grad", np.array([x]).T)
+        assert not failed[0]
+        assert np.array_equal(rows[0], want, equal_nan=True)
 
     # the iteration limit, with a tolerance no iterate reaches
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
@@ -770,23 +794,49 @@ def test_field_source_forms_each_right_hand_side_once(monkeypatch):
         assert len(rhs) == len(set(rhs))
 
 
+# A line that binds a generated local or a stage argument (a name ending
+# in a digit) to one name or one literal, and a product with a factor
+# 0.0 or 1.0.
+_BOUND_TOKEN = re.compile(
+    r"^ *[A-Za-z_]\w*\d = ([A-Za-z_]\w*|\(?-?\d[\w.+-]*\)?)$", re.M)
+_ZERO_OR_UNIT = re.compile(r"\* [01]\.0\b|(?<![\w.])[01]\.0 \*")
+
+
 def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
-    # the Gram sums, projections and normal steps leave out the products
-    # with a Jacobian entry 0.0 and write a factor 1.0 as no product
+    # every generated function: a structural zero (a Jacobian or Hessian
+    # entry absent from the walk, a Gram entry of disjoint rows) and a
+    # one-token right-hand side get no local of their own, so no product
+    # reads a zero and none is written with a factor 1.0; with clifford's
+    # and sphere_in_r5's zero Gram entries and o3's, through Cramer's rule
+    # and the elimination
     sources = []
 
     def capture(src, *args):
         sources.append(src)
         return compile(src, *args)
 
-    monkeypatch.setattr(compiled, "compile", capture, raising=False)
-    for name in ("sphere2", "clifford"):
-        m, f = _scenario(name)
-        for vectors in (0, 1):
-            compiled._field_code(f, m.constraints, m.ambient_dim, vectors)
-    assert len(sources) == 4
+    # kernels of their own, so that no flow loop is cached on them yet
+    kernels = [compiled.CompiledExpression(f, m.ambient_dim, m.constraints)
+               for m, f in map(_scenario, ("sphere2", "clifford",
+                                           "sphere_in_r5", "o3"))]
+    for module in (compiled, flow_module):
+        monkeypatch.setattr(module, "compile", capture, raising=False)
+    for kernel in kernels:
+        f, n, constraints = (kernel.expression, kernel.ambient_dim,
+                             kernel.constraints)
+        for vectors in (0, 1, 2):
+            compiled._field_code(f, constraints, n, vectors)
+        compiled._value_grad_code(constraints, n)
+        for count in (1, 2):
+            compiled._rows_code(constraints, n, count)
+        compiled._gn_code(constraints, n)
+        compiled._kkt_code(f, constraints, n)
+        for size in (n, 2 * n, 3 * n):
+            flow_module._loop_factory(kernel, size)
+    assert len(sources) == 4 * 11
     for src in sources:
-        assert not re.search(r"\* 0\.0\b|(?<![\w.])0\.0 \*|\* 1\.0\b", src)
+        assert not _BOUND_TOKEN.search(src), _BOUND_TOKEN.search(src)[0]
+        assert not _ZERO_OR_UNIT.search(src), _ZERO_OR_UNIT.search(src)[0]
 
 
 def test_kernels_share_the_expression_cache():

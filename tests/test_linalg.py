@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from morseflow.errors import RankDeficiencyError
-from morseflow.linalg import jacobi_eigh, polar_function, row_norms
+from morseflow.linalg import (
+    float_norm, jacobi_eigh, polar_function, row_norms,
+)
 from morseflow.morse import intrinsic_hessian
 
 
@@ -130,3 +132,15 @@ def test_row_norms_match_numpy_norm():
         rows = rng.standard_normal((200, n)) * 10.0 ** rng.integers(-3, 4)
         want = [np.linalg.norm(r) for r in rows]
         assert row_norms(rows).tolist() == want
+
+
+def test_float_norm_sums_left_to_right():
+    # squares 1e16, 1 and 1: a compensated sum (math.fsum, and `sum` of
+    # floats on Python 3.12 and later) gives 1e16 + 2, the sum from 0.0
+    # left to right 1e16
+    vec = [1e8, 1.0, 1.0]
+    total = 0.0
+    for v in vec:
+        total += v * v
+    assert float_norm(vec) == math.sqrt(total)
+    assert float_norm(vec) != math.sqrt(math.fsum(v * v for v in vec))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,6 +341,25 @@ def test_decay_rates(name, rate, request):
     assert report.energy_monotone_on_window
     assert slow_component(series, setup.crits) > 1e-6
     assert np.all(series.energies > 0.0)
+
+
+def test_slow_component_sums_left_to_right():
+    # squared components 1e16, 1 and 1 on a threefold slow eigenspace: a
+    # compensated sum (math.fsum, and `sum` of floats on Python 3.12 and
+    # later) gives 1e16 + 2, the sum from 0.0 left to right 1e16
+    limit = SimpleNamespace(
+        id=0, eigenvalues=[1.0, 1.0, 1.0],
+        eigenvectors=[SimpleNamespace(vec=e) for e in np.eye(3)])
+    v_end = np.array([1e8, 1.0, 1.0])
+    series = SimpleNamespace(terminal=Terminal("converged", 0),
+                             vectors=np.array([v_end]))
+    proj = 0.0
+    for e in np.eye(3):
+        proj += float(np.dot(v_end, e)) ** 2
+    norm = np.linalg.norm(v_end)
+    got = slow_component(series, [limit])
+    assert got == math.sqrt(proj) / norm
+    assert got != math.sqrt(math.fsum(v * v for v in v_end)) / norm
 
 
 def test_fit_requires_convergence(sphere):

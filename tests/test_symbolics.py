@@ -500,6 +500,9 @@ NEGATIVE_CONSTANTS = [
     Binary("/", Power(Const(-2.0), 2), Binary("-", Var(1), Const(-1.0))),
     Unary("neg", Power(Const(-1.25), 2)),
     Unary("exp", Binary("*", Power(Const(-0.0), 2), Var(2))),
+    # a negated literal is a local of its own, never an inlined -2.0
+    *(parse(text, 2) for text in ("(-2)^6 + x1", "(-x1)^6", "-(2)^6*x1",
+                                  "-1*x1^6")),
 ]
 
 
