@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print five sha256 per catalog scenario over the bytes of seeded flows.
+"""Print seven sha256 per catalog scenario over the bytes of seeded flows.
 
     python3 oracles/trajectory_digest.py [--starts 15]
 
@@ -25,8 +25,13 @@ capture=False)` forward and backward for t = LIE_H_T and t = 1, and the
 `lie_derivative_estimate` made of the LIE_H_T pair. A fifth, `<scenario>
 basin <digest>`, covers the basin flows of `flow_terminals` from
 BASIN_STARTS points drawn from seed 3: each terminal and the end points
-as raw float64 bytes. Then one line `<scenario> flows <digest>` for
-each of two scenarios off the catalog whose field reads sin, cos and
+as raw float64 bytes. Two more cover `run_decay`, whose variational
+flow is capped at DECAY_MAX_STEP, at seeds 0 and 1000 (and 2059 on
+torus_upright, where the flow lingers near a saddle): `<scenario>
+decay-series <digest>` over the times, points and vectors of each
+series as raw float64 bytes, and `<scenario> decay-fit <digest>` over
+the `repr` of each DecayReport. Then one line `<scenario> flows
+<digest>` for each of two scenarios off the catalog whose field reads sin, cos and
 exp (`transcendental`) or sqrt (`sqrt_domain`, which raises where
 x1 < -1), over the `integrate_flow` runs forward and backward and the
 `integrate_variational_multi` run with one or two vectors from each
@@ -52,13 +57,17 @@ from morseflow import (  # noqa: E402
 from morseflow.catalog import ScenarioContext, list_scenarios  # noqa: E402
 from morseflow.errors import MorseflowError  # noqa: E402
 from morseflow.flow import flow_terminals  # noqa: E402
-from morseflow.linearization import integrate_variational_multi  # noqa: E402
+from morseflow.linearization import (  # noqa: E402
+    integrate_variational_multi, run_decay,
+)
 from morseflow.transport import (  # noqa: E402
     LIE_H_T, holonomy_curvature, lie_derivative_estimate, parallel_transport,
 )
 
 
 BASIN_STARTS = 50
+DECAY_SEEDS = (0, 1000)
+EXTRA_DECAY_SEEDS = {"torus_upright": (2059,)}
 # (constraint, f) on R^3, both also scenarios of tests/test_kernels.py
 OFF_CATALOG = {
     "transcendental": ("x1^2 + x2^2 + x3^2 - 1 + 0.1*sin(x1)",
@@ -107,6 +116,17 @@ def _update_pushed(digest, m, f, x0, cfg):
     _update(digest, [lie_derivative_estimate(m, f, x0, u, v, cfg)])
 
 
+def _decay_digests(name, session):
+    """The `run_decay` series and reports from each decay seed."""
+    series_digest, fit_digest = hashlib.sha256(), hashlib.sha256()
+    for seed in DECAY_SEEDS + EXTRA_DECAY_SEEDS.get(name, ()):
+        series, report = run_decay(session.manifold, session.function,
+                                   session.crits, session.cfg, seed=seed)
+        _update(series_digest, series.times, series.points, series.vectors)
+        fit_digest.update(repr(report).encode())
+    return series_digest.hexdigest(), fit_digest.hexdigest()
+
+
 def scenario_digests(name, starts):
     session = ScenarioContext(load_scenario(name))
     m, f, crits, cfg = (session.manifold, session.function, session.crits,
@@ -136,7 +156,8 @@ def scenario_digests(name, starts):
                            terminal.critical_point_id)).encode())
     _update(basin, ends)
     return tuple(d.hexdigest() for d in (plain, variational, transport,
-                                         pushed, basin))
+                                         pushed, basin)) + _decay_digests(
+                                             name, session)
 
 
 def off_catalog_digest(name, starts):
@@ -176,7 +197,8 @@ if __name__ == "__main__":
     for name in list_scenarios():
         digests = scenario_digests(name, args.starts)
         for kind, digest in zip(("plain", "variational", "transport",
-                                 "pushed", "basin"), digests):
+                                 "pushed", "basin", "decay-series",
+                                 "decay-fit"), digests):
             print(name, kind, digest)
     for name in OFF_CATALOG:
         print(name, "flows", off_catalog_digest(name, args.starts))

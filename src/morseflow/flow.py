@@ -20,6 +20,13 @@ checked `GradientField.projected_gradient`, so a failure there raises
 its named error at once. A step is rejected unless its error estimate
 is at most 1, so a nan estimate is rejected too.
 
+The loop runs on Python floats: the state, k1, the first step and every
+number bound in it are floats at entry (`FlowConfig` stores its fields
+as float, and every caller passes the start norm as a float). A numpy
+scalar there would spread to the step size, the time, every stage and
+the state, and turn each operation of the loop into a numpy-scalar
+operation, 3-4x slower per step.
+
 Every accepted point is retracted back onto M by the generated
 Gauss-Newton loop and the vectors are re-projected there, with the Gram
 sums and solve of the field kernel. The constraint drift, which must
@@ -71,7 +78,11 @@ LENGTH_SLACK = 1.05
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Adaptive step control and capture thresholds."""
+    """Adaptive step control and capture thresholds.
+
+    Each field must be positive and is stored as a Python float, the
+    type the generated flow loop binds it as.
+    """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
@@ -82,8 +93,10 @@ class FlowConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            if not getattr(self, field.name) > 0.0:
+            value = getattr(self, field.name)
+            if not value > 0.0:
                 raise ValueError(f"{field.name} must be positive")
+            object.__setattr__(self, field.name, float(value))
 
     def replace(self, **changes):
         return dataclasses.replace(self, **changes)

@@ -19,8 +19,9 @@ of that identity on a computed series, all samples at once: dE/dt from
 five-point derivative weights in closed form, H_lam at every sample from
 the field kernel's multipliers and one `kkt_columns` call, and
 Hess(V, V) from one einsum. `fit_decay_rate` compares the asymptotic
-decay rate of |V| against the smallest Hessian eigenvalue at the
-limiting minimum.
+decay rate of |V|, fitted on the tail where V lies on the slow
+eigenspace of the limiting minimum, against its smallest Hessian
+eigenvalue.
 """
 
 import math
@@ -44,6 +45,9 @@ ENERGY_MAX_STEP = 0.02
 ENERGY_DERIV_FLOOR = 1e-10
 FIT_WINDOW = (0.60, 0.95)
 FIT_MIN_SAMPLES = 20
+# The fit starts no earlier than the last sample where V's part off the
+# slow eigenspace exceeds this fraction of its slow part.
+FIT_FAST_SHARE = 1e-2
 SLOW_EIGENVALUE_TOL = 1e-6
 MAX_REDRAWS = 5
 
@@ -77,6 +81,12 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
     is a list (one array per initial vector) of per-sample pushforwards.
     With capture=False the run always lasts exactly t_max (used for
     fixed-horizon pushes, where a stationary start is legitimate).
+
+    The first step is sized from |x0| as np.linalg.norm gives it, passed
+    to the stepper as a Python float like every number of its loop.
+    Plain and basin flows take `float_norm`, which differs from it in
+    the last bit on some points, so unifying the two would move every
+    variational trajectory.
     """
     sign = _sign(direction)
     cfg = cfg or FlowConfig()
@@ -99,7 +109,8 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         state += vec.tolist()
 
     terminal, stats, times, states, _ = _cash_karp(
-        field, sign, state, np.linalg.norm(x), cfg, crits, capture
+        field, sign, state, float(np.linalg.norm(x)), cfg, crits,
+        capture
     )
     samples = np.array(states)
     return (
@@ -235,13 +246,39 @@ class DecayReport:
     energy_monotone_on_window: bool
 
 
+def _slow_vectors(limit):
+    """The limit's eigenvectors whose eigenvalues lie within
+    SLOW_EIGENVALUE_TOL of the smallest."""
+    lam_min = limit.eigenvalues[0]
+    return [
+        ev.vec for lam, ev in zip(limit.eigenvalues, limit.eigenvectors)
+        if lam <= lam_min + SLOW_EIGENVALUE_TOL
+    ]
+
+
+def _last_mixed_sample(series, limit):
+    """Index of the last sample whose vector's part off the limit's slow
+    eigenspace exceeds FIT_FAST_SHARE of its part on it, or 0."""
+    basis = np.array(_slow_vectors(limit))
+    slow = series.vectors @ basis.T @ basis
+    mixed = np.flatnonzero(
+        np.linalg.norm(series.vectors - slow, axis=1)
+        > FIT_FAST_SHARE * np.linalg.norm(slow, axis=1))
+    return int(mixed[-1]) if len(mixed) else 0
+
+
 def fit_decay_rate(series, crits):
     """Least-squares slope of log|V| on the tail of a converged series.
 
-    The window covers the FIT_WINDOW fraction of the samples before
-    capture, at least FIT_MIN_SAMPLES (the final slice is dropped as
-    capture-threshold noise). The prediction is the smallest intrinsic
-    Hessian eigenvalue at the limiting minimum.
+    The window ends at FIT_WINDOW[1] of the samples before capture (the
+    final slice is dropped as capture-threshold noise) and starts at the
+    later of FIT_WINDOW[0] of them and the last sample where V's part
+    off the limit's slow eigenspace exceeds FIT_FAST_SHARE of its slow
+    part: where the flow lingers near a saddle, the faster components
+    have not died out by then. It needs at least FIT_MIN_SAMPLES. The
+    prediction is the smallest intrinsic Hessian eigenvalue at the
+    limiting minimum, the rate of exponential shrinkage on its stable
+    manifold.
     """
     if not series.terminal.converged:
         raise NotConvergedError("series did not converge to a critical point")
@@ -255,12 +292,14 @@ def fit_decay_rate(series, crits):
             f"{limit.index}"
         )
     n = len(series)
-    lo = int(math.floor(FIT_WINDOW[0] * n))
+    mixed = _last_mixed_sample(series, limit)
+    lo = max(int(math.floor(FIT_WINDOW[0] * n)), mixed)
     hi = int(math.floor(FIT_WINDOW[1] * n))
     if hi - lo < FIT_MIN_SAMPLES:
         raise FlowError(
-            f"fit window has {hi - lo} samples, needs {FIT_MIN_SAMPLES}; "
-            "lower max_step or raise capture accuracy"
+            f"fit window has {max(hi - lo, 0)} samples, needs "
+            f"{FIT_MIN_SAMPLES} (V is off its slow eigenspace up to sample "
+            f"{mixed} of {n}); lower max_step or raise capture accuracy"
         )
     norms = series.vector_norms()[lo:hi]
     if np.any(norms <= 0.0):
@@ -296,12 +335,7 @@ def slow_component(series, crits):
     smallest) decays at a faster rate and must be redrawn.
     """
     by_id = {p.id: p for p in crits}
-    limit = by_id[series.terminal.critical_point_id]
-    lam_min = limit.eigenvalues[0]
-    slow = [
-        ev.vec for lam, ev in zip(limit.eigenvalues, limit.eigenvectors)
-        if lam <= lam_min + SLOW_EIGENVALUE_TOL
-    ]
+    slow = _slow_vectors(by_id[series.terminal.critical_point_id])
     v_end = series.vectors[-1]
     norm = np.linalg.norm(v_end)
     if norm == 0.0:
@@ -329,7 +363,9 @@ def run_decay(m, f, crits, cfg=None, seed=0, x0=None, v0=None):
         vec = m.random_tangent(x0, rng) if v0 is None else np.asarray(
             getattr(v0, "vec", v0), dtype=float)
         series = integrate_variational(m, f, x0, vec, cfg, crits=crits)
-        report = fit_decay_rate(series, crits)
-        if v0 is not None or slow_component(series, crits) >= 1e-6:
-            return series, report
+        # the fit raises for a series that did not converge, and its
+        # window would be empty without a slow component
+        if (v0 is not None or not series.terminal.converged
+                or slow_component(series, crits) >= 1e-6):
+            return series, fit_decay_rate(series, crits)
     raise FlowError("could not draw a direction with a slow component")

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import itertools
 import math
+import numbers
 import weakref
 from operator import mul
 from types import SimpleNamespace
@@ -29,7 +31,10 @@ from morseflow.flow import (
     _first_step, _loop_factory, flow_terminals,
 )
 from morseflow.linalg import float_norm
-from morseflow.linearization import integrate_variational
+from morseflow.linearization import (
+    DECAY_MAX_STEP, integrate_variational, integrate_variational_multi,
+    run_decay,
+)
 from morseflow.symbolics.compile import CompiledExpression
 from test_kernels import SCENARIOS, _scenario
 from test_linearization import hessian_quadratic_form
@@ -246,6 +251,69 @@ def test_flow_config_validation(sphere):
     with pytest.raises(ValueError):
         FlowConfig.from_constants(sphere.consts,
                                   capture_radius=2.0 * sphere.consts.r)
+
+
+def test_flow_config_stores_floats():
+    # the generated flow loop binds the fields by name: numpy scalars and
+    # ints are kept as the Python floats of the same value
+    defaults = dataclasses.asdict(FlowConfig())
+    cfg = FlowConfig(**{k: np.float64(v) for k, v in defaults.items()})
+    assert cfg == FlowConfig()
+    assert {type(v) for v in dataclasses.asdict(cfg).values()} == {float}
+    assert type(cfg.replace(t_max=3).t_max) is float
+
+
+def _record_loop_numbers(monkeypatch):
+    """Types of every number handed to a generated flow loop, as
+    `_make(**names)` or as `_flow(*args)`, from now on."""
+    seen = []
+    build = flow_module._loop_factory
+
+    def recording_factory(kernel, size):
+        make = build(kernel, size)
+
+        def recording_make(**names):
+            seen.extend(type(v) for v in names.values()
+                        if isinstance(v, numbers.Number))
+            flow = make(**names)
+
+            def recording_flow(*args):
+                seen.extend(type(a) for a in args)
+                return flow(*args)
+            return recording_flow
+        return recording_make
+    monkeypatch.setattr(flow_module, "_loop_factory", recording_factory)
+    return seen
+
+
+def test_only_python_floats_reach_the_flow_loop(sphere, torus, monkeypatch):
+    # a numpy scalar bound in the loop (a start norm, a config field)
+    # would turn every operation of the loop into a numpy-scalar one
+    seen = _record_loop_numbers(monkeypatch)
+    m, f, crits, cfg = (sphere.manifold, sphere.function, sphere.crits,
+                        sphere.cfg)
+    x0 = m.sample_points(1, seed=4)[0]
+    v0 = m.random_tangent(x0, np.random.default_rng(4))
+    runs = [
+        lambda: integrate_flow(m, f, x0, cfg, crits=crits),
+        lambda: integrate_variational(
+            m, f, x0, v0, cfg.replace(max_step=DECAY_MAX_STEP), crits=crits),
+        lambda: integrate_variational_multi(
+            m, f, x0, [v0, m.random_tangent(x0, np.random.default_rng(5))],
+            cfg.replace(t_max=1.0), capture=False),
+        lambda: run_decay(torus.manifold, torus.function, torus.crits,
+                          torus.cfg, seed=2),
+        lambda: flow_terminals(m, f, m.sample_points(3, seed=6), cfg, crits),
+        lambda: integrate_variational(
+            m, f, x0, v0, FlowConfig(**{k: np.float64(v) for k, v in
+                                        dataclasses.asdict(cfg).items()}),
+            crits=crits),
+    ]
+    for run in runs:
+        seen.clear()
+        run()
+        assert seen
+        assert set(seen) == {float}
 
 
 def test_direction_validation(sphere):

@@ -29,6 +29,7 @@ from morseflow.linearization import (
     integrate_variational_multi,
     slow_component,
 )
+from morseflow import linearization
 from morseflow.morse import corrected_hessian
 
 
@@ -341,6 +342,28 @@ def test_decay_rates(name, rate, request):
     assert report.energy_monotone_on_window
     assert slow_component(series, setup.crits) > 1e-6
     assert np.all(series.energies > 0.0)
+
+
+def test_decay_fit_waits_for_the_slow_eigencomponent(torus, monkeypatch):
+    # from seed 2059 the flow lingers near a saddle, so at 60% of the
+    # samples V's fast eigencomponent has not died out: the fit starts at
+    # the last sample where it exceeds 1% of the slow one
+    series, report = run_decay(torus.manifold, torus.function, torus.crits,
+                               torus.cfg, seed=2059)
+    n = len(series)
+    lo = int(np.flatnonzero(series.times == report.fit_window[0])[0])
+    assert math.floor(0.6 * n) < lo < math.floor(0.95 * n) - FIT_MIN_SAMPLES
+    assert report.n_fit_samples == math.floor(0.95 * n) - lo
+    assert report.relative_gap < 0.05
+    limit = {p.id: p for p in torus.crits}[report.limit_id]
+    slow = limit.eigenvectors[0].vec
+    on = series.vectors[lo:] @ slow
+    off = np.linalg.norm(series.vectors[lo:] - np.outer(on, slow), axis=1)
+    assert off[0] > 1e-2 * abs(on[0])
+    assert np.all(off[1:] <= 1e-2 * np.abs(on[1:]))
+    # the fixed 60-95% window misses the prediction
+    monkeypatch.setattr(linearization, "_last_mixed_sample", lambda s, p: 0)
+    assert fit_decay_rate(series, torus.crits).relative_gap > 0.5
 
 
 def test_slow_component_sums_left_to_right():
