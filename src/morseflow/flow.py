@@ -22,10 +22,10 @@ is at most 1, so a nan estimate is rejected too.
 
 The loop runs on Python floats: the state, k1, the first step and every
 number bound in it are floats at entry (`FlowConfig` stores its fields
-as float, and every caller passes the start norm as a float). A numpy
-scalar there would spread to the step size, the time, every stage and
-the state, and turn each operation of the loop into a numpy-scalar
-operation, 3-4x slower per step.
+as float, and `_first_step` returns a float whatever type of start norm
+it is given). A numpy scalar there would spread to the step size, the
+time, every stage and the state, and turn each operation of the loop
+into a numpy-scalar operation, 3-4x slower per step.
 
 Every accepted point is retracted back onto M by the generated
 Gauss-Newton loop and the vectors are re-projected there, with the Gram
@@ -217,8 +217,8 @@ def _capture(point, norm, crits, cfg):
 
 
 def _first_step(cfg, x_norm, gnorm):
-    return min(cfg.max_step, cfg.t_max,
-               0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
+    return float(min(cfg.max_step, cfg.t_max,
+                     0.01 * (1.0 + x_norm) / max(gnorm, 1e-10)))
 
 
 # The generated flow loop (`_loop_factory`) reads `_FLOW_NAMES`, bound

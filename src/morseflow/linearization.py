@@ -46,7 +46,8 @@ ENERGY_DERIV_FLOOR = 1e-10
 FIT_WINDOW = (0.60, 0.95)
 FIT_MIN_SAMPLES = 20
 # The fit starts no earlier than the last sample where V's part off the
-# slow eigenspace exceeds this fraction of its slow part.
+# slow eigenspace exceeds this fraction of its slow part, unless that
+# leaves fewer than FIT_MIN_SAMPLES.
 FIT_FAST_SHARE = 1e-2
 SLOW_EIGENVALUE_TOL = 1e-6
 MAX_REDRAWS = 5
@@ -82,11 +83,10 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
     With capture=False the run always lasts exactly t_max (used for
     fixed-horizon pushes, where a stationary start is legitimate).
 
-    The first step is sized from |x0| as np.linalg.norm gives it, passed
-    to the stepper as a Python float like every number of its loop.
-    Plain and basin flows take `float_norm`, which differs from it in
-    the last bit on some points, so unifying the two would move every
-    variational trajectory.
+    The first step is sized from |x0| as np.linalg.norm gives it. Plain
+    and basin flows take `float_norm`, which differs from it in the last
+    bit on some points, so unifying the two would move every variational
+    trajectory.
     """
     sign = _sign(direction)
     cfg = cfg or FlowConfig()
@@ -109,8 +109,7 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         state += vec.tolist()
 
     terminal, stats, times, states, _ = _cash_karp(
-        field, sign, state, float(np.linalg.norm(x)), cfg, crits,
-        capture
+        field, sign, state, np.linalg.norm(x), cfg, crits, capture
     )
     samples = np.array(states)
     return (
@@ -275,10 +274,13 @@ def fit_decay_rate(series, crits):
     later of FIT_WINDOW[0] of them and the last sample where V's part
     off the limit's slow eigenspace exceeds FIT_FAST_SHARE of its slow
     part: where the flow lingers near a saddle, the faster components
-    have not died out by then. It needs at least FIT_MIN_SAMPLES. The
-    prediction is the smallest intrinsic Hessian eigenvalue at the
-    limiting minimum, the rate of exponential shrinkage on its stable
-    manifold.
+    have not died out by then. Where they fall below that share only
+    within the window's last FIT_MIN_SAMPLES or never, as at a minimum
+    whose two smallest eigenvalues are close, it starts FIT_MIN_SAMPLES
+    before its end, where V is nearest its slow eigenspace. It needs at
+    least FIT_MIN_SAMPLES. The prediction is the smallest intrinsic
+    Hessian eigenvalue at the limiting minimum, the rate of exponential
+    shrinkage on its stable manifold.
     """
     if not series.terminal.converged:
         raise NotConvergedError("series did not converge to a critical point")
@@ -292,15 +294,15 @@ def fit_decay_rate(series, crits):
             f"{limit.index}"
         )
     n = len(series)
-    mixed = _last_mixed_sample(series, limit)
-    lo = max(int(math.floor(FIT_WINDOW[0] * n)), mixed)
+    lo = int(math.floor(FIT_WINDOW[0] * n))
     hi = int(math.floor(FIT_WINDOW[1] * n))
     if hi - lo < FIT_MIN_SAMPLES:
         raise FlowError(
-            f"fit window has {max(hi - lo, 0)} samples, needs "
-            f"{FIT_MIN_SAMPLES} (V is off its slow eigenspace up to sample "
-            f"{mixed} of {n}); lower max_step or raise capture accuracy"
+            f"fit window has {hi - lo} samples, needs {FIT_MIN_SAMPLES}; "
+            "lower max_step or raise capture accuracy"
         )
+    lo = max(lo, min(_last_mixed_sample(series, limit),
+                     hi - FIT_MIN_SAMPLES))
     norms = series.vector_norms()[lo:hi]
     if np.any(norms <= 0.0):
         raise FlowError("pushforward norm vanished inside the fit window")

@@ -30,6 +30,8 @@ from morseflow.linearization import (
     slow_component,
 )
 from morseflow import linearization
+from morseflow.catalog import Scenario, ScenarioContext
+from morseflow.config import parse_scenario_text
 from morseflow.morse import corrected_hessian
 
 
@@ -364,6 +366,45 @@ def test_decay_fit_waits_for_the_slow_eigencomponent(torus, monkeypatch):
     # the fixed 60-95% window misses the prediction
     monkeypatch.setattr(linearization, "_last_mixed_sample", lambda s, p: 0)
     assert fit_decay_rate(series, torus.crits).relative_gap > 0.5
+
+
+@pytest.fixture(scope="module")
+def near_degenerate():
+    # the minimum at the south pole has Hessian eigenvalues 1 and 1.02:
+    # V's part on the second dies out like exp(-0.02 t), so it stays
+    # above 1% of the slow part until capture
+    text = "\n".join([
+        "name = sphere_near_degenerate",
+        "ambient_dim = 3",
+        "constraint.1 = x1^2 + x2^2 + x3^2 - 1",
+        "function = x3 + 0.01*x1^2",
+        "bounding_box = -1.2 1.2",
+    ])
+    return ScenarioContext(Scenario(
+        "sphere_near_degenerate", parse_scenario_text(text), None))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_decay_fit_at_a_near_degenerate_minimum(near_degenerate, seed):
+    # the rates V mixes lie within 2% of the smallest
+    c = near_degenerate
+    _, report = run_decay(c.manifold, c.function, c.crits, c.cfg, seed=seed)
+    limit = {p.id: p for p in c.crits}[report.limit_id]
+    assert limit.eigenvalues == pytest.approx([1.0, 1.02], abs=1e-8)
+    assert report.n_fit_samples >= FIT_MIN_SAMPLES
+    assert report.relative_gap < 0.05
+
+
+def test_fit_takes_the_last_samples_where_v_stays_mixed(near_degenerate):
+    # a window waiting for the 1% share would be empty: the fit takes
+    # the last FIT_MIN_SAMPLES before the dropped final slice
+    c = near_degenerate
+    series, report = run_decay(c.manifold, c.function, c.crits, c.cfg,
+                               seed=0)
+    hi = math.floor(0.95 * len(series))
+    assert report.n_fit_samples == FIT_MIN_SAMPLES
+    assert report.fit_window == (series.times[hi - FIT_MIN_SAMPLES],
+                                 series.times[hi - 1])
 
 
 def test_slow_component_sums_left_to_right():
