@@ -72,8 +72,10 @@ def sources(n, constraints, f):
         out[f"rows_{d}"] = source_of(compiled._rows_code, constraints, n, d)
     out["gn"] = source_of(compiled._gn_code, constraints, n)
     out["kkt"] = source_of(compiled._kkt_code, f, constraints, n)
-    # a kernel of its own, so that no flow loop is cached on it yet
+    # a kernel of its own, so that no flow loop is cached on it yet, and
+    # the constraint map that a loop takes its first iterate from
     kernel = compiled.CompiledExpression(f, n, constraints)
+    compiled.compile_expression(constraints, n)
     for size in (n, 2 * n, 3 * n):
         out[f"loop_{size}"] = source_of(flow._loop_factory, kernel, size)
     return out

@@ -8,31 +8,41 @@ flows of `flow_terminals` all run it, one flow at a time. Its whole
 accept/reject loop is one generated function per field kernel and state
 size (`_loop_factory`, kept on the kernel), with the kernel's lines
 written into each of the five stages after k1, so no stage calls the
-kernel. It is defined per flow with the constraint map's retraction
-`_gn` and row projection `_rows`, the sign, the tolerances and the
-capture threshold bound. It hands back to Python only to capture (once
-|P grad f| is below the threshold, where the point becomes an array),
-to turn a retraction status other than converged into a
-RetractionError, after which the step is halved, and at a failed stage
-or projection, whose arguments it returns: the one checked call on them
-raises the named error. k1 at each accepted point stays a call of the
-checked `GradientField.projected_gradient`, so a failure there raises
-its named error at once. A step is rejected unless its error estimate
-is at most 1, so a nan estimate is rejected too.
+kernel, and the constraint map's lines of the retraction's first
+iterate written in after y5. It is defined per flow with the constraint
+map's retraction `_gn` and row projection `_rows`, the sign, the
+tolerances and the capture threshold bound. It hands back to Python
+only to capture (once |P grad f| is below the threshold, where the
+point becomes an array), to turn a retraction status other than
+converged into a RetractionError, after which the step is halved, and
+at a failed stage or projection, whose arguments it returns: the one
+checked call on them raises the named error. k1 at each accepted point
+stays a call of the checked `GradientField.projected_gradient`, so a
+failure there raises its named error at once. A step is rejected unless
+its error estimate is at most 1, so a nan estimate is rejected too.
 
 The loop runs on Python floats: the state, k1, the first step and every
 number bound in it are floats at entry (`FlowConfig` stores its fields
 as float, and `_first_step` returns a float whatever type of start norm
 it is given). A numpy scalar there would spread to the step size, the
 time, every stage and the state, and turn each operation of the loop
-into a numpy-scalar operation, 3-4x slower per step.
+into a numpy-scalar operation, 3-4x slower per step. Every literal that
+a product or quotient of the loop reads is a float too (the code
+generator's rule, `symbolics.compile`), as CPython's specializing
+interpreter has a fast path for float * float but none for int * float.
 
-Every accepted point is retracted back onto M by the generated
-Gauss-Newton loop and the vectors are re-projected there, with the Gram
-sums and solve of the field kernel. The constraint drift, which must
+Every accepted point is retracted back onto M and the vectors are
+re-projected there, with the Gram sums and solve of the field kernel.
+The retraction's first iterate runs inline: the constraint values at
+y5, `_gn`'s lines before its convergence test, and that test, every
+|F_i| <= tol. Most retractions end there (91-95% of the accepted steps
+of 50 sampled flows on each catalog scenario), and y5 is then the
+point, as `_gn` would return it. Only where the test fails or the
+values raise is `_gn` called, the whole Gauss-Newton loop from y5,
+which forms the same values first. The constraint drift, which must
 stay within an order of magnitude of the manifold tolerance, is max |F|
-at the unretracted point: the constraint values of the retraction's
-first iterate, so F is not evaluated a second time.
+at the unretracted point: those inline values, so F is not evaluated a
+second time.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -261,18 +271,25 @@ def _make({names}):
                 factor = SAFETY * err ** -0.2
                 h *= factor if factor > MIN_SCALE else MIN_SCALE
                 continue
-            point, first, status = gn(tol, inf, {z})
-            if status != "converged":
-                try:
-                    point, first = retracted([{z}], point, first, status)
-                except RetractionError:
-                    halvings += 1
-                    stats.retraction_halvings += 1
-                    if halvings > 40:
-                        raise FlowError("retraction kept failing after 40 "
-                                        "step halvings") from None
-                    h *= 0.5
-                    continue
+            try:
+{first}
+            except _FAILURES:
+                converged = False
+            if converged:
+                point = [{z}]
+            else:
+                point, first, status = gn(tol, inf, {z})
+                if status != "converged":
+                    try:
+                        point, first = retracted([{z}], point, first, status)
+                    except RetractionError:
+                        halvings += 1
+                        stats.retraction_halvings += 1
+                        if halvings > 40:
+                            raise FlowError("retraction kept failing after "
+                                            "40 step halvings") from None
+                        h *= 0.5
+                        continue
 {accept}
             halvings = 0
 {drift}
@@ -319,7 +336,12 @@ def _loop_factory(kernel, size):
     Stage i assigns its arguments, the state plus h times the weighted
     earlier stages, to the parameters of the kernel's lines
     (`field_lines`, each name prefixed by `s<i>_`), runs the lines and
-    takes k<i>_j = sign * (output j).
+    takes k<i>_j = sign * (output j). After y5 the lines of the
+    retraction's first iterate (the map's `first_lines`, the map being
+    `compile_expression(kernel.constraints, n)`) run on the point part
+    of y5, z1, ..., zn in place of x1, ..., xn and every other name
+    prefixed by `z_`; they set `converged`, which is False where they
+    raise.
     """
     make = kernel._loops.get(size)
     if make is not None:
@@ -340,12 +362,20 @@ def _loop_factory(kernel, size):
                      for k, out in zip(ks[-1], outputs)),
                    "except _FAILURES:",
                    f"    return \"stage\", [{', '.join(args)}]"]
-    # the drift max(drift, max(map(abs, first))) as `max` picks it
-    cs = [f"c{i}" for i in range(1, len(kernel.constraints) + 1)]
-    drift = [f"{', '.join(cs)}, = first", "c = abs(c1)"]
+    # the retraction's first iterate at y5: c_i = |F_i| and its
+    # convergence test, and the drift max(drift, max(c_i)) as `max`
+    # picks it
+    xs, head, values = compile_expression(kernel.constraints, n).first_lines()
+    at_y5 = dict(zip(xs, zs))
+    cs = [f"c{i}" for i in range(1, len(values) + 1)]
+    first = [prefixed(line, "z_", at_y5) for line in head] + [
+        f"{c} = abs({prefixed(v, 'z_', at_y5)})" for c, v in zip(cs, values)]
+    first.append(f"converged = {' and '.join(f'{c} <= tol' for c in cs)}")
+    drift = ["c = c1"] if len(cs) > 1 else []
     for c in cs[1:]:
-        drift += [f"{c} = abs({c})", f"if {c} > c:", f"    c = {c}"]
-    drift += ["if c > drift:", "    drift = c"]
+        drift += [f"if {c} > c:", f"    c = {c}"]
+    c = "c" if drift else "c1"
+    drift += [f"if {c} > drift:", f"    drift = {c}"]
     cols = list(zip(*ks))
     # the error scale max(|y|, |z|) as `max` picks it: the first unless
     # the second is larger
@@ -364,7 +394,8 @@ def _loop_factory(kernel, size):
         accept = f"{', '.join(ys)}, = state = point"
     source = _LOOP_SOURCE.format(
         names=", ".join(_FLOW_NAMES), state=", ".join(ys + ks[0]),
-        size=size, stages=_block(stages), y5=_block(y5),
+        size=float(size), stages=_block(stages), y5=_block(y5),
+        first=_block(first, 16),
         errors=" + ".join(["0.0", *errors]), z=", ".join(zs[:n]),
         accept=_block([accept]), drift=_block(drift), g=", ".join(gs),
         k1=_block(f"{k} = sign * {g}" for k, g in zip(ks[0], gs)),

@@ -184,11 +184,10 @@ class ImplicitManifold:
         The whole iteration is one call of the constraint map's generated
         `_gn` (`symbolics.compile`), whose loop body forms the values, the
         Jacobian rows and the Gauss-Newton step: each iteration forms the
-        values first, so F(y) costs nothing extra; a flow takes its
-        constraint drift from it. The iteration stops once every
-        |F_i| <= constraint_tol, which a nan value never satisfies, before
-        that point's step is formed. `_retracted` turns the status of
-        `_gn` into the point or its error.
+        values first, so F(y) costs nothing extra. The iteration stops
+        once every |F_i| <= constraint_tol, which a nan value never
+        satisfies, before that point's step is formed. `_retracted` turns
+        the status of `_gn` into the point or its error.
         """
         bound = math.inf if guard is None else guard * (1.0 + float_norm(y))
         return self._retracted(y, *self._map.gauss_newton()(

@@ -55,6 +55,14 @@ A dropped 0.0 * x changes no finite sum (one from 0.0 is never -0.0).
 Divisions stay, as they are what raises: a block-diagonal Gram matrix
 is still solved by Cramer's rule.
 
+Every literal is a float token, as `_const` writes it: a constant of the
+expression, the power rule's coefficients k and k - 1 (`2.0 * x1`, not
+`2 * x1`), and the negation of a literal (`_negated`: the gradient -1.0
+of -x3 is the token (-1.0), with no local of its own). Python converts
+an int to the same float before it multiplies, so the bits are those of
+int literals, but CPython's specializing interpreter has a fast path
+for float * float and none for int * float. Exponents stay ints.
+
 A generated function keeps only its live lines (`_live`): those its
 results read, directly or through later lines. A dead line stays if it
 divides, raises a power or calls a function, as those raise on floats
@@ -68,7 +76,9 @@ The field kernel's lines can also be inlined in other generated code:
 derivatives along the vectors (without f, with every line that can
 raise) and the output tokens, and `prefixed` renames every name in them
 but the `math` functions, so that copies of them do not meet. The flow
-loop (`flow._loop_factory`) writes one copy into each Cash-Karp stage.
+loop (`flow._loop_factory`) writes one copy into each Cash-Karp stage,
+and after y5 the map's `first_lines`, the lines of `_gn`'s first
+iterate, with the constraint values that its convergence test reads.
 
 The sources of `value`, `value_and_grad` and `kkt` are each compiled
 once and executed twice: with the `math` functions for one
@@ -133,7 +143,7 @@ class _Emitter:
             elif op == "+":
                 out[key] = b[key]
             else:
-                out[key] = self.local(prefix, f"-{b[key]}")
+                out[key] = self.local(prefix, _negated(b[key]))
         return out
 
     # -- the node rules ----------------------------------------------------
@@ -191,9 +201,9 @@ class _Emitter:
     def _jet_unary(self, e):
         va, ga, ha = self.jet(e.arg)
         if e.op == "neg":
-            return (self.local("v", f"-{va}"),
-                    {j: self.local("g", f"-{t}") for j, t in ga.items()},
-                    {ij: self.local("h", f"-{t}") for ij, t in ha.items()})
+            return (self.local("v", _negated(va)),
+                    {j: self.local("g", _negated(t)) for j, t in ga.items()},
+                    {ij: self.local("h", _negated(t)) for ij, t in ha.items()})
         v = self.local("v", f"{e.op}({va})")
         if e.op == "sqrt" and (ga or self.order == 2):
             # At order 2 formed even for a constant argument: it divides
@@ -223,10 +233,11 @@ class _Emitter:
         if not ga:
             return v, {}, {}
         # k * a ** (k - 1) and k * (k - 1) * a ** (k - 2), each power
-        # written by `_pow`.
-        d1 = self.local("w", f"{k} * {_paren(_pow(va, k - 1))}")
+        # written by `_pow` and k and k - 1 as float literals.
+        c1, c2 = _const(float(k)), _const(float(k - 1))
+        d1 = self.local("w", f"{c1} * {_paren(_pow(va, k - 1))}")
         d2 = "2.0" if k == 2 else self.second(
-            f"{k} * {k - 1} * {_paren(_pow(va, k - 2))}")
+            f"{c1} * {c2} * {_paren(_pow(va, k - 2))}")
         return self._jet_chain(v, ga, ha, d1, d2)
 
     def _jet_binary(self, e):
@@ -340,6 +351,14 @@ def _const(value):
     return f"({text})" if text.startswith("-") else text
 
 
+def _negated(token):
+    """Source of -token: for a literal token, the literal of its negation,
+    a token too, so no local holds it."""
+    if _LITERAL.fullmatch(token):
+        return _const(-float(token.strip("()")))
+    return f"-{token}"
+
+
 def _times(a, b):
     """Source of a * b; a factor 1.0 is left out, which is exact."""
     if a == "1.0":
@@ -426,7 +445,8 @@ _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _RAISES = re.compile(r"/|\*\*|\w\(")
 # One token: a name, or a literal as `_const` writes it, a negative one in
 # parentheses (of a bare -2.0, `_pow` would write -2.0 ** 6).
-_TOKEN = re.compile(r"[A-Za-z_]\w*|[\d.]+(e[+-]\d+)?|\(-[\d.]+(e[+-]\d+)?\)")
+_LITERAL = re.compile(r"[\d.]+(e[+-]\d+)?|\(-[\d.]+(e[+-]\d+)?\)")
+_TOKEN = re.compile(rf"[A-Za-z_]\w*|{_LITERAL.pattern}")
 
 
 def _live(lines, outputs, raising=True):
@@ -513,12 +533,14 @@ def _field_code(f, constraints, n, vectors=0):
     return _build("_vg", n, emitter, ret, extra=params[n:])
 
 
-def prefixed(text, prefix):
+def prefixed(text, prefix, names=None):
     """Generated source with every name but the `math` functions
-    prefixed, so that lines of one generated function can be inlined in
-    another, several times, without their locals meeting."""
-    return _NAME.sub(
-        lambda m: m[0] if m[0] in _NAMESPACE else prefix + m[0], text)
+    prefixed, or replaced by its entry in `names`, so that lines of one
+    generated function can be inlined in another, several times, without
+    their locals meeting."""
+    names = names or {}
+    return _NAME.sub(lambda m: m[0] if m[0] in _NAMESPACE
+                     else names.get(m[0], prefix + m[0]), text)
 
 
 def _rows_code(constraints, n, count):
@@ -535,6 +557,17 @@ def _rows_code(constraints, n, count):
 
 # Gauss-Newton steps of one retraction (`_gn_code`).
 RETRACT_MAX_ITER = 25
+
+
+def _gn_parts(constraints, n):
+    """The walk of `_gn_code`: (value tokens, step tokens, the live lines
+    of one iteration, its head), the head being the lines of the
+    iteration that the values read, which run before the convergence
+    test."""
+    emitter, vals, rows = _walk_all(constraints, n)
+    steps = [emitter.local("s", t) for t in emitter.normal(rows, vals)]
+    body = _live(emitter.lines, ", ".join(vals + steps))
+    return vals, steps, body, _live(body, ", ".join(vals), raising=False)
 
 
 def _gn_code(constraints, n):
@@ -554,12 +587,10 @@ def _gn_code(constraints, n):
     after RETRACT_MAX_ITER steps, and "failed" with the point where the
     body raised (a domain error or a zero Gram determinant or pivot).
     The step's entries are all formed before a coordinate moves, since
-    J can read the coordinates.
+    J can read the coordinates. `first_lines` gives the lines before the
+    convergence test for inlining.
     """
-    emitter, vals, rows = _walk_all(constraints, n)
-    steps = [emitter.local("s", t) for t in emitter.normal(rows, vals)]
-    body = _live(emitter.lines, ", ".join(vals + steps))
-    head = _live(body, ", ".join(vals), raising=False)
+    vals, steps, body, head = _gn_parts(constraints, n)
     tail = [line for line in body if line not in head]
     xs = _names("x", n)
     point = f"[{', '.join(xs)}]"
@@ -841,6 +872,21 @@ class CompiledExpression:
             self.expression, self.constraints, n, size // n - 1)
         lines = _live(emitter.lines, ", ".join(out))
         return params, [line.strip() for line in lines], out
+
+    def first_lines(self):
+        """The map's lines of `_gn`'s first iterate, to be inlined in
+        other generated code: (parameters x1, ..., xn, lines, value
+        tokens).
+
+        The lines ("name = rhs", without indent) are those that `_gn`
+        runs before its convergence test (`_gn_parts`), so run from the
+        parameters they raise where `_gn`'s first iterate raises, and the
+        value tokens are the bits of the first values it returns. Names
+        are as generated; `prefixed` keeps copies of them apart.
+        """
+        n = self.ambient_dim
+        vals, _, _, head = _gn_parts(self.expression, n)
+        return _names("x", n), [line.strip() for line in head], vals
 
     def value_and_grad(self, x):
         """See the class docstring."""

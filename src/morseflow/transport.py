@@ -8,13 +8,13 @@ from anisotropic shrinkage (plain Gram-Schmidt injects a first-order
 bias that shows up as fake curvature on flat product manifolds).
 
 A substep runs on Python floats from start to end: the retraction of
-the chord midpoint (`_gauss_newton`), the constraint map's generated
-`project_rows` at the midpoint and at the target, one Gram solve shared
-by all rows, and the generated polar step of `linalg.polar_function`
-(the Gram triangle, the bias, `jacobi_eigh`'s rotations and G^{-1/2}
-times the rows). The frame stays a flat list of floats along a
-polyline and becomes an array only where a caller needs one: at each
-`parallel_transport` sample and at the end of a loop.
+the chord midpoint (the map's generated `_gn`), the constraint map's
+generated row projection at the midpoint and at the target, one Gram
+solve shared by all rows, and the generated polar step of
+`linalg.polar_function` (the Gram triangle, the bias, `jacobi_eigh`'s
+rotations and G^{-1/2} times the rows). The frame stays a flat list of
+floats along a polyline and becomes an array only where a caller needs
+one: at each `parallel_transport` sample and at the end of a loop.
 
 Curvature is estimated from the holonomy of small retracted
 parallelogram loops, Richardson-extrapolated over h and h/2. The
@@ -34,6 +34,7 @@ from .errors import FlowError, NonMorseError
 from .flow import FlowConfig
 from .linalg import operator_norm, polar_function
 from .linearization import integrate_variational_multi
+from .symbolics.compile import _FAILURES
 
 MAX_SUBSTEP = 0.02  # longest chord of one `parallel_transport` substep
 LOOP_H = 0.05  # side of a holonomy loop
@@ -65,11 +66,26 @@ def _transport_polyline(m, points, frame, max_substep):
     Long gaps are subdivided so each substep chord stays below
     max_substep. A substep moves the rows from T_a M to T_b M through the
     retracted chord midpoint, projecting them there and at b with one
-    `project_rows` call each, then takes the polar factor
+    call of the map's row projection each, then takes the polar factor
     (`polar_function`).
+
+    It calls the map's unchecked `gauss_newton()` and `rows_function(d)`,
+    as the flow loop does: only a status other than converged goes to
+    `_retracted`, and a projection that raises to the checked
+    `project_rows`, which raise the named errors.
     """
-    project = m._map.project_rows
-    polar = polar_function(len(frame) // m.ambient_dim, m.ambient_dim)
+    d = len(frame) // m.ambient_dim
+    gn = m._map.gauss_newton()
+    rows = m._map.rows_function(d)
+    tol = m.constraint_tol
+
+    def retract(y):
+        point, first, status = gn(tol, math.inf, *y)
+        if status != "converged":
+            m._retracted(y, point, first, status)  # raises its error
+        return point
+
+    polar = polar_function(d, m.ambient_dim)
     worst = 0.0
     for a, b in zip(points[:-1], points[1:]):
         gap = math.dist(a, b)
@@ -78,11 +94,14 @@ def _transport_polyline(m, points, frame, max_substep):
         pieces = max(1, int(math.ceil(gap / max_substep)))
         prev = a
         for s in range(1, pieces + 1):
-            target = b if s == pieces else m._gauss_newton(
-                _chord(a, b, s / pieces), None)[0]
-            mid = m._gauss_newton(
-                [0.5 * (p + q) for p, q in zip(prev, target)], None)[0]
-            frame, bias = polar(*project(target, project(mid, frame)))
+            target = b if s == pieces else retract(_chord(a, b, s / pieces))
+            mid = retract([0.5 * (p + q) for p, q in zip(prev, target)])
+            try:
+                projected = rows(*target, *rows(*mid, *frame))
+            except _FAILURES:
+                project = m._map.project_rows
+                project(target, project(mid, frame))  # raises its error
+            frame, bias = polar(*projected)
             worst = max(worst, bias)
             prev = target
     return frame, worst

@@ -553,12 +553,42 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
     return terminal, stats, times, states, gnorms
 
 
+def _hook_loop_retraction(monkeypatch, wrap, routed=True):
+    """Make every flow loop from now on with `wrap(gn, tol)` bound as its
+    retraction `gn`, for the flow's own gn and tol. With `routed`, the
+    loop is made with tol = nan, which no inline first iterate passes,
+    so that every accepted step calls it (the wrapper is handed nan as
+    its first argument and passes the flow's tol to gn)."""
+    build = flow_module._loop_factory
+
+    def factory(kernel, size):
+        make = build(kernel, size)
+
+        def hooked(**names):
+            gn = wrap(names["gn"], names["tol"])
+            if routed:
+                names["tol"] = math.nan
+            return make(**{**names, "gn": gn})
+        return hooked
+    monkeypatch.setattr(flow_module, "_loop_factory", factory)
+
+
+def _retraction_through(monkeypatch, m, gn):
+    """Let `gn(tol, bound, *y)` stand for the constraint map's generated
+    `_gn` in every retraction from now on: in `retract`, in the list
+    oracle and at every accepted step of a flow loop (routed through
+    `_hook_loop_retraction`)."""
+    monkeypatch.setattr(m._map, "_gn", gn)
+    _hook_loop_retraction(
+        monkeypatch, lambda _, tol: lambda __, bound, *y: gn(tol, bound, *y))
+
+
 def _failing_retraction(monkeypatch, m, fails):
     """Let the retraction of one point, the constraint map's generated
-    `_gn` that flows and `retract` call, report "iterations" on its first
-    `fails` calls, or for a set on the calls it numbers from 0, which
-    `_retracted` turns into RetractionError. Returns the arguments (tol,
-    bound, *y) of the failed calls."""
+    `_gn` that flows and `retract` call (`_retraction_through`), report
+    "iterations" on its first `fails` calls, or for a set on the calls it
+    numbers from 0, which `_retracted` turns into RetractionError.
+    Returns the arguments (tol, bound, *y) of the failed calls."""
     fails = range(fails) if isinstance(fails, int) else fails
     original = m._map.gauss_newton()
     failed, calls = [], itertools.count()
@@ -569,7 +599,7 @@ def _failing_retraction(monkeypatch, m, fails):
             failed.append(args)
             status = "iterations"
         return point, first, status
-    monkeypatch.setattr(m._map, "_gn", failing)
+    _retraction_through(monkeypatch, m, failing)
     return failed
 
 
@@ -660,22 +690,29 @@ def test_drift_is_the_largest_violation_before_retraction(name, vectors,
                                                           request,
                                                           monkeypatch):
     # max_constraint_drift is max |F| at the unretracted y5 of every
-    # accepted step, recomputed with the constraint map's value
+    # accepted step, recomputed with the constraint map's value; the y5
+    # are recorded by routing every retraction through `_gn`, and the
+    # flow without that routing (most first iterates passing inline)
+    # has the same statistics bit for bit
     setup = request.getfixturevalue(name)
     m, f, cfg, crits = setup.manifold, setup.function, setup.cfg, setup.crits
     x0 = m.sample_points(1, seed=31)[0]
+    v0 = m.random_tangent(x0, np.random.default_rng(4))
+
+    def run():
+        if vectors:
+            return integrate_variational(m, f, x0, v0, cfg, crits=crits).stats
+        return integrate_flow(m, f, x0, cfg, crits=crits).stats
+    inline = run()
     retracted = []
     original = m._map.gauss_newton()
 
     def recording(tol, bound, *y):
         retracted.append(list(y))
         return original(tol, bound, *y)
-    monkeypatch.setattr(m._map, "_gn", recording)
-    if vectors:
-        v0 = m.random_tangent(x0, np.random.default_rng(4))
-        stats = integrate_variational(m, f, x0, v0, cfg, crits=crits).stats
-    else:
-        stats = integrate_flow(m, f, x0, cfg, crits=crits).stats
+    _retraction_through(monkeypatch, m, recording)
+    stats = run()
+    assert stats == inline
     assert len(retracted) == stats.steps > 10
     drift = max(max(abs(v) for v in m._map.value(y)) for y in retracted)
     assert stats.max_constraint_drift == drift > 0.0
@@ -736,16 +773,33 @@ def _bits(outcome):
             np.array(states).tobytes(), np.array(gnorms).tobytes())
 
 
+def _recording(calls):
+    """A `_hook_loop_retraction` wrapper that appends the (point, first
+    values, status) of each call of the loop's `gn` to `calls`."""
+    def wrap(gn, tol):
+        def recorded(*args):
+            calls.append(gn(*args))
+            return calls[-1]
+        return recorded
+    return wrap
+
+
 def _assert_loop_matches_oracle(monkeypatch, field, sign, state, x_norm,
-                                cfg, crits, capture, fails=0):
+                                cfg, crits, capture, fails=0, calls=None):
     """The generated loop and `_oracle_flow` from the same start, each
     with the first `fails` retractions failing: the same times, states,
     gradient norms, FlowStats and terminal bit for bit, or the same
-    error. Returns the outcome."""
+    error. Returns the outcome. With fails=0 the loop runs unrouted, its
+    inline first iterate passing or calling `gn`, and the outcome of
+    each such call is appended to `calls`."""
     outcomes = []
     for run in (_oracle_flow, _cash_karp):
         with monkeypatch.context() as patch:
-            _failing_retraction(patch, field.manifold, fails)
+            if fails:
+                _failing_retraction(patch, field.manifold, fails)
+            else:
+                _hook_loop_retraction(patch, _recording(
+                    [] if calls is None else calls), routed=False)
             outcomes.append(_bits(_outcome(
                 run, field, sign, list(state), x_norm, cfg, crits, capture)))
     want, got = outcomes
@@ -764,7 +818,9 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     # scenario's critical points and settings where it is in the catalog
     # (sin, cos and exp inlined in the stages for "transcendental");
     # one flow per state size asks for a first step of max_step, so that
-    # steps are rejected, and one has its first two retractions fail
+    # steps are rejected, and one has its first two retractions fail;
+    # the flows without failures call `gn` only where the inline first
+    # iterate misses tol, which some do
     m, f = _scenario(name)
     if name in _CATALOG_FIXTURES:
         setup = request.getfixturevalue(_CATALOG_FIXTURES[name])
@@ -775,6 +831,8 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     rng = np.random.default_rng(7)
     counts = FlowStats()
     kinds = set()
+    calls = []
+    steps = 0
     for i, x in enumerate(m.sample_points(2, seed=5)):
         point = x.tolist()
         for vectors in (0, 1, 2):
@@ -784,11 +842,13 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
                                                    (True, False)):
                 run_cfg = cfg if capture else cfg.replace(t_max=5.0)
                 big = i == 0 and sign < 0 and capture
+                fails = 2 if i == 1 and sign < 0 and capture else 0
                 outcome = _assert_loop_matches_oracle(
                     monkeypatch, field, sign, state,
                     1e6 if big else float_norm(point), run_cfg, crits, capture,
-                    fails=2 if i == 1 and sign < 0 and capture else 0)
+                    fails=fails, calls=calls)
                 if len(outcome) == 5:
+                    steps += 0 if fails else outcome[1].steps
                     kinds.add(outcome[0].kind)
                     counts.rejected += outcome[1].rejected
                     counts.retraction_halvings += (
@@ -796,6 +856,27 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     assert counts.rejected > 0
     assert counts.retraction_halvings >= 6
     assert "max_time" in kinds
+    assert 0 < len(calls) < steps
+    assert all(first is not None for _, first, _ in calls)
+
+
+def test_first_iterate_outside_the_domain_matches_list_oracle(monkeypatch):
+    # On the plane x3 = -1e-300 sqrt(x1 - 0.61) the field of f = x1^2 / 2
+    # is x1' = -x1 in floats. From x1 = 1 a step of h = 0.5 (a start
+    # norm of 49) puts every stage at x1 >= 0.6148 and y5 at x1 = 0.6065,
+    # outside the domain of the sqrt: the inline first iterate raises,
+    # `gn` fails there too, and the flow raises the constraint's
+    # EvaluationError, as the list oracle does
+    m = ImplicitManifold(3, [parse("x3 + 1e-300 * sqrt(x1 - 0.61)", 3)])
+    field = GradientField(m, parse("0.5 * x1^2", 3))
+    calls = []
+    outcome = _assert_loop_matches_oracle(
+        monkeypatch, field, -1.0, [1.0, 0.0, 0.0], 49.0,
+        FlowConfig(rel_tol=1.0, abs_tol=1.0), None, False, calls=calls)
+    assert outcome[0] is EvaluationError
+    assert "sqrt" in outcome[1]
+    assert [(first, status) for _, first, status in calls] == [
+        (None, "failed")]
 
 
 def _flow_state(setup, vectors):
@@ -954,7 +1035,7 @@ def test_projection_failure_raises_the_checked_error(monkeypatch):
         return apex, (0.0,), "converged"
     with pytest.raises(RankDeficiencyError) as want:
         m._map.project_rows(apex, [0.0, 1.0, 0.0])
-    monkeypatch.setattr(m._map, "_gn", to_apex)
+    _retraction_through(monkeypatch, m, to_apex)
     with pytest.raises(RankDeficiencyError) as got:
         _cash_karp(field, -1.0, state, 1.0, FlowConfig())
     assert str(got.value) == str(want.value)

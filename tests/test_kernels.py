@@ -795,11 +795,14 @@ def test_field_source_forms_each_right_hand_side_once(monkeypatch):
 
 
 # A line that binds a generated local or a stage argument (a name ending
-# in a digit) to one name or one literal, and a product with a factor
-# 0.0 or 1.0.
+# in a digit) to one name or one literal (a negated one too), a product
+# with a factor 0.0 or 1.0, and an int literal as an operand of * or /
+# (not an exponent, of ** or of a literal such as 1e-13).
 _BOUND_TOKEN = re.compile(
     r"^ *[A-Za-z_]\w*\d = ([A-Za-z_]\w*|\(?-?\d[\w.+-]*\)?)$", re.M)
 _ZERO_OR_UNIT = re.compile(r"\* [01]\.0\b|(?<![\w.])[01]\.0 \*")
+_INT_OPERAND = re.compile(
+    r"(?<![\w.+-])-?\d+ [*/](?!\*)|(?<!\*)[*/] \(?-?\d+(?![\w.])")
 
 
 def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
@@ -808,7 +811,10 @@ def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
     # one-token right-hand side get no local of their own, so no product
     # reads a zero and none is written with a factor 1.0; with clifford's
     # and sphere_in_r5's zero Gram entries and o3's, through Cramer's rule
-    # and the elimination
+    # and the elimination. sphere_cut's -x3 has the gradient entry -1.0,
+    # a literal token with no local of its own. Every literal that * or /
+    # reads is a float (the power rule's coefficients, the loop's mean
+    # over the state), so no product or quotient mixes int and float.
     sources = []
 
     def capture(src, *args):
@@ -818,7 +824,8 @@ def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
     # kernels of their own, so that no flow loop is cached on them yet
     kernels = [compiled.CompiledExpression(f, m.ambient_dim, m.constraints)
                for m, f in map(_scenario, ("sphere2", "clifford",
-                                           "sphere_in_r5", "o3"))]
+                                           "sphere_in_r5", "o3",
+                                           "sphere_cut"))]
     for module in (compiled, flow_module):
         monkeypatch.setattr(module, "compile", capture, raising=False)
     for kernel in kernels:
@@ -833,10 +840,11 @@ def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
         compiled._kkt_code(f, constraints, n)
         for size in (n, 2 * n, 3 * n):
             flow_module._loop_factory(kernel, size)
-    assert len(sources) == 4 * 11
+    assert len(sources) == 5 * 11
     for src in sources:
         assert not _BOUND_TOKEN.search(src), _BOUND_TOKEN.search(src)[0]
         assert not _ZERO_OR_UNIT.search(src), _ZERO_OR_UNIT.search(src)[0]
+        assert not _INT_OPERAND.search(src), _INT_OPERAND.search(src)[0]
 
 
 def test_kernels_share_the_expression_cache():

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from morseflow import (
     parallel_transport,
     parse,
 )
-from morseflow.errors import FlowError, NonMorseError, RankDeficiencyError
+from morseflow.errors import (
+    EvaluationError, FlowError, NonMorseError, RankDeficiencyError,
+    RetractionError,
+)
 from morseflow.linalg import DEFINITE_FLOOR
 from morseflow.transport import _transport_polyline, sectional_value
 from test_linalg import _jacobi_eigh_oracle
@@ -107,6 +111,34 @@ def test_rows_at_sphere_origin_raise(sphere):
     with pytest.raises(RankDeficiencyError, match=r"at \[0.0, 0.0, 0.0\]"):
         sphere.manifold._map.project_rows([0.0, 0.0, 0.0],
                                           [0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("constraint, a, b, error", [
+    # the chord midpoint of antipodal points is the origin, where the
+    # Gram matrix is 0
+    ("x1^2 + x2^2 + x3^2 - 1", [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+     RetractionError),
+    # the midpoint (0, 0, sqrt 3) is outside the domain of the sqrt
+    ("x3 - sqrt(x1^2 + x2^2 - 1)", [2.0, 0.0, math.sqrt(3.0)],
+     [-2.0, 0.0, math.sqrt(3.0)], EvaluationError),
+    # the end point is the cone's apex, where the rows divide by zero
+    ("x1^2 + x2^2 - x3^2", [0.5, 0.0, 0.5], [0.0, 0.0, 0.0],
+     RankDeficiencyError),
+], ids=["retraction", "domain", "projection"])
+def test_substep_failures_raise_the_checked_errors(constraint, a, b, error):
+    # a substep calls the map's unchecked retraction and row projection;
+    # where one fails, the error is the one the checked call raises on
+    # the same floats
+    m = ImplicitManifold(3, [parse(constraint, 3)])
+    mid = [0.5 * (p + q) for p, q in zip(a, b)]
+    with pytest.raises(error) as want:
+        if error is RankDeficiencyError:
+            m._map.project_rows(b, m._map.project_rows(mid, [0.0, 1.0, 0.0]))
+        else:
+            m._gauss_newton(mid, None)
+    with pytest.raises(error) as got:
+        _transport_polyline(m, [a, b], [0.0, 1.0, 0.0], 10.0)
+    assert str(got.value) == str(want.value)
 
 
 def test_collapsed_frame_raises(sphere):
