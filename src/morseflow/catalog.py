@@ -99,6 +99,8 @@ class ScenarioContext:
                  integrator=None):
         if n_starts < 1:
             raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {seed}")
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.n_starts = n_starts

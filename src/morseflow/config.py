@@ -158,6 +158,9 @@ def parse_scenario_text(text, default_name="scenario"):
             integrator[sub] = _parse_float(value, lineno, raw)
         elif key == "seed":
             seed = _parse_int(value, lineno, raw)
+            if seed < 0:
+                raise ConfigError("seed must be >= 0", line=lineno,
+                                  column=raw.find(value) + 1)
         else:
             raise ConfigError(f"unknown key {key!r}", line=lineno, column=1)
 

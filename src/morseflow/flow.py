@@ -9,17 +9,18 @@ accept/reject loop is one generated function per field kernel and state
 size (`_loop_factory`, kept on the kernel), with the kernel's lines
 written into each of the five stages after k1, so no stage calls the
 kernel, and the constraint map's lines of the retraction's first
-iterate written in after y5. It is defined per flow with the constraint
-map's retraction `_gn` and row projection `_rows`, the sign, the
-tolerances and the capture threshold bound. It hands back to Python
-only to capture (once |P grad f| is below the threshold, where the
-point becomes an array), to turn a retraction status other than
-converged into a RetractionError, after which the step is halved, and
-at a failed stage or projection, whose arguments it returns: the one
-checked call on them raises the named error. k1 at each accepted point
-stays a call of the checked `GradientField.projected_gradient`, so a
-failure there raises its named error at once. A step is rejected unless
-its error estimate is at most 1, so a nan estimate is rejected too.
+iterate written in after y5. It is defined per flow with the checked
+retraction `ImplicitManifold._gauss_newton` and the constraint map's row
+projection `_rows`, the sign, the tolerances and the capture threshold
+bound. It hands back to Python only to capture (once |P grad f| is below
+the threshold, where the point becomes an array), to retract where the
+inline first iterate does not converge (a RetractionError there halves
+the step), and at a failed stage or projection, whose arguments it
+returns: the one checked call on them raises the named error. k1 at each
+accepted point stays a call of the checked
+`GradientField.projected_gradient`, so a failure there raises its named
+error at once. A step is rejected unless its error estimate is at most
+1, so a nan estimate is rejected too.
 
 The loop runs on Python floats: the state, k1, the first step and every
 number bound in it are floats at entry (`FlowConfig` stores its fields
@@ -33,16 +34,16 @@ interpreter has a fast path for float * float but none for int * float.
 
 Every accepted point is retracted back onto M and the vectors are
 re-projected there, with the Gram sums and solve of the field kernel.
-The retraction's first iterate runs inline: the constraint values at
-y5, `_gn`'s lines before its convergence test, and that test, every
-|F_i| <= tol. Most retractions end there (91-95% of the accepted steps
-of 50 sampled flows on each catalog scenario), and y5 is then the
-point, as `_gn` would return it. Only where the test fails or the
-values raise is `_gn` called, the whole Gauss-Newton loop from y5,
-which forms the same values first. The constraint drift, which must
-stay within an order of magnitude of the manifold tolerance, is max |F|
-at the unretracted point: those inline values, so F is not evaluated a
-second time.
+The retraction's first iterate runs inline: the constraint values at y5,
+`_gn`'s lines before its convergence test, and that test, every
+|F_i| <= tol. Most retractions end there (91-95% of the accepted steps of
+50 sampled flows on each catalog scenario), and y5 is then the point, as
+`_gn` would return it. Only where the test fails or the values raise is
+`_gauss_newton` called, the whole Gauss-Newton loop from y5, which forms
+the same values first. The constraint drift, which must stay within an
+order of magnitude of the manifold tolerance, is max |F| at the
+unretracted point: those inline values, so F is not evaluated a second
+time.
 
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
@@ -235,11 +236,11 @@ def _first_step(cfg, x_norm, gnorm):
 # per flow, and `_LOOP_NAMESPACE`.
 _FLOW_NAMES = (
     "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
-    "capture", "pg", "gn", "retracted", "rows", "stats",
+    "capture", "pg", "retract", "rows", "stats",
     "record_time", "record_state", "record_gnorm",
 )
 _LOOP_NAMESPACE = {
-    **_NAMESPACE, "inf": math.inf, "_FAILURES": _FAILURES,
+    **_NAMESPACE, "_FAILURES": _FAILURES,
     "FlowError": FlowError, "RetractionError": RetractionError,
     "SAFETY": SAFETY, "MIN_SCALE": MIN_SCALE, "MAX_SCALE": MAX_SCALE,
     "MAX_TIME": Terminal("max_time"),
@@ -278,18 +279,16 @@ def _make({names}):
             if converged:
                 point = [{z}]
             else:
-                point, first, status = gn(tol, inf, {z})
-                if status != "converged":
-                    try:
-                        point, first = retracted([{z}], point, first, status)
-                    except RetractionError:
-                        halvings += 1
-                        stats.retraction_halvings += 1
-                        if halvings > 40:
-                            raise FlowError("retraction kept failing after "
-                                            "40 step halvings") from None
-                        h *= 0.5
-                        continue
+                try:
+                    point = retract([{z}], None)
+                except RetractionError:
+                    halvings += 1
+                    stats.retraction_halvings += 1
+                    if halvings > 40:
+                        raise FlowError("retraction kept failing after "
+                                        "40 step halvings") from None
+                    h *= 0.5
+                    continue
 {accept}
             halvings = 0
 {drift}
@@ -341,7 +340,9 @@ def _loop_factory(kernel, size):
     `compile_expression(kernel.constraints, n)`) run on the point part
     of y5, z1, ..., zn in place of x1, ..., xn and every other name
     prefixed by `z_`; they set `converged`, which is False where they
-    raise.
+    raise. Where it is False the loop calls the bound `retract`,
+    `ImplicitManifold._gauss_newton` with guard None, and halves the
+    step if that raises RetractionError.
     """
     make = kernel._loops.get(size)
     if make is not None:
@@ -445,8 +446,7 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
             t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
             threshold=threshold, capture=capture_at,
             pg=field.projected_gradient,
-            gn=m._map.gauss_newton(),
-            retracted=m._retracted,
+            retract=m._gauss_newton,
             rows=m._map.rows_function(size // n - 1) if size > n else None,
             stats=stats, record_time=times.append,
             record_state=states.append, record_gnorm=gnorms.append)

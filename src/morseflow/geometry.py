@@ -175,26 +175,20 @@ class ImplicitManifold:
         a non-finite iterate, the guard, or RETRACT_MAX_ITER iterations.
         """
         return np.array(self._gauss_newton(
-            np.asarray(x, dtype=float).tolist(), guard)[0])
+            np.asarray(x, dtype=float).tolist(), guard))
 
     def _gauss_newton(self, y, guard):
-        """(point, values): `retract`'s iteration on the float list y, with
-        the constraint values F(y) of its first iterate.
+        """`retract`'s iteration on the float list y: the point as a list,
+        or its error.
 
         The whole iteration is one call of the constraint map's generated
         `_gn` (`symbolics.compile`), whose loop body forms the values, the
-        Jacobian rows and the Gauss-Newton step: each iteration forms the
-        values first, so F(y) costs nothing extra. The iteration stops
-        once every |F_i| <= constraint_tol, which a nan value never
-        satisfies, before that point's step is formed. `_retracted` turns
-        the status of `_gn` into the point or its error.
-        """
-        bound = math.inf if guard is None else guard * (1.0 + float_norm(y))
-        return self._retracted(y, *self._map.gauss_newton()(
-            self.constraint_tol, bound, *y))
-
-    def _retracted(self, y, point, first, status):
-        """(point, first values) of `_gn` run from y, or its error.
+        Jacobian rows and the Gauss-Newton step. It stops once every
+        |F_i| <= constraint_tol, which a nan value never satisfies,
+        before that point's step is formed. This is the one checked
+        retraction: `retract`, the flow loop where its inline first
+        iterate misses the tolerance, the transport substeps and the
+        holonomy corners all call it.
 
         Where the body raised, the map's checked `value_and_grad` at that
         point raises a constraint's EvaluationError; if it evaluates, the
@@ -203,8 +197,11 @@ class ImplicitManifold:
         into the message. Every other status but "converged" is a
         RetractionError.
         """
+        bound = math.inf if guard is None else guard * (1.0 + float_norm(y))
+        point, status = self._map.gauss_newton()(
+            self.constraint_tol, bound, *y)
         if status == "converged":
-            return point, first
+            return point
         if status == "failed":
             self._map.value_and_grad(point)  # raises a domain error
             raise RetractionError(
@@ -294,13 +291,15 @@ class ImplicitManifold:
         Returns (points, ok) in rows: each row is one `_gn` call, the
         iteration of `retract`, and ok where it converged and the
         Jacobian there evaluates (`columns` flags where it raises) and
-        passes `_checked_jacobian`'s rank check.
+        passes `_checked_jacobian`'s rank check. It reads `_gn`'s status
+        itself, not `_gauss_newton`'s error, since a draw that fails is
+        dropped, not raised.
         """
         gn = self._map.gauss_newton()
         points = rows.copy()
         ok = np.zeros(len(rows), dtype=bool)
         for j, y in enumerate(rows.tolist()):
-            point, _, status = gn(self.constraint_tol, math.inf, *y)
+            point, status = gn(self.constraint_tol, math.inf, *y)
             if status == "converged":
                 points[j] = point
                 ok[j] = True

@@ -22,8 +22,7 @@ cache:
   whose body forms the values and the Gauss-Newton step
   J^T (J J^T)^{-1} F, with the convergence test over the k values
   (before the step is formed), the guard on the first step's norm and
-  the finiteness test unrolled, returning the point, the first
-  iterate's values and a status;
+  the finiteness test unrolled, returning the point and a status;
 - a field kernel, f together with k >= 0 constraints (one expression
   is k = 0, P the identity): the value of f, P grad f, P the orthogonal
   projection onto ker dF, and for k >= 1 the Lagrange multipliers
@@ -579,16 +578,15 @@ def _gn_code(constraints, n):
     It stops at the first iterate where every |F_i| <= tol, tested on
     the values before the other lines of the step (so such a point is
     returned even where its step would raise), and returns (point,
-    values, status): the point as a list, the values of the first
-    iterate and "converged", or in place of the point the first step
-    and "guard" when that step's norm is above `bound`, "diverged" when
-    a step leaves a non-finite coordinate (the sum of the differences
-    x - x is 0.0 exactly when every coordinate is finite), "iterations"
-    after RETRACT_MAX_ITER steps, and "failed" with the point where the
-    body raised (a domain error or a zero Gram determinant or pivot).
-    The step's entries are all formed before a coordinate moves, since
-    J can read the coordinates. `first_lines` gives the lines before the
-    convergence test for inlining.
+    status): the point as a list and "converged", or in place of the
+    point the first step and "guard" when that step's norm is above
+    `bound`, "diverged" when a step leaves a non-finite coordinate (the
+    sum of the differences x - x is 0.0 exactly when every coordinate is
+    finite), "iterations" after RETRACT_MAX_ITER steps, and "failed"
+    with the point where the body raised (a domain error or a zero Gram
+    determinant or pivot). The step's entries are all formed before a
+    coordinate moves, since J can read the coordinates. `first_lines`
+    gives the lines before the convergence test for inlining.
     """
     vals, steps, body, head = _gn_parts(constraints, n)
     tail = [line for line in body if line not in head]
@@ -596,26 +594,23 @@ def _gn_code(constraints, n):
     point = f"[{', '.join(xs)}]"
     lines = [
         f"def _gn(tol, bound, {', '.join(xs)}):",
-        "    first = None",
         "    try:",
         f"        for it in range({RETRACT_MAX_ITER}):",
         *("        " + line for line in head),
-        "            if it == 0:",
-        f"                first = {_tuple(vals)}",
         "            if " + " and ".join(f"abs({v}) <= tol" for v in vals)
         + ":",
-        f"                return {point}, first, 'converged'",
+        f"                return {point}, 'converged'",
         *("        " + line for line in tail),
         "            if it == 0 and sqrt("
         + " + ".join(_products(steps, steps) or ["0.0"]) + ") > bound:",
-        f"                return [{', '.join(steps)}], first, 'guard'",
+        f"                return [{', '.join(steps)}], 'guard'",
         *(f"            {x} = {x} - {s}" for x, s in zip(xs, steps)),
         "            if not " + " + ".join(f"({x} - {x})" for x in xs)
         + " == 0.0:",
-        f"                return {point}, first, 'diverged'",
+        f"                return {point}, 'diverged'",
         "    except _FAILURES:",
-        f"        return {point}, first, 'failed'",
-        f"    return {point}, first, 'iterations'",
+        f"        return {point}, 'failed'",
+        f"    return {point}, 'iterations'",
         "",
     ]
     return compile("\n".join(lines), "<compiled:_gn>", "exec")
@@ -881,8 +876,9 @@ class CompiledExpression:
         The lines ("name = rhs", without indent) are those that `_gn`
         runs before its convergence test (`_gn_parts`), so run from the
         parameters they raise where `_gn`'s first iterate raises, and the
-        value tokens are the bits of the first values it returns. Names
-        are as generated; `prefixed` keeps copies of them apart.
+        value tokens are the bits of the values that its first test
+        reads, `value`'s at the same point. Names are as generated;
+        `prefixed` keeps copies of them apart.
         """
         n = self.ambient_dim
         vals, _, _, head = _gn_parts(self.expression, n)
@@ -930,8 +926,9 @@ class CompiledExpression:
     def gauss_newton(self):
         """The map's unchecked Gauss-Newton function `_gn(tol, bound, x1,
         ..., xn)` of at most RETRACT_MAX_ITER steps (`_gn_code`),
-        generated on first use: (point, first values, status) of one
-        point."""
+        generated on first use: (point, status) of one point.
+        `ImplicitManifold._gauss_newton` turns a status other than
+        "converged" into its error; the sampler alone reads the status."""
         if self._gn is None:
             self._gn = _define(_gn_code(self.expression, self.ambient_dim),
                                "_gn", _GN_NAMESPACE)

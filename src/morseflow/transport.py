@@ -8,13 +8,14 @@ from anisotropic shrinkage (plain Gram-Schmidt injects a first-order
 bias that shows up as fake curvature on flat product manifolds).
 
 A substep runs on Python floats from start to end: the retraction of
-the chord midpoint (the map's generated `_gn`), the constraint map's
-generated row projection at the midpoint and at the target, one Gram
-solve shared by all rows, and the generated polar step of
-`linalg.polar_function` (the Gram triangle, the bias, `jacobi_eigh`'s
-rotations and G^{-1/2} times the rows). The frame stays a flat list of
-floats along a polyline and becomes an array only where a caller needs
-one: at each `parallel_transport` sample and at the end of a loop.
+the chord midpoint (`ImplicitManifold._gauss_newton`, one call of the
+map's generated `_gn`), the constraint map's generated row projection
+at the midpoint and at the target, one Gram solve shared by all rows,
+and the generated polar step of `linalg.polar_function` (the Gram
+triangle, the bias, `jacobi_eigh`'s rotations and G^{-1/2} times the
+rows). The frame stays a flat list of floats along a polyline and
+becomes an array only where a caller needs one: at each
+`parallel_transport` sample and at the end of a loop.
 
 Curvature is estimated from the holonomy of small retracted
 parallelogram loops, Richardson-extrapolated over h and h/2. The
@@ -69,22 +70,14 @@ def _transport_polyline(m, points, frame, max_substep):
     call of the map's row projection each, then takes the polar factor
     (`polar_function`).
 
-    It calls the map's unchecked `gauss_newton()` and `rows_function(d)`,
-    as the flow loop does: only a status other than converged goes to
-    `_retracted`, and a projection that raises to the checked
-    `project_rows`, which raise the named errors.
+    Retractions are the checked `m._gauss_newton(y, None)`, which raises
+    the named error. The projections call the map's unchecked
+    `rows_function(d)`, as the flow loop does, and one that raises goes
+    to the checked `project_rows`, which raises the named error.
     """
     d = len(frame) // m.ambient_dim
-    gn = m._map.gauss_newton()
+    retract = m._gauss_newton
     rows = m._map.rows_function(d)
-    tol = m.constraint_tol
-
-    def retract(y):
-        point, first, status = gn(tol, math.inf, *y)
-        if status != "converged":
-            m._retracted(y, point, first, status)  # raises its error
-        return point
-
     polar = polar_function(d, m.ambient_dim)
     worst = 0.0
     for a, b in zip(points[:-1], points[1:]):
@@ -94,8 +87,9 @@ def _transport_polyline(m, points, frame, max_substep):
         pieces = max(1, int(math.ceil(gap / max_substep)))
         prev = a
         for s in range(1, pieces + 1):
-            target = b if s == pieces else retract(_chord(a, b, s / pieces))
-            mid = retract([0.5 * (p + q) for p, q in zip(prev, target)])
+            target = (b if s == pieces
+                      else retract(_chord(a, b, s / pieces), None))
+            mid = retract([0.5 * (p + q) for p, q in zip(prev, target)], None)
             try:
                 projected = rows(*target, *rows(*mid, *frame))
             except _FAILURES:
@@ -160,14 +154,14 @@ def _holonomy_operator(m, x, u, v, h, frame):
     """(I - holonomy) / h^2 of the retracted parallelogram x -> x+hu ->
     x+hu+hv -> x+hv -> x, each side cut into LOOP_SUBSTEPS retracted
     pieces, so the substep bound LOOP_H cuts no further."""
-    corners = [m._gauss_newton(c.tolist(), None)[0]
+    corners = [m._gauss_newton(c.tolist(), None)
                for c in (x + h * u, x + h * u + h * v, x + h * v)]
     corners = [x.tolist(), *corners, x.tolist()]
     points = [corners[0]]
     for a, b in zip(corners[:-1], corners[1:]):
         for s in range(1, LOOP_SUBSTEPS):
             points.append(m._gauss_newton(
-                _chord(a, b, s / LOOP_SUBSTEPS), None)[0])
+                _chord(a, b, s / LOOP_SUBSTEPS), None))
         points.append(b)
     looped, _ = _transport_polyline(m, points, frame.ravel().tolist(), LOOP_H)
     # hol[i, j] = <frame_i, looped_j>

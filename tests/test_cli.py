@@ -265,6 +265,7 @@ _SPHERE = (
 )
 _BAD_CONFIGS = {
     "negative_tol": _SPHERE + "integrator.rel_tol = -1\n",
+    "negative_seed": _SPHERE + "seed = -2\n",
     # two constraints leave no manifold dimension in R^2
     "two_constraints": (
         "ambient_dim = 2\n"
@@ -289,6 +290,8 @@ _FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
     _FLOW + ["--capture-radius", "5"],
     ["critical-points", "--config", "{two_constraints}"],
     ["critical-points", "--scenario", "sphere2", "--n-starts", "0"],
+    ["critical-points", "--scenario", "sphere2", "--seed", "-1"],
+    ["critical-points", "--config", "{negative_seed}"],
     ["basin", "--scenario", "sphere2", "--samples", "0"],
     ["graph", "--scenario", "sphere2", "--eps", "-1"],
     ["curvature", "--scenario", "sphere2", "--samples", "0"],
@@ -297,7 +300,8 @@ _FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
     ["decay", "--scenario", "sphere2", "--from", "0.6,0,-0.8",
      "--v", "nan,1,0"],
 ], ids=["rel_tol", "abs_tol_nan", "config_rel_tol", "capture_radius",
-        "two_constraints_in_r2", "n_starts", "basin_samples", "eps",
+        "two_constraints_in_r2", "n_starts", "seed", "config_seed",
+        "basin_samples", "eps",
         "curvature_samples", "curvature_on_a_circle", "flow_from_inf",
         "decay_v_nan"])
 def test_input_errors_exit_2(argv, tmp_path, capsys):
@@ -315,6 +319,22 @@ def test_input_errors_exit_2(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    # numpy's generators take no negative seed; the override and the
+    # config key are both rejected before one is built, and the config
+    # error names its line and column
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(_BAD_CONFIGS["negative_seed"])
+    assert cli.main(["critical-points", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be >= 0 (line 4, column 8)\n")
+    assert cli.main(["critical-points", "--scenario", "sphere2",
+                     "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be at least 0, got -1\n")
 
 
 @pytest.mark.parametrize("criteria", ["99", "x", "3,99", "3,,5"])

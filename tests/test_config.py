@@ -61,6 +61,15 @@ def test_error_positions():
     assert err.value.column > len("function = ")
 
 
+def test_negative_seed_rejected_with_position():
+    # a seed goes to numpy's generators, which take none below 0
+    with pytest.raises(ConfigError, match="seed must be >= 0") as err:
+        parse_scenario_text(GOOD.replace("seed = 4", "seed = -2"))
+    line = GOOD.splitlines().index("seed = 4") + 1
+    assert (err.value.line, err.value.column) == (line, len("seed = ") + 1)
+    assert parse_scenario_text(GOOD.replace("seed = 4", "seed = 0")).seed == 0
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         parse_scenario_text("ambient_dim = 2\nwhatever = 1\n")

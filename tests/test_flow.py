@@ -491,8 +491,9 @@ def _checked_rhs(field, sign):
 def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
     """`_cash_karp` as the Python loop it was: `_oracle_step` with the
     checked field, `ImplicitManifold._gauss_newton` on the point part of
-    y5, the constraint map's `project_rows` per vector, the step factors
-    above, and the module's capture and statistics."""
+    y5, the drift from the constraint map's `value` there, the map's
+    `project_rows` per vector, the step factors above, and the module's
+    capture and statistics."""
     m = field.manifold
     n = field.n
     size = len(state)
@@ -523,7 +524,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
             h *= _shrink_factor(err_scaled)
             continue
         try:
-            point, vals = m._gauss_newton(y_new[:n], None)
+            point = m._gauss_newton(y_new[:n], None)
         except RetractionError:
             halvings += 1
             stats.retraction_halvings += 1
@@ -534,7 +535,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
             h *= 0.5
             continue
         halvings = 0
-        drift = max(map(abs, vals))
+        drift = max(map(abs, m._map.value(y_new[:n])))
         stats.max_constraint_drift = max(stats.max_constraint_drift, drift)
         t += h
         state = point + [
@@ -553,23 +554,16 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
     return terminal, stats, times, states, gnorms
 
 
-def _hook_loop_retraction(monkeypatch, wrap, routed=True):
-    """Make every flow loop from now on with `wrap(gn, tol)` bound as its
-    retraction `gn`, for the flow's own gn and tol. With `routed`, the
-    loop is made with tol = nan, which no inline first iterate passes,
-    so that every accepted step calls it (the wrapper is handed nan as
-    its first argument and passes the flow's tol to gn)."""
+def _hook_loop_retraction(monkeypatch):
+    """Make every flow loop from now on with tol = nan, which no inline
+    first iterate passes, so that every accepted step calls the loop's
+    `retract`, `ImplicitManifold._gauss_newton` with the manifold's own
+    tol."""
     build = flow_module._loop_factory
 
     def factory(kernel, size):
         make = build(kernel, size)
-
-        def hooked(**names):
-            gn = wrap(names["gn"], names["tol"])
-            if routed:
-                names["tol"] = math.nan
-            return make(**{**names, "gn": gn})
-        return hooked
+        return lambda **names: make(**{**names, "tol": math.nan})
     monkeypatch.setattr(flow_module, "_loop_factory", factory)
 
 
@@ -577,28 +571,27 @@ def _retraction_through(monkeypatch, m, gn):
     """Let `gn(tol, bound, *y)` stand for the constraint map's generated
     `_gn` in every retraction from now on: in `retract`, in the list
     oracle and at every accepted step of a flow loop (routed through
-    `_hook_loop_retraction`)."""
+    `_hook_loop_retraction`), all of which call `_gauss_newton`."""
     monkeypatch.setattr(m._map, "_gn", gn)
-    _hook_loop_retraction(
-        monkeypatch, lambda _, tol: lambda __, bound, *y: gn(tol, bound, *y))
+    _hook_loop_retraction(monkeypatch)
 
 
 def _failing_retraction(monkeypatch, m, fails):
     """Let the retraction of one point, the constraint map's generated
     `_gn` that flows and `retract` call (`_retraction_through`), report
     "iterations" on its first `fails` calls, or for a set on the calls it
-    numbers from 0, which `_retracted` turns into RetractionError.
+    numbers from 0, which `_gauss_newton` turns into RetractionError.
     Returns the arguments (tol, bound, *y) of the failed calls."""
     fails = range(fails) if isinstance(fails, int) else fails
     original = m._map.gauss_newton()
     failed, calls = [], itertools.count()
 
     def failing(*args):
-        point, first, status = original(*args)
+        point, status = original(*args)
         if next(calls) in fails:
             failed.append(args)
             status = "iterations"
-        return point, first, status
+        return point, status
     _retraction_through(monkeypatch, m, failing)
     return failed
 
@@ -773,15 +766,16 @@ def _bits(outcome):
             np.array(states).tobytes(), np.array(gnorms).tobytes())
 
 
-def _recording(calls):
-    """A `_hook_loop_retraction` wrapper that appends the (point, first
-    values, status) of each call of the loop's `gn` to `calls`."""
-    def wrap(gn, tol):
-        def recorded(*args):
-            calls.append(gn(*args))
-            return calls[-1]
-        return recorded
-    return wrap
+def _record_retractions(monkeypatch, m, calls):
+    """Append (y, status) of each call of the constraint map's generated
+    `_gn` from now on to `calls`."""
+    gn = m._map.gauss_newton()
+
+    def recorded(tol, bound, *y):
+        point, status = gn(tol, bound, *y)
+        calls.append((list(y), status))
+        return point, status
+    monkeypatch.setattr(m._map, "_gn", recorded)
 
 
 def _assert_loop_matches_oracle(monkeypatch, field, sign, state, x_norm,
@@ -790,16 +784,16 @@ def _assert_loop_matches_oracle(monkeypatch, field, sign, state, x_norm,
     with the first `fails` retractions failing: the same times, states,
     gradient norms, FlowStats and terminal bit for bit, or the same
     error. Returns the outcome. With fails=0 the loop runs unrouted, its
-    inline first iterate passing or calling `gn`, and the outcome of
-    each such call is appended to `calls`."""
+    inline first iterate passing or calling `_gn`, and the (y, status)
+    of each such call is appended to `calls`."""
     outcomes = []
     for run in (_oracle_flow, _cash_karp):
         with monkeypatch.context() as patch:
             if fails:
                 _failing_retraction(patch, field.manifold, fails)
-            else:
-                _hook_loop_retraction(patch, _recording(
-                    [] if calls is None else calls), routed=False)
+            elif run is _cash_karp:
+                _record_retractions(patch, field.manifold,
+                                    [] if calls is None else calls)
             outcomes.append(_bits(_outcome(
                 run, field, sign, list(state), x_norm, cfg, crits, capture)))
     want, got = outcomes
@@ -819,8 +813,8 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     # (sin, cos and exp inlined in the stages for "transcendental");
     # one flow per state size asks for a first step of max_step, so that
     # steps are rejected, and one has its first two retractions fail;
-    # the flows without failures call `gn` only where the inline first
-    # iterate misses tol, which some do
+    # the flows without failures call `_gn` only where the inline first
+    # iterate misses tol, which some do, and never where it raises
     m, f = _scenario(name)
     if name in _CATALOG_FIXTURES:
         setup = request.getfixturevalue(_CATALOG_FIXTURES[name])
@@ -857,7 +851,8 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
     assert counts.retraction_halvings >= 6
     assert "max_time" in kinds
     assert 0 < len(calls) < steps
-    assert all(first is not None for _, first, _ in calls)
+    for y, _ in calls:
+        m._map.value(y)
 
 
 def test_first_iterate_outside_the_domain_matches_list_oracle(monkeypatch):
@@ -865,7 +860,7 @@ def test_first_iterate_outside_the_domain_matches_list_oracle(monkeypatch):
     # is x1' = -x1 in floats. From x1 = 1 a step of h = 0.5 (a start
     # norm of 49) puts every stage at x1 >= 0.6148 and y5 at x1 = 0.6065,
     # outside the domain of the sqrt: the inline first iterate raises,
-    # `gn` fails there too, and the flow raises the constraint's
+    # `_gn` fails there too, and the flow raises the constraint's
     # EvaluationError, as the list oracle does
     m = ImplicitManifold(3, [parse("x3 + 1e-300 * sqrt(x1 - 0.61)", 3)])
     field = GradientField(m, parse("0.5 * x1^2", 3))
@@ -875,8 +870,11 @@ def test_first_iterate_outside_the_domain_matches_list_oracle(monkeypatch):
         FlowConfig(rel_tol=1.0, abs_tol=1.0), None, False, calls=calls)
     assert outcome[0] is EvaluationError
     assert "sqrt" in outcome[1]
-    assert [(first, status) for _, first, status in calls] == [
-        (None, "failed")]
+    # one call of `_gn`, whose first iterate raised
+    [(y, status)] = calls
+    assert status == "failed"
+    with pytest.raises(EvaluationError, match="sqrt"):
+        m._map.value(y)
 
 
 def _flow_state(setup, vectors):
@@ -1032,7 +1030,7 @@ def test_projection_failure_raises_the_checked_error(monkeypatch):
     apex = [0.0, 0.0, 0.0]
 
     def to_apex(tol, bound, *y):
-        return apex, (0.0,), "converged"
+        return apex, "converged"
     with pytest.raises(RankDeficiencyError) as want:
         m._map.project_rows(apex, [0.0, 1.0, 0.0])
     _retraction_through(monkeypatch, m, to_apex)

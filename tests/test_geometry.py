@@ -169,20 +169,22 @@ def test_retraction_guard_norms_sum_left_to_right(sphere, monkeypatch):
     for v in y:
         total += v * v
     bounds = []
+    statuses = ["converged", "guard"]
 
     def gauss_newton(self):
+        # on "guard" `_gn` hands back the first step, here y, as the point
         def gn(tol, bound, *x):
             bounds.append(bound)
-            return list(x), (0.0,), "converged"
+            return list(x), statuses[len(bounds) - 1]
         return gn
 
     monkeypatch.setattr(CompiledExpression, "gauss_newton", gauss_newton)
-    m._gauss_newton(y, 0.1)
+    assert m._gauss_newton(y, 0.1) == y
     assert bounds == [0.1 * (1.0 + math.sqrt(total))]
     assert bounds[0] != 0.1 * (1.0 + math.sqrt(math.fsum(v * v for v in y)))
     with pytest.raises(RetractionError, match=re.escape(
             f"(initial correction {math.sqrt(total):.3e})")):
-        m._retracted(y, y, (0.0,), "guard")
+        m._gauss_newton(y, 0.1)
 
 
 def test_retract_basin_guard(sphere):

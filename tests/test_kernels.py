@@ -370,18 +370,50 @@ _STATUS_ERRORS = {"guard": "basin", "diverged": "non-finite",
 
 
 def _generated_retraction(m, x, guard):
-    """The raw (point, first values, status) of the map's `_gn`."""
+    """The raw (point, status) of the map's `_gn`."""
     bound = math.inf if guard is None else guard * (1.0 + _plain_norm(x))
     return m._map.gauss_newton()(
         m.constraint_tol, bound, *np.asarray(x, dtype=float).tolist())
 
 
+@functools.lru_cache(maxsize=None)
+def _first_function(cmap):
+    """`_first(x1, ..., xn)` of the map's `first_lines`: the values that
+    `_gn`'s first convergence test reads, as the flow loop inlines
+    them."""
+    xs, lines, vals = cmap.first_lines()
+    namespace = dict(compiled._NAMESPACE)
+    exec("\n".join([f"def _first({', '.join(xs)}):",
+                    *(f"    {line}" for line in lines),
+                    f"    return {compiled._tuple(vals)}"]), namespace)
+    return namespace["_first"]
+
+
+def _check_first_values(m, x):
+    """The value tokens of the map's `first_lines` at x against the map's
+    `value` bit for bit, and against the per-constraint oracle where the
+    retraction converges: the oracle of the flow loop's inline first
+    iterate. Where `value` raises, so do the lines."""
+    y = np.asarray(x, dtype=float).tolist()
+    first = _first_function(m._map)
+    try:
+        want = m._map.value(y)
+    except EvaluationError:
+        with pytest.raises(compiled._FAILURES):
+            first(*y)
+        return None
+    got = first(*y)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    return got
+
+
 def _check_generated_retraction(m, x, guard):
     """`_gn` against `_retract_oracle` bit for bit: the converged point,
-    the values at x as the first iterate's, or the status of the
-    oracle's error."""
-    point, first, status = _generated_retraction(m, x, guard)
+    or the status of the oracle's error; and the first iterate's values
+    (`_check_first_values`) as the oracle's values at x."""
+    point, status = _generated_retraction(m, x, guard)
     want = _outcome(_retract_oracle, m, x, guard=guard)
+    first = _check_first_values(m, x)
     if not _is_error(want):
         assert status == "converged"
         assert point == want.tolist()
@@ -411,11 +443,11 @@ def test_generated_retraction_statuses():
                                  ([3.0, 0.0, 0.0], 0.1, "guard"),
                                  ([1e200, 0.0, 0.0], None, "diverged"),
                                  ([math.nan, 0.0, 0.0], None, "diverged")):
-            assert _generated_retraction(sphere, x, guard)[2] == status
+            assert _generated_retraction(sphere, x, guard)[1] == status
             _check_generated_retraction(sphere, x, guard)
     strict = ImplicitManifold(3, sphere.constraints, constraint_tol=1e-300)
     x = [0.6, 0.1, 0.9]
-    assert _generated_retraction(strict, x, None)[2] == "iterations"
+    assert _generated_retraction(strict, x, None)[1] == "iterations"
     _check_generated_retraction(strict, x, None)
     with pytest.raises(RetractionError,
                        match=f"{RETRACT_MAX_ITER} retraction"):
@@ -425,13 +457,13 @@ def test_generated_retraction_statuses():
     # without the division by zero
     cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
     apex = [0.0, 0.0, 0.0]
-    assert _generated_retraction(cone, apex, 0.1) == (
-        apex, (0.0,), "converged")
-    assert cone._gauss_newton(apex, 0.1) == (apex, (0.0,))
+    assert _generated_retraction(cone, apex, 0.1) == (apex, "converged")
+    assert cone._gauss_newton(apex, 0.1) == apex
+    assert _check_first_values(cone, apex) == (0.0,)
     # a domain error stops the loop; the checked step names the constraint
     m, _ = _scenario("sqrt_domain")
     outside = [-1.1, 0.2, 0.1]
-    assert _generated_retraction(m, outside, 0.1)[2] == "failed"
+    assert _generated_retraction(m, outside, 0.1)[1] == "failed"
     _check_generated_retraction(m, outside, 0.1)
     with pytest.raises(EvaluationError, match="sqrt"):
         m.retract(outside)

@@ -19,8 +19,10 @@ from morseflow.errors import (
     EvaluationError, FlowError, NonMorseError, RankDeficiencyError,
     RetractionError,
 )
+from morseflow.geometry import RETRACT_MAX_ITER
 from morseflow.linalg import DEFINITE_FLOOR
-from morseflow.transport import _transport_polyline, sectional_value
+from morseflow.transport import LOOP_H, _transport_polyline, sectional_value
+from test_flow import _hook_loop_retraction
 from test_linalg import _jacobi_eigh_oracle
 
 
@@ -139,6 +141,62 @@ def test_substep_failures_raise_the_checked_errors(constraint, a, b, error):
     with pytest.raises(error) as got:
         _transport_polyline(m, [a, b], [0.0, 1.0, 0.0], 10.0)
     assert str(got.value) == str(want.value)
+
+
+def test_one_patched_gn_reaches_every_checked_retraction(sphere,
+                                                        monkeypatch):
+    # `retract`, a flow's fallback where its inline first iterate misses
+    # tol (every step, with the loop's tol nan), the `parallel_transport`
+    # substeps and the `holonomy_curvature` corners all retract through
+    # `ImplicitManifold._gauss_newton`: one patched `_gn` reaches each,
+    # and its "iterations" halves the flow's step and raises the same
+    # RetractionError from the other three
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    x0 = [1.0, 0.0, 0.0]
+    plain = integrate_flow(m, f, x0, cfg, crits=crits)
+    original = m._map.gauss_newton()
+    calls, fail = [], []
+
+    def gn(tol, bound, *y):
+        point, status = original(tol, bound, *y)
+        calls.append(list(y))
+        if fail:
+            fail.pop()
+            status = "iterations"
+        return point, status
+    monkeypatch.setattr(m._map, "_gn", gn)
+    _hook_loop_retraction(monkeypatch)
+
+    def failing_once(run, *args):
+        """The number of `_gn` calls of `run(*args)` with its first
+        call failing, and its result or error text."""
+        before = len(calls)
+        fail.append(True)
+        try:
+            out = run(*args)
+        except RetractionError as exc:
+            out = str(exc)
+        assert not fail
+        return len(calls) - before, out
+
+    want = f"no convergence within {RETRACT_MAX_ITER} retraction iterations"
+    assert failing_once(m.retract, [0.6, 0.0, 0.9]) == (1, want)
+    count, halved = failing_once(integrate_flow, m, f, x0, cfg, "forward",
+                                 crits)
+    # one failed call, then one per accepted step
+    assert count == 1 + halved.stats.steps > 1
+    assert plain.stats.retraction_halvings == 0
+    assert halved.stats.retraction_halvings == 1
+    assert halved.times[1] == 0.5 * plain.times[1]
+    assert halved.terminal == plain.terminal
+    frame = m.tangent_basis(plain.points[0])
+    assert failing_once(parallel_transport, m, plain, frame) == (1, want)
+    x = np.array([0.0, 0.6, 0.8])
+    u, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.8, -0.6])
+    assert failing_once(holonomy_curvature, m, x, u, v) == (1, want)
+    # the failed call was the first corner, x + h u
+    assert calls[-1] == (x + LOOP_H * u).tolist()
 
 
 def test_collapsed_frame_raises(sphere):
