@@ -5,13 +5,14 @@
 
 runs `trajectory_digest.py`, `census_digest.py` and `check_details.py`
 at their defaults in each checkout, each the checkout's own script on
-its own src/, and `generated_sources.py` of each into a temporary tree.
-Per oracle it prints `identical`, or the lines that differ (`-`
-OTHER_DIR, `+` this checkout) or the generated files that differ. A
-script that fails counts as a difference and prints its exit status and
-the last line of its error output. The two checkouts run side by side,
-one process each. The exit status is 0 when every oracle is identical
-and 1 otherwise.
+its own src/, and `generated_sources.py` and `snapshot_reports.py` of
+each into a temporary tree. Per oracle it prints `identical`, or the
+lines that differ (`-` OTHER_DIR, `+` this checkout), the generated
+files that differ, or `compare_reports.py`'s lines for each report file
+that differs (OTHER_DIR's tree first). A script that fails counts as a
+difference and prints its exit status and the last line of its error
+output. The two checkouts run side by side, one process each. The exit
+status is 0 when every oracle is identical and 1 otherwise.
 """
 
 import argparse
@@ -24,6 +25,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = ("trajectory_digest.py", "census_digest.py", "check_details.py")
+# oracles that write a tree into --out
+TREES = ("generated_sources.py", "snapshot_reports.py")
 
 
 def _run_both(other, name, args=()):
@@ -78,20 +81,35 @@ def _compare_trees(a, b):
     return lines, len(left | right)
 
 
+def _compare_reports(a, b):
+    """`compare_reports.py`'s lines for each file of the report trees a
+    and b that is not identical."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(HERE, "oracles", "compare_reports.py"),
+         a, b], text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = proc.stdout.splitlines()
+    total = sum(not line.startswith(" ") for line in lines)
+    return [f"  {line}" for line in lines
+            if not line.endswith(": identical")], total
+
+
 def compare(other):
     """Print each oracle's comparison; True when all are identical."""
     same = True
     with tempfile.TemporaryDirectory() as scratch:
-        for name in DIGESTS + ("generated_sources.py",):
+        for name in DIGESTS + TREES:
             if name in DIGESTS:
                 runs = _run_both(other, name)
                 diff, total = _compare_text(runs)
                 unit = "lines"
             else:
-                out = os.path.join(scratch, "{side}")
+                out = os.path.join(scratch, name, "{side}")
                 runs = _run_both(other, name, ("--out", out))
-                diff, total = _compare_trees(os.path.join(scratch, "other"),
-                                             os.path.join(scratch, "here"))
+                a, b = (out.format(side=side) for side in ("other", "here"))
+                if name == "snapshot_reports.py":
+                    diff, total = _compare_reports(a, b)
+                else:
+                    diff, total = _compare_trees(a, b)
                 unit = "files"
             diff = _failures(runs) + diff
             if diff:

@@ -57,11 +57,11 @@ def _write(args, files):
 
 def _session(args, **positive):
     """ScenarioContext of the common flags. Each keyword names a
-    subcommand flag whose value must be positive; they are checked
-    before the scenario loads."""
+    subcommand flag whose value must be positive and finite; they are
+    checked before the scenario loads."""
     for flag, value in positive.items():
-        if not value > 0:
-            raise ConfigError(f"--{flag} must be positive, got {value}")
+        if not 0 < value < np.inf:
+            raise ConfigError(f"--{flag} must be finite and > 0, got {value}")
     if args.scenario:
         scenario = load_scenario(args.scenario)
     else:

@@ -18,6 +18,7 @@ Constraints are numbered consecutively from 1. The full grammar is in
 docs/config_format.md; errors report line and column.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ExpressionSyntaxError
@@ -80,12 +81,16 @@ def _split_lines(text):
         yield lineno, raw, key, value
 
 
-def _parse_float(value, lineno, raw):
+def _parse_float(value, lineno, raw, positive=False):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"not a number: {value!r}", line=lineno,
-                          column=raw.find(value) + 1) from None
+        number = math.nan
+    if not (0.0 if positive else -math.inf) < number < math.inf:
+        need = "a finite number > 0" if positive else "a finite number"
+        raise ConfigError(f"expected {need}, got {value!r}", line=lineno,
+                          column=raw.find(value) + 1)
+    return number
 
 
 def _parse_int(value, lineno, raw):
@@ -149,13 +154,13 @@ def parse_scenario_text(text, default_name="scenario"):
             if sub not in _TOLERANCE_KEYS:
                 raise ConfigError(f"unknown tolerance key {sub!r}",
                                   line=lineno, column=1)
-            tolerances[sub] = _parse_float(value, lineno, raw)
+            tolerances[sub] = _parse_float(value, lineno, raw, True)
         elif key.startswith("integrator."):
             sub = key.split(".", 1)[1]
             if sub not in INTEGRATOR_KEYS:
                 raise ConfigError(f"unknown integrator key {sub!r}",
                                   line=lineno, column=1)
-            integrator[sub] = _parse_float(value, lineno, raw)
+            integrator[sub] = _parse_float(value, lineno, raw, True)
         elif key == "seed":
             seed = _parse_int(value, lineno, raw)
             if seed < 0:

@@ -24,8 +24,8 @@ error at once. A step is rejected unless its error estimate is at most
 
 The loop runs on Python floats: the state, k1, the first step and every
 number bound in it are floats at entry (`FlowConfig` stores its fields
-as float, and `_first_step` returns a float whatever type of start norm
-it is given). A numpy scalar there would spread to the step size, the
+as float, and every flow sizes its first step from `float_norm` of the
+start). A numpy scalar there would spread to the step size, the
 time, every stage and the state, and turn each operation of the loop
 into a numpy-scalar operation, 3-4x slower per step. Every literal that
 a product or quotient of the loop reads is a float too (the code
@@ -91,8 +91,8 @@ LENGTH_SLACK = 1.05
 class FlowConfig:
     """Adaptive step control and capture thresholds.
 
-    Each field must be positive and is stored as a Python float, the
-    type the generated flow loop binds it as.
+    Each field must be positive and finite and is stored as a Python
+    float, the type the generated flow loop binds it as.
     """
 
     rel_tol: float = 1e-8
@@ -105,8 +105,8 @@ class FlowConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not value > 0.0:
-                raise ValueError(f"{field.name} must be positive")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{field.name} must be positive and finite")
             object.__setattr__(self, field.name, float(value))
 
     def replace(self, **changes):
@@ -228,8 +228,8 @@ def _capture(point, norm, crits, cfg):
 
 
 def _first_step(cfg, x_norm, gnorm):
-    return float(min(cfg.max_step, cfg.t_max,
-                     0.01 * (1.0 + x_norm) / max(gnorm, 1e-10)))
+    return min(cfg.max_step, cfg.t_max,
+               0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
 
 
 # The generated flow loop (`_loop_factory`) reads `_FLOW_NAMES`, bound
@@ -407,16 +407,16 @@ def _loop_factory(kernel, size):
     return make
 
 
-def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
+def _cash_karp(field, sign, state, cfg, crits=None, capture=True):
     """Step the flat state [x, v_1, ..., v_j] until its terminal.
 
     The state's derivative is sign times the field kernel's output for
     the state: P grad f, then the derivative of P grad f along each
     vector. Its first n entries are the signed field, whose norm at each
     accepted point decides capture. An accepted point is retracted onto
-    M and the vectors re-projected there. `x_norm` (|x0|) sets the first
-    step. Returns (terminal, stats, times, states, grad_norms) over the
-    start and every accepted step.
+    M and the vectors re-projected there; |x0| by `float_norm` sets the
+    first step. Returns (terminal, stats, times, states, grad_norms) over
+    the start and every accepted step.
 
     After the start sample the whole loop is one call of a `_flow`
     defined for this flow by `_loop_factory`, with the field kernel's
@@ -450,7 +450,8 @@ def _cash_karp(field, sign, state, x_norm, cfg, crits=None, capture=True):
             rows=m._map.rows_function(size // n - 1) if size > n else None,
             stats=stats, record_time=times.append,
             record_state=states.append, record_gnorm=gnorms.append)
-        terminal, end = flow(_first_step(cfg, x_norm, gnorm), *state, *k1)
+        terminal, end = flow(_first_step(cfg, float_norm(state[:n]), gnorm),
+                             *state, *k1)
         if terminal == "stage":
             field._kernel.value_and_grad(end)  # raises the stage's error
         elif terminal == "rows":
@@ -475,8 +476,7 @@ def flow_terminals(m, f, starts, cfg=None, crits=None):
     terminals = []
     ends = np.empty((len(points), field.n))
     for end, xs in zip(ends, points):
-        terminal, _, _, states, _ = _cash_karp(
-            field, -1.0, xs, float_norm(xs), cfg, crits)
+        terminal, _, _, states, _ = _cash_karp(field, -1.0, xs, cfg, crits)
         terminals.append(terminal)
         end[:] = states[-1]
     return terminals, ends
@@ -494,8 +494,7 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None):
     field = GradientField(m, f)
     xs = _start_point(m, x0).tolist()
     terminal, stats, times, points, gnorms = _cash_karp(
-        field, sign, xs, float_norm(xs), cfg or FlowConfig(), crits,
-    )
+        field, sign, xs, cfg or FlowConfig(), crits)
     f_vals = [field.f_value(p) for p in points]
     stats.monotone = not any(
         sign * (b - a) < -1e-12 for a, b in zip(f_vals, f_vals[1:])
@@ -622,8 +621,8 @@ def unstable_seeds(m, p, eps=1e-4):
     Seeds are ordered by (eigendirection, +side first) so downstream
     graph assembly is deterministic.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     seeds = []
     for idx in range(len(p.eigenvalues)):
         if p.eigenvalues[idx] >= 0.0:

@@ -56,6 +56,10 @@ class ImplicitManifold:
             raise ValueError(
                 "need between 1 and ambient_dim-1 constraint expressions"
             )
+        for name, tol in (("constraint_tol", constraint_tol),
+                          ("rank_tol", rank_tol)):
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         self.ambient_dim = int(ambient_dim)
         self.constraints = constraints
         self.constraint_tol = float(constraint_tol)
@@ -66,8 +70,9 @@ class ImplicitManifold:
         box = np.asarray(bounding_box, dtype=float)
         if box.shape == (2,):
             box = np.tile(box, (ambient_dim, 1))
-        if box.shape != (ambient_dim, 2) or np.any(box[:, 0] >= box[:, 1]):
-            raise ValueError("bounding_box must be (lo, hi) per coordinate")
+        if (box.shape != (ambient_dim, 2) or not np.isfinite(box).all()
+                or np.any(box[:, 0] >= box[:, 1])):
+            raise ValueError("bounding_box must be finite with lo < hi")
         self.bounding_box = box
 
     @property

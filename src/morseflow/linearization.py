@@ -82,11 +82,6 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
     is a list (one array per initial vector) of per-sample pushforwards.
     With capture=False the run always lasts exactly t_max (used for
     fixed-horizon pushes, where a stationary start is legitimate).
-
-    The first step is sized from |x0| as np.linalg.norm gives it. Plain
-    and basin flows take `float_norm`, which differs from it in the last
-    bit on some points, so unifying the two would move every variational
-    trajectory.
     """
     sign = _sign(direction)
     cfg = cfg or FlowConfig()
@@ -109,8 +104,7 @@ def integrate_variational_multi(m, f, x0, initial_vectors, cfg=None,
         state += vec.tolist()
 
     terminal, stats, times, states, _ = _cash_karp(
-        field, sign, state, np.linalg.norm(x), cfg, crits, capture
-    )
+        field, sign, state, cfg, crits, capture)
     samples = np.array(states)
     return (
         np.array(times),

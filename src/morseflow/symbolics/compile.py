@@ -35,32 +35,33 @@ cache:
   one order-2 pass (`_field_code`).
 
 `project_rows`, `_gn` and the field kernel write the solve with the
-Gram matrix J J^T out inline for every number k of constraints, from
-one emitter helper: Gram sums from 0.0 in coordinate order, Cramer's
-rule for k = 2, otherwise Gaussian elimination without pivoting (a
-division for k = 1). So the field, the tangent projection and the
-retraction give the bits of that arithmetic done term by term on
-floats; numpy's solve agrees to rounding (within 1e-14 on the test
-scenarios). There is no other J J^T solve: the field kernel's lam are
-the multipliers, and `project_rows` gives the tangent bases.
+Gram matrix J J^T out inline, the same steps for every number k of
+constraints, from one emitter helper: Gram sums from 0.0 in coordinate
+order, then Gaussian elimination without pivoting (a division for
+k = 1). So the field, the tangent projection and the retraction give
+the bits of that arithmetic done term by term on floats; numpy's solve
+agrees to rounding (within 1e-14 on the test scenarios). There is no
+other J J^T solve: the field kernel's lam are the multipliers, and
+`project_rows` gives the tangent bases.
 
 Zeros have one rule. A zero enters as the 0.0 of a dense fill (`_dense`,
 `symmetric_times`, an H_lam entry that f or an F_i lacks) and leaves in
 `_products`, which drops each product with a factor 0.0. In between it
 stays the token 0.0: `_Emitter.local` binds no right-hand side that is
-one name or one literal, and every product and difference, the Cramer
-and elimination lines too, goes through `_products` and `_difference`.
-A dropped 0.0 * x changes no finite sum (one from 0.0 is never -0.0).
-Divisions stay, as they are what raises: a block-diagonal Gram matrix
-is still solved by Cramer's rule.
+one name or one literal, every product and difference goes through
+`_products` and `_difference`, and an elimination factor over a zero is
+0.0, so a block-diagonal Gram matrix is solved block by block. A dropped
+0.0 * x changes no finite sum (one from 0.0 is never -0.0). Divisions
+by the pivots stay, as they are what raises.
 
 Every literal is a float token, as `_const` writes it: a constant of the
 expression, the power rule's coefficients k and k - 1 (`2.0 * x1`, not
 `2 * x1`), and the negation of a literal (`_negated`: the gradient -1.0
-of -x3 is the token (-1.0), with no local of its own). Python converts
-an int to the same float before it multiplies, so the bits are those of
-int literals, but CPython's specializing interpreter has a fast path
-for float * float and none for int * float. Exponents stay ints.
+of -x3 is the token (-1.0), with no local of its own, and a product
+with it is the negation of the other factor). Python converts an int to
+the same float before it multiplies, so the bits are those of int
+literals, but CPython's specializing interpreter has a fast path for
+float * float and none for int * float. Exponents stay ints.
 
 A generated function keeps only its live lines (`_live`): those its
 results read, directly or through later lines. A dead line stays if it
@@ -273,30 +274,22 @@ class _Emitter:
         return q, g, h
 
     def _weights(self, rows, rhs):
-        """Tokens of w = (J J^T)^{-1} rhs for k rows J: from the Gram sums
-        a_ij (i <= j), Cramer's rule for k = 2, and for any other k
-        elimination without pivoting, which the symmetric positive
-        definite Gram matrix allows (Golub & Van Loan, Matrix
-        Computations, 4.2): step c subtracts a_ci / a_cc times row c from
-        each row i > c, on and above the diagonal, then back-substitution
-        divides by the pivots (rhs / a_11 for k = 1). A zero pivot
-        divides by zero, as a zero determinant does."""
+        """Tokens of w = (J J^T)^{-1} rhs for k rows J, the same steps for
+        every k: the Gram sums a_ij (i <= j), then elimination without
+        pivoting, which the symmetric positive definite Gram matrix
+        allows (Golub & Van Loan, Matrix Computations, 4.2): step c
+        subtracts a_ci / a_cc (the token 0.0 where a_ci is that token)
+        times row c from each row i > c, on and above the diagonal, then
+        back-substitution divides by the pivots (rhs / a_11 for k = 1), so
+        a zero pivot divides by zero."""
         k = len(rows)
         a = {(i, j): self.local("p", _dot(rows[i], rows[j]))
              for i in range(k) for j in range(i, k)}
         r = list(rhs)
-        if k == 2:
-            (a11, a12, a22), (r1, r2) = (a[0, 0], a[0, 1], a[1, 1]), r
-            # the determinant and the numerators, each u * v - a12 * t
-            det, *nums = (_difference(*(_products([u], [v]) or [None]),
-                                      _products([a12], [t]))
-                          for u, v, t in ((a11, a22, a12), (a22, r1, r2),
-                                          (a11, r2, r1)))
-            det = self.local("p", det)
-            return [self.local("p", f"({num}) / {det}") for num in nums]
         for c in range(k - 1):
             for i in range(c + 1, k):
-                factor = self.local("p", f"{a[c, i]} / {a[c, c]}")
+                factor = "0.0" if a[c, i] == "0.0" else self.local(
+                    "p", f"{a[c, i]} / {a[c, c]}")
                 for j in range(i, k):
                     a[i, j] = self.local("p", _difference(
                         a[i, j], _products([factor], [a[c, j]])))
@@ -359,11 +352,14 @@ def _negated(token):
 
 
 def _times(a, b):
-    """Source of a * b; a factor 1.0 is left out, which is exact."""
+    """Source of a * b; a factor 1.0 is left out and a factor (-1.0)
+    negates, both exact."""
     if a == "1.0":
         return b
     if b == "1.0":
         return a
+    if "(-1.0)" in (a, b):
+        return _negated(_paren(b if a == "(-1.0)" else a))
     return f"{a} * {b}"
 
 
@@ -583,8 +579,8 @@ def _gn_code(constraints, n):
     `bound`, "diverged" when a step leaves a non-finite coordinate (the
     sum of the differences x - x is 0.0 exactly when every coordinate is
     finite), "iterations" after RETRACT_MAX_ITER steps, and "failed"
-    with the point where the body raised (a domain error or a zero Gram
-    determinant or pivot). The step's entries are all formed before a
+    with the point where the body raised (a domain error or a zero
+    pivot). The step's entries are all formed before a
     coordinate moves, since J can read the coordinates. `first_lines`
     gives the lines before the convergence test for inlining.
     """
@@ -685,7 +681,7 @@ class CompiledExpression:
     Each of these methods takes one point. A domain error raises
     EvaluationError naming the first expression, in the order f, F_1,
     ..., F_k, that fails at x (with vectors, whose `jet` fails); a zero
-    Gram determinant or pivot raises RankDeficiencyError. Many points go
+    pivot of the Gram solve raises RankDeficiencyError. Many points go
     through `columns` alone, which runs `value`, `value_and_grad` or
     `kkt` on the N columns of an (ambient_dim, N) array and flags the
     columns where the point call raises, without raising.
@@ -942,7 +938,7 @@ class CompiledExpression:
 
         Each part is re-run alone first, so the first one that fails
         raises its own EvaluationError. If all of them evaluate, a
-        projection divided by a zero Gram determinant or pivot.
+        projection divided by a zero pivot.
         """
         for part in self._parts:
             getattr(compile_expression(part, self.ambient_dim), method)(x)

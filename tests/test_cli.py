@@ -266,6 +266,10 @@ _SPHERE = (
 _BAD_CONFIGS = {
     "negative_tol": _SPHERE + "integrator.rel_tol = -1\n",
     "negative_seed": _SPHERE + "seed = -2\n",
+    # once each ended in "rejection sampling failed" with exit code 1
+    "negative_constraint_tol": _SPHERE + "tolerance.constraint = -1\n",
+    "nan_rank_tol": _SPHERE + "tolerance.rank = nan\n",
+    "nan_box": _SPHERE + "bounding_box = nan 1\n",
     # two constraints leave no manifold dimension in R^2
     "two_constraints": (
         "ambient_dim = 2\n"
@@ -294,16 +298,25 @@ _FLOW = ["flow", "--scenario", "sphere2", "--from", "1,0,0"]
     ["critical-points", "--config", "{negative_seed}"],
     ["basin", "--scenario", "sphere2", "--samples", "0"],
     ["graph", "--scenario", "sphere2", "--eps", "-1"],
+    # once a retraction error with exit code 1
+    ["graph", "--scenario", "sphere2", "--eps", "inf"],
     ["curvature", "--scenario", "sphere2", "--samples", "0"],
     ["curvature", "--config", "{circle}"],
     ["flow", "--scenario", "sphere2", "--from", "inf,0,0"],
     ["decay", "--scenario", "sphere2", "--from", "0.6,0,-0.8",
      "--v", "nan,1,0"],
+    ["critical-points", "--config", "{negative_constraint_tol}"],
+    ["critical-points", "--config", "{nan_rank_tol}"],
+    ["critical-points", "--config", "{nan_box}"],
+    # once a flow that never returned
+    ["flow", "--scenario", "sphere2", "--from", "0.6,0,-0.8",
+     "--rel-tol", "1e-6", "--abs-tol", "1e-6", "--t-max", "inf"],
 ], ids=["rel_tol", "abs_tol_nan", "config_rel_tol", "capture_radius",
         "two_constraints_in_r2", "n_starts", "seed", "config_seed",
-        "basin_samples", "eps",
+        "basin_samples", "eps", "eps_inf",
         "curvature_samples", "curvature_on_a_circle", "flow_from_inf",
-        "decay_v_nan"])
+        "decay_v_nan", "config_constraint_tol", "config_rank_tol_nan",
+        "config_box_nan", "t_max_inf"])
 def test_input_errors_exit_2(argv, tmp_path, capsys):
     # a bad user value is one `error:` line and exit code 2, with no
     # report directory written

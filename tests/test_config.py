@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from morseflow import FlowConfig, ImplicitManifold, parse
 from morseflow.config import parse_scenario_text
 from morseflow.errors import ConfigError
 
@@ -136,3 +139,44 @@ def test_variable_out_of_range_reported_with_position():
         parse_scenario_text(text)
     assert err.value.line == 2
     assert "x3" in str(err.value)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("tolerance.constraint = -1", 24),
+    ("tolerance.rank = nan", 18),
+    ("tolerance.rank = 0", 18),
+    ("integrator.t_max = inf", 20),
+    ("bounding_box = nan 1", 16),
+    ("bounding_box.2 = -1 inf", 21),
+])
+def test_non_finite_or_non_positive_values_rejected_with_position(line,
+                                                                   column):
+    # docs/config_format.md: every float is finite, and the tolerances
+    # and integrator settings are > 0. Each of these once reached the
+    # sampler, which gave up after 30000 draws, or a flow that never
+    # ended (t_max = inf)
+    text = (
+        "ambient_dim = 2\n"
+        "constraint.1 = x1^2 + x2^2 - 1\n"
+        "function = x1\n"
+        f"{line}\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_scenario_text(text)
+    assert (err.value.line, err.value.column) == (4, column)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+def test_library_rejects_non_finite_or_non_positive_settings(value):
+    circle = [parse("x1^2 + x2^2 - 1", 2)]
+    with pytest.raises(ValueError, match="constraint_tol"):
+        ImplicitManifold(2, circle, constraint_tol=value)
+    with pytest.raises(ValueError, match="rank_tol"):
+        ImplicitManifold(2, circle, rank_tol=value)
+    with pytest.raises(ValueError, match="t_max"):
+        FlowConfig(t_max=value)
+    with pytest.raises(ValueError, match="capture_grad_tol"):
+        FlowConfig().replace(capture_grad_tol=value)
+    if not math.isfinite(value):
+        with pytest.raises(ValueError, match="bounding_box"):
+            ImplicitManifold(2, circle, bounding_box=[(-1.0, value)] * 2)

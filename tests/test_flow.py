@@ -316,6 +316,29 @@ def test_only_python_floats_reach_the_flow_loop(sphere, torus, monkeypatch):
         assert set(seen) == {float}
 
 
+def test_every_flow_sizes_its_first_step_from_one_norm(sphere, monkeypatch):
+    # plain, variational and basin flows from one start hand `_first_step`
+    # the same start norm, float_norm's; the start is one where
+    # np.linalg.norm differs from it in the last bit
+    m, f, cfg, crits = (sphere.manifold, sphere.function, sphere.cfg,
+                        sphere.crits)
+    x0 = next(x for x in m.sample_points(200, seed=1)
+              if float_norm(x.tolist()) != np.linalg.norm(x))
+    v0 = m.random_tangent(x0, np.random.default_rng(1))
+    norms = []
+    first_step = flow_module._first_step
+
+    def recording(cfg, x_norm, gnorm):
+        norms.append(x_norm)
+        return first_step(cfg, x_norm, gnorm)
+    monkeypatch.setattr(flow_module, "_first_step", recording)
+    integrate_flow(m, f, x0, cfg, crits=crits)
+    integrate_variational(m, f, x0, v0, cfg, crits=crits)
+    flow_terminals(m, f, [x0], cfg, crits)
+    assert norms == [float_norm(x0.tolist())] * 3
+    assert {type(v) for v in norms} == {float}
+
+
 def test_direction_validation(sphere):
     with pytest.raises(ValueError):
         integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
@@ -488,12 +511,13 @@ def _checked_rhs(field, sign):
     return lambda ys: [sign * v for v in field.projected_gradient(ys)]
 
 
-def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
+def _oracle_flow(field, sign, state, cfg, crits=None, capture=True):
     """`_cash_karp` as the Python loop it was: `_oracle_step` with the
     checked field, `ImplicitManifold._gauss_newton` on the point part of
     y5, the drift from the constraint map's `value` there, the map's
     `project_rows` per vector, the step factors above, and the module's
-    capture and statistics."""
+    first step (looked up on the module, so that `_start_norm` reaches
+    it), capture and statistics."""
     m = field.manifold
     n = field.n
     size = len(state)
@@ -509,7 +533,7 @@ def _oracle_flow(field, sign, state, x_norm, cfg, crits=None, capture=True):
     times, states, gnorms = [0.0], [state], [gnorm]
     terminal = _terminal(state[:n], gnorm)
     t = 0.0
-    h = _first_step(cfg, x_norm, gnorm)
+    h = flow_module._first_step(cfg, float_norm(state[:n]), gnorm)
     halvings = 0
     while terminal is None:
         if t >= cfg.t_max - 1e-13:
@@ -778,10 +802,19 @@ def _record_retractions(monkeypatch, m, calls):
     monkeypatch.setattr(m._map, "_gn", recorded)
 
 
-def _assert_loop_matches_oracle(monkeypatch, field, sign, state, x_norm,
-                                cfg, crits, capture, fails=0, calls=None):
+def _start_norm(monkeypatch, norm):
+    """Size every first step from now on as `_first_step` sizes it for a
+    start of norm `norm`."""
+    first_step = flow_module._first_step
+    monkeypatch.setattr(flow_module, "_first_step",
+                        lambda cfg, _, gnorm: first_step(cfg, norm, gnorm))
+
+
+def _assert_loop_matches_oracle(monkeypatch, field, sign, state, cfg, crits,
+                                capture, fails=0, calls=None, norm=None):
     """The generated loop and `_oracle_flow` from the same start, each
-    with the first `fails` retractions failing: the same times, states,
+    with the first `fails` retractions failing and, given a `norm`, the
+    first step sized for a start of that norm: the same times, states,
     gradient norms, FlowStats and terminal bit for bit, or the same
     error. Returns the outcome. With fails=0 the loop runs unrouted, its
     inline first iterate passing or calling `_gn`, and the (y, status)
@@ -789,13 +822,15 @@ def _assert_loop_matches_oracle(monkeypatch, field, sign, state, x_norm,
     outcomes = []
     for run in (_oracle_flow, _cash_karp):
         with monkeypatch.context() as patch:
+            if norm is not None:
+                _start_norm(patch, norm)
             if fails:
                 _failing_retraction(patch, field.manifold, fails)
             elif run is _cash_karp:
                 _record_retractions(patch, field.manifold,
                                     [] if calls is None else calls)
             outcomes.append(_bits(_outcome(
-                run, field, sign, list(state), x_norm, cfg, crits, capture)))
+                run, field, sign, list(state), cfg, crits, capture)))
     want, got = outcomes
     assert got == want
     return got
@@ -838,9 +873,8 @@ def test_generated_step_matches_list_oracle(name, request, monkeypatch):
                 big = i == 0 and sign < 0 and capture
                 fails = 2 if i == 1 and sign < 0 and capture else 0
                 outcome = _assert_loop_matches_oracle(
-                    monkeypatch, field, sign, state,
-                    1e6 if big else float_norm(point), run_cfg, crits, capture,
-                    fails=fails, calls=calls)
+                    monkeypatch, field, sign, state, run_cfg, crits, capture,
+                    fails=fails, calls=calls, norm=1e6 if big else None)
                 if len(outcome) == 5:
                     steps += 0 if fails else outcome[1].steps
                     kinds.add(outcome[0].kind)
@@ -866,8 +900,9 @@ def test_first_iterate_outside_the_domain_matches_list_oracle(monkeypatch):
     field = GradientField(m, parse("0.5 * x1^2", 3))
     calls = []
     outcome = _assert_loop_matches_oracle(
-        monkeypatch, field, -1.0, [1.0, 0.0, 0.0], 49.0,
-        FlowConfig(rel_tol=1.0, abs_tol=1.0), None, False, calls=calls)
+        monkeypatch, field, -1.0, [1.0, 0.0, 0.0],
+        FlowConfig(rel_tol=1.0, abs_tol=1.0), None, False, calls=calls,
+        norm=49.0)
     assert outcome[0] is EvaluationError
     assert "sqrt" in outcome[1]
     # one call of `_gn`, whose first iterate raised
@@ -901,8 +936,7 @@ def test_flow_loop_is_built_once_per_state_size(sphere, monkeypatch):
     monkeypatch.setattr(flow_module, "compile", counting, raising=False)
     for vectors in (0, 1, 0, 1):
         state = _flow_state(sphere, vectors)
-        _cash_karp(field, -1.0, state, float_norm(state[:3]), sphere.cfg,
-                   sphere.crits)
+        _cash_karp(field, -1.0, state, sphere.cfg, sphere.crits)
     assert compiled == ["<flow-loop:3:3>", "<flow-loop:3:6>"]
     assert sorted(kernel._loops) == [3, 6]
     for size, make in kernel._loops.items():
@@ -919,7 +953,7 @@ def test_flow_loop_goes_with_its_kernel(sphere):
     field = GradientField(m, f)
     field._kernel = CompiledExpression(f, 3, m.constraints)
     state = _flow_state(sphere, 0)
-    _cash_karp(field, -1.0, state, float_norm(state), sphere.cfg, sphere.crits)
+    _cash_karp(field, -1.0, state, sphere.cfg, sphere.crits)
     loop = weakref.ref(field._kernel._loops[3])
     del field
     gc.collect()
@@ -932,7 +966,7 @@ def test_flow_leaves_no_reference_cycles(sphere, vectors):
     # `_flow`) is kept alive by a cycle that only the collector frees
     field = GradientField(sphere.manifold, sphere.function)
     state = _flow_state(sphere, vectors)
-    run = (field, -1.0, state, float_norm(state[:3]), sphere.cfg, sphere.crits)
+    run = (field, -1.0, state, sphere.cfg, sphere.crits)
     _cash_karp(*run)  # compiles the loop
     gc.collect()
     gc.disable()
@@ -946,8 +980,9 @@ def test_flow_leaves_no_reference_cycles(sphere, vectors):
 def _cone_field():
     # the cone's constraint gradient vanishes at its apex. At (0.5, 0,
     # 0.5) the field of f = x3 is x / (2 x3) = x, and with a first step of
-    # max_step = 5 (a start norm of 1e3 asks for more) the second stage
-    # x + 5 * (0.2 * -x) lands on the apex exactly
+    # max_step = 5 (sized for a start norm of 1e3 by `_start_norm`, which
+    # asks for more) the second stage x + 5 * (0.2 * -x) lands on the apex
+    # exactly
     cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
     return GradientField(cone, parse("x3", 3)), [0.5, 0.0, 0.5]
 
@@ -972,15 +1007,16 @@ def test_stage_leaving_the_domain_raises_the_checked_error():
         "x3 + sqrt(x3 + 0.5)")
 
 
-def test_stage_on_a_rank_deficient_jacobian_raises():
+def test_stage_on_a_rank_deficient_jacobian_raises(monkeypatch):
     field, x0 = _cone_field()
     rhs = _checked_rhs(field, -1.0)
     cfg = FlowConfig()
     assert rhs(x0) == [-0.5, -0.0, -0.5]
     with pytest.raises(RankDeficiencyError) as want:
         _oracle_step(rhs, 5.0, x0, rhs(x0), cfg)
+    _start_norm(monkeypatch, 1e3)
     with pytest.raises(RankDeficiencyError) as got:
-        _cash_karp(field, -1.0, x0, 1e3, cfg)
+        _cash_karp(field, -1.0, x0, cfg)
     assert str(got.value) == str(want.value)
     assert "[0.0, 0.0, 0.0]" in str(got.value)
 
@@ -1005,7 +1041,7 @@ def test_variational_stage_leaving_the_domain_raises_the_checked_error():
         "x3 + sqrt(x3 + 0.5)")
 
 
-def test_variational_stage_on_a_rank_deficient_jacobian_raises():
+def test_variational_stage_on_a_rank_deficient_jacobian_raises(monkeypatch):
     # the plain case's cone apex, reached by the second stage with a
     # tangent vector in the state
     field, x0 = _cone_field()
@@ -1014,8 +1050,9 @@ def test_variational_stage_on_a_rank_deficient_jacobian_raises():
     cfg = FlowConfig()
     with pytest.raises(RankDeficiencyError) as want:
         _oracle_step(rhs, 5.0, state, rhs(state), cfg)
+    _start_norm(monkeypatch, 1e3)
     with pytest.raises(RankDeficiencyError) as got:
-        _cash_karp(field, -1.0, state, 1e3, cfg)
+        _cash_karp(field, -1.0, state, cfg)
     assert str(got.value) == str(want.value)
     assert "[0.0, 0.0, 0.0]" in str(got.value)
 
@@ -1035,7 +1072,7 @@ def test_projection_failure_raises_the_checked_error(monkeypatch):
         m._map.project_rows(apex, [0.0, 1.0, 0.0])
     _retraction_through(monkeypatch, m, to_apex)
     with pytest.raises(RankDeficiencyError) as got:
-        _cash_karp(field, -1.0, state, 1.0, FlowConfig())
+        _cash_karp(field, -1.0, state, FlowConfig())
     assert str(got.value) == str(want.value)
 
 
@@ -1065,7 +1102,7 @@ def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
     assert k2 == stage or math.isnan(stage) and math.isnan(k2)
     underflow = "step size underflow at t=0.0"
     assert _assert_loop_matches_oracle(
-        monkeypatch, field, -1.0, x0, float_norm(x0), FlowConfig(), None,
-        True) == (FlowError, underflow)
+        monkeypatch, field, -1.0, x0, FlowConfig(), None, True) == (
+            FlowError, underflow)
     with pytest.raises(FlowError, match=underflow):
         integrate_flow(m, field.function, x0)

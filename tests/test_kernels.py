@@ -3,13 +3,13 @@ hand-written oracles.
 
 The oracles evaluate one compiled object per constraint and write the
 arithmetic out term by term: Gram sums from 0.0 in coordinate order,
-r / jj for one constraint, Cramer's rule for two, and elimination
-without pivoting then back-substitution for three or more. The
-generated code does the same for every number of constraints, so field,
-projection and retraction must be bit-equal to them, as must every
-column of a batch to its point. The numpy Gauss-Newton retraction and
-tangent projection (numpy's solve, `normal_part` below) stay as a second
-oracle, met to 1e-14 with the same outcomes.
+r / jj for one constraint, and elimination without pivoting then
+back-substitution for two or more. The generated code does the same for
+every number of constraints, so field, projection and retraction must
+be bit-equal to them, as must every column of a batch to its point. The
+numpy Gauss-Newton retraction and tangent projection (numpy's solve,
+`normal_part` below) stay as a second oracle, met to 1e-14 with the same
+outcomes.
 """
 
 import functools
@@ -110,8 +110,10 @@ def _plain_dot(u, v):
 
 
 def _eliminate(rows, rhs):
-    """(J J^T)^{-1} rhs for three or more rows J: Gram sums on and above
-    the diagonal, elimination without pivoting, back-substitution."""
+    """(J J^T)^{-1} rhs for two or more rows J: Gram sums on and above
+    the diagonal, elimination without pivoting, back-substitution. A
+    zero Gram entry gives the factor 0.0, whose products change no finite
+    entry, as the generated code leaves them out."""
     k = len(rows)
     a = [[_plain_dot(rows[i], rows[j]) if j >= i else None
           for j in range(k)] for i in range(k)]
@@ -144,20 +146,6 @@ def _project_oracle(m, xs, vec):
                 jv += a * b
             w = jv / jj
             return [b - w * a for a, b in zip(j, vec)]
-        if len(constraints) == 2:
-            _, j1 = constraints[0].value_and_grad(xs)
-            _, j2 = constraints[1].value_and_grad(xs)
-            a11 = a12 = a22 = r1 = r2 = 0.0
-            for u, v, b in zip(j1, j2, vec):
-                a11 += u * u
-                a12 += u * v
-                a22 += v * v
-                r1 += u * b
-                r2 += v * b
-            det = a11 * a22 - a12 * a12
-            w1 = (a22 * r1 - a12 * r2) / det
-            w2 = (a11 * r2 - a12 * r1) / det
-            return [b - w1 * u - w2 * v for u, v, b in zip(j1, j2, vec)]
         rows = [c.value_and_grad(xs)[1] for c in constraints]
         w = _eliminate(rows, [_plain_dot(j, vec) for j in rows])
         out = []
@@ -197,8 +185,8 @@ def _project_tangent_oracle(m, x, v):
 
 
 def _step_branches(vals, rows):
-    """J^T (J J^T)^{-1} F written out: one row, Cramer's rule for two,
-    `_eliminate` for more; a singular Gram matrix raises."""
+    """J^T (J J^T)^{-1} F written out: one row, `_eliminate` for more;
+    a singular Gram matrix raises."""
     if len(rows) == 1:
         (j,), (r,) = rows, vals
         jj = 0.0
@@ -206,18 +194,6 @@ def _step_branches(vals, rows):
             jj += a * a
         w = r / jj
         return [w * a for a in j]
-    if len(rows) == 2:
-        j1, j2 = rows
-        r1, r2 = vals
-        a11 = a12 = a22 = 0.0
-        for u, v in zip(j1, j2):
-            a11 += u * u
-            a12 += u * v
-            a22 += v * v
-        det = a11 * a22 - a12 * a12
-        w1 = (a22 * r1 - a12 * r2) / det
-        w2 = (a11 * r2 - a12 * r1) / det
-        return [w1 * u + w2 * v for u, v in zip(j1, j2)]
     w = _eliminate(rows, vals)
     step = []
     for col in zip(*rows):
@@ -359,7 +335,7 @@ def test_retract_matches_numpy_gauss_newton(name):
 
 def test_retract_with_overlapping_rows():
     # clifford's two Jacobian rows have disjoint support, sphere_cut's
-    # overlap, so every Gram entry of Cramer's rule is used
+    # overlap, so every Gram entry of the elimination is used
     _check_retraction("sphere_cut")
 
 
@@ -537,6 +513,31 @@ def test_projected_rows_match_project(name):
                                    rtol=0.0, atol=1e-14)
 
 
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_product_manifold_solves_each_factor_alone():
+    # the Clifford torus is the product of two circles, so its Gram
+    # matrix is diagonal: the projection of rows, P grad f and the
+    # multipliers have, on each circle's coordinates, the bits of that
+    # circle's own one-constraint solve
+    m, f = _scenario("clifford")
+    circles = [ImplicitManifold(4, [c]) for c in m.constraints]
+    kernel = compile_expression(f, 4, m.constraints)
+    kernels = [compile_expression(f, 4, c.constraints) for c in circles]
+    rng = np.random.default_rng(13)
+    for x in m.sample_points(500, seed=13).tolist():
+        _, grad, lam = kernel.value_and_grad(x)
+        (_, g1, l1), (_, g2, l2) = (k.value_and_grad(x) for k in kernels)
+        assert _bits(grad) == _bits([*g1[:2], *g2[2:]])
+        assert _bits(lam) == _bits([*l1, *l2])
+        rows = rng.standard_normal(8).tolist()
+        got = m._map.project_rows(x, rows)
+        p1, p2 = (c._map.project_rows(x, rows) for c in circles)
+        assert _bits(got) == _bits([*p1[:2], *p2[2:4], *p1[4:6], *p2[6:]])
+
+
 def test_projected_rows_name_a_domain_error():
     # a zero Gram matrix is test_transport's rows at the sphere's origin
     m, _ = _scenario("sqrt_domain")
@@ -599,10 +600,10 @@ def test_error_parity():
         assert failed.tolist() == [True, False] and np.isnan(rows[0]).all()
         value, grad, lam = kernel.value_and_grad(good)
         assert rows[1].tolist() == [value, *grad, *lam]
-    # clifford's two Jacobian rows are disjoint, so the Cramer lines leave
-    # out the zero Gram entry: a zero second row still divides by a zero
-    # determinant, and a non-finite coordinate gives the outputs of the
-    # full products, nan where they were nan, without a raise
+    # clifford's two Jacobian rows are disjoint, so the elimination leaves
+    # out the zero Gram entry and solves each circle alone: a zero second
+    # row still divides by its zero pivot, and a non-finite coordinate
+    # poisons only the outputs of its own circle, without a raise
     clifford, fc = _scenario("clifford")
     kernel = compile_expression(fc, 4, clifford.constraints)
     flat = [0.5, 0.5, 0.0, 0.0]
@@ -612,11 +613,14 @@ def test_error_parity():
     assert kernel.columns("value_and_grad", cols)[1].tolist() == [
         False, True, False]
     inf, nan = math.inf, math.nan
-    for x, want in (([inf, 0.5, 0.5, 0.5], [inf] + [nan] * 6),
-                    ([0.5, -inf, 0.5, 0.5], [1.0, 1.0, nan, nan, nan, 0.0,
-                                             nan]),
-                    ([0.5, 0.5, 0.5, nan], [1.0] + [nan] * 6),
-                    ([nan, 0.5, 0.5, 0.5], [nan] * 7)):
+    for x, want in (([inf, 0.5, 0.5, 0.5], [inf, nan, nan, 0.5, -0.5, nan,
+                                            0.5]),
+                    ([0.5, -inf, 0.5, 0.5], [1.0, 1.0, nan, 0.5, -0.5, 0.0,
+                                             0.5]),
+                    ([0.5, 0.5, 0.5, nan], [1.0, 0.5, -0.5, nan, nan, 0.5,
+                                            nan]),
+                    ([nan, 0.5, 0.5, 0.5], [nan, nan, nan, 0.5, -0.5, nan,
+                                            0.5])):
         value, grad, lam = kernel.value_and_grad(x)
         assert np.array_equal([value, *grad, *lam], want, equal_nan=True)
         rows, failed = kernel.columns("value_and_grad", np.array([x]).T)
@@ -828,11 +832,13 @@ def test_field_source_forms_each_right_hand_side_once(monkeypatch):
 
 # A line that binds a generated local or a stage argument (a name ending
 # in a digit) to one name or one literal (a negated one too), a product
-# with a factor 0.0 or 1.0, and an int literal as an operand of * or /
-# (not an exponent, of ** or of a literal such as 1e-13).
+# with a factor 0.0, 1.0 or (-1.0), a quotient 0.0 / pivot, and an int
+# literal as an operand of * or / (not an exponent, of ** or of a
+# literal such as 1e-13).
 _BOUND_TOKEN = re.compile(
     r"^ *[A-Za-z_]\w*\d = ([A-Za-z_]\w*|\(?-?\d[\w.+-]*\)?)$", re.M)
-_ZERO_OR_UNIT = re.compile(r"\* [01]\.0\b|(?<![\w.])[01]\.0 \*")
+_ZERO_OR_UNIT = re.compile(
+    r"\* [01]\.0\b|(?<![\w.])[01]\.0 \*|= 0\.0 / |\* \(-1\.0\)|\(-1\.0\) \*")
 _INT_OPERAND = re.compile(
     r"(?<![\w.+-])-?\d+ [*/](?!\*)|(?<!\*)[*/] \(?-?\d+(?![\w.])")
 
@@ -841,12 +847,14 @@ def test_field_source_has_no_zero_or_unit_factors(monkeypatch):
     # every generated function: a structural zero (a Jacobian or Hessian
     # entry absent from the walk, a Gram entry of disjoint rows) and a
     # one-token right-hand side get no local of their own, so no product
-    # reads a zero and none is written with a factor 1.0; with clifford's
-    # and sphere_in_r5's zero Gram entries and o3's, through Cramer's rule
-    # and the elimination. sphere_cut's -x3 has the gradient entry -1.0,
-    # a literal token with no local of its own. Every literal that * or /
-    # reads is a float (the power rule's coefficients, the loop's mean
-    # over the state), so no product or quotient mixes int and float.
+    # reads a zero, no elimination factor divides one, and none is
+    # written with a factor 1.0; with clifford's, sphere_in_r5's and o3's
+    # zero Gram entries through the elimination. sphere_cut's -x3 has the
+    # gradient entry -1.0, a literal token with no local of its own, and a
+    # product with it is the negation of the other factor. Every literal
+    # that * or / reads is a float (the power rule's coefficients, the
+    # loop's mean over the state), so no product or quotient mixes int
+    # and float.
     sources = []
 
     def capture(src, *args):

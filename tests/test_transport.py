@@ -75,8 +75,9 @@ def _manifold(name, request):
 @pytest.mark.parametrize("name", ["sphere", "clifford", "sphere_m",
                                   "great_sphere_in_r5"])
 def test_substep_matches_numpy_oracle(name, request):
-    # one constraint (a division), two (Cramer), dim 4 (six rotations a
-    # sweep) and three (elimination); frames of 1 and of dim rows
+    # one constraint (a division), two (clifford's circles, one division
+    # each), dim 4 (six rotations a sweep) and three (elimination);
+    # frames of 1 and of dim rows
     m = _manifold(name, request)
     rng = np.random.default_rng(7)
     for x in m.sample_points(4, seed=8):
