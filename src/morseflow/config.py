@@ -81,6 +81,11 @@ def _split_lines(text):
         yield lineno, raw, key, value
 
 
+def _key_column(raw):
+    """Column of the key on its line (1-based)."""
+    return len(raw) - len(raw.lstrip()) + 1
+
+
 def _parse_float(value, lineno, raw, positive=False):
     try:
         number = float(value)
@@ -139,7 +144,7 @@ def parse_scenario_text(text, default_name="scenario"):
             idx = _parse_int(key.split(".", 1)[1], lineno, raw)
             if idx in constraints:
                 raise ConfigError(f"duplicate constraint.{idx}", line=lineno,
-                                  column=1)
+                                  column=_key_column(raw))
             constraints[idx] = (value, lineno, raw)
         elif key == "function":
             function_text = value
@@ -148,18 +153,18 @@ def parse_scenario_text(text, default_name="scenario"):
             box_uniform = _parse_pair(value, lineno, raw)
         elif key.startswith("bounding_box."):
             idx = _parse_int(key.split(".", 1)[1], lineno, raw)
-            box_per_coord[idx] = _parse_pair(value, lineno, raw)
+            box_per_coord[idx] = (_parse_pair(value, lineno, raw), lineno, raw)
         elif key.startswith("tolerance."):
             sub = key.split(".", 1)[1]
             if sub not in _TOLERANCE_KEYS:
                 raise ConfigError(f"unknown tolerance key {sub!r}",
-                                  line=lineno, column=1)
+                                  line=lineno, column=_key_column(raw))
             tolerances[sub] = _parse_float(value, lineno, raw, True)
         elif key.startswith("integrator."):
             sub = key.split(".", 1)[1]
             if sub not in INTEGRATOR_KEYS:
                 raise ConfigError(f"unknown integrator key {sub!r}",
-                                  line=lineno, column=1)
+                                  line=lineno, column=_key_column(raw))
             integrator[sub] = _parse_float(value, lineno, raw, True)
         elif key == "seed":
             seed = _parse_int(value, lineno, raw)
@@ -167,7 +172,8 @@ def parse_scenario_text(text, default_name="scenario"):
                 raise ConfigError("seed must be >= 0", line=lineno,
                                   column=raw.find(value) + 1)
         else:
-            raise ConfigError(f"unknown key {key!r}", line=lineno, column=1)
+            raise ConfigError(f"unknown key {key!r}", line=lineno,
+                              column=_key_column(raw))
 
     if ambient_dim is None:
         raise ConfigError("missing required key 'ambient_dim'")
@@ -175,11 +181,12 @@ def parse_scenario_text(text, default_name="scenario"):
         raise ConfigError("missing required key 'function'")
     if not constraints:
         raise ConfigError("need at least one 'constraint.N' line")
-    expected = set(range(1, len(constraints) + 1))
-    if set(constraints) != expected:
+    stray = [idx for idx in constraints if not 1 <= idx <= len(constraints)]
+    if stray:
+        _, lineno, raw = constraints[stray[0]]
         raise ConfigError(
             f"constraints must be numbered 1..{len(constraints)}, got "
-            f"{sorted(constraints)}"
+            f"{sorted(constraints)}", line=lineno, column=_key_column(raw)
         )
 
     constraint_texts = []
@@ -205,10 +212,11 @@ def parse_scenario_text(text, default_name="scenario"):
     else:
         base = box_uniform if box_uniform is not None else (-3.0, 3.0)
         box = [base] * ambient_dim
-        for idx, pair in box_per_coord.items():
+        for idx, (pair, lineno, raw) in box_per_coord.items():
             if not 1 <= idx <= ambient_dim:
                 raise ConfigError(
-                    f"bounding_box.{idx} outside ambient dimension"
+                    f"bounding_box.{idx} outside ambient dimension",
+                    line=lineno, column=_key_column(raw)
                 )
             box[idx - 1] = pair
 

@@ -9,12 +9,13 @@ Optimization, ch. 18), so plain Newton converges quadratically. The
 census runs Newton from all its starts at once: one call of the field
 kernel's generated `kkt_columns` per iteration gives every live start
 its blocks, and numpy's stacked solve takes their steps.
-`corrected_hessian` assembles H_lam from the jets of f and the
-constraints (`evaluate_jet`), with lam = (J J^T)^{-1} J grad f, which
-carries the normal part of grad f (the Weingarten correction: Absil,
-Mahony & Trumpf, GSI 2013). Every multiplier is read from the field
-kernel, which forms lam as the Gram weights of its projection: one
-point call, or one `columns` call for many points (`_multipliers`).
+`classify_point` reads f, P grad f and lam = (J J^T)^{-1} J grad f from
+one field-kernel `value_and_grad` call and H_lam from one `kkt` call at
+that lam, which carries the normal part of grad f (the Weingarten
+correction: Absil, Mahony & Trumpf, GSI 2013). Every multiplier is read
+from the field kernel, as the Gram weights of its projection: one point
+call, or one `columns` call for many points (`_multipliers`).
+`corrected_hessian` forms H_lam from the jets (`evaluate_jet`).
 """
 
 import dataclasses
@@ -71,9 +72,6 @@ class CriticalPointSet(Sequence):
     def __len__(self):
         return len(self.points)
 
-    def minima(self):
-        return [p for p in self.points if p.index == 0]
-
     def euler_characteristic(self):
         return int(sum((-1) ** p.index for p in self.points))
 
@@ -86,7 +84,9 @@ def corrected_hessian(m, f, x):
     Hessian (the multipliers carry exactly the normal component of
     grad f, i.e. the curvature-of-embedding correction), read from one
     point call of the field kernel. A singular Gram matrix raises
-    RankDeficiencyError.
+    RankDeficiencyError. The jets reference for the field kernel's
+    `kkt`, which every computing path reads; it stays here while the
+    benchmark's tracer patches `evaluate_jet` in this module.
     """
     jet = evaluate_jet(f, x)
     hess = jet.hessian.copy()
@@ -103,32 +103,33 @@ def intrinsic_hessian(m, f, location):
 
 
 def _intrinsic_hessian_with_basis(m, f, location):
-    """(intrinsic Hessian, tangent basis rows, |P grad f|) at a point
-    whose projected gradient norm is at most GRAD_TOL."""
+    """(intrinsic Hessian, tangent basis rows, |P grad f|, f) at a point
+    whose projected gradient norm is at most GRAD_TOL, from one
+    `value_and_grad` and one `kkt` call (at its lam) of the field kernel."""
     location = np.asarray(location, dtype=float)
-    gnorm = m.riemannian_gradient(f, location).norm()
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    value, grad, lam = kernel.value_and_grad(location)
+    gnorm = float(np.linalg.norm(grad))
     if gnorm > GRAD_TOL:
         raise NotCriticalError(
             f"projected gradient norm {gnorm:.3e} exceeds {GRAD_TOL:.1e} "
             f"at {location}"
         )
     basis = m.tangent_basis(location)
-    ambient = corrected_hessian(m, f, location)
-    hess = basis @ ambient @ basis.T
-    return 0.5 * (hess + hess.T), basis, gnorm
+    hess = basis @ kernel.kkt(location, lam)[4] @ basis.T
+    return 0.5 * (hess + hess.T), basis, gnorm, value
 
 
 def classify_point(m, f, location):
     """CriticalPoint record (spectrum, index, margin), id -1 until a census."""
     location = np.asarray(location, dtype=float)
-    hess, basis, gnorm = _intrinsic_hessian_with_basis(m, f, location)
+    hess, basis, gnorm, value = _intrinsic_hessian_with_basis(m, f, location)
     eigvals, eigvecs = jacobi_eigh(hess)
     vectors = tuple(
         TangentVector(location, basis.T @ eigvecs[:, j])
         for j in range(len(eigvals))
     )
     margin = float(np.min(np.abs(eigvals))) if len(eigvals) else 0.0
-    value = compile_expression(f, m.ambient_dim).value(location)
     return CriticalPoint(
         id=-1,
         location=location,

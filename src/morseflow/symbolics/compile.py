@@ -655,7 +655,7 @@ class CompiledExpression:
     """Generated evaluators for one expression, a map, or a field kernel.
 
     `value` runs the node rules at order 0, `value_and_grad`,
-    `project_rows` and `gauss_newton` at order 1 and `jet`, `kkt` and the
+    `project_rows` and `gauss_newton` at order 1 and `kkt` and the
     field kernel's `value_and_grad` of a state with vectors at order 2,
     so where two of them form the same number they give the same bits.
 
@@ -675,12 +675,13 @@ class CompiledExpression:
       Lagrange multipliers lam = (J J^T)^{-1} J grad f, the Gram weights
       of the projection, as a third output.
       `kkt(x, lam)` gives f, grad f, the Jacobian rows, F and H_lam at x
-      and multipliers lam, `kkt_columns` the same for columns, and `jet`
-      f's (value, gradient array, Hessian array).
+      and multipliers lam (for k = 0, `kkt(x)` gives f's jet: value,
+      gradient and Hessian, which `evaluate_jet` reads), and
+      `kkt_columns` the same for columns.
 
     Each of these methods takes one point. A domain error raises
     EvaluationError naming the first expression, in the order f, F_1,
-    ..., F_k, that fails at x (with vectors, whose `jet` fails); a zero
+    ..., F_k, that fails at x (with vectors, whose `kkt` fails); a zero
     pivot of the Gram solve raises RankDeficiencyError. Many points go
     through `columns` alone, which runs `value`, `value_and_grad` or
     `kkt` on the N columns of an (ambient_dim, N) array and flags the
@@ -738,36 +739,20 @@ class CompiledExpression:
         except _FAILURES as exc:
             raise self._failure("value", x, exc, False) from exc
 
-    def jet(self, x):
-        """(value, gradient, Hessian) of one expression at one point.
-
-        The gradient is an array of length ambient_dim and the Hessian an
-        (ambient_dim, ambient_dim) array, exactly symmetric. The code,
-        `kkt`'s with no constraints, is generated on the first call.
-        Every failure raises EvaluationError, and so does an argument 0 of
-        sqrt, where its derivative is unbounded.
-        """
-        # no call that a compiled jet does not need: it is a hot path
-        point = (self._kkt or self._kkt_pair())[0]
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
-        try:
-            value, grad, _, _, hess = point(*x)
-        except _FAILURES as exc:
-            raise self._failure("jet", x, exc, False) from exc
-        n = self.ambient_dim
-        return value, np.array(grad), np.array(hess).reshape(n, n)
-
-    def kkt(self, x, lam):
+    def kkt(self, x, lam=()):
         """(f, grad f, Jacobian rows, constraint values, H_lam) of the
         field kernel at one point x and multipliers lam: a float and
-        arrays of shapes (n,), (k, n), (k,) and (n, n). A domain error
-        raises the EvaluationError that the `jet` of f, F_1, ..., F_k
+        arrays of shapes (n,), (k, n), (k,) and (n, n), H_lam exactly
+        symmetric; lam = (), the default, is the case of no constraints,
+        where H_lam = Hess f. The
+        code is generated on the first call. A domain error, or an
+        argument 0 of sqrt, where its derivative is unbounded, raises
+        the EvaluationError that the `kkt` of f, F_1, ..., F_k alone
         raises first at x."""
         try:
             out = self._kkt_pair()[0](*_as_floats(x), *_as_floats(lam))
         except _FAILURES as exc:
-            raise self._failure("jet", x, exc, False) from exc
+            raise self._failure("kkt", x, exc, False) from exc
         return tuple(block[0] for block in self._kkt_blocks(
             np.array([_flat(out)])))
 
@@ -832,8 +817,8 @@ class CompiledExpression:
         n, k = self.ambient_dim, len(self.constraints)
         value, grad, jac, vals, hess = np.split(
             out, np.cumsum([1, n, k * n, k]), axis=1)
-        return (value[:, 0], grad, jac.reshape(-1, k, n), vals,
-                hess.reshape(-1, n, n))
+        return (value[:, 0], grad, jac.reshape(len(out), k, n), vals,
+                hess.reshape(len(out), n, n))
 
     def field_function(self, size):
         """The field kernel's unchecked point function for a state of
@@ -890,7 +875,7 @@ class CompiledExpression:
             try:
                 return self.field_function(len(x))(*x)
             except _FAILURES as exc:
-                raise self._failure("jet", x[:n], exc, True) from exc
+                raise self._failure("kkt", x[:n], exc, True) from exc
         try:
             return self._value_grad(*x)
         except _FAILURES as exc:

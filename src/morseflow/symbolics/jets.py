@@ -1,10 +1,11 @@
 """Second-order jets and plain values of expression trees.
 
-A jet carries (value, gradient, Hessian). `evaluate_jet` runs the code
-that `compile.py` generates for it, forward over forward, so the
-derivatives are exact up to rounding; no finite differences and no
-symbolic expansion are involved. The Hessian is formed on and above the
-diagonal and mirrored, so it is symmetric as stored.
+A jet carries (value, gradient, Hessian). `evaluate_jet` runs the `kkt`
+code that `compile.py` generates for the expression alone (H_lam is then
+the Hessian), forward over forward, so the derivatives are exact up to
+rounding; no finite differences and no symbolic expansion are involved.
+The Hessian is formed on and above the diagonal and mirrored, so it is
+symmetric as stored.
 """
 
 import math
@@ -73,4 +74,5 @@ def evaluate_jet(e, x):
         compiled = compile_expression(e, x.shape[0])
     except ValueError as exc:
         raise EvaluationError(str(exc)) from exc
-    return SecondOrderJet(*compiled.jet(x))
+    value, grad, _, _, hess = compiled.kkt(x)
+    return SecondOrderJet(float(value), grad, hess)

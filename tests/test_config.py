@@ -92,6 +92,13 @@ def test_constraints_must_be_consecutive():
     with pytest.raises(ConfigError) as err:
         parse_scenario_text(text)
     assert "numbered" in str(err.value)
+    # the first key outside 1..k, at its line and column
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert str(err.value).endswith("(line 3, column 1)")
+    indented = text.replace("constraint.3", "  constraint.0")
+    with pytest.raises(ConfigError, match="got \\[0, 1\\]") as err:
+        parse_scenario_text(indented)
+    assert (err.value.line, err.value.column) == (3, 3)
 
 
 def test_duplicate_constraint_rejected():
@@ -114,8 +121,34 @@ def test_bad_bounding_box():
         "function = x1\n"
         "bounding_box.5 = -1 1\n"
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="outside ambient dimension") as err:
         parse_scenario_text(text)
+    assert (err.value.line, err.value.column) == (4, 1)
+    assert str(err.value).endswith("(line 4, column 1)")
+    # checked once ambient_dim is known, wherever it stands
+    late = " bounding_box.0 = -1 1\n" + text.replace("bounding_box.5", "#")
+    with pytest.raises(ConfigError, match="bounding_box.0") as err:
+        parse_scenario_text(late)
+    assert (err.value.line, err.value.column) == (1, 2)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ambient_dim = 2\nconstraint.1 = x1^2 + x2^2 - 1\nfunction = x1\n"
+     "bounding_box.5 = -1 1\n", 4),
+    ("ambient_dim = 3\nconstraint.1 = x1 - 1\nconstraint.3 = x2 - 1\n"
+     "function = x3\n", 3),
+], ids=["box_index", "constraint_gap"])
+def test_config_key_errors_exit_2_with_position(text, line, tmp_path,
+                                                capsys):
+    from morseflow import cli
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = cli.main(["critical-points", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith(f"(line {line}, column 1)")
 
 
 def test_overflowing_literal_rejected():

@@ -426,6 +426,18 @@ def test_slow_component_sums_left_to_right():
     assert got != math.sqrt(math.fsum(v * v for v in v_end)) / norm
 
 
+def test_slow_component_of_a_vanished_vector_is_zero():
+    # a final vector of norm 0.0 has no direction: its slow share is 0.0,
+    # so run_decay redraws the start vector, rather than a 0/0 nan
+    limit = SimpleNamespace(
+        id=0, eigenvalues=[1.0, 2.0],
+        eigenvectors=[SimpleNamespace(vec=e) for e in np.eye(2)])
+    series = SimpleNamespace(terminal=Terminal("converged", 0),
+                             vectors=np.array([[1.0, 1.0], [0.0, -0.0]]))
+    got = slow_component(series, [limit])
+    assert got == 0.0 and isinstance(got, float)
+
+
 def test_fit_requires_convergence(sphere):
     series = integrate_variational(
         sphere.manifold, sphere.function, [1.0, 0.0, 0.0],

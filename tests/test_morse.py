@@ -1,18 +1,28 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from morseflow import (
+    FlowConfig,
     ImplicitManifold,
+    basin_sample,
     build_connection_graph,
     check_connected,
+    check_energy_ode,
     find_critical_points,
     flatness_test,
     geometric_constants,
+    holonomy_curvature,
+    integrate_flow,
     intrinsic_hessian,
+    load_scenario,
+    morse,
+    parallel_transport,
     parse,
     propagate_constancy,
+    run_decay,
 )
 from morseflow.errors import (
     DisconnectedGraphError,
@@ -280,6 +290,112 @@ def test_classify_point_matches_census(sphere):
                        sphere.crits[1].location)
     assert p.index == 2
     assert np.allclose(p.eigenvalues, [-1.0, -1.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("name", FIELD_SCENARIOS)
+def test_classify_point_matches_the_jets_reference(name):
+    # H_lam from the field kernel's `kkt` at its own lam is the jets'
+    # corrected_hessian bit for bit, zero signs included, so the
+    # intrinsic Hessian is too; the value is plain f's
+    m, f = _scenario(name)
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    points = [p.location for p in find_critical_points(m, f, 40, seed=0)]
+    samples = m.sample_points(100, seed=7)
+    for x in samples:
+        lam = kernel.value_and_grad(x)[2]
+        got, want = kernel.kkt(x, lam)[4], corrected_hessian(m, f, x)
+        assert got.tobytes() == want.tobytes()
+    for x in points:
+        p = classify_point(m, f, x)
+        basis = m.tangent_basis(x)
+        hess = basis @ corrected_hessian(m, f, x) @ basis.T
+        hess = 0.5 * (hess + hess.T)
+        assert intrinsic_hessian(m, f, x).tobytes() == hess.tobytes()
+        assert p.eigenvalues.tobytes() == jacobi_eigh(hess)[0].tobytes()
+        value = compile_expression(f, m.ambient_dim).value(x)
+        assert type(p.value) is float and p.value == value
+
+
+def _count_calls(monkeypatch, owner, name, counts, key):
+    method = getattr(owner, name)
+
+    def counted(self, *args):
+        counts[key(self)] += 1
+        return method(self, *args)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _raise_on_jets(monkeypatch):
+    """Make `evaluate_jet`, at every module that imports it, and
+    `ImplicitManifold.constraint_hessians` raise."""
+    def jets(*args):
+        raise AssertionError("a computing path reached the jets")
+    sites = [module for module_name, module in list(sys.modules.items())
+             if module_name.split(".")[0] == "morseflow"
+             and getattr(module, "evaluate_jet", None) is evaluate_jet]
+    assert {"morseflow.morse", "morseflow.geometry"} <= {
+        module.__name__ for module in sites}
+    for module in sites:
+        monkeypatch.setattr(module, "evaluate_jet", jets)
+    monkeypatch.setattr(ImplicitManifold, "constraint_hessians", jets)
+
+
+def test_classify_point_makes_one_field_call_and_one_kkt_call(
+        clifford, monkeypatch):
+    m, f = clifford.manifold, clifford.function
+    kernel = compile_expression(f, m.ambient_dim, m.constraints)
+    _raise_on_jets(monkeypatch)
+    counts = {"value_and_grad": 0, "kkt": 0, "other": 0}
+    for name in ("value_and_grad", "kkt"):
+        _count_calls(monkeypatch, type(kernel), name, counts,
+                     lambda self, name=name: name if self is kernel
+                     else "other")
+    for p in clifford.crits:
+        before = dict(counts)
+        classify_point(m, f, p.location)
+        # the tangent basis's rank check reads the constraint map
+        assert counts["value_and_grad"] - before["value_and_grad"] == 1
+        assert counts["kkt"] - before["kkt"] == 1
+
+
+@pytest.mark.parametrize("name", ["sphere2", "clifford"])
+def test_no_computing_path_reaches_the_jets(name, monkeypatch):
+    # the tree-walking jets are the reference that the tests compare
+    # against; every computing path reads the generated kernels
+    _raise_on_jets(monkeypatch)
+    scenario = load_scenario(name)
+    m, f = scenario.build_manifold(), scenario.build_function()
+    cfg = FlowConfig(**scenario.config.integrator)
+    crits = find_critical_points(m, f, 40, seed=scenario.seed)
+    assert len(crits) in (2, 4)
+    for p in crits:
+        classify_point(m, f, p.location)
+        intrinsic_hessian(m, f, p.location)
+    geometric_constants(m, f, crits, n_samples=200)
+    x0 = m.sample_points(1, seed=3)[0]
+    traj = integrate_flow(m, f, x0, cfg, crits=crits)
+    basin_sample(m, f, crits, cfg, 4, seed=0)
+    series, _ = run_decay(m, f, crits, cfg, seed=0)
+    check_energy_ode(series, m, f)
+    parallel_transport(m, traj, m.tangent_basis(traj.points[0]))
+    u, v = m.tangent_basis(x0)
+    holonomy_curvature(m, x0, u, v)
+
+
+def test_root_failing_the_gradient_check_is_discarded(sphere, monkeypatch):
+    # a Newton root whose |P grad f| exceeds GRAD_TOL is dropped by
+    # classify_point's NotCriticalError and counted in n_discarded
+    m, f = sphere.manifold, sphere.function
+    sweep = morse._newton_sweep
+    want = find_critical_points(m, f, 10, seed=0)
+    monkeypatch.setattr(morse, "_newton_sweep", lambda m, f, starts: [
+        *sweep(m, f, starts), np.array([1.0, 0.0, 0.0])])
+    got = find_critical_points(m, f, 10, seed=0)
+    assert got.stats == SweepStats(
+        n_starts=10, n_converged=want.stats.n_converged + 1,
+        n_discarded=want.stats.n_discarded + 1, n_unique=2)
+    assert [p.location.tobytes() for p in got] == [
+        p.location.tobytes() for p in want]
 
 
 def test_jacobi_eigh_against_numpy():

@@ -309,6 +309,46 @@ def test_negative_exponent_at_zero():
         evaluate_jet(parse("x1^-2", 1), [0.0])
 
 
+@pytest.mark.parametrize("text, x, message", [
+    ("sqrt(x1 - 2)", [1.0], "sqrt of negative value"),
+    ("(x1 - 1)^-3", [1.0], "zero base with negative exponent"),
+    ("x2 / (x1 - 1)", [1.0, 2.0], "division by zero"),
+])
+def test_plain_evaluation_failures_name_the_subexpression(text, x, message):
+    expr = parse(text, len(x))
+    with pytest.raises(EvaluationError, match=message) as err:
+        evaluate(expr, x)
+    assert "x1 - " in str(err.value)
+
+
+def test_kkt_without_constraints_is_the_tree_jet():
+    # the field kernel of f alone: no multipliers, no Jacobian rows or
+    # constraint values, and H_lam = Hess f, as the tree oracle walks it
+    expr = parse("x1^2*x2 + sin(x3)", 3)
+    compiled = compile_expression(expr, 3)
+    upper = np.triu_indices(3)
+    points = [[0.3, 0.4, 0.5], [-1.2, 0.7, 2.5], [0.0, -0.0, 1.0]]
+    for x in points:
+        value, grad, jac, vals, hess = compiled.kkt(x, ())
+        want_value, want_grad, want_hess = _tree_jet(expr, x)
+        assert np.array_equal([value], [want_value])
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(hess[upper], want_hess[upper])
+        assert np.array_equal(hess, hess.T)
+        assert jac.shape == (0, 3) and vals.shape == (0,)
+        jet = evaluate_jet(expr, x)
+        assert type(jet.value) is float and jet.value == value
+        assert np.array_equal(jet.hessian, hess)
+    blocks, failed = compiled.kkt_columns(np.array(points).T,
+                                          np.empty((0, len(points))))
+    assert not failed.any()
+    assert [b.shape for b in blocks] == [(3,), (3, 3), (3, 0, 3), (3, 0),
+                                         (3, 3, 3)]
+    for j, x in enumerate(points):
+        for block, want in zip(blocks, compiled.kkt(x, ())):
+            assert np.array_equal(block[j], want)
+
+
 def test_roundtrip_fixed_cases():
     for text in (
         "x1^2 + x2^2 + x3^2 - 1.0",
