@@ -19,13 +19,16 @@ docs/config_format.md; errors report line and column.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import ConfigError, ExpressionSyntaxError
 from .flow import FlowConfig
 from .geometry import ImplicitManifold
 from .symbolics import parse as parse_expression
 
+# tolerance.<key> sets the ImplicitManifold argument <key>_tol.
 _TOLERANCE_KEYS = {"constraint", "rank"}
 # integrator.<key> sets the FlowConfig field <key>.
 INTEGRATOR_KEYS = tuple(f.name for f in fields(FlowConfig))
@@ -49,11 +52,7 @@ class ScenarioConfig:
             parse_expression(text, self.ambient_dim)
             for text in self.constraint_texts
         ]
-        kwargs = {}
-        if "constraint" in self.tolerances:
-            kwargs["constraint_tol"] = self.tolerances["constraint"]
-        if "rank" in self.tolerances:
-            kwargs["rank_tol"] = self.tolerances["rank"]
+        kwargs = {f"{sub}_tol": tol for sub, tol in self.tolerances.items()}
         return ImplicitManifold(
             self.ambient_dim, constraints,
             bounding_box=self.bounding_box, **kwargs,
@@ -63,60 +62,88 @@ class ScenarioConfig:
         return parse_expression(self.function_text, self.ambient_dim)
 
 
+class _Entry(NamedTuple):
+    """One `key = value` line: its number, its key (lowercased) and value
+    (trimmed), and the 1-based columns where the two start."""
+
+    line: int
+    key: str
+    key_col: int
+    value: str
+    value_col: int
+
+    def error(self, message, column=None):
+        """A ConfigError on this line, at `column` or else the key's."""
+        return ConfigError(message, self.line, column or self.key_col)
+
+
 def _split_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        key_text, equals, value_text = raw.split("#", 1)[0].partition("=")
+        key, value = key_text.strip(), value_text.strip()
+        if not (key or equals):
             continue
-        if "=" not in stripped:
-            raise ConfigError("expected 'key = value'", line=lineno, column=1)
-        key, _, value = stripped.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if not key:
-            raise ConfigError("empty key", line=lineno, column=1)
+        key_col = len(key_text) - len(key_text.lstrip()) + 1
+        # the value starts after the "=" and the blanks that follow it
+        lead = len(value_text) - len(value_text.lstrip())
+        value_col = len(key_text) + 2 + lead
+        entry = _Entry(lineno, key.lower(), key_col, value, value_col)
+        if not (key and equals):
+            raise entry.error("empty key" if equals
+                              else "expected 'key = value'")
         if not value:
-            raise ConfigError(f"empty value for {key!r}", line=lineno,
-                              column=raw.index("=") + 2)
-        yield lineno, raw, key, value
+            raise entry.error(f"empty value for {entry.key!r}",
+                              len(key_text) + 2)
+        yield entry
 
 
-def _key_column(raw):
-    """Column of the key on its line (1-based)."""
-    return len(raw) - len(raw.lstrip()) + 1
-
-
-def _parse_float(value, lineno, raw, positive=False):
+def _parse_float(entry, text, column, positive=False):
     try:
-        number = float(value)
+        number = float(text)
     except ValueError:
         number = math.nan
     if not (0.0 if positive else -math.inf) < number < math.inf:
         need = "a finite number > 0" if positive else "a finite number"
-        raise ConfigError(f"expected {need}, got {value!r}", line=lineno,
-                          column=raw.find(value) + 1)
+        raise entry.error(f"expected {need}, got {text!r}", column)
     return number
 
 
-def _parse_int(value, lineno, raw):
+def _parse_int(entry, text, column, least=None):
     try:
-        return int(value)
+        number = int(text)
     except ValueError:
-        raise ConfigError(f"not an integer: {value!r}", line=lineno,
-                          column=raw.find(value) + 1) from None
+        raise entry.error(f"not an integer: {text!r}", column) from None
+    if least is not None and number < least:
+        raise entry.error(f"{entry.key} must be >= {least}", column)
+    return number
 
 
-def _parse_pair(value, lineno, raw):
-    parts = value.split()
-    if len(parts) != 2:
-        raise ConfigError("expected two numbers 'lo hi'", line=lineno,
-                          column=raw.find(value) + 1)
-    lo = _parse_float(parts[0], lineno, raw)
-    hi = _parse_float(parts[1], lineno, raw)
+def _parse_pair(entry):
+    """The value's `lo hi`, each number's errors at its own column."""
+    tokens = list(re.finditer(r"\S+", entry.value))
+    if len(tokens) != 2:
+        raise entry.error("expected two numbers 'lo hi'", entry.value_col)
+    lo, hi = (_parse_float(entry, t.group(), entry.value_col + t.start())
+              for t in tokens)
     if lo >= hi:
-        raise ConfigError("bounding box needs lo < hi", line=lineno,
-                          column=raw.find(value) + 1)
+        raise entry.error("bounding box needs lo < hi", entry.value_col)
     return lo, hi
+
+
+def _index(entry):
+    """N of a `prefix.N` key, its errors at the column of N."""
+    dot = entry.key.index(".") + 1
+    return _parse_int(entry, entry.key[dot:], entry.key_col + dot)
+
+
+def _checked_expression(entry, ambient_dim):
+    """The value of `entry`, parsed; a syntax error at its token."""
+    try:
+        parse_expression(entry.value, ambient_dim)
+    except ExpressionSyntaxError as exc:
+        column = entry.value_col + exc.position - 1
+        raise entry.error(str(exc), column) from None
+    return entry.value
 
 
 def parse_scenario_text(text, default_name="scenario"):
@@ -124,101 +151,68 @@ def parse_scenario_text(text, default_name="scenario"):
     name = default_name
     ambient_dim = None
     constraints = {}
-    function_text = None
-    function_line = None
-    box_uniform = None
+    function = None
+    box_uniform = (-3.0, 3.0)
     box_per_coord = {}
     tolerances = {}
     integrator = {}
     seed = 0
 
-    for lineno, raw, key, value in _split_lines(text):
+    for entry in _split_lines(text):
+        key, value, value_col = entry.key, entry.value, entry.value_col
         if key == "name":
             name = value
         elif key == "ambient_dim":
-            ambient_dim = _parse_int(value, lineno, raw)
-            if ambient_dim < 1:
-                raise ConfigError("ambient_dim must be >= 1", line=lineno,
-                                  column=raw.find(value) + 1)
+            ambient_dim = _parse_int(entry, value, value_col, least=1)
         elif key.startswith("constraint."):
-            idx = _parse_int(key.split(".", 1)[1], lineno, raw)
+            idx = _index(entry)
             if idx in constraints:
-                raise ConfigError(f"duplicate constraint.{idx}", line=lineno,
-                                  column=_key_column(raw))
-            constraints[idx] = (value, lineno, raw)
+                raise entry.error(f"duplicate constraint.{idx}")
+            constraints[idx] = entry
         elif key == "function":
-            function_text = value
-            function_line = (lineno, raw)
+            function = entry
         elif key == "bounding_box":
-            box_uniform = _parse_pair(value, lineno, raw)
+            box_uniform = _parse_pair(entry)
         elif key.startswith("bounding_box."):
-            idx = _parse_int(key.split(".", 1)[1], lineno, raw)
-            box_per_coord[idx] = (_parse_pair(value, lineno, raw), lineno, raw)
+            box_per_coord[_index(entry)] = (_parse_pair(entry), entry)
         elif key.startswith("tolerance."):
             sub = key.split(".", 1)[1]
             if sub not in _TOLERANCE_KEYS:
-                raise ConfigError(f"unknown tolerance key {sub!r}",
-                                  line=lineno, column=_key_column(raw))
-            tolerances[sub] = _parse_float(value, lineno, raw, True)
+                raise entry.error(f"unknown tolerance key {sub!r}")
+            tolerances[sub] = _parse_float(entry, value, value_col, True)
         elif key.startswith("integrator."):
             sub = key.split(".", 1)[1]
             if sub not in INTEGRATOR_KEYS:
-                raise ConfigError(f"unknown integrator key {sub!r}",
-                                  line=lineno, column=_key_column(raw))
-            integrator[sub] = _parse_float(value, lineno, raw, True)
+                raise entry.error(f"unknown integrator key {sub!r}")
+            integrator[sub] = _parse_float(entry, value, value_col, True)
         elif key == "seed":
-            seed = _parse_int(value, lineno, raw)
-            if seed < 0:
-                raise ConfigError("seed must be >= 0", line=lineno,
-                                  column=raw.find(value) + 1)
+            seed = _parse_int(entry, value, value_col, least=0)
         else:
-            raise ConfigError(f"unknown key {key!r}", line=lineno,
-                              column=_key_column(raw))
+            raise entry.error(f"unknown key {key!r}")
 
     if ambient_dim is None:
         raise ConfigError("missing required key 'ambient_dim'")
-    if function_text is None:
+    if function is None:
         raise ConfigError("missing required key 'function'")
     if not constraints:
         raise ConfigError("need at least one 'constraint.N' line")
     stray = [idx for idx in constraints if not 1 <= idx <= len(constraints)]
     if stray:
-        _, lineno, raw = constraints[stray[0]]
-        raise ConfigError(
+        raise constraints[stray[0]].error(
             f"constraints must be numbered 1..{len(constraints)}, got "
-            f"{sorted(constraints)}", line=lineno, column=_key_column(raw)
-        )
+            f"{sorted(constraints)}")
+    if len(constraints) >= ambient_dim:
+        raise constraints[ambient_dim].error(
+            "need between 1 and ambient_dim-1 constraint expressions")
+    constraint_texts = [_checked_expression(constraints[idx], ambient_dim)
+                        for idx in sorted(constraints)]
+    function_text = _checked_expression(function, ambient_dim)
 
-    constraint_texts = []
-    for idx in sorted(constraints):
-        text_i, lineno, raw = constraints[idx]
-        try:
-            parse_expression(text_i, ambient_dim)
-        except ExpressionSyntaxError as exc:
-            raise ConfigError(
-                str(exc), line=lineno, column=raw.find(text_i) + exc.position
-            ) from None
-        constraint_texts.append(text_i)
-    lineno, raw = function_line
-    try:
-        parse_expression(function_text, ambient_dim)
-    except ExpressionSyntaxError as exc:
-        raise ConfigError(
-            str(exc), line=lineno, column=raw.find(function_text) + exc.position
-        ) from None
-
-    if box_uniform is None and not box_per_coord:
-        box = [(-3.0, 3.0)] * ambient_dim
-    else:
-        base = box_uniform if box_uniform is not None else (-3.0, 3.0)
-        box = [base] * ambient_dim
-        for idx, (pair, lineno, raw) in box_per_coord.items():
-            if not 1 <= idx <= ambient_dim:
-                raise ConfigError(
-                    f"bounding_box.{idx} outside ambient dimension",
-                    line=lineno, column=_key_column(raw)
-                )
-            box[idx - 1] = pair
+    box = [box_uniform] * ambient_dim
+    for idx, (pair, entry) in box_per_coord.items():
+        if not 1 <= idx <= ambient_dim:
+            raise entry.error(f"bounding_box.{idx} outside ambient dimension")
+        box[idx - 1] = pair
 
     return ScenarioConfig(
         name=name,

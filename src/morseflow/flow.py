@@ -183,7 +183,6 @@ class GradientField:
         self.manifold = m
         self.function = f
         self.n = m.ambient_dim
-        self._map = compile_expression(m.constraints, self.n)
         self._kernel = compile_expression(f, self.n, m.constraints)
 
     def f_value(self, xs):

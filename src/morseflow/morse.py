@@ -34,6 +34,10 @@ DEGENERATE_TOL = 1e-6
 DEDUPE_RADIUS = 1e-5
 # Critical values closer than this are one level (roots carry ~1e-12).
 VALUE_TIE_TOL = 1e-9
+# Newton per start: iteration limit, cap on the x step, root residual.
+NEWTON_MAX_ITER = 60
+NEWTON_STEP_CAP = 0.5
+NEWTON_RES_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -173,15 +177,15 @@ def _multipliers(m, f, x):
     return np.ascontiguousarray(rows[:, 1 + m.ambient_dim:])
 
 
-def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
+def _newton_sweep(m, f, starts):
     """Newton on the multiplier system from every start (row) at once.
 
     Each iteration makes one call of the field kernel's `kkt_columns` for
     all live starts, forms the residual [grad f - J^T lam, F] and the KKT
     matrix [[H_lam, -J^T], [J, 0]], and takes one stacked solve. A start
-    is done when its residual is below `res_tol` (its root), and is
+    is done when its residual is below NEWTON_RES_TOL (its root), and is
     dropped as None when its iterate is not finite or leaves the ball of
-    radius 1e6, or after `max_iter` iterations. The first multipliers
+    radius 1e6, or after NEWTON_MAX_ITER iterations. The first multipliers
     come from one `_multipliers` call, nan where J J^T is singular (so
     the start is dropped at its first step). Each start takes its
     steps as it would alone: the matvec, the solve and the step norms
@@ -210,7 +214,7 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
         return blocks[1:]
 
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not len(live):
                 break
             grad, jac, vals, hess = evaluate()
@@ -220,7 +224,7 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
             jac_t = jac.transpose(0, 2, 1)
             res = np.concatenate(
                 [grad - (jac_t @ lam[:, :, None])[:, :, 0], vals], axis=1)
-            done = np.max(np.abs(res), axis=1) < res_tol
+            done = np.max(np.abs(res), axis=1) < NEWTON_RES_TOL
             for s, root in zip(live[done], x[done]):
                 roots[s] = root
             go = ~done
@@ -234,8 +238,8 @@ def _newton_sweep(m, f, starts, max_iter=60, step_cap=0.5, res_tol=1e-11):
             except np.linalg.LinAlgError:
                 delta = np.array([_kkt_step(a, -b) for a, b in zip(kkt, res)])
             norm = row_norms(delta[:, :n])
-            big = norm > step_cap
-            delta[big] = delta[big] * (step_cap / norm[big])[:, None]
+            big = norm > NEWTON_STEP_CAP
+            delta[big] = delta[big] * (NEWTON_STEP_CAP / norm[big])[:, None]
             x = x + delta[:, :n]
             lam = lam + delta[:, n:]
             keep = np.all(np.isfinite(x), axis=1) & ~(row_norms(x) > 1e6)

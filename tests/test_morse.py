@@ -569,7 +569,13 @@ def test_batched_multipliers_are_nan_only_where_project_raises(sphere):
     assert lam[2].tolist() == [math.inf]
 
 
-def test_newton_sweep_branches(sphere):
+# The sweep's module constants that the oracle's keywords stand for.
+_NEWTON_CONSTANTS = {"max_iter": "NEWTON_MAX_ITER",
+                     "step_cap": "NEWTON_STEP_CAP",
+                     "res_tol": "NEWTON_RES_TOL"}
+
+
+def test_newton_sweep_branches(sphere, monkeypatch):
     m = sphere.manifold
     samples = list(m.sample_points(6, 0))
     edge = [math.cos(1e-8), 0.0, math.sin(1e-8)]
@@ -593,7 +599,10 @@ def test_newton_sweep_branches(sphere):
     for f, starts, options in cases:
         starts = np.array(starts)
         want = [_newton_solve(m, f, x, **options) for x in starts]
-        _assert_same_roots(_newton_sweep(m, f, starts, **options), want)
+        with monkeypatch.context() as patch:
+            for option, value in options.items():
+                patch.setattr(morse, _NEWTON_CONSTANTS[option], value)
+            _assert_same_roots(_newton_sweep(m, f, starts), want)
     # Only the options make those starts fail.
     assert _newton_solve(m, parse("x3", 3), edge, step_cap=1e9) is None
     assert _newton_solve(m, parse("x3", 3), edge) is not None
