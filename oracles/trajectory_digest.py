@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print seven sha256 per catalog scenario over the bytes of seeded flows.
+"""Print eight sha256 per catalog scenario over the bytes of seeded flows.
 
     python3 oracles/trajectory_digest.py [--starts 15]
 
@@ -25,11 +25,13 @@ capture=False)` forward and backward for t = LIE_H_T and t = 1, and the
 `lie_derivative_estimate` made of the LIE_H_T pair. A fifth, `<scenario>
 basin <digest>`, covers the basin flows of `flow_terminals` from
 BASIN_STARTS points drawn from seed 3: each terminal and the end points
-as raw float64 bytes. Two more cover `run_decay`, whose variational
-flow is capped at DECAY_MAX_STEP, at seeds 0 and 1000 (and 2059 on
-torus_upright, where the flow lingers near a saddle): `<scenario>
-decay-series <digest>` over the times, points and vectors of each
-series as raw float64 bytes, and `<scenario> decay-fit <digest>` over
+as raw float64 bytes; a sixth, `<scenario> basin-terminals <digest>`,
+covers those terminals alone (kind and id), so that a move of the end
+points can be told apart from a move of the terminals. Two more cover
+`run_decay`, whose variational flow is capped at DECAY_MAX_STEP, at
+seeds 0 and 1000 (and 2059 on torus_upright, where the flow lingers
+near a saddle): `<scenario> decay-series <digest>` over the times,
+points and vectors of each series as raw float64 bytes, and `<scenario> decay-fit <digest>` over
 the `repr` of each DecayReport. Then one line `<scenario> flows
 <digest>` for each of two scenarios off the catalog whose field reads sin, cos and
 exp (`transcendental`) or sqrt (`sqrt_domain`, which raises where
@@ -132,8 +134,8 @@ def scenario_digests(name, starts):
     m, f, crits, cfg = (session.manifold, session.function, session.crits,
                         session.cfg)
     rng = np.random.default_rng(2)
-    plain, variational, transport, pushed, basin = (
-        hashlib.sha256() for _ in range(5))
+    plain, variational, transport, pushed, basin, basin_terminals = (
+        hashlib.sha256() for _ in range(6))
     for i, x0 in enumerate(m.sample_points(starts, seed=1)):
         for direction in ("forward", "backward"):
             traj = integrate_flow(m, f, x0, cfg, direction=direction,
@@ -152,12 +154,13 @@ def scenario_digests(name, starts):
     terminals, ends = flow_terminals(
         m, f, m.sample_points(BASIN_STARTS, seed=3), cfg, crits=crits)
     for terminal in terminals:
-        basin.update(repr((terminal.kind,
-                           terminal.critical_point_id)).encode())
+        outcome = repr((terminal.kind, terminal.critical_point_id)).encode()
+        basin.update(outcome)
+        basin_terminals.update(outcome)
     _update(basin, ends)
-    return tuple(d.hexdigest() for d in (plain, variational, transport,
-                                         pushed, basin)) + _decay_digests(
-                                             name, session)
+    return tuple(d.hexdigest() for d in (
+        plain, variational, transport, pushed, basin,
+        basin_terminals)) + _decay_digests(name, session)
 
 
 def off_catalog_digest(name, starts):
@@ -197,8 +200,8 @@ if __name__ == "__main__":
     for name in list_scenarios():
         digests = scenario_digests(name, args.starts)
         for kind, digest in zip(("plain", "variational", "transport",
-                                 "pushed", "basin", "decay-series",
-                                 "decay-fit"), digests):
+                                 "pushed", "basin", "basin-terminals",
+                                 "decay-series", "decay-fit"), digests):
             print(name, kind, digest)
     for name in OFF_CATALOG:
         print(name, "flows", off_catalog_digest(name, args.starts))

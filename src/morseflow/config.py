@@ -109,10 +109,10 @@ def _parse_float(entry, text, column, positive=False):
 
 
 def _parse_int(entry, text, column, least=None):
-    try:
-        number = int(text)
-    except ValueError:
-        raise entry.error(f"not an integer: {text!r}", column) from None
+    """INT, ['-'] [0-9]+, of ASCII digits: not all that `int` reads."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise entry.error(f"not an integer: {text!r}", column)
+    number = int(text)
     if least is not None and number < least:
         raise entry.error(f"{entry.key} must be >= {least}", column)
     return number

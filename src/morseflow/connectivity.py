@@ -148,8 +148,9 @@ class BasinReport:
 def basin_sample(m, f, crits, cfg, n, seed, points=None):
     """Flow n sampled starts to capture and tally the landing ids.
 
-    Each start is flowed by `flow_terminals`, which is the scalar path
-    of `integrate_flow`: every terminal is that flow's, bit for bit.
+    Each start is flowed by `flow_terminals`, the path of
+    `integrate_flow` that stops inside a minimum's sublevel trap, where
+    the flow's limit is already that minimum.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -13,7 +13,8 @@ iterate written in after y5. It is defined per flow with the checked
 retraction `ImplicitManifold._gauss_newton` and the constraint map's row
 projection `_rows`, the sign, the tolerances and the capture threshold
 bound. It hands back to Python only to capture (once |P grad f| is below
-the threshold, where the point becomes an array), to retract where the
+the threshold, where the point becomes an array), for a basin flow's
+trap test (below), to retract where the
 inline first iterate does not converge (a RetractionError there halves
 the step), and at a failed stage or projection, whose arguments it
 returns: the one checked call on them raises the named error. k1 at each
@@ -48,7 +49,10 @@ time.
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
 critical point; a small gradient near no registered point is reported
-as Stalled (an unregistered critical point upstream).
+as Stalled (an unregistered critical point upstream). A basin flow
+(`flow_terminals`) also ends Converged inside a minimum's sublevel trap
+(`morse.minimum_traps`), where its limit is decided: the loop's `trap`,
+None for the other flows, which keep their full tails.
 """
 
 import dataclasses
@@ -59,6 +63,7 @@ import numpy as np
 
 from .errors import FlowError, NotConvergedError, RetractionError
 from .linalg import float_norm, row_norms
+from .morse import minimum_traps
 from .symbolics import compile_expression
 from .symbolics.compile import _FAILURES, _NAMESPACE, _define, prefixed
 from .symbolics.compile import _const, _dot
@@ -226,6 +231,24 @@ def _capture(point, norm, crits, cfg):
     return Terminal("stalled")
 
 
+def _trap(field, traps):
+    """A basin flow's trap test of a point (floats): the minimum's
+    Terminal inside its trap, else None. f, by the kernel's `value`, only
+    inside a ball (the balls are disjoint)."""
+    value = field._kernel.value
+    balls = [(t.center, t.radius * t.radius, t.level,
+              Terminal("converged", t.id)) for t in traps]
+
+    def trap(point):
+        for center, radius2, level, terminal in balls:
+            d2 = 0.0
+            for x, c in zip(point, center):
+                d2 += (x - c) * (x - c)
+            if d2 < radius2:
+                return terminal if value(point) < level else None
+    return trap
+
+
 def _first_step(cfg, x_norm, gnorm):
     return min(cfg.max_step, cfg.t_max,
                0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
@@ -235,7 +258,7 @@ def _first_step(cfg, x_norm, gnorm):
 # per flow, and `_LOOP_NAMESPACE`.
 _FLOW_NAMES = (
     "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
-    "capture", "pg", "retract", "rows", "stats",
+    "capture", "trap", "pg", "retract", "rows", "stats",
     "record_time", "record_state", "record_gnorm",
 )
 _LOOP_NAMESPACE = {
@@ -300,6 +323,10 @@ def _make({names}):
             record_gnorm(gnorm)
             if not gnorm >= threshold:
                 terminal = capture(point, gnorm)
+                if terminal is not None:
+                    return terminal, drift
+            if trap is not None:
+                terminal = trap(point)
                 if terminal is not None:
                     return terminal, drift
             factor = SAFETY * err ** -0.2 if err > 0.0 else MAX_SCALE
@@ -406,7 +433,8 @@ def _loop_factory(kernel, size):
     return make
 
 
-def _cash_karp(field, sign, state, cfg, crits=None, capture=True):
+def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
+               trap=None):
     """Step the flat state [x, v_1, ..., v_j] until its terminal.
 
     The state's derivative is sign times the field kernel's output for
@@ -439,11 +467,13 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True):
     gnorm = float_norm(k1[:n])
     times, states, gnorms = [0.0], [state], [gnorm]
     terminal = capture_at(state[:n], gnorm)
+    if terminal is None and trap is not None:
+        terminal = trap(state)
     if terminal is None:
         flow = _loop_factory(field._kernel, size)(
             sign=sign, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
             t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
-            threshold=threshold, capture=capture_at,
+            threshold=threshold, capture=capture_at, trap=trap,
             pg=field.projected_gradient,
             retract=m._gauss_newton,
             rows=m._map.rows_function(size // n - 1) if size > n else None,
@@ -463,19 +493,23 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True):
 def flow_terminals(m, f, starts, cfg=None, crits=None):
     """Forward flows from many starts: (terminals, end points).
 
-    The terminal and last point of `integrate_flow` from each start, used
-    for basin sampling: every start is checked and put on M first, then
-    each flow is `_cash_karp`, the scalar path itself. The end points are
-    the rows of an (N, n) array.
+    Used for basin sampling: every start is checked and put on M first,
+    then each flow is `_cash_karp`, the path of `integrate_flow`, ended
+    at its first sample (bit for bit that flow's) inside a trap of
+    `morse.minimum_traps` as Converged to that minimum, or else where
+    `integrate_flow` ends. The end points are the rows of an (N, n) array.
     """
     field = GradientField(m, f)
     cfg = cfg or FlowConfig()
     crits = list(crits) if crits is not None else []
     points = [_start_point(m, x0).tolist() for x0 in starts]
+    traps = minimum_traps(m, f, crits)
+    trap = _trap(field, traps) if traps else None
     terminals = []
     ends = np.empty((len(points), field.n))
     for end, xs in zip(ends, points):
-        terminal, _, _, states, _ = _cash_karp(field, -1.0, xs, cfg, crits)
+        terminal, _, _, states, _ = _cash_karp(field, -1.0, xs, cfg, crits,
+                                               trap=trap)
         terminals.append(terminal)
         end[:] = states[-1]
     return terminals, ends

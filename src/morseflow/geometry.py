@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError, RetractionError
 from .linalg import float_norm
+from .symbolics import Binary, Const, Power, Var
 from .symbolics import compile_expression, evaluate_jet
 from .symbolics.compile import RETRACT_MAX_ITER
 
@@ -74,6 +75,18 @@ class ImplicitManifold:
                 or np.any(box[:, 0] >= box[:, 1])):
             raise ValueError("bounding_box must be finite with lo < hi")
         self.bounding_box = box
+
+    def sphere_cut(self, center, radius):
+        """M ∩ S(center, radius), M with |x - center|^2 - radius^2 = 0, in
+        the ball's box: in M's box the sampler would miss this thin set."""
+        center, radius = [float(c) for c in center], float(radius)
+        sphere = Const(-radius * radius)
+        for i, c in enumerate(center, start=1):
+            term = Power(Binary("-", Var(i), Const(c)), 2)
+            sphere = Binary("+", sphere, term)
+        return ImplicitManifold(self.ambient_dim, self.constraints + (sphere,),
+                                self.constraint_tol, self.rank_tol,
+                                [(c - radius, c + radius) for c in center])
 
     @property
     def n_constraints(self):

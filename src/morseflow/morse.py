@@ -20,10 +20,11 @@ call, or one `columns` call for many points (`_multipliers`).
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import MorseflowError
 from .errors import NotCriticalError, TooFewCriticalPointsError
 from .geometry import TangentVector
 from .linalg import jacobi_eigh, row_norms
@@ -38,6 +39,10 @@ VALUE_TIE_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 NEWTON_STEP_CAP = 0.5
 NEWTON_RES_TOL = 1e-11
+# A minimum's trap keeps this share of the smallest gap of f on its cut,
+# found by Newton from this many samples of the cut (`minimum_traps`).
+TRAP_SAFETY = 0.5
+TRAP_STARTS = 40
 
 
 @dataclass(frozen=True)
@@ -316,6 +321,51 @@ class GeometricConstants:
     n_floor_samples: int
 
 
+def separation_radius(crits):
+    """Half the smallest pairwise (chordal) distance of at least two
+    critical points, so that the balls of radius r/2 are disjoint."""
+    locs = [np.asarray(p.location, dtype=float) for p in crits]
+    return 0.5 * min(np.linalg.norm(a - b)
+                     for i, a in enumerate(locs) for b in locs[i + 1:])
+
+
+class Trap(NamedTuple):
+    """{x in M: |x - center| < radius, f(x) < level}, minimum `id`'s."""
+    id: int
+    center: tuple
+    radius: float
+    level: float
+
+
+def minimum_traps(m, f, crits):
+    """The trap of each minimum p: a flow point in B(p, rho), rho = r/2,
+    with f < f(p) + eta, eta below f - f(p) on the cut M ∩ S(p, rho),
+    never reaches the cut (f decreases), so its limit is p, the ball's
+    one registered critical point. eta is TRAP_SAFETY times the least
+    f - f(p) at the `_newton_sweep` roots from TRAP_STARTS samples of
+    `sphere_cut`. No trap where they give no root or eta <= 0, and none
+    with fewer than two critical points or on a curve (a cut of points).
+    """
+    crits = list(crits)
+    if len(crits) < 2 or m.dim < 2:
+        return []
+    rho = float(separation_radius(crits)) / 2.0
+    kernel = compile_expression(f, m.ambient_dim)
+    traps = []
+    for p in (p for p in crits if p.index == 0):
+        cut = m.sphere_cut(p.location, rho)
+        try:
+            roots = _newton_sweep(cut, f, cut.sample_points(TRAP_STARTS, 0))
+        except MorseflowError:  # no sample, or no root and a domain error
+            continue
+        values = [kernel.value(x) for x in roots if x is not None]
+        eta = TRAP_SAFETY * (min(values) - p.value) if values else 0.0
+        if eta > 0.0:
+            traps.append(Trap(p.id, tuple(map(float, p.location)), rho,
+                              p.value + eta))
+    return traps
+
+
 def geometric_constants(m, f, crits, n_samples=2000, seed=0):
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -329,12 +379,7 @@ def geometric_constants(m, f, crits, n_samples=2000, seed=0):
             manifold_floor=floor,
         )
     locs = [np.asarray(p.location, dtype=float) for p in crits]
-    pairwise = [
-        np.linalg.norm(a - b)
-        for i, a in enumerate(locs)
-        for b in locs[i + 1:]
-    ]
-    r = 0.5 * min(pairwise)
+    r = separation_radius(crits)
     samples = m.sample_points(n_samples, seed)
     # each the bits of np.linalg.norm of one sample's difference
     dist = row_norms((samples[:, None] - np.array(locs))

@@ -244,6 +244,15 @@ _BASE = (
     # an index, at the index
     (_BASE + "constraint.x = x1\n", 4, 12),
     (_BASE + "bounding_box.x = -1 1\n", 4, 14),
+    # INT is ['-'] [0-9]+ (ASCII digits), not all that Python's int reads
+    (_BASE + "constraint.0_1 = x2\n", 4, 12),
+    (_BASE + "constraint. 2 = x2\n", 4, 12),
+    (_BASE + "constraint.\u0662 = x2\n", 4, 12),
+    (_BASE + "bounding_box.+2 = -1 1\n", 4, 14),
+    ("ambient_dim = +3\n", 1, 15),
+    ("ambient_dim = \u0663\n", 1, 15),
+    (_BASE + "seed = 1_000\n", 4, 8),
+    (_BASE + "seed = \uff13\n", 4, 8),
     # scalar values, at the value
     ("ambient_dim = a\n", 1, 15),
     ("ambient_dim = 0\n", 1, 15),
@@ -274,6 +283,10 @@ def test_error_position_table(text, line, column):
     assert str(err.value).endswith(f"(line {line}, column {column})")
 
 
+def _is_int(token):
+    return re.fullmatch("-?[0-9]+", token) is not None
+
+
 def _accepts_positive(token):
     return 0.0 < float(token) < math.inf
 
@@ -284,8 +297,8 @@ def _accepts_finite(token):
 
 # Each typed value key by the rule its values follow (docs/config_format.md)
 _VALUE_RULES = {
-    "ambient_dim": lambda token: int(token) >= 1,
-    "seed": lambda token: int(token) >= 0,
+    "ambient_dim": lambda token: _is_int(token) and int(token) >= 1,
+    "seed": lambda token: _is_int(token) and int(token) >= 0,
     "bounding_box": _accepts_finite,
     "bounding_box.2": _accepts_finite,
     "tolerance.constraint": _accepts_positive,

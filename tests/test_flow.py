@@ -30,6 +30,8 @@ from morseflow.flow import (
     FlowStats, GradientField, Terminal, Trajectory, _capture, _cash_karp,
     _first_step, _loop_factory, flow_terminals,
 )
+from morseflow import morse
+from morseflow.morse import minimum_traps
 from morseflow.linalg import float_norm
 from morseflow.linearization import (
     DECAY_MAX_STEP, integrate_variational, integrate_variational_multi,
@@ -351,15 +353,44 @@ def test_wrong_dimension_start_is_a_value_error(sphere):
                        sphere.cfg, crits=sphere.crits)
 
 
-# The basin flows against integrate_flow, start by start: the same
-# terminal and the same end point, bit for bit.
+# The basin flows against integrate_flow, start by start. A basin flow
+# stops at the first sample of that flow inside a minimum's trap (or at
+# its start there), so its end is that sample bit for bit and its
+# terminal is the minimum, which the flow converges to unless it runs
+# out of time first; without such a sample, the same terminal and the
+# same end point, bit for bit.
+def _first_trapped(traj, traps):
+    """(j, trap) of the first sample inside a trap, or (None, None)."""
+    for j, x in enumerate(traj.points):
+        for trap in traps:
+            if (np.sum((x - trap.center) ** 2) < trap.radius ** 2
+                    and traj.f_values[j] < trap.level):
+                return j, trap
+    return None, None
+
+
+def _assert_basin_matches(m, f, crits, terminals, ends, refs):
+    """The basin oracle above; returns how many flows a trap stopped."""
+    traps = minimum_traps(m, f, crits)
+    assert len(terminals) == len(ends) == len(refs)
+    trapped = 0
+    for terminal, end, ref in zip(terminals, ends, refs):
+        j, trap = _first_trapped(ref, traps)
+        if trap is None:
+            assert terminal == ref.terminal
+            assert np.array_equal(end, ref.end)
+            continue
+        trapped += 1
+        assert terminal == Terminal("converged", trap.id)
+        assert ref.terminal in (terminal, Terminal("max_time"))
+        assert np.array_equal(end, ref.points[j])
+    return trapped
+
+
 def _assert_batch_matches_scalar(m, f, starts, cfg, crits):
     terminals, ends = flow_terminals(m, f, starts, cfg, crits=crits)
-    assert len(terminals) == len(ends) == len(starts)
-    for x0, terminal, end in zip(starts, terminals, ends):
-        ref = integrate_flow(m, f, x0, cfg, crits=crits)
-        assert terminal == ref.terminal
-        assert np.array_equal(end, ref.end)
+    refs = [integrate_flow(m, f, x0, cfg, crits=crits) for x0 in starts]
+    return _assert_basin_matches(m, f, crits, terminals, ends, refs)
 
 
 @pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
@@ -369,8 +400,8 @@ def test_batched_flow_matches_scalar(name, request):
     # sampled starts plus an off-manifold one that needs a retraction
     starts = list(m.sample_points(12, seed=31))
     starts.append(1.001 * starts[0])
-    _assert_batch_matches_scalar(m, setup.function, starts, setup.cfg,
-                                 setup.crits)
+    assert _assert_batch_matches_scalar(m, setup.function, starts,
+                                        setup.cfg, setup.crits) > 0
 
 
 def test_batched_flow_three_constraints():
@@ -384,7 +415,8 @@ def test_batched_flow_three_constraints():
     starts = np.zeros((8, 5))
     starts[:, :3] = rng.standard_normal((8, 3))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    _assert_batch_matches_scalar(m, f, starts, FlowConfig(), crits)
+    assert _assert_batch_matches_scalar(m, f, starts, FlowConfig(),
+                                        crits) > 0
 
 
 def test_flow_on_orthogonal_group():
@@ -429,8 +461,74 @@ def test_batched_flow_non_polynomial(sphere):
     for text in ("sin(x3) + 0.1*x1", "exp(x3) + 0.1*x1"):
         f = parse(text, 3)
         crits = find_critical_points(m, f, 50, seed=0)
-        _assert_batch_matches_scalar(m, f, m.sample_points(10, seed=4),
-                                     sphere.cfg, crits)
+        assert _assert_batch_matches_scalar(
+            m, f, m.sample_points(10, seed=4), sphere.cfg, crits) > 0
+
+
+def _no_root(cut, f, starts):
+    return [None] * len(starts)
+
+
+def _domain_error(cut, f, starts):
+    raise EvaluationError("math domain error")
+
+
+_FAIL_SAFES = {
+    "one critical point": lambda crits: crits[:1],
+    # the maximum called a minimum: f on its cut is below it, eta < 0,
+    # and the true minimum called a saddle
+    "eta <= 0": lambda crits: [dataclasses.replace(crits[1], index=0),
+                               dataclasses.replace(crits[0], index=1)],
+    "TRAP_SAFETY = 0": ("TRAP_SAFETY", 0.0),
+    "no root on the cut": ("_newton_sweep", _no_root),
+    "a domain error on the cut": ("_newton_sweep", _domain_error),
+}
+
+
+@pytest.mark.parametrize("case", _FAIL_SAFES)
+def test_basin_flows_without_a_trap_are_integrate_flows(case, sphere,
+                                                       monkeypatch):
+    # where no minimum gets a trap, every basin flow has integrate_flow's
+    # terminal and end point, bit for bit, as before traps
+    m, f, cfg = sphere.manifold, sphere.function, sphere.cfg
+    crits, fail = list(sphere.crits), _FAIL_SAFES[case]
+    starts = m.sample_points(6, seed=12)
+    assert _assert_batch_matches_scalar(m, f, starts, cfg, crits) > 0
+    if callable(fail):
+        crits = fail(crits)
+    else:
+        monkeypatch.setattr(morse, *fail)
+    assert minimum_traps(m, f, crits) == []
+    assert _assert_batch_matches_scalar(m, f, starts, cfg, crits) == 0
+
+
+def test_basin_flows_on_a_curve_have_no_trap():
+    # on a curve the cut M ∩ S(p, rho) is a set of points, not a manifold
+    circle = ImplicitManifold(2, [parse("x1^2 + x2^2 - 1", 2)])
+    f = parse("x2 + 0.3 * x1", 2)
+    crits = find_critical_points(circle, f, 20, seed=0)
+    assert [p.index for p in crits] == [0, 1]
+    assert minimum_traps(circle, f, crits) == []
+    starts = circle.sample_points(6, seed=3)
+    assert _assert_batch_matches_scalar(circle, f, starts, FlowConfig(),
+                                        crits) == 0
+
+
+def test_basin_flow_is_trapped_where_integrate_flow_stalls(sphere):
+    # the step-control cycle at the edge of the stability region: from
+    # this start at rel_tol = abs_tol = 1e-6 the step settles where it
+    # neither shrinks nor grows the deviation, |P grad f| stays near 2e-6
+    # above the capture threshold, and integrate_flow ends at t_max.
+    # The basin flow enters the minimum's trap first, so it knows its
+    # limit: the two differ in terminal until the cycle itself is mended
+    m, f, crits = sphere.manifold, sphere.function, sphere.crits
+    cfg = sphere.cfg.replace(rel_tol=1e-6, abs_tol=1e-6)
+    x0 = [0.6, 0.0, -0.8]
+    ref = integrate_flow(m, f, x0, cfg, crits=crits)
+    assert ref.terminal == Terminal("max_time")
+    terminals, ends = flow_terminals(m, f, [x0], cfg, crits=crits)
+    assert terminals == [Terminal("converged", 0)]
+    assert _assert_basin_matches(m, f, crits, terminals, ends, [ref]) == 1
 
 
 def test_batched_flow_unresolved_terminals(sphere):
@@ -439,12 +537,15 @@ def test_batched_flow_unresolved_terminals(sphere):
     short = sphere.cfg.replace(t_max=0.05)
     terminals, _ = flow_terminals(m, f, starts, short, crits=sphere.crits)
     assert {t.kind for t in terminals} == {"max_time"}
-    _assert_batch_matches_scalar(m, f, starts, short, sphere.crits)
+    # no start reaches the trap in that time, and no trap without a minimum
+    assert _assert_batch_matches_scalar(m, f, starts, short,
+                                        sphere.crits) == 0
     no_minimum = [p for p in sphere.crits if p.index > 0]
     terminals, _ = flow_terminals(m, f, starts, sphere.cfg,
                                   crits=no_minimum)
     assert {t.kind for t in terminals} == {"stalled"}
-    _assert_batch_matches_scalar(m, f, starts, sphere.cfg, no_minimum)
+    assert _assert_batch_matches_scalar(m, f, starts, sphere.cfg,
+                                        no_minimum) == 0
 
 
 def test_batched_flow_errors_match_scalar(sphere):
@@ -621,8 +722,11 @@ def _failing_retraction(monkeypatch, m, fails):
 
 
 # Near the minimum the first step is large enough (about 1) to be halved
-# 40 times before the step size underflows.
+# 40 times before the step size underflows. That start lies in the
+# minimum's trap, where a basin flow makes no step; near the maximum the
+# first step (0.2) can be halved 40 times as well.
 NEAR_MINIMUM = [0.1, 0.0, -math.sqrt(0.99)]
+NEAR_MAXIMUM = [0.1, 0.0, math.sqrt(0.99)]
 
 
 def test_failed_retraction_halves_the_step(sphere, monkeypatch):
@@ -685,9 +789,7 @@ def test_batched_flow_halves_a_column_whose_retraction_fails(sphere,
     scalar = [first] + [integrate_flow(m, f, x0, cfg, crits=crits)
                         for x0 in starts[1:]]
     assert first.stats.retraction_halvings == 1
-    assert terminals == [traj.terminal for traj in scalar]
-    for end, traj in zip(ends, scalar):
-        assert np.array_equal(end, traj.end)
+    assert _assert_basin_matches(m, f, crits, terminals, ends, scalar) == 3
 
 
 def test_batched_flow_raises_after_41_failed_retractions(sphere,
@@ -697,7 +799,7 @@ def test_batched_flow_raises_after_41_failed_retractions(sphere,
     failed = _failing_retraction(monkeypatch, m, 41)
     with pytest.raises(FlowError, match="retraction kept failing after 40 "
                                         "step halvings"):
-        flow_terminals(m, f, [NEAR_MINIMUM], cfg, crits=crits)
+        flow_terminals(m, f, [NEAR_MAXIMUM], cfg, crits=crits)
     assert len(failed) == 41
 
 

@@ -388,6 +388,22 @@ def test_sampling_stays_on_manifold(name, request):
     assert np.array_equal(pts, again)
 
 
+@pytest.mark.parametrize("name", ["sphere", "torus", "clifford"])
+def test_sphere_cut_is_m_on_a_sphere_in_the_balls_box(name, request):
+    setup = request.getfixturevalue(name)
+    m = setup.manifold
+    center, radius = setup.crits[0].location, 0.3
+    cut = m.sphere_cut(center, radius)
+    assert cut.constraints[:-1] == m.constraints
+    assert (cut.constraint_tol, cut.rank_tol) == (m.constraint_tol,
+                                                  m.rank_tol)
+    assert np.array_equal(cut.bounding_box,
+                          np.stack([center - radius, center + radius], 1))
+    for x in cut.sample_points(50, seed=5):
+        assert m.max_violation(x) <= m.constraint_tol
+        assert abs(np.linalg.norm(x - center) - radius) < 1e-8
+
+
 def test_random_tangent_is_unit_tangent(sphere):
     m = sphere.manifold
     rng = np.random.default_rng(4)

@@ -34,8 +34,8 @@ from morseflow.errors import (
 )
 from morseflow.linalg import jacobi_eigh
 from morseflow.morse import (
-    DEDUPE_RADIUS, SweepStats, _multipliers, _newton_sweep, classify_point,
-    corrected_hessian,
+    DEDUPE_RADIUS, TRAP_SAFETY, SweepStats, _multipliers, _newton_sweep,
+    classify_point, corrected_hessian, minimum_traps, separation_radius,
 )
 from morseflow.symbolics import compile_expression, evaluate_jet
 from test_kernels import CATALOG, FIELD_SCENARIOS, _scenario
@@ -664,3 +664,43 @@ def test_newton_sweep_overflow_is_a_failed_start(sphere):
                        [0.95, 0.0, math.sqrt(1.0 - 0.95 ** 2)]])
     with np.errstate(all="raise"):
         assert _newton_sweep(m, f, starts) == [None, None, None]
+
+
+# -- the sublevel traps of basin flows -----------------------------------
+
+
+def test_sphere_trap_level_is_the_closed_form(sphere):
+    # f = x3 on the unit sphere: the cut at chordal distance rho from the
+    # south pole is the circle x3 = -1 + rho^2 / 2, a level of f, so
+    # every point of it is a root and eta = TRAP_SAFETY * rho^2 / 2
+    (trap,) = minimum_traps(sphere.manifold, sphere.function, sphere.crits)
+    p = sphere.crits[trap.id]
+    assert p.index == 0
+    assert trap.center == tuple(p.location)
+    assert trap.radius == separation_radius(sphere.crits) / 2.0
+    eta = trap.level - p.value
+    assert abs(eta - TRAP_SAFETY * trap.radius ** 2 / 2.0) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
+def test_trap_level_is_below_f_on_the_cut(name, request):
+    # eta / TRAP_SAFETY is the smallest gap of f on the cut that Newton
+    # found; 2000 samples of the cut (another seed) find none smaller.
+    # Where the cut is a level of f (sphere2, sphereM, clifford) roots
+    # and samples differ only by rounding (1e-16 seen), hence 1e-12.
+    setup = request.getfixturevalue(name)
+    m, f, crits = setup.manifold, setup.function, setup.crits
+    traps = minimum_traps(m, f, crits)
+    assert [t.id for t in traps] == [p.id for p in crits if p.index == 0]
+    kernel = compile_expression(f, m.ambient_dim)
+    for trap in traps:
+        p = crits[trap.id]
+        cut = m.sphere_cut(p.location, trap.radius)
+        samples = cut.sample_points(2000, seed=1)
+        gap = min(kernel.value(x) for x in samples) - p.value
+        assert 0.0 < (trap.level - p.value) / TRAP_SAFETY <= gap + 1e-12
+
+
+def test_separation_radius_is_the_constants_r(sphere, torus, clifford):
+    for setup in (sphere, torus, clifford):
+        assert separation_radius(setup.crits) == setup.consts.r
