@@ -13,15 +13,21 @@ that differs (OTHER_DIR's tree first). A script that fails counts as a
 difference and prints its exit status and the last line of its error
 output. The two checkouts run side by side, one process each. The exit
 status is 0 when every oracle is identical and 1 otherwise.
+
+A last section, for information only, prints the lines and the code
+lines (not blank, comment-only or docstring lines) of each module under
+src/ in OTHER_DIR and in this checkout, their total, and the differences.
 """
 
 import argparse
+import ast
 import difflib
 import filecmp
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = ("trajectory_digest.py", "census_digest.py", "check_details.py")
@@ -93,6 +99,49 @@ def _compare_reports(a, b):
             if not line.endswith(": identical")], total
 
 
+def _code_lines(path):
+    """(lines, code lines) of one Python file. A code line holds a token
+    other than a comment, and is not part of a docstring (by `ast`)."""
+    with open(path, "rb") as handle:
+        source = handle.read()
+    code = set()
+    layout = (tokenize.ENCODING, tokenize.COMMENT, tokenize.NL,
+              tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER)
+    for tok in tokenize.tokenize(iter(source.splitlines(True)).__next__):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            code.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(source.splitlines()), len(code)
+
+
+def _src_counts(checkout):
+    """{module path under src/: (lines, code lines)} of a checkout."""
+    root = os.path.join(checkout, "src")
+    return {path: _code_lines(os.path.join(root, path))
+            for path in _files(root) if path.endswith(".py")}
+
+
+def print_src_lines(other):
+    """Print the lines and code lines of src/ per module and in total:
+    OTHER_DIR's, this checkout's and the difference."""
+    before, after = _src_counts(other), _src_counts(HERE)
+    rows = [(p, before.get(p, (0, 0)), after.get(p, (0, 0)))
+            for p in sorted(before.keys() | after.keys())]
+    rows.append(("total", *(tuple(map(sum, zip(*side.values())))
+                            for side in (before, after))))
+    print("src lines (OTHER_DIR -> this checkout):")
+    for path, (lines_a, code_a), (lines_b, code_b) in rows:
+        print(f"  {path}: lines {lines_a} -> {lines_b} "
+              f"({lines_b - lines_a:+d}), code {code_a} -> {code_b} "
+              f"({code_b - code_a:+d})")
+
+
 def compare(other):
     """Print each oracle's comparison; True when all are identical."""
     same = True
@@ -125,4 +174,6 @@ if __name__ == "__main__":
     parser.add_argument("other", metavar="OTHER_DIR",
                         help="the root of another checkout")
     args = parser.parse_args()
-    sys.exit(0 if compare(args.other) else 1)
+    same = compare(args.other)
+    print_src_lines(args.other)
+    sys.exit(0 if same else 1)

@@ -14,8 +14,8 @@ comments and blank lines ignored. Keys are dotted and lowercase:
     integrator.rel_tol   = 1e-8
     seed             = 0
 
-Constraints are numbered consecutively from 1. The full grammar is in
-docs/config_format.md; errors report line and column.
+Constraints are numbered consecutively from 1, and no key repeats. The
+full grammar is in docs/config_format.md; errors report line and column.
 """
 
 import math
@@ -157,24 +157,28 @@ def parse_scenario_text(text, default_name="scenario"):
     tolerances = {}
     integrator = {}
     seed = 0
+    seen = set()
 
     for entry in _split_lines(text):
         key, value, value_col = entry.key, entry.value, entry.value_col
+        if key.startswith(("constraint.", "bounding_box.")):
+            idx = _index(entry)
+            key = f"{key[:key.index('.')]}.{idx}"
+        if key in seen:
+            raise entry.error(f"duplicate {key}")
+        seen.add(key)
         if key == "name":
             name = value
         elif key == "ambient_dim":
             ambient_dim = _parse_int(entry, value, value_col, least=1)
         elif key.startswith("constraint."):
-            idx = _index(entry)
-            if idx in constraints:
-                raise entry.error(f"duplicate constraint.{idx}")
             constraints[idx] = entry
         elif key == "function":
             function = entry
         elif key == "bounding_box":
             box_uniform = _parse_pair(entry)
         elif key.startswith("bounding_box."):
-            box_per_coord[_index(entry)] = (_parse_pair(entry), entry)
+            box_per_coord[idx] = (_parse_pair(entry), entry)
         elif key.startswith("tolerance."):
             sub = key.split(".", 1)[1]
             if sub not in _TOLERANCE_KEYS:

@@ -10,18 +10,18 @@ size (`_loop_factory`, kept on the kernel), with the kernel's lines
 written into each of the five stages after k1, so no stage calls the
 kernel, and the constraint map's lines of the retraction's first
 iterate written in after y5. It is defined per flow with the checked
-retraction `ImplicitManifold._gauss_newton` and the constraint map's row
-projection `_rows`, the sign, the tolerances and the capture threshold
-bound. It hands back to Python only to capture (once |P grad f| is below
-the threshold, where the point becomes an array), for a basin flow's
-trap test (below), to retract where the
-inline first iterate does not converge (a RetractionError there halves
-the step), and at a failed stage or projection, whose arguments it
-returns: the one checked call on them raises the named error. k1 at each
-accepted point stays a call of the checked
-`GradientField.projected_gradient`, so a failure there raises its named
-error at once. A step is rejected unless its error estimate is at most
-1, so a nan estimate is rejected too.
+retraction `ImplicitManifold._gauss_newton`, the constraint map's row
+projection `_rows` and its checked `project_rows`, the sign, the
+tolerances and the capture threshold bound. It hands back to Python
+only to capture (once |P grad f| is below the threshold, where the point
+becomes an array), for a basin flow's trap test (below), to retract
+where the inline first iterate does not converge (a RetractionError
+there halves the step), and at a failed stage or re-projection, where
+the checked call on the same floats, `GradientField.projected_gradient`
+or `project_rows`, raises the named error. k1 at each accepted point
+stays a checked `projected_gradient` call, so a failure there raises its
+named error at once. A step is rejected unless its error estimate is
+at most 1, so a nan estimate is rejected too.
 
 The loop runs on Python floats: the state, k1, the first step and every
 number bound in it are floats at entry (`FlowConfig` stores its fields
@@ -258,7 +258,7 @@ def _first_step(cfg, x_norm, gnorm):
 # per flow, and `_LOOP_NAMESPACE`.
 _FLOW_NAMES = (
     "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
-    "capture", "trap", "pg", "retract", "rows", "stats",
+    "capture", "trap", "pg", "retract", "rows", "project", "stats",
     "record_time", "record_state", "record_gnorm",
 )
 _LOOP_NAMESPACE = {
@@ -339,7 +339,7 @@ _ACCEPT_VECTORS = """\
 try:
     {v} = rows(*point, {zv})
 except _FAILURES:
-    return "rows", (point, [{zv}])
+    project(point, [{zv}])
 {x} = point
 state = [{y}]"""
 
@@ -355,20 +355,21 @@ def _loop_factory(kernel, size):
     state of `size` floats, generated on first use and kept on the
     kernel, so that it goes with the kernel. `_make(**names)` defines one
     flow's `_flow(h, y..., k1...)`, which returns (terminal, largest
-    drift), or ("stage", its arguments) where a stage raised and ("rows",
-    (point, vectors)) where the re-projection did.
+    drift) or raises.
 
     Stage i assigns its arguments, the state plus h times the weighted
     earlier stages, to the parameters of the kernel's lines
     (`field_lines`, each name prefixed by `s<i>_`), runs the lines and
-    takes k<i>_j = sign * (output j). After y5 the lines of the
-    retraction's first iterate (the map's `first_lines`, the map being
+    takes k<i>_j = sign * (output j); where they raise, the checked `pg`
+    on the same arguments raises the named error. After y5 the lines of
+    the retraction's first iterate (the map's `first_lines`, the map being
     `compile_expression(kernel.constraints, n)`) run on the point part
     of y5, z1, ..., zn in place of x1, ..., xn and every other name
     prefixed by `z_`; they set `converged`, which is False where they
     raise. Where it is False the loop calls the bound `retract`,
     `ImplicitManifold._gauss_newton` with guard None, and halves the
-    step if that raises RetractionError.
+    step if that raises RetractionError. Where the unchecked `rows` fails
+    to re-project the vectors, the checked `project` raises likewise.
     """
     make = kernel._loops.get(size)
     if make is not None:
@@ -388,21 +389,16 @@ def _loop_factory(kernel, size):
                    *(f"    {k} = sign * ({prefixed(out, f's{i}_')})"
                      for k, out in zip(ks[-1], outputs)),
                    "except _FAILURES:",
-                   f"    return \"stage\", [{', '.join(args)}]"]
+                   f"    pg([{', '.join(args)}])"]
     # the retraction's first iterate at y5: c_i = |F_i| and its
-    # convergence test, and the drift max(drift, max(c_i)) as `max`
-    # picks it
+    # convergence test, and the drift raised to each larger c_i
     xs, head, values = compile_expression(kernel.constraints, n).first_lines()
     at_y5 = dict(zip(xs, zs))
     cs = [f"c{i}" for i in range(1, len(values) + 1)]
     first = [prefixed(line, "z_", at_y5) for line in head] + [
         f"{c} = abs({prefixed(v, 'z_', at_y5)})" for c, v in zip(cs, values)]
     first.append(f"converged = {' and '.join(f'{c} <= tol' for c in cs)}")
-    drift = ["c = c1"] if len(cs) > 1 else []
-    for c in cs[1:]:
-        drift += [f"if {c} > c:", f"    c = {c}"]
-    c = "c" if drift else "c1"
-    drift += [f"if {c} > drift:", f"    drift = {c}"]
+    drift = [f"if {c} > drift:\n    drift = {c}" for c in cs]
     cols = list(zip(*ks))
     # the error scale max(|y|, |z|) as `max` picks it: the first unless
     # the second is larger
@@ -447,11 +443,10 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
 
     After the start sample the whole loop is one call of a `_flow`
     defined for this flow by `_loop_factory`, with the field kernel's
-    lines inlined in each stage. If a stage or the re-projection fails
-    there, `_flow` returns that call's arguments, and the one checked
-    call on them, `value_and_grad` or `project_rows`, raises the
-    EvaluationError naming the failing expression, or the
-    RankDeficiencyError.
+    lines inlined in each stage; it returns the terminal and the largest
+    constraint drift. Where a stage or the re-projection fails, it
+    raises the EvaluationError naming the failing expression, or the
+    RankDeficiencyError, from the checked call on the same floats.
     """
     m = field.manifold
     n = field.n
@@ -477,15 +472,11 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
             pg=field.projected_gradient,
             retract=m._gauss_newton,
             rows=m._map.rows_function(size // n - 1) if size > n else None,
+            project=m._map.project_rows,
             stats=stats, record_time=times.append,
             record_state=states.append, record_gnorm=gnorms.append)
-        terminal, end = flow(_first_step(cfg, float_norm(state[:n]), gnorm),
-                             *state, *k1)
-        if terminal == "stage":
-            field._kernel.value_and_grad(end)  # raises the stage's error
-        elif terminal == "rows":
-            m._map.project_rows(*end)  # raises the projection's error
-        stats.max_constraint_drift = end
+        terminal, stats.max_constraint_drift = flow(
+            _first_step(cfg, float_norm(state[:n]), gnorm), *state, *k1)
     stats.steps = len(times) - 1
     return terminal, stats, times, states, gnorms
 

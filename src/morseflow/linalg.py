@@ -184,10 +184,11 @@ def float_norm(vec):
 
 
 def row_norms(rows):
-    """np.linalg.norm of each row of a 2-D array, bit for bit: the
-    stacked product (1, n) @ (n, 1) sums the squares as the dot product
-    of one row does, while norm(axis=1), einsum and plain sums round
-    differently."""
+    """np.linalg.norm of each row of a 2-D array, bit for bit, in any
+    memory layout: the stacked product (1, n) @ (n, 1) of C-ordered rows
+    sums the squares as one row's dot product does; norm(axis=1), einsum,
+    plain sums and the product of column-major rows round differently."""
+    rows = np.ascontiguousarray(rows)
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 

@@ -410,6 +410,6 @@ def _gradient_floor(m, f, samples):
     rows, failed = kernel.columns("value_and_grad", samples.T.copy())
     if failed.any():
         m.riemannian_gradient(f, samples[np.argmax(failed)])  # raises
-    norms = np.sqrt(sum(g * g for g in rows[:, 1:1 + m.ambient_dim].T))
+    norms = row_norms(rows[:, 1:1 + m.ambient_dim])
     close = np.flatnonzero(norms <= (1.0 + 1e-9) * np.min(norms))
     return min(m.riemannian_gradient(f, samples[i]).norm() for i in close)

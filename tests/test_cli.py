@@ -334,6 +334,23 @@ def test_input_errors_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--from", "1,x,0"], "bad coordinate in '1,x,0'"),
+    (["flow", "--from-crit", "9"], "no critical point with id 9"),
+    (["flow"], "flow needs --from <point|crit-id> or --from-crit"),
+    (["decay", "--v", "0,1,0"], "--v requires --from"),
+], ids=["flow_from_bad_coordinate", "flow_from_unknown_crit",
+        "flow_without_start", "decay_v_without_from"])
+def test_start_errors_exit_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--scenario", "sphere2", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_negative_seeds_exit_2(tmp_path, capsys):
     # numpy's generators take no negative seed; the override and the
     # config key are both rejected before one is built, and the config

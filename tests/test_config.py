@@ -113,8 +113,42 @@ def test_duplicate_constraint_rejected():
         "constraint.1 = x2 - 1\n"
         "function = x1\n"
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="duplicate constraint.1") as err:
         parse_scenario_text(text)
+    assert (err.value.line, err.value.column) == (3, 1)
+
+
+_REPEATS = [
+    ("name = a", "  name = b", "duplicate name"),
+    ("ambient_dim = 3", "  ambient_dim = 3", "duplicate ambient_dim"),
+    ("constraint.1 = x1", "  constraint.01 = x2", "duplicate constraint.1"),
+    ("function = x1", "  function = x1", "duplicate function"),
+    ("bounding_box = -2 2", "  bounding_box = -1 1", "duplicate bounding_box"),
+    ("bounding_box.2 = -2 2", "  bounding_box.02 = -1 1",
+     "duplicate bounding_box.2"),
+    ("tolerance.rank = 1e-6", "  tolerance.rank = 1e-7",
+     "duplicate tolerance.rank"),
+    ("integrator.rel_tol = 1e-8", "  integrator.rel_tol = 1e-9",
+     "duplicate integrator.rel_tol"),
+    ("seed = 1", "  seed = 7", "duplicate seed"),
+]
+
+
+@pytest.mark.parametrize("first, again, message", _REPEATS,
+                         ids=[first.split()[0] for first, _, _ in _REPEATS])
+def test_repeated_key_rejected_at_its_key(first, again, message):
+    # every key appears at most once, constraint.N and bounding_box.I
+    # compared by their integer index; the error is at the key of the
+    # repeated line, and one line of the key parses (GOOD has a
+    # bounding_box line beside a bounding_box.I override)
+    key = first.split("=")[0].strip()
+    rest = "".join(f"{line}\n" for line in _BASE.splitlines()
+                   if not line.startswith(key))
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_scenario_text(f"{first}\n{again}\n{rest}")
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert str(err.value).endswith("(line 2, column 3)")
+    parse_scenario_text(f"{first}\n{rest}")
 
 
 def test_bad_bounding_box():
@@ -355,6 +389,8 @@ def _rejected_lines(draw):
     line = f"{before}{token}{after}{draw(pad)}\n"
     if key == "ambient_dim":
         return line + _BASE.split("\n", 1)[1], 1, len(before) + 1
+    if key == "function":  # in place of _BASE's, as no key repeats
+        return _BASE.replace("function = x3\n", line), 3, len(before) + 1
     return _BASE + line, 4, len(before) + 1
 
 

@@ -15,6 +15,7 @@ from morseflow import (
 from morseflow.connectivity import ConnectionGraph
 from morseflow.errors import (
     DisconnectedGraphError,
+    FlowError,
     NonMorseError,
     RankDeficiencyError,
     StalledTrajectoryError,
@@ -86,6 +87,12 @@ def test_stall_aborts_graph_build(torus):
                                torus.cfg)
 
 
+def test_witness_hitting_t_max_aborts_graph_build(sphere):
+    with pytest.raises(FlowError, match="from critical point 1 hit t_max"):
+        build_connection_graph(sphere.manifold, sphere.function,
+                               sphere.crits, sphere.cfg.replace(t_max=0.5))
+
+
 def test_degenerate_scenario_refused(sphere):
     crits = find_critical_points(sphere.manifold, parse("1", 3), 10, seed=0)
     with pytest.raises(NonMorseError):
@@ -125,6 +132,25 @@ def test_basin_wrong_dimension_points(sphere):
     with pytest.raises(ValueError, match="3 coordinates"):
         basin_sample(sphere.manifold, sphere.function, sphere.crits,
                      sphere.cfg, 2, seed=0, points=[1.0, 0.0])
+
+
+def test_basin_counts_unresolved_starts(sphere):
+    # by t_max = 0.05 the start on the equator is still on its way; the
+    # one at the minimum is captured at once
+    report = basin_sample(sphere.manifold, sphere.function, sphere.crits,
+                          sphere.cfg.replace(t_max=0.05), 2, seed=0,
+                          points=[[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert report.tally == {0: 1}
+    assert report.unresolved == 1
+    assert report.minima_fraction == 0.5
+
+
+def test_basin_rejects_a_bad_count(sphere):
+    args = (sphere.manifold, sphere.function, sphere.crits, sphere.cfg)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        basin_sample(*args, 0, seed=0)
+    with pytest.raises(ValueError, match="explicit points must match n"):
+        basin_sample(*args, 2, seed=0, points=[[1.0, 0.0, 0.0]])
 
 
 def test_basin_matches_scalar_flows(torus):

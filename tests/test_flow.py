@@ -91,6 +91,25 @@ def test_max_time_not_converged(sphere):
         limit_point(traj, sphere.crits)
 
 
+def test_limit_point_rejects_an_id_missing_from_crits(sphere):
+    traj = integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
+                          sphere.cfg, crits=sphere.crits)
+    assert traj.terminal.critical_point_id == 0
+    with pytest.raises(NotConvergedError,
+                       match="captured id 0 is not in the supplied"):
+        limit_point(traj, sphere.crits[1:])
+
+
+def test_length_bound_needs_two_samples(sphere):
+    # captured at its start, the minimum: one sample
+    traj = integrate_flow(sphere.manifold, sphere.function,
+                          sphere.crits[0].location, sphere.cfg,
+                          crits=sphere.crits)
+    assert len(traj) == 1
+    with pytest.raises(FlowError, match="at least two samples"):
+        check_length_bound(traj, sphere.consts)
+
+
 @pytest.mark.parametrize("name", ["sphere", "torus", "clifford"])
 def test_trajectory_invariants(name, request):
     setup = request.getfixturevalue(name)

@@ -132,6 +132,12 @@ def test_row_norms_match_numpy_norm():
         rows = rng.standard_normal((200, n)) * 10.0 ** rng.integers(-3, 4)
         want = [np.linalg.norm(r) for r in rows]
         assert row_norms(rows).tolist() == want
+    # column-major rows, as `CompiledExpression.columns` returns them:
+    # the product of the transposed view sums in another order
+    for n in (4, 5, 9):
+        rows = rng.standard_normal((n, 20000)).T
+        want = [np.linalg.norm(r) for r in rows]
+        assert row_norms(rows).tolist() == want
 
 
 def test_float_norm_sums_left_to_right():

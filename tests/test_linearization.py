@@ -448,6 +448,16 @@ def test_fit_requires_convergence(sphere):
         fit_decay_rate(series, sphere.crits)
 
 
+def test_fit_rejects_a_limit_missing_from_crits(sphere):
+    series = integrate_variational(
+        sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
+        np.array([0.0, 1.0, 0.0]), sphere.cfg, crits=sphere.crits,
+    )
+    assert series.terminal.critical_point_id == 0
+    with pytest.raises(NotConvergedError, match="limit id missing"):
+        fit_decay_rate(series, sphere.crits[1:])
+
+
 def test_fit_rejects_saddle_limits(torus):
     # the inner-equator orbit is captured by the lower saddle (index 1)
     m, f = torus.manifold, torus.function

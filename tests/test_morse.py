@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,6 +284,26 @@ def test_geometric_constants_needs_samples(sphere, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             geometric_constants(sphere.manifold, sphere.function, crits,
                                 n_samples=n_samples)
+
+
+def test_geometric_constants_every_sample_in_a_ball(sphere):
+    # critical points at +-x for the one sample x: x is the centre of a
+    # ball of radius r / 2 = 1/2
+    m = sphere.manifold
+    x = m.sample_points(1, 0)[0]
+    crits = [SimpleNamespace(location=x), SimpleNamespace(location=-x)]
+    with pytest.raises(TooFewCriticalPointsError, match="critical ball"):
+        geometric_constants(m, sphere.function, crits, n_samples=1, seed=0)
+
+
+def test_geometric_constants_sample_where_f_raises(sphere):
+    # sqrt(x1 + 0.5) is undefined on the cap x1 < -0.5 of the sphere
+    m = sphere.manifold
+    f = parse("x3 + 0.1*sqrt(x1 + 0.5)", 3)
+    crits = [SimpleNamespace(location=np.array([0.0, 0.0, z]))
+             for z in (-1.0, 1.0)]
+    with pytest.raises(EvaluationError, match="sqrt"):
+        geometric_constants(m, f, crits, n_samples=200, seed=0)
 
 
 def test_classify_point_matches_census(sphere):

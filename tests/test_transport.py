@@ -311,6 +311,15 @@ def test_flow_invariance_defect_sphere(sphere):
     assert defect > 10.0 * 1e-3
 
 
+def test_flow_invariance_defect_refuses_negative_time(sphere):
+    x = np.array([1.0, 0.0, 0.0])
+    u = np.array([0.0, 1.0, 0.0])
+    v = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        flow_invariance_defect(sphere.manifold, sphere.function,
+                               x, u, v, -0.1, sphere.cfg)
+
+
 def test_flow_invariance_defect_zero_vector_is_degenerate(sphere):
     # a zero u stays zero along the flow; the pushed plane is refused
     # before anything divides by its length (a RuntimeWarning fails here)
@@ -400,3 +409,13 @@ def test_flatness_needs_a_sample(sphere):
     with pytest.raises(ValueError, match="sample_count"):
         flatness_test(sphere.manifold, sphere.function, sphere.crits,
                       sample_count=0, seed=0)
+
+
+def test_flatness_needs_a_surface():
+    # the unit circle is one-dimensional: no plane to take curvature of
+    circle = ImplicitManifold(2, [parse("x1^2 + x2^2 - 1", 2)])
+    f = parse("x1", 2)
+    crits = find_critical_points(circle, f, 20, seed=0)
+    assert len(crits) == 2 and not any(p.degenerate for p in crits)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        flatness_test(circle, f, crits, sample_count=2, seed=0)
