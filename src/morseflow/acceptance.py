@@ -5,7 +5,9 @@ tolerance and reports pass/fail with details; `run_all` is what the
 `check` CLI subcommand runs, and tests/test_acceptance.py runs each
 criterion alone. Scenario state (critical points, separation constants,
 flow configs) is shared across criteria through one lazily evaluated
-`catalog.ScenarioContext` per scenario.
+`catalog.ScenarioContext` per scenario. Every gate goes through one
+`_Gates` collector per run: a gate passes only when its comparison
+holds, so a nan metric fails.
 """
 
 import math
@@ -64,8 +66,35 @@ class CriterionResult:
         )
 
 
-def _c1_census(ctx):
-    failures = []
+class _Gates:
+    """The gates of one criterion run and the failures they collect.
+
+    A gate passes only when its comparison holds, so a nan value fails
+    every numeric gate. Each call returns whether the gate passed; a
+    failure line names what was measured, its value and its bound.
+    """
+
+    def __init__(self):
+        self.failures = []
+
+    def holds(self, condition, failure):
+        """Passes iff `condition` is true; else `failure` is recorded."""
+        if not condition:
+            self.failures.append(failure)
+        return bool(condition)
+
+    def below(self, what, value, bound):
+        """Passes iff value < bound."""
+        return self.holds(value < bound,
+                          f"{what} is {value:.3e}, must be < {bound:g}")
+
+    def within(self, what, value, bound):
+        """Passes iff value <= bound."""
+        return self.holds(value <= bound,
+                          f"{what} is {value:.3e}, must be <= {bound:g}")
+
+
+def _c1_census(ctx, gate):
     details = {}
     for name in ("sphere2", "torus_upright", "clifford"):
         start = time.perf_counter()
@@ -74,43 +103,30 @@ def _c1_census(ctx):
         exp = c.scenario.expected
         elapsed = time.perf_counter() - start
         details[name] = {"elapsed": elapsed, "count": len(crits)}
-        if len(crits) != len(exp.values):
-            failures.append(
-                f"{name}: found {len(crits)} critical points, expected "
-                f"{len(exp.values)}"
-            )
+        if not gate.holds(len(crits) == len(exp.values),
+                          f"{name}: found {len(crits)} critical points, "
+                          f"expected {len(exp.values)}"):
             continue
         for p, value, index, loc in zip(crits, exp.values, exp.indices,
                                         exp.locations):
-            if abs(p.value - value) > 1e-6:
-                failures.append(
-                    f"{name}: point {p.id} value {p.value} vs {value}"
-                )
-            if p.index != index:
-                failures.append(
-                    f"{name}: point {p.id} index {p.index} vs {index}"
-                )
-            if np.max(np.abs(p.location - np.array(loc))) > 1e-6:
-                failures.append(f"{name}: point {p.id} location mismatch")
+            point = f"{name}: point {p.id}"
+            gate.within(f"{point} value error", abs(p.value - value), 1e-6)
+            gate.holds(p.index == index,
+                       f"{point} index {p.index}, expected {index}")
+            gate.within(f"{point} location error",
+                        np.max(np.abs(p.location - np.array(loc))), 1e-6)
         for cid, lam in exp.lambda_min.items():
-            got = crits[cid].eigenvalues[0]
-            if abs(got - lam) > 1e-6:
-                failures.append(
-                    f"{name}: lambda_min at {cid} is {got}, expected {lam}"
-                )
+            gate.within(f"{name}: lambda_min error at {cid}",
+                        abs(crits[cid].eigenvalues[0] - lam), 1e-6)
         chi = crits.euler_characteristic()
-        if chi != exp.euler_characteristic:
-            failures.append(
-                f"{name}: Euler characteristic {chi} vs "
-                f"{exp.euler_characteristic}"
-            )
-        if elapsed > 10.0:
-            failures.append(f"{name}: census took {elapsed:.1f}s > 10s")
-    return failures, details
+        gate.holds(chi == exp.euler_characteristic,
+                   f"{name}: Euler characteristic {chi}, expected "
+                   f"{exp.euler_characteristic}")
+        gate.within(f"{name}: census time (s)", elapsed, 10.0)
+    return details
 
 
-def _c2_connectivity(ctx):
-    failures = []
+def _c2_connectivity(ctx, gate):
     details = {}
     for name in ("sphere2", "sphereM", "torus_upright", "clifford"):
         c = ctx[name]
@@ -120,28 +136,22 @@ def _c2_connectivity(ctx):
         connected, parts = check_connected(graph)
         pairs = [tuple(p) for p in graph.directed_pairs()]
         details[name] = {"directed_pairs": pairs, "connected": connected}
-        if not connected:
-            failures.append(f"{name}: graph disconnected, parts {parts}")
+        gate.holds(connected, f"{name}: graph disconnected, parts {parts}")
         edges = c.scenario.expected.directed_edges
         expected = sorted(tuple(e) for e in edges)
-        if pairs != expected:
-            failures.append(
-                f"{name}: edges {pairs} differ from oracle {expected}"
-            )
-        crit_by_id = {p.id: p for p in c.crits}
+        gate.holds(pairs == expected,
+                   f"{name}: edges {pairs} differ from oracle {expected}")
+        value = {p.id: p.value for p in c.crits}
         for e in graph.edges:
-            if crit_by_id[e.source].value <= crit_by_id[e.target].value:
-                failures.append(
-                    f"{name}: edge {e.source}->{e.target} does not drop f"
-                )
-    torus_pairs = details["torus_upright"]["directed_pairs"]
-    if (2, 1) not in torus_pairs:
-        failures.append("torus: saddle-to-saddle edge (2, 1) missing")
-    return failures, details
+            gate.holds(value[e.source] > value[e.target],
+                       f"{name}: edge {e.source}->{e.target} does not drop "
+                       f"f: {value[e.source]} -> {value[e.target]}")
+    gate.holds((2, 1) in details["torus_upright"]["directed_pairs"],
+               "torus_upright: saddle-to-saddle edge (2, 1) missing")
+    return details
 
 
-def _c3_flow_oracle(ctx):
-    failures = []
+def _c3_flow_oracle(ctx, gate):
     details = {}
     c = ctx["sphere2"]
     for t_end in (0.5, 1.0, 2.0):
@@ -151,13 +161,12 @@ def _c3_flow_oracle(ctx):
         )
         err = abs(traj.points[-1][2] + math.tanh(t_end))
         details[f"t={t_end}"] = err
-        if err >= 1e-6:
-            failures.append(f"z({t_end}) off closed form by {err:.2e}")
-    return failures, details
+        gate.below(f"sphere2: z({t_end}) error to the closed form", err,
+                   1e-6)
+    return details
 
 
-def _c4_length_bound(ctx):
-    failures = []
+def _c4_length_bound(ctx, gate):
     details = {}
     for name in ("sphere2", "sphereM", "torus_upright", "clifford"):
         c = ctx[name]
@@ -168,17 +177,14 @@ def _c4_length_bound(ctx):
                                   crits=c.crits)
             report = check_length_bound(traj, c.consts)
             n_segments += len(report.segments)
-            if not report.passed:
-                failures.append(
-                    f"{name} start {i}: length {report.lhs:.4f} exceeds "
-                    f"bound (rhs {report.rhs:.4f})"
-                )
+            gate.holds(report.passed,
+                       f"{name} start {i}: length {report.lhs:.4f} exceeds "
+                       f"bound (rhs {report.rhs:.4f})")
         details[name] = {"segments": n_segments}
-    return failures, details
+    return details
 
 
-def _c5_energy_ode(ctx):
-    failures = []
+def _c5_energy_ode(ctx, gate):
     details = {}
     runs = {
         "sphere2": ([1.0, 0.0, 0.0], np.array([0.0, 1.0, 0.0])),
@@ -195,13 +201,11 @@ def _c5_energy_ode(ctx):
         )
         residual = check_energy_ode(series, c.manifold, c.function)
         details[name] = residual
-        if residual >= 1e-2:
-            failures.append(f"{name}: energy residual {residual:.3e} >= 1e-2")
-    return failures, details
+        gate.below(f"{name}: energy residual", residual, 1e-2)
+    return details
 
 
-def _c6_decay_rates(ctx):
-    failures = []
+def _c6_decay_rates(ctx, gate):
     details = {}
     for name in ("sphere2", "torus_upright", "clifford"):
         c = ctx[name]
@@ -211,17 +215,15 @@ def _c6_decay_rates(ctx):
                 c.manifold, c.function, c.crits, c.cfg, seed=1000 + k
             )
             gaps.append(report.relative_gap)
-            if report.relative_gap >= 0.05:
-                failures.append(
-                    f"{name} run {k}: rate {report.c_fit:.6f} vs "
-                    f"{report.c_pred:.6f} (gap {report.relative_gap:.3f})"
-                )
-        details[name] = {"max_gap": max(gaps), "c_pred": report.c_pred}
-    return failures, details
+            gate.below(f"{name} run {k}: rate {report.c_fit:.6f} vs "
+                       f"{report.c_pred:.6f}, relative gap",
+                       report.relative_gap, 0.05)
+        details[name] = {"max_gap": float(np.max(gaps)),
+                         "c_pred": report.c_pred}
+    return details
 
 
-def _c7_basins(ctx):
-    failures = []
+def _c7_basins(ctx, gate):
     details = {}
     thresholds = {"sphere2": 0.999, "clifford": 0.999, "torus_upright": 0.995}
     for name, threshold in thresholds.items():
@@ -234,63 +236,59 @@ def _c7_basins(ctx):
             "unresolved": report.unresolved,
             "tally": report.tally,
         }
-        if report.minima_fraction < threshold:
-            failures.append(
-                f"{name}: minima fraction {report.minima_fraction:.4f} < "
-                f"{threshold}"
-            )
-        if sum(report.tally.values()) + report.unresolved != 2000:
-            failures.append(f"{name}: basin accounting broken")
-    return failures, details
+        gate.holds(report.minima_fraction >= threshold,
+                   f"{name}: minima fraction {report.minima_fraction:.4f}, "
+                   f"must be >= {threshold}")
+        accounted = sum(report.tally.values()) + report.unresolved
+        gate.holds(accounted == 2000,
+                   f"{name}: basin accounting {accounted} != 2000 starts")
+    return details
 
 
-def _c8_transport(ctx):
-    failures = []
+def _tangent_planes(m, count, seed):
+    """(x, u, v) at `count` sampled points x of M: u and v an orthonormal
+    pair of random tangent vectors at x. Points and vectors are drawn
+    from `seed`."""
+    rng = np.random.default_rng(seed)
+    for x in m.sample_points(count, seed=seed):
+        u = m.random_tangent(x, rng)
+        w = m.random_tangent(x, rng)
+        w = w - (w @ u) * u
+        yield x, u, w / np.linalg.norm(w)
+
+
+def _c8_transport(ctx, gate):
     details = {}
     for name in ("sphere2", "clifford"):
         c = ctx[name]
-        worst_drift = 0.0
-        for i, x0 in enumerate(c.manifold.sample_points(5, seed=77)):
+        drifts = []
+        for x0 in c.manifold.sample_points(5, seed=77):
             traj = integrate_flow(c.manifold, c.function, x0, c.cfg,
                                   crits=c.crits)
             frame = c.manifold.tangent_basis(traj.points[0])
-            moved = parallel_transport(c.manifold, traj, frame)
-            worst_drift = max(worst_drift, moved.gram_drift_max)
-        details[f"{name}_gram_drift"] = worst_drift
-        if worst_drift >= 1e-6:
-            failures.append(f"{name}: Gram drift {worst_drift:.2e} >= 1e-6")
+            drifts.append(
+                parallel_transport(c.manifold, traj, frame).gram_drift_max
+            )
+        worst = details[f"{name}_gram_drift"] = float(np.max(drifts))
+        gate.below(f"{name}: Gram drift", worst, 1e-6)
 
-    c = ctx["sphere2"]
-    rng = np.random.default_rng(88)
-    worst = 0.0
-    for x in c.manifold.sample_points(50, seed=88):
-        u = c.manifold.random_tangent(x, rng)
-        w = c.manifold.random_tangent(x, rng)
-        w = w - (w @ u) * u
-        v = w / np.linalg.norm(w)
-        sect = sectional_value(holonomy_curvature(c.manifold, x, u, v))
-        worst = max(worst, abs(sect - 1.0))
-    details["sphere_sectional_worst"] = worst
-    if worst >= 0.05:
-        failures.append(f"sphere sectional curvature off by {worst:.3f}")
+    m = ctx["sphere2"].manifold
+    worst = details["sphere_sectional_worst"] = float(np.max([
+        abs(sectional_value(holonomy_curvature(m, x, u, v)) - 1.0)
+        for x, u, v in _tangent_planes(m, 50, 88)
+    ]))
+    gate.below("sphere2: sectional curvature error", worst, 0.05)
 
-    c = ctx["clifford"]
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for x in c.manifold.sample_points(20, seed=99):
-        u = c.manifold.random_tangent(x, rng)
-        w = c.manifold.random_tangent(x, rng)
-        w = w - (w @ u) * u
-        v = w / np.linalg.norm(w)
-        worst = max(worst, holonomy_curvature(c.manifold, x, u, v).norm)
-    details["clifford_curvature_worst"] = worst
-    if worst >= 1e-3:
-        failures.append(f"clifford curvature norm {worst:.2e} >= 1e-3")
-    return failures, details
+    m = ctx["clifford"].manifold
+    worst = details["clifford_curvature_worst"] = float(np.max([
+        holonomy_curvature(m, x, u, v).norm
+        for x, u, v in _tangent_planes(m, 20, 99)
+    ]))
+    gate.below("clifford: curvature norm", worst, 1e-3)
+    return details
 
 
-def _c9_flatness(ctx):
-    failures = []
+def _c9_flatness(ctx, gate):
     details = {}
     reports = {}
     for name in ("sphere2", "clifford"):
@@ -305,20 +303,17 @@ def _c9_flatness(ctx):
             "lie_derivative_max": report.lie_derivative_max,
             "consistent": report.consistent,
         }
-        if not report.consistent:
-            failures.append(f"{name}: flatness consistency violated")
+        gate.holds(report.consistent,
+                   f"{name}: flatness consistency violated")
     floor = reports["clifford"].floor
-    if reports["sphere2"].lie_derivative_max <= 10.0 * floor:
-        failures.append(
-            "sphere: Lie derivative max "
-            f"{reports['sphere2'].lie_derivative_max:.3e} not above "
-            f"10 x floor {floor}"
-        )
-    return failures, details
+    lie = reports["sphere2"].lie_derivative_max
+    gate.holds(lie > 10.0 * floor,
+               f"sphere2: Lie derivative max {lie:.3e}, must be > 10 x "
+               f"clifford floor {floor}")
+    return details
 
 
-def _c10_constancy(ctx):
-    failures = []
+def _c10_constancy(ctx, gate):
     details = {}
     c = ctx["sphere2"]
     graph = build_connection_graph(c.manifold, c.function, c.crits, c.cfg)
@@ -328,25 +323,23 @@ def _c10_constancy(ctx):
             "applicable": verdict.applicable,
             "constant": verdict.constant,
         }
-        if not (verdict.applicable and verdict.constant):
-            failures.append(f"field {text!r} should be certified constant")
+        gate.holds(verdict.applicable and verdict.constant,
+                   f"sphere2: field {text!r} should be certified constant")
     verdict = propagate_constancy(graph, [parse("x3", 3)])
     details["x3"] = {
         "applicable": verdict.applicable,
         "max_violation": verdict.max_violation,
     }
-    if verdict.applicable:
-        failures.append("field 'x3' wrongly passed the along-flow test")
-    else:
+    if gate.holds(not verdict.applicable,
+                  "sphere2: field 'x3' wrongly passed the along-flow test"):
         witness = np.array(verdict.witness["point"])
-        if not c.manifold.is_on_manifold(witness, tol=1e-8):
-            failures.append("constancy witness point is off the manifold")
-        if verdict.max_violation < 0.5:
-            failures.append(
-                f"witness violation {verdict.max_violation:.3f} suspiciously "
-                "small for the height field"
-            )
-    return failures, details
+        gate.holds(c.manifold.is_on_manifold(witness, tol=1e-8),
+                   "sphere2: constancy witness point is off the manifold "
+                   "(tol 1e-8)")
+        gate.holds(verdict.max_violation >= 0.5,
+                   f"sphere2: witness violation {verdict.max_violation:.3f} "
+                   "of the height field, must be >= 0.5")
+    return details
 
 
 def _random_expression(rng, n, depth):
@@ -411,13 +404,12 @@ def _fd_reference(expr, x):
     return g2, h2
 
 
-def _c11_infrastructure(ctx):
-    failures = []
+def _c11_infrastructure(ctx, gate):
     details = {}
 
     rng = np.random.default_rng(42)
     checked = 0
-    worst = 0.0
+    errors = []
     while checked < 100:
         n = int(rng.integers(2, 5))
         expr = _random_expression(rng, n, depth=5)
@@ -442,15 +434,12 @@ def _c11_infrastructure(ctx):
             continue
         checked += 1
         for jet, grad_fd, hess_fd in points:
-            gerr = _floored_rel(jet.gradient, grad_fd)
-            herr = _floored_rel(jet.hessian, hess_fd)
-            worst = max(worst, gerr, herr)
-            if gerr > 1e-4 or herr > 1e-4:
-                failures.append(
-                    f"AD/FD mismatch {max(gerr, herr):.2e} on a random "
-                    "expression"
-                )
-    details["ad_fd_worst"] = worst
+            for what, ad, fd in (("gradient", jet.gradient, grad_fd),
+                                 ("Hessian", jet.hessian, hess_fd)):
+                errors.append(_floored_rel(ad, fd))
+                gate.within(f"AD/FD {what} mismatch on a random expression",
+                            errors[-1], 1e-4)
+    details["ad_fd_worst"] = float(np.max(errors))
     details["ad_fd_expressions"] = checked
 
     c = ctx["sphere2"]
@@ -459,8 +448,8 @@ def _c11_infrastructure(ctx):
         c.manifold, c.function, [1.0, 0.0, 0.0], v0,
         c.cfg.replace(t_max=0.5), crits=c.crits,
     )
-    if not np.array_equal(series.vectors[0], v0):
-        failures.append("pushforward at t=0 is not bitwise the input vector")
+    gate.holds(np.array_equal(series.vectors[0], v0),
+               "sphere2: pushforward at t=0 is not bitwise the input vector")
 
     t1, t2 = 0.7, 0.6
     leg1 = integrate_flow(c.manifold, c.function, [1.0, 0.0, 0.0],
@@ -471,8 +460,7 @@ def _c11_infrastructure(ctx):
                            c.cfg.replace(t_max=t1 + t2), crits=c.crits)
     gap = float(np.linalg.norm(leg2.points[-1] - joint.points[-1]))
     details["semigroup_gap"] = gap
-    if gap >= 1e-6:
-        failures.append(f"semigroup property violated by {gap:.2e}")
+    gate.below("sphere2: semigroup gap", gap, 1e-6)
 
     import contextlib
     import filecmp
@@ -488,14 +476,13 @@ def _c11_infrastructure(ctx):
                     "critical-points", "--scenario", "sphere2",
                     "--seed", "0", "--out", out,
                 ])
-            if code != 0:
-                failures.append(f"cli critical-points exited {code}")
+            gate.holds(code == 0,
+                       f"sphere2: cli critical-points exited {code}")
         same = filecmp.cmp(f"{out_a}/critical_points.json",
                            f"{out_b}/critical_points.json", shallow=False)
         details["rerun_identical"] = same
-        if not same:
-            failures.append("repeated runs produced different bytes")
-    return failures, details
+        gate.holds(same, "sphere2: repeated runs produced different bytes")
+    return details
 
 
 CRITERIA = (
@@ -532,17 +519,15 @@ def _criterion(number):
 def run_criterion(number, contexts=None):
     _, name, budget, fn = _criterion(number)
     contexts = contexts if contexts is not None else make_contexts()
+    gate = _Gates()
     start = time.perf_counter()
-    failures, details = fn(contexts)
+    details = fn(contexts, gate)
     elapsed = time.perf_counter() - start
-    if elapsed > budget:
-        failures = list(failures) + [
-            f"runtime {elapsed:.1f}s exceeded budget {budget:.0f}s"
-        ]
+    gate.within("runtime (s)", elapsed, budget)
     return CriterionResult(
-        number=number, name=name, passed=not failures,
+        number=number, name=name, passed=not gate.failures,
         elapsed=elapsed, budget=budget,
-        failures=list(failures), details=details,
+        failures=gate.failures, details=details,
     )
 
 

@@ -200,10 +200,16 @@ class ConstancyVerdict:
 def propagate_constancy(graph, field):
     """Check a vector field for constancy through the connection graph.
 
-    Step one verifies that every component has a derivative along the
-    projected gradient of at most CONSTANCY_TOL at CONSTANCY_SAMPLES
-    samples (seed 0), from exact gradients. Step two compares the field
-    values at all critical points and witness-orbit endpoints.
+    Step one takes each component's derivative along the projected
+    gradient (from exact gradients) at CONSTANCY_SAMPLES samples (seed
+    0); the field is applicable only if the largest absolute derivative
+    is at most CONSTANCY_TOL, and the witness is the first sample and
+    component where it is largest, or the first nan. Step two takes each
+    component's values at all critical points and witness-orbit end
+    points; the field is constant only if the largest max - min is at
+    most CONSTANCY_TOL, and the witness is that component's probes with
+    the first smallest and the first largest value, in probe order. A
+    nan derivative or value fails its step.
     """
     connected, parts = check_connected(graph)
     if not connected:
@@ -213,50 +219,43 @@ def propagate_constancy(graph, field):
     m = graph.manifold
     components = [compile_expression(expr, m.ambient_dim) for expr in field]
     samples = m.sample_points(CONSTANCY_SAMPLES, 0)
-    worst = 0.0
-    worst_witness = None
+    rows = []
     for x in samples:
         flow_dir = m.riemannian_gradient(graph.function, x).vec
-        for ci, comp in enumerate(components):
-            violation = abs(float(comp.gradient(x) @ flow_dir))
-            if violation > worst:
-                worst = violation
-                worst_witness = {
-                    "point": x.tolist(),
-                    "component": ci,
-                    "violation": violation,
-                }
-    if worst > CONSTANCY_TOL:
+        rows.append([comp.gradient(x) @ flow_dir for comp in components])
+    violations = np.abs(rows)
+    i, ci = np.unravel_index(np.argmax(violations), violations.shape)
+    worst = float(violations[i, ci])
+    if not worst <= CONSTANCY_TOL:
         return ConstancyVerdict(
             applicable=False,
             constant=None,
             max_violation=worst,
             max_deviation=None,
-            witness=worst_witness,
+            witness={"point": samples[i].tolist(), "component": int(ci),
+                     "violation": worst},
         )
 
     probes = [("critical_point", p.id, p.location) for p in graph.crits]
     for e in graph.edges:
         probes.append(("orbit_start", (e.source, e.target), e.witness.start))
         probes.append(("orbit_end", (e.source, e.target), e.witness.end))
-    max_dev = 0.0
-    pair = None
-    for ci, comp in enumerate(components):
-        values = [(label, key, comp.value(x)) for label, key, x in probes]
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                dev = abs(values[i][2] - values[j][2])
-                if dev > max_dev:
-                    max_dev = dev
-                    pair = {
-                        "component": ci,
-                        "a": values[i][:2] + (values[i][2],),
-                        "b": values[j][:2] + (values[j][2],),
-                    }
+    values = np.array([[comp.value(x) for _, _, x in probes]
+                       for comp in components])
+    deviations = values.max(axis=1) - values.min(axis=1)
+    ci = int(np.argmax(deviations))
+    max_dev = float(deviations[ci])
+    pair = {}
+    if max_dev != 0.0:
+        row = values[ci]
+        a, b = sorted((int(np.argmax(row)), int(np.argmin(row))))
+        pair = {"component": ci,
+                "a": probes[a][:2] + (float(row[a]),),
+                "b": probes[b][:2] + (float(row[b]),)}
     return ConstancyVerdict(
         applicable=True,
         constant=max_dev <= CONSTANCY_TOL,
         max_violation=worst,
         max_deviation=max_dev,
-        witness=pair or {},
+        witness=pair,
     )

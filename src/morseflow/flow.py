@@ -220,11 +220,14 @@ def _capture(point, norm, crits, cfg):
     """Terminal at an accepted point, or None while the flow goes on.
 
     The point (floats or an array) becomes an array only once the
-    gradient norm is below the capture threshold.
+    gradient norm is below the capture threshold. A nan norm raises
+    FlowError naming the point.
     """
     if norm >= cfg.capture_grad_tol:
         return None
     point = np.asarray(point)
+    if math.isnan(norm):
+        raise FlowError(f"projected gradient is nan at {point.tolist()}")
     for crit in crits:
         if np.linalg.norm(point - crit.location) < cfg.capture_radius:
             return Terminal("converged", crit.id)

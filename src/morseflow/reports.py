@@ -13,11 +13,15 @@ import tempfile
 
 import numpy as np
 
+from .errors import MorseflowError
+
 
 def format_float(x):
     x = float(x)
     if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinite values")
+        raise MorseflowError(
+            f"reports must not contain NaN or infinite values, got {x}"
+        )
     return format(x, ".17g")
 
 

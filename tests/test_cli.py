@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from morseflow import cli
+from morseflow import cli, reports
+from morseflow.errors import MorseflowError
 from morseflow.linearization import run_decay
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
@@ -384,3 +385,62 @@ def test_check_runs_the_selected_criterion(capsys):
     assert lines[0].startswith("[ 3/11] flow closed form")
     assert "PASS" in lines[0]
     assert lines[1] == "acceptance: PASS"
+
+
+def _sphere_config(tmp_path, function):
+    cfg = tmp_path / "sphere.cfg"
+    cfg.write_text(
+        "ambient_dim = 3\n"
+        "constraint.1 = x1^2 + x2^2 + x3^2 - 1\n"
+        f"function = {function}\n"
+        "bounding_box = -1.2 1.2\n"
+        "seed = 0\n"
+    )
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical-points"],
+    ["flow", "--from", "0.6,0,0.8"],
+], ids=["critical_points", "flow"])
+def test_non_finite_report_value_exits_1(argv, tmp_path, capsys):
+    # f is x3 plus a constant nan: the census and the flow run, and the
+    # report refuses the nan values of f
+    cfg = _sphere_config(tmp_path, "x3 + (1e308 * 1e308 - 1e308 * 1e308)")
+    code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: reports must not contain NaN or infinite values, got nan\n")
+
+
+def test_nan_projected_gradient_exits_1(tmp_path, capsys):
+    # d/dx1 of x1 * 1e308 * 1e308 is inf, so P grad f is nan everywhere;
+    # the first start raises instead of counting as a stall
+    cfg = _sphere_config(tmp_path,
+                         "x3 + x1 * 1e308 * 1e308 - x1 * 1e308 * 1e308")
+    code = cli.main(["basin", "--config", cfg, "--samples", "5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: projected gradient is nan at [")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "basin.json").exists()
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, "null"), ([], "[]"), ({}, "{}"), ((), "[]"),
+    ({"a": []}, '{\n  "a": []\n}'), (np.array([1.5]), "[\n  1.5\n]"),
+])
+def test_render_json_edge_values(value, text):
+    assert reports.render_json(value) == text
+
+
+def test_render_json_refuses_other_types():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        reports.render_json({"a": {1}})
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_format_float_refuses_non_finite_values(value):
+    with pytest.raises(MorseflowError, match="NaN or infinite"):
+        reports.format_float(value)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from morseflow import (
     parse,
     propagate_constancy,
 )
-from morseflow.connectivity import ConnectionGraph
+from morseflow.connectivity import CONSTANCY_SAMPLES, ConnectionGraph
 from morseflow.errors import (
     DisconnectedGraphError,
     FlowError,
@@ -222,3 +224,49 @@ def test_vector_field_components(sphere):
         graph, [parse("2", 3), parse("x1^2 + x2^2 + x3^2 - 3", 3)]
     )
     assert verdict.applicable and verdict.constant
+
+
+def test_constancy_nan_derivative_is_not_applicable(sphere):
+    # d/dx1 of x1 * 1e308 * 1e308 is inf, so every along-flow derivative
+    # is nan: the field is not applicable, and the witness is the first
+    # sample
+    graph = build_connection_graph(sphere.manifold, sphere.function,
+                                   sphere.crits, sphere.cfg)
+    verdict = propagate_constancy(
+        graph, [parse("1", 3),
+                parse("x1 * 1e308 * 1e308 - x1 * 1e308 * 1e308", 3)])
+    assert not verdict.applicable
+    assert verdict.constant is None
+    assert math.isnan(verdict.max_violation)
+    first = sphere.manifold.sample_points(CONSTANCY_SAMPLES, 0)[0]
+    assert verdict.witness["point"] == first.tolist()
+    assert verdict.witness["component"] == 1
+    assert math.isnan(verdict.witness["violation"])
+
+
+def test_constancy_nan_value_is_not_constant(sphere):
+    # a nan constant has a zero gradient, so the field is applicable, but
+    # its values do not agree
+    graph = build_connection_graph(sphere.manifold, sphere.function,
+                                   sphere.crits, sphere.cfg)
+    verdict = propagate_constancy(
+        graph, [parse("1", 3), parse("1e308 * 1e308 - 1e308 * 1e308", 3)])
+    assert verdict.applicable
+    assert verdict.constant is False
+    assert math.isnan(verdict.max_deviation)
+    assert verdict.witness["component"] == 1
+
+
+def test_constancy_witness_spans_the_deviation(sphere):
+    # x1 / 1e9 passes the along-flow test on the sphere; the witness is
+    # the first pair of probes holding the smallest and largest value
+    graph = build_connection_graph(sphere.manifold, sphere.function,
+                                   sphere.crits, sphere.cfg)
+    verdict = propagate_constancy(graph, [parse("x1 / 1e9", 3)])
+    assert verdict.applicable and verdict.constant
+    a, b = verdict.witness["a"][2], verdict.witness["b"][2]
+    assert abs(a - b) == verdict.max_deviation > 0.0
+    values = [p.location[0] / 1e9 for p in graph.crits]
+    for e in graph.edges:
+        values += [e.witness.start[0] / 1e9, e.witness.end[0] / 1e9]
+    assert sorted((a, b)) == [min(values), max(values)]

@@ -1227,3 +1227,27 @@ def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
             FlowError, underflow)
     with pytest.raises(FlowError, match=underflow):
         integrate_flow(m, field.function, x0)
+
+
+def test_nan_projected_gradient_raises_instead_of_stalling(sphere):
+    # d/dx1 of x1 * 1e308 * 1e308 is inf, so P grad f is nan at the
+    # start; a nan norm is not below the capture threshold, and used to
+    # end the flow as Stalled after one sample
+    f = parse("x3 + x1 * 1e308 * 1e308 - x1 * 1e308 * 1e308", 3)
+    with pytest.raises(FlowError,
+                       match=r"projected gradient is nan at \[0\.6, 0\.0, 0\.8\]"):
+        integrate_flow(sphere.manifold, f, [0.6, 0.0, 0.8])
+
+
+@pytest.mark.parametrize("norm, kind", [
+    (1e-3, None), (0.0, "stalled"), (math.inf, None), (math.nan, "raises"),
+])
+def test_capture_at_each_norm(norm, kind):
+    cfg = FlowConfig()
+    point = [0.6, 0.0, 0.8]
+    if kind == "raises":
+        with pytest.raises(FlowError, match="nan at"):
+            _capture(point, norm, [], cfg)
+    else:
+        terminal = _capture(point, norm, [], cfg)
+        assert (terminal and terminal.kind) == kind
