@@ -46,6 +46,7 @@ from .transport import (
     holonomy_curvature,
     parallel_transport,
     sectional_value,
+    tangent_plane,
 )
 
 @dataclass
@@ -251,10 +252,7 @@ def _tangent_planes(m, count, seed):
     from `seed`."""
     rng = np.random.default_rng(seed)
     for x in m.sample_points(count, seed=seed):
-        u = m.random_tangent(x, rng)
-        w = m.random_tangent(x, rng)
-        w = w - (w @ u) * u
-        yield x, u, w / np.linalg.norm(w)
+        yield x, *tangent_plane(m, x, rng)
 
 
 def _c8_transport(ctx, gate):

@@ -18,6 +18,7 @@ from .errors import (
     StalledTrajectoryError,
 )
 from .flow import FlowConfig, flow_terminals, integrate_flow, unstable_seeds
+from .morse import VALUE_TIE_TOL
 from .symbolics import compile_expression
 
 CONSTANCY_SAMPLES = 500
@@ -83,6 +84,9 @@ def build_connection_graph(m, f, crits, cfg=None, eps=1e-4):
 
     Aborts with StalledTrajectoryError when any witness stalls (an
     unregistered critical point: re-run the search with more starts).
+    f strictly decreases along every orbit of a Morse function, so an
+    edge whose drop in f is at most the census's VALUE_TIE_TOL (a
+    self-loop among them) raises NonMorseError naming both points.
     Identical (source, target) pairs are kept as separate witnesses;
     edge order is deterministic.
     """
@@ -93,6 +97,7 @@ def build_connection_graph(m, f, crits, cfg=None, eps=1e-4):
             "would not certify anything"
         )
     cfg = cfg or FlowConfig()
+    value = {q.id: q.value for q in crits}
     edges = []
     for p in sorted(crits, key=lambda q: q.id):
         if p.index == 0:
@@ -110,10 +115,17 @@ def build_connection_graph(m, f, crits, cfg=None, eps=1e-4):
                     f"witness orbit from critical point {p.id} hit t_max "
                     "before capture; raise t_max"
                 )
+            target = traj.terminal.critical_point_id
+            if not value[p.id] - value[target] > VALUE_TIE_TOL:
+                raise NonMorseError(
+                    f"witness edge {p.id} -> {target} does not descend: f "
+                    f"{value[p.id]!r} -> {value[target]!r}, a drop of at "
+                    f"most {VALUE_TIE_TOL:g}"
+                )
             edges.append(
                 OrbitEdge(
                     source=p.id,
-                    target=traj.terminal.critical_point_id,
+                    target=target,
                     eigendirection=seed.eigendirection,
                     side=seed.side,
                     witness=traj,

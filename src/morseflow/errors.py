@@ -39,7 +39,8 @@ class RetractionError(GeometryError):
 
 
 class NotCriticalError(MorseflowError):
-    """A point claimed critical fails the projected-gradient test."""
+    """A point claimed critical fails the projected-gradient test, or f
+    is not finite there: a critical point needs a finite f."""
 
 
 class TooFewCriticalPointsError(MorseflowError):

@@ -523,8 +523,8 @@ def integrate_flow(m, f, x0, cfg=None, direction="forward", crits=None):
     terminal, stats, times, points, gnorms = _cash_karp(
         field, sign, xs, cfg or FlowConfig(), crits)
     f_vals = [field.f_value(p) for p in points]
-    stats.monotone = not any(
-        sign * (b - a) < -1e-12 for a, b in zip(f_vals, f_vals[1:])
+    stats.monotone = all(
+        sign * (b - a) >= -1e-12 for a, b in zip(f_vals, f_vals[1:])
     )
     return Trajectory(
         times=np.array(times),

@@ -130,9 +130,12 @@ def _intrinsic_hessian_with_basis(m, f, location):
 
 
 def classify_point(m, f, location):
-    """CriticalPoint record (spectrum, index, margin), id -1 until a census."""
+    """CriticalPoint record (spectrum, index, margin), id -1 until a census.
+    A point where f is not finite raises NotCriticalError."""
     location = np.asarray(location, dtype=float)
     hess, basis, gnorm, value = _intrinsic_hessian_with_basis(m, f, location)
+    if not np.isfinite(value):
+        raise NotCriticalError(f"f is {value} at {location}")
     eigvals, eigvecs = jacobi_eigh(hess)
     vectors = tuple(
         TangentVector(location, basis.T @ eigvecs[:, j])
@@ -175,8 +178,8 @@ def _kkt_step(kkt, rhs):
 def _multipliers(m, f, x):
     """The multipliers of f at the rows of x, a C-contiguous (N, k)
     array, from one `columns` call of the field kernel's
-    `value_and_grad`: each row the point call's lam bits (where numpy
-    agrees with `math`), nan where that call raises."""
+    `value_and_grad`: each row the point call's lam bits, nan where that
+    call raises."""
     kernel = compile_expression(f, m.ambient_dim, m.constraints)
     rows = kernel.columns("value_and_grad", x.T)[0]
     return np.ascontiguousarray(rows[:, 1 + m.ambient_dim:])
@@ -398,18 +401,14 @@ def geometric_constants(m, f, crits, n_samples=2000, seed=0):
 
 
 def _gradient_floor(m, f, samples):
-    """min |P grad f| over the samples (rows), as riemannian_gradient's norm.
-
-    One `columns` call of the field kernel over all samples finds the
-    candidates, every sample within 1e-9 relative of the batched minimum;
-    those few are recomputed with riemannian_gradient, whose bits can
-    differ from the batch's by some ulps. The first sample where the
-    kernel raises raises its error through riemannian_gradient.
+    """min |P grad f| over the samples (rows), with the bits of
+    riemannian_gradient's norm: `row_norms` of the gradients from one
+    `columns` call of the field kernel, each row the point call's bits.
+    The first sample where the kernel raises raises its error through
+    riemannian_gradient.
     """
     kernel = compile_expression(f, m.ambient_dim, m.constraints)
     rows, failed = kernel.columns("value_and_grad", samples.T.copy())
     if failed.any():
         m.riemannian_gradient(f, samples[np.argmax(failed)])  # raises
-    norms = row_norms(rows[:, 1:1 + m.ambient_dim])
-    close = np.flatnonzero(norms <= (1.0 + 1e-9) * np.min(norms))
-    return min(m.riemannian_gradient(f, samples[i]).norm() for i in close)
+    return float(np.min(row_norms(rows[:, 1:1 + m.ambient_dim])))

@@ -81,14 +81,15 @@ and after y5 the map's `first_lines`, the lines of `_gn`'s first
 iterate, with the constraint values that its convergence test reads.
 
 The sources of `value`, `value_and_grad` and `kkt` are each compiled
-once and executed twice: with the `math` functions for one
-point given as floats, and with their numpy ufuncs for many points given
-as coordinate columns. The numpy twin runs only in
-`CompiledExpression.columns`, the one call for many points: where numpy
-raises for some column, every column is re-run as one point, so each has
-its point's bits and a failure flags only its own column. The arithmetic
-is the same elementwise, so the twin gives the point's bits where `math`
-and numpy agree.
+once and executed twice: with the `math` functions and the builtin `pow`
+for one point given as floats, and for many points given as coordinate
+columns with numpy's sin, cos and sqrt, which give `math`'s bits (a test
+pins them on fixed values), and with `math.exp` and `pow` run on each
+entry's Python float, where numpy's exp and power would not. The numpy
+twin runs only in `CompiledExpression.columns`, the one call for many
+points: where it raises for some column, every column is re-run as one
+point, so a failure flags only its own column. The arithmetic is the
+same elementwise, so every row has its point's bits.
 """
 
 import functools
@@ -100,8 +101,23 @@ import numpy as np
 from ..errors import EvaluationError, RankDeficiencyError
 from .expr import Binary, Const, Power, Unary, Var, max_variable_index, to_string
 
-_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
-_ARRAY_NAMESPACE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+
+def _entrywise(fn):
+    """fn on the Python float of each entry of a column array (on a float
+    as it is), as the point call runs it."""
+    def each(a, *args):
+        if isinstance(a, np.ndarray):
+            return np.array([fn(v, *args) for v in a.tolist()])
+        return fn(a, *args)
+    return each
+
+
+_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "sqrt": math.sqrt, "pow": pow}
+# numpy's sin, cos and sqrt give `math`'s bits (a test pins them on fixed
+# values); its exp and power do not, so those run per entry.
+_ARRAY_NAMESPACE = {"sin": np.sin, "cos": np.cos, "exp": _entrywise(math.exp),
+                    "sqrt": np.sqrt, "pow": _entrywise(pow)}
 # Integer powers up to this magnitude are product chains (see `_pow`).
 _CHAIN_MAX = 4
 # What `math` raises for one point and numpy, under np.errstate, for columns.
@@ -370,19 +386,21 @@ def _paren(text):
 def _pow(a, k):
     """Source of a ** k: a ** 0 is 1.0, and for |k| <= _CHAIN_MAX one
     product chain a * a * ... * a, multiplied from the left, with
-    1.0 / (chain) for k < 0. A larger k stays a power, which raises
-    OverflowError where a chain would give inf.
+    1.0 / (chain) for k < 0. A larger k is the call pow(a, k), which
+    raises OverflowError where a chain would give inf: for one point the
+    builtin, whose bits and errors are those of a ** k, and for columns
+    the same builtin on each entry.
 
     Python's float power (libm pow) and numpy's power of columns differ
     in the last bit for some k and a (for a in (0.5, 3), pow(a, 2) and
     a * a on about 0.08% of doubles, numpy's power and the chain for
-    k = 3, 4, -2 and -3 on about 5%), so only the chain gives points and
-    columns the same bits.
+    k = 3, 4, -2 and -3 on about 5%), so the chain, or pow on each
+    entry, gives points and columns the same bits.
     """
     if k == 0:
         return "1.0"
     if abs(k) > _CHAIN_MAX:
-        return f"{a} ** {k}"
+        return f"pow({a}, {k})"
     chain = " * ".join([a] * abs(k))
     return f"1.0 / {_paren(chain)}" if k < 0 else chain
 
@@ -439,7 +457,7 @@ def _names(prefix, count):
 _NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _RAISES = re.compile(r"/|\*\*|\w\(")
 # One token: a name, or a literal as `_const` writes it, a negative one in
-# parentheses (of a bare -2.0, `_pow` would write -2.0 ** 6).
+# parentheses.
 _LITERAL = re.compile(r"[\d.]+(e[+-]\d+)?|\(-[\d.]+(e[+-]\d+)?\)")
 _TOKEN = re.compile(rf"[A-Za-z_]\w*|{_LITERAL.pattern}")
 
@@ -529,10 +547,10 @@ def _field_code(f, constraints, n, vectors=0):
 
 
 def prefixed(text, prefix, names=None):
-    """Generated source with every name but the `math` functions
-    prefixed, or replaced by its entry in `names`, so that lines of one
-    generated function can be inlined in another, several times, without
-    their locals meeting."""
+    """Generated source with every name but the point namespace's
+    functions (`math`'s and `pow`) prefixed, or replaced by its entry in
+    `names`, so that lines of one generated function can be inlined in
+    another, several times, without their locals meeting."""
     names = names or {}
     return _NAME.sub(lambda m: m[0] if m[0] in _NAMESPACE
                      else names.get(m[0], prefix + m[0]), text)
@@ -774,8 +792,9 @@ class CompiledExpression:
         columns at once with division by zero, invalid operations and
         overflow raised. If numpy raises, every column is re-run as one
         point, so each row has the point call's bits and a failed row is
-        nan; otherwise a row has the point call's bits where `math` and
-        numpy agree.
+        nan; otherwise each row has the point call's bits too, as the twin
+        runs exp and the powers above _CHAIN_MAX per entry on Python
+        floats.
         """
         point, twin = self._kkt_pair() if name == "kkt" else self._pairs[name]
         params = [*x, *(row for block in args for row in block)]

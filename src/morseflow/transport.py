@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowError, NonMorseError
+from .errors import FlowError, NonMorseError, RankDeficiencyError
 from .flow import FlowConfig
 from .linalg import operator_norm, polar_function
 from .linearization import integrate_variational_multi
@@ -63,12 +63,13 @@ def _transport_polyline(m, points, frame, max_substep):
     """Transport `frame` along retracted chords through `points`.
 
     Points are lists of floats and the frame is d * n floats, row after
-    row. Returns (frame at the end, worst per-substep bias), on floats.
-    Long gaps are subdivided so each substep chord stays below
-    max_substep. A substep moves the rows from T_a M to T_b M through the
-    retracted chord midpoint, projecting them there and at b with one
-    call of the map's row projection each, then takes the polar factor
-    (`polar_function`).
+    row. Returns (the frame at every point, the given frame first, each
+    a flat list of floats; the largest substep bias, 0.0 for a path
+    without a substep). Long gaps are subdivided so each substep chord
+    stays below max_substep. A substep moves the rows from T_a M to T_b M
+    through the retracted chord midpoint, projecting them there and at b
+    with one call of the map's row projection each, then takes the polar
+    factor (`polar_function`).
 
     Retractions are the checked `m._gauss_newton(y, None)`, which raises
     the named error. The projections call the map's unchecked
@@ -79,12 +80,10 @@ def _transport_polyline(m, points, frame, max_substep):
     retract = m._gauss_newton
     rows = m._map.rows_function(d)
     polar = polar_function(d, m.ambient_dim)
-    worst = 0.0
+    frames, biases = [frame], []
     for a, b in zip(points[:-1], points[1:]):
         gap = math.dist(a, b)
-        if gap == 0.0:
-            continue
-        pieces = max(1, int(math.ceil(gap / max_substep)))
+        pieces = max(1, int(math.ceil(gap / max_substep))) if gap else 0
         prev = a
         for s in range(1, pieces + 1):
             target = (b if s == pieces
@@ -96,18 +95,20 @@ def _transport_polyline(m, points, frame, max_substep):
                 project = m._map.project_rows
                 project(target, project(mid, frame))  # raises its error
             frame, bias = polar(*projected)
-            worst = max(worst, bias)
+            biases.append(bias)
             prev = target
-    return frame, worst
+        frames.append(frame)
+    return frames, float(np.max(biases)) if biases else 0.0
 
 
 def parallel_transport(m, traj, frame0):
     """Transport an orthonormal tangent frame along a trajectory.
 
     frame0 has dim rows, orthonormal and tangent at the trajectory
-    start. The returned frames sit at every trajectory sample; inner
-    products are preserved by construction and the pre-correction bias
-    is logged.
+    start. One `_transport_polyline` pass over the samples gives the
+    frame at every sample; inner products are preserved by construction,
+    and the largest deviation of a frame's Gram matrix from I and the
+    largest pre-correction bias are logged.
     """
     frame0 = np.asarray(frame0, dtype=float)
     start = traj.points[0]
@@ -116,24 +117,15 @@ def parallel_transport(m, traj, frame0):
         raise ValueError("frame0 is not orthonormal")
     if not np.max(np.abs(m.constraint_jacobian(start) @ frame0.T)) <= 1e-7:
         raise ValueError("frame0 is not tangent at the trajectory start")
-    frames = [frame0]
-    worst_bias = 0.0
-    gram_drift = float(np.max(np.abs(frame0 @ frame0.T - np.eye(len(frame0)))))
-    points = traj.points.tolist()
-    current = frame0.ravel().tolist()
-    for a, b in zip(points[:-1], points[1:]):
-        current, bias = _transport_polyline(m, [a, b], current, MAX_SUBSTEP)
-        worst_bias = max(worst_bias, bias)
-        nxt = np.array(current).reshape(frame0.shape)
-        frames.append(nxt)
-        gram_drift = max(
-            gram_drift,
-            float(np.max(np.abs(nxt @ nxt.T - np.eye(len(nxt))))),
-        )
+    flat, worst_bias = _transport_polyline(
+        m, traj.points.tolist(), frame0.ravel().tolist(), MAX_SUBSTEP)
+    frames = [np.array(f).reshape(frame0.shape) for f in flat]
+    eye = np.eye(len(frame0))
     return TransportedFrame(
         times=traj.times.copy(),
         frames=frames,
-        gram_drift_max=gram_drift,
+        gram_drift_max=float(np.max(
+            [np.max(np.abs(f @ f.T - eye)) for f in frames])),
         correction_bias_max=worst_bias,
     )
 
@@ -163,7 +155,8 @@ def _holonomy_operator(m, x, u, v, h, frame):
             points.append(m._gauss_newton(
                 _chord(a, b, s / LOOP_SUBSTEPS), None))
         points.append(b)
-    looped, _ = _transport_polyline(m, points, frame.ravel().tolist(), LOOP_H)
+    looped = _transport_polyline(m, points, frame.ravel().tolist(),
+                                 LOOP_H)[0][-1]
     # hol[i, j] = <frame_i, looped_j>
     hol = frame @ np.array(looped).reshape(frame.shape).T
     return (np.eye(len(frame)) - hol) / (h * h)
@@ -225,8 +218,8 @@ def _pushed_operator(m, f, x, u, v, t, direction, cfg):
     nv = np.linalg.norm(perp)
     if nv < 1e-12:
         raise FlowError("pushed plane degenerated; shorten t")
-    moved, _ = _transport_polyline(m, points.tolist(),
-                                   frame.ravel().tolist(), LOOP_H)
+    moved = _transport_polyline(m, points.tolist(), frame.ravel().tolist(),
+                                LOOP_H)[0][-1]
     sample = holonomy_curvature(m, points[-1], unit_u, perp / nv,
                                 frame=np.array(moved).reshape(frame.shape))
     return nu * nv * sample.operator
@@ -275,13 +268,28 @@ class FlatnessReport:
     consistent: bool
 
 
+def tangent_plane(m, x, rng):
+    """An orthonormal pair (u, v) of random tangent vectors at x: u one
+    `random_tangent` draw, v the first of up to 16 more whose part off u
+    has norm > 1e-6, normalized; RankDeficiencyError if none has."""
+    u = m.random_tangent(x, rng)
+    for _ in range(16):
+        cand = m.random_tangent(x, rng)
+        perp = cand - (cand @ u) * u
+        norm = np.linalg.norm(perp)
+        if norm > 1e-6:
+            return u, perp / norm
+    raise RankDeficiencyError("could not draw a tangent plane")
+
+
 def flatness_test(m, f, crits, sample_count, seed, cfg=None):
     """Sample curvature and Lie-derivative norms; flag counterexamples.
 
-    `consistent` is False only when the sampled Lie derivative stays
-    below FLATNESS_FLOOR while the sampled curvature rises above ten
-    times that floor. Requires a nondegenerate critical point set (a
-    scenario with a degenerate point certifies nothing).
+    `consistent` holds when the largest sampled Lie derivative reaches
+    FLATNESS_FLOOR or the largest sampled curvature stays within ten
+    times that floor, so a nan maximum reads inconsistent. Requires a
+    nondegenerate critical point set (a scenario with a degenerate point
+    certifies nothing).
     """
     crits = list(crits)
     if not crits or any(p.degenerate for p in crits):
@@ -296,28 +304,17 @@ def flatness_test(m, f, crits, sample_count, seed, cfg=None):
     rng = np.random.default_rng((seed, 0x5EED))
     samples = []
     for x in points:
-        u = m.random_tangent(x, rng)
-        v = None
-        for _ in range(16):
-            cand = m.random_tangent(x, rng)
-            perp = cand - (cand @ u) * u
-            norm = np.linalg.norm(perp)
-            if norm > 1e-6:
-                v = perp / norm
-                break
-        if v is None:
-            continue
-        curv = holonomy_curvature(m, x, u, v).norm
-        lie = lie_derivative_estimate(m, f, x, u, v, cfg=cfg)
+        u, v = tangent_plane(m, x, rng)
         samples.append(FlatnessSample(
-            point=x, curvature_norm=curv, lie_derivative_norm=lie))
-    curv_max = max(s.curvature_norm for s in samples)
-    lie_max = max(s.lie_derivative_norm for s in samples)
+            point=x, curvature_norm=holonomy_curvature(m, x, u, v).norm,
+            lie_derivative_norm=lie_derivative_estimate(m, f, x, u, v, cfg)))
+    curv_max = float(np.max([s.curvature_norm for s in samples]))
+    lie_max = float(np.max([s.lie_derivative_norm for s in samples]))
     return FlatnessReport(
         samples=tuple(samples),
         curvature_max=curv_max,
         lie_derivative_max=lie_max,
         floor=FLATNESS_FLOOR,
-        consistent=not (lie_max < FLATNESS_FLOOR
-                        and curv_max > 10.0 * FLATNESS_FLOOR),
+        consistent=(lie_max >= FLATNESS_FLOOR
+                    or curv_max <= 10.0 * FLATNESS_FLOOR),
     )

@@ -232,6 +232,29 @@ def test_non_morse_config_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_monkey_saddle_graph_exits_1(tmp_path, capsys):
+    # f is a product of three linear forms whose planes share the x1-axis,
+    # so the two points of M on that axis are monkey saddles; the census
+    # takes them for index-1 points, and each one's witnesses come back to
+    # it: self-loops that the graph refuses instead of writing
+    cfg = tmp_path / "monkey.cfg"
+    cfg.write_text(
+        "ambient_dim = 3\n"
+        "constraint.1 = 0.692*x1^2 + 0.961*x2^2 + 0.769*x3^2 - 1 + "
+        "0.049*x2*x3 + -0.046*x3\n"
+        "function = 1.999*x2*x3*x3 + 1.798*x2*x3*x2\n"
+        "bounding_box = -2 2\n"
+        "seed = 0\n"
+    )
+    out = tmp_path / "out"
+    code = cli.main(["graph", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness edge 3 -> 3 does not descend: f ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "graph.json").exists()
+
+
 def test_disconnected_manifold_config(tmp_path, capsys):
     # O(3) in R^9 (X^T X = I) has two components. `graph` reports the
     # split with exit code 0: no subcommand requires a connected graph
@@ -400,17 +423,29 @@ def _sphere_config(tmp_path, function):
 
 
 @pytest.mark.parametrize("argv", [
-    ["critical-points"],
     ["flow", "--from", "0.6,0,0.8"],
-], ids=["critical_points", "flow"])
+], ids=["flow"])
 def test_non_finite_report_value_exits_1(argv, tmp_path, capsys):
-    # f is x3 plus a constant nan: the census and the flow run, and the
-    # report refuses the nan values of f
+    # f is x3 plus a constant nan: the flow runs, and the report refuses
+    # the nan values of f
     cfg = _sphere_config(tmp_path, "x3 + (1e308 * 1e308 - 1e308 * 1e308)")
     code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == (
         "error: reports must not contain NaN or infinite values, got nan\n")
+
+
+def test_census_discards_roots_with_a_nan_value(tmp_path, capsys):
+    # the same f: the census discards both nan-valued roots, so the
+    # report lists no critical point and counts the two as discarded
+    cfg = _sphere_config(tmp_path, "x3 + (1e308 * 1e308 - 1e308 * 1e308)")
+    code = cli.main(["critical-points", "--config", cfg,
+                     "--out", str(tmp_path)])
+    assert code == 0
+    payload = _read_json(tmp_path / "critical_points.json")
+    assert payload["points"] == []
+    assert payload["stats"]["n_discarded"] == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_nan_projected_gradient_exits_1(tmp_path, capsys):

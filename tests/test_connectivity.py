@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from morseflow import (
     parse,
     propagate_constancy,
 )
+from morseflow import connectivity
 from morseflow.connectivity import CONSTANCY_SAMPLES, ConnectionGraph
+from morseflow.flow import Terminal
 from morseflow.errors import (
     DisconnectedGraphError,
     FlowError,
@@ -59,6 +62,38 @@ def test_edges_drop_f(torus):
             e.witness.points[0] - torus.crits[e.source].location
         )
         assert start_gap < 2e-4
+
+
+def test_self_loop_edge_is_refused(sphere, monkeypatch):
+    # a hand-made witness captured at its own source, the maximum 1
+    flow = connectivity.integrate_flow
+
+    def looped(*args, **kwargs):
+        return dataclasses.replace(flow(*args, **kwargs),
+                                   terminal=Terminal("converged", 1))
+    monkeypatch.setattr(connectivity, "integrate_flow", looped)
+    top = repr(sphere.crits[1].value)
+    with pytest.raises(NonMorseError, match=(
+            rf"^witness edge 1 -> 1 does not descend: f {top} -> {top}, "
+            r"a drop of at most 1e-09$")):
+        build_connection_graph(sphere.manifold, sphere.function,
+                               sphere.crits, sphere.cfg)
+
+
+@pytest.mark.parametrize("lift", [
+    lambda top: top - 0.5e-9,  # a drop within the census's tie tolerance
+    lambda top: top,
+    lambda top: top + 1.0,
+    lambda top: math.nan,
+], ids=["tie", "level", "ascending", "nan"])
+def test_edge_that_does_not_descend_is_refused(sphere, lift):
+    # the minimum's recorded value moved up towards the maximum's: the
+    # witness 1 -> 0 no longer drops f by more than VALUE_TIE_TOL
+    low, high = sphere.crits
+    crits = [dataclasses.replace(low, value=lift(high.value)), high]
+    with pytest.raises(NonMorseError, match="witness edge 1 -> 0 does not"):
+        build_connection_graph(sphere.manifold, sphere.function, crits,
+                               sphere.cfg)
 
 
 def test_connectivity_stable_under_refinement(torus):

@@ -91,6 +91,16 @@ def test_max_time_not_converged(sphere):
         limit_point(traj, sphere.crits)
 
 
+def test_nan_values_of_f_are_not_monotone():
+    # f is x3 plus a constant nan: the field is x3's, so the flow runs,
+    # and no pair of nan values descends
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)])
+    f = parse("x3 + (1e308 * 1e308 - 1e308 * 1e308)", 3)
+    traj = integrate_flow(m, f, [0.6, 0.0, 0.8])
+    assert len(traj) > 1 and np.isnan(traj.f_values).all()
+    assert not traj.stats.monotone
+
+
 def test_limit_point_rejects_an_id_missing_from_crits(sphere):
     traj = integrate_flow(sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
                           sphere.cfg, crits=sphere.crits)

@@ -771,6 +771,61 @@ def _kkt_oracle(m, f, x, lam):
     return jet.value, jet.gradient, jac, vals, hess
 
 
+# Field kernels whose numpy twin once ran numpy's exp or power: those
+# gave 19 to 145 of the 2000 rows below other bits than the point call.
+BITS_KERNELS = {
+    "exp": "exp(x1) + x2*x3",
+    "x^5": "x1^5 + x2*x3",
+    "x^6, x^7": "x1^6 - x2^7 + x3",
+}
+
+
+@pytest.mark.parametrize("name", [*BITS_KERNELS, "transcendental"])
+def test_columns_rows_are_the_point_calls_bits(name):
+    # `value`, `value_and_grad` and `kkt` over 2000 columns by one
+    # `columns` call each, against each point alone, bit for bit
+    if name == "transcendental":
+        m, f = _scenario(name)
+    else:
+        m, f = _scenario("sphere2")[0], parse(BITS_KERNELS[name], 3)
+    kernel = compile_expression(f, 3, m.constraints)
+    x = np.random.default_rng(0).uniform(-1.2, 1.2, (3, 2000))
+    points = x.T.tolist()
+
+    def bits(rows):
+        return np.ascontiguousarray(rows).tobytes()
+    rows, failed = kernel.columns("value", x)
+    assert not failed.any()
+    assert bits(rows) == bits([[kernel.value(p)] for p in points])
+    rows, failed = kernel.columns("value_and_grad", x)
+    assert not failed.any()
+    want = [kernel.value_and_grad(p) for p in points]
+    assert bits(rows) == bits([[v, *g, *lam] for v, g, lam in want])
+    lam = np.array([w[2] for w in want])
+    blocks, failed = kernel.kkt_columns(x, lam.T.copy())
+    assert not failed.any()
+    want = [kernel.kkt(p, row) for p, row in zip(points, lam)]
+    for i, block in enumerate(blocks):
+        assert bits(block) == bits([w[i] for w in want])
+
+
+def test_numpy_sin_cos_sqrt_give_math_bits():
+    # the numpy twins run numpy's sin, cos and sqrt on columns, where the
+    # point call runs `math`'s; a numpy build whose kernels round
+    # otherwise fails here, before any digest moves
+    rng = np.random.default_rng(0)
+    values = np.concatenate([np.linspace(-10.0, 10.0, 20001),
+                             rng.uniform(-10.0, 10.0, 20000),
+                             rng.uniform(-1e-3, 1e-3, 2000),
+                             [0.0, -0.0, 1e-300, math.pi, 1e6]])
+    for ufunc, fn in ((np.sin, math.sin), (np.cos, math.cos)):
+        assert ufunc(values).tobytes() == np.array(
+            [fn(v) for v in values.tolist()]).tobytes()
+    roots = np.abs(values) * 10.0
+    assert np.sqrt(roots).tobytes() == np.array(
+        [math.sqrt(v) for v in roots.tolist()]).tobytes()
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_kkt_kernel_matches_jets(name):
     # x = (-1.1, ..., -1.1) is outside the domain of sqrt_domain, so there

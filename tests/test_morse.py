@@ -403,6 +403,21 @@ def test_no_computing_path_reaches_the_jets(name, monkeypatch):
     holonomy_curvature(m, x0, u, v)
 
 
+def test_roots_with_a_nan_value_are_discarded():
+    # f is x3 plus a constant nan: Newton converges at both poles, where
+    # f is nan, and the census discards both roots instead of certifying
+    # them as a minimum and a maximum of value nan
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)],
+                         bounding_box=(-1.2, 1.2))
+    f = parse("x3 + (1e308 * 1e308 - 1e308 * 1e308)", 3)
+    crits = find_critical_points(m, f, 200, seed=0)
+    assert len(crits) == 0
+    assert crits.stats == SweepStats(n_starts=200, n_converged=200,
+                                     n_discarded=2, n_unique=0)
+    with pytest.raises(NotCriticalError, match=r"f is nan at \[0\. 0\. 1\.\]"):
+        classify_point(m, f, [0.0, 0.0, 1.0])
+
+
 def test_root_failing_the_gradient_check_is_discarded(sphere, monkeypatch):
     # a Newton root whose |P grad f| exceeds GRAD_TOL is dropped by
     # classify_point's NotCriticalError and counted in n_discarded

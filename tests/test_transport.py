@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace as NS
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from morseflow.errors import (
 )
 from morseflow.geometry import RETRACT_MAX_ITER
 from morseflow.linalg import DEFINITE_FLOOR
-from morseflow.transport import LOOP_H, _transport_polyline, sectional_value
+from morseflow import transport
+from morseflow.transport import (
+    FLATNESS_FLOOR, LOOP_H, MAX_SUBSTEP, _transport_polyline, sectional_value,
+    tangent_plane,
+)
 from test_flow import _hook_loop_retraction
 from test_linalg import _jacobi_eigh_oracle
 
@@ -89,9 +94,9 @@ def test_substep_matches_numpy_oracle(name, request):
             b = m.retract(x + step * m.random_tangent(x, rng), guard=None)
             want, want_bias = _transport_matrix_step(m, frame, x, b)
             # a chord shorter than max_substep is one substep
-            got, bias = _transport_polyline(m, [x.tolist(), b.tolist()],
-                                            frame.ravel().tolist(), 1.0)
-            got = np.array(got).reshape(frame.shape)
+            frames, bias = _transport_polyline(m, [x.tolist(), b.tolist()],
+                                               frame.ravel().tolist(), 1.0)
+            got = np.array(frames[-1]).reshape(frame.shape)
             assert np.max(np.abs(got - want)) < 1e-13
             assert abs(bias - want_bias) < 1e-13
             assert bias > 0.0
@@ -419,3 +424,98 @@ def test_flatness_needs_a_surface():
     assert len(crits) == 2 and not any(p.degenerate for p in crits)
     with pytest.raises(ValueError, match="2-dimensional"):
         flatness_test(circle, f, crits, sample_count=2, seed=0)
+
+
+@pytest.mark.parametrize("name", ["sphere", "clifford"])
+def test_polyline_frames_equal_chained_segments(name, request):
+    # c08's flows: one pass over the samples gives, at every sample, the
+    # bits that a chain of one-segment calls reaches there
+    setup = request.getfixturevalue(name)
+    m = setup.manifold
+    for x0 in m.sample_points(5, seed=77):
+        traj = integrate_flow(m, setup.function, x0, setup.cfg,
+                              crits=setup.crits)
+        points = traj.points.tolist()
+        frame = m.tangent_basis(traj.points[0]).ravel().tolist()
+        frames, bias = _transport_polyline(m, points, frame, MAX_SUBSTEP)
+        chained, biases = [frame], [0.0]
+        for a, b in zip(points[:-1], points[1:]):
+            last, worst = _transport_polyline(m, [a, b], chained[-1],
+                                              MAX_SUBSTEP)
+            chained.append(last[-1])
+            biases.append(worst)
+        assert len(points) > 2
+        assert np.array(frames).tobytes() == np.array(chained).tobytes()
+        assert bias == max(biases) > 0.0
+
+
+def test_polyline_without_a_substep(sphere):
+    # repeated points move nothing: the frame comes back at each, and the
+    # largest bias of no substep is 0.0
+    frame = [0.0, 1.0, 0.0]
+    frames, bias = _transport_polyline(
+        sphere.manifold, [[1.0, 0.0, 0.0]] * 3, frame, MAX_SUBSTEP)
+    assert frames == [frame] * 3
+    assert bias == 0.0
+
+
+class _ParallelDraws:
+    """A surface whose every tangent draw is the same vector, so no draw
+    has a part off the first."""
+
+    dim = 2
+
+    def sample_points(self, count, seed):
+        return np.tile([1.0, 0.0, 0.0], (count, 1))
+
+    def random_tangent(self, x, rng):
+        rng.standard_normal(3)
+        return np.array([0.0, 1.0, 0.0])
+
+
+def test_tangent_plane_needs_a_draw_off_u():
+    with pytest.raises(RankDeficiencyError, match="tangent plane"):
+        tangent_plane(_ParallelDraws(), np.array([1.0, 0.0, 0.0]),
+                      np.random.default_rng(0))
+    # a flatness test whose every plane draw fails raises the same error,
+    # not a bare ValueError from the maximum of no samples
+    crits = [NS(degenerate=False)]
+    with pytest.raises(RankDeficiencyError, match="tangent plane"):
+        flatness_test(_ParallelDraws(), None, crits, sample_count=3, seed=0)
+
+
+def test_tangent_plane_is_an_orthonormal_tangent_pair(clifford):
+    m = clifford.manifold
+    rng = np.random.default_rng(9)
+    for x in m.sample_points(4, seed=3):
+        u, v = tangent_plane(m, x, rng)
+        pair = np.array([u, v])
+        assert np.max(np.abs(pair @ pair.T - np.eye(2))) < 1e-12
+        assert np.max(np.abs(m.constraint_jacobian(x) @ pair.T)) < 1e-12
+
+
+@pytest.mark.parametrize("curvatures, lies, consistent", [
+    # a nan curvature that is not the first sample, with a small Lie
+    # derivative: the maximum keeps the nan, and the rule cannot hold
+    ([0.01, math.nan, 0.02], [1e-3, 1e-3, 1e-3], False),
+    # a nan Lie derivative with a large curvature
+    ([0.5, 0.5], [1e-3, math.nan], False),
+    # the rule at its bounds: the Lie floor reached, or the curvature
+    # within ten floors
+    ([0.5, 0.7], [FLATNESS_FLOOR, 1e-3], True),
+    ([10.0 * FLATNESS_FLOOR], [0.0], True),
+    ([float(np.nextafter(10.0 * FLATNESS_FLOOR, 1.0))],
+     [float(np.nextafter(FLATNESS_FLOOR, 0.0))], False),
+])
+def test_flatness_consistency_keeps_a_nan(sphere, monkeypatch, curvatures,
+                                          lies, consistent):
+    curv, lie = iter(curvatures), iter(lies)
+    monkeypatch.setattr(transport, "holonomy_curvature",
+                        lambda *args, **kwargs: NS(norm=next(curv)))
+    monkeypatch.setattr(transport, "lie_derivative_estimate",
+                        lambda *args, **kwargs: next(lie))
+    report = flatness_test(sphere.manifold, sphere.function, sphere.crits,
+                           sample_count=len(curvatures), seed=0)
+    assert report.consistent is consistent
+    np.testing.assert_equal(report.curvature_max, np.max(curvatures))
+    np.testing.assert_equal(report.lie_derivative_max, np.max(lies))
