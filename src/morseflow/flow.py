@@ -12,9 +12,11 @@ kernel, and the constraint map's lines of the retraction's first
 iterate written in after y5. It is defined per flow with the checked
 retraction `ImplicitManifold._gauss_newton`, the constraint map's row
 projection `_rows` and its checked `project_rows`, the sign, the
-tolerances and the capture threshold bound. It hands back to Python
-only to capture (once |P grad f| is below the threshold, where the point
-becomes an array), for a basin flow's trap test (below), to retract
+tolerances, the capture threshold and the escape radius bound, and
+returns its counts; each accepted sample goes to one bound `record`. It
+hands back to Python only to capture (once |P grad f| is below the
+threshold, where the point becomes an array; `_capture` with the flow's
+critical points bound), for a basin flow's trap test (below), to retract
 where the inline first iterate does not converge (a RetractionError
 there halves the step), and at a failed stage or re-projection, where
 the checked call on the same floats, `GradientField.projected_gradient`
@@ -46,6 +48,10 @@ order of magnitude of the manifold tolerance, is max |F| at the
 unretracted point: those inline values, so F is not evaluated a second
 time.
 
+A flow whose accepted point leaves max |x_i| <= R (`ESCAPE_FACTOR`)
+raises FlowError: M may not be compact. "step size underflow" names
+the point where the step size fell below its floor.
+
 A trajectory terminates Converged once the projected gradient falls
 below the capture threshold within the capture radius of a registered
 critical point; a small gradient near no registered point is reported
@@ -56,6 +62,7 @@ None for the other flows, which keep their full tails.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +97,12 @@ SAFETY = 0.9
 MIN_SCALE = 0.2
 MAX_SCALE = 5.0
 LENGTH_SLACK = 1.05
+# A flow whose point leaves max |x_i| <= R, R = ESCAPE_FACTOR times the
+# larger of the bounding box's farthest corner norm and |x0|, raises: on
+# a compact M it never gets there. The box need not contain M (it only
+# seeds the sampler and the census), so the factor is generous, yet it
+# ends a flow running off to infinity within a few time units.
+ESCAPE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -261,8 +274,8 @@ def _first_step(cfg, x_norm, gnorm):
 # per flow, and `_LOOP_NAMESPACE`.
 _FLOW_NAMES = (
     "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
-    "capture", "trap", "pg", "retract", "rows", "project", "stats",
-    "record_time", "record_state", "record_gnorm",
+    "escape", "capture", "trap", "pg", "retract", "rows", "project",
+    "record",
 )
 _LOOP_NAMESPACE = {
     **_NAMESPACE, "_FAILURES": _FAILURES,
@@ -277,26 +290,30 @@ _LOOP_SOURCE = """\
 def _make({names}):
     def _flow(h, {state}):
         t = 0.0
-        halvings = 0
+        halvings = halvings_total = rejected = 0
         drift = 0.0
         while True:
             if t >= t_max - 1e-13:
-                return MAX_TIME, drift
+                return MAX_TIME, drift, rejected, halvings_total
             rest = t_max - t
             if rest < h:
                 h = rest
             if max_step < h:
                 h = max_step
             if h < 1e-13 * (t if t > 1.0 else 1.0):
-                raise FlowError(f"step size underflow at t={{t}}")
+                raise FlowError(f"step size underflow at t={{t}} at "
+                                f"x={{[{x}]}}")
 {stages}
 {y5}
             err = sqrt(({errors}) / {size})
             if not err <= 1.0:
-                stats.rejected += 1
+                rejected += 1
                 factor = SAFETY * err ** -0.2
                 h *= factor if factor > MIN_SCALE else MIN_SCALE
                 continue
+            if {escaped}:
+                raise FlowError(f"flow left max |x_i| <= {{escape}} at "
+                                f"t={{t + h}}: M may not be compact")
             try:
 {first}
             except _FAILURES:
@@ -308,7 +325,7 @@ def _make({names}):
                     point = retract([{z}], None)
                 except RetractionError:
                     halvings += 1
-                    stats.retraction_halvings += 1
+                    halvings_total += 1
                     if halvings > 40:
                         raise FlowError("retraction kept failing after "
                                         "40 step halvings") from None
@@ -321,17 +338,15 @@ def _make({names}):
             {g}, = pg(state)
 {k1}
             gnorm = sqrt({gnorm})
-            record_time(t)
-            record_state(state)
-            record_gnorm(gnorm)
+            record((t, state, gnorm))
             if not gnorm >= threshold:
                 terminal = capture(point, gnorm)
                 if terminal is not None:
-                    return terminal, drift
+                    return terminal, drift, rejected, halvings_total
             if trap is not None:
                 terminal = trap(point)
                 if terminal is not None:
-                    return terminal, drift
+                    return terminal, drift, rejected, halvings_total
             factor = SAFETY * err ** -0.2 if err > 0.0 else MAX_SCALE
             if not factor > MIN_SCALE:
                 factor = MIN_SCALE
@@ -357,8 +372,9 @@ def _loop_factory(kernel, size):
     """`_make(*_FLOW_NAMES)` of `_LOOP_SOURCE` for the field kernel and a
     state of `size` floats, generated on first use and kept on the
     kernel, so that it goes with the kernel. `_make(**names)` defines one
-    flow's `_flow(h, y..., k1...)`, which returns (terminal, largest
-    drift) or raises.
+    flow's `_flow(h, y..., k1...)`, which hands each accepted sample to
+    `record` as (t, state, gnorm) and returns (terminal, largest drift,
+    rejected steps, retraction halvings) or raises.
 
     Stage i assigns its arguments, the state plus h times the weighted
     earlier stages, to the parameters of the kernel's lines
@@ -372,7 +388,9 @@ def _loop_factory(kernel, size):
     raise. Where it is False the loop calls the bound `retract`,
     `ImplicitManifold._gauss_newton` with guard None, and halves the
     step if that raises RetractionError. Where the unchecked `rows` fails
-    to re-project the vectors, the checked `project` raises likewise.
+    to re-project the vectors, the checked `project` raises likewise. An
+    accepted y5 with some |z_i| > `escape`, of the b_i that the error
+    scale forms, raises FlowError: M may not be compact.
     """
     make = kernel._loops.get(size)
     if make is not None:
@@ -421,7 +439,8 @@ def _loop_factory(kernel, size):
     source = _LOOP_SOURCE.format(
         names=", ".join(_FLOW_NAMES), state=", ".join(ys + ks[0]),
         size=float(size), stages=_block(stages), y5=_block(y5),
-        first=_block(first, 16),
+        first=_block(first, 16), x=", ".join(ys[:n]),
+        escaped=" or ".join(f"b{j} > escape" for j in range(1, n + 1)),
         errors=" + ".join(["0.0", *errors]), z=", ".join(zs[:n]),
         accept=_block([accept]), drift=_block(drift), g=", ".join(gs),
         k1=_block(f"{k} = sign * {g}" for k, g in zip(ks[0], gs)),
@@ -439,48 +458,50 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
     The state's derivative is sign times the field kernel's output for
     the state: P grad f, then the derivative of P grad f along each
     vector. Its first n entries are the signed field, whose norm at each
-    accepted point decides capture. An accepted point is retracted onto
-    M and the vectors re-projected there; |x0| by `float_norm` sets the
-    first step. Returns (terminal, stats, times, states, grad_norms) over
-    the start and every accepted step.
+    accepted point decides capture (with capture=False the threshold is
+    -inf, which only a nan norm is not at least: it raises). An accepted
+    point is retracted onto M and the vectors re-projected there; |x0|
+    by `float_norm` sets the first step and the escape radius
+    (`ESCAPE_FACTOR`). Returns (terminal, stats, times, states,
+    grad_norms) over the start and every accepted step.
 
     After the start sample the whole loop is one call of a `_flow`
     defined for this flow by `_loop_factory`, with the field kernel's
-    lines inlined in each stage; it returns the terminal and the largest
-    constraint drift. Where a stage or the re-projection fails, it
-    raises the EvaluationError naming the failing expression, or the
-    RankDeficiencyError, from the checked call on the same floats.
+    lines inlined in each stage; it records one (t, state, gnorm) per
+    accepted point and returns the terminal, the largest constraint
+    drift and the rejection and halving counts. Where a stage or the
+    re-projection fails, it raises the EvaluationError naming the failing
+    expression, or the RankDeficiencyError, from the checked call on the
+    same floats.
     """
     m = field.manifold
     n = field.n
     size = len(state)
-    stats = FlowStats()
-    crit_list = list(crits) if crits is not None else []
     threshold = cfg.capture_grad_tol if capture else -math.inf
-
-    def capture_at(point, norm):
-        return _capture(point, norm, crit_list, cfg) if capture else None
-
+    capture = functools.partial(
+        _capture, crits=list(crits) if crits is not None else [], cfg=cfg)
     k1 = [sign * v for v in field.projected_gradient(state)]
     gnorm = float_norm(k1[:n])
-    times, states, gnorms = [0.0], [state], [gnorm]
-    terminal = capture_at(state[:n], gnorm)
+    samples = [(0.0, state, gnorm)]
+    terminal = None if gnorm >= threshold else capture(state[:n], gnorm)
     if terminal is None and trap is not None:
         terminal = trap(state)
+    drift, rejected, halvings = 0.0, 0, 0
     if terminal is None:
+        x_norm = float_norm(state[:n])
         flow = _loop_factory(field._kernel, size)(
             sign=sign, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
             t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
-            threshold=threshold, capture=capture_at, trap=trap,
-            pg=field.projected_gradient,
+            threshold=threshold,
+            escape=ESCAPE_FACTOR * max(m.box_radius, x_norm),
+            capture=capture, trap=trap, pg=field.projected_gradient,
             retract=m._gauss_newton,
             rows=m._map.rows_function(size // n - 1) if size > n else None,
-            project=m._map.project_rows,
-            stats=stats, record_time=times.append,
-            record_state=states.append, record_gnorm=gnorms.append)
-        terminal, stats.max_constraint_drift = flow(
-            _first_step(cfg, float_norm(state[:n]), gnorm), *state, *k1)
-    stats.steps = len(times) - 1
+            project=m._map.project_rows, record=samples.append)
+        terminal, drift, rejected, halvings = flow(
+            _first_step(cfg, x_norm, gnorm), *state, *k1)
+    times, states, gnorms = zip(*samples)
+    stats = FlowStats(len(samples) - 1, rejected, halvings, drift)
     return terminal, stats, times, states, gnorms
 
 
@@ -582,9 +603,11 @@ def check_length_bound(traj, consts):
     """Check length <= LENGTH_SLACK * drop / c_floor per outside segment.
 
     Samples closer than r/2 to any critical point are excluded; each
-    maximal run of outside samples is one segment. An empty restriction
-    passes vacuously. All sample-to-point distances come from one
-    `row_norms` call, each the bits of np.linalg.norm of its difference.
+    maximal run of outside samples, between two edges of the outside
+    mask padded with False, is one segment. An empty restriction passes
+    vacuously. All sample-to-point distances come from one `row_norms`
+    call, each the bits of np.linalg.norm of its difference; a segment's
+    length sums its slice of one np.linalg.norm over all steps.
     """
     if len(traj) < 2:
         raise FlowError("need at least two samples to measure length")
@@ -592,24 +615,15 @@ def check_length_bound(traj, consts):
     dim = points.shape[1]
     locs = np.reshape(consts.critical_locations, (-1, dim))
     dists = row_norms((points[:, None] - locs).reshape(-1, dim))
-    outside = (dists.reshape(len(points), -1).min(axis=1)
-               > consts.r / 2.0).tolist()
+    outside = dists.reshape(len(points), -1).min(axis=1) > consts.r / 2.0
+    edges = np.flatnonzero(np.diff(np.pad(outside, 1)))
+    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     segments = []
     lhs = drops = 0.0  # summed left to right: `sum` compensates on 3.12+
-    i = 0
-    n = len(traj)
-    while i < n:
-        if not outside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and outside[j + 1]:
-            j += 1
+    # each run's first and last sample
+    for i, j in zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()):
         if j > i:
-            pts = traj.points[i:j + 1]
-            length = float(
-                np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-            )
+            length = float(np.sum(steps[i:j]))
             drop = abs(float(traj.f_values[i] - traj.f_values[j]))
             bound = LENGTH_SLACK * drop / consts.c_floor
             lhs += length
@@ -624,7 +638,6 @@ def check_length_bound(traj, consts):
                     ok=length <= bound,
                 )
             )
-        i = j + 1
     return LengthBoundReport(
         segments=tuple(segments),
         lhs=lhs,

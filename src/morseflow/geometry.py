@@ -75,6 +75,9 @@ class ImplicitManifold:
                 or np.any(box[:, 0] >= box[:, 1])):
             raise ValueError("bounding_box must be finite with lo < hi")
         self.bounding_box = box
+        # the norm of the box's corner farthest from 0, which sizes the
+        # region a flow must stay in (`flow.ESCAPE_FACTOR`)
+        self.box_radius = float(np.linalg.norm(np.abs(box).max(axis=1)))
 
     def sphere_cut(self, center, radius):
         """M ∩ S(center, radius), M with |x - center|^2 - radius^2 = 0, in

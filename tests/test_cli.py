@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import time
 
 import jsonschema
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from morseflow import cli, reports
 from morseflow.errors import MorseflowError
 from morseflow.linearization import run_decay
+from test_flow import HYPERBOLOID, OPEN_ELLIPSOID
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -253,6 +255,30 @@ def test_monkey_saddle_graph_exits_1(tmp_path, capsys):
     assert err.startswith("error: witness edge 3 -> 3 does not descend: f ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (out / "graph.json").exists()
+
+
+@pytest.mark.parametrize("scenario, command", [
+    (HYPERBOLOID, ["graph"]),
+    (HYPERBOLOID, ["basin", "--samples", "40"]),
+    (HYPERBOLOID, ["decay"]),
+    (OPEN_ELLIPSOID, ["decay"]),
+], ids=["hyperboloid-graph", "hyperboloid-basin", "hyperboloid-decay",
+        "open-ellipsoid-decay"])
+def test_flow_off_a_non_compact_manifold_exits_1(scenario, command, tmp_path,
+                                                 capsys):
+    # each ended in "step size underflow" at t = 10.6 to 27.9 on the
+    # hyperboloid, and the open ellipsoid's decay ran for over 300 s
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text(scenario)
+    start = time.perf_counter()
+    code = cli.main([*command, "--config", str(cfg), "--n-starts", "40",
+                     "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flow left max |x_i| <= ")
+    assert err.endswith(": M may not be compact\n")
+    assert err.count("\n") == 1
 
 
 def test_disconnected_manifold_config(tmp_path, capsys):

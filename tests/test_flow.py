@@ -3,6 +3,8 @@ import gc
 import itertools
 import math
 import numbers
+import re
+import time
 import weakref
 from operator import mul
 from types import SimpleNamespace
@@ -26,13 +28,15 @@ from morseflow.errors import (
 )
 from morseflow import flow as flow_module
 from morseflow.flow import (
-    _CK_A, _CK_B5, _CK_ERR, _FLOW_NAMES, MAX_SCALE, MIN_SCALE, SAFETY,
-    FlowStats, GradientField, Terminal, Trajectory, _capture, _cash_karp,
-    _first_step, _loop_factory, flow_terminals,
+    _CK_A, _CK_B5, _CK_ERR, _FLOW_NAMES, LENGTH_SLACK, MAX_SCALE, MIN_SCALE,
+    SAFETY, FlowStats, GradientField, LengthBoundReport, LengthSegment,
+    Terminal, Trajectory, _capture, _cash_karp, _first_step, _loop_factory,
+    flow_terminals,
 )
 from morseflow import morse
+from morseflow.config import parse_scenario_text
 from morseflow.morse import minimum_traps
-from morseflow.linalg import float_norm
+from morseflow.linalg import float_norm, row_norms
 from morseflow.linearization import (
     DECAY_MAX_STEP, integrate_variational, integrate_variational_multi,
     run_decay,
@@ -258,6 +262,99 @@ def test_length_bound_segments_match_per_sample_norms(name, request):
                     start = None
             report = check_length_bound(traj, setup.consts)
             assert [(s.t_start, s.t_end) for s in report.segments] == runs
+
+
+def _scan_length_bound(traj, consts):
+    """check_length_bound as a two-index scan over the outside mask, each
+    segment measured from its own slice of the points."""
+    points = traj.points
+    dim = points.shape[1]
+    locs = np.reshape(consts.critical_locations, (-1, dim))
+    dists = row_norms((points[:, None] - locs).reshape(-1, dim))
+    outside = (dists.reshape(len(points), -1).min(axis=1)
+               > consts.r / 2.0).tolist()
+    segments = []
+    lhs = drops = 0.0
+    i = 0
+    n = len(traj)
+    while i < n:
+        if not outside[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and outside[j + 1]:
+            j += 1
+        if j > i:
+            pts = traj.points[i:j + 1]
+            length = float(
+                np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+            drop = abs(float(traj.f_values[i] - traj.f_values[j]))
+            bound = LENGTH_SLACK * drop / consts.c_floor
+            lhs += length
+            drops += drop
+            segments.append(LengthSegment(
+                t_start=float(traj.times[i]), t_end=float(traj.times[j]),
+                length=length, drop=drop, bound=bound, ok=length <= bound))
+        i = j + 1
+    return LengthBoundReport(
+        segments=tuple(segments), lhs=lhs, rhs=float(drops / consts.c_floor),
+        passed=all(s.ok for s in segments), slack=LENGTH_SLACK)
+
+
+@pytest.mark.parametrize("mask, runs", [
+    ("1110011", [(0, 2), (5, 6)]),
+    ("0011100111", [(2, 4), (7, 9)]),
+    ("101101", [(2, 3)]),
+    ("000000", []),
+    ("111111", [(0, 5)]),
+    ("10101010", []),
+    ("01010101", []),
+    ("11", [(0, 1)]),
+], ids=["run_at_start", "run_at_end", "single_sample_runs", "all_inside",
+        "all_outside", "alternating_from_outside",
+        "alternating_from_inside", "two_outside"])
+def test_length_bound_segments_of_hand_made_masks(mask, runs):
+    # outside samples on a circle of radius 2 about the one critical
+    # point, inside ones within 0.1 of it (r / 2 = 1): the segments are
+    # the runs of two or more outside samples, and the report is the
+    # two-index scan's, bit for bit
+    rng = np.random.default_rng(len(mask))
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(mask))
+    points = np.array([
+        [2.0 * math.cos(a), 2.0 * math.sin(a)] if c == "1"
+        else rng.uniform(-0.1, 0.1, 2) for a, c in zip(angles, mask)])
+    traj = Trajectory(
+        times=np.cumsum(rng.uniform(0.1, 1.0, len(mask))), points=points,
+        f_values=rng.normal(size=len(mask)), grad_norms=np.ones(len(mask)),
+        terminal=Terminal("stalled"), stats=FlowStats(),
+        direction="forward")
+    consts = SimpleNamespace(critical_locations=[[0.0, 0.0]], r=2.0,
+                             c_floor=0.5)
+    report = check_length_bound(traj, consts)
+    assert report == _scan_length_bound(traj, consts)
+    assert [(s.t_start, s.t_end) for s in report.segments] == [
+        (traj.times[i], traj.times[j]) for i, j in runs]
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere_m", "torus", "clifford"])
+def test_length_bound_matches_the_scan_on_catalog_flows(name, request):
+    # flows both ways from 5 sampled starts, each measured at 5 radii
+    # around the separation radius: the same reports as the scan
+    setup = request.getfixturevalue(name)
+    m, f, consts = setup.manifold, setup.function, setup.consts
+    segments = 0
+    for x0 in m.sample_points(5, seed=8):
+        for direction in ("forward", "backward"):
+            traj = integrate_flow(m, f, x0, setup.cfg, direction=direction,
+                                  crits=setup.crits)
+            for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
+                at = SimpleNamespace(
+                    critical_locations=consts.critical_locations,
+                    r=scale * consts.r, c_floor=consts.c_floor)
+                report = check_length_bound(traj, at)
+                assert report == _scan_length_bound(traj, at)
+                segments += len(report.segments)
+    assert segments > 20
 
 
 def test_unstable_seeds_counts(sphere, torus):
@@ -578,9 +675,11 @@ def test_batched_flow_unresolved_terminals(sphere):
 
 
 def test_batched_flow_errors_match_scalar(sphere):
+    # the apex start raises before the other start's flow runs down the
+    # cone and escapes (at t = 110)
     cone = ImplicitManifold(3, [parse("x1^2 + x2^2 - x3^2", 3)])
     with pytest.raises(RankDeficiencyError):
-        flow_terminals(cone, parse("x3", 3), [[0.6, 0.8, 1.0], [0.0] * 3])
+        flow_terminals(cone, parse("x3", 3), [[0.0] * 3, [0.6, 0.8, 1.0]])
     low = parse("sqrt(x3 - 2)", 3)
     with pytest.raises(EvaluationError):
         integrate_flow(sphere.manifold, low, [1.0, 0.0, 0.0])
@@ -647,16 +746,20 @@ def _oracle_flow(field, sign, state, cfg, crits=None, capture=True):
     y5, the drift from the constraint map's `value` there, the map's
     `project_rows` per vector, the step factors above, and the module's
     first step (looked up on the module, so that `_start_norm` reaches
-    it), capture and statistics."""
+    it), capture below a threshold of -inf without it, the escape test
+    and statistics."""
     m = field.manifold
     n = field.n
     size = len(state)
     crit_list = list(crits) if crits is not None else []
     stats = FlowStats()
     rhs = _checked_rhs(field, sign)
+    threshold = cfg.capture_grad_tol if capture else -math.inf
 
     def _terminal(point, norm):
-        return _capture(point, norm, crit_list, cfg) if capture else None
+        if norm >= threshold:
+            return None
+        return _capture(point, norm, crit_list, cfg)
 
     k1 = rhs(state)
     gnorm = float_norm(k1[:n])
@@ -664,6 +767,8 @@ def _oracle_flow(field, sign, state, cfg, crits=None, capture=True):
     terminal = _terminal(state[:n], gnorm)
     t = 0.0
     h = flow_module._first_step(cfg, float_norm(state[:n]), gnorm)
+    escape = flow_module.ESCAPE_FACTOR * max(m.box_radius,
+                                             float_norm(state[:n]))
     halvings = 0
     while terminal is None:
         if t >= cfg.t_max - 1e-13:
@@ -671,12 +776,15 @@ def _oracle_flow(field, sign, state, cfg, crits=None, capture=True):
             break
         h = min(h, cfg.t_max - t, cfg.max_step)
         if h < 1e-13 * max(1.0, t):
-            raise FlowError(f"step size underflow at t={t}")
+            raise FlowError(f"step size underflow at t={t} at x={state[:n]}")
         y_new, err_scaled = _oracle_step(rhs, h, state, k1, cfg)
         if not err_scaled <= 1.0:
             stats.rejected += 1
             h *= _shrink_factor(err_scaled)
             continue
+        if max(map(abs, y_new[:n])) > escape:
+            raise FlowError(f"flow left max |x_i| <= {escape} at t={t + h}: "
+                            "M may not be compact")
         try:
             point = m._gauss_newton(y_new[:n], None)
         except RetractionError:
@@ -1231,11 +1339,11 @@ def test_non_finite_stage_gives_the_oracle_outcome(f, x2, stage,
     second = [x + 5.0 * (0.2 * k) for x, k in zip(x0, k1)]
     k2 = -field.projected_gradient(second)[1]
     assert k2 == stage or math.isnan(stage) and math.isnan(k2)
-    underflow = "step size underflow at t=0.0"
+    underflow = f"step size underflow at t=0.0 at x=[1000000.0, {x2}, 0.0]"
     assert _assert_loop_matches_oracle(
         monkeypatch, field, -1.0, x0, FlowConfig(), None, True) == (
             FlowError, underflow)
-    with pytest.raises(FlowError, match=underflow):
+    with pytest.raises(FlowError, match=re.escape(underflow)):
         integrate_flow(m, field.function, x0)
 
 
@@ -1247,6 +1355,65 @@ def test_nan_projected_gradient_raises_instead_of_stalling(sphere):
     with pytest.raises(FlowError,
                        match=r"projected gradient is nan at \[0\.6, 0\.0, 0\.8\]"):
         integrate_flow(sphere.manifold, f, [0.6, 0.0, 0.8])
+
+
+# Two non-compact scenarios: a one-sheet hyperboloid, on which f = x1 x3
+# has no minimum, and a perturbed ellipsoid whose x2^2 coefficient, 1.063
+# - 1.879, is negative
+HYPERBOLOID = (
+    "ambient_dim = 3\n"
+    "constraint.1 = x1^2 + x2^2 - x3^2 - 1\n"
+    "function = x1*x3\n"
+    "bounding_box = -2 2\n"
+    "seed = 0\n"
+)
+OPEN_ELLIPSOID = (
+    "ambient_dim = 3\n"
+    "constraint.1 = 1.056*x1^2 + 1.063*x2^2 + 0.79*x3^2 - 1 + "
+    "-1.453*0.1*x1*x2*x3 + -1.879*x2*x2\n"
+    "function = 1.589*x1*x2 + -1.063*x3 + 0.3*cos(x1)\n"
+    "bounding_box = -2.5 2.5\n"
+    "seed = 0\n"
+)
+ESCAPE = re.compile(r"flow left max \|x_i\| <= (\S+) at t=(\S+): "
+                    r"M may not be compact")
+
+
+@pytest.mark.parametrize("x0, radius", [
+    ([1.0, 0.0, 0.0], 10.0 * math.sqrt(12.0)),
+    ([math.sqrt(26.0), 0.0, 5.0], 10.0 * math.sqrt(51.0)),
+], ids=["box", "start"])
+@pytest.mark.parametrize("vectors", [0, 1])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_flow_off_a_non_compact_manifold_raises(x0, radius, vectors, sign,
+                                                monkeypatch):
+    # R is 10 times the larger of the box's farthest corner norm (sqrt(12)
+    # for [-2, 2]^3) and |x0|; the loop raises as the list oracle does, at
+    # the first accepted y5 with some |x_i| > R, a few time units in
+    scenario = parse_scenario_text(HYPERBOLOID)
+    field = GradientField(scenario.build_manifold(),
+                          scenario.build_function())
+    state = x0 + [0.0, 1.0, 0.0] * vectors
+    kind, message = _assert_loop_matches_oracle(
+        monkeypatch, field, sign, state, FlowConfig(), None, True)
+    assert kind is FlowError
+    bound, t = map(float, ESCAPE.fullmatch(message).groups())
+    assert bound == pytest.approx(radius, rel=1e-15)
+    assert 1.0 < t < 10.0
+
+
+def test_variational_flow_off_a_non_compact_manifold_ends_within_1_s():
+    # at run_decay's max_step this flow took 181 s to reach t = 10, at
+    # |x| = 1.6e7, while each plain flow ended in "step size underflow"
+    scenario = parse_scenario_text(OPEN_ELLIPSOID)
+    m, f = scenario.build_manifold(), scenario.build_function()
+    x0 = m.sample_points(1, seed=scenario.seed)[0]
+    v0 = m.random_tangent(x0, np.random.default_rng(0))
+    start = time.perf_counter()
+    with pytest.raises(FlowError, match=ESCAPE):
+        integrate_variational(m, f, x0, v0,
+                              FlowConfig(max_step=DECAY_MAX_STEP))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("norm, kind", [

@@ -335,6 +335,20 @@ def test_flow_invariance_defect_zero_vector_is_degenerate(sphere):
                                x, np.zeros(3), v, 0.1)
 
 
+def test_flow_invariance_defect_of_a_nan_field_raises_at_once(sphere):
+    # d/dx1 of x1 * 1e308 * 1e308 is inf, so P grad f is nan at x. The
+    # push runs without capture, with a capture threshold of -inf, which
+    # a nan norm is not at least: it raises at its start, where it used
+    # to reject every step until "step size underflow at t=0.0"
+    f = parse("x3 + x1 * 1e308 * 1e308 - x1 * 1e308 * 1e308", 3)
+    x = np.array([0.6, 0.0, 0.8])
+    u = np.array([0.0, 1.0, 0.0])
+    v = np.array([0.8, 0.0, -0.6])
+    with pytest.raises(FlowError, match=r"projected gradient is nan at "
+                                        r"\[0\.6, 0\.0, 0\.8\]"):
+        flow_invariance_defect(sphere.manifold, f, x, u, v, 0.5)
+
+
 def test_flow_invariance_defect_clifford(clifford):
     rng = np.random.default_rng(4)
     m = clifford.manifold
