@@ -12,11 +12,13 @@ kernel, and the constraint map's lines of the retraction's first
 iterate written in after y5. It is defined per flow with the checked
 retraction `ImplicitManifold._gauss_newton`, the constraint map's row
 projection `_rows` and its checked `project_rows`, the sign, the
-tolerances, the capture threshold and the escape radius bound, and
-returns its counts; each accepted sample goes to one bound `record`. It
-hands back to Python only to capture (once |P grad f| is below the
-threshold, where the point becomes an array; `_capture` with the flow's
-critical points bound), for a basin flow's trap test (below), to retract
+tolerances, the capture threshold, a basin flow's traps (below) and the
+escape radius bound, and returns its counts; each accepted sample goes
+to one bound `record`. It tests its start and every accepted point the
+same way, capture first, then the traps. It hands back to Python only to
+capture (once |P grad f| is below the threshold, where the point becomes
+an array; `_capture` with the flow's critical points bound), to call the
+kernel's checked `value` at a point inside a trap's ball, to retract
 where the inline first iterate does not converge (a RetractionError
 there halves the step), and at a failed stage or re-projection, where
 the checked call on the same floats, `GradientField.projected_gradient`
@@ -57,8 +59,8 @@ below the capture threshold within the capture radius of a registered
 critical point; a small gradient near no registered point is reported
 as Stalled (an unregistered critical point upstream). A basin flow
 (`flow_terminals`) also ends Converged inside a minimum's sublevel trap
-(`morse.minimum_traps`), where its limit is decided: the loop's `trap`,
-None for the other flows, which keep their full tails.
+(`morse.minimum_traps`), where its limit is decided: the loop's `traps`,
+empty for the other flows, which keep their full tails.
 """
 
 import dataclasses
@@ -247,24 +249,6 @@ def _capture(point, norm, crits, cfg):
     return Terminal("stalled")
 
 
-def _trap(field, traps):
-    """A basin flow's trap test of a point (floats): the minimum's
-    Terminal inside its trap, else None. f, by the kernel's `value`, only
-    inside a ball (the balls are disjoint)."""
-    value = field._kernel.value
-    balls = [(t.center, t.radius * t.radius, t.level,
-              Terminal("converged", t.id)) for t in traps]
-
-    def trap(point):
-        for center, radius2, level, terminal in balls:
-            d2 = 0.0
-            for x, c in zip(point, center):
-                d2 += (x - c) * (x - c)
-            if d2 < radius2:
-                return terminal if value(point) < level else None
-    return trap
-
-
 def _first_step(cfg, x_norm, gnorm):
     return min(cfg.max_step, cfg.t_max,
                0.01 * (1.0 + x_norm) / max(gnorm, 1e-10))
@@ -274,8 +258,8 @@ def _first_step(cfg, x_norm, gnorm):
 # per flow, and `_LOOP_NAMESPACE`.
 _FLOW_NAMES = (
     "sign", "abs_tol", "rel_tol", "t_max", "max_step", "tol", "threshold",
-    "escape", "capture", "trap", "pg", "retract", "rows", "project",
-    "record",
+    "escape", "capture", "traps", "value", "pg", "retract", "rows",
+    "project", "record",
 )
 _LOOP_NAMESPACE = {
     **_NAMESPACE, "_FAILURES": _FAILURES,
@@ -288,65 +272,69 @@ _LOOP_NAMESPACE = {
 # is strictly smaller (larger).
 _LOOP_SOURCE = """\
 def _make({names}):
-    def _flow(h, {state}):
+    def _flow(h, gnorm, {state}):
         t = 0.0
-        halvings = halvings_total = rejected = 0
+        halvings_total = rejected = 0
         drift = 0.0
+        point = [{x}]
         while True:
-            if t >= t_max - 1e-13:
-                return MAX_TIME, drift, rejected, halvings_total
-            rest = t_max - t
-            if rest < h:
-                h = rest
-            if max_step < h:
-                h = max_step
-            if h < 1e-13 * (t if t > 1.0 else 1.0):
-                raise FlowError(f"step size underflow at t={{t}} at "
-                                f"x={{[{x}]}}")
+            if not gnorm >= threshold:
+                terminal = capture(point, gnorm)
+                if terminal is not None:
+                    return terminal, drift, rejected, halvings_total
+            for {centers}, r2, level, terminal in traps:
+                if {d2} < r2:
+                    if value(point) < level:
+                        return terminal, drift, rejected, halvings_total
+                    break
+            halvings = 0
+            while True:
+                if t >= t_max - 1e-13:
+                    return MAX_TIME, drift, rejected, halvings_total
+                rest = t_max - t
+                if rest < h:
+                    h = rest
+                if max_step < h:
+                    h = max_step
+                if h < 1e-13 * (t if t > 1.0 else 1.0):
+                    raise FlowError(f"step size underflow at t={{t}} at "
+                                    f"x={{[{x}]}}")
 {stages}
 {y5}
-            err = sqrt(({errors}) / {size})
-            if not err <= 1.0:
-                rejected += 1
-                factor = SAFETY * err ** -0.2
-                h *= factor if factor > MIN_SCALE else MIN_SCALE
-                continue
-            if {escaped}:
-                raise FlowError(f"flow left max |x_i| <= {{escape}} at "
-                                f"t={{t + h}}: M may not be compact")
-            try:
-{first}
-            except _FAILURES:
-                converged = False
-            if converged:
-                point = [{z}]
-            else:
-                try:
-                    point = retract([{z}], None)
-                except RetractionError:
-                    halvings += 1
-                    halvings_total += 1
-                    if halvings > 40:
-                        raise FlowError("retraction kept failing after "
-                                        "40 step halvings") from None
-                    h *= 0.5
+                err = sqrt(({errors}) / {size})
+                if not err <= 1.0:
+                    rejected += 1
+                    factor = SAFETY * err ** -0.2
+                    h *= factor if factor > MIN_SCALE else MIN_SCALE
                     continue
+                if {escaped}:
+                    raise FlowError(f"flow left max |x_i| <= {{escape}} at "
+                                    f"t={{t + h}}: M may not be compact")
+                try:
+{first}
+                except _FAILURES:
+                    converged = False
+                if converged:
+                    point = [{z}]
+                else:
+                    try:
+                        point = retract([{z}], None)
+                    except RetractionError:
+                        halvings += 1
+                        halvings_total += 1
+                        if halvings > 40:
+                            raise FlowError("retraction kept failing after "
+                                            "40 step halvings") from None
+                        h *= 0.5
+                        continue
+                break
 {accept}
-            halvings = 0
 {drift}
             t += h
             {g}, = pg(state)
 {k1}
             gnorm = sqrt({gnorm})
             record((t, state, gnorm))
-            if not gnorm >= threshold:
-                terminal = capture(point, gnorm)
-                if terminal is not None:
-                    return terminal, drift, rejected, halvings_total
-            if trap is not None:
-                terminal = trap(point)
-                if terminal is not None:
-                    return terminal, drift, rejected, halvings_total
             factor = SAFETY * err ** -0.2 if err > 0.0 else MAX_SCALE
             if not factor > MIN_SCALE:
                 factor = MIN_SCALE
@@ -372,9 +360,17 @@ def _loop_factory(kernel, size):
     """`_make(*_FLOW_NAMES)` of `_LOOP_SOURCE` for the field kernel and a
     state of `size` floats, generated on first use and kept on the
     kernel, so that it goes with the kernel. `_make(**names)` defines one
-    flow's `_flow(h, y..., k1...)`, which hands each accepted sample to
-    `record` as (t, state, gnorm) and returns (terminal, largest drift,
-    rejected steps, retraction halvings) or raises.
+    flow's `_flow(h, gnorm, y..., k1...)`, which hands each accepted
+    sample to `record` as (t, state, gnorm) and returns (terminal,
+    largest drift, rejected steps, retraction halvings) or raises.
+
+    `_flow` loops over points, the start first. It tests each for
+    capture, then against the `traps`, flat tuples (p1, ..., pn, radius
+    squared, level, Terminal): the first ball that holds the point (its
+    squares summed from 0.0 left to right) decides, by the bound `value`
+    below the level. An inner loop then tries steps from the point; it
+    `continue`s after a rejection or a halving and `break`s at an
+    accepted step.
 
     Stage i assigns its arguments, the state plus h times the weighted
     earlier stages, to the parameters of the kernel's lines
@@ -438,8 +434,11 @@ def _loop_factory(kernel, size):
         accept = f"{', '.join(ys)}, = state = point"
     source = _LOOP_SOURCE.format(
         names=", ".join(_FLOW_NAMES), state=", ".join(ys + ks[0]),
-        size=float(size), stages=_block(stages), y5=_block(y5),
-        first=_block(first, 16), x=", ".join(ys[:n]),
+        size=float(size), stages=_block(stages, 16), y5=_block(y5, 16),
+        first=_block(first, 20), x=", ".join(ys[:n]),
+        centers=", ".join(f"p{j}" for j in range(1, n + 1)),
+        d2=" + ".join(["0.0", *(f"({y} - p{j}) * ({y} - p{j})"
+                                for j, y in enumerate(ys[:n], start=1))]),
         escaped=" or ".join(f"b{j} > escape" for j in range(1, n + 1)),
         errors=" + ".join(["0.0", *errors]), z=", ".join(zs[:n]),
         accept=_block([accept]), drift=_block(drift), g=", ".join(gs),
@@ -452,7 +451,7 @@ def _loop_factory(kernel, size):
 
 
 def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
-               trap=None):
+               traps=()):
     """Step the flat state [x, v_1, ..., v_j] until its terminal.
 
     The state's derivative is sign times the field kernel's output for
@@ -465,14 +464,16 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
     (`ESCAPE_FACTOR`). Returns (terminal, stats, times, states,
     grad_norms) over the start and every accepted step.
 
-    After the start sample the whole loop is one call of a `_flow`
-    defined for this flow by `_loop_factory`, with the field kernel's
-    lines inlined in each stage; it records one (t, state, gnorm) per
-    accepted point and returns the terminal, the largest constraint
-    drift and the rejection and halving counts. Where a stage or the
-    re-projection fails, it raises the EvaluationError naming the failing
-    expression, or the RankDeficiencyError, from the checked call on the
-    same floats.
+    After the start's checked k1 and norms the whole flow is one call of
+    a `_flow` defined for this flow by `_loop_factory`, with the field
+    kernel's lines inlined in each stage. It tests the start and each
+    accepted point for capture and against `traps` (flat tuples, see
+    `flow_terminals`; empty but for a basin flow), records one (t,
+    state, gnorm) per accepted point and returns the terminal, the
+    largest constraint drift and the rejection and halving counts. Where
+    a stage or the re-projection fails, it raises the EvaluationError
+    naming the failing expression, or the RankDeficiencyError, from the
+    checked call on the same floats.
     """
     m = field.manifold
     n = field.n
@@ -482,24 +483,18 @@ def _cash_karp(field, sign, state, cfg, crits=None, capture=True,
         _capture, crits=list(crits) if crits is not None else [], cfg=cfg)
     k1 = [sign * v for v in field.projected_gradient(state)]
     gnorm = float_norm(k1[:n])
+    x_norm = float_norm(state[:n])
     samples = [(0.0, state, gnorm)]
-    terminal = None if gnorm >= threshold else capture(state[:n], gnorm)
-    if terminal is None and trap is not None:
-        terminal = trap(state)
-    drift, rejected, halvings = 0.0, 0, 0
-    if terminal is None:
-        x_norm = float_norm(state[:n])
-        flow = _loop_factory(field._kernel, size)(
-            sign=sign, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-            t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
-            threshold=threshold,
-            escape=ESCAPE_FACTOR * max(m.box_radius, x_norm),
-            capture=capture, trap=trap, pg=field.projected_gradient,
-            retract=m._gauss_newton,
-            rows=m._map.rows_function(size // n - 1) if size > n else None,
-            project=m._map.project_rows, record=samples.append)
-        terminal, drift, rejected, halvings = flow(
-            _first_step(cfg, x_norm, gnorm), *state, *k1)
+    flow = _loop_factory(field._kernel, size)(
+        sign=sign, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
+        t_max=cfg.t_max, max_step=cfg.max_step, tol=m.constraint_tol,
+        threshold=threshold, escape=ESCAPE_FACTOR * max(m.box_radius, x_norm),
+        capture=capture, traps=traps, value=field._kernel.value,
+        pg=field.projected_gradient, retract=m._gauss_newton,
+        rows=m._map.rows_function(size // n - 1) if size > n else None,
+        project=m._map.project_rows, record=samples.append)
+    terminal, drift, rejected, halvings = flow(
+        _first_step(cfg, x_norm, gnorm), gnorm, *state, *k1)
     times, states, gnorms = zip(*samples)
     stats = FlowStats(len(samples) - 1, rejected, halvings, drift)
     return terminal, stats, times, states, gnorms
@@ -512,19 +507,21 @@ def flow_terminals(m, f, starts, cfg=None, crits=None):
     then each flow is `_cash_karp`, the path of `integrate_flow`, ended
     at its first sample (bit for bit that flow's) inside a trap of
     `morse.minimum_traps` as Converged to that minimum, or else where
-    `integrate_flow` ends. The end points are the rows of an (N, n) array.
+    `integrate_flow` ends. The traps become the loop's flat tuples once
+    per call. The end points are the rows of an (N, n) array.
     """
     field = GradientField(m, f)
     cfg = cfg or FlowConfig()
     crits = list(crits) if crits is not None else []
     points = [_start_point(m, x0).tolist() for x0 in starts]
-    traps = minimum_traps(m, f, crits)
-    trap = _trap(field, traps) if traps else None
+    traps = tuple((*t.center, t.radius * t.radius, t.level,
+                   Terminal("converged", t.id))
+                  for t in minimum_traps(m, f, crits))
     terminals = []
     ends = np.empty((len(points), field.n))
     for end, xs in zip(ends, points):
         terminal, _, _, states, _ = _cash_karp(field, -1.0, xs, cfg, crits,
-                                               trap=trap)
+                                               traps=traps)
         terminals.append(terminal)
         end[:] = states[-1]
     return terminals, ends

@@ -260,6 +260,19 @@ def _last_mixed_sample(series, limit):
     return int(mixed[-1]) if len(mixed) else 0
 
 
+def _limit(series, crits):
+    """The critical point of `crits` a converged series was captured by;
+    NotConvergedError for a series that did not converge or whose limit
+    id is not in `crits`."""
+    if not series.terminal.converged:
+        raise NotConvergedError("series did not converge to a critical point")
+    by_id = {p.id: p for p in crits}
+    limit = by_id.get(series.terminal.critical_point_id)
+    if limit is None:
+        raise NotConvergedError("limit id missing from the critical point set")
+    return limit
+
+
 def fit_decay_rate(series, crits):
     """Least-squares slope of log|V| on the tail of a converged series.
 
@@ -276,12 +289,7 @@ def fit_decay_rate(series, crits):
     Hessian eigenvalue at the limiting minimum, the rate of exponential
     shrinkage on its stable manifold.
     """
-    if not series.terminal.converged:
-        raise NotConvergedError("series did not converge to a critical point")
-    by_id = {p.id: p for p in crits}
-    limit = by_id.get(series.terminal.critical_point_id)
-    if limit is None:
-        raise NotConvergedError("limit id missing from the critical point set")
+    limit = _limit(series, crits)
     if limit.index != 0:
         raise NotConvergedError(
             "decay fit requires convergence to a minimum, got index "
@@ -330,8 +338,7 @@ def slow_component(series, crits):
     the limiting minimum (eigenvalues within SLOW_EIGENVALUE_TOL of the
     smallest) decays at a faster rate and must be redrawn.
     """
-    by_id = {p.id: p for p in crits}
-    slow = _slow_vectors(by_id[series.terminal.critical_point_id])
+    slow = _slow_vectors(_limit(series, crits))
     v_end = series.vectors[-1]
     norm = np.linalg.norm(v_end)
     if norm == 0.0:

@@ -384,12 +384,12 @@ def _paren(text):
 
 
 def _pow(a, k):
-    """Source of a ** k: a ** 0 is 1.0, and for |k| <= _CHAIN_MAX one
-    product chain a * a * ... * a, multiplied from the left, with
-    1.0 / (chain) for k < 0. A larger k is the call pow(a, k), which
-    raises OverflowError where a chain would give inf: for one point the
+    """Source of a ** k, k != 0: for |k| <= _CHAIN_MAX one product
+    chain a * a * ... * a, multiplied from the left, with 1.0 / (chain)
+    for k < 0. A larger k is the call pow(a, k), which raises
+    OverflowError where a chain would give inf: for one point the
     builtin, whose bits and errors are those of a ** k, and for columns
-    the same builtin on each entry.
+    the same builtin on each entry. `_jet_power` writes a ** 0 itself.
 
     Python's float power (libm pow) and numpy's power of columns differ
     in the last bit for some k and a (for a in (0.5, 3), pow(a, 2) and
@@ -397,8 +397,6 @@ def _pow(a, k):
     k = 3, 4, -2 and -3 on about 5%), so the chain, or pow on each
     entry, gives points and columns the same bits.
     """
-    if k == 0:
-        return "1.0"
     if abs(k) > _CHAIN_MAX:
         return f"pow({a}, {k})"
     chain = " * ".join([a] * abs(k))

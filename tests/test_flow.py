@@ -591,6 +591,35 @@ def test_batched_flow_non_polynomial(sphere):
             m, f, m.sample_points(10, seed=4), sphere.cfg, crits) > 0
 
 
+def test_basin_flows_with_two_traps():
+    # f = x1^2 + 2 x2^2 + 3 x3^2 on the unit sphere has its minima at
+    # +-e1, so two traps: each flow ends in the first ball that holds one
+    # of its points, and flows from both basins end in their own
+    m = ImplicitManifold(3, [parse("x1^2 + x2^2 + x3^2 - 1", 3)])
+    f = parse("x1^2 + 2*x2^2 + 3*x3^2", 3)
+    crits = find_critical_points(m, f, 100, seed=0)
+    traps = minimum_traps(m, f, crits)
+    assert len(traps) == 2
+    starts = m.sample_points(40, seed=3)
+    terminals, ends = flow_terminals(m, f, starts, crits=crits)
+    refs = [integrate_flow(m, f, x0, crits=crits) for x0 in starts]
+    assert _assert_basin_matches(m, f, crits, terminals, ends, refs) == 40
+    assert {t.critical_point_id for t in terminals} == {t.id for t in traps}
+
+
+def test_basin_flow_from_inside_a_trap_makes_no_step(sphere):
+    # the loop tests its start as it tests every accepted point: a start
+    # inside the minimum's trap is its own end point, bit for bit
+    m, f, crits = sphere.manifold, sphere.function, sphere.crits
+    x0 = m.retract(np.array([0.2, 0.0, -0.98]))
+    (trap,) = minimum_traps(m, f, crits)
+    terminals, ends = flow_terminals(m, f, [x0], sphere.cfg, crits=crits)
+    assert terminals == [Terminal("converged", trap.id)]
+    assert np.array_equal(ends[0], x0)
+    ref = integrate_flow(m, f, x0, sphere.cfg, crits=crits)
+    assert _assert_basin_matches(m, f, crits, terminals, ends, [ref]) == 1
+
+
 def _no_root(cut, f, starts):
     return [None] * len(starts)
 

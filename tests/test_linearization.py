@@ -458,6 +458,29 @@ def test_fit_rejects_a_limit_missing_from_crits(sphere):
         fit_decay_rate(series, sphere.crits[1:])
 
 
+def test_slow_component_requires_convergence(sphere):
+    # a series that ran out of time has no limit to take the slow
+    # eigenspace of: the fit's NotConvergedError, not a KeyError
+    series = integrate_variational(
+        sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
+        np.array([0.0, 1.0, 0.0]), sphere.cfg.replace(t_max=1.0),
+        crits=sphere.crits,
+    )
+    assert series.terminal.kind == "max_time"
+    with pytest.raises(NotConvergedError, match="did not converge"):
+        slow_component(series, sphere.crits)
+
+
+def test_slow_component_rejects_a_limit_missing_from_crits(sphere):
+    series = integrate_variational(
+        sphere.manifold, sphere.function, [1.0, 0.0, 0.0],
+        np.array([0.0, 1.0, 0.0]), sphere.cfg, crits=sphere.crits,
+    )
+    assert series.terminal.critical_point_id == 0
+    with pytest.raises(NotConvergedError, match="limit id missing"):
+        slow_component(series, sphere.crits[1:])
+
+
 def test_fit_rejects_saddle_limits(torus):
     # the inner-equator orbit is captured by the lower saddle (index 1)
     m, f = torus.manifold, torus.function

@@ -309,6 +309,18 @@ def test_negative_exponent_at_zero():
         evaluate_jet(parse("x1^-2", 1), [0.0])
 
 
+def test_zero_exponent_is_one_everywhere():
+    # x1^0 is 1.0 at x1 = 0 too, in the tree walk and in generated code,
+    # with no derivative
+    expr = parse("x1^0 * x2", 2)
+    x = [0.0, 3.0]
+    assert evaluate(expr, x) == 3.0
+    assert compile_expression(expr, 2).value_and_grad(x) == (3.0, (0.0, 1.0))
+    jet = evaluate_jet(expr, x)
+    assert jet.value == 3.0 and jet.gradient.tolist() == [0.0, 1.0]
+    assert not jet.hessian.any()
+
+
 @pytest.mark.parametrize("text, x, message", [
     ("sqrt(x1 - 2)", [1.0], "sqrt of negative value"),
     ("(x1 - 1)^-3", [1.0], "zero base with negative exponent"),
